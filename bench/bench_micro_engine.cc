@@ -8,8 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <new>
 
 #include "coro/frame_pool.hh"
@@ -18,97 +16,15 @@
 #include "mem/mem_system.hh"
 #include "noc/mesh.hh"
 #include "sim/engine.hh"
+#include "sim/heap_counter.hh"
 #include "wireless/data_channel.hh"
 #include "wireless/mac/brs_mac.hh"
 
-// ---- Heap-allocation counter ------------------------------------------
-//
 // The fast-path benches assert "zero heap allocations on the uncontended
-// path" with a counter, not by eyeball: the global operator new family
-// is replaced with counting wrappers, and each bench samples the count
+// path" with a counter, not by eyeball: this binary links the counting
+// operator new of sim/heap_counter.cc, and each bench samples the count
 // strictly around engine.run() so harness bookkeeping stays outside the
 // measured window.
-
-static std::atomic<std::uint64_t> g_heapAllocs{0};
-
-static void *
-countedAlloc(std::size_t bytes, std::size_t align)
-{
-    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
-    void *p = nullptr;
-    if (align <= alignof(std::max_align_t))
-        p = std::malloc(bytes);
-    else if (posix_memalign(&p, align, bytes) != 0)
-        p = nullptr;
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new(std::size_t bytes)
-{
-    return countedAlloc(bytes, alignof(std::max_align_t));
-}
-
-void *
-operator new[](std::size_t bytes)
-{
-    return countedAlloc(bytes, alignof(std::max_align_t));
-}
-
-void *
-operator new(std::size_t bytes, std::align_val_t align)
-{
-    return countedAlloc(bytes, static_cast<std::size_t>(align));
-}
-
-void *
-operator new[](std::size_t bytes, std::align_val_t align)
-{
-    return countedAlloc(bytes, static_cast<std::size_t>(align));
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
 
 using namespace wisync;
 
@@ -319,10 +235,9 @@ meshUncontendedBody(benchmark::State &state)
     std::uint64_t fallbacks = 0;
     for (auto _ : state) {
         point();
-        const std::uint64_t before =
-            g_heapAllocs.load(std::memory_order_relaxed);
+        const std::uint64_t before = sim::heapAllocs();
         eng.run();
-        allocs += g_heapAllocs.load(std::memory_order_relaxed) - before;
+        allocs += sim::heapAllocs() - before;
         hits = mesh.stats().fastpathHits.value();
         fallbacks = mesh.stats().fastpathFallbacks.value();
         benchmark::DoNotOptimize(eng.now());
@@ -521,10 +436,9 @@ bmBroadcastStoreBody(benchmark::State &state)
     std::uint64_t fallbacks = 0;
     for (auto _ : state) {
         point();
-        const std::uint64_t before =
-            g_heapAllocs.load(std::memory_order_relaxed);
+        const std::uint64_t before = sim::heapAllocs();
         m.run();
-        allocs += g_heapAllocs.load(std::memory_order_relaxed) - before;
+        allocs += sim::heapAllocs() - before;
         hits = m.bm()->dataChannel().stats().fastpathHits.value();
         fallbacks =
             m.bm()->dataChannel().stats().fastpathFallbacks.value();

@@ -21,8 +21,8 @@
 #include <concepts>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -95,6 +95,63 @@ yield(sim::Engine &engine)
 {
     return YieldAwaiter(engine);
 }
+
+/**
+ * FIFO of parked coroutines, as a power-of-two ring. Allocates nothing
+ * until the first waiter queues: a machine holds thousands of mutexes
+ * and resources (links, ports, directory entries) that never see
+ * contention. Capacity is kept across drains and clear().
+ */
+class WaiterQueue
+{
+  public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+
+    void
+    push_back(std::coroutine_handle<> h)
+    {
+        if (size_ == capacity_)
+            grow();
+        ring_[(head_ + size_) & (capacity_ - 1)] = h;
+        ++size_;
+    }
+
+    /** Remove and return the oldest waiter (queue must be non-empty). */
+    std::coroutine_handle<>
+    pop_front()
+    {
+        const std::coroutine_handle<> h = ring_[head_];
+        head_ = (head_ + 1) & (capacity_ - 1);
+        --size_;
+        return h;
+    }
+
+    void
+    clear()
+    {
+        head_ = 0;
+        size_ = 0;
+    }
+
+  private:
+    void
+    grow()
+    {
+        const std::uint32_t cap = capacity_ == 0 ? 4 : capacity_ * 2;
+        auto ring = std::make_unique<std::coroutine_handle<>[]>(cap);
+        for (std::uint32_t i = 0; i < size_; ++i)
+            ring[i] = ring_[(head_ + i) & (capacity_ - 1)];
+        ring_ = std::move(ring);
+        capacity_ = cap;
+        head_ = 0;
+    }
+
+    std::unique_ptr<std::coroutine_handle<>[]> ring_;
+    std::uint32_t capacity_ = 0;
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
+};
 
 /**
  * FIFO mutex for coroutines.
@@ -210,9 +267,7 @@ class SimMutex
         // Hand the lock to the oldest waiter; resume via the engine so
         // the critical section starts at the current cycle but after
         // the unlocker's event completes.
-        auto h = waiters_.front();
-        waiters_.pop_front();
-        engine_.resumeHandle(0, h);
+        engine_.resumeHandle(0, waiters_.pop_front());
     }
 
     /**
@@ -300,7 +355,7 @@ class SimMutex
     bool releaseQueued_ = false;
     sim::Cycle reservedUntil_ = 0;
     std::uint64_t reservedSeq_ = 0;
-    std::deque<std::coroutine_handle<>> waiters_;
+    WaiterQueue waiters_;
 };
 
 /** RAII helper running a coroutine critical section. */
@@ -379,9 +434,7 @@ class Resource
     release()
     {
         if (!waiters_.empty()) {
-            auto h = waiters_.front();
-            waiters_.pop_front();
-            engine_.resumeHandle(0, h);
+            engine_.resumeHandle(0, waiters_.pop_front());
             return;
         }
         WISYNC_ASSERT(available_ < capacity_, "Resource over-release");
@@ -402,7 +455,7 @@ class Resource
     sim::Engine &engine_;
     std::uint32_t available_;
     std::uint32_t capacity_;
-    std::deque<std::coroutine_handle<>> waiters_;
+    WaiterQueue waiters_;
 };
 
 /**

@@ -32,10 +32,11 @@ namespace wisync::harness {
  *
  * The cache is LRU-bounded (default 4 shapes, WISYNC_SWEEP_CACHE
  * overrides): a figure sweep touches at most the four ConfigKinds per
- * core count, while an unbounded cache across a core-count sweep
- * would pin hundreds of megabytes of dead tag arrays — blocking the
- * allocator from recycling those (warm) pages into the next build,
- * which is slower than not caching at all.
+ * core count. Tag arrays are backed lazily, so a cached machine holds
+ * only the tag pages its runs touched, but it does hold them: an
+ * unbounded cache across a core-count sweep would keep every dead
+ * shape's touched tags, directories and mesh resident, and keep its
+ * arrays out of the free list the next shape's build recycles from.
  */
 class SweepHarness
 {

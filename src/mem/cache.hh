@@ -9,8 +9,8 @@
 #ifndef WISYNC_MEM_CACHE_HH
 #define WISYNC_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -52,9 +52,10 @@ isOwner(CohState s)
  * One cache line's bookkeeping.
  *
  * Deliberately no field initializers: the tag arrays are megabytes of
- * these, and value-initialization of an NSDMI-free aggregate is a
- * single memset. All-zero is the correct initial state (Invalid == 0,
- * epoch 0); CacheArray's vector value-initializes every element.
+ * these and are never constructed element by element. CacheArray backs
+ * them with zero-fill-on-demand pages, and all-zero is the correct
+ * initial state (Invalid == 0, epoch 0), so a set nobody touches costs
+ * no resident memory at all.
  */
 struct CacheLine
 {
@@ -76,12 +77,34 @@ static_assert(static_cast<int>(CohState::Invalid) == 0,
 
 /**
  * Tag array: size/assoc/line-size in bytes, true-LRU replacement.
+ *
+ * Storage is an anonymous mapping: pages fault in (zeroed) on first
+ * touch, so a machine's host footprint follows the sets its run
+ * touches, not its core count. A destroyed array hands its mapping to
+ * a bounded process-wide free list; the next array of the same mapped
+ * size takes it over without clearing it, starting at the previous
+ * owner's epoch + 1 so every stale line reads invalid (see reset()).
  */
 class CacheArray
 {
   public:
     CacheArray(std::uint32_t size_bytes, std::uint32_t assoc,
                std::uint32_t line_bytes);
+    ~CacheArray();
+
+    CacheArray(CacheArray &&other) noexcept;
+    CacheArray(const CacheArray &) = delete;
+    CacheArray &operator=(const CacheArray &) = delete;
+    CacheArray &operator=(CacheArray &&) = delete;
+
+    /** Process-wide storage counters: arrays built on a new mapping,
+     *  and arrays built on one taken from the free list. */
+    struct PoolStats
+    {
+        std::uint64_t mapped = 0;
+        std::uint64_t recycled = 0;
+    };
+    static PoolStats poolStats();
 
     /** Aligned line address containing @p addr. */
     sim::Addr lineOf(sim::Addr addr) const
@@ -133,7 +156,8 @@ class CacheArray
     std::uint32_t numSets_;
     std::uint64_t clock_ = 0;
     std::uint32_t gen_ = 0; // current epoch (see reset())
-    std::vector<CacheLine> lines_; // numSets_ x assoc_
+    CacheLine *lines_ = nullptr; // numSets_ x assoc_
+    std::size_t mapBytes_ = 0;   // page-rounded size of the mapping
 };
 
 } // namespace wisync::mem

@@ -176,6 +176,29 @@ parseCasKernel(const Json &v, const std::string &path, std::size_t point)
 
 // ---- Sub-object parsers ------------------------------------------
 
+/** Reject @p v outside [0, hi] (NaN too): the channel models assert
+ *  these ranges, and a client must get an error, not a dead daemon. */
+void
+requireWithin(double v, double hi, const std::string &path,
+              std::size_t point, const char *message)
+{
+    if (!(v >= 0.0 && v <= hi))
+        fail(path, point, message);
+}
+
+constexpr const char *kPctRange = "loss percentage must be within [0, 100]";
+constexpr const char *kProbRange = "probability must be within [0, 1]";
+
+/** Backoff waits are Cycle{1} << exp: wider than 63 is undefined. */
+void
+requireShiftable(std::uint32_t exp, const std::string &path,
+                 std::size_t point)
+{
+    if (exp > 63)
+        fail(path, point, "backoff exponent must be at most 63, got " +
+                              std::to_string(exp));
+}
+
 void
 parseBurst(wireless::BurstParams &burst, const Json &v,
            const std::string &path, std::size_t point)
@@ -195,6 +218,14 @@ parseBurst(wireless::BurstParams &burst, const Json &v,
         else
             fail(sub, point, "unknown key '" + key + "'");
     }
+    requireWithin(burst.goodLossPct, 100.0, path + ".goodLossPct", point,
+                  kPctRange);
+    requireWithin(burst.badLossPct, 100.0, path + ".badLossPct", point,
+                  kPctRange);
+    requireWithin(burst.pGoodToBad, 1.0, path + ".pGoodToBad", point,
+                  kProbRange);
+    requireWithin(burst.pBadToGood, 1.0, path + ".pBadToGood", point,
+                  kProbRange);
 }
 
 void
@@ -242,9 +273,10 @@ parseWireless(wireless::WirelessConfig &w, const Json &v,
         else
             fail(sub, point, "unknown key '" + key + "'");
     }
-    if (w.lossPct < 0.0 || w.lossPct > 100.0)
-        fail(path + ".lossPct", point,
-             "loss percentage must be within [0, 100]");
+    requireWithin(w.lossPct, 100.0, path + ".lossPct", point, kPctRange);
+    requireShiftable(w.maxBackoffExp, path + ".maxBackoffExp", point);
+    requireShiftable(w.retryBackoffMaxExp, path + ".retryBackoffMaxExp",
+                     point);
 }
 
 void
@@ -272,9 +304,12 @@ parseBridge(noc::BridgeConfig &b, const Json &v, const std::string &path,
         else
             fail(sub, point, "unknown key '" + key + "'");
     }
-    if (b.lossPct < 0.0 || b.lossPct > 100.0)
-        fail(path + ".lossPct", point,
-             "loss percentage must be within [0, 100]");
+    requireWithin(b.lossPct, 100.0, path + ".lossPct", point, kPctRange);
+    requireShiftable(b.retryBackoffMaxExp, path + ".retryBackoffMaxExp",
+                     point);
+    if (b.widthBits == 0)
+        fail(path + ".widthBits", point,
+             "bridge width must be at least 1 bit per cycle");
 }
 
 /** Same FNV-1a stream discipline as MachineConfig::fingerprint(). */

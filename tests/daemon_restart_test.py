@@ -13,7 +13,10 @@ Scenario:
      cold reference (the JSON response carries exact fingerprints and
      canonically formatted result fields, so dict equality is bit
      equality).
-  4. Closing stdin must end the serve loop with exit code 0.
+  4. Requests whose values would crash a Machine (zero-width bridge,
+     out-of-range burst probability, backoff exponents past 63) must
+     each answer {"error": ...} and leave the loop serving.
+  5. Closing stdin must end the serve loop with exit code 0.
 
 Usage: daemon_restart_test.py /path/to/wisync_sweepd
 """
@@ -40,6 +43,26 @@ def request_line(num_points):
             "workload": {"kind": "tightloop", "iterations": 2},
         })
     return json.dumps({"points": points}, separators=(",", ":"))
+
+
+# Well-formed requests that used to kill the daemon inside Machine.
+CRASHING_CONFIGS = [
+    {"chips": 2, "bridge": {"widthBits": 0}},
+    {"wireless": {"burst": {"pGoodToBad": 2.0}}},
+    {"wireless": {"retryBackoffMaxExp": 64}},
+    {"chips": 2, "bridge": {"retryBackoffMaxExp": 64}},
+]
+
+
+def crashing_lines():
+    lines = []
+    for extra in CRASHING_CONFIGS:
+        config = {"kind": "WiSync", "cores": 4}
+        config.update(extra)
+        lines.append(json.dumps({"points": [{
+            "config": config, "workload": {"kind": "tightloop"}}]},
+            separators=(",", ":")))
+    return lines
 
 
 def results_by_index(response):
@@ -122,8 +145,18 @@ def main():
             if warm != reference:
                 fail("warm restart results diverged from the cold "
                      "reference")
+
+            # 4. Out-of-range values answer typed errors.
+            for bad in crashing_lines():
+                daemon.stdin.write((bad + "\n").encode())
+                daemon.stdin.flush()
+                raw = daemon.stdout.readline()
+                if not raw:
+                    fail("daemon died on " + bad)
+                if "error" not in json.loads(raw):
+                    fail("no error answer for " + bad)
         finally:
-            # 4. EOF on stdin ends the loop gracefully.
+            # 5. EOF on stdin ends the loop gracefully.
             daemon.stdin.close()
             if daemon.wait(timeout=60) != 0:
                 fail("daemon exit code %d after stdin EOF" %

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "mem/cache.hh"
 
 namespace {
@@ -107,6 +113,111 @@ TEST(CacheArray, DistinctSetsDoNotConflict)
         c.install(c.victimFor(a), a, CohState::Shared);
     for (Addr a = 0; a < 8 * 64; a += 64)
         EXPECT_NE(c.lookup(a), nullptr) << "line " << a;
+}
+
+/** Install @p a wherever victimFor puts it; returns the victim's state
+ *  beforehand (Invalid for a free way) and, if valid, its address. */
+std::pair<bool, Addr>
+fill(CacheArray &c, Addr a)
+{
+    CacheLine *v = c.victimFor(a);
+    const std::pair<bool, Addr> evicted{v->valid(),
+                                        v->valid() ? v->lineAddr : 0};
+    c.install(v, a, CohState::Modified);
+    return evicted;
+}
+
+TEST(CacheArrayRecycle, RecycledStorageMissesEverywhereAndPicksFreshVictims)
+{
+    // 48 KiB, 3 ways: no other array in this binary has its mapped
+    // size, so `fresh` really is a new zero-filled mapping.
+    constexpr std::uint32_t kSize = 48 * 1024, kAssoc = 3, kLine = 64;
+    const auto start = CacheArray::poolStats();
+    CacheArray fresh(kSize, kAssoc, kLine);
+    EXPECT_EQ(CacheArray::poolStats().mapped, start.mapped + 1);
+
+    std::vector<Addr> resident;
+    {
+        CacheArray prev(kSize, kAssoc, kLine);
+        prev.reset();
+        prev.reset(); // lines below carry a non-zero epoch
+        for (Addr a = 0; a < kSize; a += kLine) {
+            EXPECT_FALSE(fill(prev, a).first);
+            resident.push_back(a);
+        }
+        for (const Addr a : resident)
+            ASSERT_NE(prev.peek(a), nullptr); // every way of every set
+    }
+    const auto released = CacheArray::poolStats();
+    CacheArray next(kSize, kAssoc, kLine);
+    EXPECT_EQ(CacheArray::poolStats().recycled, released.recycled + 1);
+
+    for (const Addr a : resident) {
+        EXPECT_EQ(next.peek(a), nullptr) << "stale line " << a;
+        EXPECT_EQ(next.lookup(a), nullptr) << "stale line " << a;
+    }
+    // One deterministic access stream over twice the capacity: the
+    // recycled array must hit, miss and evict exactly like the fresh
+    // one, starting with a free way in every set.
+    std::uint64_t lcg = 12345;
+    for (int i = 0; i < 20000; ++i) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        const Addr a = ((lcg >> 33) % (2 * kSize / kLine)) * kLine;
+        const bool hit = fresh.lookup(a) != nullptr;
+        ASSERT_EQ(next.lookup(a) != nullptr, hit) << "access " << i;
+        if (!hit)
+            ASSERT_EQ(fill(next, a), fill(fresh, a)) << "access " << i;
+    }
+}
+
+TEST(CacheArrayRecycle, AnotherGeometryOfTheSameMappedSizeStartsEmpty)
+{
+    std::vector<Addr> resident;
+    {
+        CacheArray prev(1024, 2, 64); // 16 lines, one page
+        for (Addr a = 0; a < 1024; a += 64) {
+            fill(prev, a);
+            resident.push_back(a);
+        }
+    }
+    const auto released = CacheArray::poolStats();
+    CacheArray next(2048, 4, 64); // 32 lines, still one page
+    EXPECT_EQ(CacheArray::poolStats().recycled, released.recycled + 1);
+    for (const Addr a : resident)
+        EXPECT_EQ(next.peek(a), nullptr);
+    for (Addr a = 0; a < 2048; a += 64)
+        EXPECT_FALSE(fill(next, a).first) << "line " << a;
+}
+
+TEST(CacheArrayRecycle, ArraysReleasedOnOneThreadServeAnother)
+{
+    // Sweep workers come and go: arrays one thread releases are taken
+    // over by builds on others, through one mutex-guarded free list.
+    constexpr int kThreads = 4, kRounds = 200;
+    const auto before = CacheArray::poolStats();
+    std::vector<std::thread> threads;
+    std::atomic<int> stale_hits{0};
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([t, &stale_hits] {
+            for (int r = 0; r < kRounds; ++r) {
+                const std::uint32_t size = (r + t) % 2 ? 32 * 1024 : 1024;
+                CacheArray c(size, 2, 64);
+                for (Addr a = 0; a < size; a += 64) {
+                    if (c.peek(a) != nullptr)
+                        ++stale_hits;
+                    fill(c, a);
+                }
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(stale_hits.load(), 0);
+    const auto after = CacheArray::poolStats();
+    EXPECT_EQ((after.mapped - before.mapped) +
+                  (after.recycled - before.recycled),
+              static_cast<std::uint64_t>(kThreads * kRounds));
+    EXPECT_GT(after.recycled - before.recycled, 0u);
 }
 
 } // namespace

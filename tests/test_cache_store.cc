@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <unistd.h>
@@ -467,6 +468,40 @@ TEST(Daemon, BadLineAnswersAnErrorAndTheLoopContinues)
     EXPECT_NE(lines[1].find("points[0]"), std::string::npos)
         << "a strictness error must name the offending field path";
     EXPECT_NE(lines[2].find("\"results\""), std::string::npos);
+}
+
+TEST(Daemon, ConfigsThatWouldCrashAMachineAnswerErrors)
+{
+    // Well-formed requests whose values used to kill the process
+    // (SIGFPE, a channel assert, an out-of-range shift) inside Machine.
+    const char *bad_configs[] = {
+        R"("chips":2,"bridge":{"widthBits":0})",
+        R"("wireless":{"burst":{"pGoodToBad":2.0}})",
+        R"("wireless":{"retryBackoffMaxExp":64})",
+        R"("chips":2,"bridge":{"retryBackoffMaxExp":64})",
+    };
+    std::string input;
+    for (const char *cfg : bad_configs)
+        input += std::string(R"({"points":[{"config":{"kind":"WiSync",)"
+                             R"("cores":4,)") +
+                 cfg + R"(},"workload":{"kind":"tightloop"}}]})" + "\n";
+    input += ConfigCodec::serializeRequest(smallRequest()) + "\n";
+
+    DaemonOptions opt;
+    opt.threads = 1;
+    Daemon daemon(opt);
+    std::istringstream in(input);
+    std::ostringstream out;
+    EXPECT_EQ(daemon.serve(in, out), std::size(bad_configs) + 1);
+
+    const auto lines = splitLines(out.str());
+    ASSERT_EQ(lines.size(), std::size(bad_configs) + 1);
+    for (std::size_t i = 0; i < std::size(bad_configs); ++i) {
+        SCOPED_TRACE(bad_configs[i]);
+        EXPECT_EQ(lines[i].rfind(R"({"error":)", 0), 0u) << lines[i];
+        EXPECT_NE(lines[i].find("points[0].config."), std::string::npos);
+    }
+    EXPECT_NE(lines.back().find("\"results\""), std::string::npos);
 }
 
 TEST(Daemon, OversizedLineIsRejectedBeforeParsingAndTheLoopContinues)

@@ -11,22 +11,25 @@
  * workloads (barrier-storm TightLoop, lock-free CAS kernels, the
  * lock+barrier synthetic app), plus the nasty cases: reset after a
  * *partial* run (threads and hardware transactions destroyed
- * mid-flight) and reset that retimes the machine to a different
- * variant.
+ * mid-flight), reset that retimes the machine to a different
+ * variant, and a build on tag arrays recycled from a dirty machine.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "core/machine.hh"
 #include "harness/sweep.hh"
+#include "mem/cache.hh"
 #include "workloads/apps.hh"
 #include "workloads/cas_kernels.hh"
+#include "workloads/kernel_result.hh"
 #include "workloads/tight_loop.hh"
 
 namespace {
@@ -35,6 +38,8 @@ using wisync::core::ConfigKind;
 using wisync::core::Machine;
 using wisync::core::MachineConfig;
 using wisync::core::Variant;
+using wisync::mem::CacheArray;
+using wisync::workloads::KernelResult;
 
 /** Everything observable we can cheaply capture after a run. */
 struct Snapshot
@@ -129,7 +134,7 @@ expectEqual(const Snapshot &a, const Snapshot &b, const std::string &what)
 struct Workload
 {
     const char *name;
-    std::function<void(Machine &)> run;
+    std::function<KernelResult(Machine &)> run;
 };
 
 const std::vector<Workload> &
@@ -141,19 +146,19 @@ workloadGrid()
              wisync::workloads::TightLoopParams p;
              p.iterations = 4;
              p.arrayElems = 16;
-             wisync::workloads::runTightLoopOn(m, p);
+             return wisync::workloads::runTightLoopOn(m, p);
          }},
         {"cas-add",
          [](Machine &m) {
              wisync::workloads::CasKernelParams p;
              p.criticalSectionInstr = 64;
              p.duration = 20'000;
-             wisync::workloads::runCasKernelOn(
+             return wisync::workloads::runCasKernelOn(
                  wisync::workloads::CasKernel::Add, m, p);
          }},
         {"app-blackscholes",
          [](Machine &m) {
-             wisync::workloads::runAppOn(
+             return wisync::workloads::runAppOn(
                  wisync::workloads::appByName("blackscholes"), m);
          }},
     };
@@ -238,6 +243,36 @@ TEST_P(ResetEquivalence, ResetMidRunDestroysInFlightStateCleanly)
     EXPECT_EQ(reused.engine().pendingEvents(), 0u);
     workload.run(reused);
     expectEqual(golden, capture(reused), "after mid-run reset");
+}
+
+TEST_P(ResetEquivalence, RecycledArraysBuildMatchesFreshBitForBit)
+{
+    const auto [kind, wl] = GetParam();
+    const auto &workload = workloadGrid()[static_cast<std::size_t>(wl)];
+    const auto cfg = MachineConfig::make(kind, 8);
+
+    Machine fresh(cfg);
+    const KernelResult golden_result = workload.run(fresh);
+    const Snapshot golden = capture(fresh);
+
+    // A dirty machine of the same shape dies with its tag arrays full
+    // of current-epoch lines; the next build takes those arrays over.
+    {
+        Machine dirty(cfg);
+        workloadGrid()[(static_cast<std::size_t>(wl) + 1) %
+                       workloadGrid().size()]
+            .run(dirty);
+        workload.run(dirty);
+    }
+    const auto released = CacheArray::poolStats();
+    Machine recycled(cfg);
+    EXPECT_EQ(CacheArray::poolStats().recycled - released.recycled,
+              2u * cfg.numCores)
+        << "every L1 and L2 bank array should come from the free list";
+
+    const KernelResult result = workload.run(recycled);
+    EXPECT_TRUE(wisync::workloads::bitIdentical(golden_result, result));
+    expectEqual(golden, capture(recycled), "build on recycled arrays");
 }
 
 TEST(MachineReset, RetimingResetMatchesFreshVariantMachine)
@@ -374,6 +409,35 @@ TEST(MachineReset, ServesSpinWatchesFromThePool)
     EXPECT_EQ(after.allocated, warm.allocated);
     EXPECT_GE(after.recycled, warm.allocated);
 }
+
+#if defined(__linux__)
+/** Resident set size of this process, KiB (-1 if unreadable). */
+long
+residentKiB()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stol(line.substr(6));
+    return -1;
+}
+
+TEST(MachineFootprint, BuildingA256CoreMachineCostsUnder16MB)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory inflates the resident set";
+#endif
+    // Tag arrays are backed by zero-fill-on-demand pages, so a build
+    // pays for its bookkeeping, not for 256 cores' worth of zeroed
+    // L1/L2 tags (about 52 MB of them).
+    const long before = residentKiB();
+    ASSERT_GT(before, 0);
+    Machine m(MachineConfig::make(ConfigKind::WiSync, 256));
+    const long grown = residentKiB() - before;
+    EXPECT_LT(grown, 16 * 1024) << "resident set grew by " << grown
+                                << " KiB";
+}
+#endif
 
 TEST(MachineResetDeathTest, IncompatibleShapeIsFatal)
 {

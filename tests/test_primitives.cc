@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <cstdint>
 #include <vector>
 
 #include "coro/primitives.hh"
 #include "coro/task.hh"
 #include "sim/engine.hh"
+#include "sim/heap_counter.hh"
 
 namespace {
 
@@ -21,6 +24,7 @@ using wisync::coro::scopedLock;
 using wisync::coro::SimMutex;
 using wisync::coro::spawnNow;
 using wisync::coro::Task;
+using wisync::coro::WaiterQueue;
 using wisync::sim::Cycle;
 using wisync::sim::Engine;
 
@@ -108,6 +112,83 @@ TEST(Resource, CapacityBoundsConcurrency)
     EXPECT_EQ(peak, 3);
     EXPECT_EQ(active, 0);
     EXPECT_EQ(res.available(), 3u);
+}
+
+TEST(WaiterQueue, MutexAndResourceConstructWithoutAllocating)
+{
+    // A machine holds thousands of these; most never see a waiter.
+    Engine eng;
+    const std::uint64_t before = wisync::sim::heapAllocs();
+    {
+        SimMutex mtx(eng);
+        Resource res(eng, 2);
+        ASSERT_TRUE(mtx.tryLock());
+        mtx.unlock();
+        mtx.reset();
+        res.reset();
+    }
+    EXPECT_EQ(wisync::sim::heapAllocs(), before);
+}
+
+TEST(WaiterQueue, WrapsAndGrowsInFifoOrder)
+{
+    const auto handle = [](std::uintptr_t i) {
+        return std::coroutine_handle<>::from_address(
+            reinterpret_cast<void *>(i * 16));
+    };
+    WaiterQueue q;
+    std::uintptr_t pushed = 1, popped = 1;
+    // Uneven push/pop rounds walk the head around the ring and force
+    // growth while it is wrapped.
+    for (const int round : {3, 2, 7, 1, 12}) {
+        for (int i = 0; i < round; ++i)
+            q.push_back(handle(pushed++));
+        for (int i = 0; i < round - 1; ++i)
+            EXPECT_EQ(q.pop_front(), handle(popped++));
+    }
+    EXPECT_EQ(q.size(), 5u);
+    while (!q.empty())
+        EXPECT_EQ(q.pop_front(), handle(popped++));
+    EXPECT_EQ(popped, pushed);
+}
+
+TEST(WaiterQueue, DrainToEmptyAndRefillKeepsFifoGrantOrder)
+{
+    Engine eng;
+    SimMutex mtx(eng);
+    Resource res(eng, 1);
+    std::vector<int> mutex_order, resource_order;
+
+    auto mutex_worker = [&](int id) -> Task<void> {
+        co_await mtx.lock();
+        mutex_order.push_back(id);
+        co_await delay(eng, 3);
+        mtx.unlock();
+    };
+    auto resource_worker = [&](int id) -> Task<void> {
+        co_await res.acquire();
+        resource_order.push_back(id);
+        co_await delay(eng, 3);
+        res.release();
+    };
+    // Three waves, each queued only after the previous one drained the
+    // queue completely, with sizes that wrap and regrow the ring.
+    int id = 0;
+    for (const int wave : {6, 3, 11}) {
+        for (int i = 0; i < wave; ++i, ++id) {
+            spawnNow(eng, mutex_worker, id);
+            spawnNow(eng, resource_worker, id);
+        }
+        eng.run();
+        EXPECT_EQ(mtx.waiting(), 0u);
+        EXPECT_FALSE(mtx.locked());
+        EXPECT_EQ(res.available(), 1u);
+    }
+    std::vector<int> expected(static_cast<std::size_t>(id));
+    for (int i = 0; i < id; ++i)
+        expected[static_cast<std::size_t>(i)] = i;
+    EXPECT_EQ(mutex_order, expected);
+    EXPECT_EQ(resource_order, expected);
 }
 
 TEST(CondVar, NotifyWakesAllWaiters)

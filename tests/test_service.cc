@@ -268,6 +268,92 @@ TEST(ServiceCodec, MalformedAndPartialRequestsNameTheField)
         "points[0].workload.kernel", 0);
 }
 
+/**
+ * Values that parse as well-formed JSON but would crash a Machine: a
+ * zero-width bridge divides by zero, out-of-range burst knobs trip the
+ * channel asserts, and a backoff exponent past 63 shifts a 64-bit
+ * cycle count out of range. Each must be a typed ParseError naming
+ * its field.
+ */
+struct CrashingField
+{
+    const char *name;
+    const char *config; // members appended to a 4-core WiSync config
+    const char *field;  // expected path under points[0].config
+};
+
+class ServiceCodecRejects : public ::testing::TestWithParam<CrashingField>
+{};
+
+INSTANTIATE_TEST_SUITE_P(
+    Field, ServiceCodecRejects,
+    ::testing::Values(
+        CrashingField{"BridgeWidthBits",
+                      R"("chips":2,"bridge":{"widthBits":0})",
+                      "bridge.widthBits"},
+        CrashingField{"BridgeRetryBackoffMaxExp",
+                      R"("chips":2,"bridge":{"retryBackoffMaxExp":64})",
+                      "bridge.retryBackoffMaxExp"},
+        CrashingField{"BridgeBurstPGoodToBad",
+                      R"("chips":2,"bridge":{"burst":{"pGoodToBad":2.0}})",
+                      "bridge.burst.pGoodToBad"},
+        CrashingField{"BridgeBurstPBadToGood",
+                      R"("chips":2,"bridge":{"burst":{"pBadToGood":-0.5}})",
+                      "bridge.burst.pBadToGood"},
+        CrashingField{"BridgeBurstGoodLossPct",
+                      R"("chips":2,"bridge":{"burst":{"goodLossPct":101}})",
+                      "bridge.burst.goodLossPct"},
+        CrashingField{"BridgeBurstBadLossPct",
+                      R"("chips":2,"bridge":{"burst":{"badLossPct":-1}})",
+                      "bridge.burst.badLossPct"},
+        CrashingField{"BridgeLossPct",
+                      R"("chips":2,"bridge":{"lossPct":100.5})",
+                      "bridge.lossPct"},
+        CrashingField{"WirelessRetryBackoffMaxExp",
+                      R"("wireless":{"retryBackoffMaxExp":64})",
+                      "wireless.retryBackoffMaxExp"},
+        CrashingField{"WirelessMaxBackoffExp",
+                      R"("wireless":{"maxBackoffExp":4000000000})",
+                      "wireless.maxBackoffExp"},
+        CrashingField{"WirelessBurstPGoodToBad",
+                      R"("wireless":{"burst":{"pGoodToBad":2.0}})",
+                      "wireless.burst.pGoodToBad"},
+        CrashingField{"WirelessBurstPBadToGood",
+                      R"("wireless":{"burst":{"pBadToGood":1.5}})",
+                      "wireless.burst.pBadToGood"},
+        CrashingField{"WirelessBurstGoodLossPct",
+                      R"("wireless":{"burst":{"goodLossPct":-2}})",
+                      "wireless.burst.goodLossPct"},
+        CrashingField{"WirelessBurstBadLossPct",
+                      R"("wireless":{"burst":{"badLossPct":250}})",
+                      "wireless.burst.badLossPct"}),
+    [](const auto &info) { return std::string(info.param.name); });
+
+TEST_P(ServiceCodecRejects, OutOfRangeValueNamesItsField)
+{
+    const CrashingField &c = GetParam();
+    expectParseError(
+        std::string(R"({"points":[{"config":{"kind":"WiSync","cores":4,)") +
+            c.config + R"(},"workload":{"kind":"tightloop"}}]})",
+        std::string("points[0].config.") + c.field, 0);
+}
+
+TEST(ServiceCodec, RangeLimitsThemselvesAreAccepted)
+{
+    const auto req = ConfigCodec::parseRequest(
+        R"({"points":[{"config":{"kind":"WiSync","cores":4,"chips":2,
+            "wireless":{"maxBackoffExp":63,"retryBackoffMaxExp":63,
+                "burst":{"enabled":true,"goodLossPct":0,"badLossPct":100,
+                         "pGoodToBad":1,"pBadToGood":0}},
+            "bridge":{"widthBits":1,"retryBackoffMaxExp":63,
+                "burst":{"pGoodToBad":0,"pBadToGood":1}}},
+            "workload":{"kind":"tightloop"}}]})");
+    ASSERT_EQ(req.points.size(), 1u);
+    EXPECT_EQ(req.points[0].config.wireless.retryBackoffMaxExp, 63u);
+    EXPECT_EQ(req.points[0].config.bridge.widthBits, 1u);
+    EXPECT_EQ(req.points[0].config.wireless.burst.pGoodToBad, 1.0);
+}
+
 // ---- MachineConfig equality + fingerprint ------------------------
 
 TEST(ServiceFingerprint, EqualConfigsShareItDifferingConfigsDoNot)
