@@ -6,14 +6,22 @@
 
 namespace wisync::core {
 
+namespace {
+
+/** fatal() on a config validate() rejects: the subsystems assume it. */
+void
+requireValid(const MachineConfig &cfg)
+{
+    if (const auto error = cfg.validate())
+        WISYNC_FATAL("invalid MachineConfig: %s: %s", error->field.c_str(),
+                     error->message.c_str());
+}
+
+} // namespace
+
 Machine::Machine(const MachineConfig &cfg) : cfg_(cfg), rng_(cfg.seed)
 {
-    WISYNC_FATAL_IF(cfg_.mesh.numNodes != cfg_.numCores,
-                    "mesh size must equal core count (use "
-                    "MachineConfig::make)");
-    WISYNC_FATAL_IF(cfg_.numChips == 0 ||
-                        cfg_.numCores % cfg_.numChips != 0,
-                    "numCores must divide evenly among chips");
+    requireValid(cfg_);
     mesh_ = std::make_unique<noc::Mesh>(engine_, cfg_.mesh);
     mem_ = std::make_unique<mem::MemSystem>(engine_, *mesh_, memory_,
                                             cfg_.numCores, cfg_.mem);
@@ -48,9 +56,7 @@ Machine::reset(const MachineConfig &cfg)
     WISYNC_FATAL_IF(!cfg.compatibleShape(cfg_),
                     "Machine::reset requires a shape-compatible config "
                     "(same kind/cores/cache/BM geometry)");
-    WISYNC_FATAL_IF(cfg.numChips == 0 ||
-                        cfg.numCores % cfg.numChips != 0,
-                    "numCores must divide evenly among chips");
+    requireValid(cfg);
     cfg_ = cfg;
     // Engine first: destroys live thread/transaction frames (whose
     // teardown may touch subsystem mutexes) and drops every pending

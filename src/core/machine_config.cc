@@ -1,8 +1,9 @@
 #include "core/machine_config.hh"
 
-#include <bit>
 #include <cstdio>
+#include <type_traits>
 
+#include "sim/fnv1a.hh"
 #include "sim/logging.hh"
 
 namespace wisync::core {
@@ -93,26 +94,71 @@ MachineConfig::compatibleShape(const MachineConfig &other) const
 
 namespace {
 
-/**
- * FNV-1a over a canonical little-endian byte stream. Every field is
- * widened to a fixed 8-byte representation first, so the fingerprint
- * never depends on host struct layout, padding or endianness of
- * in-memory representations — only on the declared field order below.
- */
-struct Fnv1a
+/** Feeds every entry, wire or not, to one FNV-1a stream. */
+struct FingerprintVisitor
 {
-    std::uint64_t h = 0xCBF29CE484222325ull;
+    sim::Fnv1a f;
 
+    template <typename T>
     void
-    u64(std::uint64_t v)
+    field(const char *, const T &member, const FieldSpec &)
     {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xFF;
-            h *= 0x100000001B3ull;
+        f.u64(sim::toWord(member));
+    }
+
+    template <typename Members>
+    void
+    group(const char *, const FieldSpec &, Members &&members)
+    {
+        members();
+    }
+};
+
+/** Records the first entry outside its FieldSpec range. */
+struct RangeVisitor
+{
+    /** "wireless.burst." while inside that group. */
+    std::string prefix;
+    std::optional<ConfigError> error;
+
+    template <typename T>
+    void
+    field(const char *name, const T &member, const FieldSpec &spec)
+    {
+        if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+            const double v = static_cast<double>(member);
+            if (error || (v >= spec.lo && v <= spec.hi))
+                return;
+            std::string got;
+            if constexpr (std::is_integral_v<T>)
+                got = std::to_string(member);
+            else
+                got = number(member);
+            error = ConfigError{prefix + name,
+                                "must be within [" + number(spec.lo) +
+                                    ", " + number(spec.hi) + "], got " +
+                                    got};
         }
     }
-    void dbl(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void b(bool v) { u64(v ? 1 : 0); }
+
+    template <typename Members>
+    void
+    group(const char *name, const FieldSpec &, Members &&members)
+    {
+        const std::size_t outer = prefix.size();
+        prefix += name;
+        prefix += '.';
+        members();
+        prefix.resize(outer);
+    }
+
+    static std::string
+    number(double v)
+    {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%g", v);
+        return buf;
+    }
 };
 
 } // namespace
@@ -120,85 +166,32 @@ struct Fnv1a
 std::uint64_t
 MachineConfig::fingerprint() const
 {
-    Fnv1a f;
-    // Version tag: kFingerprintVersion is bumped when the stream
-    // layout below changes, so stale persisted fingerprints (the
-    // on-disk result cache) can never alias a new layout.
-    f.u64(0x5753464700ull + kFingerprintVersion); // "WSFG" NN
+    FingerprintVisitor v;
+    // Version tag: kFingerprintVersion is bumped when the field list
+    // changes shape, so stale persisted fingerprints (the on-disk
+    // result cache) can never alias a new layout.
+    v.f.u64(0x5753464700ull + kFingerprintVersion); // "WSFG" NN
+    forEachField(*this, v);
+    return v.f.h;
+}
 
-    f.u64(static_cast<std::uint64_t>(kind));
-    f.u64(static_cast<std::uint64_t>(variant));
-    f.u64(numCores);
-    f.u64(numChips);
-    f.u64(issueWidth);
-    f.u64(seed);
-
-    f.u64(mem.lineBytes);
-    f.u64(mem.l1SizeBytes);
-    f.u64(mem.l1Assoc);
-    f.u64(mem.l1RtCycles);
-    f.u64(mem.l2BankSizeBytes);
-    f.u64(mem.l2Assoc);
-    f.u64(mem.l2RtCycles);
-    f.u64(mem.dramRtCycles);
-    f.u64(mem.numMemCtrls);
-    f.u64(mem.dramOutstanding);
-    f.u64(mem.ctrlBits);
-    f.u64(mem.dataBits);
-    f.b(mem.fastpath);
-
-    f.u64(mesh.numNodes);
-    f.u64(mesh.hopCycles);
-    f.u64(mesh.linkBits);
-    f.b(mesh.treeMulticast);
-    f.b(mesh.fastpath);
-
-    f.u64(wireless.dataCycles);
-    f.u64(wireless.bulkCycles);
-    f.u64(wireless.collisionCycles);
-    f.b(wireless.fastpath);
-    f.dbl(wireless.lossPct);
-    f.b(wireless.berFromSnr);
-    f.dbl(wireless.txPowerDbm);
-    f.u64(wireless.ackTimeoutCycles);
-    f.u64(wireless.maxRetries);
-    f.u64(wireless.retryBackoffMaxExp);
-    f.b(wireless.burst.enabled);
-    f.dbl(wireless.burst.goodLossPct);
-    f.dbl(wireless.burst.badLossPct);
-    f.dbl(wireless.burst.pGoodToBad);
-    f.dbl(wireless.burst.pBadToGood);
-    f.dbl(wireless.channelLossBaseDb);
-    f.dbl(wireless.channelLossStepDb);
-    f.u64(wireless.spectrumSlots);
-    f.u64(static_cast<std::uint64_t>(wireless.macKind));
-    f.u64(wireless.maxBackoffExp);
-    f.u64(wireless.tokenPassCycles);
-    f.u64(wireless.tokenFrameBits);
-    f.u64(wireless.tokenHoldCycles);
-    f.u64(wireless.adaptWindowEvents);
-    f.u64(wireless.adaptHiPct);
-    f.u64(wireless.adaptLoPct);
-
-    f.u64(bm.bmBytes);
-    f.u64(bm.bmRtCycles);
-    f.u64(bm.rmwModifyCycles);
-    f.u64(bm.allocSlots);
-
-    f.u64(bridge.latencyCycles);
-    f.u64(bridge.widthBits);
-    f.u64(bridge.headerBits);
-    f.dbl(bridge.lossPct);
-    f.b(bridge.burst.enabled);
-    f.dbl(bridge.burst.goodLossPct);
-    f.dbl(bridge.burst.badLossPct);
-    f.dbl(bridge.burst.pGoodToBad);
-    f.dbl(bridge.burst.pBadToGood);
-    f.u64(bridge.ackTimeoutCycles);
-    f.u64(bridge.maxRetries);
-    f.u64(bridge.retryBackoffMaxExp);
-
-    return f.h;
+std::optional<ConfigError>
+MachineConfig::validate() const
+{
+    RangeVisitor ranges;
+    forEachField(*this, ranges);
+    if (ranges.error)
+        return ranges.error;
+    // numChips >= 1 holds here (its range), so the modulo is safe.
+    if (numCores % numChips != 0)
+        return ConfigError{"chips", "cores (" + std::to_string(numCores) +
+                                        ") must divide evenly over chips (" +
+                                        std::to_string(numChips) + ")"};
+    if (mesh.numNodes != numCores)
+        return ConfigError{"mesh.numNodes",
+                           "mesh size must equal core count (use "
+                           "MachineConfig::make)"};
+    return std::nullopt;
 }
 
 std::string
@@ -215,17 +208,15 @@ MachineConfig::describe() const
         // identical labels (they used to: the lossy-knob rule below
         // had not been applied to the bridge).
         char buf[128];
-        std::snprintf(buf, sizeof(buf), " bridge=lat%llu,w%u",
-                      static_cast<unsigned long long>(
-                          bridge.latencyCycles),
-                      bridge.widthBits);
+        std::snprintf(buf, sizeof(buf), " bridge=lat%u,w%u",
+                      bridge.latencyCycles, bridge.widthBits);
         out += buf;
         if (bridge.lossPct > 0.0 || bridge.burst.enabled) {
             std::snprintf(
                 buf, sizeof(buf),
-                " bloss=%g%% back=%llu,%u,%u", bridge.lossPct,
-                static_cast<unsigned long long>(bridge.ackTimeoutCycles),
-                bridge.maxRetries, bridge.retryBackoffMaxExp);
+                " bloss=%g%% back=%u,%u,%u", bridge.lossPct,
+                bridge.ackTimeoutCycles, bridge.maxRetries,
+                bridge.retryBackoffMaxExp);
             out += buf;
             if (bridge.burst.enabled) {
                 std::snprintf(buf, sizeof(buf),

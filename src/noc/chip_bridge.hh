@@ -48,8 +48,9 @@ namespace wisync::noc {
 /** Bridge link knobs. */
 struct BridgeConfig
 {
-    /** Propagation latency, last flit out -> remote delivery, cycles. */
-    sim::Cycle latencyCycles = 24;
+    /** Propagation latency, last flit out -> remote delivery, cycles.
+     *  32 bits wide, so adding it to a simulated time cannot wrap. */
+    std::uint32_t latencyCycles = 24;
     /** Serialization width: payload bits accepted per cycle. */
     std::uint32_t widthBits = 64;
     /** Fixed per-frame header (routing + word address + version). */
@@ -63,8 +64,8 @@ struct BridgeConfig
      *  medium replaces the i.i.d. draw when enabled. */
     wireless::BurstParams burst;
     /** Cycles the bridge waits for the missing remote ack before
-     *  declaring a frame lost. */
-    sim::Cycle ackTimeoutCycles = 4;
+     *  declaring a frame lost (32 bits, like latencyCycles). */
+    std::uint32_t ackTimeoutCycles = 4;
     /** Retransmissions per frame before a give-up is recorded (the
      *  frame is then RE-ISSUED with a fresh budget, never dropped). */
     std::uint32_t maxRetries = 8;

@@ -1,6 +1,5 @@
 #include "service/cache_store.hh"
 
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -9,6 +8,7 @@
 #include "core/machine_config.hh"
 #include "service/config_codec.hh"
 #include "service/json.hh"
+#include "sim/fnv1a.hh"
 
 namespace wisync::service {
 
@@ -21,12 +21,9 @@ constexpr std::uint64_t kLayoutVersion = 1;
 std::uint64_t
 fnv1a(const char *data, std::size_t n)
 {
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
-        h *= 0x100000001B3ull;
-    }
-    return h;
+    sim::Fnv1a f;
+    f.bytes(data, n);
+    return f.h;
 }
 
 /** Cheap integrity check over a record's length field alone: when it
@@ -70,64 +67,6 @@ getU64(const char *p)
     return v;
 }
 
-void
-putResult(std::string &out, const workloads::KernelResult &r)
-{
-    putU64(out, r.cycles);
-    putU64(out, r.completed ? 1 : 0);
-    putU64(out, r.operations);
-    putU64(out, std::bit_cast<std::uint64_t>(r.dataChannelUtilisation));
-    putU64(out, r.collisions);
-    putU64(out, r.macBackoffCycles);
-    putU64(out, r.macTokenWaits);
-    putU64(out, r.macTokenRotations);
-    putU64(out, r.macModeSwitches);
-    putU64(out, r.wirelessDrops);
-    putU64(out, r.macAckTimeouts);
-    putU64(out, r.macRetransmits);
-    putU64(out, r.macGiveups);
-    putU64(out, r.bridgeFrames);
-    putU64(out, r.bridgeBusyCycles);
-    putU64(out, r.staleRmwAborts);
-    putU64(out, r.bridgeDrops);
-    putU64(out, r.bridgeAckTimeouts);
-    putU64(out, r.bridgeRetransmits);
-    putU64(out, r.bridgeGiveups);
-    putU64(out, r.fastpathHits);
-    putU64(out, r.fastpathFallbacks);
-}
-
-workloads::KernelResult
-getResult(const char *p)
-{
-    workloads::KernelResult r;
-    std::size_t i = 0;
-    auto next = [&]() { return getU64(p + 8 * i++); };
-    r.cycles = next();
-    r.completed = next() != 0;
-    r.operations = next();
-    r.dataChannelUtilisation = std::bit_cast<double>(next());
-    r.collisions = next();
-    r.macBackoffCycles = next();
-    r.macTokenWaits = next();
-    r.macTokenRotations = next();
-    r.macModeSwitches = next();
-    r.wirelessDrops = next();
-    r.macAckTimeouts = next();
-    r.macRetransmits = next();
-    r.macGiveups = next();
-    r.bridgeFrames = next();
-    r.bridgeBusyCycles = next();
-    r.staleRmwAborts = next();
-    r.bridgeDrops = next();
-    r.bridgeAckTimeouts = next();
-    r.bridgeRetransmits = next();
-    r.bridgeGiveups = next();
-    r.fastpathHits = next();
-    r.fastpathFallbacks = next();
-    return r;
-}
-
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kRecordHeaderBytes = 16; // len + check + checksum
 /** fingerprint + pointJsonBytes + result words; the JSON itself is
@@ -157,7 +96,10 @@ decodePayload(const char *p, std::size_t n, RequestPoint &point,
     point.workload = ConfigCodec::parseWorkload(*workload);
     if (point.fingerprint() != fp)
         throw std::runtime_error("fingerprint mismatch");
-    result = getResult(p + 12 + jsonBytes);
+    workloads::CounterWords words;
+    for (std::size_t i = 0; i < words.size(); ++i)
+        words[i] = getU64(p + 12 + jsonBytes + 8 * i);
+    result = workloads::fromCounterWords(words);
 }
 
 } // namespace
@@ -196,15 +138,20 @@ writeFileAtomic(const std::string &path, const std::string &contents,
 std::uint64_t
 CacheStore::formatVersion()
 {
-    // Fold the layout version with both fingerprint stream versions:
-    // bumping ANY of them changes the file version, so records
-    // persisted under an old stream can never alias the new one.
-    std::string v;
-    putU64(v, kLayoutVersion);
-    putU64(v, core::MachineConfig::kFingerprintVersion);
-    putU64(v, WorkloadSpec::kFingerprintVersion);
-    putU64(v, kResultWords);
-    return fnv1a(v.data(), v.size());
+    // Fold the layout version with both fingerprint stream versions
+    // and the result-word names: changing ANY of them changes the file
+    // version, so records persisted under an old stream or word layout
+    // can never alias the new one.
+    sim::Fnv1a f;
+    f.u64(kLayoutVersion);
+    f.u64(core::MachineConfig::kFingerprintVersion);
+    f.u64(WorkloadSpec::kFingerprintVersion);
+    const workloads::KernelResult names;
+    workloads::forEachCounter(
+        names, [&](const char *name, const auto &, workloads::CounterKind) {
+            f.bytes(name, std::strlen(name) + 1);
+        });
+    return f.h;
 }
 
 std::string
@@ -225,7 +172,8 @@ CacheStore::encodeRecord(const RequestPoint &point,
     const std::string json = ConfigCodec::serialize(point);
     putU32(payload, static_cast<std::uint32_t>(json.size()));
     payload += json;
-    putResult(payload, result);
+    for (const std::uint64_t word : workloads::toCounterWords(result))
+        putU64(payload, word);
 
     std::string out;
     putU32(out, static_cast<std::uint32_t>(payload.size()));

@@ -15,15 +15,14 @@
  *            u64 fnv1a64(payload), payload
  *   payload: u64 fingerprint, u32 pointJsonBytes,
  *            pointJson (ConfigCodec canonical form),
- *            u64 resultWords[kResultWords] (KernelResult fields in
- *            declaration order; doubles by bit pattern)
+ *            u64 resultWords[kResultWords] (workloads::toCounterWords:
+ *            the forEachCounter list, in order)
  *
  * formatVersion folds the store layout version together with
- * MachineConfig::kFingerprintVersion and
- * WorkloadSpec::kFingerprintVersion — the ROADMAP's "version the
- * format against the fingerprint's version tag". A file written under
- * any older stream layout can never alias the current one: the
- * version check rejects it wholesale.
+ * MachineConfig::kFingerprintVersion, WorkloadSpec::kFingerprintVersion
+ * and the forEachCounter names. A file written under any older stream
+ * or word layout can never alias the current one: the version check
+ * rejects it wholesale.
  *
  * Robustness contract (the reason this module exists):
  *
@@ -48,6 +47,7 @@
 #include <string>
 
 #include "service/result_cache.hh"
+#include "workloads/kernel_result.hh"
 
 namespace wisync::service {
 
@@ -64,8 +64,8 @@ bool writeFileAtomic(const std::string &path, const std::string &contents,
 class CacheStore
 {
   public:
-    /** KernelResult fields per record (fixed by the format version). */
-    static constexpr std::size_t kResultWords = 22;
+    /** KernelResult words per record (fixed by the format version). */
+    static constexpr std::size_t kResultWords = workloads::kCounterCount;
 
     /** The store's composite format version (layout x fingerprint
      *  stream versions). */

@@ -2,9 +2,12 @@
 
 #include <charconv>
 #include <limits>
+#include <string_view>
+#include <type_traits>
 
 #include "core/machine.hh"
 #include "sim/engine.hh"
+#include "sim/fnv1a.hh"
 
 namespace wisync::service {
 
@@ -99,55 +102,22 @@ asObject(const Json &v, const std::string &path, std::size_t point)
 
 // ---- Enum spellings (exactly the toString() forms) ---------------
 
-core::ConfigKind
-parseKind(const Json &v, const std::string &path, std::size_t point)
-{
-    const std::string &s = asString(v, path, point);
-    for (const auto k :
-         {core::ConfigKind::Baseline, core::ConfigKind::BaselinePlus,
-          core::ConfigKind::WiSyncNoT, core::ConfigKind::WiSync}) {
-        if (s == core::toString(k))
-            return k;
-    }
-    fail(path, point,
-         "unknown config kind '" + s +
-             "' (expected Baseline, Baseline+, WiSyncNoT or WiSync)");
-}
-
-core::Variant
-parseVariant(const Json &v, const std::string &path, std::size_t point)
-{
-    const std::string &s = asString(v, path, point);
-    for (const auto k :
-         {core::Variant::Default, core::Variant::SlowNet,
-          core::Variant::SlowNetL2, core::Variant::FastNet,
-          core::Variant::SlowBmem}) {
-        if (s == core::toString(k))
-            return k;
-    }
-    fail(path, point,
-         "unknown variant '" + s +
-             "' (expected Default, SlowNet, SlowNet+L2, FastNet or "
-             "SlowBMEM)");
-}
-
-wireless::MacKind
-parseMac(const Json &v, const std::string &path, std::size_t point)
-{
-    const std::string &s = asString(v, path, point);
-    for (const auto k :
-         {wireless::MacKind::Brs, wireless::MacKind::Token,
-          wireless::MacKind::FuzzyToken, wireless::MacKind::Adaptive}) {
-        if (s == wireless::toString(k))
-            return k;
-    }
-    fail(path, point,
-         "unknown MAC kind '" + s +
-             "' (expected BRS, Token, FuzzyToken or Adaptive)");
-}
+constexpr core::ConfigKind kKinds[] = {
+    core::ConfigKind::Baseline, core::ConfigKind::BaselinePlus,
+    core::ConfigKind::WiSyncNoT, core::ConfigKind::WiSync};
+constexpr core::Variant kVariants[] = {
+    core::Variant::Default, core::Variant::SlowNet,
+    core::Variant::SlowNetL2, core::Variant::FastNet,
+    core::Variant::SlowBmem};
+constexpr wireless::MacKind kMacs[] = {
+    wireless::MacKind::Brs, wireless::MacKind::Token,
+    wireless::MacKind::FuzzyToken, wireless::MacKind::Adaptive};
+constexpr workloads::CasKernel kCasKernels[] = {
+    workloads::CasKernel::Fifo, workloads::CasKernel::Lifo,
+    workloads::CasKernel::Add};
 
 const char *
-casKernelName(workloads::CasKernel k)
+toString(workloads::CasKernel k)
 {
     switch (k) {
       case workloads::CasKernel::Fifo:
@@ -160,170 +130,158 @@ casKernelName(workloads::CasKernel k)
     return "?";
 }
 
-workloads::CasKernel
-parseCasKernel(const Json &v, const std::string &path, std::size_t point)
+/** The member of @p values whose toString() is @p v's string. */
+template <typename E, std::size_t N>
+E
+parseEnum(const Json &v, const std::string &path, std::size_t point,
+          const E (&values)[N], const char *what)
 {
     const std::string &s = asString(v, path, point);
-    for (const auto k :
-         {workloads::CasKernel::Fifo, workloads::CasKernel::Lifo,
-          workloads::CasKernel::Add}) {
-        if (s == casKernelName(k))
-            return k;
+    std::string expected;
+    for (std::size_t i = 0; i < N; ++i) {
+        if (s == toString(values[i]))
+            return values[i];
+        expected += i == 0 ? "" : i + 1 == N ? " or " : ", ";
+        expected += toString(values[i]);
     }
-    fail(path, point,
-         "unknown CAS kernel '" + s + "' (expected fifo, lifo or add)");
+    fail(path, point, std::string("unknown ") + what + " '" + s +
+                          "' (expected " + expected + ")");
 }
 
-// ---- Sub-object parsers ------------------------------------------
+// ---- The forEachField visitors -----------------------------------
 
-/** Reject @p v outside [0, hi] (NaN too): the channel models assert
- *  these ranges, and a client must get an error, not a dead daemon. */
+template <typename T>
 void
-requireWithin(double v, double hi, const std::string &path,
-              std::size_t point, const char *message)
+parseValue(const Json &v, const std::string &path, std::size_t point,
+           T &out)
 {
-    if (!(v >= 0.0 && v <= hi))
-        fail(path, point, message);
-}
-
-constexpr const char *kPctRange = "loss percentage must be within [0, 100]";
-constexpr const char *kProbRange = "probability must be within [0, 1]";
-
-/** Backoff waits are Cycle{1} << exp: wider than 63 is undefined. */
-void
-requireShiftable(std::uint32_t exp, const std::string &path,
-                 std::size_t point)
-{
-    if (exp > 63)
-        fail(path, point, "backoff exponent must be at most 63, got " +
-                              std::to_string(exp));
-}
-
-void
-parseBurst(wireless::BurstParams &burst, const Json &v,
-           const std::string &path, std::size_t point)
-{
-    for (const auto &[key, member] : asObject(v, path, point).object()) {
-        const std::string sub = path + "." + key;
-        if (key == "enabled")
-            burst.enabled = asBool(member, sub, point);
-        else if (key == "goodLossPct")
-            burst.goodLossPct = asDouble(member, sub, point);
-        else if (key == "badLossPct")
-            burst.badLossPct = asDouble(member, sub, point);
-        else if (key == "pGoodToBad")
-            burst.pGoodToBad = asDouble(member, sub, point);
-        else if (key == "pBadToGood")
-            burst.pBadToGood = asDouble(member, sub, point);
-        else
-            fail(sub, point, "unknown key '" + key + "'");
+    if constexpr (std::is_same_v<T, bool>)
+        out = asBool(v, path, point);
+    else if constexpr (std::is_same_v<T, double>)
+        out = asDouble(v, path, point);
+    else if constexpr (std::is_same_v<T, std::uint32_t>)
+        out = asU32(v, path, point);
+    else if constexpr (std::is_same_v<T, std::uint64_t>)
+        out = asU64(v, path, point);
+    else if constexpr (std::is_same_v<T, core::ConfigKind>)
+        out = parseEnum(v, path, point, kKinds, "config kind");
+    else if constexpr (std::is_same_v<T, core::Variant>)
+        out = parseEnum(v, path, point, kVariants, "variant");
+    else {
+        static_assert(std::is_same_v<T, wireless::MacKind>,
+                      "no JSON form for this field type");
+        out = parseEnum(v, path, point, kMacs, "MAC kind");
     }
-    requireWithin(burst.goodLossPct, 100.0, path + ".goodLossPct", point,
-                  kPctRange);
-    requireWithin(burst.badLossPct, 100.0, path + ".badLossPct", point,
-                  kPctRange);
-    requireWithin(burst.pGoodToBad, 1.0, path + ".pGoodToBad", point,
-                  kProbRange);
-    requireWithin(burst.pBadToGood, 1.0, path + ".pBadToGood", point,
-                  kProbRange);
 }
+
+template <typename T>
+void
+appendValue(std::string &out, const T &v)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        out += v ? "true" : "false";
+    else if constexpr (std::is_same_v<T, double>)
+        out += jsonNumber(v);
+    else if constexpr (std::is_enum_v<T>)
+        out += jsonQuote(toString(v));
+    else
+        out += jsonNumber(std::uint64_t{v});
+}
+
+/**
+ * Applies one JSON member to the wire entry of the same name at the
+ * current nesting level; a group descends into its object, member by
+ * member, so every key is dispatched in source order.
+ */
+struct MemberParser
+{
+    std::string_view key;
+    const Json *value;
+    /** Field path of the member being applied. */
+    std::string path;
+    std::size_t point;
+    bool matched = false;
+
+    template <typename T>
+    void
+    field(const char *name, T &member, const core::FieldSpec &spec)
+    {
+        if (matched || !spec.wire || key != name)
+            return;
+        matched = true;
+        parseValue(*value, path, point, member);
+    }
+
+    template <typename Members>
+    void
+    group(const char *name, const core::FieldSpec &spec, Members &&members)
+    {
+        if (matched || !spec.wire || key != name)
+            return;
+        const std::string outer = path;
+        for (const auto &[k, member] :
+             asObject(*value, outer, point).object()) {
+            key = k;
+            value = &member;
+            path = outer + "." + k;
+            matched = false;
+            members();
+            if (!matched)
+                fail(path, point, "unknown key '" + k + "'");
+        }
+        matched = true;
+    }
+};
 
 void
-parseWireless(wireless::WirelessConfig &w, const Json &v,
-              const std::string &path, std::size_t point)
+parseMember(core::MachineConfig &cfg, const std::string &key,
+            const Json &value, const std::string &path, std::size_t point)
 {
-    for (const auto &[key, member] : asObject(v, path, point).object()) {
-        const std::string sub = path + "." + key;
-        if (key == "mac")
-            w.macKind = parseMac(member, sub, point);
-        else if (key == "maxBackoffExp")
-            w.maxBackoffExp = asU32(member, sub, point);
-        else if (key == "tokenPassCycles")
-            w.tokenPassCycles = asU32(member, sub, point);
-        else if (key == "tokenFrameBits")
-            w.tokenFrameBits = asU32(member, sub, point);
-        else if (key == "tokenHoldCycles")
-            w.tokenHoldCycles = asU32(member, sub, point);
-        else if (key == "adaptWindowEvents")
-            w.adaptWindowEvents = asU32(member, sub, point);
-        else if (key == "adaptHiPct")
-            w.adaptHiPct = asU32(member, sub, point);
-        else if (key == "adaptLoPct")
-            w.adaptLoPct = asU32(member, sub, point);
-        else if (key == "lossPct")
-            w.lossPct = asDouble(member, sub, point);
-        else if (key == "berFromSnr")
-            w.berFromSnr = asBool(member, sub, point);
-        else if (key == "txPowerDbm")
-            w.txPowerDbm = asDouble(member, sub, point);
-        else if (key == "ackTimeoutCycles")
-            w.ackTimeoutCycles = asU32(member, sub, point);
-        else if (key == "maxRetries")
-            w.maxRetries = asU32(member, sub, point);
-        else if (key == "retryBackoffMaxExp")
-            w.retryBackoffMaxExp = asU32(member, sub, point);
-        else if (key == "burst")
-            parseBurst(w.burst, member, sub, point);
-        else if (key == "channelLossBaseDb")
-            w.channelLossBaseDb = asDouble(member, sub, point);
-        else if (key == "channelLossStepDb")
-            w.channelLossStepDb = asDouble(member, sub, point);
-        else if (key == "spectrumSlots")
-            w.spectrumSlots = asU32(member, sub, point);
-        else
-            fail(sub, point, "unknown key '" + key + "'");
-    }
-    requireWithin(w.lossPct, 100.0, path + ".lossPct", point, kPctRange);
-    requireShiftable(w.maxBackoffExp, path + ".maxBackoffExp", point);
-    requireShiftable(w.retryBackoffMaxExp, path + ".retryBackoffMaxExp",
-                     point);
+    MemberParser parser{key, &value, path + "." + key, point};
+    core::forEachField(cfg, parser);
+    if (!parser.matched)
+        fail(parser.path, point, "unknown key '" + key + "'");
 }
 
-void
-parseBridge(noc::BridgeConfig &b, const Json &v, const std::string &path,
-            std::size_t point)
+/** Emits the wire entries as canonical JSON members. */
+struct Serializer
 {
-    for (const auto &[key, member] : asObject(v, path, point).object()) {
-        const std::string sub = path + "." + key;
-        if (key == "latencyCycles")
-            b.latencyCycles = asU64(member, sub, point);
-        else if (key == "widthBits")
-            b.widthBits = asU32(member, sub, point);
-        else if (key == "headerBits")
-            b.headerBits = asU32(member, sub, point);
-        else if (key == "lossPct")
-            b.lossPct = asDouble(member, sub, point);
-        else if (key == "burst")
-            parseBurst(b.burst, member, sub, point);
-        else if (key == "ackTimeoutCycles")
-            b.ackTimeoutCycles = asU64(member, sub, point);
-        else if (key == "maxRetries")
-            b.maxRetries = asU32(member, sub, point);
-        else if (key == "retryBackoffMaxExp")
-            b.retryBackoffMaxExp = asU32(member, sub, point);
-        else
-            fail(sub, point, "unknown key '" + key + "'");
-    }
-    requireWithin(b.lossPct, 100.0, path + ".lossPct", point, kPctRange);
-    requireShiftable(b.retryBackoffMaxExp, path + ".retryBackoffMaxExp",
-                     point);
-    if (b.widthBits == 0)
-        fail(path + ".widthBits", point,
-             "bridge width must be at least 1 bit per cycle");
-}
+    std::string out;
+    /** Separator before the next member ("" opening an object). */
+    const char *sep = "";
 
-/** Same FNV-1a stream discipline as MachineConfig::fingerprint(). */
-struct Fnv1a
-{
-    std::uint64_t h = 0xCBF29CE484222325ull;
+    template <typename T>
+    void
+    field(const char *name, const T &member, const core::FieldSpec &spec)
+    {
+        if (!spec.wire)
+            return;
+        key(name);
+        appendValue(out, member);
+    }
+
+    template <typename Members>
+    void
+    group(const char *name, const core::FieldSpec &spec, Members &&members)
+    {
+        if (!spec.wire)
+            return;
+        key(name);
+        out += '{';
+        sep = "";
+        members();
+        out += '}';
+        sep = ",";
+    }
 
     void
-    u64(std::uint64_t v)
+    key(const char *name)
     {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xFF;
-            h *= 0x100000001B3ull;
-        }
+        out += sep;
+        out += '"';
+        out += name;
+        out += "\":";
+        sep = ",";
     }
 };
 
@@ -339,7 +297,7 @@ ParseError::ParseError(std::string field, std::size_t point_index,
 std::uint64_t
 WorkloadSpec::fingerprint() const
 {
-    Fnv1a f;
+    sim::Fnv1a f;
     // "WSWF" tag + stream version (v2 added maxCycles).
     f.u64(0x5753465700ull + kFingerprintVersion);
     f.u64(static_cast<std::uint64_t>(kind));
@@ -392,7 +350,7 @@ RequestPoint::fingerprint() const
 {
     // Order the two halves through one stream so (config, workload)
     // can never alias (workload, config).
-    Fnv1a f;
+    sim::Fnv1a f;
     f.u64(config.fingerprint());
     f.u64(workload.fingerprint());
     return f.h;
@@ -406,56 +364,30 @@ ConfigCodec::parseConfig(const Json &v, std::size_t point_index,
 
     // kind/cores/variant first: make() derives the variant's timing
     // knobs (hop cycles, L2/BM round trips), so overrides below land
-    // on the same baseline the benches use.
-    const Json *kind = obj.find("kind");
-    if (kind == nullptr)
-        fail(path + ".kind", point_index, "missing required key");
-    const Json *cores = obj.find("cores");
-    if (cores == nullptr)
-        fail(path + ".cores", point_index, "missing required key");
-    core::Variant variant = core::Variant::Default;
-    if (const Json *var = obj.find("variant"); var != nullptr)
-        variant = parseVariant(*var, path + ".variant", point_index);
-
-    const std::uint32_t n = asU32(*cores, path + ".cores", point_index);
-    if (n == 0)
+    // on the same baseline the benches use. Duplicate keys resolve to
+    // the first occurrence (find()), matching common JSON libraries.
+    core::MachineConfig base;
+    for (const char *key : {"kind", "cores", "variant"}) {
+        if (const Json *member = obj.find(key); member != nullptr)
+            parseMember(base, key, *member, path, point_index);
+        else if (key != std::string_view("variant"))
+            fail(path + "." + key, point_index, "missing required key");
+    }
+    // make() cannot build a zero-core machine at all.
+    if (base.numCores == 0)
         fail(path + ".cores", point_index, "need at least one core");
-    core::MachineConfig cfg = core::MachineConfig::make(
-        parseKind(*kind, path + ".kind", point_index), n, variant);
+    core::MachineConfig cfg =
+        core::MachineConfig::make(base.kind, base.numCores, base.variant);
 
     for (const auto &[key, member] : obj.object()) {
-        const std::string sub = path + "." + key;
-        if (key == "kind" || key == "cores" || key == "variant") {
-            // Applied above. Duplicate keys resolve to the first
-            // occurrence (find()), matching common JSON libraries.
-        } else if (key == "chips") {
-            cfg.numChips = asU32(member, sub, point_index);
-        } else if (key == "issueWidth") {
-            cfg.issueWidth = asU32(member, sub, point_index);
-        } else if (key == "seed") {
-            cfg.seed = asU64(member, sub, point_index);
-        } else if (key == "wireless") {
-            parseWireless(cfg.wireless, member, sub, point_index);
-        } else if (key == "bridge") {
-            parseBridge(cfg.bridge, member, sub, point_index);
-        } else {
-            fail(sub, point_index, "unknown key '" + key + "'");
-        }
+        if (key != "kind" && key != "cores" && key != "variant")
+            parseMember(cfg, key, member, path, point_index);
     }
 
-    // Structural validity: a bad tiling would WISYNC_FATAL inside the
-    // Machine constructor, which kills a service process. Reject it
-    // as a typed request error instead.
-    if (cfg.numChips == 0)
-        fail(path + ".chips", point_index, "need at least one chip");
-    if (cfg.numCores % cfg.numChips != 0)
-        fail(path + ".chips", point_index,
-             "cores (" + std::to_string(cfg.numCores) +
-                 ") must divide evenly over chips (" +
-                 std::to_string(cfg.numChips) + ")");
-    if (cfg.issueWidth == 0)
-        fail(path + ".issueWidth", point_index,
-             "issue width must be at least 1");
+    // A config Machine would refuse (fatal, killing a service process)
+    // is a typed request error instead.
+    if (const auto error = cfg.validate())
+        fail(path + "." + error->field, point_index, error->message);
     return cfg;
 }
 
@@ -496,7 +428,8 @@ ConfigCodec::parseWorkload(const Json &v, std::size_t point_index,
             spec.tightLoop.runLimit = asU64(member, sub, point_index);
         } else if (spec.kind == WorkloadSpec::Kind::Cas &&
                    key == "kernel") {
-            spec.casKernel = parseCasKernel(member, sub, point_index);
+            spec.casKernel = parseEnum(member, sub, point_index,
+                                       kCasKernels, "CAS kernel");
         } else if (spec.kind == WorkloadSpec::Kind::Cas &&
                    key == "criticalSectionInstr") {
             spec.cas.criticalSectionInstr =
@@ -568,74 +501,11 @@ ConfigCodec::parseRequest(const std::string &json_text)
 std::string
 ConfigCodec::serialize(const core::MachineConfig &cfg)
 {
-    std::string out = "{";
-    out += "\"kind\":" + jsonQuote(core::toString(cfg.kind));
-    out += ",\"cores\":" + jsonNumber(std::uint64_t(cfg.numCores));
-    out += ",\"variant\":" + jsonQuote(core::toString(cfg.variant));
-    out += ",\"chips\":" + jsonNumber(std::uint64_t(cfg.numChips));
-    out += ",\"issueWidth\":" + jsonNumber(std::uint64_t(cfg.issueWidth));
-    out += ",\"seed\":" + jsonNumber(cfg.seed);
-
-    const auto &w = cfg.wireless;
-    out += ",\"wireless\":{";
-    out += "\"mac\":" + jsonQuote(wireless::toString(w.macKind));
-    out += ",\"maxBackoffExp\":" +
-           jsonNumber(std::uint64_t(w.maxBackoffExp));
-    out += ",\"tokenPassCycles\":" +
-           jsonNumber(std::uint64_t(w.tokenPassCycles));
-    out += ",\"tokenFrameBits\":" +
-           jsonNumber(std::uint64_t(w.tokenFrameBits));
-    out += ",\"tokenHoldCycles\":" +
-           jsonNumber(std::uint64_t(w.tokenHoldCycles));
-    out += ",\"adaptWindowEvents\":" +
-           jsonNumber(std::uint64_t(w.adaptWindowEvents));
-    out += ",\"adaptHiPct\":" + jsonNumber(std::uint64_t(w.adaptHiPct));
-    out += ",\"adaptLoPct\":" + jsonNumber(std::uint64_t(w.adaptLoPct));
-    out += ",\"lossPct\":" + jsonNumber(w.lossPct);
-    out += ",\"berFromSnr\":" + std::string(w.berFromSnr ? "true"
-                                                         : "false");
-    out += ",\"txPowerDbm\":" + jsonNumber(w.txPowerDbm);
-    out += ",\"ackTimeoutCycles\":" +
-           jsonNumber(std::uint64_t(w.ackTimeoutCycles));
-    out += ",\"maxRetries\":" + jsonNumber(std::uint64_t(w.maxRetries));
-    out += ",\"retryBackoffMaxExp\":" +
-           jsonNumber(std::uint64_t(w.retryBackoffMaxExp));
-    out += ",\"burst\":{";
-    out += "\"enabled\":" + std::string(w.burst.enabled ? "true"
-                                                        : "false");
-    out += ",\"goodLossPct\":" + jsonNumber(w.burst.goodLossPct);
-    out += ",\"badLossPct\":" + jsonNumber(w.burst.badLossPct);
-    out += ",\"pGoodToBad\":" + jsonNumber(w.burst.pGoodToBad);
-    out += ",\"pBadToGood\":" + jsonNumber(w.burst.pBadToGood);
-    out += "}";
-    out += ",\"channelLossBaseDb\":" + jsonNumber(w.channelLossBaseDb);
-    out += ",\"channelLossStepDb\":" + jsonNumber(w.channelLossStepDb);
-    out += ",\"spectrumSlots\":" +
-           jsonNumber(std::uint64_t(w.spectrumSlots));
-    out += "}";
-
-    const auto &b = cfg.bridge;
-    out += ",\"bridge\":{";
-    out += "\"latencyCycles\":" + jsonNumber(b.latencyCycles);
-    out += ",\"widthBits\":" + jsonNumber(std::uint64_t(b.widthBits));
-    out += ",\"headerBits\":" + jsonNumber(std::uint64_t(b.headerBits));
-    out += ",\"lossPct\":" + jsonNumber(b.lossPct);
-    out += ",\"burst\":{";
-    out += "\"enabled\":" + std::string(b.burst.enabled ? "true"
-                                                        : "false");
-    out += ",\"goodLossPct\":" + jsonNumber(b.burst.goodLossPct);
-    out += ",\"badLossPct\":" + jsonNumber(b.burst.badLossPct);
-    out += ",\"pGoodToBad\":" + jsonNumber(b.burst.pGoodToBad);
-    out += ",\"pBadToGood\":" + jsonNumber(b.burst.pBadToGood);
-    out += "}";
-    out += ",\"ackTimeoutCycles\":" + jsonNumber(b.ackTimeoutCycles);
-    out += ",\"maxRetries\":" + jsonNumber(std::uint64_t(b.maxRetries));
-    out += ",\"retryBackoffMaxExp\":" +
-           jsonNumber(std::uint64_t(b.retryBackoffMaxExp));
-    out += "}";
-
-    out += "}";
-    return out;
+    Serializer s;
+    s.out = "{";
+    core::forEachField(cfg, s);
+    s.out += "}";
+    return std::move(s.out);
 }
 
 std::string
@@ -653,7 +523,7 @@ ConfigCodec::serialize(const WorkloadSpec &w)
         break;
       case WorkloadSpec::Kind::Cas:
         out += "\"kind\":\"cas\"";
-        out += ",\"kernel\":" + jsonQuote(casKernelName(w.casKernel));
+        out += ",\"kernel\":" + jsonQuote(toString(w.casKernel));
         out += ",\"criticalSectionInstr\":" +
                jsonNumber(std::uint64_t(w.cas.criticalSectionInstr));
         out += ",\"duration\":" + jsonNumber(w.cas.duration);
@@ -687,31 +557,16 @@ ConfigCodec::serializeRequest(const SweepRequest &request)
 std::string
 ConfigCodec::serializeResult(const workloads::KernelResult &r)
 {
-    std::string out = "{";
-    out += "\"cycles\":" + jsonNumber(r.cycles);
-    out += ",\"completed\":" + std::string(r.completed ? "true"
-                                                       : "false");
-    out += ",\"operations\":" + jsonNumber(r.operations);
-    out += ",\"dataChannelUtilisation\":" +
-           jsonNumber(r.dataChannelUtilisation);
-    out += ",\"collisions\":" + jsonNumber(r.collisions);
-    out += ",\"macBackoffCycles\":" + jsonNumber(r.macBackoffCycles);
-    out += ",\"macTokenWaits\":" + jsonNumber(r.macTokenWaits);
-    out += ",\"macTokenRotations\":" + jsonNumber(r.macTokenRotations);
-    out += ",\"macModeSwitches\":" + jsonNumber(r.macModeSwitches);
-    out += ",\"wirelessDrops\":" + jsonNumber(r.wirelessDrops);
-    out += ",\"macAckTimeouts\":" + jsonNumber(r.macAckTimeouts);
-    out += ",\"macRetransmits\":" + jsonNumber(r.macRetransmits);
-    out += ",\"macGiveups\":" + jsonNumber(r.macGiveups);
-    out += ",\"bridgeFrames\":" + jsonNumber(r.bridgeFrames);
-    out += ",\"bridgeBusyCycles\":" + jsonNumber(r.bridgeBusyCycles);
-    out += ",\"staleRmwAborts\":" + jsonNumber(r.staleRmwAborts);
-    out += ",\"bridgeDrops\":" + jsonNumber(r.bridgeDrops);
-    out += ",\"bridgeAckTimeouts\":" + jsonNumber(r.bridgeAckTimeouts);
-    out += ",\"bridgeRetransmits\":" + jsonNumber(r.bridgeRetransmits);
-    out += ",\"bridgeGiveups\":" + jsonNumber(r.bridgeGiveups);
-    out += "}";
-    return out;
+    Serializer s;
+    s.out = "{";
+    workloads::forEachCounter(
+        r, [&](const char *name, const auto &member,
+               workloads::CounterKind kind) {
+            if (kind == workloads::CounterKind::Simulated)
+                s.field(name, member, core::FieldSpec{});
+        });
+    s.out += "}";
+    return std::move(s.out);
 }
 
 workloads::KernelResult

@@ -9,19 +9,18 @@
  * Each config object may set any subset of the supported knobs — the
  * rest take MachineConfig::make() defaults for the requested
  * kind/cores/variant, exactly as the benches build their grids. The
- * codec covers every knob describe() distinguishes (kind, cores,
- * chips, variant, the MAC family, the loss/burst/ack/retry knobs, the
- * per-slot channel-loss profile, spectrum slots, the full bridge
- * block) plus seed and issueWidth, so any point a figure bench can
- * run, a service request can name.
+ * supported knobs are the wire entries of core::forEachField(), which
+ * both parse and serialize walk; they cover every knob describe()
+ * distinguishes plus seed and issueWidth, so any point a figure bench
+ * can run, a service request can name.
  *
  * Contracts:
  *
  *  - Strictness: unknown keys are hard errors anywhere in the
  *    request — a misspelled knob must never silently fall back to its
  *    default and "succeed" with the wrong simulation. Type
- *    mismatches, out-of-range values and structurally invalid
- *    configs (cores not divisible by chips) are errors too. Every
+ *    mismatches (a field's C++ type bounds its JSON number) and
+ *    whatever MachineConfig::validate() rejects are errors too. Every
  *    error names the offending field path and the point index.
  *
  *  - Canonicalization: serialize() emits every supported key in one

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 
 namespace wisync::sim {
 
@@ -45,37 +46,6 @@ std::uint64_t
 Histogram::bucket(unsigned b) const
 {
     return b < 64 ? buckets_[b] : 0;
-}
-
-void
-StatSet::addCounter(std::string name, const Counter &c)
-{
-    counters_[std::move(name)] = &c;
-}
-
-void
-StatSet::addAccumulator(std::string name, const Accumulator &a)
-{
-    accs_[std::move(name)] = &a;
-}
-
-void
-StatSet::dump(std::ostream &os) const
-{
-    for (const auto &[name, c] : counters_)
-        os << name << " " << c->value() << "\n";
-    for (const auto &[name, a] : accs_) {
-        os << name << ".count " << a->count() << "\n";
-        os << name << ".mean " << a->mean() << "\n";
-        os << name << ".max " << a->max() << "\n";
-    }
-}
-
-std::uint64_t
-StatSet::counterValue(const std::string &name) const
-{
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second->value();
 }
 
 } // namespace wisync::sim

@@ -1,19 +1,13 @@
 /**
  * @file
- * Lightweight statistics: named counters and latency histograms.
- *
- * Components hold plain Counter/Histogram members and register them in
- * a StatSet so harnesses can dump everything uniformly. Registration
- * is by reference; the owning component must outlive the StatSet dump.
+ * Lightweight statistics: counters, sample accumulators and latency
+ * histograms, held as plain members of the component they describe.
  */
 
 #ifndef WISYNC_SIM_STATS_HH
 #define WISYNC_SIM_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 
 #include "sim/types.hh"
 
@@ -71,24 +65,6 @@ class Histogram
   private:
     Accumulator acc_;
     std::uint64_t buckets_[64] = {};
-};
-
-/** Registry of named stats for uniform dumping. */
-class StatSet
-{
-  public:
-    void addCounter(std::string name, const Counter &c);
-    void addAccumulator(std::string name, const Accumulator &a);
-
-    /** Dump "name value" lines, sorted by name. */
-    void dump(std::ostream &os) const;
-
-    /** Look up a registered counter's value (0 if missing). */
-    std::uint64_t counterValue(const std::string &name) const;
-
-  private:
-    std::map<std::string, const Counter *> counters_;
-    std::map<std::string, const Accumulator *> accs_;
 };
 
 } // namespace wisync::sim

@@ -25,25 +25,6 @@ toString(MacKind kind)
     return "?";
 }
 
-void
-MacProtocol::registerStats(sim::StatSet &set,
-                           const std::string &prefix) const
-{
-    const MacStats &s = stats();
-    set.addCounter(prefix + ".acquires", s.acquires);
-    set.addCounter(prefix + ".backoff_events", s.backoffEvents);
-    set.addCounter(prefix + ".backoff_cycles", s.backoffCycles);
-    set.addCounter(prefix + ".token_waits", s.tokenWaits);
-    set.addCounter(prefix + ".token_wait_cycles", s.tokenWaitCycles);
-    set.addCounter(prefix + ".token_rotations", s.tokenRotations);
-    set.addCounter(prefix + ".mode_switches", s.modeSwitches);
-    set.addCounter(prefix + ".fuzzy_grabs", s.fuzzyGrabs);
-    set.addCounter(prefix + ".ack_timeouts", s.ackTimeouts);
-    set.addCounter(prefix + ".ack_wait_cycles", s.ackWaitCycles);
-    set.addCounter(prefix + ".retransmits", s.retransmits);
-    set.addCounter(prefix + ".give_ups", s.giveUps);
-}
-
 std::unique_ptr<MacProtocol>
 makeMacProtocol(const WirelessConfig &cfg, sim::Engine &engine,
                 DataChannel &channel, std::uint32_t num_nodes)

@@ -41,7 +41,6 @@
 
 namespace wisync::sim {
 class Engine;
-class StatSet;
 }
 
 namespace wisync::wireless {
@@ -166,9 +165,6 @@ class MacProtocol
     void noteRetransmit() { stats_->retransmits.inc(); }
     /** maxRetries exhausted; the send surfaces a typed failure. */
     void noteGiveUp() { stats_->giveUps.inc(); }
-
-    /** Register the telemetry counters as "<prefix>.*" in @p set. */
-    void registerStats(sim::StatSet &set, const std::string &prefix) const;
 
     std::uint32_t numNodes() const { return numNodes_; }
 

@@ -1,8 +1,7 @@
 #include "workloads/kernel_result.hh"
 
-#include <bit>
-
 #include "core/machine.hh"
+#include "sim/fnv1a.hh"
 
 namespace wisync::workloads {
 
@@ -55,29 +54,40 @@ captureChannelStats(KernelResult &result, core::Machine &machine)
     }
 }
 
+CounterWords
+toCounterWords(const KernelResult &r)
+{
+    CounterWords words{};
+    std::size_t i = 0;
+    forEachCounter(r, [&](const char *, const auto &m, CounterKind) {
+        words[i++] = sim::toWord(m);
+    });
+    return words;
+}
+
+KernelResult
+fromCounterWords(const CounterWords &words)
+{
+    KernelResult r;
+    std::size_t i = 0;
+    forEachCounter(r, [&]<typename T>(const char *, T &m, CounterKind) {
+        m = sim::fromWord<T>(words[i++]);
+    });
+    return r;
+}
+
 bool
 bitIdentical(const KernelResult &a, const KernelResult &b)
 {
-    return a.cycles == b.cycles && a.completed == b.completed &&
-           a.operations == b.operations &&
-           std::bit_cast<std::uint64_t>(a.dataChannelUtilisation) ==
-               std::bit_cast<std::uint64_t>(b.dataChannelUtilisation) &&
-           a.collisions == b.collisions &&
-           a.macBackoffCycles == b.macBackoffCycles &&
-           a.macTokenWaits == b.macTokenWaits &&
-           a.macTokenRotations == b.macTokenRotations &&
-           a.macModeSwitches == b.macModeSwitches &&
-           a.wirelessDrops == b.wirelessDrops &&
-           a.macAckTimeouts == b.macAckTimeouts &&
-           a.macRetransmits == b.macRetransmits &&
-           a.macGiveups == b.macGiveups &&
-           a.bridgeFrames == b.bridgeFrames &&
-           a.bridgeBusyCycles == b.bridgeBusyCycles &&
-           a.staleRmwAborts == b.staleRmwAborts &&
-           a.bridgeDrops == b.bridgeDrops &&
-           a.bridgeAckTimeouts == b.bridgeAckTimeouts &&
-           a.bridgeRetransmits == b.bridgeRetransmits &&
-           a.bridgeGiveups == b.bridgeGiveups;
+    const CounterWords wa = toCounterWords(a);
+    const CounterWords wb = toCounterWords(b);
+    bool same = true;
+    std::size_t i = 0;
+    forEachCounter(a, [&](const char *, const auto &, CounterKind kind) {
+        same = same && (kind == CounterKind::Host || wa[i] == wb[i]);
+        ++i;
+    });
+    return same;
 }
 
 } // namespace wisync::workloads

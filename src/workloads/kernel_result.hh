@@ -6,6 +6,8 @@
 #ifndef WISYNC_WORKLOADS_KERNEL_RESULT_HH
 #define WISYNC_WORKLOADS_KERNEL_RESULT_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/types.hh"
@@ -16,7 +18,12 @@ class Machine;
 
 namespace wisync::workloads {
 
-/** Outcome of one simulated workload run. */
+/**
+ * Outcome of one simulated workload run. Every field is listed once in
+ * forEachCounter() below, which derives bitIdentical(), the service's
+ * result JSON and the cache-store record: adding a field means adding
+ * it to that list.
+ */
 struct KernelResult
 {
     /** Total simulated execution time. */
@@ -43,8 +50,7 @@ struct KernelResult
 
     // Lossy-channel reliability telemetry (all 0 at lossPct = 0 with
     // no SNR-derived loss, which is what keeps these fields from
-    // perturbing the loss0 identity gate). Simulated observables:
-    // included in bitIdentical().
+    // perturbing the loss0 identity gate).
     /** Broadcasts corrupted by the channel (no node delivered). */
     std::uint64_t wirelessDrops = 0;
     /** Ack windows that expired. */
@@ -56,7 +62,7 @@ struct KernelResult
 
     // Multi-chip telemetry (all 0 on single-chip machines, which is
     // what keeps these fields from perturbing the numChips=1 identity
-    // gate). Simulated observables: included in bitIdentical().
+    // gate).
     /** Frames carried by the inter-chip bridge. */
     std::uint64_t bridgeFrames = 0;
     /** Cycles the bridge serializer was busy. */
@@ -66,8 +72,7 @@ struct KernelResult
 
     // Lossy-bridge reliability telemetry (all 0 on an ideal bridge —
     // the multi-chip default — which keeps these fields from
-    // perturbing the ideal-bridge identity gate). Simulated
-    // observables: included in bitIdentical().
+    // perturbing the ideal-bridge identity gate).
     /** Bridge serializations corrupted by the lossy link. */
     std::uint64_t bridgeDrops = 0;
     /** Bridge ack windows that expired (one per drop). */
@@ -79,11 +84,11 @@ struct KernelResult
     std::uint64_t bridgeGiveups = 0;
 
     // Host-side fast-path telemetry, aggregated over the mesh, memory
-    // and wireless layers. Deliberately NOT part of bitIdentical():
-    // the fast paths are cycle-exact but these counters describe which
-    // host-time route served each message, which legitimately differs
-    // between a fastpath-on and a (WISYNC_NO_FASTPATH=1) fastpath-off
-    // run of the *same* simulation.
+    // and wireless layers. Listed as CounterKind::Host: the fast paths
+    // are cycle-exact but these counters describe which host-time
+    // route served each message, which legitimately differs between a
+    // fastpath-on and a (WISYNC_NO_FASTPATH=1) fastpath-off run of the
+    // *same* simulation.
     /** Messages/accesses served by an uncontended fast path. */
     std::uint64_t fastpathHits = 0;
     /** Fast-path attempts that fell back to the coroutine path. */
@@ -97,6 +102,72 @@ struct KernelResult
                                  static_cast<double>(cycles);
     }
 };
+
+/** What a KernelResult field reports (see forEachCounter). */
+enum class CounterKind
+{
+    /** A simulated observable: part of bitIdentical() and of the
+     *  service's result JSON. */
+    Simulated,
+    /** Host telemetry: persisted in the cache store, but never part of
+     *  a result's identity. */
+    Host,
+};
+
+/**
+ * The one list of KernelResult fields, in their canonical order:
+ * calls @p v(name, member, kind) for each. bitIdentical(), the
+ * service's result JSON and the cache-store record layout all walk
+ * it, so a field added here is compared, served and persisted.
+ * CacheStore::formatVersion() folds in every name in order, so adding,
+ * renaming or reordering a field refuses old cache files (and trips
+ * the test that pins the version).
+ */
+template <typename R, typename V>
+constexpr void
+forEachCounter(R &r, V &&v)
+{
+    using enum CounterKind;
+    v("cycles", r.cycles, Simulated);
+    v("completed", r.completed, Simulated);
+    v("operations", r.operations, Simulated);
+    v("dataChannelUtilisation", r.dataChannelUtilisation, Simulated);
+    v("collisions", r.collisions, Simulated);
+    v("macBackoffCycles", r.macBackoffCycles, Simulated);
+    v("macTokenWaits", r.macTokenWaits, Simulated);
+    v("macTokenRotations", r.macTokenRotations, Simulated);
+    v("macModeSwitches", r.macModeSwitches, Simulated);
+    v("wirelessDrops", r.wirelessDrops, Simulated);
+    v("macAckTimeouts", r.macAckTimeouts, Simulated);
+    v("macRetransmits", r.macRetransmits, Simulated);
+    v("macGiveups", r.macGiveups, Simulated);
+    v("bridgeFrames", r.bridgeFrames, Simulated);
+    v("bridgeBusyCycles", r.bridgeBusyCycles, Simulated);
+    v("staleRmwAborts", r.staleRmwAborts, Simulated);
+    v("bridgeDrops", r.bridgeDrops, Simulated);
+    v("bridgeAckTimeouts", r.bridgeAckTimeouts, Simulated);
+    v("bridgeRetransmits", r.bridgeRetransmits, Simulated);
+    v("bridgeGiveups", r.bridgeGiveups, Simulated);
+    v("fastpathHits", r.fastpathHits, Host);
+    v("fastpathFallbacks", r.fastpathFallbacks, Host);
+}
+
+/** Number of fields forEachCounter visits. */
+inline constexpr std::size_t kCounterCount = [] {
+    const KernelResult r;
+    std::size_t n = 0;
+    forEachCounter(r, [&](const char *, const auto &, CounterKind) {
+        ++n;
+    });
+    return n;
+}();
+
+/** Every counter as its canonical 8-byte word (sim::toWord), in list
+ *  order: the cache-store record layout. */
+using CounterWords = std::array<std::uint64_t, kCounterCount>;
+CounterWords toCounterWords(const KernelResult &r);
+/** Inverse of toCounterWords. */
+KernelResult fromCounterWords(const CounterWords &words);
 
 /**
  * Fill the wireless-channel columns (utilisation, collisions), the
@@ -112,12 +183,11 @@ struct KernelResult
 void captureChannelStats(KernelResult &result, core::Machine &machine);
 
 /**
- * Field-by-field equality, with the utilisation double compared by
- * bit pattern — the determinism contract the sweep benches and tests
- * assert between serial and parallel runs. The fastpath* counters are
- * host-route telemetry, not simulated observables, and are excluded
- * (see their declaration) — which is also what lets the fastpath-on
- * vs -off identity gate use this same predicate.
+ * Equality over every CounterKind::Simulated field, doubles compared
+ * by bit pattern — the determinism contract the sweep benches and
+ * tests assert between serial and parallel runs. Host telemetry is
+ * excluded, which is also what lets the fastpath-on vs -off identity
+ * gate use this same predicate.
  */
 bool bitIdentical(const KernelResult &a, const KernelResult &b);
 

@@ -14,8 +14,9 @@ Scenario:
      canonically formatted result fields, so dict equality is bit
      equality).
   4. Requests whose values would crash a Machine (zero-width bridge,
-     out-of-range burst probability, backoff exponents past 63) must
-     each answer {"error": ...} and leave the loop serving.
+     out-of-range burst probability, backoff exponents past 63) or
+     wrap simulated time (bridge delays past 32 bits) must each
+     answer {"error": ...} and leave the loop serving.
   5. Closing stdin must end the serve loop with exit code 0.
 
 Usage: daemon_restart_test.py /path/to/wisync_sweepd
@@ -45,12 +46,15 @@ def request_line(num_points):
     return json.dumps({"points": points}, separators=(",", ":"))
 
 
-# Well-formed requests that used to kill the daemon inside Machine.
+# Well-formed requests that used to kill the daemon inside Machine, or
+# (the 2^32 bridge delays) wrap simulated time and answer wrong results.
 CRASHING_CONFIGS = [
     {"chips": 2, "bridge": {"widthBits": 0}},
     {"wireless": {"burst": {"pGoodToBad": 2.0}}},
     {"wireless": {"retryBackoffMaxExp": 64}},
     {"chips": 2, "bridge": {"retryBackoffMaxExp": 64}},
+    {"chips": 2, "bridge": {"latencyCycles": 2 ** 32}},
+    {"chips": 2, "bridge": {"ackTimeoutCycles": 2 ** 32}},
 ]
 
 

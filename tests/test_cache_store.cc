@@ -16,7 +16,9 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "core/machine_config.hh"
@@ -42,7 +44,10 @@ using wisync::service::SweepRequest;
 using wisync::service::SweepService;
 using wisync::service::writeFileAtomic;
 using wisync::workloads::bitIdentical;
+using wisync::workloads::CounterKind;
+using wisync::workloads::forEachCounter;
 using wisync::workloads::KernelResult;
+using wisync::workloads::toCounterWords;
 
 // ---- helpers ----------------------------------------------------
 
@@ -171,6 +176,9 @@ TEST(Persist, OnDiskFramingConstantsAreStable)
     const std::string header = CacheStore::encodeHeader();
     ASSERT_EQ(header.size(), 16u);
     EXPECT_EQ(header.substr(0, 8), "WSCSTORE");
+    // A change to the fingerprint streams or the result words must
+    // show up here, not as silently orphaned cache files.
+    EXPECT_EQ(CacheStore::formatVersion(), 0xb92a5b4268bb92a4ull);
 
     const std::string record =
         CacheStore::encodeRecord(pointWithSeed(1), resultWithCycles(7));
@@ -216,20 +224,84 @@ TEST(Persist, SaveLoadRoundTripPreservesContentsAndRecency)
 
 TEST(Persist, VersionMismatchRefusesTheWholeFile)
 {
-    TempFile file("version");
-    std::string data = CacheStore::encodeHeader() +
-                       CacheStore::encodeRecord(pointWithSeed(1),
-                                                resultWithCycles(1));
-    data[8] = static_cast<char>(data[8] ^ 0x5A); // version word
+    // A corrupted version word, and the version of files written under
+    // the v1 config fingerprint stream.
+    const std::string good = CacheStore::encodeHeader();
+    std::string v1 = good;
+    for (int i = 0; i < 8; ++i)
+        v1[8 + i] = static_cast<char>((0x0198f8b7fb81b551ull >> (8 * i)) &
+                                      0xFF);
+    std::string flipped = good;
+    flipped[8] = static_cast<char>(flipped[8] ^ 0x5A);
+
+    for (const std::string &header : {flipped, v1}) {
+        TempFile file("version");
+        writeRaw(file.path,
+                 header + CacheStore::encodeRecord(pointWithSeed(1),
+                                                   resultWithCycles(1)));
+        ResultCache cache(4);
+        const auto stats = CacheStore::load(cache, file.path);
+        EXPECT_TRUE(stats.fileFound);
+        EXPECT_TRUE(stats.headerOk);
+        EXPECT_TRUE(stats.versionMismatch);
+        EXPECT_EQ(stats.loaded, 0u);
+        EXPECT_EQ(cache.size(), 0u);
+    }
+}
+
+/** Moves the counter at list position @p target off its value. */
+KernelResult
+nudgeCounter(KernelResult r, std::size_t target)
+{
+    std::size_t i = 0;
+    forEachCounter(r, [&]<typename T>(const char *, T &m, CounterKind) {
+        if (i++ != target)
+            return;
+        if constexpr (std::is_same_v<T, bool>)
+            m = !m;
+        else
+            m += 1;
+    });
+    return r;
+}
+
+TEST(Persist, EveryCounterIsComparedServedAndPersisted)
+{
+    TempFile file("counters");
+    const KernelResult base = resultWithCycles(5);
+    std::vector<std::pair<std::string, CounterKind>> counters;
+    forEachCounter(base, [&](const char *name, const auto &, CounterKind k) {
+        counters.emplace_back(name, k);
+    });
+    ASSERT_EQ(counters.size(), CacheStore::kResultWords);
+
+    std::string data = CacheStore::encodeHeader();
+    std::vector<KernelResult> mutants;
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+        SCOPED_TRACE(counters[i].first);
+        const KernelResult mutant = nudgeCounter(base, i);
+        const bool simulated = counters[i].second == CounterKind::Simulated;
+        EXPECT_EQ(bitIdentical(base, mutant), !simulated);
+        EXPECT_EQ(ConfigCodec::serializeResult(base) ==
+                      ConfigCodec::serializeResult(mutant),
+                  !simulated);
+        EXPECT_EQ(ConfigCodec::serializeResult(base).find(
+                      "\"" + counters[i].first + "\":") != std::string::npos,
+                  simulated);
+        data += CacheStore::encodeRecord(pointWithSeed(100 + i), mutant);
+        mutants.push_back(mutant);
+    }
     writeRaw(file.path, data);
 
-    ResultCache cache(4);
+    ResultCache cache(counters.size());
     const auto stats = CacheStore::load(cache, file.path);
-    EXPECT_TRUE(stats.fileFound);
-    EXPECT_TRUE(stats.headerOk);
-    EXPECT_TRUE(stats.versionMismatch);
-    EXPECT_EQ(stats.loaded, 0u);
-    EXPECT_EQ(cache.size(), 0u);
+    ASSERT_EQ(stats.loaded, counters.size());
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+        SCOPED_TRACE(counters[i].first);
+        const KernelResult *back = cache.lookup(pointWithSeed(100 + i));
+        ASSERT_NE(back, nullptr);
+        EXPECT_EQ(toCounterWords(*back), toCounterWords(mutants[i]));
+    }
 }
 
 TEST(Persist, BadMagicLoadsNothing)
@@ -479,6 +551,9 @@ TEST(Daemon, ConfigsThatWouldCrashAMachineAnswerErrors)
         R"("wireless":{"burst":{"pGoodToBad":2.0}})",
         R"("wireless":{"retryBackoffMaxExp":64})",
         R"("chips":2,"bridge":{"retryBackoffMaxExp":64})",
+        // 2^32 bridge delays used to wrap simulated time.
+        R"("chips":2,"bridge":{"latencyCycles":4294967296})",
+        R"("chips":2,"bridge":{"ackTimeoutCycles":4294967296})",
     };
     std::string input;
     for (const char *cfg : bad_configs)

@@ -446,23 +446,6 @@ TEST(MacProtoMachine, ResetSwapsProtocolsAndMatchesFreshRuns)
     }
 }
 
-TEST(MacProtoMachine, TelemetryRegistersInStatSet)
-{
-    auto cfg = MachineConfig::make(ConfigKind::WiSyncNoT, 16);
-    cfg.wireless.macKind = MacKind::Token;
-    Machine m(cfg);
-    wisync::workloads::TightLoopParams p;
-    p.iterations = 4;
-    (void)wisync::workloads::runTightLoopOn(m, p);
-
-    wisync::sim::StatSet set;
-    m.bm()->macProtocol().registerStats(set, "mac");
-    EXPECT_GT(set.counterValue("mac.acquires"), 0u);
-    EXPECT_GT(set.counterValue("mac.token_rotations"), 0u);
-    EXPECT_EQ(set.counterValue("mac.backoff_cycles"), 0u);
-    EXPECT_EQ(set.counterValue("mac.nonexistent"), 0u);
-}
-
 TEST(MacProtoParallelSweep, GridIsThreadCountIndependent)
 {
     wisync::workloads::TightLoopParams params;

@@ -17,7 +17,10 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <cmath>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -39,7 +42,9 @@ using wisync::core::Machine;
 using wisync::core::MachineConfig;
 using wisync::core::Variant;
 using wisync::harness::ParallelSweep;
+using wisync::core::FieldSpec;
 using wisync::service::ConfigCodec;
+using wisync::service::Json;
 using wisync::service::DeadlineExceeded;
 using wisync::service::ParseError;
 using wisync::service::RequestPoint;
@@ -55,14 +60,15 @@ using wisync::workloads::bitIdentical;
 
 // ---- Codec: round-trip ------------------------------------------
 
-/** A config exercising every codec-covered knob off its default. */
+/** A config with every wire field off its make(WiSync, 64) default
+ *  (RoundTripsEveryKnob checks that against the field list). */
 MachineConfig
 kitchenSinkConfig()
 {
-    auto cfg = MachineConfig::make(ConfigKind::WiSync, 32,
+    auto cfg = MachineConfig::make(ConfigKind::WiSyncNoT, 32,
                                    Variant::SlowNet);
     cfg.numChips = 2;
-    cfg.issueWidth = 2;
+    cfg.issueWidth = 4;
     cfg.seed = 0xDEADBEEFCAFEF00Dull;
     cfg.wireless.macKind = MacKind::Adaptive;
     cfg.wireless.maxBackoffExp = 9;
@@ -87,7 +93,7 @@ kitchenSinkConfig()
     cfg.wireless.channelLossStepDb = 0.25;
     cfg.wireless.spectrumSlots = 2;
     cfg.bridge.latencyCycles = 11;
-    cfg.bridge.widthBits = 64;
+    cfg.bridge.widthBits = 32;
     cfg.bridge.headerBits = 16;
     cfg.bridge.lossPct = 1.25;
     cfg.bridge.burst.enabled = true;
@@ -105,6 +111,137 @@ MachineConfig
 parseConfigString(const std::string &json)
 {
     return ConfigCodec::parseConfig(wisync::service::Json::parse(json));
+}
+
+// ---- Walking the forEachField list ------------------------------
+
+/** One forEachField entry, flattened. */
+struct FieldInfo
+{
+    /** Dotted path, e.g. "wireless.burst.pGoodToBad". */
+    std::string path;
+    FieldSpec spec;
+    /** On the wire: the entry and every enclosing group are. */
+    bool wire;
+    /** A ranged integer (not a double). */
+    bool integral;
+};
+
+struct FieldCollector
+{
+    std::vector<FieldInfo> fields;
+    std::string prefix;
+    bool wire = true;
+
+    template <typename T>
+    void
+    field(const char *name, const T &, const FieldSpec &spec)
+    {
+        fields.push_back({prefix + name, spec, wire && spec.wire,
+                          std::is_integral_v<T>});
+    }
+
+    template <typename Members>
+    void
+    group(const char *name, const FieldSpec &spec, Members &&members)
+    {
+        const std::string outer_prefix = prefix;
+        const bool outer_wire = wire;
+        prefix += std::string(name) + ".";
+        wire = wire && spec.wire;
+        members();
+        prefix = outer_prefix;
+        wire = outer_wire;
+    }
+};
+
+std::vector<FieldInfo>
+listedFields()
+{
+    FieldCollector collector;
+    const MachineConfig cfg;
+    forEachField(cfg, collector);
+    return collector.fields;
+}
+
+/** Calls fn(member) on the entry at path. */
+template <typename Fn>
+struct FieldAt
+{
+    std::string path;
+    Fn fn;
+    std::string prefix = {};
+    bool found = false;
+
+    template <typename T>
+    void
+    field(const char *name, T &member, const FieldSpec &)
+    {
+        if (prefix + name == path) {
+            fn(member);
+            found = true;
+        }
+    }
+
+    template <typename Members>
+    void
+    group(const char *name, const FieldSpec &, Members &&members)
+    {
+        const std::size_t outer = prefix.size();
+        prefix += std::string(name) + ".";
+        members();
+        prefix.resize(outer);
+    }
+};
+
+template <typename Fn>
+void
+withField(MachineConfig &cfg, const std::string &path, Fn fn)
+{
+    FieldAt<Fn> at{path, fn};
+    forEachField(cfg, at);
+    EXPECT_TRUE(at.found) << path;
+}
+
+/** Moves @p m off its current value. */
+template <typename T>
+void
+nudge(T &m)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        m = !m;
+    else if constexpr (std::is_enum_v<T>)
+        m = static_cast<T>(static_cast<int>(m) ^ 1);
+    else if constexpr (std::is_floating_point_v<T>)
+        m += 0.5;
+    else
+        m += 1;
+}
+
+/** The JSON leaf at dotted @p path, or nullptr. */
+const Json *
+leafAt(const Json &doc, const std::string &path)
+{
+    const Json *node = &doc;
+    std::size_t start = 0;
+    while (node != nullptr) {
+        const std::size_t dot = path.find('.', start);
+        node = node->find(path.substr(start, dot - start));
+        if (dot == std::string::npos)
+            return node;
+        start = dot + 1;
+    }
+    return nullptr;
+}
+
+std::string
+leafText(const Json &leaf)
+{
+    if (leaf.isNumber())
+        return leaf.rawNumber();
+    if (leaf.isString())
+        return leaf.str();
+    return leaf.boolean() ? "true" : "false";
 }
 
 TEST(ServiceCodec, RoundTripsMakeDefaults)
@@ -129,6 +266,20 @@ TEST(ServiceCodec, RoundTripsEveryKnob)
 {
     const auto cfg = kitchenSinkConfig();
     const std::string json = ConfigCodec::serialize(cfg);
+    // Every wire field is serialized, and set off its default.
+    const Json doc = Json::parse(json);
+    const Json defaults = Json::parse(ConfigCodec::serialize(
+        MachineConfig::make(ConfigKind::WiSync, 64)));
+    for (const FieldInfo &f : listedFields()) {
+        if (!f.wire)
+            continue;
+        const Json *leaf = leafAt(doc, f.path);
+        const Json *dflt = leafAt(defaults, f.path);
+        ASSERT_NE(leaf, nullptr) << f.path;
+        ASSERT_NE(dflt, nullptr) << f.path;
+        EXPECT_NE(leafText(*leaf), leafText(*dflt))
+            << f.path << " is at its default in the round-trip config";
+    }
     const auto back = parseConfigString(json);
     EXPECT_EQ(cfg, back) << json;
     EXPECT_EQ(cfg.fingerprint(), back.fingerprint());
@@ -271,9 +422,9 @@ TEST(ServiceCodec, MalformedAndPartialRequestsNameTheField)
 /**
  * Values that parse as well-formed JSON but would crash a Machine: a
  * zero-width bridge divides by zero, out-of-range burst knobs trip the
- * channel asserts, and a backoff exponent past 63 shifts a 64-bit
- * cycle count out of range. Each must be a typed ParseError naming
- * its field.
+ * channel asserts, a backoff exponent past 63 shifts a 64-bit cycle
+ * count out of range, and a bridge delay past 32 bits wraps simulated
+ * time. Each must be a typed ParseError naming its field.
  */
 struct CrashingField
 {
@@ -326,7 +477,14 @@ INSTANTIATE_TEST_SUITE_P(
                       "wireless.burst.goodLossPct"},
         CrashingField{"WirelessBurstBadLossPct",
                       R"("wireless":{"burst":{"badLossPct":250}})",
-                      "wireless.burst.badLossPct"}),
+                      "wireless.burst.badLossPct"},
+        // 2^32: wider bridge delays used to wrap simulated time.
+        CrashingField{"BridgeLatencyCycles",
+                      R"("chips":2,"bridge":{"latencyCycles":4294967296})",
+                      "bridge.latencyCycles"},
+        CrashingField{"BridgeAckTimeoutCycles",
+                      R"("chips":2,"bridge":{"ackTimeoutCycles":4294967296})",
+                      "bridge.ackTimeoutCycles"}),
     [](const auto &info) { return std::string(info.param.name); });
 
 TEST_P(ServiceCodecRejects, OutOfRangeValueNamesItsField)
@@ -338,20 +496,84 @@ TEST_P(ServiceCodecRejects, OutOfRangeValueNamesItsField)
         std::string("points[0].config.") + c.field, 0);
 }
 
+/** A 4-core WiSync config JSON with @p path set to the raw @p value
+ *  (nested objects opened along the dotted path). */
+std::string
+configWith(const std::string &path, const std::string &value)
+{
+    if (path == "cores")
+        return R"({"kind":"WiSync","cores":)" + value + "}";
+    std::string json = R"({"kind":"WiSync","cores":4,)";
+    std::size_t start = 0;
+    std::size_t depth = 0;
+    for (std::size_t dot; (dot = path.find('.', start)) != std::string::npos;
+         start = dot + 1, ++depth) {
+        json += '"';
+        json.append(path, start, dot - start);
+        json += "\":{";
+    }
+    json += '"';
+    json.append(path, start);
+    json += "\":";
+    json += value;
+    json.append(depth + 1, '}');
+    return json;
+}
+
 TEST(ServiceCodec, RangeLimitsThemselvesAreAccepted)
 {
-    const auto req = ConfigCodec::parseRequest(
-        R"({"points":[{"config":{"kind":"WiSync","cores":4,"chips":2,
-            "wireless":{"maxBackoffExp":63,"retryBackoffMaxExp":63,
-                "burst":{"enabled":true,"goodLossPct":0,"badLossPct":100,
-                         "pGoodToBad":1,"pBadToGood":0}},
-            "bridge":{"widthBits":1,"retryBackoffMaxExp":63,
-                "burst":{"pGoodToBad":0,"pBadToGood":1}}},
-            "workload":{"kind":"tightloop"}}]})");
-    ASSERT_EQ(req.points.size(), 1u);
-    EXPECT_EQ(req.points[0].config.wireless.retryBackoffMaxExp, 63u);
-    EXPECT_EQ(req.points[0].config.bridge.widthBits, 1u);
-    EXPECT_EQ(req.points[0].config.wireless.burst.pGoodToBad, 1.0);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::size_t ranged = 0;
+    for (const FieldInfo &f : listedFields()) {
+        if (f.spec.lo == -kInf && f.spec.hi == kInf)
+            continue;
+        ++ranged;
+        SCOPED_TRACE(f.path);
+        // Every ranged field is a client knob today; an off-wire one
+        // would need a validate()-only case here.
+        ASSERT_TRUE(f.wire);
+        const auto text = [&](double v) {
+            return f.integral ? wisync::service::jsonNumber(
+                                    static_cast<std::uint64_t>(v))
+                              : wisync::service::jsonNumber(v);
+        };
+        std::vector<std::pair<std::string, bool>> cases; // value, ok
+        if (f.spec.lo != -kInf) {
+            cases.emplace_back(text(f.spec.lo), true);
+            cases.emplace_back(
+                f.integral ? (f.spec.lo >= 1.0 ? text(f.spec.lo - 1.0)
+                                               : std::string("-1"))
+                           : text(std::nextafter(f.spec.lo, -kInf)),
+                false);
+        }
+        if (f.spec.hi != kInf) {
+            cases.emplace_back(text(f.spec.hi), true);
+            cases.emplace_back(f.integral
+                                   ? text(f.spec.hi + 1.0)
+                                   : text(std::nextafter(f.spec.hi, kInf)),
+                               false);
+        }
+        for (const auto &[value, ok] : cases) {
+            SCOPED_TRACE(value);
+            const std::string request =
+                R"({"points":[{"config":)" + configWith(f.path, value) +
+                R"(,"workload":{"kind":"tightloop"}}]})";
+            if (!ok) {
+                expectParseError(request, "points[0].config." + f.path, 0);
+                continue;
+            }
+            auto cfg = ConfigCodec::parseRequest(request).points[0].config;
+            withField(cfg, f.path, [&](auto &m) {
+                using T = std::remove_reference_t<decltype(m)>;
+                if constexpr (std::is_arithmetic_v<T>) {
+                    EXPECT_EQ(static_cast<double>(m), std::stod(value));
+                }
+            });
+        }
+    }
+    // cores, chips, issueWidth, the exponents, the loss percentages and
+    // burst knobs of both links, the bridge width.
+    EXPECT_EQ(ranged, 17u);
 }
 
 // ---- MachineConfig equality + fingerprint ------------------------
@@ -363,27 +585,34 @@ TEST(ServiceFingerprint, EqualConfigsShareItDifferingConfigsDoNot)
     EXPECT_EQ(base, same);
     EXPECT_EQ(base.fingerprint(), same.fingerprint());
 
-    // Flip one knob at a time — each must break equality AND move the
-    // fingerprint (the cache key may never alias distinct configs
-    // through a knob the hash forgot).
-    std::vector<MachineConfig> mutants;
-    for (int i = 0; i < 10; ++i)
-        mutants.push_back(MachineConfig::make(ConfigKind::WiSync, 16));
-    mutants[0].seed = 99;
-    mutants[1].issueWidth = 4;
-    mutants[2].wireless.macKind = MacKind::Token;
-    mutants[3].wireless.lossPct = 0.001;
-    mutants[4].wireless.burst.enabled = true;
-    mutants[5].wireless.spectrumSlots = 2;
-    mutants[6].wireless.tokenHoldCycles += 1;
-    mutants[7].bridge.latencyCycles += 1;
-    mutants[8].mem.lineBytes *= 2;
-    mutants[9].bm.bmRtCycles += 1;
-    for (std::size_t i = 0; i < mutants.size(); ++i) {
-        EXPECT_NE(base, mutants[i]) << "mutant " << i;
-        EXPECT_NE(base.fingerprint(), mutants[i].fingerprint())
-            << "mutant " << i;
+    // Move every listed field in turn — each must break equality AND
+    // move the fingerprint (the cache key may never alias distinct
+    // configs through a knob the hash forgot).
+    const auto fields = listedFields();
+    std::set<std::string> paths;
+    for (const FieldInfo &f : fields) {
+        EXPECT_TRUE(paths.insert(f.path).second) << "listed twice: " << f.path;
+        auto mutant = base;
+        withField(mutant, f.path, [](auto &m) { nudge(m); });
+        EXPECT_NE(base, mutant) << f.path;
+        EXPECT_NE(base.fingerprint(), mutant.fingerprint()) << f.path;
     }
+}
+
+TEST(ServiceFingerprint, V2StreamValuesArePinned)
+{
+    // Pinned so that a reordered or retyped field list fails here
+    // instead of silently orphaning every persisted cache record.
+    EXPECT_EQ(MachineConfig::kFingerprintVersion, 2u);
+    auto cfg = MachineConfig::make(ConfigKind::WiSync, 64);
+    cfg.setFastpath(true); // independent of WISYNC_NO_FASTPATH
+    EXPECT_EQ(cfg.fingerprint(), 0x216011a3de7b6996ull);
+
+    RequestPoint point;
+    point.config = MachineConfig::make(ConfigKind::WiSync, 8);
+    point.config.setFastpath(true);
+    point.config.seed = 7;
+    EXPECT_EQ(point.fingerprint(), 0x0e85e92f508bcd5eull);
 }
 
 TEST(ServiceFingerprint, WorkloadSpecSeparatesKindsAndParams)

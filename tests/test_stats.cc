@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/stats.hh"
 
 namespace {
@@ -14,7 +12,6 @@ namespace {
 using wisync::sim::Accumulator;
 using wisync::sim::Counter;
 using wisync::sim::Histogram;
-using wisync::sim::StatSet;
 
 TEST(Counter, IncrementAndReset)
 {
@@ -64,31 +61,6 @@ TEST(Histogram, Log2Buckets)
     EXPECT_EQ(h.bucket(10), 1u);
     EXPECT_EQ(h.bucket(63), 0u);
     EXPECT_EQ(h.acc().count(), 6u);
-}
-
-TEST(StatSet, DumpAndLookup)
-{
-    Counter hits, misses;
-    hits.inc(7);
-    misses.inc(3);
-    Accumulator lat;
-    lat.sample(10);
-    lat.sample(20);
-
-    StatSet set;
-    set.addCounter("l1.hits", hits);
-    set.addCounter("l1.misses", misses);
-    set.addAccumulator("l1.latency", lat);
-
-    EXPECT_EQ(set.counterValue("l1.hits"), 7u);
-    EXPECT_EQ(set.counterValue("does.not.exist"), 0u);
-
-    std::ostringstream os;
-    set.dump(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("l1.hits 7"), std::string::npos);
-    EXPECT_NE(out.find("l1.misses 3"), std::string::npos);
-    EXPECT_NE(out.find("l1.latency.mean 15"), std::string::npos);
 }
 
 } // namespace
