@@ -8,44 +8,58 @@
 namespace wisync::bm {
 
 BmStore::BmStore(sim::Engine &engine, std::uint32_t num_nodes,
-                 std::uint32_t words_per_node)
+                 std::uint32_t words_per_node, std::uint32_t num_chips)
     : engine_(engine), numNodes_(num_nodes), words_(words_per_node),
       watches_(engine)
 {
-    replicas_.assign(numNodes_, std::vector<std::uint64_t>(words_, 0));
+    regroup(num_chips);
     tags_.assign(words_, kNoPid);
     scopes_.assign(words_, BmScope::Global);
+}
+
+void
+BmStore::regroup(std::uint32_t num_chips)
+{
+    WISYNC_ASSERT(num_chips > 0 && numNodes_ % num_chips == 0,
+                  "BM nodes must divide evenly among chips");
+    numChips_ = num_chips;
+    nodesPerChip_ = numNodes_ / numChips_;
+    values_.assign(static_cast<std::size_t>(numChips_) * words_, 0);
+    rowOf_.resize(numNodes_);
+    for (std::uint32_t n = 0; n < numNodes_; ++n)
+        rowOf_[n] = n / nodesPerChip_ * words_;
 }
 
 std::uint64_t
 BmStore::read(sim::NodeId node, sim::BmAddr addr) const
 {
     WISYNC_ASSERT(node < numNodes_ && addr < words_, "BM read OOB");
-    return replicas_[node][addr];
+    return values_[rowOf_[node] + addr];
+}
+
+void
+BmStore::raiseWatches(sim::NodeId first, sim::NodeId end, sim::BmAddr addr)
+{
+    for (sim::NodeId n = first; n < end; ++n)
+        if (coro::VersionedEvent *ev = watches_.find(watchKey(n, addr)))
+            ev->raise();
 }
 
 void
 BmStore::writeAll(sim::BmAddr addr, std::uint64_t value)
 {
     WISYNC_ASSERT(addr < words_, "BM write OOB");
-    for (std::uint32_t n = 0; n < numNodes_; ++n)
-        replicas_[n][addr] = value;
-    for (std::uint32_t n = 0; n < numNodes_; ++n)
-        if (coro::VersionedEvent *ev = watches_.find(watchKey(n, addr)))
-            ev->raise();
+    for (std::uint32_t c = 0; c < numChips_; ++c)
+        values_[std::size_t{c} * words_ + addr] = value;
+    raiseWatches(0, numNodes_, addr);
 }
 
 void
-BmStore::writeChip(sim::NodeId first, std::uint32_t count, sim::BmAddr addr,
-                   std::uint64_t value)
+BmStore::writeChip(std::uint32_t chip, sim::BmAddr addr, std::uint64_t value)
 {
-    WISYNC_ASSERT(addr < words_ && first + count <= numNodes_,
-                  "BM chip write OOB");
-    for (std::uint32_t n = first; n < first + count; ++n)
-        replicas_[n][addr] = value;
-    for (std::uint32_t n = first; n < first + count; ++n)
-        if (coro::VersionedEvent *ev = watches_.find(watchKey(n, addr)))
-            ev->raise();
+    WISYNC_ASSERT(addr < words_ && chip < numChips_, "BM chip write OOB");
+    values_[std::size_t{chip} * words_ + addr] = value;
+    raiseWatches(chip * nodesPerChip_, (chip + 1) * nodesPerChip_, addr);
 }
 
 void
@@ -54,24 +68,24 @@ BmStore::toggleAll(sim::BmAddr addr)
     WISYNC_ASSERT(addr < words_, "BM toggle OOB");
     // The tone-release location "can only take the values zero or
     // non-zero" (§4.2.2).
-    writeAll(addr, replicas_[0][addr] == 0 ? 1 : 0);
+    writeAll(addr, values_[addr] == 0 ? 1 : 0);
 }
 
 void
-BmStore::toggleChip(sim::NodeId first, std::uint32_t count, sim::BmAddr addr)
+BmStore::toggleChip(std::uint32_t chip, sim::BmAddr addr)
 {
-    WISYNC_ASSERT(addr < words_ && first + count <= numNodes_,
-                  "BM chip toggle OOB");
-    writeChip(first, count, addr, replicas_[first][addr] == 0 ? 1 : 0);
+    WISYNC_ASSERT(addr < words_ && chip < numChips_, "BM chip toggle OOB");
+    writeChip(chip, addr,
+              values_[std::size_t{chip} * words_ + addr] == 0 ? 1 : 0);
 }
 
 bool
 BmStore::replicasConsistent() const
 {
-    for (std::uint32_t n = 1; n < numNodes_; ++n)
-        if (replicas_[n] != replicas_[0])
-            return false;
-    return true;
+    // Replicas within a chip share one array, so all agree iff every
+    // chip's array equals the previous chip's.
+    return std::equal(values_.begin() + words_, values_.end(),
+                      values_.begin());
 }
 
 bool
@@ -79,17 +93,13 @@ BmStore::replicasConsistent(std::uint32_t cores_per_chip) const
 {
     if (cores_per_chip == 0 || cores_per_chip >= numNodes_)
         return replicasConsistent();
-    for (std::uint32_t n = 0; n < numNodes_; ++n) {
-        const std::uint32_t chip_first = n - n % cores_per_chip;
-        if (n != chip_first && replicas_[n] != replicas_[chip_first])
-            return false;
-    }
+    WISYNC_ASSERT(cores_per_chip == nodesPerChip_,
+                  "consistency check against a foreign chip tiling");
     for (std::uint32_t w = 0; w < words_; ++w) {
         if (scopes_[w] != BmScope::Global)
             continue;
-        for (std::uint32_t first = cores_per_chip; first < numNodes_;
-             first += cores_per_chip)
-            if (replicas_[first][w] != replicas_[0][w])
+        for (std::uint32_t c = 1; c < numChips_; ++c)
+            if (values_[std::size_t{c} * words_ + w] != values_[w])
                 return false;
     }
     return true;
@@ -126,8 +136,7 @@ BmStore::scope(sim::BmAddr addr) const
 void
 BmStore::reset()
 {
-    for (auto &replica : replicas_)
-        std::fill(replica.begin(), replica.end(), 0);
+    std::fill(values_.begin(), values_.end(), 0);
     std::fill(tags_.begin(), tags_.end(), kNoPid);
     std::fill(scopes_.begin(), scopes_.end(), BmScope::Global);
     watches_.reset(); // recycles events instead of freeing them
@@ -140,7 +149,7 @@ BmStore::fingerprint() const
     for (std::uint32_t n = 0; n < numNodes_; ++n)
         for (std::uint32_t w = 0; w < words_; ++w)
             acc += sim::mix64((std::uint64_t{n} << 32 | w) ^
-                              sim::mix64(replicas_[n][w]));
+                              sim::mix64(values_[rowOf_[n] + w]));
     for (std::uint32_t w = 0; w < words_; ++w)
         acc += sim::mix64(~std::uint64_t{w} ^ sim::mix64(tags_[w]));
     return acc;

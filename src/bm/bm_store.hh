@@ -9,6 +9,11 @@
  * entry is tagged with the PID of the owning program; a PID mismatch
  * on access is a protection violation (§4.4).
  *
+ * Since every replica on a chip is written in the same step, a chip's
+ * replica group is stored as one word array: node reads go to their
+ * chip's array, and the store costs chips x words, not nodes x words.
+ * Watchers stay per node.
+ *
  * Multi-chip: with several chips each broadcast commits on its own
  * chip's replica group first (writeChip); the inter-chip bridge
  * re-applies it on the other chips a bridge latency later. Words may
@@ -41,15 +46,17 @@ enum class BmScope : std::uint8_t
     ChipLocal,
 };
 
-/** Per-node replicated broadcast memories + word-update events. */
+/** Per-chip replicated broadcast memories + per-node update events. */
 class BmStore
 {
   public:
+    /** @p num_nodes must divide evenly into @p num_chips groups. */
     BmStore(sim::Engine &engine, std::uint32_t num_nodes,
-            std::uint32_t words_per_node);
+            std::uint32_t words_per_node, std::uint32_t num_chips = 1);
 
     std::uint32_t words() const { return words_; }
     std::uint32_t nodes() const { return numNodes_; }
+    std::uint32_t chips() const { return numChips_; }
 
     /** Read @p node's replica of word @p addr. */
     std::uint64_t read(sim::NodeId node, sim::BmAddr addr) const;
@@ -61,19 +68,17 @@ class BmStore
     void writeAll(sim::BmAddr addr, std::uint64_t value);
 
     /**
-     * Write the replicas of nodes [@p first, @p first + @p count) only
-     * (a chip-local commit or a bridged re-apply) and wake exactly
-     * that range's watchers.
+     * Write chip @p chip's replicas only (a chip-local commit or a
+     * bridged re-apply) and wake exactly that chip's watchers.
      */
-    void writeChip(sim::NodeId first, std::uint32_t count, sim::BmAddr addr,
+    void writeChip(std::uint32_t chip, sim::BmAddr addr,
                    std::uint64_t value);
 
     /** Toggle 0 <-> 1 on every replica (tone-barrier release). */
     void toggleAll(sim::BmAddr addr);
 
     /** Toggle 0 <-> 1 on one chip's replicas (per-chip tone release). */
-    void toggleChip(sim::NodeId first, std::uint32_t count,
-                    sim::BmAddr addr);
+    void toggleChip(std::uint32_t chip, sim::BmAddr addr);
 
     /** Verify all replicas agree (model invariant; for tests). */
     bool replicasConsistent() const;
@@ -82,7 +87,10 @@ class BmStore
      * Multi-chip invariant: within every @p cores_per_chip-node group
      * all replicas agree, and Global-scope words additionally agree
      * across groups (only meaningful at quiescence — in-flight bridge
-     * frames legitimately leave chips divergent mid-run).
+     * frames legitimately leave chips divergent mid-run). Groups are
+     * one array each, so only the cross-chip half can fail; @p
+     * cores_per_chip must be the store's own grouping, or 0 / >=
+     * nodes() for the whole-machine check.
      */
     bool replicasConsistent(std::uint32_t cores_per_chip) const;
 
@@ -101,6 +109,13 @@ class BmStore
     void reset();
 
     /**
+     * Regroup the replicas into @p num_chips chips (a machine re-tiled
+     * by reset). Every replica is zeroed; tags, scopes and watchers
+     * are untouched.
+     */
+    void regroup(std::uint32_t num_chips);
+
+    /**
      * Order-independent digest of every replica's values plus the PID
      * tags (reset-equivalence test support).
      */
@@ -115,10 +130,16 @@ class BmStore
         return (static_cast<std::uint64_t>(addr) << 16) | node;
     }
 
+    /** Wake the watchers of nodes [@p first, @p end) on @p addr. */
+    void raiseWatches(sim::NodeId first, sim::NodeId end, sim::BmAddr addr);
+
     sim::Engine &engine_;
     std::uint32_t numNodes_;
     std::uint32_t words_;
-    std::vector<std::vector<std::uint64_t>> replicas_; // [node][word]
+    std::uint32_t numChips_ = 0;
+    std::uint32_t nodesPerChip_ = 0;
+    std::vector<std::uint64_t> values_; // [chip * words + word]
+    std::vector<std::uint32_t> rowOf_;  // node -> chip * words
     std::vector<sim::Pid> tags_;
     std::vector<BmScope> scopes_;
     coro::WatchTable watches_;

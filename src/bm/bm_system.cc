@@ -43,6 +43,7 @@ BmSystem::rebuildChipTopology(const wireless::WirelessConfig &wcfg,
     WISYNC_FATAL_IF(numNodes_ % numChips_ != 0,
                     "cores must divide evenly among chips");
     coresPerChip_ = numNodes_ / numChips_;
+    store_.regroup(numChips_);
     plan_ = wireless::FrequencyPlan(numChips_, wcfg.spectrumSlots,
                                     wcfg.channelLossBaseDb,
                                     wcfg.channelLossStepDb);
@@ -68,8 +69,7 @@ BmSystem::rebuildChipTopology(const wireless::WirelessConfig &wcfg,
         else
             tones_[chip]->setReleaseHandler(
                 [this, chip](sim::BmAddr addr) {
-                    store_.toggleChip(chip * coresPerChip_, coresPerChip_,
-                                      addr);
+                    store_.toggleChip(chip, addr);
                 });
     }
     bridgeCfg_ = bridge_cfg;
@@ -272,7 +272,7 @@ BmSystem::deliverStore(sim::NodeId src, sim::BmAddr addr,
     for (std::uint32_t i = 0; i < count; ++i) {
         WISYNC_ASSERT((store_.scope(addr + i) == BmScope::Global) == global,
                       "bulk store window mixes BM scopes");
-        store_.writeChip(first, coresPerChip_, addr + i, values[i]);
+        store_.writeChip(chip, addr + i, values[i]);
         if (frame != nullptr) {
             const std::uint64_t v = ++globalVersion_[addr + i];
             appliedVersion_[static_cast<std::size_t>(chip) *
@@ -315,7 +315,7 @@ BmSystem::applyBridged(BridgeFrame *frame)
             if (frame->versions[i] <= applied)
                 continue;
             applied = frame->versions[i];
-            store_.writeChip(first, coresPerChip_, a, frame->values[i]);
+            store_.writeChip(chip, a, frame->values[i]);
             // The bridged commit breaks pending RMWs on this chip
             // exactly like a same-chip delivery would (§4.2.1,
             // extended machine-wide).

@@ -25,6 +25,9 @@ Mesh::Mesh(sim::Engine &engine, const MeshConfig &cfg)
     // node (a non-square core count still has a full router grid), so
     // links cover the whole width x width mesh.
     const std::uint32_t grid = width_ * width_;
+    coords_.reserve(grid);
+    for (std::uint32_t n = 0; n < grid; ++n)
+        coords_.push_back(Coord{n % width_, n / width_});
     links_.reserve(grid * 4);
     inject_.reserve(cfg_.numNodes);
     for (std::uint32_t n = 0; n < grid * 4; ++n)

@@ -144,8 +144,8 @@ class Mesh
     void reset(const MeshConfig &cfg);
 
   private:
-    std::uint32_t xOf(sim::NodeId n) const { return n % width_; }
-    std::uint32_t yOf(sim::NodeId n) const { return n / width_; }
+    std::uint32_t xOf(sim::NodeId n) const { return coords_[n].x; }
+    std::uint32_t yOf(sim::NodeId n) const { return coords_[n].y; }
     sim::NodeId nodeAt(std::uint32_t x, std::uint32_t y) const
     {
         return y * width_ + x;
@@ -184,6 +184,13 @@ class Mesh
     sim::Engine &engine_;
     MeshConfig cfg_;
     std::uint32_t width_;
+    /** Grid position of every router, so a hop never divides. */
+    struct Coord
+    {
+        std::uint32_t x;
+        std::uint32_t y;
+    };
+    std::vector<Coord> coords_;
     /** One FIFO mutex per directional link; index = linkId. */
     std::vector<std::unique_ptr<coro::SimMutex>> links_;
     /** Per-node injection port (serial multicast pacing). */

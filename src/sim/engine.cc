@@ -87,11 +87,81 @@ Engine::NodePool::~NodePool()
 Engine::~Engine()
 {
     // Live detached roots first (their teardown may touch the ready
-    // ring), then events still pending in the wheels (the ring, level
-    // 0, current_ and far_ clean up via their vectors).
+    // ring), then events still pending in the wheels and level-0
+    // segments (the ring, staged_ and far_ clean up via their
+    // vectors).
     destroyLiveRoots();
     clearWheel(l1_);
     clearWheel(l2_);
+    clearLevel0();
+    while (freeSegs_ != nullptr)
+        delete std::exchange(freeSegs_, freeSegs_->next);
+}
+
+Engine::Segment *
+Engine::appendSegment(Bucket &b)
+{
+    Segment *seg = freeSegs_;
+    if (seg != nullptr)
+        freeSegs_ = seg->next;
+    else
+        seg = new Segment;
+    seg->next = nullptr;
+    if (b.tail != nullptr)
+        b.tail->next = seg;
+    else
+        b.head = seg;
+    b.tail = seg;
+    return seg;
+}
+
+void
+Engine::releaseChain(Segment *seg, std::uint32_t from)
+{
+    while (seg != nullptr) {
+        for (std::uint32_t i = from; i < seg->size; ++i)
+            seg->slots[i] = Slot{};
+        from = 0;
+        recycleSegment(std::exchange(seg, seg->next));
+    }
+}
+
+void
+Engine::moveChainToStaging(Segment *seg, std::uint32_t from)
+{
+    while (seg != nullptr) {
+        for (std::uint32_t i = from; i < seg->size; ++i)
+            staged_.push_back(std::move(seg->slots[i]));
+        from = 0;
+        recycleSegment(std::exchange(seg, seg->next));
+    }
+}
+
+void
+Engine::clearLevel0()
+{
+    releaseChain(curSeg_, curIdx_);
+    curSeg_ = nullptr;
+    curIdx_ = 0;
+    staged_.clear();
+    stagedIdx_ = 0;
+    if (l0Count_ > 0)
+        for (Bucket &b : l0_) {
+            releaseChain(b.head, 0);
+            b = Bucket{};
+        }
+    l0Bits_ = Bitmap{};
+    l0Count_ = 0;
+}
+
+std::size_t
+Engine::pendingEvents() const
+{
+    std::size_t staged = staged_.size() - stagedIdx_;
+    for (const Segment *seg = curSeg_; seg != nullptr; seg = seg->next)
+        staged += seg->size - (seg == curSeg_ ? curIdx_ : 0);
+    return ready_.size() + staged + l0Count_ + l1_.count + l2_.count +
+           far_.size();
 }
 
 std::uint32_t
@@ -155,16 +225,7 @@ Engine::reset()
     destroyLiveRoots(); // may push unlock handoffs into ready_
     while (!ready_.empty())
         (void)ready_.pop();
-    if (curBucket_ != nullptr) {
-        curBucket_->clear();
-        curBucket_ = nullptr;
-        curIdx_ = 0;
-    }
-    if (l0Count_ > 0)
-        for (auto &bucket : l0_)
-            bucket.clear();
-    l0Bits_ = Bitmap{};
-    l0Count_ = 0;
+    clearLevel0();
     clearWheel(l1_);
     clearWheel(l2_);
     far_.clear();
@@ -196,14 +257,19 @@ Engine::scheduleReserved(Cycle when, std::uint64_t seq, UniqueFunction fn)
     // currentSeq() < seq), so it belongs in the undrained tail of the
     // staged bucket. Ready-ring events all carry seqs assigned this
     // cycle — necessarily above any reserved-at-an-earlier-cycle seq —
-    // so this situation can only arise mid-stage.
-    assert(curBucket_ != nullptr && seq > currentSeq_ &&
+    // so this situation can only arise mid-stage. The segment chain
+    // cannot take an insertion, so its remainder moves to staged_.
+    assert((curSeg_ != nullptr || !staged_.empty()) && seq > currentSeq_ &&
            "same-cycle reserved event outside the staged drain");
-    auto it = curBucket_->begin() +
-              static_cast<std::ptrdiff_t>(curIdx_);
-    while (it != curBucket_->end() && it->seq < seq)
+    if (staged_.empty()) {
+        moveChainToStaging(curSeg_, curIdx_);
+        curSeg_ = nullptr;
+        curIdx_ = 0;
+    }
+    auto it = staged_.begin() + static_cast<std::ptrdiff_t>(stagedIdx_);
+    while (it != staged_.end() && it->seq < seq)
         ++it;
-    curBucket_->insert(it, std::move(s));
+    staged_.insert(it, std::move(s));
 }
 
 unsigned
@@ -349,22 +415,20 @@ Engine::stageCurrentCycle()
 
     const unsigned idx = static_cast<unsigned>(now_ & 255);
     assert(l0Bits_.test(idx) && "advanced to a cycle with no events");
-    curBucket_ = &l0_[idx];
-    curIdx_ = 0;
+    Bucket &b = l0_[idx];
     l0Bits_.clear(idx);
-    l0Count_ -= curBucket_->size();
-
-    // Cascading can interleave provenances; restore global insertion
-    // order. Almost always already sorted, so check first.
-    if (curBucket_->size() > 1 &&
-        !std::is_sorted(curBucket_->begin(), curBucket_->end(),
-                        [](const Slot &a, const Slot &b) {
-                            return a.seq < b.seq;
-                        }))
-        std::sort(curBucket_->begin(), curBucket_->end(),
-                  [](const Slot &a, const Slot &b) {
-                      return a.seq < b.seq;
-                  });
+    l0Count_ -= b.count;
+    curIdx_ = 0;
+    if (!b.unsorted) {
+        curSeg_ = b.head;
+    } else {
+        // Cascading (or a later-cycle reserved seq) interleaved
+        // provenances; restore global insertion order in staged_.
+        moveChainToStaging(b.head, 0);
+        std::sort(staged_.begin(), staged_.end(),
+                  [](const Slot &x, const Slot &y) { return x.seq < y.seq; });
+    }
+    b = Bucket{};
 }
 
 bool
@@ -375,21 +439,38 @@ Engine::run(Cycle limit)
         // Drain the staged bucket for the current cycle, then the ring
         // (same-cycle arrivals, which were inserted later than anything
         // staged).
-        if (curBucket_ != nullptr) {
-            while (curIdx_ < curBucket_->size()) {
-                // Move the slot out before invoking: the callback may
-                // splice a same-cycle reserved event into the bucket
-                // (scheduleReserved), relocating the storage.
-                Slot s = std::move((*curBucket_)[curIdx_++]);
+        while (curSeg_ != nullptr) {
+            Segment *seg = curSeg_;
+            if (curIdx_ == seg->size) {
+                curSeg_ = seg->next;
+                curIdx_ = 0;
+                recycleSegment(seg);
+                continue;
+            }
+            // Move the slot out before invoking: the callback may
+            // splice a same-cycle reserved event (scheduleReserved),
+            // which moves the rest of the chain to staged_ and
+            // recycles seg.
+            Slot s = std::move(seg->slots[curIdx_++]);
+            ++eventsExecuted_;
+            currentSeq_ = s.seq;
+            s.invoke();
+            if (stopped_)
+                return pendingEvents() == 0;
+        }
+        if (!staged_.empty()) {
+            while (stagedIdx_ < staged_.size()) {
+                // Moved out for the same reason: a splice may
+                // reallocate staged_.
+                Slot s = std::move(staged_[stagedIdx_++]);
                 ++eventsExecuted_;
                 currentSeq_ = s.seq;
                 s.invoke();
                 if (stopped_)
                     return pendingEvents() == 0;
             }
-            curBucket_->clear(); // keeps capacity for reuse
-            curBucket_ = nullptr;
-            curIdx_ = 0;
+            staged_.clear(); // keeps capacity for reuse
+            stagedIdx_ = 0;
         }
         while (!ready_.empty()) {
             Slot s = ready_.pop();

@@ -209,13 +209,7 @@ class Engine
     std::uint64_t eventsExecuted() const { return eventsExecuted_; }
 
     /** Number of events currently pending across all tiers. */
-    std::size_t
-    pendingEvents() const
-    {
-        return ready_.size() +
-               (curBucket_ != nullptr ? curBucket_->size() - curIdx_ : 0) +
-               l0Count_ + l1_.count + l2_.count + far_.size();
-    }
+    std::size_t pendingEvents() const;
 
     /** Cumulative per-tier counters (for benchmarks). */
     const TierStats &tierStats() const { return tierStats_; }
@@ -261,9 +255,10 @@ class Engine
      * Return the engine to its post-construction state without
      * releasing its memory: destroys live root frames and pending
      * events, clears every tier, and zeroes time, sequence numbers and
-     * counters. Pools (wheel nodes, ring/bucket capacity) are retained,
-     * which is the point: a reset engine schedules allocation-free from
-     * the first event. Must not be called from inside run().
+     * counters. Pools (wheel nodes, level-0 segments, ring and
+     * staging capacity) are retained, which is the point: a reset
+     * engine schedules allocation-free from the first event. Must not
+     * be called from inside run().
      */
     void reset();
 
@@ -399,6 +394,37 @@ class Engine
         std::size_t count = 0;
     };
 
+    /**
+     * Fixed-size block of level-0 slots. A bucket is a chain of these,
+     * filled front to back in insertion order; every segment but the
+     * tail is full. Drained segments go back to the engine's free
+     * list, so level-0 storage tracks the events pending at once
+     * rather than each bucket's busiest cycle.
+     */
+    struct Segment
+    {
+        static constexpr std::uint32_t kSlots = 32;
+
+        std::array<Slot, kSlots> slots;
+        Segment *next = nullptr;
+        std::uint32_t size = 0;
+    };
+
+    /**
+     * One level-0 bucket: a segment chain plus the last seq filed, so
+     * an out-of-order insertion (cascade mixing, a later-cycle
+     * scheduleReserved) is noticed when it happens rather than by a
+     * scan at staging time.
+     */
+    struct Bucket
+    {
+        Segment *head = nullptr;
+        Segment *tail = nullptr;
+        std::uint64_t lastSeq = 0;
+        std::uint32_t count = 0;
+        bool unsorted = false;
+    };
+
     /** Growable power-of-two FIFO ring of same-cycle events. */
     class ReadyRing
     {
@@ -473,7 +499,15 @@ class Engine
             ++tierStats_.cascades;
         if (diff < kCalendarHorizon) {
             const unsigned idx = static_cast<unsigned>(when & 255);
-            l0_[idx].push_back(std::move(s));
+            Bucket &b = l0_[idx];
+            Segment *t = b.tail;
+            if (t == nullptr || t->size == Segment::kSlots) [[unlikely]]
+                t = appendSegment(b);
+            if (s.seq < b.lastSeq)
+                b.unsorted = true;
+            b.lastSeq = s.seq;
+            t->slots[t->size++] = std::move(s);
+            ++b.count;
             l0Bits_.set(idx);
             ++l0Count_;
             if (!cascade)
@@ -483,8 +517,36 @@ class Engine
         placeCoarse(when, std::move(s), diff, cascade);
     }
 
+    /** Link a segment (free list first) onto @p b's tail. */
+    Segment *appendSegment(Bucket &b);
+
+    /** Return a drained segment to the free list. */
+    void
+    recycleSegment(Segment *seg)
+    {
+        seg->size = 0;
+        seg->next = freeSegs_;
+        freeSegs_ = seg;
+    }
+
+    /**
+     * Destroy the events left in the chain starting at slot @p from of
+     * @p seg, and recycle every segment of it.
+     */
+    void releaseChain(Segment *seg, std::uint32_t from);
+
+    /**
+     * Move the events of the chain starting at slot @p from of @p seg
+     * into staged_ (to be sorted or spliced into), and recycle every
+     * segment of it.
+     */
+    void moveChainToStaging(Segment *seg, std::uint32_t from);
+
     /** Slow tail of place(): levels 1, 2 and the overflow heap. */
     void placeCoarse(Cycle when, Slot &&s, Cycle diff, bool cascade);
+
+    /** Destroy every level-0 event, staged or pending. */
+    void clearLevel0();
 
     /** Destroy all pending events in a coarse wheel level. */
     void clearWheel(Wheel &w);
@@ -494,23 +556,30 @@ class Engine
 
     /**
      * With now_ just advanced to the next busy cycle: cascade coarser
-     * tiers into finer ones and move this cycle's events into current_.
+     * tiers into finer ones and point the drain cursor at this cycle's
+     * level-0 bucket (or, if its seqs are out of order, sort it into
+     * staged_).
      */
     void stageCurrentCycle();
 
     void cascadeWheelBucket(Wheel &w, unsigned idx);
 
-    // Tier 1: same-cycle ring + a cursor over the level-0 bucket being
-    // executed in place. Ordinary scheduling can never insert into the
-    // bucket under the cursor (same-cycle events go to the ring; the
-    // same index in the next block is outside the level-0 window); the
-    // one exception is scheduleReserved() materializing a same-cycle
-    // deferred event, which splices into the undrained tail — the
-    // drain loop moves each slot out before invoking it, so the splice
-    // is safe.
+    // Tier 1: same-cycle ring + the level-0 bucket being executed.
+    // Staging detaches the bucket's segment chain and drains it in
+    // place through (curSeg_, curIdx_). Ordinary scheduling can never
+    // insert into the staged cycle (same-cycle events go to the ring;
+    // the same index in the next block is outside the level-0 window).
+    // Two rare cases drain from the staged_ vector instead: a bucket
+    // filed out of seq order, which is sorted there, and
+    // scheduleReserved() materializing a same-cycle deferred event,
+    // which moves the undrained remainder there and splices into it.
+    // Both drain loops move each slot out before invoking it, so a
+    // splice from inside a callback is safe.
     ReadyRing ready_;
-    std::vector<Slot> *curBucket_ = nullptr;
-    std::size_t curIdx_ = 0;
+    Segment *curSeg_ = nullptr;
+    std::uint32_t curIdx_ = 0;
+    std::vector<Slot> staged_; // non-empty: the staged cycle drains here
+    std::size_t stagedIdx_ = 0;
 
     // Tier 2: hierarchical wheel. Level 0 is one bucket per cycle over
     // the 256-cycle block containing now_ (bucket index = when & 255;
@@ -518,9 +587,10 @@ class Engine
     // and 2 bucket by bits 8..15 and 16..23 of the target cycle and are
     // only ever populated with cycles in now_'s aligned 2^16 / 2^24
     // enclosing windows, so indices never collide across windows.
-    std::array<std::vector<Slot>, 256> l0_;
+    std::array<Bucket, 256> l0_;
     Bitmap l0Bits_;
     std::size_t l0Count_ = 0;
+    Segment *freeSegs_ = nullptr; // shared by every level-0 bucket
     Wheel l1_;
     Wheel l2_;
     NodePool pool_;

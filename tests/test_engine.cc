@@ -2,8 +2,10 @@
  * @file
  * Unit tests for the discrete-event engine, including the three-tier
  * scheduler's edge cases: run(limit) parking across wheel-level
- * boundaries, stop() mid-cycle with same-cycle events pending, and the
- * coroutine resume fast path.
+ * boundaries, stop() mid-cycle with same-cycle events pending, the
+ * coroutine resume fast path, and the level-0 segment pool: bursts
+ * reuse recycled segments across buckets, and a same-cycle reserved
+ * splice lands in order across a segment boundary.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "sim/engine.hh"
+#include "sim/heap_counter.hh"
 
 namespace {
 
@@ -296,6 +299,97 @@ TEST(Engine, ResumeHandleDrivesCoroutineThroughTiers)
     EXPECT_TRUE(eng.run());
     EXPECT_EQ(log, (std::vector<Cycle>{5, 5, 305}));
     EXPECT_EQ(eng.eventsExecuted(), 3u);
+}
+
+TEST(Engine, Level0BurstsReuseSegmentsAcrossBuckets)
+{
+    // Level-0 buckets draw fixed-size segments from one engine-wide
+    // free list, so once one burst has been drained every other bucket
+    // can take the same burst without touching the heap.
+    constexpr int kBurst = 128; // four segments' worth
+    Engine eng;
+    int fired = 0;
+    auto burst = [&](Cycle at) {
+        for (int i = 0; i < kBurst; ++i)
+            eng.schedule(at, [&fired] { ++fired; });
+    };
+    // Park at the end of the first block, then warm bucket 0 of the
+    // next one (this burst cascades down from level 1).
+    eng.schedule(255, [] {});
+    ASSERT_TRUE(eng.run());
+    burst(256);
+    ASSERT_TRUE(eng.run());
+    ASSERT_EQ(fired, kBurst);
+
+    const std::uint64_t before = wisync::sim::heapAllocs();
+    for (Cycle at = 257; at < 512; ++at) { // buckets 1..255, level 0
+        burst(at);
+        ASSERT_TRUE(eng.run());
+    }
+    EXPECT_EQ(wisync::sim::heapAllocs(), before);
+    EXPECT_EQ(fired, 256 * kBurst);
+    EXPECT_EQ(eng.now(), 511u);
+}
+
+TEST(Engine, SameCycleReservedSpliceCrossesSegmentBoundary)
+{
+    // One cycle of 40 events, a reserved seq, then 20 more: the bucket
+    // spans two segments and the reserved slot belongs after the 40th
+    // event, in the second one. Materializing it from events on either
+    // side of the boundary must still run it exactly there.
+    for (const int splicer : {0, 5, 31, 32, 35, 39}) {
+        Engine eng;
+        std::vector<int> order;
+        std::uint64_t reserved = 0;
+        auto add = [&](int id) {
+            eng.schedule(5, [&, id] {
+                order.push_back(id);
+                if (id == splicer)
+                    eng.scheduleReserved(5, reserved, [&] {
+                        order.push_back(-1);
+                    });
+            });
+        };
+        for (int id = 0; id < 40; ++id)
+            add(id);
+        reserved = eng.reserveSeq();
+        for (int id = 40; id < 60; ++id)
+            add(id);
+        EXPECT_TRUE(eng.run());
+        std::vector<int> want;
+        for (int id = 0; id < 40; ++id)
+            want.push_back(id);
+        want.push_back(-1);
+        for (int id = 40; id < 60; ++id)
+            want.push_back(id);
+        EXPECT_EQ(order, want) << "spliced from event " << splicer;
+        EXPECT_EQ(eng.eventsExecuted(), 61u);
+        EXPECT_EQ(eng.pendingEvents(), 0u);
+    }
+}
+
+TEST(Engine, StopInsideSplicedBucketKeepsRemainderPending)
+{
+    Engine eng;
+    std::vector<int> order;
+    std::uint64_t reserved = 0;
+    for (int id = 0; id < 50; ++id)
+        eng.schedule(9, [&, id] {
+            order.push_back(id);
+            if (id == 2)
+                eng.scheduleReserved(9, reserved,
+                                     [&] { order.push_back(-1); });
+            if (id == 20)
+                eng.stop();
+        });
+    reserved = eng.reserveSeq();
+    EXPECT_FALSE(eng.run());
+    EXPECT_EQ(order.size(), 21u);
+    EXPECT_EQ(eng.pendingEvents(), 30u); // 29 events + the reserved one
+    EXPECT_TRUE(eng.run());
+    ASSERT_EQ(order.size(), 51u);
+    EXPECT_EQ(order[49], 49);
+    EXPECT_EQ(order[50], -1);
 }
 
 } // namespace

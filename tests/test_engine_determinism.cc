@@ -8,8 +8,9 @@
  * The script generator is deliberately adversarial about tier
  * boundaries: zero delays, level-0 block crossings (deltas around 256),
  * level-1/level-2 window crossings (around 2^16), overflow-heap deltas
- * (>= 2^24), nested scheduling from inside callbacks, and run(limit)
- * parking between segments.
+ * (>= 2^24), nested scheduling from inside callbacks, run(limit)
+ * parking between segments, and same-cycle bursts spanning several
+ * level-0 segments, stopped mid-bucket and resumed.
  */
 
 #include <gtest/gtest.h>
@@ -51,9 +52,12 @@ class RefEngine
         schedule(now_ + delta, std::move(fn));
     }
 
+    void stop() { stopped_ = true; }
+
     bool
     run(Cycle limit = kCycleMax)
     {
+        stopped_ = false;
         while (!heap_.empty()) {
             if (heap_.front().when > limit) {
                 if (limit > now_)
@@ -65,6 +69,8 @@ class RefEngine
             heap_.pop_back();
             now_ = ev.when;
             ev.fn();
+            if (stopped_)
+                return heap_.empty();
         }
         return true;
     }
@@ -93,6 +99,7 @@ class RefEngine
     std::vector<Ev> heap_;
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;
+    bool stopped_ = false;
 };
 
 /** Delta distribution straddling every tier boundary. */
@@ -152,6 +159,32 @@ struct Driver
         eng.scheduleIn(delta, [this, id] { fire(id); });
     }
 
+    /**
+     * @p count events at absolute cycle @p when, the @p stopAt-th of
+     * which stops the engine. Outside the event budget: the burst's
+     * size is the point.
+     */
+    void
+    burst(Cycle when, int count, int stopAt)
+    {
+        for (int i = 0; i < count; ++i) {
+            const int id = nextId++;
+            eng.schedule(when, [this, id, stop = i == stopAt] {
+                fire(id);
+                if (stop)
+                    eng.stop();
+            });
+        }
+    }
+
+    /** Run to drain, logging where a stop() left the queue. */
+    void
+    runLogged()
+    {
+        while (!eng.run())
+            trace.emplace_back(-1, eng.pendingEvents());
+    }
+
     void
     fire(int id)
     {
@@ -184,6 +217,22 @@ replay(std::uint32_t seed)
         d.eng.run(limit);
     }
     d.eng.run();
+
+    // Phase 3: one cycle holding more than three level-0 segments'
+    // worth of events, all filed in order, stopped mid-bucket.
+    d.burst(d.eng.now() + 1 + outer() % 300, 130, 70);
+    d.runLogged();
+
+    // Phase 4: the same, but half the burst is filed at level 1 and
+    // half (later, after parking inside the target block) at level 0,
+    // so the bucket is out of seq order until staging sorts it.
+    const Cycle block = (d.eng.now() | 255) + 1;
+    const Cycle target = block + 40 + outer() % 200;
+    d.burst(target, 65, -1);
+    d.eng.run(block + 20);
+    d.burst(target, 65, 90 - 65);
+    d.runLogged();
+
     EXPECT_EQ(d.eng.pendingEvents(), 0u);
     return {std::move(d.trace), d.eng.now()};
 }

@@ -24,6 +24,10 @@
 #include <string>
 #include <vector>
 
+#if defined(__linux__)
+#include <malloc.h>
+#endif
+
 #include "core/machine.hh"
 #include "harness/sweep.hh"
 #include "mem/cache.hh"
@@ -436,6 +440,30 @@ TEST(MachineFootprint, BuildingA256CoreMachineCostsUnder16MB)
     const long grown = residentKiB() - before;
     EXPECT_LT(grown, 16 * 1024) << "resident set grew by " << grown
                                 << " KiB";
+}
+
+TEST(MachineFootprint, MultiChip256CoreTightLoopHeapUnder6MB)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizers replace the allocator";
+#endif
+    // Heap follows live work: level-0 event buckets share one pool of
+    // fixed-size segments (not 256 vectors each sized for its busiest
+    // cycle), and each chip keeps one BM array (not one per core).
+    auto cfg = MachineConfig::make(ConfigKind::WiSync, 256);
+    cfg.numChips = 4;
+    wisync::workloads::TightLoopParams params;
+    params.iterations = 100;
+    const std::size_t before = mallinfo2().uordblks;
+    std::size_t grown = 0;
+    {
+        Machine m(cfg);
+        const auto r = wisync::workloads::runTightLoopOn(m, params);
+        ASSERT_TRUE(r.completed);
+        grown = mallinfo2().uordblks - before;
+    }
+    EXPECT_LT(grown, std::size_t{6} << 20)
+        << "heap in use grew by " << (grown >> 10) << " KiB";
 }
 #endif
 

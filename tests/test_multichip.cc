@@ -2,7 +2,7 @@
  * @file
  * Multi-chip machine tests: the FrequencyPlan mapping math, the
  * ChipBridge's serialize-then-propagate timing, the pooled WatchTable,
- * the chip-ranged BmStore operations, machine-wide BM coherence across
+ * the chip-indexed BmStore operations, machine-wide BM coherence across
  * the bridge (including AFB aborts on stale cross-chip RMWs and the
  * hierarchical MultiChipBarrier), reset-replay determinism for chip
  * grids, the config describe() labels — and the golden pin: a
@@ -171,14 +171,14 @@ TEST(WatchTable, ReferencesSurviveRehash)
 }
 
 // ---------------------------------------------------------------------
-// BmStore chip-ranged operations and the per-chip invariant.
+// BmStore chip-indexed operations and the per-chip invariant.
 
 TEST(BmStoreChips, WriteChipTouchesOnlyItsReplicaGroup)
 {
     wisync::sim::Engine eng;
-    wisync::bm::BmStore store(eng, 8, 4);
+    wisync::bm::BmStore store(eng, 8, 4, /*num_chips=*/2);
     // Chips of 4 nodes each: write chip 1's replicas of word 2.
-    store.writeChip(4, 4, 2, 77);
+    store.writeChip(1, 2, 77);
     for (wisync::sim::NodeId n = 0; n < 4; ++n)
         EXPECT_EQ(store.read(n, 2), 0u);
     for (wisync::sim::NodeId n = 4; n < 8; ++n)
@@ -195,13 +195,39 @@ TEST(BmStoreChips, WriteChipTouchesOnlyItsReplicaGroup)
 TEST(BmStoreChips, ToggleChipFlipsOneGroup)
 {
     wisync::sim::Engine eng;
-    wisync::bm::BmStore store(eng, 8, 2);
-    store.toggleChip(0, 4, 1);
+    wisync::bm::BmStore store(eng, 8, 2, /*num_chips=*/2);
+    store.toggleChip(0, 1);
     EXPECT_EQ(store.read(0, 1), 1u);
     EXPECT_EQ(store.read(3, 1), 1u);
     EXPECT_EQ(store.read(4, 1), 0u);
-    store.toggleChip(0, 4, 1);
+    store.toggleChip(0, 1);
     EXPECT_EQ(store.read(0, 1), 0u);
+}
+
+TEST(BmStoreChips, ChipWriteIsVisibleToExactlyThatChipsNodes)
+{
+    constexpr std::uint32_t kChips = 4, kPerChip = 4;
+    for (std::uint32_t c = 0; c < kChips; ++c) {
+        wisync::sim::Engine eng;
+        wisync::bm::BmStore store(eng, kChips * kPerChip, 8, kChips);
+        std::vector<std::uint64_t> gens;
+        for (wisync::sim::NodeId n = 0; n < kChips * kPerChip; ++n)
+            gens.push_back(store.watch(n, 3).gen());
+        store.writeChip(c, 3, 0xC0DE + c);
+        for (wisync::sim::NodeId n = 0; n < kChips * kPerChip; ++n) {
+            const bool mine = n / kPerChip == c;
+            EXPECT_EQ(store.read(n, 3), mine ? 0xC0DE + c : 0u)
+                << "chip " << c << " node " << n;
+            EXPECT_EQ(store.watch(n, 3).gen() != gens[n], mine)
+                << "chip " << c << " node " << n;
+            EXPECT_EQ(store.read(n, 2), 0u);
+        }
+        // Within a chip the replicas are one array: only the Global
+        // cross-chip check can fail.
+        EXPECT_FALSE(store.replicasConsistent(kPerChip));
+        store.setScope(3, wisync::bm::BmScope::ChipLocal);
+        EXPECT_TRUE(store.replicasConsistent(kPerChip));
+    }
 }
 
 TEST(BmStoreChips, ResetRestoresGlobalScope)
@@ -317,6 +343,36 @@ TEST(MultiChip, ResetMovesOneMachineBetweenChipCounts)
         const auto ref = wisync::workloads::runTightLoopOn(fresh, p);
         EXPECT_TRUE(wisync::workloads::bitIdentical(reused, ref))
             << chips << " chips";
+    }
+}
+
+TEST(MultiChip, ResetFourToTwoChipsAndBackMatchesFreshBitForBit)
+{
+    // Re-tiling regroups the BM arrays: after 4 -> 2 -> 4 chips the
+    // machine's results and every replica match a fresh build.
+    wisync::workloads::TightLoopParams p;
+    p.iterations = 3;
+    p.arrayElems = 8;
+    auto cfg = MachineConfig::make(ConfigKind::WiSync, 32);
+    cfg.numChips = 4;
+    Machine m(cfg);
+    (void)wisync::workloads::runTightLoopOn(m, p);
+    for (const std::uint32_t chips : {2u, 4u}) {
+        cfg.numChips = chips;
+        m.reset(cfg);
+        EXPECT_EQ(m.bm()->storeArray().chips(), chips);
+        const auto reused = wisync::workloads::runTightLoopOn(m, p);
+        Machine fresh(cfg);
+        const auto ref = wisync::workloads::runTightLoopOn(fresh, p);
+        EXPECT_TRUE(wisync::workloads::bitIdentical(reused, ref))
+            << chips << " chips";
+        EXPECT_EQ(m.bm()->storeArray().fingerprint(),
+                  fresh.bm()->storeArray().fingerprint())
+            << chips << " chips";
+        EXPECT_EQ(m.engine().eventsExecuted(),
+                  fresh.engine().eventsExecuted());
+        EXPECT_TRUE(m.bm()->storeArray().replicasConsistent(
+            cfg.coresPerChip()));
     }
 }
 
