@@ -16,26 +16,25 @@
  *    the subsystem's correctness bar, verified in-process;
  *  - cache_hits vs duplicates: every injected duplicate must be
  *    answered by the result cache (hits >= duplicates);
- *  - warm_speedup: the same batch re-run against the warm cache must
- *    be at least 2x faster than the cold run (it simulates nothing —
- *    in practice the ratio is orders of magnitude);
+ *  - warm_simulated == 0: a repeated batch simulates nothing;
  *  - warm_from_disk_identical: the warm cache spilled through
  *    CacheStore and reloaded into a fresh service must answer the
  *    whole batch without simulating, bit-identical to the reference;
  *  - salvaged_prefix_hits: the same file truncated mid-record must
  *    still salvage its valid prefix, and every salvaged record must
  *    answer its point warm (>= 1 unique point served from the
- *    damaged file).
+ *    damaged file);
+ *  - warm_speedup: the batch against the warm cache must be at least
+ *    2x faster than a cold run (interleaved best-of-3; in practice
+ *    orders of magnitude). Checked only in optimized, uninstrumented
+ *    builds; otherwise the bench exits with kSkipTimingGates once
+ *    every other gate holds.
  *
- * With --json the bench emits only the machine-readable record (for
- * bench/run_bench.sh --sweep, gated by bench/check_bench.py as
- * "service" in BENCH_sweep.json); by default it prints a small table.
+ * The exit status is the gate; ctest runs this binary.
  */
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <unistd.h>
@@ -47,6 +46,7 @@
 #include "service/fault.hh"
 #include "service/shard_planner.hh"
 #include "service/sweep_service.hh"
+#include "timing_gate.hh"
 #include "workloads/kernel_result.hh"
 
 using namespace wisync;
@@ -86,21 +86,11 @@ duplicateHeavyGrid()
     return grid;
 }
 
-double
-seconds(std::chrono::steady_clock::time_point a,
-        std::chrono::steady_clock::time_point b)
-{
-    return std::chrono::duration<double>(b - a).count();
-}
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    const bool json_only =
-        argc > 1 && std::strcmp(argv[1], "--json") == 0;
-
     const auto request = duplicateHeavyGrid();
     const std::size_t n = request.points.size();
     const std::size_t unique = 6;
@@ -113,16 +103,12 @@ main(int argc, char **argv)
 
     // Cold batch: dedupe + cache through N workers.
     service::SweepService svc(256);
-    const auto t0 = std::chrono::steady_clock::now();
     const auto cold = svc.runBatch(request, threads);
-    const auto t1 = std::chrono::steady_clock::now();
     const std::uint64_t cold_hits = svc.lastBatch().cacheHits;
     const std::size_t cold_simulated = svc.lastBatch().simulated;
 
     // Warm batch: the same request again — zero simulations expected.
-    const auto t2 = std::chrono::steady_clock::now();
     const auto warm = svc.runBatch(request, threads);
-    const auto t3 = std::chrono::steady_clock::now();
     const std::size_t warm_simulated = svc.lastBatch().simulated;
 
     // 2-way shard split on cold per-shard services, merged by index.
@@ -210,51 +196,35 @@ main(int argc, char **argv)
         std::remove(store_path.c_str());
     }
 
-    const double cold_s = seconds(t0, t1);
-    // The warm batch routinely finishes below timer resolution; the
-    // 1 us floor keeps the ratio finite without flattering it.
-    const double warm_s = std::max(seconds(t2, t3), 1e-6);
-    const double speedup = cold_s / warm_s;
+    std::printf("sweep service, %zu-point batch (%zu unique):\n", n,
+                unique);
+    std::printf("  cold: %zu simulated, %llu cache hits (>= %zu "
+                "duplicates)\n",
+                cold_simulated, static_cast<unsigned long long>(cold_hits),
+                duplicates);
+    std::printf("  warm: %zu simulated\n", warm_simulated);
+    std::printf("  identity (serial == cold == warm == sharded): %s\n",
+                identical ? "yes" : "NO");
+    std::printf("  disk: warm-from-file identical %s, salvage after "
+                "truncation %zu/%zu warm (%zu records loaded)\n",
+                warm_from_disk_identical ? "yes" : "NO",
+                salvaged_prefix_hits, unique, salvaged_loaded);
+    if (!identical || cold_hits < duplicates || warm_simulated != 0 ||
+        !warm_from_disk_identical || salvaged_prefix_hits < 1)
+        return 1;
 
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"points\": %zu, \"unique\": %zu, \"duplicates\": %zu, "
-        "\"threads\": %u, \"service_identity\": %s, "
-        "\"cold_simulated\": %zu, \"warm_simulated\": %zu, "
-        "\"cache_hits\": %llu, \"cold_seconds\": %.4f, "
-        "\"warm_seconds\": %.6f, \"warm_speedup\": %.1f, "
-        "\"warm_from_disk_identical\": %s, "
-        "\"salvaged_loaded\": %zu, \"salvaged_prefix_hits\": %zu}",
-        n, unique, duplicates, threads, identical ? "true" : "false",
-        cold_simulated, warm_simulated,
-        static_cast<unsigned long long>(cold_hits), cold_s, warm_s,
-        speedup, warm_from_disk_identical ? "true" : "false",
-        salvaged_loaded, salvaged_prefix_hits);
-
-    if (json_only) {
-        std::printf("%s\n", buf);
-    } else {
-        std::printf("sweep service, %zu-point batch (%zu unique):\n",
-                    n, unique);
-        std::printf("  cold: %.4f s (%zu simulated, %llu cache hits)\n",
-                    cold_s, cold_simulated,
-                    static_cast<unsigned long long>(cold_hits));
-        std::printf("  warm: %.6f s (%zu simulated) — %.1fx\n", warm_s,
-                    warm_simulated, speedup);
-        std::printf("  identity (serial == cold == warm == sharded): "
-                    "%s\n",
-                    identical ? "yes" : "NO");
-        std::printf("  disk: warm-from-file identical %s, salvage "
-                    "after truncation %zu/%zu warm\n",
-                    warm_from_disk_identical ? "yes" : "NO",
-                    salvaged_prefix_hits, unique);
-        std::printf("%s\n", buf);
+    if (!bench::kTimingGatesApply) {
+        std::puts("warm speedup gate skipped: sanitizer or "
+                  "assert-enabled build");
+        return bench::kSkipTimingGates;
     }
-    // Nonzero exit on a determinism or persistence violation, like
-    // bench_sweep_parallel: CI must not need to parse the table.
-    return identical && warm_from_disk_identical &&
-                   salvaged_prefix_hits >= 1
-               ? 0
-               : 1;
+    // Warm leg: the warmed service again; cold leg: a fresh service.
+    const double speedup = bench::interleavedRatio(
+        [&] { (void)svc.runBatch(request, threads); },
+        [&] {
+            service::SweepService fresh(256);
+            (void)fresh.runBatch(request, threads);
+        },
+        3);
+    return bench::gateAtLeast("warm speedup", speedup, 2.0) ? 0 : 1;
 }

@@ -1,27 +1,42 @@
 /**
  * @file
  * Same-process A/B of the parallel sweep driver: one TightLoop figure
- * grid, timed serially (1 worker) and at the environment's worker
- * count (WISYNC_SWEEP_THREADS, default hardware concurrency), with
- * the merged results compared for equality. Emits a single JSON
- * object for bench/run_bench.sh to merge into BENCH_sweep.json;
- * bench/check_bench.py gates sweep_parallel_speedup when more than
- * one worker was actually available (the ratio is same-process and
- * wall-clock — the parallel leg's whole point is wall time).
+ * grid, run serially (1 worker) and at the environment's worker count
+ * (WISYNC_SWEEP_THREADS, default hardware concurrency). The exit
+ * status gates three claims:
  *
- * The serial leg runs first and both legs share one process, so
- * allocator warm-up favours the parallel leg equally on both runs.
+ *  - the parallel results merge bit-identically to the serial ones;
+ *  - the grid with every uncontended fast path disabled is
+ *    bit-identical too (fast paths may never move a simulated cycle);
+ *  - N workers beat the serial sweep by >= 1.5x in wall time
+ *    (interleaved best-of-7), checked only in optimized,
+ *    uninstrumented builds with at least 2 workers; otherwise the
+ *    bench exits with kSkipTimingGates once the identities hold.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "harness/parallel_sweep.hh"
+#include "timing_gate.hh"
 #include "workloads/kernel_result.hh"
 #include "workloads/tight_loop.hh"
 
 using namespace wisync;
+
+namespace {
+
+bool
+allIdentical(const std::vector<workloads::KernelResult> &a,
+             const std::vector<workloads::KernelResult> &b)
+{
+    bool same = a.size() == b.size();
+    for (std::size_t i = 0; same && i < a.size(); ++i)
+        same = workloads::bitIdentical(a[i], b[i]);
+    return same;
+}
+
+} // namespace
 
 int
 main()
@@ -31,7 +46,7 @@ main()
     // The Fig. 7 grid at a fixed bench scale — deliberately *not*
     // scaled down by WISYNC_QUICK: the gated ratio needs a stable
     // measurement (~0.2 s serial; a quick-mode ~30 ms grid would put
-    // runner noise inside the gate margin). At this scale the worst
+    // host noise inside the gate margin). At this scale the worst
     // single point is ~23% of serial time, so the parallel leg's
     // straggler bound (~4x) sits well above the 1.5x gate.
     const std::vector<std::uint32_t> cores = {16, 32, 64};
@@ -55,49 +70,27 @@ main()
         }
     }
 
-    using clock = std::chrono::steady_clock;
-    auto seconds = [](clock::duration d) {
-        return std::chrono::duration<double>(d).count();
-    };
-
-    // Untimed warm-up pass: both timed legs run with hot allocator,
-    // frame-pool and page state, so the ratio measures parallelism
-    // only (a cold serial leg inflates it by the warm-up cost).
-    (void)sweep.run(1);
-
-    const auto t0 = clock::now();
-    const auto serial = sweep.run(1);
-    const auto t1 = clock::now();
     const unsigned threads = harness::ParallelSweep::threads();
-    const auto parallel = sweep.run(threads);
-    const auto t2 = clock::now();
+    const auto serial = sweep.run(1);
+    const bool identical = allIdentical(serial, sweep.run(threads));
+    const bool fastpath_identical =
+        allIdentical(serial, sweepNoFastpath.run(1));
+    std::printf("tightloop grid, %zu points, %u threads\n", sweep.size(),
+                threads);
+    std::printf("serial == parallel: %s\n", identical ? "yes" : "NO");
+    std::printf("fastpath on == off: %s\n",
+                fastpath_identical ? "yes" : "NO");
+    if (!identical || !fastpath_identical)
+        return 1;
 
-    bool identical = serial.size() == parallel.size();
-    for (std::size_t i = 0; identical && i < serial.size(); ++i)
-        identical = workloads::bitIdentical(serial[i], parallel[i]);
-
-    // Untimed third leg: the same grid with every uncontended fast
-    // path disabled (the WISYNC_NO_FASTPATH configuration) must
-    // produce bit-identical KernelResults — the fast paths are a
-    // host-time optimization and may never move a simulated cycle.
-    // bitIdentical() excludes the fastpath route counters by design.
-    const auto noFastpath = sweepNoFastpath.run(1);
-    bool fastpath_identical = serial.size() == noFastpath.size();
-    for (std::size_t i = 0; fastpath_identical && i < serial.size(); ++i)
-        fastpath_identical =
-            workloads::bitIdentical(serial[i], noFastpath[i]);
-
-    const double serial_s = seconds(t1 - t0);
-    const double parallel_s = seconds(t2 - t1);
-    std::printf("{\"grid\": \"tightloop\", \"points\": %zu, "
-                "\"threads\": %u, \"serial_seconds\": %.3f, "
-                "\"parallel_seconds\": %.3f, "
-                "\"sweep_parallel_speedup\": %.2f, "
-                "\"results_identical\": %s, "
-                "\"fastpath_identical\": %s}\n",
-                sweep.size(), threads, serial_s, parallel_s,
-                parallel_s > 0 ? serial_s / parallel_s : 0.0,
-                identical ? "true" : "false",
-                fastpath_identical ? "true" : "false");
-    return identical && fastpath_identical ? 0 : 1;
+    if (!bench::kTimingGatesApply || threads < 2) {
+        std::puts("parallel speedup gate skipped: needs an optimized, "
+                  "uninstrumented build and >= 2 workers");
+        return bench::kSkipTimingGates;
+    }
+    const double speedup = bench::interleavedRatio(
+        [&] { (void)sweep.run(threads); }, [&] { (void)sweep.run(1); },
+        7);
+    return bench::gateAtLeast("sweep parallel speedup", speedup, 1.5) ? 0
+                                                                      : 1;
 }

@@ -10,10 +10,6 @@
  * shape through Machine::reset, which is observationally identical to
  * a fresh build (locked by tests/test_machine_reset.cc), so the
  * figures are bit-for-bit unchanged.
- *
- * Setting WISYNC_NO_REUSE=1 disables reuse (every acquire builds a
- * fresh machine); bench/run_bench.sh --sweep uses that for same-runner
- * A/B wall-time comparisons recorded in BENCH_sweep.json.
  */
 
 #ifndef WISYNC_HARNESS_SWEEP_HH
@@ -30,13 +26,13 @@ namespace wisync::harness {
 /**
  * Cache of reusable Machines, keyed by structural shape.
  *
- * The cache is LRU-bounded (default 4 shapes, WISYNC_SWEEP_CACHE
- * overrides): a figure sweep touches at most the four ConfigKinds per
- * core count. Tag arrays are backed lazily, so a cached machine holds
- * only the tag pages its runs touched, but it does hold them: an
- * unbounded cache across a core-count sweep would keep every dead
- * shape's touched tags, directories and mesh resident, and keep its
- * arrays out of the free list the next shape's build recycles from.
+ * The cache is LRU-bounded (kCapacity shapes): a figure sweep touches
+ * at most the four ConfigKinds per core count. Tag arrays are backed
+ * lazily, so a cached machine holds only the tag pages its runs
+ * touched, but it does hold them: an unbounded cache across a
+ * core-count sweep would keep every dead shape's touched tags,
+ * directories and mesh resident, and keep its arrays out of the free
+ * list the next shape's build recycles from.
  */
 class SweepHarness
 {
@@ -46,10 +42,8 @@ class SweepHarness
     /**
      * A machine configured exactly per @p cfg, ready to run from
      * cycle 0: either a reset shape-compatible cached machine or a
-     * fresh build. Treat the reference as valid only until the next
-     * acquire(): with reuse on it actually lives until the shape ages
-     * out of the LRU cache, but in WISYNC_NO_REUSE mode every acquire
-     * destroys the previous machine first.
+     * fresh build. The reference stays valid until the shape ages out
+     * of the LRU cache.
      */
     core::Machine &acquire(const core::MachineConfig &cfg);
 
@@ -60,11 +54,8 @@ class SweepHarness
     /** Drop every cached machine. */
     void clear() { machines_.clear(); }
 
-    /** Max cached shapes (WISYNC_SWEEP_CACHE, default 4). */
-    static std::size_t capacity();
-
-    /** False when WISYNC_NO_REUSE=1 (A/B measurement mode). */
-    static bool reuseEnabled();
+    /** Max cached shapes. */
+    static constexpr std::size_t kCapacity = 4;
 
   private:
     /** Most-recently-used machine last. */

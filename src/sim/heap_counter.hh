@@ -4,9 +4,9 @@
  *
  * heap_counter.cc replaces the global operator new family with
  * counting wrappers around malloc. It is not part of wisync_core:
- * only programs that assert "zero allocations on this path" link it
- * (the kernel microbenchmarks and the unit tests), and they sample
- * heapAllocs() strictly around the code under test.
+ * only the unit tests, which assert "zero allocations on this path",
+ * link it, and they sample heapAllocs() strictly around the code
+ * under test.
  */
 
 #ifndef WISYNC_SIM_HEAP_COUNTER_HH

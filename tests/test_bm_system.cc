@@ -11,8 +11,10 @@
 #include <vector>
 
 #include "bm/bm_system.hh"
+#include "core/machine.hh"
 #include "coro/primitives.hh"
 #include "sim/engine.hh"
+#include "sim/heap_counter.hh"
 #include "sim/rng.hh"
 
 namespace {
@@ -364,6 +366,40 @@ TEST(BmSystem, WiSyncNoTHasNoToneChannel)
     EXPECT_FALSE(chip.bm.hasTone());
     EXPECT_EQ(chip.bm.toneChannel(), nullptr);
     EXPECT_FALSE(chip.bm.allocToneBarrier(0, std::vector<bool>(4, true)));
+}
+
+/**
+ * Single-sender broadcasts on a warm, reset-reused 64-core machine:
+ * every send must take the frameless Mac route, and run() must never
+ * touch the allocator.
+ */
+TEST(BmSystem, SingleSenderBroadcastsTakeFastPathWithoutAllocating)
+{
+    using wisync::core::ConfigKind;
+    using wisync::core::MachineConfig;
+    using wisync::core::ThreadCtx;
+    wisync::core::Machine m(MachineConfig::make(ConfigKind::WiSync, 64));
+    auto point = [&] {
+        m.reset();
+        m.bm()->storeArray().setTag(0, 1);
+        m.spawnThread(0, [](ThreadCtx &ctx) -> Task<void> {
+            for (int i = 0; i < 500; ++i)
+                co_await ctx.bmStore(0, static_cast<std::uint64_t>(i));
+        });
+    };
+    point();
+    m.run(); // warm-up
+
+    point();
+    const std::uint64_t before = wisync::sim::heapAllocs();
+    m.run();
+    EXPECT_EQ(wisync::sim::heapAllocs(), before);
+    const auto &stats = m.bm()->dataChannel().stats();
+    const double hits = static_cast<double>(stats.fastpathHits.value());
+    const double attempts =
+        hits + static_cast<double>(stats.fastpathFallbacks.value());
+    ASSERT_GT(attempts, 0.0);
+    EXPECT_GE(hits / attempts, 0.9);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <coroutine>
 #include <vector>
 
+#include "coro/primitives.hh"
 #include "sim/engine.hh"
 #include "sim/heap_counter.hh"
 
@@ -233,6 +234,48 @@ TEST(Engine, TierCountersClassifyInsertions)
     EXPECT_TRUE(eng.run());
     EXPECT_EQ(eng.eventsExecuted(), 5u);
     EXPECT_EQ(eng.pendingEvents(), 0u);
+}
+
+/** The dominant model pattern: deltas under the level-0 block (wireless
+ *  slots, mesh hops, cache latencies) belong in the calendar wheel and
+ *  must never spill into the overflow heap. */
+TEST(SchedulerTiers, NearFutureSchedulesStayOffTheHeap)
+{
+    Engine eng;
+    int left = 10000;
+    struct Step
+    {
+        Engine *eng;
+        int *left;
+        void
+        operator()() const
+        {
+            if (--*left > 0)
+                eng->scheduleIn(1 + (*left & 63), Step{eng, left});
+        }
+    };
+    eng.schedule(0, Step{&eng, &left});
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(left, 0);
+    EXPECT_EQ(eng.tierStats().heap, 0u);
+}
+
+wisync::coro::Task<void>
+yieldLoop(Engine &eng, int count)
+{
+    for (int i = 0; i < count; ++i)
+        co_await wisync::coro::yield(eng);
+}
+
+/** A coroutine rescheduled at the current cycle (mutex handoff,
+ *  CondVar wakeup, arbitration) belongs in the ready ring. */
+TEST(SchedulerTiers, ZeroDelayResumesStayOffTheHeap)
+{
+    Engine eng;
+    wisync::coro::spawnDetached(eng, yieldLoop(eng, 10000));
+    ASSERT_TRUE(eng.run());
+    EXPECT_GE(eng.tierStats().ready, 10000u);
+    EXPECT_EQ(eng.tierStats().heap, 0u);
 }
 
 TEST(Engine, SameCycleOrderPreservedAcrossTierProvenance)

@@ -143,6 +143,38 @@ TEST(FramePool, TaskFramesComeFromThePool)
     EXPECT_GE(after.freelistReuses - before.freelistReuses, 45u);
 }
 
+Task<void>
+chain(Engine &eng, int depth)
+{
+    if (depth == 0)
+        co_return;
+    co_await delay(eng, 1);
+    co_await chain(eng, depth - 1);
+}
+
+/** Once warm, a 1000-deep task chain must take every frame from the
+ *  pool's free lists: model frames all fit the pooled size classes. */
+TEST(FramePool, CoroutineChainServesFramesFromFreeLists)
+{
+    auto runChain = [] {
+        Engine eng;
+        wisync::coro::spawnDetached(eng, chain(eng, 1000));
+        eng.run();
+    };
+    runChain(); // warm-up: carves the chain's frames once
+    const auto before = framePool().stats();
+    for (int i = 0; i < 3; ++i)
+        runChain();
+    const auto after = framePool().stats();
+    const auto allocs = after.pooledAllocs - before.pooledAllocs;
+    ASSERT_GE(allocs, 3000u);
+    EXPECT_GE(static_cast<double>(after.freelistReuses -
+                                  before.freelistReuses) /
+                  static_cast<double>(allocs),
+              0.9);
+    EXPECT_EQ(after.fallbackAllocs, before.fallbackAllocs);
+}
+
 TEST(FramePool, EngineTeardownWithLiveFramesReturnsThemToThePool)
 {
     const std::uint64_t live_before = framePool().liveFrames();

@@ -378,10 +378,8 @@ TEST(SweepHarness, ReusesShapeCompatibleMachinesAndStaysGolden)
         expectEqual(golden[static_cast<std::size_t>(i++)], capture(m),
                     "harness sweep point");
     }
-    if (wisync::harness::SweepHarness::reuseEnabled()) {
-        EXPECT_EQ(machines.builds(), 1u);
-        EXPECT_EQ(machines.reuses(), 1u);
-    }
+    EXPECT_EQ(machines.builds(), 1u);
+    EXPECT_EQ(machines.reuses(), 1u);
 
     // A different shape forces a build.
     machines.acquire(MachineConfig::make(ConfigKind::WiSync, 16));

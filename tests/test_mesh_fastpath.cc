@@ -24,6 +24,7 @@
 #include "coro/primitives.hh"
 #include "noc/mesh.hh"
 #include "sim/engine.hh"
+#include "sim/heap_counter.hh"
 #include "sim/inline_vec.hh"
 #include "workloads/cas_kernels.hh"
 #include "workloads/kernel_result.hh"
@@ -257,6 +258,40 @@ TEST(MeshFastpath, UncontendedLatencyMatchesZeroLoadBothModes)
             EXPECT_EQ(mesh.stats().fastpathHits.value(), 0u);
         }
     }
+}
+
+Task<void>
+meshStream(Mesh &mesh, int count)
+{
+    for (int i = 0; i < count; ++i)
+        co_await mesh.send(0, 63, 576);
+}
+
+/** An uncontended corner-to-corner stream on a warm, reset-reused
+ *  engine and mesh: it must take the frameless chain and never touch
+ *  the allocator inside run(). */
+TEST(UncontendedMesh, StreamTakesFastPathWithoutAllocating)
+{
+    Engine eng;
+    const MeshConfig cfg = meshCfg(true);
+    Mesh mesh(eng, cfg);
+    auto point = [&] {
+        eng.reset();
+        mesh.reset(cfg);
+        wisync::coro::spawnDetached(eng, meshStream(mesh, 500));
+    };
+    point();
+    ASSERT_TRUE(eng.run()); // warm-up: pools, buckets, ring capacity
+
+    point();
+    const std::uint64_t before = wisync::sim::heapAllocs();
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(wisync::sim::heapAllocs(), before);
+    const double hits = static_cast<double>(mesh.stats().fastpathHits.value());
+    const double attempts =
+        hits + static_cast<double>(mesh.stats().fastpathFallbacks.value());
+    ASSERT_GT(attempts, 0.0);
+    EXPECT_GE(hits / attempts, 0.9);
 }
 
 /** Two same-cycle senders crossing one shared link, both directions of
