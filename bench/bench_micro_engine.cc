@@ -1,13 +1,12 @@
 /**
  * @file
- * Timing gates of the simulation substrate: five same-process A/B
+ * Timing gates of the simulation substrate: four same-process A/B
  * pairs, each timed interleaved and compared best-of-N against a
  * fixed bound. A pair's ratio is leg A's throughput over leg B's on
  * equal work:
  *
  *   reset/build    Machine::reset + one sweep point vs a fresh build
  *   mesh           frameless mesh chain vs the wormhole coroutine
- *   bm broadcast   frameless broadcast vs the Mac send loop
  *   ping-pong      coherent RMW ping-pong, fast paths on vs off
  *   frame pool     pooled frame alloc/free vs the system allocator
  *
@@ -121,32 +120,6 @@ struct PingPongLeg
     core::Machine m;
 };
 
-/** 500 uncontended single-sender broadcasts on a reset-reused machine. */
-struct BroadcastLeg
-{
-    explicit BroadcastLeg(bool fastpath)
-        : m(withFastpath(core::ConfigKind::WiSync, 64, fastpath))
-    {
-    }
-
-    void
-    operator()()
-    {
-        for (int i = 0; i < 20; ++i) {
-            m.reset();
-            m.bm()->storeArray().setTag(0, 1);
-            m.spawnThread(0, [](core::ThreadCtx &ctx) -> coro::Task<void> {
-                for (int k = 0; k < 500; ++k)
-                    co_await ctx.bmStore(0, static_cast<std::uint64_t>(k));
-            });
-            m.run();
-        }
-        bench::doNotOptimize(m.engine().now());
-    }
-
-    core::Machine m;
-};
-
 coro::Task<void>
 touchPoint(core::ThreadCtx &ctx)
 {
@@ -226,11 +199,6 @@ main()
         "mesh fastpath/fallback",
         bench::interleavedRatio(MeshLeg(true), MeshLeg(false), kRounds),
         1.3);
-    ok &= bench::gateAtLeast("bm broadcast fastpath/fallback",
-                             bench::interleavedRatio(BroadcastLeg(true),
-                                                     BroadcastLeg(false),
-                                                     kRounds),
-                             1.05);
     ok &= bench::gateAtLeast("ping-pong fastpath/fallback",
                              bench::interleavedRatio(PingPongLeg(true),
                                                      PingPongLeg(false),

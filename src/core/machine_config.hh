@@ -102,10 +102,10 @@ struct MachineConfig
                               Variant variant = Variant::Default);
 
     /**
-     * Toggle the uncontended fast paths on all three subsystem layers
-     * (mesh routes, L1 hits, wireless broadcasts) together. Behavioral
-     * and shape-compatible: a reset may flip it freely; simulated
-     * cycles are identical either way (the env kill switch
+     * Toggle the uncontended fast paths of both layers that have one
+     * (mesh routes, L1 hits) together. Behavioral and
+     * shape-compatible: a reset may flip it freely; simulated cycles
+     * are identical either way (the env kill switch
      * WISYNC_NO_FASTPATH=1 sets the same flags at config build time).
      */
     void
@@ -113,7 +113,6 @@ struct MachineConfig
     {
         mesh.fastpath = on;
         mem.fastpath = on;
-        wireless.fastpath = on;
     }
 
     /**
@@ -154,7 +153,7 @@ struct MachineConfig
      * one. Folded into the stream's leading tag and into
      * service::CacheStore's file-format version.
      */
-    static constexpr std::uint64_t kFingerprintVersion = 2;
+    static constexpr std::uint64_t kFingerprintVersion = 3;
 
     /**
      * Check every ranged forEachField() entry, then the cross-field
@@ -265,7 +264,6 @@ forEachField(Cfg &c, V &&v)
         v.field("dataCycles", w.dataCycles, kOffWire);
         v.field("bulkCycles", w.bulkCycles, kOffWire);
         v.field("collisionCycles", w.collisionCycles, kOffWire);
-        v.field("fastpath", w.fastpath, kOffWire);
     });
     v.group("bm", kOffWire, [&] {
         v.field("bmBytes", c.bm.bmBytes, {});

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <exception>
@@ -80,16 +79,6 @@ ParallelSweep::threads()
     return n;
 }
 
-bool
-ParallelSweep::progressEnabled()
-{
-    static const bool on = [] {
-        const char *v = std::getenv("WISYNC_SWEEP_PROGRESS");
-        return v != nullptr && *v != '\0' && *v != '0';
-    }();
-    return on;
-}
-
 std::vector<workloads::KernelResult>
 ParallelSweep::run()
 {
@@ -129,26 +118,14 @@ ParallelSweep::execute(unsigned threads, bool capture)
         std::max(1u, threads), points_.size()));
 
     // Completion-order streaming: results land in the merge table the
-    // moment a point finishes; the observer and the progress line see
-    // them then, while the returned vector stays in add() order.
-    const bool progress = progressEnabled();
+    // moment a point finishes and the observer sees them then, while
+    // the returned vector stays in add() order.
     std::mutex emit_mutex;
-    std::size_t emitted = 0;
     auto emit = [&](std::size_t index) {
-        if (!progress && !onPoint_ && !onOutcome_)
+        if (!onOutcome_)
             return;
         std::lock_guard<std::mutex> g(emit_mutex);
-        ++emitted;
-        // onPoint_ streams results: a captured failure has none, so
-        // only the outcome observer (and the progress line) sees it.
-        if (onPoint_ && results[index].ok)
-            onPoint_(index, results[index].result);
-        if (onOutcome_)
-            onOutcome_(index, results[index]);
-        if (progress)
-            std::fprintf(stderr, "[wisync-sweep] %zu/%zu points done "
-                                 "(point %zu)\n",
-                         emitted, points_.size(), index);
+        onOutcome_(index, results[index]);
     };
 
     // Runs one point's body, routing exceptions per mode: capture

@@ -25,12 +25,11 @@
  * including a forced straggler inversion.
  *
  * Results stream into the merge table as points complete (the merge
- * is by index, so streaming cannot reorder it): onPointComplete()
- * registers an observer called from the completing worker, and
- * WISYNC_SWEEP_PROGRESS=1 emits a stderr line per completed point —
- * both see completion order, while run()'s return stays in add()
- * order. A worker whose queue (and every victim's) has drained parks
- * on a condition variable until the grid finishes instead of exiting
+ * is by index, so streaming cannot reorder it): onOutcomeComplete()
+ * registers an observer called from the completing worker in
+ * completion order, while run()'s return stays in add() order. A
+ * worker whose queue (and every victim's) has drained parks on a
+ * condition variable until the grid finishes instead of exiting
  * through a scan race — with thousands-of-point grids this keeps idle
  * workers asleep, not rescanning.
  *
@@ -101,27 +100,12 @@ class ParallelSweep
     std::size_t size() const { return points_.size(); }
 
     /**
-     * Observe each point's result the moment it completes (before
-     * run() returns the merged vector). Called in completion order —
-     * indices arrive out of order on multi-worker runs — from the
-     * completing worker's thread, serialized by an internal mutex.
-     * The callback must not touch the sweep itself.
-     */
-    void
-    onPointComplete(
-        std::function<void(std::size_t index,
-                           const workloads::KernelResult &result)> fn)
-    {
-        onPoint_ = std::move(fn);
-    }
-
-    /**
-     * As onPointComplete, but observing the full PointOutcome —
-     * including captured per-point failures under runCaptured(),
-     * which onPointComplete never sees (it only streams successful
-     * results). Same threading contract: completion order, completing
-     * worker's thread, serialized with onPointComplete by the same
-     * internal mutex.
+     * Observe each point's PointOutcome the moment it completes
+     * (before run() returns the merged vector), including captured
+     * per-point failures under runCaptured(). Called in completion
+     * order — indices arrive out of order on multi-worker runs — from
+     * the completing worker's thread, serialized by an internal
+     * mutex. The callback must not touch the sweep itself.
      */
     void
     onOutcomeComplete(
@@ -130,9 +114,6 @@ class ParallelSweep
     {
         onOutcome_ = std::move(fn);
     }
-
-    /** WISYNC_SWEEP_PROGRESS=1: stderr line per completed point. */
-    static bool progressEnabled();
 
     /**
      * Run every point on @p threads workers (clamped to the grid
@@ -156,7 +137,7 @@ class ParallelSweep
      * batch: the worker records what(), marks the point failed and
      * moves on to its next job. Successful points are bit-identical
      * to what run() would have produced — capture changes error
-     * routing only, never simulation. Observer (onPointComplete)
+     * routing only, never simulation. Observer (onOutcomeComplete)
      * exceptions remain batch-fatal in both modes: the observer is
      * harness code, not a sweep point.
      */
@@ -173,8 +154,6 @@ class ParallelSweep
     std::vector<PointOutcome> execute(unsigned threads, bool capture);
 
     std::vector<SweepPoint> points_;
-    std::function<void(std::size_t, const workloads::KernelResult &)>
-        onPoint_;
     std::function<void(std::size_t, const PointOutcome &)> onOutcome_;
 };
 

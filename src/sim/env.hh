@@ -15,13 +15,12 @@
 namespace wisync::sim {
 
 /**
- * Default for the uncontended fast paths through the mesh, memory and
- * wireless hot loops: enabled unless WISYNC_NO_FASTPATH=1 (the kill
- * switch; the fast paths are cycle-exact by contract, so the switch
- * exists for A/B verification and as an escape hatch, not for
- * correctness). Evaluated when a MeshConfig / MemConfig /
- * WirelessConfig is constructed; the value then travels with the
- * config through Machine::reset.
+ * Default for the uncontended fast paths through the mesh and memory
+ * hot loops: enabled unless WISYNC_NO_FASTPATH=1 (the kill switch; the
+ * fast paths are cycle-exact by contract, so the switch exists for A/B
+ * verification and as an escape hatch, not for correctness). Evaluated
+ * when a MeshConfig / MemConfig is constructed; the value then travels
+ * with the config through Machine::reset.
  */
 inline bool
 fastpathDefault()

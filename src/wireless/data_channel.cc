@@ -92,34 +92,6 @@ DataChannel::burstDropProbability(sim::NodeId src, bool bulk, sim::Rng &rng)
     return per < 0.0 ? 0.0 : (per > 1.0 ? 1.0 : per);
 }
 
-namespace {
-
-/** Route an outcome to whichever completion sink the Pending carries. */
-void
-complete(DataChannel::Pending *p, DataChannel::Outcome outcome)
-{
-    if (p->done != nullptr)
-        p->done->set(outcome);
-    else
-        p->fast->complete(outcome);
-}
-
-} // namespace
-
-void
-DataChannel::joinSlot(Pending &p)
-{
-    WISYNC_ASSERT(engine_.now() >= nextFree_,
-                  "joinSlot while the channel is busy");
-    if (openSlot_ != engine_.now()) {
-        openSlot_ = engine_.now();
-        slotAttempts_.clear();
-        // Arbitrate after every same-cycle attempt has registered.
-        engine_.scheduleIn(0, [this] { arbitrate(); });
-    }
-    slotAttempts_.push_back(&p);
-}
-
 coro::Task<DataChannel::Outcome>
 DataChannel::attempt(sim::NodeId src, bool bulk, sim::UniqueFunction &deliver,
                      const std::function<bool()> *abort, sim::Rng *rng)
@@ -130,14 +102,14 @@ DataChannel::attempt(sim::NodeId src, bool bulk, sim::UniqueFunction &deliver,
         co_await coro::delay(engine_, nextFree_ - engine_.now());
 
     coro::Future<Outcome> done(engine_);
-    Pending pending;
-    pending.bulk = bulk;
-    pending.deliver = &deliver;
-    pending.abort = abort;
-    pending.done = &done;
-    pending.src = src;
-    pending.rng = rng;
-    joinSlot(pending);
+    Pending pending{bulk, &deliver, abort, &done, src, rng};
+    if (openSlot_ != engine_.now()) {
+        openSlot_ = engine_.now();
+        slotAttempts_.clear();
+        // Arbitrate after every same-cycle attempt has registered.
+        engine_.scheduleIn(0, [this] { arbitrate(); });
+    }
+    slotAttempts_.push_back(&pending);
     co_return co_await done;
 }
 
@@ -158,7 +130,7 @@ DataChannel::arbitrate()
     std::size_t live = 0;
     for (Pending *p : arbScratch_) {
         if (p->abort && (*p->abort)())
-            complete(p, Outcome::Aborted);
+            p->done->set(Outcome::Aborted);
         else
             arbScratch_[live++] = p;
     }
@@ -193,7 +165,7 @@ DataChannel::arbitrate()
             if (per > 0.0 && p->rng->chance(per)) {
                 stats_.drops.inc();
                 engine_.scheduleIn(
-                    dur, [p] { complete(p, Outcome::Dropped); });
+                    dur, [p] { p->done->set(Outcome::Dropped); });
                 return;
             }
         }
@@ -202,7 +174,7 @@ DataChannel::arbitrate()
         engine_.scheduleIn(dur, [p] {
             if (*p->deliver)
                 (*p->deliver)();
-            complete(p, Outcome::Delivered);
+            p->done->set(Outcome::Delivered);
         });
         return;
     }
@@ -217,7 +189,7 @@ DataChannel::arbitrate()
     stats_.busyCycles.inc(cfg_.collisionCycles);
     for (Pending *p : arbScratch_)
         engine_.scheduleIn(cfg_.collisionCycles,
-                           [p] { complete(p, Outcome::Collided); });
+                           [p] { p->done->set(Outcome::Collided); });
 }
 
 Mac::Mac(sim::Engine &engine, DataChannel &channel, MacProtocol &protocol,
@@ -264,10 +236,15 @@ Mac::ackTimeoutRetry(std::uint32_t drops)
 }
 
 coro::Task<SendOutcome>
-Mac::sendLoop(bool bulk, sim::UniqueFunction &deliver,
-              const std::function<bool()> *abort,
-              sim::Cycle first_attempt, std::uint32_t drops)
+Mac::send(bool bulk, sim::UniqueFunction deliver,
+          const std::function<bool()> *abort)
 {
+    // A node's broadcasts are strictly ordered (§4.2.1: no subsequent
+    // store proceeds until the current one performed).
+    co_await order_.lock();
+    const sim::Cycle first_attempt = engine_.now();
+    std::uint32_t drops = 0;
+    SendOutcome sent = SendOutcome::Aborted;
     for (;;) {
         co_await protocol_->acquire(node_);
         if (abort && (*abort)()) {
@@ -276,7 +253,7 @@ Mac::sendLoop(bool bulk, sim::UniqueFunction &deliver,
             // contention grant picked up during the last collision)
             // would otherwise stall every queued sender.
             protocol_->release(node_, false);
-            co_return SendOutcome::Aborted;
+            break;
         }
         const auto outcome =
             co_await channel_.attempt(node_, bulk, deliver, abort, &rng_);
@@ -292,92 +269,19 @@ Mac::sendLoop(bool bulk, sim::UniqueFunction &deliver,
             // a delivered send (the token must pass on) and the ack
             // window / bounded-retry machinery decides what follows.
             protocol_->release(node_, false);
-            ++drops;
-            if (!co_await ackTimeoutRetry(drops))
-                co_return SendOutcome::GaveUp;
-            continue;
+            if (co_await ackTimeoutRetry(++drops))
+                continue;
+            sent = SendOutcome::GaveUp;
+            break;
         }
         protocol_->release(node_,
                            outcome == DataChannel::Outcome::Delivered);
         if (outcome == DataChannel::Outcome::Delivered) {
             channel_.noteDelivery(first_attempt);
-            co_return SendOutcome::Delivered;
+            sent = SendOutcome::Delivered;
         }
-        co_return SendOutcome::Aborted;
+        break;
     }
-}
-
-coro::Task<SendOutcome>
-Mac::send(bool bulk, sim::UniqueFunction deliver,
-          const std::function<bool()> *abort)
-{
-    // Uncontended fast path: the node has no broadcast in flight, the
-    // channel is joinable this cycle and the MAC protocol can grant
-    // without waiting — skip the acquire/attempt coroutine frames and
-    // the outcome future; the slot protocol itself (registration,
-    // arbitration event, collision detection) is shared with the slow
-    // path, so mixed fast/slow slots arbitrate exactly as before.
-    if (channel_.config().fastpath) {
-        if (engine_.now() >= channel_.nextFree() && order_.tryLock()) {
-            if (!protocol_->tryAcquire(node_)) {
-                order_.unlock();
-            } else {
-                channel_.noteFastpathHit();
-                const sim::Cycle first_attempt = engine_.now();
-                if (abort && (*abort)()) {
-                    // AFB abort before reaching the channel: drop the
-                    // claim, zero suspensions — as the slow path's
-                    // inline acquire/abort-check sequence would.
-                    protocol_->release(node_, false);
-                    order_.unlock();
-                    co_return SendOutcome::Aborted;
-                }
-                DataChannel::FastAttempt fa(channel_, node_, bulk,
-                                            &deliver, abort, &rng_);
-                const auto outcome = co_await fa;
-                if (outcome == DataChannel::Outcome::Dropped) {
-                    // Lost on the air: same recovery sequence as the
-                    // slow path's Dropped branch (release, ack
-                    // window, recontend through the generic loop with
-                    // the loss already counted), order_ still held.
-                    protocol_->release(node_, false);
-                    SendOutcome sent = SendOutcome::GaveUp;
-                    if (co_await ackTimeoutRetry(1))
-                        sent = co_await sendLoop(bulk, deliver, abort,
-                                                 first_attempt, 1);
-                    order_.unlock();
-                    co_return sent;
-                }
-                if (outcome != DataChannel::Outcome::Collided) {
-                    protocol_->release(
-                        node_,
-                        outcome == DataChannel::Outcome::Delivered);
-                    if (outcome == DataChannel::Outcome::Delivered) {
-                        channel_.noteDelivery(first_attempt);
-                        order_.unlock();
-                        co_return SendOutcome::Delivered;
-                    }
-                    order_.unlock();
-                    co_return SendOutcome::Aborted;
-                }
-                // Collided: back off and fall into the generic retry
-                // loop, order_ still held.
-                retries_.inc();
-                co_await protocol_->onCollision(node_, rng_);
-                const auto sent =
-                    co_await sendLoop(bulk, deliver, abort,
-                                      first_attempt, 0);
-                order_.unlock();
-                co_return sent;
-            }
-        }
-        channel_.noteFastpathFallback();
-    }
-    // A node's broadcasts are strictly ordered (§4.2.1: no subsequent
-    // store proceeds until the current one performed).
-    co_await order_.lock();
-    const auto sent = co_await sendLoop(bulk, deliver, abort,
-                                        engine_.now(), 0);
     order_.unlock();
     co_return sent;
 }

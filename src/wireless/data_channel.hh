@@ -27,7 +27,6 @@
 #include "coro/primitives.hh"
 #include "coro/task.hh"
 #include "sim/engine.hh"
-#include "sim/env.hh"
 #include "sim/function.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -54,8 +53,6 @@ struct WirelessConfig
     std::uint32_t bulkCycles = 15;
     /** Channel-busy cycles consumed by a collision. */
     std::uint32_t collisionCycles = 2;
-    /** Frameless uncontended-broadcast fast path (host-time only). */
-    bool fastpath = sim::fastpathDefault();
 
     // ---- Lossy channel model + reliability layer ------------------
     // lossPct = 0 and berFromSnr = false (the defaults) keep the ideal
@@ -135,12 +132,6 @@ struct DataChannelStats
     sim::Counter busyCycles;
     /** Latency from first attempt to delivery, per message. */
     sim::Accumulator deliveryLatency;
-    /** Broadcasts armed on the frameless Mac fast path. */
-    sim::Counter fastpathHits;
-    /** Broadcasts that fell back to the coroutine send loop (busy
-     *  channel / held order mutex / non-immediate MAC protocol; only
-     *  counted while the fast path is enabled). */
-    sim::Counter fastpathFallbacks;
 
     /** Zero everything (assignment cannot miss a late-added field). */
     void reset() { *this = {}; }
@@ -187,83 +178,6 @@ class DataChannel
                                 const std::function<bool()> *abort,
                                 sim::Rng *rng = nullptr);
 
-    class FastAttempt;
-
-    /**
-     * One registered contender for a transmit slot. Lives in the
-     * registering attempt's coroutine frame (coroutine path) or in a
-     * FastAttempt in the sender's frame (frameless path); exactly one
-     * completion sink is set.
-     */
-    struct Pending
-    {
-        bool bulk = false;
-        sim::UniqueFunction *deliver = nullptr;
-        const std::function<bool()> *abort = nullptr;
-        /** Coroutine path: outcome lands in this future. */
-        coro::Future<Outcome> *done = nullptr;
-        /** Frameless path: outcome resumes this awaiter's caller. */
-        FastAttempt *fast = nullptr;
-        /** Transmitting node (drop-table lookup under loss). */
-        sim::NodeId src = 0;
-        /** Transmitter's RNG stream for the packet-error draw; only
-         *  consulted when the channel is lossy. */
-        sim::Rng *rng = nullptr;
-    };
-
-    /**
-     * Frameless one-shot slot attempt for the Mac fast path: joins the
-     * slot opening at now() exactly as the attempt() coroutine would
-     * (same arbitration event, same registration order), then resumes
-     * its awaiting sender directly from the delivery / collision /
-     * abort completion event — no attempt frame, no future.
-     */
-    class FastAttempt
-    {
-      public:
-        /** Registers immediately; only legal when now() >= nextFree(). */
-        FastAttempt(DataChannel &channel, sim::NodeId src, bool bulk,
-                    sim::UniqueFunction *deliver,
-                    const std::function<bool()> *abort, sim::Rng *rng)
-            : engine_(channel.engine_)
-        {
-            pending_.bulk = bulk;
-            pending_.deliver = deliver;
-            pending_.abort = abort;
-            pending_.fast = this;
-            pending_.src = src;
-            pending_.rng = rng;
-            channel.joinSlot(pending_);
-        }
-
-        bool await_ready() const noexcept { return false; }
-        void await_suspend(std::coroutine_handle<> h) { caller_ = h; }
-        Outcome await_resume() const noexcept { return outcome_; }
-
-        /**
-         * Called by the channel's completion events. The sender is
-         * resumed through the ready ring — claiming its sequence
-         * number exactly where the coroutine path's Future::set wakeup
-         * would — so the Mac epilogue runs at an identical position in
-         * the event stream.
-         */
-        void
-        complete(Outcome outcome)
-        {
-            outcome_ = outcome;
-            engine_.resumeHandle(0, caller_);
-        }
-
-      private:
-        sim::Engine &engine_;
-        Pending pending_;
-        Outcome outcome_ = Outcome::Collided;
-        std::coroutine_handle<> caller_;
-    };
-
-    /** First cycle a new transmission may start. */
-    sim::Cycle nextFree() const { return nextFree_; }
-
     /** Record a successful send that first contended at @p started. */
     void
     noteDelivery(sim::Cycle started)
@@ -271,10 +185,6 @@ class DataChannel
         stats_.deliveryLatency.sample(
             static_cast<double>(engine_.now() - started));
     }
-
-    /** Fast-path telemetry hooks (driven by the Mac front-ends). */
-    void noteFastpathHit() { stats_.fastpathHits.inc(); }
-    void noteFastpathFallback() { stats_.fastpathFallbacks.inc(); }
 
     const DataChannelStats &stats() const { return stats_; }
     const WirelessConfig &config() const { return cfg_; }
@@ -325,9 +235,21 @@ class DataChannel
     void reset(const WirelessConfig &cfg);
 
   private:
-    /** Register @p p in the slot opening at now() (first registrant
-     *  schedules the arbitration event). now() >= nextFree_ required. */
-    void joinSlot(Pending &p);
+    /** One registered contender for a transmit slot; lives in the
+     *  registering attempt's coroutine frame. */
+    struct Pending
+    {
+        bool bulk = false;
+        sim::UniqueFunction *deliver = nullptr;
+        const std::function<bool()> *abort = nullptr;
+        /** The attempt's outcome lands in this future. */
+        coro::Future<Outcome> *done = nullptr;
+        /** Transmitting node (drop-table lookup under loss). */
+        sim::NodeId src = 0;
+        /** Transmitter's RNG stream for the packet-error draw; only
+         *  consulted when the channel is lossy. */
+        sim::Rng *rng = nullptr;
+    };
 
     void arbitrate();
 
@@ -414,19 +336,6 @@ class Mac
     void reset(MacProtocol &protocol, sim::Rng rng);
 
   private:
-    /**
-     * The acquire/attempt/backoff retry loop, entered with order_
-     * held. Shared by the slow path (from the first attempt) and the
-     * fast path (after its armed attempt collided or was dropped;
-     * @p drops carries the fast attempt's loss count forward so the
-     * maxRetries budget spans the whole send).
-     */
-    coro::Task<SendOutcome> sendLoop(bool bulk,
-                                     sim::UniqueFunction &deliver,
-                                     const std::function<bool()> *abort,
-                                     sim::Cycle first_attempt,
-                                     std::uint32_t drops);
-
     /**
      * The per-send ack window: transmission @p drops was corrupted,
      * so wait out the ack timeout (plus the bounded exponential

@@ -43,23 +43,6 @@ class AdaptiveMac : public MacProtocol
 
     MacKind kind() const override { return MacKind::Adaptive; }
 
-    /**
-     * Delegate to the active sub-policy, so adaptive-in-BRS sends
-     * take the Mac front-ends' frameless fast path. BRS grants
-     * immediately (recording the granting policy exactly as acquire()
-     * would before its first suspension); the token ring keeps its
-     * default refusal, which leaves no trace.
-     */
-    bool
-    tryAcquire(sim::NodeId node) override
-    {
-        const bool token = tokenMode_;
-        if (!sub(token).tryAcquire(node))
-            return false;
-        grantedByToken_[node] = token ? 1 : 0;
-        return true;
-    }
-
     coro::Task<void> acquire(sim::NodeId node) override;
     void release(sim::NodeId node, bool delivered) override;
     coro::Task<void> onCollision(sim::NodeId node, sim::Rng &rng) override;

@@ -31,16 +31,6 @@ class BrsMac : public MacProtocol
     MacKind kind() const override { return MacKind::Brs; }
     coro::Task<void> acquire(sim::NodeId node) override;
 
-    /** Random access never waits: grant with acquire()'s exact side
-     *  effects (the acquires counter), no coroutine needed. */
-    bool
-    tryAcquire(sim::NodeId node) override
-    {
-        (void)node;
-        st().acquires.inc();
-        return true;
-    }
-
     void release(sim::NodeId node, bool delivered) override;
     coro::Task<void> onCollision(sim::NodeId node, sim::Rng &rng) override;
     void reset() override;

@@ -116,23 +116,6 @@ class MacProtocol
     virtual coro::Task<void> acquire(sim::NodeId node) = 0;
 
     /**
-     * Grant @p node the right to contend immediately, without
-     * suspending, or refuse. A protocol may only return true when the
-     * grant is side-effect-identical to a completed acquire() that
-     * never waited; returning false must leave no trace (the sender
-     * then goes through the full acquire()). Random-access protocols
-     * (BRS) grant always; token-family protocols keep the default
-     * refusal, so their senders always take the coroutine path. This
-     * is what the Mac front-ends' frameless fast path probes.
-     */
-    virtual bool
-    tryAcquire(sim::NodeId node)
-    {
-        (void)node;
-        return false;
-    }
-
-    /**
      * The attempt ended without a collision: @p delivered tells
      * success from an AFB abort. Drops the node's claim.
      */

@@ -25,9 +25,6 @@ captureChannelStats(KernelResult &result, core::Machine &machine)
             wireless::DataChannel &channel = bm->dataChannel(ch);
             utilisation += channel.utilisation();
             result.collisions += channel.stats().collisions.value();
-            result.fastpathHits += channel.stats().fastpathHits.value();
-            result.fastpathFallbacks +=
-                channel.stats().fastpathFallbacks.value();
             result.wirelessDrops += channel.stats().drops.value();
             const wireless::MacStats &mac = bm->macProtocol(ch).stats();
             result.macBackoffCycles += mac.backoffCycles.value();

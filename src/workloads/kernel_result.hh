@@ -83,8 +83,8 @@ struct KernelResult
      *  no global BM update is ever lost). */
     std::uint64_t bridgeGiveups = 0;
 
-    // Host-side fast-path telemetry, aggregated over the mesh, memory
-    // and wireless layers. Listed as CounterKind::Host: the fast paths
+    // Host-side fast-path telemetry, aggregated over the mesh and
+    // memory layers. Listed as CounterKind::Host: the fast paths
     // are cycle-exact but these counters describe which host-time
     // route served each message, which legitimately differs between a
     // fastpath-on and a (WISYNC_NO_FASTPATH=1) fastpath-off run of the
@@ -174,8 +174,8 @@ KernelResult fromCounterWords(const CounterWords &words);
  * MAC-protocol telemetry, the bridge counters and the fast-path
  * counters from @p machine. The wireless columns are a no-op on wired
  * configs, where the zero-initialized fields are already correct; the
- * fast-path counters aggregate mesh + memory (+ wireless) on every
- * config. On a multi-chip machine the channel columns sum over every
+ * fast-path counters aggregate mesh + memory on every config. On a
+ * multi-chip machine the channel columns sum over every
  * frequency-plan channel (utilisation is the mean busy fraction).
  * Every run*On workload epilogue calls this instead of reading the
  * channel by hand.

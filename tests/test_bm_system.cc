@@ -370,10 +370,9 @@ TEST(BmSystem, WiSyncNoTHasNoToneChannel)
 
 /**
  * Single-sender broadcasts on a warm, reset-reused 64-core machine:
- * every send must take the frameless Mac route, and run() must never
- * touch the allocator.
+ * run() must never touch the allocator.
  */
-TEST(BmSystem, SingleSenderBroadcastsTakeFastPathWithoutAllocating)
+TEST(BmSystem, SingleSenderBroadcastsRunWithoutAllocating)
 {
     using wisync::core::ConfigKind;
     using wisync::core::MachineConfig;
@@ -394,12 +393,6 @@ TEST(BmSystem, SingleSenderBroadcastsTakeFastPathWithoutAllocating)
     const std::uint64_t before = wisync::sim::heapAllocs();
     m.run();
     EXPECT_EQ(wisync::sim::heapAllocs(), before);
-    const auto &stats = m.bm()->dataChannel().stats();
-    const double hits = static_cast<double>(stats.fastpathHits.value());
-    const double attempts =
-        hits + static_cast<double>(stats.fastpathFallbacks.value());
-    ASSERT_GT(attempts, 0.0);
-    EXPECT_GE(hits / attempts, 0.9);
 }
 
 } // namespace

@@ -249,29 +249,6 @@ TEST(LossChannel, LossyRunsAreSeedDeterministic)
     EXPECT_EQ(run(), run());
 }
 
-TEST(LossChannel, FastpathToggleDoesNotMoveLossyCycles)
-{
-    auto run = [](bool fastpath) {
-        WirelessConfig cfg;
-        cfg.lossPct = 30.0;
-        cfg.fastpath = fastpath;
-        LossyNet net(8, cfg);
-        auto sender = [&](int mac) -> Task<void> {
-            for (int i = 0; i < 5; ++i)
-                co_await net.macs[static_cast<std::size_t>(mac)]->send(
-                    false, [] {});
-        };
-        for (int m = 0; m < 8; ++m)
-            spawnNow(net.engine, sender, m);
-        EXPECT_TRUE(net.engine.run(10'000'000));
-        return std::pair{net.engine.now(),
-                         net.channel.stats().drops.value()};
-    };
-    // The fast path's loss recovery re-enters the shared retry loop at
-    // the same event-stream position as the coroutine path.
-    EXPECT_EQ(run(true), run(false));
-}
-
 // ---- Ack/timeout/bounded-retry timing -----------------------------
 
 TEST(AckRetryTiming, GiveUpWaitsOnlyTheFinalAckWindow)

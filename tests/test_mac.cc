@@ -360,38 +360,6 @@ TEST(MacProtoAdaptive, HugeWindowNeverSwitchesAndMatchesBrsExactly)
     EXPECT_TRUE(wisync::workloads::bitIdentical(a, b));
 }
 
-TEST(MacProtoAdaptive, TryAcquireDelegatesToActivePolicy)
-{
-    // In BRS mode (the initial policy) the frameless fast path is
-    // granted immediately, recording the granting sub-policy exactly
-    // as acquire() would...
-    WirelessConfig cfg;
-    cfg.macKind = MacKind::Adaptive;
-    ProtoNet net(4, cfg);
-    EXPECT_TRUE(net.protocol->tryAcquire(2));
-    net.protocol->release(2, true);
-    // ...while the token family keeps the default refusal, leaving no
-    // trace (its senders always take the coroutine path).
-    WirelessConfig tcfg;
-    tcfg.macKind = MacKind::Token;
-    ProtoNet tnet(4, tcfg);
-    EXPECT_FALSE(tnet.protocol->tryAcquire(2));
-}
-
-TEST(MacProtoAdaptive, BrsModeSendsTakeTheFastPath)
-{
-    auto cfg = MachineConfig::make(ConfigKind::WiSyncNoT, 16);
-    cfg.wireless.macKind = MacKind::Adaptive;
-    cfg.setFastpath(true);
-    Machine m(cfg);
-    wisync::workloads::TightLoopParams p;
-    p.iterations = 4;
-    (void)wisync::workloads::runTightLoopOn(m, p);
-    // Before tryAcquire delegated to the active sub-policy, adaptive
-    // machines could never arm the frameless broadcast path.
-    EXPECT_GT(m.bm()->dataChannel().stats().fastpathHits.value(), 0u);
-}
-
 // ---- Machine-level contracts for every MacKind --------------------
 
 class MacProtoMachine : public ::testing::TestWithParam<MacKind>

@@ -454,10 +454,8 @@ TEST(MeshFastpath, EnvKillSwitchReachesConfigs)
     const auto on = MachineConfig::make(ConfigKind::WiSync, 16);
     EXPECT_FALSE(off.mesh.fastpath);
     EXPECT_FALSE(off.mem.fastpath);
-    EXPECT_FALSE(off.wireless.fastpath);
     EXPECT_TRUE(on.mesh.fastpath);
     EXPECT_TRUE(on.mem.fastpath);
-    EXPECT_TRUE(on.wireless.fastpath);
 }
 
 } // namespace

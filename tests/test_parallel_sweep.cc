@@ -32,6 +32,7 @@ using wisync::core::ConfigKind;
 using wisync::core::Machine;
 using wisync::core::MachineConfig;
 using wisync::harness::ParallelSweep;
+using wisync::harness::PointOutcome;
 using wisync::workloads::KernelResult;
 
 /**
@@ -232,7 +233,7 @@ TEST(ParallelSweep, EmptyGridAndExcessWorkers)
 }
 
 /**
- * Streaming contract: the onPointComplete observer sees every point
+ * Streaming contract: the onOutcomeComplete observer sees every point
  * exactly once, with the same result the merged vector ends up
  * holding, on both the serial path and multi-worker runs — and its
  * presence must not perturb the merged results.
@@ -264,12 +265,13 @@ TEST(ParallelSweep, StreamsEachPointExactlyOnce)
         std::mutex mutex;
         std::vector<int> seen(reference.size(), 0);
         std::vector<KernelResult> streamed(reference.size());
-        sweep.onPointComplete(
-            [&](std::size_t index, const KernelResult &r) {
+        sweep.onOutcomeComplete(
+            [&](std::size_t index, const PointOutcome &o) {
                 std::lock_guard<std::mutex> g(mutex);
                 ASSERT_LT(index, seen.size());
+                EXPECT_TRUE(o.ok);
                 ++seen[index];
-                streamed[index] = r;
+                streamed[index] = o.result;
             });
         const auto merged = sweep.run(threads);
         EXPECT_EQ(fingerprint(merged), fingerprint(reference))
