@@ -19,9 +19,8 @@
  *   - Frames above the 2 KB ceiling fall back to ::operator new; the
  *     header marks them so delete routes correctly.
  *   - Arena chunks are recycled within the (thread-local) pool and
- *     only returned to the OS at thread exit, mirroring the engine's
- *     node-pool chunk cache: machine churn in sweep loops re-uses the
- *     same pages instead of re-faulting them.
+ *     only returned to the OS at thread exit: machine churn in sweep
+ *     loops re-uses the same pages instead of re-faulting them.
  *
  * The pool is thread-local (the simulator is single-threaded by
  * design; concurrent engines in test harnesses stay independent) and

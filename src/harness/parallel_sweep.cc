@@ -180,8 +180,8 @@ ParallelSweep::execute(unsigned threads, bool capture)
     std::atomic<bool> failed{false};
     auto worker = [&](unsigned self) {
         // Worker-private machine cache: machines are built, reset, run
-        // and destroyed on this thread only (the frame pool and the
-        // scheduler's chunk cache are thread-local).
+        // and destroyed on this thread only (the frame pool is
+        // thread-local and each engine owns all of its scheduler state).
         SweepHarness machines;
         while (!failed.load(std::memory_order_relaxed)) {
             std::optional<std::size_t> job = queues[self].popOwn();

@@ -9,7 +9,8 @@
  *
  *   - each worker owns a private SweepHarness (machine cache), so
  *     Machine reuse via reset() keeps working per worker; the frame
- *     pool and scheduler chunk caches are already thread-local;
+ *     pool is thread-local and no scheduler state is shared between
+ *     engines;
  *   - points are block-distributed over per-worker job queues and
  *     idle workers steal from the tail of a victim's queue, so a grid
  *     of wildly uneven point costs (256-core points next to 16-core

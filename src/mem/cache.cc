@@ -24,10 +24,10 @@ namespace {
  * arrays per core; without recycling, a service that builds a machine
  * per request would re-map and re-fault them every time. One list
  * serves every thread, because sweep workers come and go while the
- * arrays their machines released stay useful. It is capped like the
- * engine's chunk cache: past kMaxPooled a released mapping is
- * unmapped. Only pages a previous owner touched are resident, so the
- * cap bounds address space far more than memory.
+ * arrays their machines released stay useful. It is capped: past
+ * kMaxPooled a released mapping is unmapped. Only pages a previous
+ * owner touched are resident, so the cap bounds address space far more
+ * than memory.
  */
 class MappingPool
 {

@@ -23,11 +23,11 @@ MemSystem::MemSystem(sim::Engine &engine, noc::Mesh &mesh, Memory &memory,
     : engine_(engine), mesh_(mesh), memory_(memory), numNodes_(num_nodes),
       cfg_(cfg), watches_(engine)
 {
-    l1_.reserve(numNodes_);
+    l1s_.reserve(numNodes_);
     banks_.reserve(numNodes_);
     const std::uint32_t sharer_words = (numNodes_ + 63) / 64;
     for (std::uint32_t n = 0; n < numNodes_; ++n) {
-        l1_.emplace_back(cfg_.l1SizeBytes, cfg_.l1Assoc, cfg_.lineBytes);
+        l1s_.emplace_back(cfg_.l1SizeBytes, cfg_.l1Assoc, cfg_.lineBytes);
         banks_.emplace_back(engine_, cfg_, sharer_words);
     }
     for (std::uint32_t c = 0; c < cfg_.numMemCtrls; ++c)
@@ -47,7 +47,7 @@ MemSystem::reset(const MemConfig &cfg)
                         cfg.dramOutstanding != cfg_.dramOutstanding,
                     "MemSystem::reset cannot change the geometry");
     cfg_ = cfg;
-    for (auto &l1 : l1_)
+    for (auto &l1 : l1s_)
         l1.reset();
     for (auto &bank : banks_) {
         bank.tags.reset();
@@ -115,7 +115,7 @@ MemSystem::watch(sim::NodeId node, sim::Addr line)
 void
 MemSystem::invalidateL1(sim::NodeId node, sim::Addr line)
 {
-    if (CacheLine *cl = l1_[node].peek(line); cl && cl->valid())
+    if (CacheLine *cl = l1s_[node].peek(line); cl && cl->valid())
         cl->state = CohState::Invalid;
     watch(node, line).raise();
 }
@@ -124,11 +124,11 @@ void
 MemSystem::installL1(sim::NodeId node, sim::Addr line, CohState state)
 {
     // Reuse the existing slot on upgrades.
-    if (CacheLine *cl = l1_[node].peek(line)) {
-        l1_[node].install(cl, line, state);
+    if (CacheLine *cl = l1s_[node].peek(line)) {
+        l1s_[node].install(cl, line, state);
         return;
     }
-    CacheLine *victim = l1_[node].victimFor(line);
+    CacheLine *victim = l1s_[node].victimFor(line);
     if (victim->valid()) {
         const sim::Addr vline = victim->lineAddr;
         const bool dirty = victim->state == CohState::Modified ||
@@ -141,7 +141,7 @@ MemSystem::installL1(sim::NodeId node, sim::Addr line, CohState state)
         // Clean evictions are silent (the directory's sharer bit goes
         // stale; a future invalidation to this node is just wasted).
     }
-    l1_[node].install(victim, line, state);
+    l1s_[node].install(victim, line, state);
 }
 
 coro::Task<void>
@@ -267,12 +267,12 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
     co_await e.busy.lock();
     co_await coro::delay(engine_, cfg_.l2RtCycles);
 
-    CacheLine *own = l1_[node].peek(line);
+    CacheLine *own = l1s_[node].peek(line);
     const bool own_readable = own && canRead(own->state);
 
     // Repair a stale owner pointer (silent E eviction, or ourselves).
     if (e.owner != sim::kNoNode) {
-        CacheLine *oc = l1_[e.owner].peek(line);
+        CacheLine *oc = l1s_[e.owner].peek(line);
         if (!(oc && isOwner(oc->state)))
             e.owner = sim::kNoNode;
     }
@@ -298,7 +298,7 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
         // flight).
         if (e.owner != sim::kNoNode && e.owner != node) {
             const sim::NodeId owner = e.owner;
-            CacheLine *oc = l1_[owner].peek(line);
+            CacheLine *oc = l1s_[owner].peek(line);
             if (oc && oc->state == CohState::Owned) {
                 sharerSet(e, node, true);
                 const std::uint64_t gen = watch(node, line).gen();
@@ -331,7 +331,7 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
             co_await coro::delay(engine_, cfg_.l1RtCycles);
             // Re-probe after the awaits: the owner may have evicted the
             // line for capacity while the probe was in flight.
-            CacheLine *oc = l1_[owner].peek(line);
+            CacheLine *oc = l1s_[owner].peek(line);
             if (oc && isOwner(oc->state)) {
                 switch (oc->state) {
                   case CohState::Modified:
@@ -476,9 +476,9 @@ MemSystem::cas(sim::NodeId node, sim::Addr addr, std::uint64_t expected,
 void
 MemSystem::finishAccess(AccessBase &op)
 {
-    const sim::Addr line = l1_[op.node_].lineOf(op.addr_);
+    const sim::Addr line = l1s_[op.node_].lineOf(op.addr_);
     const sim::Addr w = wordOf(op.addr_);
-    CacheLine *cl = l1_[op.node_].lookup(line);
+    CacheLine *cl = l1s_[op.node_].lookup(line);
     switch (op.kind_) {
       case OpKind::Load:
         if (cl != nullptr && canRead(cl->state)) {
@@ -499,7 +499,7 @@ MemSystem::finishAccess(AccessBase &op)
             op.caller_.resume();
             return;
         }
-        if (CacheLine *pk = l1_[op.node_].peek(line);
+        if (CacheLine *pk = l1s_[op.node_].peek(line);
             pk != nullptr && canRead(pk->state))
             stats_.upgrades.inc();
         else
@@ -565,7 +565,7 @@ MemSystem::finishAccess(AccessBase &op)
 coro::Task<void>
 MemSystem::accessMissTask(AccessBase &op)
 {
-    const sim::Addr line = l1_[op.node_].lineOf(op.addr_);
+    const sim::Addr line = l1s_[op.node_].lineOf(op.addr_);
     const sim::Addr w = wordOf(op.addr_);
     switch (op.kind_) {
       case OpKind::Load:
@@ -603,9 +603,9 @@ coro::Task<std::uint64_t>
 MemSystem::loadTask(sim::NodeId node, sim::Addr addr)
 {
     stats_.loads.inc();
-    const sim::Addr line = l1_[node].lineOf(addr);
+    const sim::Addr line = l1s_[node].lineOf(addr);
     co_await coro::delay(engine_, cfg_.l1RtCycles);
-    if (CacheLine *cl = l1_[node].lookup(line); cl && canRead(cl->state)) {
+    if (CacheLine *cl = l1s_[node].lookup(line); cl && canRead(cl->state)) {
         stats_.l1Hits.inc();
         co_return memory_.read64(wordOf(addr));
     }
@@ -623,15 +623,15 @@ MemSystem::storeTask(sim::NodeId node, sim::Addr addr,
                      std::uint64_t value)
 {
     stats_.stores.inc();
-    const sim::Addr line = l1_[node].lineOf(addr);
+    const sim::Addr line = l1s_[node].lineOf(addr);
     co_await coro::delay(engine_, cfg_.l1RtCycles);
-    if (CacheLine *cl = l1_[node].lookup(line); cl && canWrite(cl->state)) {
+    if (CacheLine *cl = l1s_[node].lookup(line); cl && canWrite(cl->state)) {
         stats_.l1Hits.inc();
         cl->state = CohState::Modified;
         memory_.write64(wordOf(addr), value);
         co_return;
     }
-    if (CacheLine *cl = l1_[node].peek(line); cl && canRead(cl->state))
+    if (CacheLine *cl = l1s_[node].peek(line); cl && canRead(cl->state))
         stats_.upgrades.inc();
     else
         stats_.l1Misses.inc();
@@ -646,10 +646,10 @@ MemSystem::fetchAddTask(sim::NodeId node, sim::Addr addr,
                         std::uint64_t delta)
 {
     stats_.rmws.inc();
-    const sim::Addr line = l1_[node].lineOf(addr);
+    const sim::Addr line = l1s_[node].lineOf(addr);
     const sim::Addr w = wordOf(addr);
     co_await coro::delay(engine_, cfg_.l1RtCycles);
-    if (CacheLine *cl = l1_[node].lookup(line); cl && canWrite(cl->state)) {
+    if (CacheLine *cl = l1s_[node].lookup(line); cl && canWrite(cl->state)) {
         stats_.l1Hits.inc();
         cl->state = CohState::Modified;
         const std::uint64_t old = memory_.read64(w);
@@ -669,10 +669,10 @@ MemSystem::swapTask(sim::NodeId node, sim::Addr addr,
                     std::uint64_t value)
 {
     stats_.rmws.inc();
-    const sim::Addr line = l1_[node].lineOf(addr);
+    const sim::Addr line = l1s_[node].lineOf(addr);
     const sim::Addr w = wordOf(addr);
     co_await coro::delay(engine_, cfg_.l1RtCycles);
-    if (CacheLine *cl = l1_[node].lookup(line); cl && canWrite(cl->state)) {
+    if (CacheLine *cl = l1s_[node].lookup(line); cl && canWrite(cl->state)) {
         stats_.l1Hits.inc();
         cl->state = CohState::Modified;
         const std::uint64_t old = memory_.read64(w);
@@ -692,10 +692,10 @@ MemSystem::casTask(sim::NodeId node, sim::Addr addr,
                    std::uint64_t expected, std::uint64_t desired)
 {
     stats_.rmws.inc();
-    const sim::Addr line = l1_[node].lineOf(addr);
+    const sim::Addr line = l1s_[node].lineOf(addr);
     const sim::Addr w = wordOf(addr);
     co_await coro::delay(engine_, cfg_.l1RtCycles);
-    if (CacheLine *cl = l1_[node].lookup(line); cl && canWrite(cl->state)) {
+    if (CacheLine *cl = l1s_[node].lookup(line); cl && canWrite(cl->state)) {
         stats_.l1Hits.inc();
         cl->state = CohState::Modified;
         const std::uint64_t old = memory_.read64(w);
@@ -717,7 +717,7 @@ coro::Task<std::uint64_t>
 MemSystem::spinUntil(sim::NodeId node, sim::Addr addr,
                      std::function<bool(std::uint64_t)> pred)
 {
-    const sim::Addr line = l1_[node].lineOf(addr);
+    const sim::Addr line = l1s_[node].lineOf(addr);
     for (;;) {
         coro::VersionedEvent &ev = watch(node, line);
         const std::uint64_t gen = ev.gen();
@@ -734,8 +734,8 @@ MemSystem::spinUntil(sim::NodeId node, sim::Addr addr,
 CohState
 MemSystem::l1State(sim::NodeId node, sim::Addr addr)
 {
-    const sim::Addr line = l1_[node].lineOf(addr);
-    CacheLine *cl = l1_[node].peek(line);
+    const sim::Addr line = l1s_[node].lineOf(addr);
+    CacheLine *cl = l1s_[node].peek(line);
     return cl ? cl->state : CohState::Invalid;
 }
 

@@ -404,7 +404,7 @@ class MemSystem
     Memory &memory_;
     std::uint32_t numNodes_;
     MemConfig cfg_;
-    std::vector<CacheArray> l1_;
+    std::vector<CacheArray> l1s_;
     std::vector<Bank> banks_;
     std::vector<std::unique_ptr<coro::Resource>> dramCtrls_;
     coro::WatchTable watches_;

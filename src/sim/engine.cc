@@ -3,96 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <new>
 #include <utility>
 
 namespace wisync::sim {
 
-namespace {
-
-/**
- * Process-wide recycler for pool chunks. glibc returns large freed
- * blocks to the OS; benchmark/test patterns that build and tear down
- * engines in a loop would then re-fault the same pages every iteration
- * (~150 minor faults per 10k-event engine, measured). Keeping a capped
- * stack of retired chunks makes engine churn allocation-free after the
- * first engine. The simulator is single-threaded by design, but the
- * cache is thread-local so concurrent engines in test harnesses stay
- * independent.
- */
-class ChunkCache
-{
-  public:
-    static constexpr std::size_t kMaxChunks = 128; // ~6 MiB cap
-
-    ~ChunkCache()
-    {
-        for (std::byte *c : chunks_)
-            ::operator delete(c);
-    }
-
-    std::byte *
-    get(std::size_t bytes)
-    {
-        if (!chunks_.empty()) {
-            std::byte *c = chunks_.back();
-            chunks_.pop_back();
-            return c;
-        }
-        return static_cast<std::byte *>(::operator new(bytes));
-    }
-
-    void
-    put(std::byte *c)
-    {
-        if (chunks_.size() < kMaxChunks)
-            chunks_.push_back(c);
-        else
-            ::operator delete(c);
-    }
-
-  private:
-    std::vector<std::byte *> chunks_;
-};
-
-thread_local ChunkCache g_chunkCache;
-
-} // namespace
-
-std::uint32_t
-Engine::NodePool::make(Cycle when, Slot &&s, std::uint32_t next)
-{
-    std::uint32_t i;
-    if (freeHead_ != kNil) {
-        i = freeHead_;
-        std::memcpy(&freeHead_, at(i), sizeof(freeHead_));
-    } else {
-        if (top_ == chunks_.size() * kChunkEntries)
-            chunks_.push_back(
-                g_chunkCache.get(kChunkEntries * sizeof(Node)));
-        i = top_++;
-    }
-    ::new (static_cast<void *>(at(i))) Node(when, std::move(s), next);
-    return i;
-}
-
-Engine::NodePool::~NodePool()
-{
-    // Live nodes were already destroyed by ~Engine(); hand the raw
-    // chunks back for the next engine.
-    for (std::byte *c : chunks_)
-        g_chunkCache.put(c);
-}
-
 Engine::~Engine()
 {
     // Live detached roots first (their teardown may touch the ready
-    // ring), then events still pending in the wheels and level-0
-    // segments (the ring, staged_ and far_ clean up via their
-    // vectors).
+    // ring), then events still pending in level-0 segments (the ring,
+    // staged_ and far_ clean up via their vectors).
     destroyLiveRoots();
-    clearWheel(l1_);
-    clearWheel(l2_);
     clearLevel0();
     while (freeSegs_ != nullptr)
         delete std::exchange(freeSegs_, freeSegs_->next);
@@ -160,8 +80,7 @@ Engine::pendingEvents() const
     std::size_t staged = staged_.size() - stagedIdx_;
     for (const Segment *seg = curSeg_; seg != nullptr; seg = seg->next)
         staged += seg->size - (seg == curSeg_ ? curIdx_ : 0);
-    return ready_.size() + staged + l0Count_ + l1_.count + l2_.count +
-           far_.size();
+    return ready_.size() + staged + l0Count_ + far_.size();
 }
 
 std::uint32_t
@@ -203,31 +122,12 @@ Engine::destroyLiveRoots()
 }
 
 void
-Engine::clearWheel(Wheel &w)
-{
-    if (w.count != 0) {
-        for (unsigned idx = w.bits.next(0); idx < 256;
-             idx = w.bits.next(idx + 1)) {
-            for (std::uint32_t i = w.head[idx]; i != NodePool::kNil;) {
-                const std::uint32_t next = pool_.at(i)->next;
-                pool_.recycle(i);
-                i = next;
-            }
-        }
-    }
-    w.bits = Bitmap{};
-    w.count = 0;
-}
-
-void
 Engine::reset()
 {
     destroyLiveRoots(); // may push unlock handoffs into ready_
     while (!ready_.empty())
         (void)ready_.pop();
     clearLevel0();
-    clearWheel(l1_);
-    clearWheel(l2_);
     far_.clear();
     now_ = 0;
     nextSeq_ = 0;
@@ -249,7 +149,7 @@ Engine::scheduleReserved(Cycle when, std::uint64_t seq, UniqueFunction fn)
         // A later cycle: normal placement. The level-0 bucket list may
         // now be seq-unordered; stageCurrentCycle()'s sort restores
         // global insertion order before execution.
-        place(when, std::move(s), /*cascade=*/false);
+        place(when, std::move(s));
         return;
     }
     // Same cycle: the slot's reserved seq is ahead of the event being
@@ -301,72 +201,31 @@ Engine::ReadyRing::grow()
 }
 
 void
-Engine::placeCoarse(Cycle when, Slot &&s, Cycle diff, bool cascade)
+Engine::placeFar(Cycle when, Slot &&s)
 {
-    // Levels are windows aligned on power-of-two boundaries (not fixed
-    // distances): an event lands in the finest level whose window
-    // around now_ contains it, and cascades down as now_ enters its
-    // block. The XOR against now_ (diff) tests window membership.
-    Wheel *w = nullptr;
-    unsigned idx = 0;
-    if (diff < (Cycle{1} << 16)) {
-        w = &l1_;
-        idx = static_cast<unsigned>((when >> 8) & 255);
-    } else if (diff < kWheelSpan) {
-        w = &l2_;
-        idx = static_cast<unsigned>((when >> 16) & 255);
-    }
-    if (w != nullptr) {
-        const std::uint32_t i =
-            pool_.make(when, std::move(s), NodePool::kNil);
-        if (w->bits.test(idx)) {
-            pool_.at(w->tail[idx])->next = i;
-            w->tail[idx] = i;
-            if (when < w->minWhen[idx])
-                w->minWhen[idx] = when;
-        } else {
-            w->bits.set(idx);
-            w->head[idx] = w->tail[idx] = i;
-            w->minWhen[idx] = when;
-        }
-        ++w->count;
-        if (!cascade)
-            ++tierStats_.calendar;
-        return;
-    }
     far_.emplace_back(when, std::move(s));
     std::push_heap(far_.begin(), far_.end(), FarLater{});
-    if (!cascade)
-        ++tierStats_.heap;
+    ++tierStats_.heap;
 }
 
 Cycle
 Engine::peekNext() const
 {
-    // Candidates per tier. For the coarse wheels the first occupied
-    // bucket at or after now_'s own index holds the level's earliest
-    // cycles (buckets cover increasing disjoint ranges and never wrap
-    // within a window), so one bitmap scan plus its tracked minimum
-    // suffices. now_'s own bucket can be non-empty after a run(limit)
-    // parked time inside a block, hence the inclusive scan.
+    // Level-0 residents all lie in (now_, now_ + 256) and the bucket at
+    // now_'s own index is empty, so the first occupied bucket after it,
+    // wrapping once past index 255, holds the earliest of them.
     Cycle best = kCycleMax;
     if (l0Count_ > 0) {
-        const unsigned b =
-            l0Bits_.next(static_cast<unsigned>(now_ & 255) + 1);
-        if (b < 256)
-            best = (now_ & ~Cycle{255}) + b;
-    }
-    if (l1_.count > 0) {
-        const unsigned i1 =
-            l1_.bits.next(static_cast<unsigned>((now_ >> 8) & 255));
-        if (i1 < 256 && l1_.minWhen[i1] < best)
-            best = l1_.minWhen[i1];
-    }
-    if (l2_.count > 0) {
-        const unsigned i2 =
-            l2_.bits.next(static_cast<unsigned>((now_ >> 16) & 255));
-        if (i2 < 256 && l2_.minWhen[i2] < best)
-            best = l2_.minWhen[i2];
+        const unsigned cur = static_cast<unsigned>(now_ & 255);
+        assert(!l0Bits_.test(cur) && "level-0 resident at the current cycle");
+        Cycle base = now_ & ~Cycle{255};
+        unsigned b = l0Bits_.next(cur + 1);
+        if (b == 256) {
+            b = l0Bits_.next(0);
+            base += 256;
+        }
+        assert(b < 256 && "level-0 count without an occupied bucket");
+        best = base + b;
     }
     if (!far_.empty() && far_.front().when < best)
         best = far_.front().when;
@@ -374,43 +233,16 @@ Engine::peekNext() const
 }
 
 void
-Engine::cascadeWheelBucket(Wheel &w, unsigned idx)
-{
-    // Walk the FIFO list in insertion order so re-placed events keep
-    // their relative order within each destination bucket.
-    w.bits.clear(idx);
-    for (std::uint32_t i = w.head[idx]; i != NodePool::kNil;) {
-        Node *n = pool_.at(i);
-        const std::uint32_t next = n->next;
-        --w.count;
-        place(n->ts.when, std::move(n->ts.slot), /*cascade=*/true);
-        pool_.recycle(i);
-        i = next;
-    }
-}
-
-void
 Engine::stageCurrentCycle()
 {
-    // Coarse-to-fine: pull overflow events whose 2^24 window now_ just
-    // entered, then cascade the level-2 and level-1 buckets covering
-    // now_. Each step may feed the next; every event due exactly at
-    // now_ ends in l0_[now_ & 255].
-    while (!far_.empty() && ((far_.front().when ^ now_) < kWheelSpan)) {
+    // Far events due now join this cycle's bucket behind anything filed
+    // there directly; if that breaks seq order, the bucket's unsorted
+    // flag sends it through the sort below. Each far event moves once.
+    while (!far_.empty() && far_.front().when == now_) {
         std::pop_heap(far_.begin(), far_.end(), FarLater{});
-        TimedSlot e = std::move(far_.back());
+        fileLevel0(now_, std::move(far_.back().slot));
         far_.pop_back();
-        place(e.when, std::move(e.slot), /*cascade=*/true);
-    }
-    if (l2_.count > 0) {
-        const unsigned i2 = static_cast<unsigned>((now_ >> 16) & 255);
-        if (l2_.bits.test(i2))
-            cascadeWheelBucket(l2_, i2);
-    }
-    if (l1_.count > 0) {
-        const unsigned i1 = static_cast<unsigned>((now_ >> 8) & 255);
-        if (l1_.bits.test(i1))
-            cascadeWheelBucket(l1_, i1);
+        ++tierStats_.cascades;
     }
 
     const unsigned idx = static_cast<unsigned>(now_ & 255);
@@ -422,8 +254,8 @@ Engine::stageCurrentCycle()
     if (!b.unsorted) {
         curSeg_ = b.head;
     } else {
-        // Cascading (or a later-cycle reserved seq) interleaved
-        // provenances; restore global insertion order in staged_.
+        // A far-heap arrival (or a later-cycle reserved seq) broke
+        // insertion order; restore it in staged_.
         moveChainToStaging(b.head, 0);
         std::sort(staged_.begin(), staged_.end(),
                   [](const Slot &x, const Slot &y) { return x.seq < y.seq; });
@@ -486,9 +318,10 @@ Engine::run(Cycle limit)
         const Cycle effective = limit < deadline_ ? limit : deadline_;
         if (next > effective) {
             // Park at the effective limit so a later run() can resume;
-            // pending events stay in their tiers. Parking never
-            // crosses a window boundary ahead of a pending event
-            // (effective < next), so the wheel invariants hold. A park
+            // pending events stay in their tiers. Parking never passes
+            // a pending event (effective < next), so every level-0
+            // resident still lies in the window [now_, now_ + 256)
+            // and keeps its bucket. A park
             // forced by the deadline (not the caller's limit) is
             // flagged so the service layer can distinguish "budget
             // exhausted" from "workload's own horizon".

@@ -7,38 +7,35 @@
  * them in (cycle, insertion-order) order, which makes simulations fully
  * deterministic for a given seed.
  *
- * Internally the queue is a three-tier scheduler, chosen so that the
- * common cases never pay a heap allocation or an O(log n) comparison
- * sift:
+ * Internally the queue is a same-cycle ring plus two tiers for later
+ * cycles, chosen so that the common cases never pay a heap allocation
+ * or an O(log n) comparison sift:
  *
- *   1. Ready ring     — events due at the current cycle (scheduleIn(0),
- *                       mutex handoffs, CondVar wakeups, arbitration
- *                       windows). A FIFO ring buffer: push/pop are O(1)
- *                       and allocation-free in steady state.
- *   2. Calendar wheel — a hierarchical timing wheel (Varghese/Lauck
- *                       style). Level 0 has one bucket per cycle over a
- *                       256-cycle block; levels 1 and 2 cover 2^16 and
- *                       2^24 cycles at coarser granularity. Insertion
- *                       is O(1); an event cascades to a finer level at
- *                       most twice in its lifetime; the next busy cycle
- *                       is found with 256-bit occupancy bitmaps. The
- *                       model's dominant delays (wireless slots, mesh
- *                       hops, cache latencies) are small constants that
- *                       go straight to level 0.
- *   3. Overflow heap  — events more than 2^24 cycles out (essentially
- *                       only watchdogs). A conventional (when, seq)
- *                       min-heap; correctness fallback, not a fast
- *                       path.
+ *   1. Ready ring — events due at the current cycle (scheduleIn(0),
+ *                   mutex handoffs, CondVar wakeups, arbitration
+ *                   windows). A FIFO ring buffer: push/pop are O(1)
+ *                   and allocation-free in steady state.
+ *   2. Level 0    — one bucket per cycle over the sliding window
+ *                   [now, now + 256): an event lands in bucket
+ *                   when & 255, and the next busy cycle is found by
+ *                   scanning a 256-bit occupancy bitmap from now's
+ *                   index, wrapping once. The model's dominant delays
+ *                   (wireless slots, mesh hops, cache latencies) are
+ *                   small constants, so nearly every event goes here.
+ *   3. Far heap   — events 256 or more cycles out (under 2% of model
+ *                   traffic). A (when, seq) min-heap; an event
+ *                   waits there until its own cycle, then moves into
+ *                   the level-0 bucket being staged.
  *
  * Determinism contract: execution order is exactly (cycle, global
  * insertion order), bit-identical to a single (when, seq) min-heap.
  * Every slot carries its insertion sequence number; when a cycle's
  * events are staged for execution they are sorted by that number if
- * cascading mixed their provenance (same-cycle arrivals during
- * execution are FIFO behind them by construction, since they are
- * inserted later than anything staged). tests/test_engine_determinism.cc
- * replays randomized schedules against a reference heap scheduler to
- * lock this in.
+ * far-heap arrivals or a later-cycle scheduleReserved() mixed their
+ * order (same-cycle arrivals during execution are FIFO behind them by
+ * construction, since they are inserted later than anything staged).
+ * tests/test_engine_determinism.cc replays randomized schedules
+ * against a reference heap scheduler to lock this in.
  */
 
 #ifndef WISYNC_SIM_ENGINE_HH
@@ -49,7 +46,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "sim/function.hh"
@@ -68,28 +64,25 @@ class Engine
 {
   public:
     /**
-     * Level-0 wheel span: delays below this (without crossing a block
-     * boundary) are one bucket lookup away. Kept public so tests can
-     * exercise the level and overflow boundaries.
+     * Level-0 window: an event less than this many cycles ahead is
+     * filed straight into its cycle's bucket; anything later waits in
+     * the far heap. Kept public so tests can exercise the boundary.
      */
     static constexpr Cycle kCalendarHorizon = 256;
-
-    /** Deltas at or beyond this go to the overflow heap. */
-    static constexpr Cycle kWheelSpan = Cycle{1} << 24;
 
     /** Per-tier event counters (see tierStats()). */
     struct TierStats
     {
         std::uint64_t ready = 0;    ///< same-cycle ring insertions
-        std::uint64_t calendar = 0; ///< wheel insertions (any level)
-        std::uint64_t heap = 0;     ///< overflow heap insertions
-        std::uint64_t cascades = 0; ///< wheel level-to-level migrations
+        std::uint64_t calendar = 0; ///< level-0 insertions
+        std::uint64_t heap = 0;     ///< far-heap insertions
+        std::uint64_t cascades = 0; ///< far-heap events moved to level 0
     };
 
     Engine() = default;
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
-    ~Engine(); // destroys live root frames + pending wheel events
+    ~Engine(); // destroys live root frames + pending level-0 events
 
     /** Current simulated time in cycles. */
     Cycle now() const { return now_; }
@@ -255,8 +248,8 @@ class Engine
      * Return the engine to its post-construction state without
      * releasing its memory: destroys live root frames and pending
      * events, clears every tier, and zeroes time, sequence numbers and
-     * counters. Pools (wheel nodes, level-0 segments, ring and
-     * staging capacity) are retained, which is the point: a reset
+     * counters. Pools (level-0 segments, ring, staging and far-heap
+     * capacity) are retained, which is the point: a reset
      * engine schedules allocation-free from the first event. Must not
      * be called from inside run().
      */
@@ -285,7 +278,7 @@ class Engine
         }
     };
 
-    /** Wheel levels >= 1 and the overflow heap also need the cycle. */
+    /** Far-heap entries also need the cycle. */
     struct TimedSlot
     {
         Cycle when;
@@ -294,70 +287,6 @@ class Engine
         TimedSlot(Cycle w, Slot &&s) : when(w), slot(std::move(s)) {}
         TimedSlot(TimedSlot &&) = default;
         TimedSlot &operator=(TimedSlot &&) = default;
-    };
-
-    /** Pool node: a timed slot on an intrusive per-bucket FIFO list. */
-    struct Node
-    {
-        TimedSlot ts;
-        std::uint32_t next;
-
-        Node(Cycle w, Slot &&s, std::uint32_t n)
-            : ts(w, std::move(s)), next(n)
-        {}
-    };
-
-    /**
-     * Chunked node pool for the coarse wheel levels.
-     *
-     * Far-future events can accumulate by the tens of thousands (the
-     * schedule-then-run microbenchmark pattern); per-bucket vectors
-     * would realloc while growing and hand hundreds of kilobytes back
-     * to the allocator on engine destruction, which glibc returns to
-     * the OS — and the page-fault churn of re-growing dominated the
-     * benchmark. Fixed 512-entry chunks are recycled through a
-     * process-wide cache (see engine.cc), so chunk allocation is a
-     * once-per-process cost and nodes never move once constructed.
-     */
-    class NodePool
-    {
-      public:
-        static constexpr std::uint32_t kNil = 0xffffffffu;
-        static constexpr std::uint32_t kChunkShift = 9;
-        static constexpr std::uint32_t kChunkEntries = 1u << kChunkShift;
-
-        NodePool() = default;
-        NodePool(const NodePool &) = delete;
-        NodePool &operator=(const NodePool &) = delete;
-        ~NodePool(); // returns chunks to the process-wide cache
-
-        Node *
-        at(std::uint32_t i)
-        {
-            return reinterpret_cast<Node *>(
-                chunks_[i >> kChunkShift] +
-                std::size_t{i & (kChunkEntries - 1)} * sizeof(Node));
-        }
-
-        /** Construct a node; never moves existing nodes. */
-        std::uint32_t make(Cycle when, Slot &&s, std::uint32_t next);
-
-        /** Destroy a node and recycle its index. */
-        void
-        recycle(std::uint32_t i)
-        {
-            Node *n = at(i);
-            n->~Node();
-            // The slot is raw storage again; it holds the freelist link.
-            std::memcpy(static_cast<void *>(n), &freeHead_,
-                        sizeof(freeHead_));
-            freeHead_ = i;
-        }
-
-      private:
-        std::vector<std::byte *> chunks_;
-        std::uint32_t freeHead_ = kNil;
-        std::uint32_t top_ = 0;
     };
 
     /** 256-bit occupancy bitmap with find-first-set-at-or-after. */
@@ -381,20 +310,6 @@ class Engine
     };
 
     /**
-     * One coarse wheel level: 256 intrusive FIFO lists of pool nodes
-     * (list order is insertion order, which staging relies on), plus
-     * the occupancy bitmap and per-bucket minimum cycle.
-     */
-    struct Wheel
-    {
-        std::array<std::uint32_t, 256> head;
-        std::array<std::uint32_t, 256> tail;
-        std::array<Cycle, 256> minWhen{};
-        Bitmap bits;
-        std::size_t count = 0;
-    };
-
-    /**
      * Fixed-size block of level-0 slots. A bucket is a chain of these,
      * filled front to back in insertion order; every segment but the
      * tail is full. Drained segments go back to the engine's free
@@ -412,7 +327,7 @@ class Engine
 
     /**
      * One level-0 bucket: a segment chain plus the last seq filed, so
-     * an out-of-order insertion (cascade mixing, a later-cycle
+     * an out-of-order insertion (a far-heap arrival, a later-cycle
      * scheduleReserved) is noticed when it happens rather than by a
      * scan at staging time.
      */
@@ -483,39 +398,47 @@ class Engine
             ++tierStats_.ready;
             return;
         }
-        place(when, std::move(s), /*cascade=*/false);
+        place(when, std::move(s));
     }
 
     /**
      * File @p s under the right tier for target cycle @p when > now.
-     * The level-0 branch is inline (it is the dominant non-ring case:
-     * wireless slots, mesh hops, cache latencies).
+     * Inline for the level-0 case (the dominant non-ring one: wireless
+     * slots, mesh hops, cache latencies); the far case stays out of
+     * line, since inlining push_heap into every scheduling call site
+     * costs more than the rare far event saves.
      */
     void
-    place(Cycle when, Slot &&s, bool cascade)
+    place(Cycle when, Slot &&s)
     {
-        const Cycle diff = when ^ now_;
-        if (cascade)
-            ++tierStats_.cascades;
-        if (diff < kCalendarHorizon) {
-            const unsigned idx = static_cast<unsigned>(when & 255);
-            Bucket &b = l0_[idx];
-            Segment *t = b.tail;
-            if (t == nullptr || t->size == Segment::kSlots) [[unlikely]]
-                t = appendSegment(b);
-            if (s.seq < b.lastSeq)
-                b.unsorted = true;
-            b.lastSeq = s.seq;
-            t->slots[t->size++] = std::move(s);
-            ++b.count;
-            l0Bits_.set(idx);
-            ++l0Count_;
-            if (!cascade)
-                ++tierStats_.calendar;
+        if (when - now_ < kCalendarHorizon) {
+            fileLevel0(when, std::move(s));
+            ++tierStats_.calendar;
             return;
         }
-        placeCoarse(when, std::move(s), diff, cascade);
+        placeFar(when, std::move(s));
     }
+
+    /** Append @p s to the level-0 bucket of @p when (in the window). */
+    void
+    fileLevel0(Cycle when, Slot &&s)
+    {
+        const unsigned idx = static_cast<unsigned>(when & 255);
+        Bucket &b = l0_[idx];
+        Segment *t = b.tail;
+        if (t == nullptr || t->size == Segment::kSlots) [[unlikely]]
+            t = appendSegment(b);
+        if (s.seq < b.lastSeq)
+            b.unsorted = true;
+        b.lastSeq = s.seq;
+        t->slots[t->size++] = std::move(s);
+        ++b.count;
+        l0Bits_.set(idx);
+        ++l0Count_;
+    }
+
+    /** Slow tail of place(): push onto the far heap. */
+    void placeFar(Cycle when, Slot &&s);
 
     /** Link a segment (free list first) onto @p b's tail. */
     Segment *appendSegment(Bucket &b);
@@ -542,33 +465,26 @@ class Engine
      */
     void moveChainToStaging(Segment *seg, std::uint32_t from);
 
-    /** Slow tail of place(): levels 1, 2 and the overflow heap. */
-    void placeCoarse(Cycle when, Slot &&s, Cycle diff, bool cascade);
-
     /** Destroy every level-0 event, staged or pending. */
     void clearLevel0();
-
-    /** Destroy all pending events in a coarse wheel level. */
-    void clearWheel(Wheel &w);
 
     /** Earliest pending cycle > now across all tiers (kCycleMax: none). */
     Cycle peekNext() const;
 
     /**
-     * With now_ just advanced to the next busy cycle: cascade coarser
-     * tiers into finer ones and point the drain cursor at this cycle's
-     * level-0 bucket (or, if its seqs are out of order, sort it into
+     * With now_ just advanced to the next busy cycle: move far-heap
+     * events due now into level 0 and point the drain cursor at this
+     * cycle's bucket (or, if its seqs are out of order, sort it into
      * staged_).
      */
     void stageCurrentCycle();
-
-    void cascadeWheelBucket(Wheel &w, unsigned idx);
 
     // Tier 1: same-cycle ring + the level-0 bucket being executed.
     // Staging detaches the bucket's segment chain and drains it in
     // place through (curSeg_, curIdx_). Ordinary scheduling can never
     // insert into the staged cycle (same-cycle events go to the ring;
-    // the same index in the next block is outside the level-0 window).
+    // the same index one window later is 256 cycles out, so it goes to
+    // the far heap).
     // Two rare cases drain from the staged_ vector instead: a bucket
     // filed out of seq order, which is sorted there, and
     // scheduleReserved() materializing a same-cycle deferred event,
@@ -581,21 +497,17 @@ class Engine
     std::vector<Slot> staged_; // non-empty: the staged cycle drains here
     std::size_t stagedIdx_ = 0;
 
-    // Tier 2: hierarchical wheel. Level 0 is one bucket per cycle over
-    // the 256-cycle block containing now_ (bucket index = when & 255;
-    // every resident's target cycle is implied by its index). Levels 1
-    // and 2 bucket by bits 8..15 and 16..23 of the target cycle and are
-    // only ever populated with cycles in now_'s aligned 2^16 / 2^24
-    // enclosing windows, so indices never collide across windows.
+    // Tier 2: level 0, one bucket per cycle over the sliding window
+    // [now_, now_ + 256) (bucket index = when & 255). The window holds
+    // 256 consecutive cycles, so every resident's target cycle is
+    // implied by its index relative to now_'s.
     std::array<Bucket, 256> l0_;
     Bitmap l0Bits_;
     std::size_t l0Count_ = 0;
     Segment *freeSegs_ = nullptr; // shared by every level-0 bucket
-    Wheel l1_;
-    Wheel l2_;
-    NodePool pool_;
 
-    // Tier 3: overflow min-heap for deltas >= kWheelSpan.
+    // Tier 3: far (when, seq) min-heap for events kCalendarHorizon or
+    // more cycles out.
     std::vector<TimedSlot> far_;
 
     // Detached-root registry: slot-map with an intrusive free list.

@@ -1,16 +1,18 @@
 /**
  * @file
- * Unit tests for the discrete-event engine, including the three-tier
- * scheduler's edge cases: run(limit) parking across wheel-level
- * boundaries, stop() mid-cycle with same-cycle events pending, the
- * coroutine resume fast path, and the level-0 segment pool: bursts
- * reuse recycled segments across buckets, and a same-cycle reserved
- * splice lands in order across a segment boundary.
+ * Unit tests for the discrete-event engine, including the scheduler's
+ * edge cases: run(limit) parking across the level-0 window and the far
+ * heap (including a parked window that wraps past bucket 255), stop()
+ * mid-cycle with same-cycle events pending, reset() with every tier
+ * populated, the coroutine resume fast path, and the level-0 segment
+ * pool: bursts reuse recycled segments across buckets, and a
+ * same-cycle reserved splice lands in order across a segment boundary.
  */
 
 #include <gtest/gtest.h>
 
 #include <coroutine>
+#include <utility>
 #include <vector>
 
 #include "coro/primitives.hh"
@@ -176,9 +178,9 @@ TEST(Engine, StopFromRingEventKeepsRemainingRingPending)
 
 TEST(Engine, RunLimitResumesAcrossCalendarBlocks)
 {
-    // Events beyond the level-0 block (256 cycles) and beyond the
-    // level-1 window (65536 cycles) survive a park-and-resume at
-    // limits that land between them.
+    // Events beyond the level-0 window (256 cycles) wait in the far
+    // heap and survive a park-and-resume at limits that land between
+    // them.
     Engine eng;
     std::vector<Cycle> fired;
     for (Cycle when : {Cycle{10}, Cycle{300}, Cycle{70'000},
@@ -195,13 +197,33 @@ TEST(Engine, RunLimitResumesAcrossCalendarBlocks)
     EXPECT_FALSE(eng.run(65'000)); // crosses the level-0 horizon
     EXPECT_EQ(fired, (std::vector<Cycle>{10, 300}));
 
-    EXPECT_FALSE(eng.run(1'000'000)); // crosses the level-1 window
+    EXPECT_FALSE(eng.run(1'000'000));
     EXPECT_EQ(fired, (std::vector<Cycle>{10, 300, 70'000}));
 
-    EXPECT_TRUE(eng.run()); // drains the level-2 and overflow tiers
+    EXPECT_TRUE(eng.run()); // drains the far heap
     EXPECT_EQ(fired, (std::vector<Cycle>{10, 300, 70'000, 20'000'000,
                                          (Cycle{1} << 25) + 9}));
     EXPECT_EQ(eng.pendingEvents(), 0u);
+
+    // Parked at 200, the level-0 window is [200, 456): 300 and 455 go
+    // to buckets 44 and 199, below the current index, so finding them
+    // takes peekNext()'s wrap past bucket 255.
+    Engine wrap;
+    fired.clear();
+    auto log = [&fired, &wrap] { fired.push_back(wrap.now()); };
+    wrap.schedule(210, log);
+    EXPECT_FALSE(wrap.run(200));
+    EXPECT_EQ(wrap.now(), 200u);
+    wrap.schedule(300, log);
+    wrap.schedule(455, log);
+    EXPECT_FALSE(wrap.run(299));
+    EXPECT_EQ(fired, (std::vector<Cycle>{210}));
+    EXPECT_FALSE(wrap.run(454));
+    EXPECT_EQ(fired, (std::vector<Cycle>{210, 300}));
+    EXPECT_TRUE(wrap.run());
+    EXPECT_EQ(fired, (std::vector<Cycle>{210, 300, 455}));
+    EXPECT_EQ(wrap.tierStats().calendar, 3u);
+    EXPECT_EQ(wrap.tierStats().heap, 0u);
 }
 
 TEST(Engine, ScheduleWhileParkedInsideBlock)
@@ -220,25 +242,32 @@ TEST(Engine, ScheduleWhileParkedInsideBlock)
 
 TEST(Engine, TierCountersClassifyInsertions)
 {
+    constexpr Cycle kH = Engine::kCalendarHorizon;
     Engine eng;
-    eng.schedule(0, [] {});                    // ready ring
-    eng.schedule(3, [] {});                    // calendar level 0
-    eng.schedule(1000, [] {});                 // calendar level 1
-    eng.schedule(1'000'000, [] {});            // calendar level 2
-    eng.schedule(Cycle{1} << 30, [] {});       // overflow heap
+    eng.schedule(0, [] {});              // ready ring
+    eng.schedule(3, [] {});              // level 0
+    eng.schedule(Cycle{1} << 30, [] {}); // far heap
+    EXPECT_FALSE(eng.run(250));          // parks inside the first block
+    ASSERT_EQ(eng.now(), 250u);
+    eng.schedule(300, [] {});            // crosses a block edge: level 0
+    eng.schedule(250 + kH - 1, [] {});   // last cycle of the window
+    eng.schedule(250 + kH, [] {});       // first cycle past it: far heap
     const auto &ts = eng.tierStats();
     EXPECT_EQ(ts.ready, 1u);
     EXPECT_EQ(ts.calendar, 3u);
-    EXPECT_EQ(ts.heap, 1u);
-    EXPECT_EQ(eng.pendingEvents(), 5u);
+    EXPECT_EQ(ts.heap, 2u);
+    EXPECT_EQ(ts.cascades, 0u);
+    EXPECT_EQ(eng.pendingEvents(), 4u);
     EXPECT_TRUE(eng.run());
-    EXPECT_EQ(eng.eventsExecuted(), 5u);
+    EXPECT_EQ(eng.eventsExecuted(), 6u);
     EXPECT_EQ(eng.pendingEvents(), 0u);
+    EXPECT_EQ(ts.cascades, 2u); // each far event moves to level 0 once
 }
 
-/** The dominant model pattern: deltas under the level-0 block (wireless
- *  slots, mesh hops, cache latencies) belong in the calendar wheel and
- *  must never spill into the overflow heap. */
+/** The dominant model pattern: deltas under the level-0 window
+ *  (wireless slots, mesh hops, cache latencies) go straight to level 0
+ *  and never touch the far heap, even when they cross an aligned
+ *  256-cycle block edge. */
 TEST(SchedulerTiers, NearFutureSchedulesStayOffTheHeap)
 {
     Engine eng;
@@ -258,6 +287,7 @@ TEST(SchedulerTiers, NearFutureSchedulesStayOffTheHeap)
     ASSERT_TRUE(eng.run());
     EXPECT_EQ(left, 0);
     EXPECT_EQ(eng.tierStats().heap, 0u);
+    EXPECT_EQ(eng.tierStats().cascades, 0u);
 }
 
 wisync::coro::Task<void>
@@ -281,7 +311,7 @@ TEST(SchedulerTiers, ZeroDelayResumesStayOffTheHeap)
 TEST(Engine, SameCycleOrderPreservedAcrossTierProvenance)
 {
     // Two events for the same cycle, one scheduled from far away (it
-    // waits in a coarse tier) and one scheduled close by (level 0):
+    // waits in the far heap) and one scheduled close by (level 0):
     // insertion order must still decide the tie.
     Engine eng;
     std::vector<int> order;
@@ -329,7 +359,7 @@ hopper(Engine &eng, std::vector<Cycle> &log)
     log.push_back(eng.now());
     co_await ResumeIn{eng, 0}; // same-cycle requeue
     log.push_back(eng.now());
-    co_await ResumeIn{eng, 300}; // crosses the level-0 block
+    co_await ResumeIn{eng, 300}; // beyond the level-0 window
     log.push_back(eng.now());
 }
 
@@ -357,7 +387,7 @@ TEST(Engine, Level0BurstsReuseSegmentsAcrossBuckets)
             eng.schedule(at, [&fired] { ++fired; });
     };
     // Park at the end of the first block, then warm bucket 0 of the
-    // next one (this burst cascades down from level 1).
+    // next one (a one-cycle delay across the block edge: level 0).
     eng.schedule(255, [] {});
     ASSERT_TRUE(eng.run());
     burst(256);
@@ -433,6 +463,79 @@ TEST(Engine, StopInsideSplicedBucketKeepsRemainderPending)
     ASSERT_EQ(order.size(), 51u);
     EXPECT_EQ(order[49], 49);
     EXPECT_EQ(order[50], -1);
+}
+
+
+using Trace = std::vector<std::pair<int, Cycle>>;
+
+/** Schedules across every tier, parks once, and logs what fires. */
+void
+tierScript(Engine &eng, Trace &trace, std::vector<std::size_t> &pending)
+{
+    int id = 0;
+    auto log = [&trace, &eng](int i) {
+        return [&trace, &eng, i] { trace.emplace_back(i, eng.now()); };
+    };
+    for (Cycle when : {Cycle{0}, Cycle{3}, Cycle{250}, Cycle{255},
+                       Cycle{256}, Cycle{300}, Cycle{70'000},
+                       Cycle{1} << 30})
+        eng.schedule(when, log(id++));
+    EXPECT_FALSE(eng.run(260));
+    pending.push_back(eng.pendingEvents());
+    for (Cycle delta : {Cycle{0}, Cycle{10}, Cycle{200}, Cycle{255},
+                        Cycle{256}})
+        eng.scheduleIn(delta, log(id++));
+    pending.push_back(eng.pendingEvents());
+    EXPECT_TRUE(eng.run());
+    pending.push_back(eng.pendingEvents());
+}
+
+TEST(Engine, ResetWithEveryTierPopulatedMatchesFreshEngine)
+{
+    // Leave events in every tier: a stop() mid-bucket at 205 parks the
+    // rest of that bucket in the drain cursor, 300 and 455 sit in the
+    // wrapped half of the level-0 window, 1000 in the far heap, and a
+    // zero-delay event in the ready ring.
+    Engine used;
+    used.schedule(210, [] {});
+    used.schedule(1000, [] {});
+    EXPECT_FALSE(used.run(200));
+    used.schedule(205, [&used] { used.stop(); });
+    used.schedule(205, [] {});
+    used.schedule(300, [] {});
+    used.schedule(455, [] {});
+    EXPECT_FALSE(used.run());
+    ASSERT_EQ(used.now(), 205u);
+    used.scheduleIn(0, [] {});
+    const auto &dirty = used.tierStats();
+    ASSERT_GT(dirty.ready, 0u);
+    ASSERT_GT(dirty.calendar, 0u);
+    ASSERT_GT(dirty.heap, 0u);
+    ASSERT_EQ(used.pendingEvents(), 6u);
+
+    used.reset();
+    EXPECT_EQ(used.now(), 0u);
+    EXPECT_EQ(used.pendingEvents(), 0u);
+
+    Engine fresh;
+    Trace usedTrace;
+    Trace freshTrace;
+    std::vector<std::size_t> usedPending;
+    std::vector<std::size_t> freshPending;
+    tierScript(used, usedTrace, usedPending);
+    tierScript(fresh, freshTrace, freshPending);
+    EXPECT_EQ(usedTrace, freshTrace);
+    EXPECT_EQ(usedPending, freshPending);
+    EXPECT_EQ(used.now(), fresh.now());
+    EXPECT_EQ(used.eventsExecuted(), fresh.eventsExecuted());
+    const auto &a = used.tierStats();
+    const auto &b = fresh.tierStats();
+    EXPECT_EQ(a.ready, b.ready);
+    EXPECT_EQ(a.calendar, b.calendar);
+    EXPECT_EQ(a.heap, b.heap);
+    EXPECT_EQ(a.cascades, b.cascades);
+    EXPECT_GT(b.heap, 0u);
+    EXPECT_GT(b.cascades, 0u);
 }
 
 } // namespace

@@ -2,15 +2,18 @@
  * @file
  * Cross-scheduler equivalence: replays randomized event scripts against
  * a reference (when, seq) binary-heap scheduler and requires the
- * production three-tier engine to produce a bit-identical execution
- * trace — same event order, same cycles, same final time.
+ * production engine (ready ring, sliding level-0 window, far heap) to
+ * produce a bit-identical execution trace — same event order, same
+ * cycles, same final time.
  *
  * The script generator is deliberately adversarial about tier
- * boundaries: zero delays, level-0 block crossings (deltas around 256),
- * level-1/level-2 window crossings (around 2^16), overflow-heap deltas
- * (>= 2^24), nested scheduling from inside callbacks, run(limit)
- * parking between segments, and same-cycle bursts spanning several
- * level-0 segments, stopped mid-bucket and resumed.
+ * boundaries: zero delays, short delays that cross an aligned
+ * 256-cycle block, the level-0 window edge (deltas around 256), far
+ * deltas from a few thousand cycles to past 2^24, nested scheduling
+ * from inside callbacks, run(limit) parking between segments (which
+ * wraps the level-0 window), same-cycle bursts spanning several
+ * level-0 segments, stopped mid-bucket and resumed, and a bucket whose
+ * far-heap arrivals land behind later level-0 insertions.
  */
 
 #include <gtest/gtest.h>
@@ -116,17 +119,17 @@ pickDelta(std::mt19937 &rng)
       case 4:
         return rng() % 256; // level 0
       case 5:
-        return 250 + rng() % 12; // block boundary
+        return 250 + rng() % 12; // level-0 window edge
       case 6:
-        return rng() % 65536; // level 1
+        return rng() % 65536; // mostly far heap
       case 7:
-        return 65530 + rng() % 12; // level-1/2 boundary
+        return 65530 + rng() % 12; // far heap, around 2^16
       case 8:
-        return rng() % (Cycle{1} << 20); // level 2
+        return rng() % (Cycle{1} << 20); // far heap
       case 9:
-        return (Cycle{1} << 24) - 6 + rng() % 12; // wheel/heap boundary
+        return (Cycle{1} << 24) - 6 + rng() % 12; // far heap, around 2^24
       case 10:
-        return (Cycle{1} << 24) + rng() % 1000; // overflow heap
+        return (Cycle{1} << 24) + rng() % 1000; // far heap, past 2^24
       default:
         return rng() % 2048;
     }
@@ -223,13 +226,14 @@ replay(std::uint32_t seed)
     d.burst(d.eng.now() + 1 + outer() % 300, 130, 70);
     d.runLogged();
 
-    // Phase 4: the same, but half the burst is filed at level 1 and
-    // half (later, after parking inside the target block) at level 0,
-    // so the bucket is out of seq order until staging sorts it.
-    const Cycle block = (d.eng.now() | 255) + 1;
-    const Cycle target = block + 40 + outer() % 200;
+    // Phase 4: the same, but half the burst is filed in the far heap
+    // and half (later, after parking inside the target's level-0
+    // window) at level 0, so the far events join the bucket behind
+    // later seqs and staging must sort it.
+    const Cycle target =
+        d.eng.now() + Engine::kCalendarHorizon + 40 + outer() % 200;
     d.burst(target, 65, -1);
-    d.eng.run(block + 20);
+    d.eng.run(target - 20);
     d.burst(target, 65, 90 - 65);
     d.runLogged();
 
