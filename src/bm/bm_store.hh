@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "coro/primitives.hh"
-#include "coro/watch_table.hh"
 #include "sim/engine.hh"
 #include "sim/types.hh"
 

@@ -30,6 +30,7 @@
 #include "sim/engine.hh"
 #include "sim/inline_vec.hh"
 #include "sim/logging.hh"
+#include "sim/pooled_map.hh"
 #include "sim/types.hh"
 
 namespace wisync::coro {
@@ -613,6 +614,10 @@ class VersionedEvent
     std::uint64_t gen_ = 0;
     CondVar cv_;
 };
+
+/** Spin-watch events keyed by (location << 16 | node), pooled across
+ *  resets (MemSystem and BmStore). */
+using WatchTable = sim::PooledMap<VersionedEvent, sim::Engine &>;
 
 namespace detail {
 

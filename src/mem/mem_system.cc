@@ -16,6 +16,18 @@ wordOf(sim::Addr addr)
     return addr & ~sim::Addr{7};
 }
 
+/**
+ * watches_ key of (node, line). 16 node bits: the old << 9 packing
+ * aliased distinct (node, line) pairs from 512 cores up — a silently
+ * shared watch event, i.e. spurious (but not lost) wakeups. Host-side
+ * only either way.
+ */
+std::uint64_t
+watchKey(sim::NodeId node, sim::Addr line)
+{
+    return (line << 16) | node;
+}
+
 } // namespace
 
 MemSystem::MemSystem(sim::Engine &engine, noc::Mesh &mesh, Memory &memory,
@@ -105,11 +117,7 @@ MemSystem::sharerList(const DirEntry &e, sim::NodeId exclude) const
 coro::VersionedEvent &
 MemSystem::watch(sim::NodeId node, sim::Addr line)
 {
-    // 16 node bits: the old << 9 packing aliased distinct (node, line)
-    // pairs from 512 cores up — a silently shared watch event, i.e.
-    // spurious (but not lost) wakeups. Host-side only either way.
-    const std::uint64_t key = (line << 16) | node;
-    return watches_[key];
+    return watches_[watchKey(node, line)];
 }
 
 void
@@ -117,7 +125,10 @@ MemSystem::invalidateL1(sim::NodeId node, sim::Addr line)
 {
     if (CacheLine *cl = l1s_[node].peek(line); cl && cl->valid())
         cl->state = CohState::Invalid;
-    watch(node, line).raise();
+    // Every generation snapshot goes through watch(), which creates the
+    // event first: an invalidation that finds none has no observer.
+    if (coro::VersionedEvent *ev = watches_.find(watchKey(node, line)))
+        ev->raise();
 }
 
 void

@@ -30,20 +30,21 @@
 #ifndef WISYNC_MEM_MEM_SYSTEM_HH
 #define WISYNC_MEM_MEM_SYSTEM_HH
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "coro/primitives.hh"
 #include "coro/task.hh"
-#include "coro/watch_table.hh"
 #include "mem/cache.hh"
-#include "mem/dir_table.hh"
 #include "mem/memory.hh"
 #include "noc/mesh.hh"
 #include "sim/engine.hh"
 #include "sim/env.hh"
+#include "sim/pooled_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -79,6 +80,36 @@ struct CasResult
     std::uint64_t oldValue;
     bool success;
 };
+
+/** Directory entry: MOESI owner/sharers plus the MSHR mutex. */
+struct DirEntry
+{
+    DirEntry(sim::Engine &eng, std::uint32_t sharer_words)
+        : sharers(sharer_words, 0), busy(eng)
+    {}
+
+    /** Back to a fresh entry; the bitmap keeps its storage. */
+    void
+    reset()
+    {
+        owner = sim::kNoNode;
+        inL2 = false;
+        std::fill(sharers.begin(), sharers.end(), 0);
+        busy.reset();
+    }
+
+    sim::NodeId owner = sim::kNoNode;
+    std::vector<std::uint64_t> sharers; // bitmap
+    bool inL2 = false;
+    coro::SimMutex busy;
+};
+
+/**
+ * One L2 bank's directory, line -> entry, pooled across resets. Built
+ * from the engine that owns the entries' MSHR mutexes and the bitmap
+ * length ((numNodes + 63) / 64).
+ */
+using DirTable = sim::PooledMap<DirEntry, sim::Engine &, std::uint32_t>;
 
 /** Hierarchy-wide statistics. */
 struct MemStats
@@ -296,7 +327,7 @@ class MemSystem
     /**
      * Spin-watch pool counters: with reset-recycling, steady-state
      * sweeps should serve (nearly) every watch event from the free
-     * list (the DirTable contract, applied to watches_).
+     * list, as the directory banks do.
      */
     const coro::WatchTable::Stats &
     watchPoolStats() const

@@ -20,8 +20,9 @@ namespace wisync::sim {
 
 /**
  * splitmix64 finaliser: a cheap, high-quality 64-bit mixer. Shared by
- * the RNG seeding and the order-independent state fingerprints
- * (mem::Memory, bm::BmStore).
+ * the RNG seeding, the order-independent state fingerprints
+ * (mem::Memory, bm::BmStore), the PooledMap hash and the Livermore
+ * input values.
  */
 inline std::uint64_t
 mix64(std::uint64_t z)

@@ -5,6 +5,7 @@
 
 #include "core/machine.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "sync/factory.hh"
 #include "sync/wisync_sync.hh"
 
@@ -256,10 +257,7 @@ iccgArraySize(std::uint32_t n)
 std::uint64_t
 livermoreInput(std::uint32_t s, std::uint32_t i)
 {
-    std::uint64_t z = (static_cast<std::uint64_t>(s) << 32) | i;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return (z ^ (z >> 31)) & 0xFFFF;
+    return sim::mix64((static_cast<std::uint64_t>(s) << 32) | i) & 0xFFFF;
 }
 
 std::vector<std::uint64_t>

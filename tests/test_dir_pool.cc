@@ -1,190 +1,19 @@
 /**
  * @file
- * Unit tests for mem::DirTable, the open-addressed pooled coherence
- * directory: entry recycling across reset(), sharer-bitmap capacity
- * reuse, tombstone/rehash behaviour at high load factor, pointer
- * stability across rehashes, and a multi-threaded sweep smoke test
- * (one simulator per host thread — run it under TSan to prove the
+ * Machine-level tests of the pooled coherence directory (the map
+ * itself is covered by test_pooled_map.cc): a reset-reused machine
+ * serves its directory from the pool, and a multi-threaded sweep smoke
+ * test (one simulator per host thread — run it under TSan to prove the
  * parallel sweep shares nothing).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <unordered_set>
-#include <vector>
-
 #include "core/machine.hh"
 #include "harness/parallel_sweep.hh"
-#include "mem/dir_table.hh"
-#include "sim/engine.hh"
 #include "workloads/tight_loop.hh"
 
 namespace {
-
-using wisync::mem::DirEntry;
-using wisync::mem::DirTable;
-using wisync::sim::Addr;
-using wisync::sim::Engine;
-
-constexpr std::uint32_t kSharerWords = 2;
-
-/** A line address stream that exercises hashing (64 B aligned). */
-Addr
-line(std::uint64_t i)
-{
-    return 0x1000'0000 + i * 64;
-}
-
-TEST(DirTable, FindOrCreateAndFind)
-{
-    Engine eng;
-    DirTable dir(eng, kSharerWords);
-    EXPECT_EQ(dir.size(), 0u);
-    EXPECT_EQ(dir.find(line(0)), nullptr);
-
-    DirEntry &e = dir[line(0)];
-    EXPECT_EQ(e.owner, wisync::sim::kNoNode);
-    EXPECT_FALSE(e.inL2);
-    ASSERT_EQ(e.sharers.size(), kSharerWords);
-    EXPECT_EQ(e.sharers[0], 0u);
-    EXPECT_FALSE(e.busy.locked());
-    EXPECT_EQ(dir.size(), 1u);
-
-    // Same line -> same entry; another line -> another entry.
-    EXPECT_EQ(&dir[line(0)], &e);
-    EXPECT_EQ(dir.find(line(0)), &e);
-    EXPECT_NE(&dir[line(1)], &e);
-    EXPECT_EQ(dir.size(), 2u);
-    EXPECT_EQ(dir.stats().allocated, 2u);
-}
-
-TEST(DirTable, ResetRecyclesEntriesInsteadOfFreeing)
-{
-    Engine eng;
-    DirTable dir(eng, kSharerWords);
-    constexpr std::uint64_t kLines = 40;
-    for (std::uint64_t i = 0; i < kLines; ++i) {
-        DirEntry &e = dir[line(i)];
-        e.owner = static_cast<wisync::sim::NodeId>(i);
-        e.inL2 = true;
-        e.sharers[0] = ~std::uint64_t{0};
-    }
-    EXPECT_EQ(dir.stats().allocated, kLines);
-    EXPECT_EQ(dir.stats().recycled, 0u);
-
-    dir.reset();
-    EXPECT_EQ(dir.size(), 0u);
-    EXPECT_EQ(dir.freeCount(), kLines);
-    EXPECT_EQ(dir.find(line(0)), nullptr);
-
-    // The next run touches a different line set: every entry must be
-    // served from the free list (zero new allocations) and come back
-    // scrubbed.
-    for (std::uint64_t i = 0; i < kLines; ++i) {
-        DirEntry &e = dir[line(1000 + i)];
-        EXPECT_EQ(e.owner, wisync::sim::kNoNode);
-        EXPECT_FALSE(e.inL2);
-        EXPECT_EQ(e.sharers[0], 0u);
-    }
-    EXPECT_EQ(dir.stats().allocated, kLines);
-    EXPECT_EQ(dir.stats().recycled, kLines);
-}
-
-TEST(DirTable, SharerBitmapCapacityIsReusedAcrossReset)
-{
-    Engine eng;
-    DirTable dir(eng, kSharerWords);
-    DirEntry &e = dir[line(7)];
-    e.sharers[0] = 0xDEADBEEF;
-    const std::uint64_t *storage = e.sharers.data();
-
-    dir.reset();
-    // One free entry, so the next acquisition recycles exactly it;
-    // assign() into the retained capacity must not reallocate.
-    DirEntry &again = dir[line(9)];
-    EXPECT_EQ(&again, &e);
-    EXPECT_EQ(again.sharers.data(), storage);
-    EXPECT_EQ(again.sharers[0], 0u);
-}
-
-TEST(DirTable, EntryPointersSurviveRehash)
-{
-    Engine eng;
-    DirTable dir(eng, kSharerWords);
-    DirEntry &first = dir[line(0)];
-    first.owner = 17;
-
-    // Force several growth rehashes.
-    for (std::uint64_t i = 1; i < 400; ++i)
-        dir[line(i)];
-    EXPECT_GT(dir.stats().rehashes, 0u);
-    EXPECT_GE(dir.slotCount(), 512u);
-
-    // The reference from before the rehashes still designates line 0.
-    EXPECT_EQ(dir.find(line(0)), &first);
-    EXPECT_EQ(first.owner, 17u);
-}
-
-TEST(DirTable, EraseTombstonesAndReinsert)
-{
-    Engine eng;
-    DirTable dir(eng, kSharerWords);
-    dir[line(1)];
-    dir[line(2)];
-    EXPECT_FALSE(dir.erase(line(3)));
-    EXPECT_TRUE(dir.erase(line(1)));
-    EXPECT_EQ(dir.size(), 1u);
-    EXPECT_EQ(dir.tombstones(), 1u);
-    EXPECT_EQ(dir.find(line(1)), nullptr);
-    EXPECT_NE(dir.find(line(2)), nullptr);
-
-    // Reinserting the erased line reclaims its tombstoned slot and
-    // recycles the freed entry.
-    DirEntry &back = dir[line(1)];
-    EXPECT_EQ(dir.tombstones(), 0u);
-    EXPECT_EQ(dir.size(), 2u);
-    EXPECT_EQ(back.owner, wisync::sim::kNoNode);
-    EXPECT_GE(dir.stats().recycled, 1u);
-}
-
-TEST(DirTable, TombstoneChurnAtHighLoadFactorStaysCorrect)
-{
-    Engine eng;
-    DirTable dir(eng, kSharerWords);
-    std::unordered_set<Addr> live;
-
-    // Insert/erase churn with a sliding window, repeatedly pushing the
-    // occupancy (live + tombstones) over the rehash ceiling. The table
-    // must agree with the reference set at every step.
-    std::uint64_t next = 0;
-    for (std::uint64_t round = 0; round < 60; ++round) {
-        for (int k = 0; k < 8; ++k) {
-            const Addr a = line(next++);
-            dir[a];
-            live.insert(a);
-        }
-        if (next > 10) {
-            for (std::uint64_t victim = next - 10; victim < next - 4;
-                 ++victim) {
-                const Addr a = line(victim);
-                EXPECT_EQ(dir.erase(a), live.erase(a) == 1);
-            }
-        }
-    }
-    EXPECT_EQ(dir.size(), live.size());
-    // Every touched line agrees with the reference set: live lines
-    // present, erased lines really gone.
-    for (std::uint64_t i = 0; i < next; ++i) {
-        ASSERT_EQ(dir.find(line(i)) != nullptr, live.count(line(i)) == 1)
-            << "line " << i;
-    }
-    // Churn must have exercised the rehash path.
-    EXPECT_GT(dir.stats().rehashes, 0u);
-    // Tombstones never exceed the occupancy ceiling alongside live
-    // entries (the same-size rehash purges them).
-    EXPECT_LE((dir.size() + dir.tombstones()) * 10, dir.slotCount() * 7);
-}
 
 /**
  * Machine-level recycling: the same machine reset across sweep points

@@ -282,6 +282,24 @@ TEST(MemSystem, SpinUntilImmediateWhenPredicateHolds)
     EXPECT_EQ(seen, 0u);
 }
 
+TEST(MemSystem, InvalidationsWithoutSpinnersCreateNoWatchEvents)
+{
+    // Two nodes ping-pong stores on one line and nobody spins: each
+    // store invalidates the other's copy, but no watch event has an
+    // observer, so the raise path must not create one.
+    Chip chip(16);
+    const Addr line = 0xA2000;
+    spawnNow(chip.engine, [&]() -> Task<void> {
+        for (std::uint64_t i = 1; i <= 3; ++i) {
+            co_await chip.mem.store(0, line, i);
+            co_await chip.mem.store(1, line, i);
+        }
+    });
+    chip.engine.run();
+    EXPECT_GT(chip.mem.stats().invalidations.value(), 0u);
+    EXPECT_EQ(chip.mem.watchPoolStats().allocated, 0u);
+}
+
 TEST(MemSystem, CapacityEvictionsWriteBackDirtyLines)
 {
     Chip chip(16);

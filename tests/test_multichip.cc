@@ -1,10 +1,10 @@
 /**
  * @file
  * Multi-chip machine tests: the FrequencyPlan mapping math, the
- * ChipBridge's serialize-then-propagate timing, the pooled WatchTable,
- * the chip-indexed BmStore operations, machine-wide BM coherence across
- * the bridge (including AFB aborts on stale cross-chip RMWs and the
- * hierarchical MultiChipBarrier), reset-replay determinism for chip
+ * ChipBridge's serialize-then-propagate timing, the chip-indexed
+ * BmStore operations, machine-wide BM coherence across the bridge
+ * (including AFB aborts on stale cross-chip RMWs and the hierarchical
+ * MultiChipBarrier), reset-replay determinism for chip
  * grids, the config describe() labels — and the golden pin: a
  * numChips = 1 machine must produce exactly the pre-multichip numbers
  * on the figure kernels, because the single-chip code path is required
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/machine.hh"
-#include "coro/watch_table.hh"
 #include "noc/chip_bridge.hh"
 #include "sim/engine.hh"
 #include "wireless/frequency_plan.hh"
@@ -127,47 +126,6 @@ TEST(ChipBridge, ResetIdlesTheLinkAndZeroesStats)
     bridge.reset({});
     EXPECT_EQ(bridge.nextFree(), 0u);
     EXPECT_EQ(bridge.stats().frames.value(), 0u);
-}
-
-// ---------------------------------------------------------------------
-// WatchTable: pooled events, stable references, recycle on reset.
-
-TEST(WatchTable, RecyclesEventsAcrossReset)
-{
-    wisync::sim::Engine eng;
-    wisync::coro::WatchTable table(eng);
-    for (std::uint64_t k = 0; k < 10; ++k)
-        table[k];
-    EXPECT_EQ(table.size(), 10u);
-    EXPECT_EQ(table.stats().allocated, 10u);
-    EXPECT_EQ(table.stats().recycled, 0u);
-
-    table.reset();
-    EXPECT_EQ(table.size(), 0u);
-    EXPECT_EQ(table.freeCount(), 10u);
-    EXPECT_EQ(table.find(3), nullptr);
-
-    // The second generation is served entirely from the free list.
-    for (std::uint64_t k = 100; k < 110; ++k)
-        table[k];
-    EXPECT_EQ(table.stats().allocated, 10u);
-    EXPECT_EQ(table.stats().recycled, 10u);
-}
-
-TEST(WatchTable, ReferencesSurviveRehash)
-{
-    wisync::sim::Engine eng;
-    wisync::coro::WatchTable table(eng);
-    wisync::coro::VersionedEvent &first = table[42];
-    const std::size_t slots_before = table.slotCount();
-    // Overflow the initial slot array to force at least one rehash.
-    for (std::uint64_t k = 1000; k < 1000 + 2 * slots_before; ++k)
-        table[k];
-    EXPECT_GT(table.stats().rehashes, 0u);
-    EXPECT_GT(table.slotCount(), slots_before);
-    // The event pointer is stable across the rehash and still mapped.
-    EXPECT_EQ(&table[42], &first);
-    EXPECT_EQ(table.find(42), &first);
 }
 
 // ---------------------------------------------------------------------
