@@ -98,11 +98,13 @@ yield(sim::Engine &engine)
 }
 
 /**
- * FIFO of parked coroutines, as a power-of-two ring. Allocates nothing
- * until the first waiter queues: a machine holds thousands of mutexes
- * and resources (links, ports, directory entries) that never see
- * contention. Capacity is kept across drains and clear().
+ * FIFO of parked waiters (coroutine handles by default), as a
+ * power-of-two ring. Allocates nothing until the first waiter queues:
+ * a machine holds thousands of mutexes and resources (links, ports,
+ * directory entries) that never see contention. Capacity is kept
+ * across drains and clear().
  */
+template <typename W = std::coroutine_handle<>>
 class WaiterQueue
 {
   public:
@@ -110,22 +112,22 @@ class WaiterQueue
     std::size_t size() const { return size_; }
 
     void
-    push_back(std::coroutine_handle<> h)
+    push_back(W w)
     {
         if (size_ == capacity_)
             grow();
-        ring_[(head_ + size_) & (capacity_ - 1)] = h;
+        ring_[(head_ + size_) & (capacity_ - 1)] = w;
         ++size_;
     }
 
     /** Remove and return the oldest waiter (queue must be non-empty). */
-    std::coroutine_handle<>
+    W
     pop_front()
     {
-        const std::coroutine_handle<> h = ring_[head_];
+        const W w = ring_[head_];
         head_ = (head_ + 1) & (capacity_ - 1);
         --size_;
-        return h;
+        return w;
     }
 
     void
@@ -140,7 +142,7 @@ class WaiterQueue
     grow()
     {
         const std::uint32_t cap = capacity_ == 0 ? 4 : capacity_ * 2;
-        auto ring = std::make_unique<std::coroutine_handle<>[]>(cap);
+        auto ring = std::make_unique<W[]>(cap);
         for (std::uint32_t i = 0; i < size_; ++i)
             ring[i] = ring_[(head_ + i) & (capacity_ - 1)];
         ring_ = std::move(ring);
@@ -148,7 +150,7 @@ class WaiterQueue
         head_ = 0;
     }
 
-    std::unique_ptr<std::coroutine_handle<>[]> ring_;
+    std::unique_ptr<W[]> ring_;
     std::uint32_t capacity_ = 0;
     std::uint32_t head_ = 0;
     std::uint32_t size_ = 0;
@@ -194,7 +196,7 @@ class SimMutex
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            mutex_.waiters_.push_back(h);
+            mutex_.waiters_.push_back(Waiter{h.address()});
             mutex_.materializeRelease();
         }
 
@@ -206,6 +208,21 @@ class SimMutex
 
     /** co_await lock(); ... unlock(); */
     LockAwaiter lock() { return LockAwaiter(*this); }
+
+    /**
+     * lock() for a caller with no coroutine frame, after a failed
+     * tryLock()/tryReserve(): queue FIFO behind the holder, exactly as
+     * a suspending lock() would. @p grant(@p ctx) runs in the hand-off
+     * event, at the (cycle, seq) where a parked coroutine would resume,
+     * with the mutex held.
+     */
+    void
+    wait(void (*grant)(void *), void *ctx)
+    {
+        WISYNC_ASSERT(locked_, "wait on a free SimMutex");
+        waiters_.push_back(Waiter{ctx, grant});
+        materializeRelease();
+    }
 
     /** Acquire without waiting; true on success. */
     bool
@@ -246,11 +263,28 @@ class SimMutex
         pollExpiry();
         if (locked_)
             return false;
-        WISYNC_ASSERT(until > engine_.now(), "reservation must end later");
         locked_ = true;
+        holdUntil(until);
+        return true;
+    }
+
+    /**
+     * Turn a plain hold — typically one just granted to a wait() —
+     * into a timed reservation releasing itself at @p until (absolute
+     * cycle, > now), claiming the release's seq here, where an eager
+     * scheduleUnlock() would draw it. Waiters already queued get the
+     * release event at once; later ones materialize it on arrival.
+     */
+    void
+    holdUntil(sim::Cycle until)
+    {
+        WISYNC_ASSERT(locked_ && reservedUntil_ == 0,
+                      "holdUntil needs a plain hold");
+        WISYNC_ASSERT(until > engine_.now(), "reservation must end later");
         reservedUntil_ = until;
         reservedSeq_ = engine_.reserveSeq();
-        return true;
+        if (!waiters_.empty())
+            materializeRelease();
     }
 
     /** End of the current timed reservation (0 = plain lock / free). */
@@ -268,7 +302,12 @@ class SimMutex
         // Hand the lock to the oldest waiter; resume via the engine so
         // the critical section starts at the current cycle but after
         // the unlocker's event completes.
-        engine_.resumeHandle(0, waiters_.pop_front());
+        const Waiter w = waiters_.pop_front();
+        if (w.grant == nullptr)
+            engine_.resumeHandle(
+                0, std::coroutine_handle<>::from_address(w.ctx));
+        else
+            engine_.scheduleIn(0, Grant{w});
     }
 
     /**
@@ -301,6 +340,21 @@ class SimMutex
     }
 
   private:
+    /** A parked lock attempt: a suspended coroutine (grant == nullptr,
+     *  ctx is its frame) or a wait() callback. */
+    struct Waiter
+    {
+        void *ctx;
+        void (*grant)(void *) = nullptr;
+    };
+
+    /** Hand-off event of a wait() callback (16 bytes, inline). */
+    struct Grant
+    {
+        Waiter w;
+        void operator()() const { w.grant(w.ctx); }
+    };
+
     /**
      * An expired, uncontested reservation is equivalent to released:
      * nobody queued during its window, so no release event exists and
@@ -356,7 +410,7 @@ class SimMutex
     bool releaseQueued_ = false;
     sim::Cycle reservedUntil_ = 0;
     std::uint64_t reservedSeq_ = 0;
-    WaiterQueue waiters_;
+    WaiterQueue<Waiter> waiters_;
 };
 
 /** RAII helper running a coroutine critical section. */
@@ -456,7 +510,7 @@ class Resource
     sim::Engine &engine_;
     std::uint32_t available_;
     std::uint32_t capacity_;
-    WaiterQueue waiters_;
+    WaiterQueue<> waiters_;
 };
 
 /**

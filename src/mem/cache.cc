@@ -6,6 +6,7 @@
 #include <bit>
 #include <mutex>
 #include <new>
+#include <numeric>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -129,18 +130,25 @@ pageBytes()
 } // namespace
 
 CacheArray::CacheArray(std::uint32_t size_bytes, std::uint32_t assoc,
-                       std::uint32_t line_bytes)
+                       std::uint32_t line_bytes, std::uint32_t interleave,
+                       std::uint32_t residue)
     : assoc_(assoc), lineBytes_(line_bytes)
 {
-    WISYNC_ASSERT(size_bytes > 0 && assoc > 0 && line_bytes > 0,
+    WISYNC_ASSERT(size_bytes > 0 && assoc > 0 && line_bytes > 0 &&
+                      residue < interleave,
                   "bad cache geometry");
     WISYNC_ASSERT(std::has_single_bit(line_bytes),
                   "line size must be a power of two");
     WISYNC_ASSERT(size_bytes % (assoc * line_bytes) == 0,
                   "size must be a multiple of assoc * line");
+    lineShift_ = static_cast<std::uint32_t>(std::countr_zero(line_bytes));
     numSets_ = size_bytes / (assoc * line_bytes);
-    const std::size_t bytes =
-        static_cast<std::size_t>(numSets_) * assoc_ * sizeof(CacheLine);
+    const std::uint32_t stride = std::gcd(interleave, numSets_);
+    stride_ = Divisor(stride);
+    reach_ = Divisor(numSets_ / stride);
+    residue_ = residue % stride;
+    const std::size_t bytes = static_cast<std::size_t>(numSets_ / stride) *
+                              assoc_ * sizeof(CacheLine);
     mapBytes_ = (bytes + pageBytes() - 1) / pageBytes() * pageBytes();
     // Every line a previous owner left behind carries an epoch below
     // firstGen, so it reads invalid without being cleared. Owners
@@ -159,7 +167,9 @@ CacheArray::~CacheArray()
 
 CacheArray::CacheArray(CacheArray &&other) noexcept
     : assoc_(other.assoc_), lineBytes_(other.lineBytes_),
-      numSets_(other.numSets_), clock_(other.clock_), gen_(other.gen_),
+      lineShift_(other.lineShift_), numSets_(other.numSets_),
+      stride_(other.stride_), reach_(other.reach_),
+      residue_(other.residue_), clock_(other.clock_), gen_(other.gen_),
       lines_(std::exchange(other.lines_, nullptr)),
       mapBytes_(other.mapBytes_)
 {}
@@ -228,6 +238,8 @@ void
 CacheArray::install(CacheLine *slot, sim::Addr line_addr, CohState state)
 {
     WISYNC_ASSERT(slot != nullptr, "install into null slot");
+    WISYNC_ASSERT(stride_.mod(line_addr >> lineShift_) == residue_,
+                  "line is not homed at this bank");
     slot->lineAddr = line_addr;
     slot->state = state;
     slot->lruStamp = ++clock_;

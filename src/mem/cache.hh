@@ -9,6 +9,7 @@
 #ifndef WISYNC_MEM_CACHE_HH
 #define WISYNC_MEM_CACHE_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -76,7 +77,46 @@ static_assert(static_cast<int>(CohState::Invalid) == 0,
               "zero-init must mean Invalid");
 
 /**
+ * A divisor fixed at construction: shift and mask when it is a power
+ * of two (every Table 1 geometry), division otherwise.
+ */
+class Divisor
+{
+  public:
+    explicit Divisor(std::uint64_t n = 1)
+        : n_(n), shift_(static_cast<std::uint32_t>(std::countr_zero(n))),
+          pow2_(std::has_single_bit(n))
+    {}
+
+    std::uint64_t
+    div(std::uint64_t x) const
+    {
+        return pow2_ ? x >> shift_ : x / n_;
+    }
+
+    std::uint64_t
+    mod(std::uint64_t x) const
+    {
+        return pow2_ ? x & (n_ - 1) : x % n_;
+    }
+
+  private:
+    std::uint64_t n_;
+    std::uint32_t shift_;
+    bool pow2_;
+};
+
+/**
  * Tag array: size/assoc/line-size in bytes, true-LRU replacement.
+ *
+ * An L2 bank is told the home interleave it serves: it only ever holds
+ * lines whose line number is congruent to its residue modulo the
+ * interleave (install() checks this). Those lines reach just
+ * numSets / gcd(interleave, numSets) of the sets, and only those are
+ * stored: set s lives at index s / gcd. Hits, misses, victims and LRU
+ * order are exactly those of the full-size array; a Table 1 bank of a
+ * 64-core chip keeps its 16 reachable sets in one page instead of 16
+ * sets scattered over 48 pages.
  *
  * Storage is an anonymous mapping: pages fault in (zeroed) on first
  * touch, so a machine's host footprint follows the sets its run
@@ -88,8 +128,13 @@ static_assert(static_cast<int>(CohState::Invalid) == 0,
 class CacheArray
 {
   public:
+    /** The array holds only lines whose line number is congruent to
+     *  @p residue modulo @p interleave: 1 and 0 for a private cache;
+     *  for an L2 bank, the modulus and bank index of the home
+     *  interleave (MemSystem::homeOf). */
     CacheArray(std::uint32_t size_bytes, std::uint32_t assoc,
-               std::uint32_t line_bytes);
+               std::uint32_t line_bytes, std::uint32_t interleave = 1,
+               std::uint32_t residue = 0);
     ~CacheArray();
 
     CacheArray(CacheArray &&other) noexcept;
@@ -131,32 +176,46 @@ class CacheArray
     /** Install @p line_addr into @p slot with @p state (touches LRU). */
     void install(CacheLine *slot, sim::Addr line_addr, CohState state);
 
+    /** Sets of the full geometry (size / (assoc * line)). */
     std::uint32_t numSets() const { return numSets_; }
     std::uint32_t assoc() const { return assoc_; }
     std::uint32_t lineBytes() const { return lineBytes_; }
+    /** Bytes of address space the stored sets occupy (whole pages). */
+    std::size_t mappedBytes() const { return mapBytes_; }
 
     /**
      * Invalidate every line and rewind the LRU clock, in O(1): the
      * array's epoch is bumped and stale-epoch lines read as invalid
-     * (they are re-stamped on install). A 512 KB bank holds megabytes
-     * of tag state; sweeping it per Machine::reset would cost more
-     * than the reset saves.
+     * (they are re-stamped on install). A private 32 KB L1 alone holds
+     * 12 KiB of tag state; sweeping every array per Machine::reset
+     * would cost more than the reset saves.
      */
     void reset();
 
   private:
-    std::uint32_t setOf(sim::Addr line_addr) const
+    /** Stored index of the set @p line_addr maps to. With line number
+     *  stride * q + residue, the full set is stride * (q % reach) +
+     *  residue, so its stored index is q % reach. */
+    std::uint32_t
+    setOf(sim::Addr line_addr) const
     {
-        return static_cast<std::uint32_t>((line_addr / lineBytes_) %
-                                          numSets_);
+        return static_cast<std::uint32_t>(
+            reach_.mod(stride_.div(line_addr >> lineShift_)));
     }
 
     std::uint32_t assoc_;
     std::uint32_t lineBytes_;
+    std::uint32_t lineShift_;
     std::uint32_t numSets_;
+    /** gcd(interleave, numSets_): every stored line number is
+     *  congruent to residue_ modulo it. */
+    Divisor stride_;
+    /** numSets_ / stride: the sets stored. */
+    Divisor reach_;
+    std::uint32_t residue_;
     std::uint64_t clock_ = 0;
     std::uint32_t gen_ = 0; // current epoch (see reset())
-    CacheLine *lines_ = nullptr; // numSets_ x assoc_
+    CacheLine *lines_ = nullptr; // reach x assoc_
     std::size_t mapBytes_ = 0;   // page-rounded size of the mapping
 };
 

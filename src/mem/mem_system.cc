@@ -1,6 +1,7 @@
 #include "mem/mem_system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -33,14 +34,16 @@ watchKey(sim::NodeId node, sim::Addr line)
 MemSystem::MemSystem(sim::Engine &engine, noc::Mesh &mesh, Memory &memory,
                      std::uint32_t num_nodes, const MemConfig &cfg)
     : engine_(engine), mesh_(mesh), memory_(memory), numNodes_(num_nodes),
-      cfg_(cfg), watches_(engine)
+      cfg_(cfg),
+      lineShift_(static_cast<std::uint32_t>(std::countr_zero(cfg.lineBytes))),
+      nodes_(num_nodes), memCtrls_(cfg.numMemCtrls), watches_(engine)
 {
     l1s_.reserve(numNodes_);
     banks_.reserve(numNodes_);
     const std::uint32_t sharer_words = (numNodes_ + 63) / 64;
     for (std::uint32_t n = 0; n < numNodes_; ++n) {
         l1s_.emplace_back(cfg_.l1SizeBytes, cfg_.l1Assoc, cfg_.lineBytes);
-        banks_.emplace_back(engine_, cfg_, sharer_words);
+        banks_.emplace_back(engine_, cfg_, numNodes_, n, sharer_words);
     }
     for (std::uint32_t c = 0; c < cfg_.numMemCtrls; ++c)
         dramCtrls_.push_back(
@@ -210,8 +213,7 @@ coro::Task<void>
 MemSystem::dramAccess(sim::NodeId home, sim::Addr line)
 {
     (void)home;
-    coro::Resource &ctrl =
-        *dramCtrls_[(line / cfg_.lineBytes) % cfg_.numMemCtrls];
+    coro::Resource &ctrl = *dramCtrls_[memCtrls_.mod(line >> lineShift_)];
     co_await ctrl.acquire();
     co_await coro::delay(engine_, cfg_.dramRtCycles);
     ctrl.release();

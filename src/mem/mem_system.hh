@@ -296,12 +296,17 @@ class MemSystem
     const MemConfig &config() const { return cfg_; }
     Memory &memory() { return memory_; }
 
-    /** Home L2 bank (== directory) of a line: address-interleaved. */
+    /**
+     * Home L2 bank (== directory) of a line: address-interleaved, line
+     * number mod node count. Bank n's tag array is built for exactly
+     * this interleave (modulus numNodes_, residue n) and stores only the
+     * sets it reaches; it panics on a line homed elsewhere, so changing
+     * the policy here means changing the Bank construction with it.
+     */
     sim::NodeId
     homeOf(sim::Addr line) const
     {
-        return static_cast<sim::NodeId>((line / cfg_.lineBytes) %
-                                        numNodes_);
+        return static_cast<sim::NodeId>(nodes_.mod(line >> lineShift_));
     }
 
     /** Observable L1 state, for white-box tests. */
@@ -338,9 +343,13 @@ class MemSystem
   private:
     struct Bank
     {
+        /** The bank homing line numbers congruent to @p home modulo
+         *  @p num_nodes (see homeOf). */
         Bank(sim::Engine &eng, const MemConfig &cfg,
+             std::uint32_t num_nodes, sim::NodeId home,
              std::uint32_t sharer_words)
-            : tags(cfg.l2BankSizeBytes, cfg.l2Assoc, cfg.lineBytes),
+            : tags(cfg.l2BankSizeBytes, cfg.l2Assoc, cfg.lineBytes,
+                   num_nodes, home),
               dir(eng, sharer_words)
         {}
         CacheArray tags;
@@ -435,6 +444,11 @@ class MemSystem
     Memory &memory_;
     std::uint32_t numNodes_;
     MemConfig cfg_;
+    /** log2(lineBytes): line number = line address >> lineShift_. */
+    std::uint32_t lineShift_;
+    /** Line number mod nodes_: home bank; mod memCtrls_: DRAM controller. */
+    Divisor nodes_;
+    Divisor memCtrls_;
     std::vector<CacheArray> l1s_;
     std::vector<Bank> banks_;
     std::vector<std::unique_ptr<coro::Resource>> dramCtrls_;

@@ -100,7 +100,7 @@ Mesh::route(sim::NodeId src, sim::NodeId dst) const
 }
 
 /**
- * Frameless head-flit driver for the uncontended case.
+ * Frameless head-flit driver.
  *
  * Awaited by send(); lives in send()'s (pooled) frame across the
  * single suspension. Each step runs at the cycle the wormhole
@@ -108,10 +108,10 @@ Mesh::route(sim::NodeId src, sim::NodeId dst) const
  * *scheduled* at the same instant the coroutine's per-hop delay would
  * be, so every insertion-sequence number the outside world can race
  * against is unchanged. A free link is taken as a timed reservation
- * (no release event unless a contender queues); a held link converts
- * the remaining route to the wormhole coroutine inside the same event,
- * putting the head into the link's FIFO exactly where the slow path
- * would have.
+ * (no release event unless a contender queues). A held link parks the
+ * head in the link's FIFO as a plain callback waiter, exactly where
+ * the wormhole coroutine's lock() would suspend; the grant turns the
+ * hold into the same timed reservation and the head steps on.
  */
 class Mesh::FastTransfer
 {
@@ -150,26 +150,51 @@ class Mesh::FastTransfer
     void
     step()
     {
-        const sim::NodeId next = mesh_.nextHop(cur_, dst_);
-        coro::SimMutex &link = *mesh_.links_[mesh_.linkId(cur_, next)];
+        // XY routing: finish the X leg, then the Y leg.
+        const Coord c = mesh_.coords_[cur_];
+        const Coord d = mesh_.coords_[dst_];
+        if (c.x != d.x) {
+            dir_ = d.x > c.x ? East : West;
+            next_ = d.x > c.x ? cur_ + 1 : cur_ - 1;
+        } else {
+            dir_ = d.y > c.y ? South : North;
+            next_ = d.y > c.y ? cur_ + mesh_.width_ : cur_ - mesh_.width_;
+        }
+        coro::SimMutex &link = *mesh_.links_[cur_ * 4 + dir_];
         // The link is busy until the tail flit crosses it (the same
         // window transferAlong's scheduleUnlock(flits) would hold).
         if (!link.tryReserve(mesh_.engine_.now() + flits_)) {
-            // Held: the rest of the route goes through the wormhole
-            // coroutine, whose first lock attempt enqueues here — in
-            // this very event — exactly as the slow path's would.
-            mesh_.stats_.fastpathFallbacks.inc();
-            coro::spawnInline(
-                mesh_.engine_,
-                mesh_.transferAlong(mesh_.route(cur_, dst_), flits_),
-                [this] { caller_.resume(); });
+            // Held: queue where transferAlong's lock() would, in this
+            // very event. Only the first held link counts.
+            if (!contended_)
+                mesh_.stats_.fastpathFallbacks.inc();
+            contended_ = true;
+            link.wait(&FastTransfer::granted, this);
             return;
         }
-        cur_ = next;
+        advance();
+    }
+
+    /** The link is ours: the head crosses it in hopCycles. */
+    void
+    advance()
+    {
+        cur_ = next_;
         if (cur_ == dst_)
             mesh_.engine_.scheduleIn(mesh_.cfg_.hopCycles, FinishFn{this});
         else
             mesh_.engine_.scheduleIn(mesh_.cfg_.hopCycles, StepFn{this});
+    }
+
+    /** Hand-off of a held link: hold it as transferAlong would after
+     *  lock(), until the tail crosses, then move on. */
+    static void
+    granted(void *self)
+    {
+        auto *t = static_cast<FastTransfer *>(self);
+        t->mesh_.links_[t->cur_ * 4 + t->dir_]->holdUntil(
+            t->mesh_.engine_.now() + t->flits_);
+        t->advance();
     }
 
     void
@@ -178,7 +203,8 @@ class Mesh::FastTransfer
         // Head arrived; the tail is flits-1 cycles behind. Single-flit
         // messages resume the sender inside this event, matching the
         // slow path's zero-cycle delay awaiter.
-        mesh_.stats_.fastpathHits.inc();
+        if (!contended_)
+            mesh_.stats_.fastpathHits.inc();
         if (flits_ > 1)
             mesh_.engine_.resumeHandle(flits_ - 1, caller_);
         else
@@ -188,7 +214,10 @@ class Mesh::FastTransfer
     Mesh &mesh_;
     sim::NodeId cur_;
     sim::NodeId dst_;
+    sim::NodeId next_ = 0;
     std::uint32_t flits_;
+    std::uint32_t dir_ = East;
+    bool contended_ = false;
     std::coroutine_handle<> caller_;
 };
 

@@ -18,21 +18,22 @@
  *    (`Baseline+`'s "virtual tree-based broadcast ... with flit
  *    replication at the router crossbars", Krishna et al. [22]).
  *
- * Uncontended fast path (MeshConfig::fastpath, default on, kill switch
+ * Frameless fast path (MeshConfig::fastpath, default on, kill switch
  * WISYNC_NO_FASTPATH=1): send() drives the head flit down the route
  * with a frameless step chain — one plain callback event per hop, at
  * exactly the cycles (and scheduling instants) the wormhole
  * coroutine's per-hop awaits would occupy — taking each link as a
- * timed SimMutex reservation instead of lock()+scheduleUnlock. An
- * uncontended unicast therefore costs hops+2 events, no coroutine
- * frame beyond send() itself and zero heap allocations (no route
- * vector, no release events: a reservation's release is materialized
- * lazily, at the identical cycle, only if a contender queues on the
- * link). The moment any link is found held, the remaining route falls
- * back to the wormhole coroutine inside the same engine event, so the
- * blocked head enqueues FIFO exactly where the slow path's would —
- * contention semantics, and therefore timing, are bit-for-bit
- * unchanged.
+ * timed SimMutex reservation instead of lock()+scheduleUnlock. A
+ * unicast therefore costs hops+2 events, no coroutine frame beyond
+ * send() itself and zero heap allocations (no route vector, no release
+ * events: a reservation's release is materialized lazily, at the
+ * identical cycle, only if a contender queues on the link). A head
+ * that finds a link held waits in that link's FIFO as a plain callback
+ * waiter, enqueued exactly where the wormhole coroutine's lock() would
+ * suspend; on hand-off it holds the link as the same timed reservation
+ * and steps on. Contention semantics, and therefore timing, are
+ * bit-for-bit those of the wormhole coroutine, which remains the
+ * reference path (kill switch, and hopCycles == 0).
  */
 
 #ifndef WISYNC_NOC_MESH_HH
@@ -63,7 +64,7 @@ struct MeshConfig
     std::uint32_t linkBits = 128;
     /** Replicate flits at fan-out routers for multicast (Baseline+). */
     bool treeMulticast = false;
-    /** Uncontended-route fast path (host-time only; cycle-exact). */
+    /** Frameless head-flit fast path (host-time only; cycle-exact). */
     bool fastpath = sim::fastpathDefault();
 
     /** Field-wise equality (MachineConfig::operator== / fingerprint). */
@@ -79,8 +80,8 @@ struct MeshStats
     sim::Accumulator latency;
     /** Unicasts whose whole route was driven by the frameless chain. */
     sim::Counter fastpathHits;
-    /** Unicasts that hit a held link and converted to the wormhole
-     *  coroutine (only counted while the fast path is enabled). */
+    /** Unicasts that met at least one held link and queued for it
+     *  (only counted while the fast path is enabled). */
     sim::Counter fastpathFallbacks;
 
     /** Zero everything (assignment cannot miss a late-added field). */
@@ -156,20 +157,10 @@ class Mesh
     /** Directional link id from node @p a to adjacent node @p b. */
     std::size_t linkId(sim::NodeId a, sim::NodeId b) const;
 
-    /** Next node on the XY route from @p cur toward @p dst. */
-    sim::NodeId
-    nextHop(sim::NodeId cur, sim::NodeId dst) const
-    {
-        if (xOf(cur) != xOf(dst))
-            return nodeAt(xOf(cur) + (xOf(dst) > xOf(cur) ? 1 : -1),
-                          yOf(cur));
-        return nodeAt(xOf(cur), yOf(cur) + (yOf(dst) > yOf(cur) ? 1 : -1));
-    }
-
     /** XY route as a list of directional link ids. */
     LinkVec route(sim::NodeId src, sim::NodeId dst) const;
 
-    /** Frameless uncontended-transfer driver (awaiter; see mesh.cc). */
+    /** Frameless head-flit driver (awaiter; see mesh.cc). */
     class FastTransfer;
 
     coro::Task<void> transferAlong(LinkVec path, std::uint32_t flits);

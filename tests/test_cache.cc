@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
+#include <numeric>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -127,6 +130,92 @@ fill(CacheArray &c, Addr a)
     return evicted;
 }
 
+/**
+ * An L2 bank of an N-bank interleave stores only the sets its lines
+ * reach. Fed one bank's lines, it must hit, miss and pick victims
+ * exactly as the full-size array does, with LRU touches (lookup) and
+ * probes (peek) mixed in.
+ */
+TEST(CacheArrayCompact, BankMatchesFullSizeReference)
+{
+    constexpr std::uint32_t kSize = 512 * 1024, kAssoc = 8, kLine = 64;
+    for (const std::uint32_t banks : {16u, 48u, 64u, 256u}) {
+        SCOPED_TRACE(banks);
+        const Addr home = banks - 1; // this bank's line-number residue
+        CacheArray full(kSize, kAssoc, kLine);
+        CacheArray bank(kSize, kAssoc, kLine, banks, home);
+        EXPECT_EQ(bank.numSets(), full.numSets());
+        EXPECT_LT(bank.mappedBytes(), full.mappedBytes());
+        // Four times the bank's reachable capacity, so sets overflow.
+        const std::uint32_t reach = full.numSets() / std::gcd(banks, 1024u);
+        const std::uint64_t pool = 4ull * reach * kAssoc;
+        std::uint64_t lcg = 0x5eed + banks;
+        std::uint64_t evictions = 0;
+        for (int i = 0; i < 50000; ++i) {
+            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+            const Addr a = ((lcg >> 33) % pool * banks + home) * kLine;
+            if ((lcg >> 20) % 4 == 0) {
+                ASSERT_EQ(bank.peek(a) != nullptr, full.peek(a) != nullptr)
+                    << "probe " << i;
+                continue;
+            }
+            const bool hit = full.lookup(a) != nullptr;
+            ASSERT_EQ(bank.lookup(a) != nullptr, hit) << "access " << i;
+            if (!hit) {
+                const auto evicted = fill(full, a);
+                ASSERT_EQ(fill(bank, a), evicted) << "access " << i;
+                evictions += evicted.first;
+            }
+        }
+        EXPECT_GT(evictions, 0u);
+    }
+}
+
+TEST(CacheArrayCompact, TableOneBankOf64CoresMapsOnePage)
+{
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const CacheArray bank(512 * 1024, 8, 64, 64);
+    EXPECT_EQ(bank.mappedBytes(), page); // 16 sets x 8 ways x 24 B
+    const CacheArray l1(32 * 1024, 2, 64); // private: every set reachable
+    EXPECT_EQ(l1.mappedBytes(), 256u * 2 * sizeof(CacheLine));
+}
+
+/** A set count that is not a power of two keeps the division path:
+ *  96 sets; 6 banks store 16 of them, 64 banks 3, 5 banks all 96. */
+TEST(CacheArrayCompact, NonPowerOfTwoSetCountMatchesReference)
+{
+    constexpr std::uint32_t kSize = 96 * 3 * 64, kAssoc = 3, kLine = 64;
+    for (const std::uint32_t banks : {6u, 64u, 5u}) {
+        SCOPED_TRACE(banks);
+        CacheArray full(kSize, kAssoc, kLine);
+        CacheArray bank(kSize, kAssoc, kLine, banks, 1);
+        std::uint64_t lcg = 99;
+        for (int i = 0; i < 20000; ++i) {
+            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+            const Addr a = ((lcg >> 33) % 2048 * banks + 1) * kLine;
+            const bool hit = full.lookup(a) != nullptr;
+            ASSERT_EQ(bank.lookup(a) != nullptr, hit) << "access " << i;
+            if (!hit) {
+                ASSERT_EQ(fill(bank, a), fill(full, a)) << "access " << i;
+            }
+        }
+    }
+}
+
+/** A bank only stores the sets its own lines reach, so a line homed at
+ *  another bank would fold into a foreign set: installing one panics
+ *  instead of silently changing the simulated cache. */
+TEST(CacheArrayCompactDeathTest, InstallingALineHomedElsewherePanics)
+{
+    CacheArray bank(512 * 1024, 8, 64, 64, 5);
+    const Addr own = (3 * 64 + 5) * 64;
+    fill(bank, own); // congruent to 5 mod 64: accepted
+    EXPECT_NE(bank.peek(own), nullptr);
+    EXPECT_DEATH(fill(bank, (3 * 64 + 6) * 64), "assertion failed");
+    CacheArray l1(32 * 1024, 2, 64); // private: every line is its own
+    fill(l1, (3 * 64 + 6) * 64);
+}
+
 TEST(CacheArrayRecycle, RecycledStorageMissesEverywhereAndPicksFreshVictims)
 {
     // 48 KiB, 3 ways: no other array in this binary has its mapped
@@ -165,8 +254,9 @@ TEST(CacheArrayRecycle, RecycledStorageMissesEverywhereAndPicksFreshVictims)
         const Addr a = ((lcg >> 33) % (2 * kSize / kLine)) * kLine;
         const bool hit = fresh.lookup(a) != nullptr;
         ASSERT_EQ(next.lookup(a) != nullptr, hit) << "access " << i;
-        if (!hit)
+        if (!hit) {
             ASSERT_EQ(fill(next, a), fill(fresh, a)) << "access " << i;
+        }
     }
 }
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <coroutine>
 #include <utility>
 #include <vector>
@@ -262,6 +263,71 @@ TEST(Engine, TierCountersClassifyInsertions)
     EXPECT_EQ(eng.eventsExecuted(), 6u);
     EXPECT_EQ(eng.pendingEvents(), 0u);
     EXPECT_EQ(ts.cascades, 2u); // each far event moves to level 0 once
+}
+
+/** Every way to schedule an event (a lambda, a prebuilt
+ *  UniqueFunction, an absolute cycle, a resumed coroutine handle), at
+ *  deltas on both sides of every tier boundary, interleaved: execution
+ *  is exactly (cycle, insertion) order. */
+TEST(Engine, EverySchedulingFormRunsInCycleInsertionOrder)
+{
+    struct Rec
+    {
+        Cycle when;
+        int id;
+        bool operator==(const Rec &) const = default;
+    };
+    struct Resume
+    {
+        Engine &eng;
+        Cycle delta;
+        bool await_ready() const noexcept { return false; }
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            eng.resumeHandle(delta, h);
+        }
+        void await_resume() const noexcept {}
+    };
+    Engine eng;
+    std::vector<Rec> ran;
+    std::vector<Rec> expected;
+    int next_id = 0;
+    // Issued from inside an event at cycle 7, so the window is offset.
+    eng.schedule(7, [&] {
+        for (const Cycle delta : {Cycle{0}, Cycle{1}, Cycle{255},
+                                  Cycle{256}, Cycle{1000}}) {
+            for (int kind = 0; kind < 4; ++kind) {
+                const int id = next_id++;
+                const Cycle when = eng.now() + delta;
+                expected.push_back(Rec{when, id});
+                auto rec = [&ran, &eng, id] {
+                    ran.push_back(Rec{eng.now(), id});
+                };
+                if (kind == 0) {
+                    eng.scheduleIn(delta, rec);
+                } else if (kind == 1) {
+                    eng.scheduleIn(delta, wisync::sim::UniqueFunction(rec));
+                } else if (kind == 2) {
+                    eng.schedule(when, rec);
+                } else {
+                    wisync::coro::spawnInline(
+                        eng,
+                        [](Engine &e, Cycle d) -> wisync::coro::Task<void> {
+                            co_await Resume{e, d};
+                        }(eng, delta),
+                        rec);
+                }
+            }
+        }
+    });
+    ASSERT_TRUE(eng.run());
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Rec &a, const Rec &b) {
+                         return a.when < b.when;
+                     });
+    EXPECT_EQ(ran, expected);
+    EXPECT_EQ(eng.now(), 1007u);
 }
 
 /** The dominant model pattern: deltas under the level-0 window

@@ -716,8 +716,9 @@ TEST(FuzzSweepService, RandomDuplicateGridsAcrossShardsAndThreads)
         }
 
         EXPECT_EQ(hits, expected_hits) << "iter " << iter;
-        if (shards == 1)
+        if (shards == 1) {
             EXPECT_EQ(hits, duplicates) << "iter " << iter;
+        }
         for (std::size_t i = 0; i < n; ++i) {
             EXPECT_TRUE(merged[i].ok);
             EXPECT_TRUE(wisync::workloads::bitIdentical(

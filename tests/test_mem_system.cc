@@ -377,6 +377,30 @@ TEST(MemSystem, MissLatencyIsTracked)
     EXPECT_GT(chip.mem.stats().missLatency.mean(), 0.0);
 }
 
+/**
+ * Pins the current L2 model: the set index and the home interleave use
+ * the same line-number bits, so a 64-core chip's bank reaches only 16
+ * of its 1024 sets. Bank 0 therefore holds exactly 16 x 8 lines before
+ * its first recall, not Table 1's 512 KB.
+ */
+TEST(MemSystem, TableOneBankOf64CoresHolds128LinesBeforeARecall)
+{
+    Chip chip(64);
+    std::uint64_t recalls_at_128 = ~0ull;
+    spawnNow(chip.engine, [&]() -> Task<void> {
+        for (Addr k = 0; k <= 128; ++k) {
+            if (k == 128)
+                recalls_at_128 = chip.mem.stats().l2Recalls.value();
+            co_await chip.mem.load(0, k * 64 * 64); // all homed at bank 0
+        }
+    });
+    chip.engine.run();
+    EXPECT_EQ(chip.mem.homeOf(128 * 64 * 64), 0u);
+    EXPECT_EQ(chip.mem.stats().dramFetches.value(), 129u);
+    EXPECT_EQ(recalls_at_128, 0u);
+    EXPECT_EQ(chip.mem.stats().l2Recalls.value(), 1u);
+}
+
 TEST(MemSystem, HomeBankIsAddressInterleaved)
 {
     Chip chip(16);
@@ -384,6 +408,11 @@ TEST(MemSystem, HomeBankIsAddressInterleaved)
     EXPECT_EQ(chip.mem.homeOf(64), 1u);
     EXPECT_EQ(chip.mem.homeOf(64 * 15), 15u);
     EXPECT_EQ(chip.mem.homeOf(64 * 16), 0u);
+
+    Chip odd(12); // not a power of two: the modulo path
+    EXPECT_EQ(odd.mem.homeOf(64 * 11), 11u);
+    EXPECT_EQ(odd.mem.homeOf(64 * 12), 0u);
+    EXPECT_EQ(odd.mem.homeOf(64 * 29), 5u);
 }
 
 } // namespace

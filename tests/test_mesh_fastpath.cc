@@ -5,22 +5,26 @@
  *  - sim::InlineVec unit suite (inline storage, heap spill, reuse,
  *    move-only elements — ASan covers the growth paths);
  *  - coro::SimMutex timed reservations (tryLock / tryReserve /
- *    lockedUntil, lazy release materialization, FIFO equivalence with
- *    the eager lock+scheduleUnlock protocol);
+ *    holdUntil / lockedUntil, lazy release materialization, callback
+ *    waiters, FIFO equivalence with the eager lock+scheduleUnlock
+ *    protocol);
  *  - end-to-end identity: every figure-grid cell (ConfigKind x
  *    MacKind) must produce bit-identical KernelResults and memory/BM
- *    fingerprints with the fast paths on and off, forced-contention
- *    cases must fall back without changing a single cycle, and the
+ *    fingerprints with the fast paths on and off, contended heads
+ *    must queue frameless without changing a single cycle, and the
  *    WISYNC_NO_FASTPATH env kill switch must reach the configs.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/machine.hh"
+#include "coro/frame_pool.hh"
 #include "coro/primitives.hh"
 #include "noc/mesh.hh"
 #include "sim/engine.hh"
@@ -224,6 +228,81 @@ TEST(SimMutexReserve, FifoOrderAcrossMixedProtocols)
     EXPECT_EQ(order[1], 2);
 }
 
+/** A frameless waiter: wait() parks it, the grant records the cycle
+ *  and runs the test's continuation. */
+struct CallbackWaiter
+{
+    Engine *eng;
+    Cycle granted = 0;
+    std::function<void()> then;
+
+    static void
+    grant(void *self)
+    {
+        auto *w = static_cast<CallbackWaiter *>(self);
+        w->granted = w->eng->now();
+        w->then();
+    }
+};
+
+/**
+ * A callback waiter granted the mutex turns the hold into a timed
+ * reservation (holdUntil). A waiter already queued at that moment must
+ * get the release at the (cycle, seq) of the eager
+ * lock()+scheduleUnlock protocol: markers scheduled for the release
+ * cycle just before and just after the reservation see the second
+ * waiter still queued and already handed the mutex, respectively.
+ */
+TEST(SimMutexReserve, WaiterQueuedAtHandOffGetsTheEagerReleaseSlot)
+{
+    struct Outcome
+    {
+        Cycle first = 0, second = 0;
+        std::vector<std::size_t> waitingSeen;
+        bool operator==(const Outcome &) const = default;
+    };
+    auto run = [](bool frameless) {
+        Engine eng;
+        SimMutex m(eng);
+        Outcome out;
+        auto hold = [&] {
+            eng.scheduleIn(7, [&] { out.waitingSeen.push_back(m.waiting()); });
+            if (frameless)
+                m.holdUntil(eng.now() + 7);
+            else
+                m.scheduleUnlock(7);
+            eng.scheduleIn(7, [&] { out.waitingSeen.push_back(m.waiting()); });
+        };
+        CallbackWaiter cb{&eng, 0, hold};
+        EXPECT_TRUE(m.tryLock());       // the holder, until cycle 3
+        eng.scheduleIn(3, [&] { m.unlock(); });
+        if (frameless) {
+            EXPECT_FALSE(m.tryReserve(eng.now() + 4));
+            m.wait(&CallbackWaiter::grant, &cb);
+        } else {
+            spawnNow(eng, [&]() -> Task<void> {
+                co_await m.lock();
+                cb.granted = eng.now();
+                hold();
+            });
+        }
+        spawnNow(eng, [&]() -> Task<void> {
+            co_await wisync::coro::delay(eng, 1);
+            co_await m.lock(); // queued when the first waiter is granted
+            out.second = eng.now();
+            m.unlock();
+        });
+        eng.run();
+        out.first = cb.granted;
+        return out;
+    };
+    const Outcome eager = run(false);
+    EXPECT_EQ(eager.first, 3u);
+    EXPECT_EQ(eager.second, 10u);
+    EXPECT_EQ(eager.waitingSeen, (std::vector<std::size_t>{1, 0}));
+    EXPECT_EQ(run(true), eager);
+}
+
 // ---- Mesh fast path ---------------------------------------------------
 
 MeshConfig
@@ -325,6 +404,56 @@ TEST(MeshFastpath, ForcedContentionFallsBackCycleExact)
     EXPECT_EQ(fb_off, 0u);
 }
 
+/** The scenario above, measured on a warm engine: the blocked head
+ *  waits in the link's FIFO as a plain callback, so run() allocates no
+ *  coroutine frame and no heap memory, and it still matches the
+ *  wormhole run cycle for cycle. */
+TEST(MeshFastpath, ContendedHeadStaysFrameless)
+{
+    struct Outcome
+    {
+        Cycle aDone = 0;
+        Cycle bDone = 0;
+        std::uint64_t fallbacks = 0;
+        std::uint64_t frames = 0; ///< coroutine frames allocated in run()
+        std::uint64_t heap = 0;   ///< heap allocations in run()
+    };
+    auto run = [](bool fp) {
+        Outcome r;
+        Engine eng;
+        const MeshConfig cfg = meshCfg(fp);
+        Mesh mesh(eng, cfg);
+        auto point = [&] {
+            eng.reset();
+            mesh.reset(cfg);
+            // The send frames are built here, before run().
+            wisync::coro::spawnDetached(eng, mesh.send(0, 7, 576),
+                                        [&] { r.aDone = eng.now(); });
+            wisync::coro::spawnDetached(eng, mesh.send(1, 7, 576),
+                                        [&] { r.bDone = eng.now(); });
+        };
+        point();
+        EXPECT_TRUE(eng.run()); // warm-up: pools, buckets, link FIFOs
+        point();
+        const auto &pool = wisync::coro::framePool().stats();
+        const std::uint64_t frames = pool.pooledAllocs + pool.fallbackAllocs;
+        const std::uint64_t heap = wisync::sim::heapAllocs();
+        EXPECT_TRUE(eng.run());
+        r.frames = pool.pooledAllocs + pool.fallbackAllocs - frames;
+        r.heap = wisync::sim::heapAllocs() - heap;
+        r.fallbacks = mesh.stats().fastpathFallbacks.value();
+        return r;
+    };
+    const Outcome on = run(true);
+    const Outcome off = run(false);
+    EXPECT_EQ(on.fallbacks, 1u);
+    EXPECT_EQ(on.frames, 0u);
+    EXPECT_EQ(on.heap, 0u);
+    EXPECT_GT(off.frames, 0u); // the wormhole coroutine's route frames
+    EXPECT_EQ(on.aDone, off.aDone);
+    EXPECT_EQ(on.bDone, off.bDone);
+}
+
 /** hopCycles == 0 makes the wormhole path lock a whole route inside
  *  one event (inline delay(0) awaiters); the step chain cannot
  *  reproduce that grant order, so send() must keep such configs on
@@ -351,33 +480,58 @@ TEST(MeshFastpath, ZeroHopLatencyStaysCycleIdentical)
     EXPECT_EQ(run(true), run(false));
 }
 
-/** Saturating random traffic: heavy link contention, mid-route
- *  conversions, reservations expiring under later traffic — the
- *  completion time of every message must match the wormhole run. */
+/** Saturating random traffic: heavy link contention, heads queued at
+ *  several links of one route, reservations expiring under later
+ *  traffic — the completion cycle of every message must match the
+ *  wormhole run, over seeds, hop latencies and message sizes. Size 0
+ *  mixes 1- and 5-flit messages, so short heads queue behind long
+ *  reservations and the reverse; with seed 0xF00D and the default
+ *  4-cycle hops it replays the original single storm message for
+ *  message. */
 TEST(MeshFastpath, RandomStormIsCycleIdenticalToWormhole)
 {
-    auto run = [](bool fp) {
+    auto run = [](bool fp, std::uint64_t seed, std::uint32_t hop,
+                  std::uint32_t size, std::uint64_t *fallbacks) {
+        constexpr int kMessages = 48;
         Engine eng;
-        Mesh mesh(eng, meshCfg(fp));
-        std::uint64_t checksum = 0;
-        wisync::sim::Rng rng(0xF00D);
-        for (int t = 0; t < 48; ++t) {
+        MeshConfig c = meshCfg(fp);
+        c.hopCycles = hop;
+        Mesh mesh(eng, c);
+        std::vector<Cycle> done(kMessages, 0);
+        wisync::sim::Rng rng(seed);
+        for (int t = 0; t < kMessages; ++t) {
             const NodeId src = static_cast<NodeId>(rng.below(64));
             const NodeId dst = static_cast<NodeId>(rng.below(64));
             const Cycle start = rng.below(40);
-            const std::uint32_t bits = rng.chance(0.5) ? 64 : 576;
+            const std::uint32_t bits =
+                size != 0 ? size : rng.chance(0.5) ? 64 : 576;
             wisync::coro::spawnFn(
                 eng, start,
-                [&eng, &mesh, &checksum, src, dst, bits,
-                 t]() -> Task<void> {
+                [&eng, &mesh, &done, src, dst, bits, t]() -> Task<void> {
                     co_await mesh.send(src, dst, bits);
-                    checksum ^= (eng.now() * 1315423911u) + t;
+                    done[t] = eng.now();
                 });
         }
-        eng.run();
-        return checksum;
+        EXPECT_TRUE(eng.run());
+        *fallbacks = mesh.stats().fastpathFallbacks.value();
+        return done;
     };
-    EXPECT_EQ(run(true), run(false));
+    std::uint64_t contended = 0;
+    for (const std::uint64_t seed : {0xF00Dull, 1ull, 2ull, 3ull}) {
+        for (const std::uint32_t hop : {2u, 4u, 6u}) {
+            // 1 flit, 5 flits, and a per-message mix of the two.
+            for (const std::uint32_t size : {64u, 576u, 0u}) {
+                SCOPED_TRACE(::testing::Message() << "seed " << seed
+                                                  << " hop " << hop
+                                                  << " bits " << size);
+                std::uint64_t fb_on = 0, fb_off = 0;
+                EXPECT_EQ(run(true, seed, hop, size, &fb_on),
+                          run(false, seed, hop, size, &fb_off));
+                contended += fb_on;
+            }
+        }
+    }
+    EXPECT_GT(contended, 0u); // the storms did exercise held links
 }
 
 // ---- Full figure-grid identity ---------------------------------------

@@ -205,8 +205,9 @@ TEST(RfChannel, NonSquareNodeCountsGetTheEnclosingGrid)
     for (std::uint32_t tx = 0; tx < 6; ++tx)
         for (std::uint32_t rx = 0; rx < 6; ++rx) {
             EXPECT_GE(m.pathLossDb(tx, rx), m.config().plRefDb);
-            if (tx != rx)
+            if (tx != rx) {
                 EXPECT_GT(m.distanceMm(tx, rx), 0.0);
+            }
         }
 }
 
