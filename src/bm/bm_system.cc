@@ -568,9 +568,18 @@ BmSystem::announceTask(sim::NodeId node, sim::BmAddr addr,
     // The announcement travels on this chip's Data channel and acts on
     // this chip's tone controller (tone barriers are per-die hardware).
     wireless::ToneChannel *tone = tones_[chipOf(node)].get();
-    // The abort predicate lives in this frame for the whole send.
-    const std::function<bool()> abort = [tone, addr, epoch] {
-        return tone->isActive(addr) || tone->epochOf(addr) != epoch;
+    // The abort predicate lives in this frame for the whole send. It
+    // captures one pointer to its state, which std::function stores
+    // inline: an announcement allocates nothing.
+    const struct
+    {
+        wireless::ToneChannel *tone;
+        sim::BmAddr addr;
+        std::uint64_t epoch;
+    } watch{tone, addr, epoch};
+    const std::function<bool()> abort = [&watch] {
+        return watch.tone->isActive(watch.addr) ||
+               watch.tone->epochOf(watch.addr) != watch.epoch;
     };
     // Never a lost wakeup: an announcement the reliability layer gave
     // up on is re-issued until it is either delivered or genuinely

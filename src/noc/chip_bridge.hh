@@ -119,25 +119,17 @@ class ChipBridge
     post(std::uint32_t payload_bits, sim::UniqueFunction deliver)
     {
         stats_.frames.inc();
-        const std::uint32_t bits = cfg_.headerBits + payload_bits;
+        InFlight *f = acquireInFlight();
+        f->bits = cfg_.headerBits + payload_bits;
+        f->drops = 0;
+        f->deliver = std::move(deliver);
         if (!lossy()) {
             // The ideal link: exactly the pre-loss event stream — one
             // serialization, one delivery event, zero RNG draws.
-            const sim::Cycle ser =
-                (bits + cfg_.widthBits - 1) / cfg_.widthBits;
-            const sim::Cycle now = engine_.now();
-            const sim::Cycle start = nextFree_ > now ? nextFree_ : now;
-            stats_.busyCycles.inc(ser);
-            stats_.queueWaitCycles.inc(start - now);
-            nextFree_ = start + ser;
-            engine_.schedule(nextFree_ + cfg_.latencyCycles,
-                             std::move(deliver));
+            serialize(f->bits);
+            scheduleDelivery(f);
             return;
         }
-        InFlight *f = acquireInFlight();
-        f->bits = bits;
-        f->drops = 0;
-        f->deliver = std::move(deliver);
         attempt(f);
     }
 
@@ -195,8 +187,9 @@ class ChipBridge
     }
 
   private:
-    /** One posted frame awaiting delivery on the lossy link. Pooled:
-     *  steady-state lossy posts reuse recycled buffers. */
+    /** One posted frame awaiting delivery. Pooled: steady-state
+     *  posts reuse recycled buffers, and every bridge event is a
+     *  16-byte [this, f] that fits its engine slot. */
     struct InFlight
     {
         std::uint32_t bits = 0;
@@ -232,13 +225,7 @@ class ChipBridge
     void
     attempt(InFlight *f)
     {
-        const sim::Cycle ser =
-            (f->bits + cfg_.widthBits - 1) / cfg_.widthBits;
-        const sim::Cycle now = engine_.now();
-        const sim::Cycle start = nextFree_ > now ? nextFree_ : now;
-        stats_.busyCycles.inc(ser);
-        stats_.queueWaitCycles.inc(start - now);
-        nextFree_ = start + ser;
+        serialize(f->bits);
         const double per = cfg_.burst.enabled
                                ? burstState_.step(cfg_.burst, rng_)
                                : cfg_.lossPct / 100.0;
@@ -255,8 +242,8 @@ class ChipBridge
                         : cfg_.retryBackoffMaxExp;
                 wait += sim::Cycle{1} << exp;
             }
-            engine_.schedule(nextFree_ + wait, [this, f, giveup] {
-                if (giveup) {
+            engine_.schedule(nextFree_ + wait, [this, f] {
+                if (f->drops > cfg_.maxRetries) {
                     // Budget spent — but a global BM update must not
                     // vanish, so the frame re-enters with a fresh
                     // budget (the degradation mirror of BmSystem's
@@ -271,6 +258,26 @@ class ChipBridge
             });
             return;
         }
+        scheduleDelivery(f);
+    }
+
+    /** Occupy the link FIFO for a frame of @p bits. */
+    void
+    serialize(std::uint32_t bits)
+    {
+        const sim::Cycle ser = (bits + cfg_.widthBits - 1) / cfg_.widthBits;
+        const sim::Cycle now = engine_.now();
+        const sim::Cycle start = nextFree_ > now ? nextFree_ : now;
+        stats_.busyCycles.inc(ser);
+        stats_.queueWaitCycles.inc(start - now);
+        nextFree_ = start + ser;
+    }
+
+    /** The frame survived its last serialization: it lands one
+     *  propagation latency after its tail leaves. */
+    void
+    scheduleDelivery(InFlight *f)
+    {
         engine_.schedule(nextFree_ + cfg_.latencyCycles, [this, f] {
             f->deliver();
             releaseInFlight(f);

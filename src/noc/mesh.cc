@@ -292,8 +292,11 @@ Mesh::treeDeliver(sim::NodeId cur, NodeVec dsts, std::uint32_t flits)
             : xOf(group.front()) < xOf(cur) ? nodeAt(xOf(cur) - 1, yOf(cur))
             : yOf(group.front()) < yOf(cur) ? nodeAt(xOf(cur), yOf(cur) - 1)
                                             : nodeAt(xOf(cur), yOf(cur) + 1);
-        co_await links_[linkId(cur, next)]->lock();
-        links_[linkId(cur, next)]->scheduleUnlock(flits);
+        // Held until the tail crosses, as a timed reservation: the
+        // release event exists only if another head queues for it.
+        coro::SimMutex &link = *links_[linkId(cur, next)];
+        co_await link.lock();
+        link.holdUntil(engine_.now() + flits);
         co_await coro::delay(engine_, cfg_.hopCycles);
         co_await treeDeliver(next, std::move(group), flits);
     };

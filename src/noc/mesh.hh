@@ -17,6 +17,8 @@
  *  - tree:    a single message is replicated at fan-out routers
  *    (`Baseline+`'s "virtual tree-based broadcast ... with flit
  *    replication at the router crossbars", Krishna et al. [22]).
+ *    Each tree hop holds its link as a timed SimMutex reservation
+ *    (below), so an uncontended hop schedules no release event.
  *
  * Frameless fast path (MeshConfig::fastpath, default on, kill switch
  * WISYNC_NO_FASTPATH=1): send() drives the head flit down the route

@@ -10,10 +10,9 @@ namespace wisync::sim {
 Engine::~Engine()
 {
     // Live detached roots first (their teardown may touch the ready
-    // ring), then events still pending in level-0 segments (the ring,
-    // staged_ and far_ clean up via their vectors).
+    // ring), then the events still pending in every tier.
     destroyLiveRoots();
-    clearLevel0();
+    dropPending();
     while (freeSegs_ != nullptr)
         delete std::exchange(freeSegs_, freeSegs_->next);
 }
@@ -40,7 +39,7 @@ Engine::releaseChain(Segment *seg, std::uint32_t from)
 {
     while (seg != nullptr) {
         for (std::uint32_t i = from; i < seg->size; ++i)
-            seg->slots[i] = Slot{};
+            drop(seg->slots[i]);
         from = 0;
         recycleSegment(std::exchange(seg, seg->next));
     }
@@ -51,7 +50,7 @@ Engine::moveChainToStaging(Segment *seg, std::uint32_t from)
 {
     while (seg != nullptr) {
         for (std::uint32_t i = from; i < seg->size; ++i)
-            staged_.push_back(std::move(seg->slots[i]));
+            staged_.push_back(seg->slots[i]);
         from = 0;
         recycleSegment(std::exchange(seg, seg->next));
     }
@@ -63,6 +62,8 @@ Engine::clearLevel0()
     releaseChain(curSeg_, curIdx_);
     curSeg_ = nullptr;
     curIdx_ = 0;
+    for (std::size_t i = stagedIdx_; i < staged_.size(); ++i)
+        drop(staged_[i]);
     staged_.clear();
     stagedIdx_ = 0;
     if (l0Count_ > 0)
@@ -122,13 +123,21 @@ Engine::destroyLiveRoots()
 }
 
 void
+Engine::dropPending()
+{
+    while (!ready_.empty())
+        drop(ready_.pop());
+    clearLevel0();
+    for (const TimedSlot &t : far_)
+        drop(t.slot);
+    far_.clear();
+}
+
+void
 Engine::reset()
 {
     destroyLiveRoots(); // may push unlock handoffs into ready_
-    while (!ready_.empty())
-        (void)ready_.pop();
-    clearLevel0();
-    far_.clear();
+    dropPending();
     now_ = 0;
     nextSeq_ = 0;
     currentSeq_ = 0;
@@ -140,16 +149,15 @@ Engine::reset()
 }
 
 void
-Engine::scheduleReserved(Cycle when, std::uint64_t seq, UniqueFunction fn)
+Engine::fileReserved(Cycle when, std::uint64_t seq, Slot s)
 {
     assert(when >= now_ && "cannot schedule a reserved event in the past");
-    Slot s{std::move(fn), nullptr, 0};
     s.seq = seq;
     if (when > now_) {
         // A later cycle: normal placement. The level-0 bucket list may
         // now be seq-unordered; stageCurrentCycle()'s sort restores
         // global insertion order before execution.
-        place(when, std::move(s));
+        place(when, s);
         return;
     }
     // Same cycle: the slot's reserved seq is ahead of the event being
@@ -169,7 +177,7 @@ Engine::scheduleReserved(Cycle when, std::uint64_t seq, UniqueFunction fn)
     auto it = staged_.begin() + static_cast<std::ptrdiff_t>(stagedIdx_);
     while (it != staged_.end() && it->seq < seq)
         ++it;
-    staged_.insert(it, std::move(s));
+    staged_.insert(it, s);
 }
 
 unsigned
@@ -195,15 +203,15 @@ Engine::ReadyRing::grow()
     const std::size_t cap = buf_.empty() ? 64 : buf_.size() * 2;
     std::vector<Slot> next(cap);
     for (std::size_t i = 0; i < size_; ++i)
-        next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
+        next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
     buf_ = std::move(next);
     head_ = 0;
 }
 
 void
-Engine::placeFar(Cycle when, Slot &&s)
+Engine::placeFar(Cycle when, const Slot &s)
 {
-    far_.emplace_back(when, std::move(s));
+    far_.push_back(TimedSlot{when, s});
     std::push_heap(far_.begin(), far_.end(), FarLater{});
     ++tierStats_.heap;
 }
@@ -240,7 +248,7 @@ Engine::stageCurrentCycle()
     // flag sends it through the sort below. Each far event moves once.
     while (!far_.empty() && far_.front().when == now_) {
         std::pop_heap(far_.begin(), far_.end(), FarLater{});
-        fileLevel0(now_, std::move(far_.back().slot));
+        fileLevel0(now_, far_.back().slot);
         far_.pop_back();
         ++tierStats_.cascades;
     }
@@ -279,11 +287,11 @@ Engine::run(Cycle limit)
                 recycleSegment(seg);
                 continue;
             }
-            // Move the slot out before invoking: the callback may
+            // Copy the slot out before invoking: the callback may
             // splice a same-cycle reserved event (scheduleReserved),
             // which moves the rest of the chain to staged_ and
             // recycles seg.
-            Slot s = std::move(seg->slots[curIdx_++]);
+            Slot s = seg->slots[curIdx_++];
             ++eventsExecuted_;
             currentSeq_ = s.seq;
             s.invoke();
@@ -292,9 +300,9 @@ Engine::run(Cycle limit)
         }
         if (!staged_.empty()) {
             while (stagedIdx_ < staged_.size()) {
-                // Moved out for the same reason: a splice may
+                // Copied out for the same reason: a splice may
                 // reallocate staged_.
-                Slot s = std::move(staged_[stagedIdx_++]);
+                Slot s = staged_[stagedIdx_++];
                 ++eventsExecuted_;
                 currentSeq_ = s.seq;
                 s.invoke();

@@ -27,6 +27,18 @@
  *                   waits there until its own cycle, then moves into
  *                   the level-0 bucket being staged.
  *
+ * Every event is one 32-byte, trivially copyable slot: a trampoline
+ * pointer, 16 payload bytes and the insertion sequence number, so
+ * filing, staging and draining an event are plain copies and running
+ * it is one indirect call. schedule(), scheduleIn() and
+ * scheduleReserved() take the callable as a template parameter and
+ * store it in the payload when it is trivially copyable and at most
+ * 16 bytes (a `this` pointer plus a pointer or index: every model
+ * callback); resumeHandle() stores a coroutine frame address under a
+ * resume trampoline. Any other callable is boxed in one heap
+ * UniqueFunction whose trampoline frees it after the call; an event
+ * dropped without running (reset(), ~Engine) frees its box too.
+ *
  * Determinism contract: execution order is exactly (cycle, global
  * insertion order), bit-identical to a single (when, seq) min-heap.
  * Every slot carries its insertion sequence number; when a cycle's
@@ -46,6 +58,11 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/function.hh"
@@ -70,6 +87,13 @@ class Engine
      */
     static constexpr Cycle kCalendarHorizon = 256;
 
+    /**
+     * Callables of at most this many bytes that are trivially copyable
+     * are stored inline in their event slot; anything else is boxed in
+     * one heap UniqueFunction, freed when the event runs or is dropped.
+     */
+    static constexpr std::size_t kInlinePayload = 16;
+
     /** Per-tier event counters (see tierStats()). */
     struct TierStats
     {
@@ -82,7 +106,7 @@ class Engine
     Engine() = default;
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
-    ~Engine(); // destroys live root frames + pending level-0 events
+    ~Engine(); // destroys live root frames + drops pending events
 
     /** Current simulated time in cycles. */
     Cycle now() const { return now_; }
@@ -91,31 +115,39 @@ class Engine
      * Schedule a callback at an absolute cycle.
      *
      * @param when Absolute cycle; must be >= now().
-     * @param fn   Callback executed when simulated time reaches @p when.
+     * @param fn   Callable run when simulated time reaches @p when.
+     *             Stored inline or boxed (see kInlinePayload).
      */
+    template <typename F>
     void
-    schedule(Cycle when, UniqueFunction fn)
+    schedule(Cycle when, F &&fn)
     {
-        scheduleSlot(when, Slot{std::move(fn), nullptr, 0});
+        scheduleSlot(when, makeSlot(std::forward<F>(fn)));
     }
 
     /** Schedule a callback @p delta cycles from now. */
-    void scheduleIn(Cycle delta, UniqueFunction fn)
+    template <typename F>
+    void
+    scheduleIn(Cycle delta, F &&fn)
     {
-        scheduleSlot(now_ + delta, Slot{std::move(fn), nullptr, 0});
+        scheduleSlot(now_ + delta, makeSlot(std::forward<F>(fn)));
     }
 
     /**
      * Fast path for coroutine wakeups: resume @p h at now() + delta.
      *
-     * Equivalent to scheduleIn(delta, [h] { h.resume(); }) but
-     * guaranteed to stay inside the event slot's inline buffer. This is
-     * the route every awaiter in coro/primitives.hh takes.
+     * Equivalent to scheduleIn(delta, [h] { h.resume(); }): the slot
+     * holds the frame address under a resume trampoline. This is the
+     * route every awaiter in coro/primitives.hh takes.
      */
     void
     resumeHandle(Cycle delta, std::coroutine_handle<> h)
     {
-        scheduleSlot(now_ + delta, Slot{UniqueFunction{}, h.address(), 0});
+        Slot s;
+        s.call = &resumeFrame;
+        void *frame = h.address();
+        std::memcpy(s.payload, &frame, sizeof(frame));
+        scheduleSlot(now_ + delta, s);
     }
 
     // ---- Reserved-sequence (deferred) events -------------------------
@@ -149,8 +181,12 @@ class Engine
      * and @p seq is still ahead of currentSeq() (the materialize-on-
      * demand pattern guarantees both).
      */
-    void scheduleReserved(Cycle when, std::uint64_t seq,
-                          UniqueFunction fn);
+    template <typename F>
+    void
+    scheduleReserved(Cycle when, std::uint64_t seq, F &&fn)
+    {
+        fileReserved(when, seq, makeSlot(std::forward<F>(fn)));
+    }
 
     /**
      * Run until the event queue drains or @p limit is reached.
@@ -257,37 +293,92 @@ class Engine
 
   private:
     /**
-     * One scheduled event: a callable or — on the coroutine fast path —
-     * a raw frame address (which skips both the type-erased dispatch
-     * and the inline-buffer copy when slots move between tiers), plus
-     * the insertion number.
+     * One scheduled event: a trampoline, the 16 payload bytes it is
+     * called with, and the insertion number. The payload holds the
+     * callable itself (inline), a frame address (resumeHandle), or a
+     * pointer to a heap box (runBoxed). 32 bytes and trivially
+     * copyable, so moving an event between tiers is a plain copy.
      */
     struct Slot
     {
-        UniqueFunction fn;
-        void *handle = nullptr;
-        std::uint64_t seq = 0;
+        void (*call)(void *);
+        alignas(8) std::byte payload[kInlinePayload];
+        std::uint64_t seq;
 
-        void
-        invoke()
-        {
-            if (handle != nullptr)
-                std::coroutine_handle<>::from_address(handle).resume();
-            else
-                fn();
-        }
+        void invoke() { call(payload); }
     };
+    static_assert(sizeof(Slot) == 32 && std::is_trivially_copyable_v<Slot>,
+                  "an event slot is 32 bytes and moves as a plain copy");
 
     /** Far-heap entries also need the cycle. */
     struct TimedSlot
     {
         Cycle when;
         Slot slot;
-
-        TimedSlot(Cycle w, Slot &&s) : when(w), slot(std::move(s)) {}
-        TimedSlot(TimedSlot &&) = default;
-        TimedSlot &operator=(TimedSlot &&) = default;
     };
+
+    template <typename D>
+    static constexpr bool fitsInline =
+        sizeof(D) <= kInlinePayload && alignof(D) <= alignof(Slot) &&
+        std::is_trivially_copyable_v<D>;
+
+    template <typename D>
+    static void
+    runInline(void *p)
+    {
+        (*std::launder(reinterpret_cast<D *>(p)))();
+    }
+
+    static void
+    resumeFrame(void *p)
+    {
+        void *frame;
+        std::memcpy(&frame, p, sizeof(frame));
+        std::coroutine_handle<>::from_address(frame).resume();
+    }
+
+    static UniqueFunction *
+    boxOf(const void *p)
+    {
+        UniqueFunction *box;
+        std::memcpy(&box, p, sizeof(box));
+        return box;
+    }
+
+    /** Trampoline of a boxed callable: run it, then free the box
+     *  (also when the callable throws). */
+    static void
+    runBoxed(void *p)
+    {
+        const std::unique_ptr<UniqueFunction> box(boxOf(p));
+        (*box)();
+    }
+
+    /** Build the slot for @p fn: inline if it fits, else boxed. */
+    template <typename F>
+    static Slot
+    makeSlot(F &&fn)
+    {
+        using D = std::decay_t<F>;
+        Slot s;
+        if constexpr (fitsInline<D>) {
+            ::new (static_cast<void *>(s.payload)) D(std::forward<F>(fn));
+            s.call = &runInline<D>;
+        } else {
+            auto *box = new UniqueFunction(std::forward<F>(fn));
+            std::memcpy(s.payload, &box, sizeof(box));
+            s.call = &runBoxed;
+        }
+        return s;
+    }
+
+    /** An event discarded without running frees its box, if any. */
+    static void
+    drop(const Slot &s)
+    {
+        if (s.call == &runBoxed)
+            delete boxOf(s.payload);
+    }
 
     /** 256-bit occupancy bitmap with find-first-set-at-or-after. */
     struct Bitmap
@@ -348,18 +439,18 @@ class Engine
         std::size_t size() const { return size_; }
 
         void
-        push(Slot s)
+        push(const Slot &s)
         {
             if (size_ == buf_.size())
                 grow();
-            buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(s);
+            buf_[(head_ + size_) & (buf_.size() - 1)] = s;
             ++size_;
         }
 
         Slot
         pop()
         {
-            Slot s = std::move(buf_[head_]);
+            const Slot s = buf_[head_];
             head_ = (head_ + 1) & (buf_.size() - 1);
             --size_;
             return s;
@@ -394,11 +485,11 @@ class Engine
         if (when == now_) {
             // Same-cycle: FIFO ring, behind everything staged for this
             // cycle (all of which was scheduled earlier).
-            ready_.push(std::move(s));
+            ready_.push(s);
             ++tierStats_.ready;
             return;
         }
-        place(when, std::move(s));
+        place(when, s);
     }
 
     /**
@@ -409,19 +500,19 @@ class Engine
      * costs more than the rare far event saves.
      */
     void
-    place(Cycle when, Slot &&s)
+    place(Cycle when, const Slot &s)
     {
         if (when - now_ < kCalendarHorizon) {
-            fileLevel0(when, std::move(s));
+            fileLevel0(when, s);
             ++tierStats_.calendar;
             return;
         }
-        placeFar(when, std::move(s));
+        placeFar(when, s);
     }
 
     /** Append @p s to the level-0 bucket of @p when (in the window). */
     void
-    fileLevel0(Cycle when, Slot &&s)
+    fileLevel0(Cycle when, const Slot &s)
     {
         const unsigned idx = static_cast<unsigned>(when & 255);
         Bucket &b = l0_[idx];
@@ -431,14 +522,17 @@ class Engine
         if (s.seq < b.lastSeq)
             b.unsorted = true;
         b.lastSeq = s.seq;
-        t->slots[t->size++] = std::move(s);
+        t->slots[t->size++] = s;
         ++b.count;
         l0Bits_.set(idx);
         ++l0Count_;
     }
 
     /** Slow tail of place(): push onto the far heap. */
-    void placeFar(Cycle when, Slot &&s);
+    void placeFar(Cycle when, const Slot &s);
+
+    /** Out-of-line body of scheduleReserved(). */
+    void fileReserved(Cycle when, std::uint64_t seq, Slot s);
 
     /** Link a segment (free list first) onto @p b's tail. */
     Segment *appendSegment(Bucket &b);
@@ -453,7 +547,7 @@ class Engine
     }
 
     /**
-     * Destroy the events left in the chain starting at slot @p from of
+     * Drop the events left in the chain starting at slot @p from of
      * @p seg, and recycle every segment of it.
      */
     void releaseChain(Segment *seg, std::uint32_t from);
@@ -465,8 +559,11 @@ class Engine
      */
     void moveChainToStaging(Segment *seg, std::uint32_t from);
 
-    /** Destroy every level-0 event, staged or pending. */
+    /** Drop every level-0 event, staged or pending. */
     void clearLevel0();
+
+    /** Drop every pending event in every tier (reset, ~Engine). */
+    void dropPending();
 
     /** Earliest pending cycle > now across all tiers (kCycleMax: none). */
     Cycle peekNext() const;

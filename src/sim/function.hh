@@ -1,27 +1,26 @@
 /**
  * @file
- * Move-only type-erased callable, used for event callbacks.
+ * Move-only type-erased callable, for callbacks that wait in model
+ * state: MAC payloads and bridge deliveries, which run when their
+ * frame lands, and the engine's box for an event callable too large
+ * for its 16-byte slot payload (see Engine::kInlinePayload).
  *
  * std::function requires copyability, which rules out lambdas that own
- * coroutine frames or other move-only resources. Unlike the original
- * minimal replacement, this version carries a 48-byte small-buffer
- * optimization: the lambdas scheduled on the hot path (a coroutine
- * handle, a `this` pointer, a pointer plus a counter) are stored inline
- * and never touch the heap, which is what makes the event kernel
- * allocation-free in steady state.
+ * coroutine frames or other move-only resources. A 48-byte small-buffer
+ * optimization keeps the model's delivery callbacks (a `this` pointer
+ * plus a frame or word address) off the heap.
  *
  * Inline storage is reserved for trivially-copyable payloads so that
  * moving a UniqueFunction is always a plain byte copy (no per-type
  * relocation call, no possibility of interior-pointer breakage).
  * Anything larger or non-trivially-copyable — e.g. a detached task
  * wrapper owning a coroutine frame, or a lambda owning a vector —
- * transparently falls back to a heap allocation, exactly as before.
+ * transparently falls back to a heap allocation.
  */
 
 #ifndef WISYNC_SIM_FUNCTION_HH
 #define WISYNC_SIM_FUNCTION_HH
 
-#include <coroutine>
 #include <cstddef>
 #include <cstring>
 #include <new>
@@ -54,15 +53,6 @@ class UniqueFunction
             ops_ = &HeapOps<D>::ops;
         }
     }
-
-    /**
-     * Wrap a coroutine resume. The handle is 8 bytes and trivially
-     * copyable, so it always lands in the inline buffer; this is what
-     * Engine::resumeHandle stores.
-     */
-    explicit UniqueFunction(std::coroutine_handle<> h)
-        : UniqueFunction(HandleResume{h})
-    {}
 
     // Relocation copies the whole inline buffer: payloads smaller than
     // the buffer leave trailing bytes uninitialized, which is benign
@@ -104,12 +94,6 @@ class UniqueFunction
     bool usesInlineStorage() const { return ops_ && ops_->inlineStored; }
 
   private:
-    struct HandleResume
-    {
-        std::coroutine_handle<> h;
-        void operator()() const { h.resume(); }
-    };
-
     struct Ops
     {
         void (*call)(void *);

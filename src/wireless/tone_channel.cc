@@ -128,6 +128,10 @@ ToneChannel::activate(sim::BmAddr addr)
     stats_.activations.inc();
     // Arrivals that raced the announcement count immediately.
     b->arrived = b->pendingArrival;
+    b->toneCount = 0;
+    for (std::uint32_t n = 0; n < numNodes_; ++n)
+        if (b->armed[n] && !b->arrived[n])
+            ++b->toneCount;
     b->pendingArrival.assign(numNodes_, false);
     activeOrder_.push_back(static_cast<std::size_t>(b - allocB_.data()));
     stats_.concurrentActive.sample(
@@ -141,10 +145,12 @@ ToneChannel::arrive(sim::BmAddr addr, sim::NodeId node)
     Barrier *b = find(addr);
     WISYNC_ASSERT(b, "arrival on unallocated tone barrier");
     WISYNC_ASSERT(b->armed[node], "arrival from unarmed node");
-    if (b->active)
-        b->arrived[node] = true;
-    else
+    if (!b->active) {
         b->pendingArrival[node] = true;
+    } else if (!b->arrived[node]) {
+        b->arrived[node] = true;
+        --b->toneCount;
+    }
 }
 
 std::uint32_t
@@ -181,15 +187,7 @@ ToneChannel::tick()
     slotIdx_ %= activeOrder_.size();
     Barrier &b = allocB_[activeOrder_[slotIdx_]];
 
-    bool tone = false;
-    for (std::uint32_t n = 0; n < numNodes_; ++n) {
-        if (b.armed[n] && !b.arrived[n]) {
-            tone = true;
-            break;
-        }
-    }
-
-    if (!tone) {
+    if (b.toneCount == 0) {
         // Silence on this barrier's slot: everyone has arrived. All
         // nodes remove the entry and toggle the BM word (the release
         // handler), in the same slot, chip-consistently.

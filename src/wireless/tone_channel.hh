@@ -152,6 +152,9 @@ class ToneChannel
         std::vector<bool> arrived;
         /** tone_st executed before the activation was delivered. */
         std::vector<bool> pendingArrival;
+        /** Armed nodes still jamming the tone (while active): the
+         *  barrier's slot is silent when this reaches zero. */
+        std::uint32_t toneCount = 0;
         /** Completed iterations (see epochOf). */
         std::uint64_t epoch = 0;
     };
@@ -159,7 +162,7 @@ class ToneChannel
     Barrier *find(sim::BmAddr addr);
     const Barrier *find(sim::BmAddr addr) const;
 
-    /** One 1 ns slot: scan the owning active barrier for silence. */
+    /** One 1 ns slot: check the owning active barrier for silence. */
     void tick();
     void startTickerIfNeeded();
     /** Queue the next tick one cycle out (calendar-tier event). */

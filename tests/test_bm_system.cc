@@ -16,6 +16,7 @@
 #include "sim/engine.hh"
 #include "sim/heap_counter.hh"
 #include "sim/rng.hh"
+#include "wireless/mac/mac_kind.hh"
 
 namespace {
 
@@ -393,6 +394,52 @@ TEST(BmSystem, SingleSenderBroadcastsRunWithoutAllocating)
     const std::uint64_t before = wisync::sim::heapAllocs();
     m.run();
     EXPECT_EQ(wisync::sim::heapAllocs(), before);
+}
+
+/**
+ * A 16-core Token-MAC tone barrier loop, after a warm-up round: the
+ * Tone-bit announcements on the Data channel, the token grants and
+ * the tone-slot ticks are all engine events, and run() must never
+ * touch the allocator.
+ */
+TEST(BmSystem, TokenMacToneBarrierLoopRunsWithoutAllocating)
+{
+    constexpr std::uint32_t kNodes = 16;
+    constexpr int kIters = 20; // even: every round leaves the word at 0
+    WirelessConfig wcfg;
+    wcfg.macKind = wisync::wireless::MacKind::Token;
+    Engine engine;
+    BmSystem bm(engine, kNodes, BmConfig{}, wcfg, Rng(99));
+    for (BmAddr a = 0; a < 128; ++a)
+        bm.storeArray().setTag(a, kPid);
+    const BmAddr bar = 40;
+    ASSERT_TRUE(bm.allocToneBarrier(bar, std::vector<bool>(kNodes, true)));
+    auto worker = [&](NodeId n) -> Task<void> {
+        std::uint64_t sense = 0;
+        for (int i = 0; i < kIters; ++i) {
+            sense = !sense ? 1 : 0;
+            co_await delay(engine, 5 + n * 3); // staggered arrivals
+            co_await bm.toneStore(n, kPid, bar);
+            co_await bm.spinUntil(
+                n, kPid, bar,
+                [sense](std::uint64_t v) { return v == sense; });
+        }
+    };
+    auto round = [&] {
+        for (NodeId n = 0; n < kNodes; ++n)
+            spawnNow(engine, worker, n);
+    };
+    round();
+    ASSERT_TRUE(engine.run()); // warm-up
+
+    round();
+    const std::uint64_t before = wisync::sim::heapAllocs();
+    ASSERT_TRUE(engine.run());
+    EXPECT_EQ(wisync::sim::heapAllocs(), before);
+    EXPECT_EQ(bm.toneChannel()->stats().releases.value(),
+              2u * kIters);
+    EXPECT_GT(bm.stats().toneAnnouncements.value(), 0u);
+    EXPECT_GT(bm.dataChannel().stats().messages.value(), 0u);
 }
 
 } // namespace

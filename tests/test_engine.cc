@@ -7,12 +7,16 @@
  * populated, the coroutine resume fast path, and the level-0 segment
  * pool: bursts reuse recycled segments across buckets, and a
  * same-cycle reserved splice lands in order across a segment boundary.
+ * The event slot: small callables stay inline, larger ones cost one
+ * box, and dropped boxes are freed exactly once.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <coroutine>
+#include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -529,6 +533,106 @@ TEST(Engine, StopInsideSplicedBucketKeepsRemainderPending)
     ASSERT_EQ(order.size(), 51u);
     EXPECT_EQ(order[49], 49);
     EXPECT_EQ(order[50], -1);
+}
+
+// --- event slot: inline callables, boxes --------------------------------
+
+TEST(EngineSlot, SmallTriviallyCopyableCallablesNeverAllocate)
+{
+    // 8- and 16-byte callables and coroutine resumes are stored in the
+    // slot itself: once the tiers' pools are warm, scheduling them in
+    // any tier touches no heap. Anything else costs exactly one box.
+    Engine eng;
+    int hits = 0;
+    int *p = &hits;
+    auto round = [&] {
+        for (const Cycle delta : {Cycle{0}, Cycle{3}, Cycle{300}}) {
+            eng.scheduleIn(delta, [p] { ++*p; });
+            eng.scheduleIn(delta, [p, n = 2] { *p += n; });
+            eng.schedule(eng.now() + delta, [&hits] { ++hits; });
+        }
+        ASSERT_TRUE(eng.run());
+    };
+    round(); // warm-up
+    std::uint64_t before = wisync::sim::heapAllocs();
+    round();
+    EXPECT_EQ(wisync::sim::heapAllocs(), before);
+    EXPECT_EQ(hits, 2 * 12);
+
+    struct Wide
+    {
+        int *p;
+        std::uint64_t a, b;
+        void operator()() const { *p += static_cast<int>(a + b); }
+    };
+    static_assert(sizeof(Wide) > Engine::kInlinePayload);
+    before = wisync::sim::heapAllocs();
+    eng.scheduleIn(3, Wide{p, 1, 2});
+    eng.scheduleIn(3, wisync::sim::UniqueFunction([p] { ++*p; }));
+    EXPECT_EQ(wisync::sim::heapAllocs(), before + 2);
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(hits, 2 * 12 + 4);
+}
+
+/** Owns one count in @p live while it exists: a callable holding one
+ *  is boxed (not trivially copyable), and live returns to zero only if
+ *  every box is destroyed, and destroyed once. */
+struct Token
+{
+    explicit Token(int *l) : live(l) { ++*live; }
+    Token(Token &&o) noexcept : live(std::exchange(o.live, nullptr)) {}
+    Token &operator=(Token &&) = delete;
+    ~Token()
+    {
+        if (live != nullptr)
+            --*live;
+    }
+    int *live;
+};
+
+/**
+ * Boxed events pending in every tier: the ready ring, the drain
+ * cursor of a stopped bucket (or, after a same-cycle reserved splice,
+ * staged_), a later level-0 bucket and the far heap. Dropping them,
+ * by reset() or by the engine's destructor, frees each box once and
+ * runs none of them.
+ */
+TEST(EngineSlot, DroppedBoxedEventsAreFreedExactlyOnce)
+{
+    for (const bool splice : {false, true}) {
+        for (const bool teardown : {false, true}) {
+            int live = 0;
+            int ran = 0;
+            auto boxed = [&] {
+                return [t = Token(&live), &ran] { ++ran; };
+            };
+            auto eng = std::make_unique<Engine>();
+            eng->schedule(10, [&] {
+                if (splice)
+                    eng->scheduleReserved(10, eng->reserveSeq(), boxed());
+                eng->scheduleIn(0, boxed()); // ready ring
+                eng->stop();
+            });
+            for (int i = 0; i < 40; ++i) // spans two level-0 segments
+                eng->schedule(10, boxed());
+            eng->schedule(100, boxed());  // level 0
+            eng->schedule(5000, boxed()); // far heap
+            ASSERT_FALSE(eng->run());
+            ASSERT_EQ(eng->now(), 10u);
+            EXPECT_EQ(live, splice ? 44 : 43);
+            EXPECT_EQ(eng->pendingEvents(), static_cast<std::size_t>(live));
+            if (teardown) {
+                eng.reset();
+            } else {
+                eng->reset();
+                EXPECT_EQ(eng->pendingEvents(), 0u);
+                EXPECT_TRUE(eng->run());
+            }
+            EXPECT_EQ(live, 0) << "splice " << splice << " teardown "
+                               << teardown;
+            EXPECT_EQ(ran, 0);
+        }
+    }
 }
 
 

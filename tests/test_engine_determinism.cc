@@ -14,13 +14,24 @@
  * wraps the level-0 window), same-cycle bursts spanning several
  * level-0 segments, stopped mid-bucket and resumed, and a bucket whose
  * far-heap arrivals land behind later level-0 insertions.
+ *
+ * Every event is one of the engine's slot kinds, picked from its id: a
+ * callable stored inline, one boxed for its size, one boxed because it
+ * is not trivially copyable, or a coroutine resumed by resumeHandle.
+ * Seqs reserved up front are filed later, by scheduleReserved, both at
+ * later cycles (level 0 and the far heap, out of seq order) and into
+ * the cycle being drained (a same-cycle splice).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
+#include <deque>
+#include <exception>
 #include <functional>
+#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
@@ -53,6 +64,15 @@ class RefEngine
     void scheduleIn(Cycle delta, std::function<void()> fn)
     {
         schedule(now_ + delta, std::move(fn));
+    }
+
+    std::uint64_t reserveSeq() { return nextSeq_++; }
+
+    void
+    scheduleReserved(Cycle when, std::uint64_t seq, std::function<void()> fn)
+    {
+        heap_.push_back(Ev{when, seq, std::move(fn)});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
     }
 
     void stop() { stopped_ = true; }
@@ -135,6 +155,38 @@ pickDelta(std::mt19937 &rng)
     }
 }
 
+/** Coroutine that runs to completion on its own (no owner). */
+struct Detached
+{
+    struct promise_type
+    {
+        Detached get_return_object() const { return {}; }
+        std::suspend_never initial_suspend() const noexcept { return {}; }
+        std::suspend_never final_suspend() const noexcept { return {}; }
+        void return_void() const {}
+        [[noreturn]] void unhandled_exception() const { std::terminate(); }
+    };
+};
+
+/** Resume the awaiting coroutine @p delta cycles later: the engine's
+ *  resumeHandle, or a plain callback on the reference scheduler. */
+template <typename Eng>
+struct ResumeIn
+{
+    Eng &eng;
+    Cycle delta;
+    bool await_ready() const noexcept { return false; }
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        if constexpr (std::is_same_v<Eng, Engine>)
+            eng.resumeHandle(delta, h);
+        else
+            eng.scheduleIn(delta, [h] { h.resume(); });
+    }
+    void await_resume() const noexcept {}
+};
+
 /**
  * Drives one engine through the scripted workload. Every callback logs
  * (event id, cycle) and may schedule children; because both engines see
@@ -144,9 +196,21 @@ pickDelta(std::mt19937 &rng)
 template <typename Eng>
 struct Driver
 {
+    /** A seq claimed by reserveSeq(), waiting to be filed. */
+    struct Reservation
+    {
+        std::uint64_t seq;
+        Cycle when;
+        int id;
+    };
+
     Eng eng;
     std::mt19937 rng;
     std::vector<std::pair<int, Cycle>> trace;
+    std::deque<Reservation> reservations;
+    Reservation splice{}; // see splicedBurst()
+    int reservationsFiled = 0; // at a later cycle
+    int splicesFiled = 0;      // into the cycle being drained
     int nextId = 0;
     int budget; // bounds total event count
 
@@ -154,12 +218,60 @@ struct Driver
         : rng(seed), budget(budget_)
     {}
 
+    /** What an event does after fire(). */
+    enum class Then : std::uint8_t
+    {
+        Nothing,
+        Stop,   ///< stop the engine
+        Splice, ///< file the spliced burst's reserved seq
+    };
+
+    /**
+     * Hand @p schedule the callable for event @p id, of the slot kind
+     * the id picks: inline (16 bytes), boxed for its size (24 bytes),
+     * or boxed as not trivially copyable.
+     */
+    template <typename Schedule>
+    void
+    file(int id, Schedule &&schedule, Then then = Then::Nothing)
+    {
+        switch (id % 3) {
+          case 0:
+            static_assert(sizeof(Driver *) + sizeof(int) + sizeof(Then) <=
+                          Engine::kInlinePayload);
+            schedule([this, id, then] { fire(id, then); });
+            break;
+          case 1:
+            schedule([this, id, then, pad = std::uint64_t{0}] {
+                fire(id + static_cast<int>(pad), then);
+            });
+            break;
+          default:
+            schedule([this, owned = std::make_shared<int>(id), then] {
+                fire(*owned, then);
+            });
+            break;
+        }
+    }
+
+    static Detached
+    resumeAfter(Driver *d, Cycle delta, int id)
+    {
+        co_await ResumeIn<Eng>{d->eng, delta};
+        d->fire(id);
+    }
+
     void
     spawn(Cycle delta)
     {
         const int id = nextId++;
         --budget;
-        eng.scheduleIn(delta, [this, id] { fire(id); });
+        if (id % 4 == 3)
+            resumeAfter(this, delta, id);
+        else
+            file(id, [&](auto &&fn) {
+                eng.scheduleIn(delta, std::forward<decltype(fn)>(fn));
+            });
     }
 
     /**
@@ -172,12 +284,43 @@ struct Driver
     {
         for (int i = 0; i < count; ++i) {
             const int id = nextId++;
-            eng.schedule(when, [this, id, stop = i == stopAt] {
-                fire(id);
-                if (stop)
-                    eng.stop();
-            });
+            file(id,
+                 [&](auto &&fn) {
+                     eng.schedule(when, std::forward<decltype(fn)>(fn));
+                 },
+                 i == stopAt ? Then::Stop : Then::Nothing);
         }
+    }
+
+    /**
+     * @p count events at @p when with a seq reserved after the first
+     * half; the @p splicer-th event (in the first half) files it at
+     * the same cycle, into the undrained rest of the bucket.
+     */
+    void
+    splicedBurst(Cycle when, int count, int splicer)
+    {
+        for (int i = 0; i < count; ++i) {
+            if (i == count / 2)
+                splice = Reservation{eng.reserveSeq(), when, nextId++};
+            const int id = nextId++;
+            file(id,
+                 [&](auto &&fn) {
+                     eng.schedule(when, std::forward<decltype(fn)>(fn));
+                 },
+                 i == splicer ? Then::Splice : Then::Nothing);
+        }
+    }
+
+    /** File @p r under its reserved seq. */
+    void
+    fileReservation(const Reservation &r)
+    {
+        (r.when == eng.now() ? splicesFiled : reservationsFiled) += 1;
+        file(r.id, [&](auto &&fn) {
+            eng.scheduleReserved(r.when, r.seq,
+                                 std::forward<decltype(fn)>(fn));
+        });
     }
 
     /** Run to drain, logging where a stop() left the queue. */
@@ -189,12 +332,35 @@ struct Driver
     }
 
     void
-    fire(int id)
+    fire(int id, Then then = Then::Nothing)
     {
         trace.emplace_back(id, eng.now());
         const unsigned children = rng() % 3;
         for (unsigned c = 0; c < children && budget > 0; ++c)
             spawn(pickDelta(rng));
+        // Every fifth event claims a seq for a later cycle (level 0 or
+        // the far heap); every fifth, offset by two, files the oldest
+        // claim whose cycle is still ahead. Claims that fall behind are
+        // never filed, which is legal too.
+        if (id % 5 == 0 && budget > 0) {
+            --budget;
+            const Cycle delta = 1 + pickDelta(rng);
+            reservations.push_back(
+                Reservation{eng.reserveSeq(), eng.now() + delta, nextId++});
+        }
+        if (id % 5 == 2) {
+            while (!reservations.empty() &&
+                   reservations.front().when <= eng.now())
+                reservations.pop_front();
+            if (!reservations.empty()) {
+                fileReservation(reservations.front());
+                reservations.pop_front();
+            }
+        }
+        if (then == Then::Stop)
+            eng.stop();
+        else if (then == Then::Splice)
+            fileReservation(splice);
     }
 };
 
@@ -237,7 +403,19 @@ replay(std::uint32_t seed)
     d.burst(target, 65, 90 - 65);
     d.runLogged();
 
+    // Phase 5: same-cycle splices. Each burst spans several level-0
+    // segments (the last one far-filed, so it is staged via a sort),
+    // and an event of its first half files the seq reserved in its
+    // middle into the bucket being drained.
+    for (const int splicer : {0, 17, 33}) {
+        const Cycle far = splicer == 33 ? Engine::kCalendarHorizon : 0;
+        d.splicedBurst(d.eng.now() + 1 + far + outer() % 200, 80, splicer);
+        d.runLogged();
+    }
+
     EXPECT_EQ(d.eng.pendingEvents(), 0u);
+    EXPECT_GT(d.reservationsFiled, 0);
+    EXPECT_EQ(d.splicesFiled, 3);
     return {std::move(d.trace), d.eng.now()};
 }
 

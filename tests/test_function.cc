@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -81,16 +80,6 @@ TEST(UniqueFunction, NonTriviallyCopyablePayloadFallsBackToHeap)
     EXPECT_FALSE(f.usesInlineStorage());
     f();
     EXPECT_EQ(out, 7);
-}
-
-TEST(UniqueFunction, CoroutineHandleWrapsInline)
-{
-    // A raw handle is 8 bytes; the dedicated constructor must never
-    // allocate. (Resuming a real coroutine is covered by the engine
-    // and primitives tests; here we only check the storage class.)
-    UniqueFunction f{std::coroutine_handle<>{}};
-    EXPECT_TRUE(static_cast<bool>(f));
-    EXPECT_TRUE(f.usesInlineStorage());
 }
 
 TEST(UniqueFunction, MovePreservesInlinePayload)

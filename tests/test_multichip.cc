@@ -18,8 +18,11 @@
 #include <vector>
 
 #include "core/machine.hh"
+#include "bm/bm_system.hh"
+#include "coro/primitives.hh"
 #include "noc/chip_bridge.hh"
 #include "sim/engine.hh"
+#include "sim/heap_counter.hh"
 #include "wireless/frequency_plan.hh"
 #include "workloads/cas_kernels.hh"
 #include "workloads/tight_loop.hh"
@@ -428,6 +431,53 @@ TEST(MultiChipGoldenPin, SingleChipMatchesPreRefactorBuild)
                   d.bridgeFrames,
               0u);
     EXPECT_EQ(a.staleRmwAborts + d.staleRmwAborts, 0u);
+}
+
+/**
+ * 4-chip BM traffic after a warm-up round: every global store crosses
+ * the bridge, and run() must never touch the allocator, on the ideal
+ * link and on a lossy one (drops, retransmissions and give-up
+ * re-issues all reuse the pooled in-flight frames).
+ */
+TEST(MultiChip, BridgeTrafficRunsWithoutAllocating)
+{
+    using wisync::bm::BmSystem;
+    using wisync::sim::NodeId;
+    constexpr std::uint32_t kNodes = 32; // 8 per chip
+    for (const double loss : {0.0, 30.0}) {
+        wisync::noc::BridgeConfig bcfg;
+        bcfg.lossPct = loss;
+        bcfg.maxRetries = 1;
+        wisync::sim::Engine engine;
+        BmSystem bm(engine, kNodes, wisync::bm::BmConfig{},
+                    wisync::wireless::WirelessConfig{}, wisync::sim::Rng(7),
+                    /*with_tone=*/true, /*num_chips=*/4, bcfg);
+        for (wisync::sim::BmAddr a = 0; a < 4; ++a)
+            bm.storeArray().setTag(a, 1);
+        // One sender per chip, each storing to its own global word.
+        auto sender = [&](NodeId n) -> wisync::coro::Task<void> {
+            for (std::uint64_t i = 0; i < 50; ++i)
+                co_await bm.store(n, 1, n / 8, i);
+        };
+        auto round = [&] {
+            for (NodeId n = 0; n < kNodes; n += 8)
+                wisync::coro::spawnNow(engine, sender, n);
+        };
+        round();
+        ASSERT_TRUE(engine.run()); // warm-up
+
+        round();
+        const std::uint64_t before = wisync::sim::heapAllocs();
+        ASSERT_TRUE(engine.run());
+        EXPECT_EQ(wisync::sim::heapAllocs(), before) << "loss " << loss;
+        const auto &stats = bm.bridge()->stats();
+        EXPECT_EQ(stats.frames.value(), 2u * 4 * 50);
+        EXPECT_TRUE(bm.bridge()->dropAccountingConsistent());
+        if (loss > 0.0) {
+            EXPECT_GT(stats.retransmits.value(), 0u);
+            EXPECT_GT(stats.reissues.value(), 0u);
+        }
+    }
 }
 
 } // namespace

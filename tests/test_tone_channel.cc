@@ -67,6 +67,28 @@ TEST(ToneChannel, ReleasesWhenAllArmedArrive)
     EXPECT_FALSE(tone.isActive(0));
 }
 
+TEST(ToneChannel, RepeatedArrivalFromOneNodeCountsOnce)
+{
+    // The silence check counts nodes still jamming: a node that
+    // arrives twice (once while the activation was in flight, once
+    // after) must not stand in for a node that never arrived.
+    Engine eng;
+    ToneChannel tone(eng, 3);
+    int released = 0;
+    tone.setReleaseHandler([&](BmAddr) { ++released; });
+    tone.alloc(0, armedAll(3));
+    tone.arrive(0, 0); // pending
+    tone.activate(0);
+    tone.arrive(0, 0);
+    tone.arrive(0, 1);
+    tone.arrive(0, 1);
+    eng.run(100);
+    EXPECT_EQ(released, 0) << "released with node 2 still jamming";
+    tone.arrive(0, 2);
+    eng.run(200);
+    EXPECT_EQ(released, 1);
+}
+
 TEST(ToneChannel, ReleaseWithinOneSlotOfLastArrival)
 {
     Engine eng;
