@@ -1,19 +1,17 @@
 /**
  * @file
- * Timing gates of the simulation substrate: four same-process A/B
+ * Timing gates of the simulation substrate: two same-process A/B
  * pairs, each timed interleaved and compared best-of-N against a
  * fixed bound. A pair's ratio is leg A's throughput over leg B's on
  * equal work:
  *
  *   reset/build    Machine::reset + one sweep point vs a fresh build
- *   mesh           frameless mesh chain vs the wormhole coroutine
- *   ping-pong      coherent RMW ping-pong, fast paths on vs off
  *   frame pool     pooled frame alloc/free vs the system allocator
  *
  * The exit status is the gate (ctest runs this binary). The exact
- * counters these paths promise (fast-path hit fractions, zero
- * allocations, scheduler tiers, frame-pool reuse) are deterministic,
- * so unit tests assert them.
+ * counters the simulation paths promise (fast-path hit fractions,
+ * zero allocations, scheduler tiers, frame-pool reuse) are
+ * deterministic, so unit tests assert them.
  */
 
 #include <cstdint>
@@ -22,9 +20,7 @@
 #include <new>
 
 #include "coro/frame_pool.hh"
-#include "coro/primitives.hh"
 #include "core/machine.hh"
-#include "noc/mesh.hh"
 #include "sim/engine.hh"
 #include "timing_gate.hh"
 
@@ -34,91 +30,6 @@ namespace {
 
 /** Timed rounds per pair (best-of). */
 constexpr int kRounds = 7;
-
-coro::Task<void>
-meshMany(noc::Mesh &mesh, int count)
-{
-    for (int i = 0; i < count; ++i)
-        co_await mesh.send(0, 63, 576);
-}
-
-noc::MeshConfig
-meshConfig(bool fastpath)
-{
-    noc::MeshConfig cfg;
-    cfg.numNodes = 64;
-    cfg.fastpath = fastpath;
-    return cfg;
-}
-
-/**
- * The same 14-hop corner-to-corner stream on one persistent,
- * reset-reused engine and mesh, through the frameless reservation
- * chain (fastpath) or the wormhole coroutine.
- */
-struct MeshLeg
-{
-    explicit MeshLeg(bool fastpath) : cfg(meshConfig(fastpath)) {}
-
-    void
-    operator()()
-    {
-        for (int i = 0; i < 40; ++i) {
-            eng.reset();
-            mesh.reset(cfg);
-            coro::spawnDetached(eng, meshMany(mesh, 500));
-            eng.run();
-        }
-        bench::doNotOptimize(eng.now());
-    }
-
-    sim::Engine eng;
-    noc::MeshConfig cfg;
-    noc::Mesh mesh{eng, cfg};
-};
-
-core::MachineConfig
-withFastpath(core::ConfigKind kind, std::uint32_t cores, bool fastpath)
-{
-    auto cfg = core::MachineConfig::make(kind, cores);
-    cfg.setFastpath(fastpath);
-    return cfg;
-}
-
-/**
- * Two cores alternately RMW one line: the worst-case coherence
- * pattern behind the Baseline results, on one reset-reused machine.
- * Misses dominate, so the fast-path leg may win only through the
- * frameless mesh chain under the coherence legs, and must never lose.
- */
-struct PingPongLeg
-{
-    explicit PingPongLeg(bool fastpath)
-        : m(withFastpath(core::ConfigKind::Baseline, 16, fastpath))
-    {
-    }
-
-    void
-    operator()()
-    {
-        for (int i = 0; i < 20; ++i) {
-            m.reset();
-            const sim::Addr addr = m.allocMem(64, 64);
-            for (int t = 0; t < 2; ++t) {
-                m.spawnThread(
-                    static_cast<sim::NodeId>(t),
-                    [addr](core::ThreadCtx &ctx) -> coro::Task<void> {
-                        for (int k = 0; k < 200; ++k)
-                            co_await ctx.fetchAdd(addr, 1);
-                    });
-            }
-            m.run();
-        }
-        bench::doNotOptimize(m.engine().now());
-    }
-
-    core::Machine m;
-};
 
 coro::Task<void>
 touchPoint(core::ThreadCtx &ctx)
@@ -195,15 +106,6 @@ main()
                 kRounds),
             1.15);
     }
-    ok &= bench::gateAtLeast(
-        "mesh fastpath/fallback",
-        bench::interleavedRatio(MeshLeg(true), MeshLeg(false), kRounds),
-        1.3);
-    ok &= bench::gateAtLeast("ping-pong fastpath/fallback",
-                             bench::interleavedRatio(PingPongLeg(true),
-                                                     PingPongLeg(false),
-                                                     kRounds),
-                             0.97);
     {
         coro::FramePool pool;
         ok &= bench::gateAtLeast(

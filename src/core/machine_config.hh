@@ -102,20 +102,6 @@ struct MachineConfig
                               Variant variant = Variant::Default);
 
     /**
-     * Toggle the uncontended fast paths of both layers that have one
-     * (mesh routes, L1 hits) together. Behavioral and
-     * shape-compatible: a reset may flip it freely; simulated cycles
-     * are identical either way (the env kill switch
-     * WISYNC_NO_FASTPATH=1 sets the same flags at config build time).
-     */
-    void
-    setFastpath(bool on)
-    {
-        mesh.fastpath = on;
-        mem.fastpath = on;
-    }
-
-    /**
      * True when a Machine built from this config can be reused for
      * @p other via Machine::reset: the same structural geometry (core
      * count, cache/BM capacities, controller counts). The kind,
@@ -153,7 +139,7 @@ struct MachineConfig
      * one. Folded into the stream's leading tag and into
      * service::CacheStore's file-format version.
      */
-    static constexpr std::uint64_t kFingerprintVersion = 3;
+    static constexpr std::uint64_t kFingerprintVersion = 4;
 
     /**
      * Check every ranged forEachField() entry, then the cross-field
@@ -222,7 +208,7 @@ forEachField(Cfg &c, V &&v)
         v.field("lineBytes", c.mem.lineBytes, {});
         v.field("l1SizeBytes", c.mem.l1SizeBytes, {});
         v.field("l1Assoc", c.mem.l1Assoc, {});
-        v.field("l1RtCycles", c.mem.l1RtCycles, {});
+        v.field("l1RtCycles", c.mem.l1RtCycles, kAtLeastOne);
         v.field("l2BankSizeBytes", c.mem.l2BankSizeBytes, {});
         v.field("l2Assoc", c.mem.l2Assoc, {});
         v.field("l2RtCycles", c.mem.l2RtCycles, {});
@@ -231,14 +217,12 @@ forEachField(Cfg &c, V &&v)
         v.field("dramOutstanding", c.mem.dramOutstanding, {});
         v.field("ctrlBits", c.mem.ctrlBits, {});
         v.field("dataBits", c.mem.dataBits, {});
-        v.field("fastpath", c.mem.fastpath, {});
     });
     v.group("mesh", kOffWire, [&] {
         v.field("numNodes", c.mesh.numNodes, {});
-        v.field("hopCycles", c.mesh.hopCycles, {});
+        v.field("hopCycles", c.mesh.hopCycles, kAtLeastOne);
         v.field("linkBits", c.mesh.linkBits, {});
         v.field("treeMulticast", c.mesh.treeMulticast, {});
-        v.field("fastpath", c.mesh.fastpath, {});
     });
     v.group("wireless", FieldSpec{}, [&] {
         auto &w = c.wireless;

@@ -312,8 +312,10 @@ class SimMutex
 
     /**
      * Release the lock @p delta cycles from now, from plain (non-
-     * coroutine) code. Models resources held for a fixed occupancy
-     * window, e.g. a mesh link busy until the tail flit crosses it.
+     * coroutine) code: the eager form of a fixed occupancy window.
+     * The model holds such windows as timed reservations (tryReserve,
+     * holdUntil); the SimMutexReserve tests use this eager protocol as
+     * their reference.
      */
     void
     scheduleUnlock(sim::Cycle delta)

@@ -149,18 +149,8 @@ class [[nodiscard]] Task
 
     ~Task() { destroy(); }
 
-    bool valid() const noexcept { return handle_ != nullptr; }
-    bool done() const noexcept { return !handle_ || handle_.done(); }
-
     /** Detach the raw handle (caller takes over lifetime). */
     Handle release() noexcept { return std::exchange(handle_, nullptr); }
-
-    /**
-     * Raw handle view — ownership stays with this Task. For awaitables
-     * that compose a Task (delegating suspend/resume to it) without
-     * going through operator co_await.
-     */
-    Handle raw() const noexcept { return handle_; }
 
     auto
     operator co_await() noexcept

@@ -38,6 +38,7 @@ MemSystem::MemSystem(sim::Engine &engine, noc::Mesh &mesh, Memory &memory,
       lineShift_(static_cast<std::uint32_t>(std::countr_zero(cfg.lineBytes))),
       nodes_(num_nodes), memCtrls_(cfg.numMemCtrls), watches_(engine)
 {
+    WISYNC_ASSERT(cfg_.l1RtCycles > 0, "the L1 round trip needs a cycle");
     l1s_.reserve(numNodes_);
     banks_.reserve(numNodes_);
     const std::uint32_t sharer_words = (numNodes_ + 63) / 64;
@@ -61,6 +62,7 @@ MemSystem::reset(const MemConfig &cfg)
                         cfg.numMemCtrls != cfg_.numMemCtrls ||
                         cfg.dramOutstanding != cfg_.dramOutstanding,
                     "MemSystem::reset cannot change the geometry");
+    WISYNC_ASSERT(cfg.l1RtCycles > 0, "the L1 round trip needs a cycle");
     cfg_ = cfg;
     for (auto &l1 : l1s_)
         l1.reset();
@@ -421,21 +423,16 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
     e.busy.unlock();
 }
 
-// ---- Fast-path plumbing -----------------------------------------------
+// ---- Word accesses -----------------------------------------------------
 //
-// The factories below hand out either the frameless fast-mode Access
-// (stats that the coroutine would charge before its first suspension
-// are charged here instead — same event, same cycle) or the classic
-// coroutine wrapped in slow mode. finishAccess runs at the L1
-// round-trip instant: a hit commits and resumes the caller with no
-// coroutine involved; a miss starts the ordinary transaction inline so
-// the event stream matches the nested-coroutine path bit-for-bit.
+// The factories below charge the access counter and hand out the
+// frameless Access. finishAccess runs at the L1 round-trip instant: a
+// hit commits and resumes the caller with no coroutine involved; a
+// miss starts the fetchLine transaction inline, in that same event.
 
 MemSystem::Access<std::uint64_t>
 MemSystem::load(sim::NodeId node, sim::Addr addr)
 {
-    if (!cfg_.fastpath || cfg_.l1RtCycles == 0)
-        return Access<std::uint64_t>(loadTask(node, addr));
     stats_.loads.inc();
     return Access<std::uint64_t>(*this, OpKind::Load, node, addr, 0, 0);
 }
@@ -443,8 +440,6 @@ MemSystem::load(sim::NodeId node, sim::Addr addr)
 MemSystem::Access<void>
 MemSystem::store(sim::NodeId node, sim::Addr addr, std::uint64_t value)
 {
-    if (!cfg_.fastpath || cfg_.l1RtCycles == 0)
-        return Access<void>(storeTask(node, addr, value));
     stats_.stores.inc();
     return Access<void>(*this, OpKind::Store, node, addr, value, 0);
 }
@@ -452,8 +447,6 @@ MemSystem::store(sim::NodeId node, sim::Addr addr, std::uint64_t value)
 MemSystem::Access<std::uint64_t>
 MemSystem::fetchAdd(sim::NodeId node, sim::Addr addr, std::uint64_t delta)
 {
-    if (!cfg_.fastpath || cfg_.l1RtCycles == 0)
-        return Access<std::uint64_t>(fetchAddTask(node, addr, delta));
     stats_.rmws.inc();
     return Access<std::uint64_t>(*this, OpKind::FetchAdd, node, addr,
                                  delta, 0);
@@ -462,8 +455,6 @@ MemSystem::fetchAdd(sim::NodeId node, sim::Addr addr, std::uint64_t delta)
 MemSystem::Access<std::uint64_t>
 MemSystem::swap(sim::NodeId node, sim::Addr addr, std::uint64_t value)
 {
-    if (!cfg_.fastpath || cfg_.l1RtCycles == 0)
-        return Access<std::uint64_t>(swapTask(node, addr, value));
     stats_.rmws.inc();
     return Access<std::uint64_t>(*this, OpKind::Swap, node, addr, value,
                                  0);
@@ -479,8 +470,6 @@ MemSystem::Access<CasResult>
 MemSystem::cas(sim::NodeId node, sim::Addr addr, std::uint64_t expected,
                std::uint64_t desired)
 {
-    if (!cfg_.fastpath || cfg_.l1RtCycles == 0)
-        return Access<CasResult>(casTask(node, addr, expected, desired));
     stats_.rmws.inc();
     return Access<CasResult>(*this, OpKind::Cas, node, addr, expected,
                              desired);
@@ -554,9 +543,9 @@ MemSystem::finishAccess(AccessBase &op)
         }
         break;
     }
-    // Miss/upgrade: run the classic transaction, started inline so its
-    // first message goes out in this very event (as the coroutine
-    // path's would), completing back into the suspended caller.
+    // Miss/upgrade: run the transaction, started inline so its first
+    // message goes out in this very event, completing back into the
+    // suspended caller.
     stats_.fastpathFallbacks.inc();
     op.t0_ = engine_.now();
     struct MissDone
@@ -610,120 +599,6 @@ MemSystem::accessMissTask(AccessBase &op)
         });
         break;
     }
-}
-
-coro::Task<std::uint64_t>
-MemSystem::loadTask(sim::NodeId node, sim::Addr addr)
-{
-    stats_.loads.inc();
-    const sim::Addr line = l1s_[node].lineOf(addr);
-    co_await coro::delay(engine_, cfg_.l1RtCycles);
-    if (CacheLine *cl = l1s_[node].lookup(line); cl && canRead(cl->state)) {
-        stats_.l1Hits.inc();
-        co_return memory_.read64(wordOf(addr));
-    }
-    stats_.l1Misses.inc();
-    const sim::Cycle t0 = engine_.now();
-    std::uint64_t out = 0;
-    co_await fetchLine(node, line, false,
-                       [&] { out = memory_.read64(wordOf(addr)); });
-    stats_.missLatency.sample(static_cast<double>(engine_.now() - t0));
-    co_return out;
-}
-
-coro::Task<void>
-MemSystem::storeTask(sim::NodeId node, sim::Addr addr,
-                     std::uint64_t value)
-{
-    stats_.stores.inc();
-    const sim::Addr line = l1s_[node].lineOf(addr);
-    co_await coro::delay(engine_, cfg_.l1RtCycles);
-    if (CacheLine *cl = l1s_[node].lookup(line); cl && canWrite(cl->state)) {
-        stats_.l1Hits.inc();
-        cl->state = CohState::Modified;
-        memory_.write64(wordOf(addr), value);
-        co_return;
-    }
-    if (CacheLine *cl = l1s_[node].peek(line); cl && canRead(cl->state))
-        stats_.upgrades.inc();
-    else
-        stats_.l1Misses.inc();
-    const sim::Cycle t0 = engine_.now();
-    co_await fetchLine(node, line, true,
-                       [&] { memory_.write64(wordOf(addr), value); });
-    stats_.missLatency.sample(static_cast<double>(engine_.now() - t0));
-}
-
-coro::Task<std::uint64_t>
-MemSystem::fetchAddTask(sim::NodeId node, sim::Addr addr,
-                        std::uint64_t delta)
-{
-    stats_.rmws.inc();
-    const sim::Addr line = l1s_[node].lineOf(addr);
-    const sim::Addr w = wordOf(addr);
-    co_await coro::delay(engine_, cfg_.l1RtCycles);
-    if (CacheLine *cl = l1s_[node].lookup(line); cl && canWrite(cl->state)) {
-        stats_.l1Hits.inc();
-        cl->state = CohState::Modified;
-        const std::uint64_t old = memory_.read64(w);
-        memory_.write64(w, old + delta);
-        co_return old;
-    }
-    std::uint64_t old = 0;
-    co_await fetchLine(node, line, true, [&] {
-        old = memory_.read64(w);
-        memory_.write64(w, old + delta);
-    });
-    co_return old;
-}
-
-coro::Task<std::uint64_t>
-MemSystem::swapTask(sim::NodeId node, sim::Addr addr,
-                    std::uint64_t value)
-{
-    stats_.rmws.inc();
-    const sim::Addr line = l1s_[node].lineOf(addr);
-    const sim::Addr w = wordOf(addr);
-    co_await coro::delay(engine_, cfg_.l1RtCycles);
-    if (CacheLine *cl = l1s_[node].lookup(line); cl && canWrite(cl->state)) {
-        stats_.l1Hits.inc();
-        cl->state = CohState::Modified;
-        const std::uint64_t old = memory_.read64(w);
-        memory_.write64(w, value);
-        co_return old;
-    }
-    std::uint64_t old = 0;
-    co_await fetchLine(node, line, true, [&] {
-        old = memory_.read64(w);
-        memory_.write64(w, value);
-    });
-    co_return old;
-}
-
-coro::Task<CasResult>
-MemSystem::casTask(sim::NodeId node, sim::Addr addr,
-                   std::uint64_t expected, std::uint64_t desired)
-{
-    stats_.rmws.inc();
-    const sim::Addr line = l1s_[node].lineOf(addr);
-    const sim::Addr w = wordOf(addr);
-    co_await coro::delay(engine_, cfg_.l1RtCycles);
-    if (CacheLine *cl = l1s_[node].lookup(line); cl && canWrite(cl->state)) {
-        stats_.l1Hits.inc();
-        cl->state = CohState::Modified;
-        const std::uint64_t old = memory_.read64(w);
-        if (old == expected)
-            memory_.write64(w, desired);
-        co_return CasResult{old, old == expected};
-    }
-    CasResult res{0, false};
-    co_await fetchLine(node, line, true, [&] {
-        res.oldValue = memory_.read64(w);
-        res.success = res.oldValue == expected;
-        if (res.success)
-            memory_.write64(w, desired);
-    });
-    co_return res;
 }
 
 coro::Task<std::uint64_t>

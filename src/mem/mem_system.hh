@@ -43,7 +43,6 @@
 #include "mem/memory.hh"
 #include "noc/mesh.hh"
 #include "sim/engine.hh"
-#include "sim/env.hh"
 #include "sim/pooled_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -56,6 +55,7 @@ struct MemConfig
     std::uint32_t lineBytes = 64;
     std::uint32_t l1SizeBytes = 32 * 1024;
     std::uint32_t l1Assoc = 2;
+    /** L1 round trip (cycles, >= 1): one event per access. */
     std::uint32_t l1RtCycles = 2;
     std::uint32_t l2BankSizeBytes = 512 * 1024;
     std::uint32_t l2Assoc = 8;
@@ -67,8 +67,6 @@ struct MemConfig
     std::uint32_t ctrlBits = 80;
     /** Data message: 64 B line + header, bits. */
     std::uint32_t dataBits = 64 * 8 + 80;
-    /** Frameless L1-hit fast path (host-time only; cycle-exact). */
-    bool fastpath = sim::fastpathDefault();
 
     /** Field-wise equality (MachineConfig::operator== / fingerprint). */
     bool operator==(const MemConfig &) const = default;
@@ -125,10 +123,10 @@ struct MemStats
     sim::Counter dramFetches;
     sim::Counter l2Recalls;
     sim::Accumulator missLatency;
-    /** Accesses served frameless on the L1-hit fast path. */
+    /** Accesses that hit in the L1 and completed frameless. */
     sim::Counter fastpathHits;
-    /** Fast-path accesses that missed and fell into the coroutine
-     *  transaction (only counted while the fast path is enabled). */
+    /** Accesses that missed (or upgraded) and ran the coroutine
+     *  transaction. */
     sim::Counter fastpathFallbacks;
 
     /** Zero everything (assignment cannot miss a late-added field). */
@@ -141,17 +139,12 @@ struct MemStats
  * Core-facing API: every operation is an awaitable resolving when the
  * access commits. All value semantics are 64-bit words.
  *
- * With MemConfig::fastpath (default on, kill switch
- * WISYNC_NO_FASTPATH=1) the five word operations return a frameless
- * Access awaitable: the L1 round trip is one plain callback event —
- * scheduled at the instant, and firing at the cycle, the coroutine's
- * delay awaiter would — and an L1 hit commits and resumes the caller
- * right there, with no coroutine frame at all. A miss falls into the
- * ordinary fetchLine transaction *inside that same event* (the
- * transaction coroutine starts inline and its completion resumes the
- * caller inline, exactly where the nested-coroutine path would), so
- * the event order — and therefore every simulated cycle — is
- * bit-identical with the fast path on or off.
+ * The five word operations return a frameless Access awaitable: the
+ * L1 round trip is one plain callback event, and an L1 hit commits and
+ * resumes the caller right there, with no coroutine frame at all. A
+ * miss falls into the fetchLine transaction *inside that same event*
+ * (the transaction coroutine starts inline, so its first message goes
+ * out in that event, and its completion resumes the caller inline).
  */
 class MemSystem
 {
@@ -172,7 +165,7 @@ class MemSystem
         Cas,
     };
 
-    /** Type-independent state of one in-flight fast-path access. */
+    /** Type-independent state of one in-flight access. */
     class AccessBase
     {
       protected:
@@ -198,51 +191,33 @@ class MemSystem
     };
 
     /**
-     * Awaitable returned by the word operations.
-     *
-     * Fast mode carries the operation inline (no coroutine frame);
-     * slow mode (fast path disabled) wraps the classic Task coroutine
-     * and delegates to it via symmetric transfer, byte-for-byte the
-     * old behavior. Must be awaited exactly once, in the statement
-     * that created it (the standard `co_await mem.load(...)` shape).
+     * Awaitable returned by the word operations: carries the operation
+     * inline (no coroutine frame). Must be awaited exactly once, in
+     * the statement that created it (the standard
+     * `co_await mem.load(...)` shape).
      */
     template <typename T>
     class [[nodiscard]] Access : public AccessBase
     {
       public:
-        explicit Access(coro::Task<T> task) : task_(std::move(task)) {}
         Access(MemSystem &ms, OpKind kind, sim::NodeId node,
                sim::Addr addr, std::uint64_t arg0, std::uint64_t arg1)
             : AccessBase(ms, kind, node, addr, arg0, arg1)
         {}
 
-        bool
-        await_ready() const noexcept
-        {
-            return task_.valid() && task_.done();
-        }
+        bool await_ready() const noexcept { return false; }
 
-        std::coroutine_handle<>
+        void
         await_suspend(std::coroutine_handle<> h)
         {
-            if (task_.valid()) {
-                auto th = task_.raw();
-                th.promise().continuation = h;
-                return th; // start the task, as co_await task would
-            }
             caller_ = h;
-            // The L1 round trip: one callback event, scheduled here —
-            // the same instant the coroutine's delay awaiter would
-            // claim its sequence number.
+            // The L1 round trip: one callback event.
             ms_->engine_.scheduleIn(ms_->cfg_.l1RtCycles, FireFn{this});
-            return std::noop_coroutine();
         }
 
         T
         await_resume()
         {
-            if (task_.valid())
-                return task_.raw().promise().result();
             if constexpr (std::is_same_v<T, CasResult>)
                 return CasResult{out_, flag_};
             else if constexpr (!std::is_void_v<T>)
@@ -256,8 +231,6 @@ class MemSystem
             AccessBase *op;
             void operator()() const { op->ms_->finishAccess(*op); }
         };
-
-        coro::Task<T> task_;
     };
 
     /** Coherent 64-bit load. */
@@ -358,26 +331,11 @@ class MemSystem
 
     DirEntry &dirEntry(sim::Addr line);
 
-    /** The classic coroutine bodies behind the Access facade (the
-     *  kill-switch / non-fastpath path, byte-identical to pre-fastpath
-     *  behavior). */
-    coro::Task<std::uint64_t> loadTask(sim::NodeId node, sim::Addr addr);
-    coro::Task<void> storeTask(sim::NodeId node, sim::Addr addr,
-                               std::uint64_t value);
-    coro::Task<std::uint64_t> fetchAddTask(sim::NodeId node,
-                                           sim::Addr addr,
-                                           std::uint64_t delta);
-    coro::Task<std::uint64_t> swapTask(sim::NodeId node, sim::Addr addr,
-                                       std::uint64_t value);
-    coro::Task<CasResult> casTask(sim::NodeId node, sim::Addr addr,
-                                  std::uint64_t expected,
-                                  std::uint64_t desired);
-
-    /** Fast-path L1 round-trip completion: commit a hit frameless or
-     *  fall into the coroutine transaction inside the same event. */
+    /** L1 round-trip completion: commit a hit frameless or fall into
+     *  the coroutine transaction inside the same event. */
     void finishAccess(AccessBase &op);
 
-    /** The miss/upgrade continuation of a fast-path access. */
+    /** The miss/upgrade continuation of an access. */
     coro::Task<void> accessMissTask(AccessBase &op);
 
     bool sharerTest(const DirEntry &e, sim::NodeId n) const;

@@ -19,6 +19,7 @@ Mesh::Mesh(sim::Engine &engine, const MeshConfig &cfg)
 {
     WISYNC_ASSERT(cfg_.numNodes > 0, "mesh needs at least one node");
     WISYNC_ASSERT(cfg_.linkBits > 0, "links need nonzero width");
+    WISYNC_ASSERT(cfg_.hopCycles > 0, "hops need at least one cycle");
     width_ = static_cast<std::uint32_t>(
         std::ceil(std::sqrt(static_cast<double>(cfg_.numNodes))));
     // Routes may pass through grid positions beyond the last populated
@@ -42,6 +43,7 @@ Mesh::reset(const MeshConfig &cfg)
     WISYNC_FATAL_IF(cfg.numNodes != cfg_.numNodes,
                     "Mesh::reset cannot change the node count");
     WISYNC_ASSERT(cfg.linkBits > 0, "links need nonzero width");
+    WISYNC_ASSERT(cfg.hopCycles > 0, "hops need at least one cycle");
     cfg_ = cfg;
     for (auto &link : links_)
         link->reset();
@@ -78,40 +80,16 @@ Mesh::linkId(sim::NodeId a, sim::NodeId b) const
     WISYNC_PANIC("linkId of non-adjacent nodes %u -> %u", a, b);
 }
 
-Mesh::LinkVec
-Mesh::route(sim::NodeId src, sim::NodeId dst) const
-{
-    LinkVec path;
-    sim::NodeId cur = src;
-    // X first, then Y (dimension-order routing).
-    while (xOf(cur) != xOf(dst)) {
-        const sim::NodeId next =
-            nodeAt(xOf(cur) + (xOf(dst) > xOf(cur) ? 1 : -1), yOf(cur));
-        path.push_back(static_cast<std::uint32_t>(linkId(cur, next)));
-        cur = next;
-    }
-    while (yOf(cur) != yOf(dst)) {
-        const sim::NodeId next =
-            nodeAt(xOf(cur), yOf(cur) + (yOf(dst) > yOf(cur) ? 1 : -1));
-        path.push_back(static_cast<std::uint32_t>(linkId(cur, next)));
-        cur = next;
-    }
-    return path;
-}
-
 /**
  * Frameless head-flit driver.
  *
  * Awaited by send(); lives in send()'s (pooled) frame across the
- * single suspension. Each step runs at the cycle the wormhole
- * coroutine's head would reach that router — and, crucially, is
- * *scheduled* at the same instant the coroutine's per-hop delay would
- * be, so every insertion-sequence number the outside world can race
- * against is unchanged. A free link is taken as a timed reservation
- * (no release event unless a contender queues). A held link parks the
- * head in the link's FIFO as a plain callback waiter, exactly where
- * the wormhole coroutine's lock() would suspend; the grant turns the
- * hold into the same timed reservation and the head steps on.
+ * single suspension. Each step runs at the cycle the head reaches that
+ * router. A free link is taken as a timed reservation (no release
+ * event unless a contender queues). A held link parks the head in the
+ * link's FIFO as a plain callback waiter, in the same event; the grant
+ * turns the hold into the same timed reservation and the head steps
+ * on.
  */
 class Mesh::FastTransfer
 {
@@ -127,8 +105,7 @@ class Mesh::FastTransfer
     await_suspend(std::coroutine_handle<> h)
     {
         caller_ = h;
-        // The head enters the first link inline, in the co_await's own
-        // event — where transferAlong's first lock() would run.
+        // The head enters the first link inline, in the co_await's event.
         step();
     }
 
@@ -161,11 +138,14 @@ class Mesh::FastTransfer
             next_ = d.y > c.y ? cur_ + mesh_.width_ : cur_ - mesh_.width_;
         }
         coro::SimMutex &link = *mesh_.links_[cur_ * 4 + dir_];
-        // The link is busy until the tail flit crosses it (the same
-        // window transferAlong's scheduleUnlock(flits) would hold).
+        // The link stays busy until the tail flit crosses it; the head
+        // moves on in parallel. Freeing on a timer (rather than when
+        // the head secures the next hop) models routers with enough
+        // buffering to absorb a blocked message — optimistic under
+        // heavy congestion, exact otherwise.
         if (!link.tryReserve(mesh_.engine_.now() + flits_)) {
-            // Held: queue where transferAlong's lock() would, in this
-            // very event. Only the first held link counts.
+            // Held: queue in the link's FIFO, in this very event. Only
+            // the first held link counts.
             if (!contended_)
                 mesh_.stats_.fastpathFallbacks.inc();
             contended_ = true;
@@ -186,8 +166,8 @@ class Mesh::FastTransfer
             mesh_.engine_.scheduleIn(mesh_.cfg_.hopCycles, StepFn{this});
     }
 
-    /** Hand-off of a held link: hold it as transferAlong would after
-     *  lock(), until the tail crosses, then move on. */
+    /** Hand-off of a held link: hold it until the tail crosses, then
+     *  move on. */
     static void
     granted(void *self)
     {
@@ -201,8 +181,7 @@ class Mesh::FastTransfer
     finish()
     {
         // Head arrived; the tail is flits-1 cycles behind. Single-flit
-        // messages resume the sender inside this event, matching the
-        // slow path's zero-cycle delay awaiter.
+        // messages resume the sender inside this event.
         if (!contended_)
             mesh_.stats_.fastpathHits.inc();
         if (flits_ > 1)
@@ -222,23 +201,6 @@ class Mesh::FastTransfer
 };
 
 coro::Task<void>
-Mesh::transferAlong(LinkVec path, std::uint32_t flits)
-{
-    for (const auto link : path) {
-        co_await links_[link]->lock();
-        // The link stays busy until the tail flit crosses it; the head
-        // moves on in parallel. Freeing on a timer (rather than when
-        // the head secures the next hop) models routers with enough
-        // buffering to absorb a blocked message — optimistic under
-        // heavy congestion, exact otherwise.
-        links_[link]->scheduleUnlock(flits);
-        co_await coro::delay(engine_, cfg_.hopCycles);
-    }
-    if (flits > 1)
-        co_await coro::delay(engine_, flits - 1);
-}
-
-coro::Task<void>
 Mesh::send(sim::NodeId src, sim::NodeId dst, std::uint32_t bits)
 {
     const sim::Cycle start = engine_.now();
@@ -248,14 +210,8 @@ Mesh::send(sim::NodeId src, sim::NodeId dst, std::uint32_t bits)
     if (src == dst) {
         // Local turnaround through the node's port.
         co_await coro::delay(engine_, 1);
-    } else if (cfg_.fastpath && cfg_.hopCycles > 0) {
-        // hopCycles == 0 must stay on the wormhole path: its delay(0)
-        // awaiters complete inline, locking the whole route in one
-        // event, whereas the step chain would round-trip each hop
-        // through the ready ring — a different same-cycle grant order.
-        co_await FastTransfer(*this, src, dst, flits);
     } else {
-        co_await transferAlong(route(src, dst), flits);
+        co_await FastTransfer(*this, src, dst, flits);
     }
     stats_.latency.sample(static_cast<double>(engine_.now() - start));
 }

@@ -20,22 +20,17 @@
  *    Each tree hop holds its link as a timed SimMutex reservation
  *    (below), so an uncontended hop schedules no release event.
  *
- * Frameless fast path (MeshConfig::fastpath, default on, kill switch
- * WISYNC_NO_FASTPATH=1): send() drives the head flit down the route
- * with a frameless step chain — one plain callback event per hop, at
- * exactly the cycles (and scheduling instants) the wormhole
- * coroutine's per-hop awaits would occupy — taking each link as a
- * timed SimMutex reservation instead of lock()+scheduleUnlock. A
- * unicast therefore costs hops+2 events, no coroutine frame beyond
- * send() itself and zero heap allocations (no route vector, no release
- * events: a reservation's release is materialized lazily, at the
- * identical cycle, only if a contender queues on the link). A head
- * that finds a link held waits in that link's FIFO as a plain callback
- * waiter, enqueued exactly where the wormhole coroutine's lock() would
- * suspend; on hand-off it holds the link as the same timed reservation
- * and steps on. Contention semantics, and therefore timing, are
- * bit-for-bit those of the wormhole coroutine, which remains the
- * reference path (kill switch, and hopCycles == 0).
+ * Unicast (send) drives the head flit down the XY route with a
+ * frameless step chain: one plain callback event per hop, taking each
+ * link as a timed SimMutex reservation that ends when the tail crosses
+ * it. A unicast therefore costs hops+2 events, no coroutine frame
+ * beyond send() itself and zero heap allocations (no release events:
+ * a reservation's release is materialized lazily, at its cycle, only
+ * if a contender queues on the link). A head that finds a link held
+ * waits in that link's FIFO as a plain callback waiter; on hand-off it
+ * holds the link as the same timed reservation and steps on. The
+ * completion cycles of contended and uncontended messages are pinned
+ * by tests/test_mesh_fastpath.cc.
  */
 
 #ifndef WISYNC_NOC_MESH_HH
@@ -49,7 +44,6 @@
 #include "coro/primitives.hh"
 #include "coro/task.hh"
 #include "sim/engine.hh"
-#include "sim/env.hh"
 #include "sim/inline_vec.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -60,14 +54,12 @@ namespace wisync::noc {
 struct MeshConfig
 {
     std::uint32_t numNodes = 64;
-    /** Router + link traversal latency per hop (cycles). */
+    /** Router + link traversal latency per hop (cycles, >= 1). */
     std::uint32_t hopCycles = 4;
     /** Link width in bits (one flit per cycle per link). */
     std::uint32_t linkBits = 128;
     /** Replicate flits at fan-out routers for multicast (Baseline+). */
     bool treeMulticast = false;
-    /** Frameless head-flit fast path (host-time only; cycle-exact). */
-    bool fastpath = sim::fastpathDefault();
 
     /** Field-wise equality (MachineConfig::operator== / fingerprint). */
     bool operator==(const MeshConfig &) const = default;
@@ -80,10 +72,9 @@ struct MeshStats
     sim::Counter flits;
     sim::Counter multicasts;
     sim::Accumulator latency;
-    /** Unicasts whose whole route was driven by the frameless chain. */
+    /** Unicasts that met no held link on their route. */
     sim::Counter fastpathHits;
-    /** Unicasts that met at least one held link and queued for it
-     *  (only counted while the fast path is enabled). */
+    /** Unicasts that met at least one held link and queued for it. */
     sim::Counter fastpathFallbacks;
 
     /** Zero everything (assignment cannot miss a late-added field). */
@@ -99,8 +90,6 @@ struct MeshStats
 class Mesh
 {
   public:
-    /** XY routes fit inline up to a 17-wide grid (2*(width-1) hops). */
-    using LinkVec = sim::InlineVec<std::uint32_t, 32>;
     /** Destination lists fit inline up to the Table 1 64-node chip. */
     using NodeVec = sim::InlineVec<sim::NodeId, 64>;
 
@@ -139,7 +128,7 @@ class Mesh
     /**
      * Return to post-construction state, optionally retiming: frees
      * all links/ports and zeroes stats. @p cfg may change timing knobs
-     * (hopCycles, linkBits, treeMulticast, fastpath) but must keep
+     * (hopCycles, linkBits, treeMulticast) but must keep
      * numNodes. Callers (Machine::reset) must have destroyed in-flight
      * transfer coroutines first — link mutexes are cleared, not handed
      * off.
@@ -159,13 +148,8 @@ class Mesh
     /** Directional link id from node @p a to adjacent node @p b. */
     std::size_t linkId(sim::NodeId a, sim::NodeId b) const;
 
-    /** XY route as a list of directional link ids. */
-    LinkVec route(sim::NodeId src, sim::NodeId dst) const;
-
     /** Frameless head-flit driver (awaiter; see mesh.cc). */
     class FastTransfer;
-
-    coro::Task<void> transferAlong(LinkVec path, std::uint32_t flits);
 
     /** Tail-flit arrival delay (flits-1 cycles). */
     coro::Task<void> tailDelay(std::uint32_t flits);

@@ -178,6 +178,7 @@ Engine::fileReserved(Cycle when, std::uint64_t seq, Slot s)
     while (it != staged_.end() && it->seq < seq)
         ++it;
     staged_.insert(it, s);
+    ++tierStats_.calendar; // it runs from the level-0 bucket's drain
 }
 
 unsigned

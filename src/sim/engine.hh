@@ -98,7 +98,9 @@ class Engine
     struct TierStats
     {
         std::uint64_t ready = 0;    ///< same-cycle ring insertions
-        std::uint64_t calendar = 0; ///< level-0 insertions
+        /** Level-0 insertions, including same-cycle scheduleReserved()
+         *  splices into the bucket being drained. */
+        std::uint64_t calendar = 0;
         std::uint64_t heap = 0;     ///< far-heap insertions
         std::uint64_t cascades = 0; ///< far-heap events moved to level 0
     };
@@ -240,7 +242,13 @@ class Engine
     /** Number of events currently pending across all tiers. */
     std::size_t pendingEvents() const;
 
-    /** Cumulative per-tier counters (for benchmarks). */
+    /**
+     * Cumulative per-tier counters (for benchmarks). Every event is
+     * filed in exactly one of ready, calendar and heap (a cascade
+     * moves an event, it does not file a new one), so
+     * ready + calendar + heap == eventsExecuted() + pendingEvents()
+     * since construction or the last reset().
+     */
     const TierStats &tierStats() const { return tierStats_; }
 
     // ---- Detached-root registry --------------------------------------

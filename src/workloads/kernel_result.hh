@@ -83,15 +83,13 @@ struct KernelResult
      *  no global BM update is ever lost). */
     std::uint64_t bridgeGiveups = 0;
 
-    // Host-side fast-path telemetry, aggregated over the mesh and
-    // memory layers. Listed as CounterKind::Host: the fast paths
-    // are cycle-exact but these counters describe which host-time
-    // route served each message, which legitimately differs between a
-    // fastpath-on and a (WISYNC_NO_FASTPATH=1) fastpath-off run of the
-    // *same* simulation.
-    /** Messages/accesses served by an uncontended fast path. */
+    // Host-side telemetry, aggregated over the mesh and memory
+    // layers. Listed as CounterKind::Host: they describe which
+    // host-time route served each message or access (frameless, or
+    // queued / through the coroutine transaction), not the simulation.
+    /** Unicasts that met no held link plus accesses that hit in L1. */
     std::uint64_t fastpathHits = 0;
-    /** Fast-path attempts that fell back to the coroutine path. */
+    /** Unicasts that queued for a link plus L1 misses and upgrades. */
     std::uint64_t fastpathFallbacks = 0;
 
     double
@@ -186,8 +184,8 @@ void captureChannelStats(KernelResult &result, core::Machine &machine);
  * Equality over every CounterKind::Simulated field, doubles compared
  * by bit pattern — the determinism contract the sweep benches and
  * tests assert between serial and parallel runs. Host telemetry is
- * excluded, which is also what lets the fastpath-on vs -off identity
- * gate use this same predicate.
+ * excluded: it describes how the host got there, not what was
+ * simulated.
  */
 bool bitIdentical(const KernelResult &a, const KernelResult &b);
 

@@ -178,7 +178,7 @@ TEST(Persist, OnDiskFramingConstantsAreStable)
     EXPECT_EQ(header.substr(0, 8), "WSCSTORE");
     // A change to the fingerprint streams or the result words must
     // show up here, not as silently orphaned cache files.
-    EXPECT_EQ(CacheStore::formatVersion(), 0x2d04bec2c9819f85ull);
+    EXPECT_EQ(CacheStore::formatVersion(), 0xd11cfc60d98fbbc6ull);
 
     const std::string record =
         CacheStore::encodeRecord(pointWithSeed(1), resultWithCycles(7));

@@ -535,6 +535,43 @@ TEST(Engine, StopInsideSplicedBucketKeepsRemainderPending)
     EXPECT_EQ(order[50], -1);
 }
 
+/** A same-cycle scheduleReserved() splice runs from the level-0 bucket
+ *  being drained and counts as a level-0 insertion, so the three
+ *  insertion tiers account for every event dispatched or pending:
+ *  mid-run (stopped inside the spliced bucket) and after the drain. */
+TEST(Engine, TierCountersAddUpWithSameCycleSplices)
+{
+    Engine eng;
+    const auto &ts = eng.tierStats();
+    auto filed = [&] { return ts.ready + ts.calendar + ts.heap; };
+    std::uint64_t reserved = 0;
+    int spliced = 0;
+    for (int id = 0; id < 3; ++id)
+        eng.schedule(5, [&, id] {
+            if (id == 0) {
+                eng.scheduleReserved(5, reserved, [&] { ++spliced; });
+                eng.scheduleIn(0, [] {}); // ready ring
+            }
+            if (id == 2)
+                eng.stop();
+        });
+    reserved = eng.reserveSeq();
+    eng.schedule(5, [] {});
+    eng.schedule(Cycle{1} << 20, [] {}); // far heap
+    EXPECT_FALSE(eng.run());
+    EXPECT_EQ(eng.eventsExecuted(), 3u);
+    EXPECT_EQ(eng.pendingEvents(), 4u); // splice, id 3, ring, far
+    EXPECT_EQ(ts.calendar, 5u);         // ids 0-3 and the splice
+    EXPECT_EQ(filed(), eng.eventsExecuted() + eng.pendingEvents());
+    EXPECT_TRUE(eng.run());
+    EXPECT_EQ(spliced, 1);
+    EXPECT_EQ(eng.pendingEvents(), 0u);
+    EXPECT_EQ(ts.ready, 1u);
+    EXPECT_EQ(ts.heap, 1u);
+    EXPECT_EQ(filed(), eng.eventsExecuted());
+    EXPECT_EQ(filed(), 7u);
+}
+
 // --- event slot: inline callables, boxes --------------------------------
 
 TEST(EngineSlot, SmallTriviallyCopyableCallablesNeverAllocate)

@@ -110,9 +110,8 @@ struct FuzzResult
 FuzzResult
 fuzzRun(ConfigKind kind, std::uint64_t seed, std::uint32_t threads,
         int ops_per_thread, Machine *reuse = nullptr,
-        MacKind mac = MacKind::Brs, bool fastpath = true,
-        double loss_pct = 0.0, bool ber_from_snr = false,
-        double tx_power_dbm = 10.0,
+        MacKind mac = MacKind::Brs, double loss_pct = 0.0,
+        bool ber_from_snr = false, double tx_power_dbm = 10.0,
         const std::function<void(MachineConfig &)> &tweak = {})
 {
     auto cfg = MachineConfig::make(kind, threads);
@@ -121,7 +120,6 @@ fuzzRun(ConfigKind kind, std::uint64_t seed, std::uint32_t threads,
     cfg.wireless.lossPct = loss_pct;
     cfg.wireless.berFromSnr = ber_from_snr;
     cfg.wireless.txPowerDbm = tx_power_dbm;
-    cfg.setFastpath(fastpath);
     if (tweak)
         tweak(cfg);
     std::unique_ptr<Machine> owned;
@@ -228,46 +226,6 @@ TEST_P(FuzzAllConfigs, FreshVsResetAlternationStaysEquivalent)
     EXPECT_LT(reused_runs, 8);
 }
 
-TEST_P(FuzzAllConfigs, FastpathToggleTriIdentity)
-{
-    // Random WISYNC_NO_FASTPATH-style toggles through one persistent
-    // reset machine: every round runs (1) fresh with fast paths on,
-    // (2) the persistent machine reset to a randomly chosen fastpath
-    // setting, (3) fresh with fast paths off — and all three must be
-    // bit-identical in every simulated observable (the fast paths are
-    // host-time only; a config flip is an ordinary behavioral reset).
-    const auto kind = GetParam();
-    Machine persistent(MachineConfig::make(kind, 8));
-    wisync::sim::Rng pick(0xFA57FA57);
-    int toggled_off = 0;
-    for (int i = 0; i < 6; ++i) {
-        const std::uint64_t seed = 7000 + static_cast<std::uint64_t>(i);
-        const auto fresh_on =
-            fuzzRun(kind, seed, 8, 15, nullptr, MacKind::Brs, true);
-        // Random toggle, but force one of each setting in the first
-        // two rounds so the assertion below is seed-proof.
-        const bool reused_fastpath =
-            i == 0 ? true : (i == 1 ? false : pick.chance(0.5));
-        toggled_off += reused_fastpath ? 0 : 1;
-        const auto reused = fuzzRun(kind, seed, 8, 15, &persistent,
-                                    MacKind::Brs, reused_fastpath);
-        const auto fresh_off =
-            fuzzRun(kind, seed, 8, 15, nullptr, MacKind::Brs, false);
-        ASSERT_TRUE(fresh_on.completed);
-        EXPECT_EQ(fresh_on.cycles, reused.cycles) << "round " << i;
-        EXPECT_EQ(fresh_on.cycles, fresh_off.cycles) << "round " << i;
-        EXPECT_EQ(fresh_on.counter, reused.counter) << "round " << i;
-        EXPECT_EQ(fresh_on.counter, fresh_off.counter) << "round " << i;
-        EXPECT_EQ(fresh_on.bmCounter, reused.bmCounter) << "round " << i;
-        EXPECT_EQ(fresh_on.bmCounter, fresh_off.bmCounter)
-            << "round " << i;
-        EXPECT_TRUE(reused.replicasOk);
-    }
-    // The deterministic pick stream exercises both settings.
-    EXPECT_GT(toggled_off, 0);
-    EXPECT_LT(toggled_off, 6);
-}
-
 TEST_P(FuzzAllConfigs, DifferentSeedsDiverge)
 {
     const auto a = fuzzRun(GetParam(), 1, 8, 30);
@@ -357,11 +315,10 @@ TEST(FuzzMultiChip, RandomChipGridsThroughResetMatchFreshAndStayCoherent)
             cfg.numChips = chips;
         };
         const auto fresh = fuzzRun(ConfigKind::WiSync, seed, kCores, 12,
-                                   nullptr, mac, true, loss, false, 10.0,
-                                   tweak);
+                                   nullptr, mac, loss, false, 10.0, tweak);
         const auto reused = fuzzRun(ConfigKind::WiSync, seed, kCores, 12,
-                                    &persistent, mac, true, loss, false,
-                                    10.0, tweak);
+                                    &persistent, mac, loss, false, 10.0,
+                                    tweak);
         ASSERT_TRUE(fresh.completed) << "round " << i;
         ASSERT_TRUE(reused.completed) << "round " << i;
         EXPECT_EQ(fresh.cycles, reused.cycles) << "round " << i;
@@ -453,14 +410,14 @@ TEST(FuzzLossyChannel, RandomLossGridPreservesInvariantsAndReplays)
             snr ? static_cast<double>(rng.below(8)) - 2.0 : 10.0;
         const std::uint64_t seed =
             0x105500 + static_cast<std::uint64_t>(iter);
-        const auto a = fuzzRun(kind, seed, 8, 20, nullptr, mac, true,
-                               loss, snr, power);
+        const auto a =
+            fuzzRun(kind, seed, 8, 20, nullptr, mac, loss, snr, power);
         ASSERT_TRUE(a.completed)
             << "iter " << iter << " loss " << loss << " snr " << snr;
         EXPECT_TRUE(a.replicasOk);
         EXPECT_LE(a.counter + a.bmCounter, 8u * 20u);
-        const auto b = fuzzRun(kind, seed, 8, 20, nullptr, mac, true,
-                               loss, snr, power);
+        const auto b =
+            fuzzRun(kind, seed, 8, 20, nullptr, mac, loss, snr, power);
         EXPECT_EQ(a.cycles, b.cycles) << "iter " << iter;
         EXPECT_EQ(a.counter, b.counter) << "iter " << iter;
         EXPECT_EQ(a.bmCounter, b.bmCounter) << "iter " << iter;
@@ -484,8 +441,8 @@ TEST(FuzzLossyChannel, Loss0KnobsNeverPerturbTheIdealChannel)
         const auto retries = static_cast<std::uint32_t>(rng.below(12));
         const auto exp = static_cast<std::uint32_t>(rng.below(8));
         const auto odd = fuzzRun(
-            ConfigKind::WiSync, seed, 8, 15, nullptr, mac, true, 0.0,
-            false, 10.0, [&](MachineConfig &cfg) {
+            ConfigKind::WiSync, seed, 8, 15, nullptr, mac, 0.0, false,
+            10.0, [&](MachineConfig &cfg) {
                 cfg.wireless.ackTimeoutCycles = ack;
                 cfg.wireless.maxRetries = retries;
                 cfg.wireless.retryBackoffMaxExp = exp;
@@ -532,11 +489,10 @@ TEST(FuzzBurstyChannel, RandomBurstGridsThroughResetMatchFresh)
                     wisync::wireless::BurstParams::fromMean(mean, len);
         };
         const auto fresh = fuzzRun(ConfigKind::WiSync, seed, kCores, 12,
-                                   nullptr, mac, true, 0.0, false, 10.0,
-                                   tweak);
+                                   nullptr, mac, 0.0, false, 10.0, tweak);
         const auto reused = fuzzRun(ConfigKind::WiSync, seed, kCores, 12,
-                                    &persistent, mac, true, 0.0, false,
-                                    10.0, tweak);
+                                    &persistent, mac, 0.0, false, 10.0,
+                                    tweak);
         ASSERT_TRUE(fresh.completed)
             << "round " << i << " mean " << mean << " len " << len;
         ASSERT_TRUE(reused.completed) << "round " << i;
@@ -571,8 +527,8 @@ TEST(FuzzBurstyChannel, BurstOffKnobsNeverPerturbTheIdealChannel)
         const double pgb = rng.uniform();
         const double pbg = rng.uniform();
         const auto odd = fuzzRun(
-            ConfigKind::WiSync, seed, 8, 15, nullptr, mac, true, 0.0,
-            false, 10.0, [&](MachineConfig &cfg) {
+            ConfigKind::WiSync, seed, 8, 15, nullptr, mac, 0.0, false,
+            10.0, [&](MachineConfig &cfg) {
                 cfg.wireless.burst.enabled = false;
                 cfg.wireless.burst.goodLossPct = good;
                 cfg.wireless.burst.badLossPct = bad;

@@ -16,8 +16,8 @@
  *    never a hang), spinners always wake;
  *  - machine-level contracts: lossPct = 0 with the loss layer compiled
  *    in (even with odd ack knobs) is bit-identical to the golden
- *    runs, lossy runs are seed-deterministic across repeats /
- *    fresh-vs-reset / fastpath-on-vs-off, and every MacKind terminates
+ *    runs, lossy runs are seed-deterministic across repeats and
+ *    fresh-vs-reset, and every MacKind terminates
  *    under loss with the give-up bound respected.
  */
 
@@ -107,12 +107,11 @@ KernelResult
 runLossyTight(ConfigKind kind, MacKind mac, std::uint32_t cores,
               std::uint32_t iterations,
               const std::function<void(WirelessConfig &)> &tweak,
-              Machine *reuse = nullptr, bool fastpath = true)
+              Machine *reuse = nullptr)
 {
     auto cfg = MachineConfig::make(kind, cores);
     cfg.wireless.macKind = mac;
     tweak(cfg.wireless);
-    cfg.setFastpath(fastpath);
     std::unique_ptr<Machine> owned;
     if (reuse != nullptr)
         reuse->reset(cfg);
@@ -493,18 +492,6 @@ TEST_P(LossMachineKinds, FreshVsResetIdenticalUnderLoss)
                                       16, 4, tweak, &persistent);
     ASSERT_TRUE(fresh.completed);
     EXPECT_TRUE(wisync::workloads::bitIdentical(fresh, reused));
-}
-
-TEST(LossMachine, FastpathToggleIdenticalUnderLoss)
-{
-    auto tweak = [](WirelessConfig &w) { w.lossPct = 25.0; };
-    const auto on = runLossyTight(ConfigKind::WiSyncNoT, MacKind::Brs,
-                                  16, 5, tweak, nullptr, true);
-    const auto off = runLossyTight(ConfigKind::WiSyncNoT, MacKind::Brs,
-                                   16, 5, tweak, nullptr, false);
-    ASSERT_TRUE(on.completed);
-    EXPECT_TRUE(wisync::workloads::bitIdentical(on, off));
-    EXPECT_GE(on.wirelessDrops, 1u);
 }
 
 TEST(LossMachine, ToneConfigCompletesUnderLoss)

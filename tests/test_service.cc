@@ -529,9 +529,30 @@ TEST(ServiceCodec, RangeLimitsThemselvesAreAccepted)
             continue;
         ++ranged;
         SCOPED_TRACE(f.path);
-        // Every ranged field is a client knob today; an off-wire one
-        // would need a validate()-only case here.
-        ASSERT_TRUE(f.wire);
+        if (!f.wire) {
+            // No request can carry an off-wire field: set the member
+            // directly and check validate() alone, at lo and lo - 1.
+            // The off-wire ranged fields are latencies of at least one
+            // cycle; another shape needs its own cases here.
+            ASSERT_TRUE(f.integral && f.spec.lo >= 1.0 && f.spec.hi == kInf);
+            for (const bool ok : {true, false}) {
+                SCOPED_TRACE(ok ? "lo" : "lo - 1");
+                auto cfg = MachineConfig::make(ConfigKind::WiSync, 8);
+                withField(cfg, f.path, [&](auto &m) {
+                    using T = std::remove_reference_t<decltype(m)>;
+                    if constexpr (std::is_arithmetic_v<T>)
+                        m = static_cast<T>(ok ? f.spec.lo : f.spec.lo - 1.0);
+                });
+                const auto error = cfg.validate();
+                if (ok) {
+                    EXPECT_FALSE(error.has_value()) << error->message;
+                } else {
+                    ASSERT_TRUE(error.has_value());
+                    EXPECT_EQ(error->field, f.path);
+                }
+            }
+            continue;
+        }
         const auto text = [&](double v) {
             return f.integral ? wisync::service::jsonNumber(
                                     static_cast<std::uint64_t>(v))
@@ -571,9 +592,10 @@ TEST(ServiceCodec, RangeLimitsThemselvesAreAccepted)
             });
         }
     }
-    // cores, chips, issueWidth, the exponents, the loss percentages and
-    // burst knobs of both links, the bridge width.
-    EXPECT_EQ(ranged, 17u);
+    // cores, chips, issueWidth, the L1 round trip and hop latency (off
+    // the wire), the exponents, the loss percentages and burst knobs of
+    // both links, the bridge width.
+    EXPECT_EQ(ranged, 19u);
 }
 
 // ---- MachineConfig equality + fingerprint ------------------------
@@ -599,20 +621,18 @@ TEST(ServiceFingerprint, EqualConfigsShareItDifferingConfigsDoNot)
     }
 }
 
-TEST(ServiceFingerprint, V3StreamValuesArePinned)
+TEST(ServiceFingerprint, V4StreamValuesArePinned)
 {
     // Pinned so that a reordered or retyped field list fails here
     // instead of silently orphaning every persisted cache record.
-    EXPECT_EQ(MachineConfig::kFingerprintVersion, 3u);
-    auto cfg = MachineConfig::make(ConfigKind::WiSync, 64);
-    cfg.setFastpath(true); // independent of WISYNC_NO_FASTPATH
-    EXPECT_EQ(cfg.fingerprint(), 0xa497eb69c7ff84d2ull);
+    EXPECT_EQ(MachineConfig::kFingerprintVersion, 4u);
+    const auto cfg = MachineConfig::make(ConfigKind::WiSync, 64);
+    EXPECT_EQ(cfg.fingerprint(), 0x41e29358ede27341ull);
 
     RequestPoint point;
     point.config = MachineConfig::make(ConfigKind::WiSync, 8);
-    point.config.setFastpath(true);
     point.config.seed = 7;
-    EXPECT_EQ(point.fingerprint(), 0x6ac3e7506080e99full);
+    EXPECT_EQ(point.fingerprint(), 0x3092a1fa08b458deull);
 }
 
 TEST(ServiceFingerprint, WorkloadSpecSeparatesKindsAndParams)
