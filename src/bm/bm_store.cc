@@ -63,18 +63,11 @@ BmStore::writeChip(std::uint32_t chip, sim::BmAddr addr, std::uint64_t value)
 }
 
 void
-BmStore::toggleAll(sim::BmAddr addr)
-{
-    WISYNC_ASSERT(addr < words_, "BM toggle OOB");
-    // The tone-release location "can only take the values zero or
-    // non-zero" (§4.2.2).
-    writeAll(addr, values_[addr] == 0 ? 1 : 0);
-}
-
-void
 BmStore::toggleChip(std::uint32_t chip, sim::BmAddr addr)
 {
     WISYNC_ASSERT(addr < words_ && chip < numChips_, "BM chip toggle OOB");
+    // The tone-release location "can only take the values zero or
+    // non-zero" (§4.2.2).
     writeChip(chip, addr,
               values_[std::size_t{chip} * words_ + addr] == 0 ? 1 : 0);
 }

@@ -73,9 +73,6 @@ class BmStore
     void writeChip(std::uint32_t chip, sim::BmAddr addr,
                    std::uint64_t value);
 
-    /** Toggle 0 <-> 1 on every replica (tone-barrier release). */
-    void toggleAll(sim::BmAddr addr);
-
     /** Toggle 0 <-> 1 on one chip's replicas (per-chip tone release). */
     void toggleChip(std::uint32_t chip, sim::BmAddr addr);
 

@@ -14,21 +14,7 @@ BmSystem::BmSystem(sim::Engine &engine, std::uint32_t num_nodes,
       store_(engine, num_nodes, cfg.words())
 {
     rebuildChipTopology(wcfg, bridge_cfg, num_chips);
-    // Per-node MACs fork the RNG in global node order — the contract
-    // that keeps a reset machine's random stream identical to a fresh
-    // one regardless of the chip tiling.
-    macs_.reserve(numNodes_);
-    for (std::uint32_t n = 0; n < numNodes_; ++n)
-        macs_.push_back(std::make_unique<wireless::Mac>(
-            engine_, *channels_[channelIdxOf(n)],
-            *macProtocols_[channelIdxOf(n)], channelLocalNode(n),
-            rng.fork()));
-    // The bridge's loss stream forks AFTER every Mac (single-chip
-    // machines have no bridge, so the per-node streams stay identical
-    // across chip counts — and the parent rng is discarded here, so
-    // the extra fork perturbs nothing).
-    if (bridge_)
-        bridge_->setRng(rng.fork());
+    bindMacs(rng);
     toneEnabled_ = with_tone;
     pendingRmw_.resize(numNodes_);
     configureLoss(wcfg);
@@ -47,6 +33,7 @@ BmSystem::rebuildChipTopology(const wireless::WirelessConfig &wcfg,
     plan_ = wireless::FrequencyPlan(numChips_, wcfg.spectrumSlots,
                                     wcfg.channelLossBaseDb,
                                     wcfg.channelLossStepDb);
+    macs_.clear();
     channels_.clear();
     macProtocols_.clear();
     for (std::uint32_t ch = 0; ch < plan_.channels(); ++ch) {
@@ -63,14 +50,9 @@ BmSystem::rebuildChipTopology(const wireless::WirelessConfig &wcfg,
     for (std::uint32_t chip = 0; chip < numChips_; ++chip) {
         tones_.push_back(std::make_unique<wireless::ToneChannel>(
             engine_, coresPerChip_, cfg_.allocSlots));
-        if (numChips_ == 1)
-            tones_[chip]->setReleaseHandler(
-                [this](sim::BmAddr addr) { store_.toggleAll(addr); });
-        else
-            tones_[chip]->setReleaseHandler(
-                [this, chip](sim::BmAddr addr) {
-                    store_.toggleChip(chip, addr);
-                });
+        tones_[chip]->setReleaseHandler([this, chip](sim::BmAddr addr) {
+            store_.toggleChip(chip, addr);
+        });
     }
     bridgeCfg_ = bridge_cfg;
     if (numChips_ > 1) {
@@ -85,6 +67,28 @@ BmSystem::rebuildChipTopology(const wireless::WirelessConfig &wcfg,
     }
     framePool_.clear();
     freeFrames_.clear();
+}
+
+void
+BmSystem::bindMacs(sim::Rng &rng)
+{
+    const bool build = macs_.empty();
+    if (build)
+        macs_.reserve(numNodes_);
+    for (std::uint32_t n = 0; n < numNodes_; ++n) {
+        wireless::MacProtocol &protocol = *macProtocols_[channelIdxOf(n)];
+        if (build)
+            macs_.push_back(std::make_unique<wireless::Mac>(
+                engine_, *channels_[channelIdxOf(n)], protocol,
+                channelLocalNode(n), rng.fork()));
+        else
+            macs_[n]->reset(protocol, rng.fork());
+    }
+    // The bridge's loss stream forks AFTER every Mac: single-chip
+    // machines have no bridge, so the per-node streams stay identical
+    // across chip counts.
+    if (bridge_)
+        bridge_->setRng(rng.fork());
 }
 
 void
@@ -104,26 +108,14 @@ BmSystem::reset(const BmConfig &cfg, const wireless::WirelessConfig &wcfg,
     if (chips != numChips_ || !(plan == plan_)) {
         // Re-tiling the machine rebuilds the chip-topology objects —
         // the same license the macKind flip below already takes. MACs
-        // must rebind to the new channels, so they are rebuilt too,
-        // forking the RNG in the same global node order as the
-        // constructor.
+        // must rebind to the new channels, so they are rebuilt too.
         rebuildChipTopology(wcfg, bridge_cfg, chips);
-        macs_.clear();
-        for (std::uint32_t n = 0; n < numNodes_; ++n)
-            macs_.push_back(std::make_unique<wireless::Mac>(
-                engine_, *channels_[channelIdxOf(n)],
-                *macProtocols_[channelIdxOf(n)], channelLocalNode(n),
-                rng.fork()));
-        // Same fork order as construction: all Macs, then the bridge.
-        if (bridge_)
-            bridge_->setRng(rng.fork());
     } else {
         for (auto &channel : channels_)
             channel->reset(wcfg);
         // Retiming may select a different MAC protocol; rebuild only
-        // then (the common same-kind reset stays allocation-free). The
-        // RNG fork order below matches construction either way —
-        // protocols never consume machine randomness.
+        // then (the common same-kind reset stays allocation-free).
+        // Protocols never consume machine randomness.
         for (std::uint32_t ch = 0; ch < channels_.size(); ++ch) {
             if (macProtocols_[ch]->kind() != wcfg.macKind)
                 macProtocols_[ch] = wireless::makeMacProtocol(
@@ -132,17 +124,10 @@ BmSystem::reset(const BmConfig &cfg, const wireless::WirelessConfig &wcfg,
             else
                 macProtocols_[ch]->reset();
         }
-        // Same fork order as construction: node 0 first.
-        for (std::uint32_t n = 0; n < numNodes_; ++n)
-            macs_[n]->reset(*macProtocols_[channelIdxOf(n)], rng.fork());
         for (auto &tone : tones_)
             tone->reset();
-        if (bridge_) {
+        if (bridge_)
             bridge_->reset(bridge_cfg);
-            // Same fork order as construction: Macs first, then the
-            // bridge's loss stream.
-            bridge_->setRng(rng.fork());
-        }
         bridgeCfg_ = bridge_cfg;
         std::fill(globalVersion_.begin(), globalVersion_.end(), 0);
         std::fill(appliedVersion_.begin(), appliedVersion_.end(), 0);
@@ -151,6 +136,7 @@ BmSystem::reset(const BmConfig &cfg, const wireless::WirelessConfig &wcfg,
         for (auto &frame : framePool_)
             freeFrames_.push_back(frame.get());
     }
+    bindMacs(rng);
     toneEnabled_ = with_tone;
     pendingRmw_.assign(numNodes_, PendingRmw{});
     stats_.reset();
@@ -248,29 +234,17 @@ void
 BmSystem::deliverStore(sim::NodeId src, sim::BmAddr addr,
                        const std::uint64_t *values, std::uint32_t count)
 {
-    if (numChips_ == 1) {
-        for (std::uint32_t i = 0; i < count; ++i)
-            store_.writeAll(addr + i, values[i]);
-        // AFB: an incoming store that hits the address window of
-        // another node's pending RMW breaks that RMW's atomicity
-        // (§4.2.1).
-        for (sim::NodeId n = 0; n < numNodes_; ++n) {
-            PendingRmw &p = pendingRmw_[n];
-            if (p.active && n != src && p.addr >= addr &&
-                p.addr < addr + count)
-                p.afb = true;
-        }
-        return;
-    }
-    // Multi-chip: commit on the transmitting chip now; global-scope
-    // windows additionally bump the version clocks and cross the
-    // bridge. Bulk windows may not mix scopes — the frame is one unit.
+    // Commit on the transmitting chip now (a single-chip machine is
+    // chip 0). Global-scope words on a multi-chip machine additionally
+    // bump the version clocks and cross the bridge. Bulk windows may not
+    // mix scopes — the frame is one unit.
     const std::uint32_t chip = chipOf(src);
     const sim::NodeId first = chip * coresPerChip_;
-    const bool global = store_.scope(addr) == BmScope::Global;
-    BridgeFrame *frame = global ? acquireFrame() : nullptr;
+    const BmScope scope = store_.scope(addr);
+    BridgeFrame *frame =
+        numChips_ > 1 && scope == BmScope::Global ? acquireFrame() : nullptr;
     for (std::uint32_t i = 0; i < count; ++i) {
-        WISYNC_ASSERT((store_.scope(addr + i) == BmScope::Global) == global,
+        WISYNC_ASSERT(store_.scope(addr + i) == scope,
                       "bulk store window mixes BM scopes");
         store_.writeChip(chip, addr + i, values[i]);
         if (frame != nullptr) {
@@ -282,6 +256,8 @@ BmSystem::deliverStore(sim::NodeId src, sim::BmAddr addr,
             frame->versions[i] = v;
         }
     }
+    // AFB: an incoming store that hits the address window of another
+    // node's pending RMW breaks that RMW's atomicity (§4.2.1).
     for (sim::NodeId n = first; n < first + coresPerChip_; ++n) {
         PendingRmw &p = pendingRmw_[n];
         if (p.active && n != src && p.addr >= addr && p.addr < addr + count)
@@ -364,24 +340,38 @@ BmSystem::load(sim::NodeId node, sim::Pid pid, sim::BmAddr addr)
 }
 
 coro::Task<void>
+BmSystem::broadcast(sim::NodeId node, bool bulk, sim::UniqueFunction deliver,
+                    sim::Cycle after, ToneWatch watch)
+{
+    // The abort predicate lives in this frame for the whole send. It
+    // captures one pointer, which std::function stores inline: a
+    // broadcast allocates nothing.
+    const std::function<bool()> abort = [&watch] {
+        return watch.tone->isActive(watch.addr) ||
+               watch.tone->epochOf(watch.addr) != watch.epoch;
+    };
+    // No replica changed when the reliability layer gives up, so the
+    // controller re-issues the whole send (fresh retry budget) and the
+    // chip-wide write order is unaffected: the operation just completes
+    // later.
+    while (co_await macs_[node]->send(bulk, [&deliver] { deliver(); },
+                                      watch.tone ? &abort : nullptr) ==
+           wireless::SendOutcome::GaveUp)
+        stats_.sendReissues.inc();
+    co_await coro::delay(engine_, after);
+}
+
+coro::Task<void>
 BmSystem::store(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
                 std::uint64_t value)
 {
     checkPid(addr, pid);
     stats_.stores.inc();
-    // A store has no abort path: if the reliability layer gives up,
-    // the controller re-issues the whole send (fresh retry budget) —
-    // WCB simply sets later. No replica changed in between, so the
-    // chip-wide write order is unaffected.
-    while (co_await macs_[node]->send(false,
-                                      [this, node, addr, value] {
-                                          const std::uint64_t v = value;
-                                          deliverStore(node, addr, &v, 1);
-                                      }) ==
-           wireless::SendOutcome::GaveUp)
-        stats_.sendReissues.inc();
     // Local BM write + WCB after the broadcast succeeds (§4.2.1).
-    co_await coro::delay(engine_, cfg_.bmRtCycles);
+    return broadcast(
+        node, false,
+        [this, node, addr, value] { deliverStore(node, addr, &value, 1); },
+        cfg_.bmRtCycles);
 }
 
 coro::Task<std::array<std::uint64_t, 4>>
@@ -403,30 +393,44 @@ BmSystem::bulkStore(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
     checkPid(addr, pid, 4);
     stats_.stores.inc();
     stats_.bulkStores.inc();
-    while (co_await macs_[node]->send(
-               true,
-               [this, node, addr, values] {
-                   deliverStore(node, addr, values.data(), 4);
-               }) == wireless::SendOutcome::GaveUp)
-        stats_.sendReissues.inc();
-    co_await coro::delay(engine_, cfg_.bmRtCycles);
+    return broadcast(
+        node, true,
+        [this, node, addr, values] {
+            deliverStore(node, addr, values.data(), 4);
+        },
+        cfg_.bmRtCycles);
 }
 
 coro::Task<RmwResult>
-BmSystem::fetchAdd(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
-                   std::uint64_t delta)
+BmSystem::rmw(sim::NodeId node, sim::Pid pid, sim::BmAddr addr, RmwOp op,
+              std::uint64_t operand, std::uint64_t desired)
 {
     checkPid(addr, pid);
     stats_.rmws.inc();
     co_await coro::delay(engine_, cfg_.bmRtCycles); // local BM read
     PendingRmw &p = pendingRmw_[node];
     WISYNC_ASSERT(!p.active, "one outstanding RMW per node");
-    p.active = true;
-    p.addr = addr;
-    p.afb = false;
-    const std::uint64_t old = store_.read(node, addr);
+    p = PendingRmw{true, addr, false};
+    RmwResult r;
+    r.oldValue = store_.read(node, addr);
     co_await coro::delay(engine_, cfg_.rmwModifyCycles); // pipeline modify
-    const std::uint64_t desired = old + delta;
+    switch (op) {
+      case RmwOp::FetchAdd:
+        desired = r.oldValue + operand;
+        break;
+      case RmwOp::TestAndSet:
+        desired = 1;
+        break;
+      case RmwOp::Cas:
+        r.compared = r.oldValue == operand;
+        break;
+    }
+    if (!r.compared) {
+        // Comparison failed: no write is attempted (Fig. 4(b) retries
+        // straight away without consulting AFB).
+        p.active = false;
+        co_return r;
+    }
     const std::function<bool()> abort = [&p] { return p.afb; };
     const auto sent = co_await macs_[node]->send(
         false,
@@ -435,98 +439,21 @@ BmSystem::fetchAdd(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
     // A reliability-layer give-up rides the AFB contract: the write
     // never occurred, the instruction completes, software retries
     // (Fig. 4(a)) — identical observable semantics, no new hang path.
-    const bool failed =
-        p.afb || sent == wireless::SendOutcome::GaveUp;
+    r.atomicityFailed = p.afb || sent == wireless::SendOutcome::GaveUp;
     p.active = false;
-    if (failed) {
+    if (r.atomicityFailed)
         stats_.afbFailures.inc();
-    } else {
+    else
         co_await coro::delay(engine_, cfg_.bmRtCycles); // local write
-    }
-    co_return RmwResult{old, failed};
-}
-
-coro::Task<RmwResult>
-BmSystem::testAndSet(sim::NodeId node, sim::Pid pid, sim::BmAddr addr)
-{
-    checkPid(addr, pid);
-    stats_.rmws.inc();
-    co_await coro::delay(engine_, cfg_.bmRtCycles);
-    PendingRmw &p = pendingRmw_[node];
-    WISYNC_ASSERT(!p.active, "one outstanding RMW per node");
-    p.active = true;
-    p.addr = addr;
-    p.afb = false;
-    const std::uint64_t old = store_.read(node, addr);
-    co_await coro::delay(engine_, cfg_.rmwModifyCycles);
-    const std::function<bool()> abort = [&p] { return p.afb; };
-    const auto sent = co_await macs_[node]->send(
-        false, [this, node, addr] { deliverRmw(node, addr, 1); }, &abort);
-    // Give-up -> AFB, as in fetchAdd.
-    const bool failed =
-        p.afb || sent == wireless::SendOutcome::GaveUp;
-    p.active = false;
-    if (failed) {
-        stats_.afbFailures.inc();
-    } else {
-        co_await coro::delay(engine_, cfg_.bmRtCycles);
-    }
-    co_return RmwResult{old, failed};
-}
-
-coro::Task<BmCasResult>
-BmSystem::cas(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
-              std::uint64_t expected, std::uint64_t desired)
-{
-    checkPid(addr, pid);
-    stats_.rmws.inc();
-    co_await coro::delay(engine_, cfg_.bmRtCycles);
-    PendingRmw &p = pendingRmw_[node];
-    WISYNC_ASSERT(!p.active, "one outstanding RMW per node");
-    p.active = true;
-    p.addr = addr;
-    p.afb = false;
-    const std::uint64_t old = store_.read(node, addr);
-    co_await coro::delay(engine_, cfg_.rmwModifyCycles);
-    if (old != expected) {
-        // Comparison failed: no write is attempted (Fig. 4(b) retries
-        // straight away without consulting AFB).
-        p.active = false;
-        co_return BmCasResult{old, false, false};
-    }
-    const std::function<bool()> abort = [&p] { return p.afb; };
-    const auto sent = co_await macs_[node]->send(
-        false,
-        [this, node, addr, desired] { deliverRmw(node, addr, desired); },
-        &abort);
-    // Give-up -> AFB, as in fetchAdd.
-    const bool failed =
-        p.afb || sent == wireless::SendOutcome::GaveUp;
-    p.active = false;
-    if (failed) {
-        stats_.afbFailures.inc();
-    } else {
-        co_await coro::delay(engine_, cfg_.bmRtCycles);
-    }
-    co_return BmCasResult{old, true, failed};
+    co_return r;
 }
 
 coro::Task<std::uint64_t>
-BmSystem::fetchAddRetry(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
-                        std::uint64_t delta)
+BmSystem::rmwRetry(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
+                   RmwOp op, std::uint64_t operand)
 {
     for (;;) {
-        const RmwResult r = co_await fetchAdd(node, pid, addr, delta);
-        if (!r.atomicityFailed)
-            co_return r.oldValue;
-    }
-}
-
-coro::Task<std::uint64_t>
-BmSystem::testAndSetRetry(sim::NodeId node, sim::Pid pid, sim::BmAddr addr)
-{
-    for (;;) {
-        const RmwResult r = co_await testAndSet(node, pid, addr);
+        const RmwResult r = co_await rmw(node, pid, addr, op, operand);
         if (!r.atomicityFailed)
             co_return r.oldValue;
     }
@@ -552,51 +479,19 @@ BmSystem::toneStore(sim::NodeId node, sim::Pid pid, sim::BmAddr addr)
         // (or the whole barrier completes) while ours waits in the
         // MAC, the controller cancels the now-redundant message at
         // its transmit slot.
+        // The announcement is re-issued until it is either delivered
+        // or genuinely redundant (another node's announcement activated
+        // the barrier, or the epoch moved on): never a lost wakeup.
         stats_.toneAnnouncements.inc();
         tone.arrive(addr, local); // pending until activation
-        coro::spawnDetached(engine_,
-                            announceTask(node, addr, tone.epochOf(addr)));
+        coro::spawnDetached(
+            engine_,
+            broadcast(node, false,
+                      [tone = &tone, addr] { tone->activate(addr); }, 0,
+                      ToneWatch{&tone, addr, tone.epochOf(addr)}));
     } else {
         tone.arrive(addr, local); // drop our tone
     }
-}
-
-coro::Task<void>
-BmSystem::announceTask(sim::NodeId node, sim::BmAddr addr,
-                       std::uint64_t epoch)
-{
-    // The announcement travels on this chip's Data channel and acts on
-    // this chip's tone controller (tone barriers are per-die hardware).
-    wireless::ToneChannel *tone = tones_[chipOf(node)].get();
-    // The abort predicate lives in this frame for the whole send. It
-    // captures one pointer to its state, which std::function stores
-    // inline: an announcement allocates nothing.
-    const struct
-    {
-        wireless::ToneChannel *tone;
-        sim::BmAddr addr;
-        std::uint64_t epoch;
-    } watch{tone, addr, epoch};
-    const std::function<bool()> abort = [&watch] {
-        return watch.tone->isActive(watch.addr) ||
-               watch.tone->epochOf(watch.addr) != watch.epoch;
-    };
-    // Never a lost wakeup: an announcement the reliability layer gave
-    // up on is re-issued until it is either delivered or genuinely
-    // redundant (the abort predicate fires because another node's
-    // announcement activated the barrier, or the epoch moved on).
-    while (co_await macs_[node]->send(
-               false, [tone, addr] { tone->activate(addr); },
-               &abort) == wireless::SendOutcome::GaveUp)
-        stats_.sendReissues.inc();
-}
-
-coro::Task<std::uint64_t>
-BmSystem::toneLoad(sim::NodeId node, sim::Pid pid, sim::BmAddr addr)
-{
-    checkPid(addr, pid);
-    co_await coro::delay(engine_, cfg_.bmRtCycles);
-    co_return store_.read(node, addr);
 }
 
 coro::Task<std::uint64_t>
@@ -624,27 +519,26 @@ BmSystem::allocEntries(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
     // instant: allocation is setup-plane metadata, not data — modeling
     // its bridge crossing would only delay tag visibility, never
     // reorder data commits.
-    while (co_await macs_[node]->send(
-               false,
-               [this, pid, addr, count] {
-                   for (std::uint32_t i = 0; i < count; ++i)
-                       store_.setTag(addr + i, pid);
-               }) == wireless::SendOutcome::GaveUp)
-        stats_.sendReissues.inc();
-    co_await coro::delay(engine_, cfg_.bmRtCycles);
+    return broadcast(
+        node, false,
+        [this, pid, addr, count] {
+            for (std::uint32_t i = 0; i < count; ++i)
+                store_.setTag(addr + i, pid);
+        },
+        cfg_.bmRtCycles);
 }
 
 coro::Task<void>
 BmSystem::deallocEntries(sim::NodeId node, sim::BmAddr addr,
                          std::uint32_t count)
 {
-    while (co_await macs_[node]->send(
-               false,
-               [this, addr, count] {
-                   for (std::uint32_t i = 0; i < count; ++i)
-                       store_.setTag(addr + i, kNoPid);
-               }) == wireless::SendOutcome::GaveUp)
-        stats_.sendReissues.inc();
+    return broadcast(
+        node, false,
+        [this, addr, count] {
+            for (std::uint32_t i = 0; i < count; ++i)
+                store_.setTag(addr + i, kNoPid);
+        },
+        0);
 }
 
 bool

@@ -21,7 +21,8 @@
  *  - Bulk load/store move 4 consecutive words; a bulk broadcast takes
  *    15 cycles instead of 4x5 (§4.1).
  *  - tone_st / tone_ld drive the Tone channel's hardware barrier
- *    (§4.2.2); the release toggles the barrier word in all replicas.
+ *    (§4.2.2); the release toggles the barrier word in every replica
+ *    on the barrier's chip.
  *  - Every access checks the entry's PID tag (§4.4); a mismatch throws
  *    ProtectionFault.
  *
@@ -96,21 +97,26 @@ class ProtectionFault : public std::runtime_error
     sim::Pid pid;
 };
 
-/** Result of a BM RMW instruction (value + AFB register). */
+/** The BM read-modify-write instructions (§4.2.1). */
+enum class RmwOp : std::uint8_t
+{
+    /** fetch&add (fetch&inc is operand 1): writes old + operand. */
+    FetchAdd,
+    /** test&set: writes 1. */
+    TestAndSet,
+    /** Compare-and-swap (Fig. 4(b)): writes the desired value iff the
+     *  old value equals the operand. */
+    Cas,
+};
+
+/** Result of a BM RMW instruction (value, comparison, AFB register). */
 struct RmwResult
 {
     std::uint64_t oldValue = 0;
+    /** CAS comparison outcome ("CAS returns zero if contents differ");
+     *  always true for fetch&add and test&set. */
+    bool compared = true;
     /** AFB: set -> the write never occurred; retry the instruction. */
-    bool atomicityFailed = false;
-};
-
-/** Result of a BM CAS (Fig. 4(b) protocol). */
-struct BmCasResult
-{
-    std::uint64_t oldValue = 0;
-    /** Comparison outcome ("CAS returns zero if contents differ"). */
-    bool compared = false;
-    /** AFB: even a successful comparison may fail atomically. */
     bool atomicityFailed = false;
 
     bool succeeded() const { return compared && !atomicityFailed; }
@@ -153,7 +159,8 @@ class BmSystem
      * @param with_tone  False for WiSyncNoT (no Tone channel; tone_st
      *                   and tone barriers are unavailable).
      * @param num_chips  Chips in the package; num_nodes must divide
-     *                   evenly. 1 keeps the exact single-chip machine.
+     *                   evenly. A single chip is chip 0 of the same
+     *                   machine, with no bridge.
      */
     BmSystem(sim::Engine &engine, std::uint32_t num_nodes,
              const BmConfig &cfg, const wireless::WirelessConfig &wcfg,
@@ -181,39 +188,32 @@ class BmSystem
                                sim::BmAddr addr,
                                std::array<std::uint64_t, 4> values);
 
-    /** fetch&add (fetch&inc with delta=1). AFB semantics apply. */
-    coro::Task<RmwResult> fetchAdd(sim::NodeId node, sim::Pid pid,
-                                   sim::BmAddr addr, std::uint64_t delta);
-
-    /** test&set: writes 1. AFB semantics apply. */
-    coro::Task<RmwResult> testAndSet(sim::NodeId node, sim::Pid pid,
-                                     sim::BmAddr addr);
-
-    /** Compare-and-swap (Fig. 4(b)). */
-    coro::Task<BmCasResult> cas(sim::NodeId node, sim::Pid pid,
-                                sim::BmAddr addr, std::uint64_t expected,
-                                std::uint64_t desired);
+    /**
+     * One RMW instruction (Fig. 4(a,b)): read the local replica, modify
+     * in the pipeline, broadcast the new value; a remote store to the
+     * word in between raises AFB and the write never happens. @p
+     * operand is the fetch&add delta or the CAS expected value, @p
+     * desired the CAS new value.
+     */
+    coro::Task<RmwResult> rmw(sim::NodeId node, sim::Pid pid,
+                              sim::BmAddr addr, RmwOp op,
+                              std::uint64_t operand = 0,
+                              std::uint64_t desired = 0);
 
     /**
-     * Convenience retry loops (the software patterns of Fig. 4):
-     * repeat the RMW until AFB is clear.
+     * The software retry loop of Fig. 4(a): repeat rmw() until AFB is
+     * clear; returns the old value.
      */
-    coro::Task<std::uint64_t> fetchAddRetry(sim::NodeId node, sim::Pid pid,
-                                            sim::BmAddr addr,
-                                            std::uint64_t delta);
-    coro::Task<std::uint64_t> testAndSetRetry(sim::NodeId node,
-                                              sim::Pid pid,
-                                              sim::BmAddr addr);
+    coro::Task<std::uint64_t> rmwRetry(sim::NodeId node, sim::Pid pid,
+                                       sim::BmAddr addr, RmwOp op,
+                                       std::uint64_t operand = 0);
 
     // ---- Tone-channel instructions (§4.2.2) ----------------------
 
-    /** tone_st: arrival at the tone barrier on @p addr. */
+    /** tone_st: arrival at the tone barrier on @p addr. (tone_ld is
+     *  a plain load() of the barrier word.) */
     coro::Task<void> toneStore(sim::NodeId node, sim::Pid pid,
                                sim::BmAddr addr);
-
-    /** tone_ld: plain local read of the barrier word. */
-    coro::Task<std::uint64_t> toneLoad(sim::NodeId node, sim::Pid pid,
-                                       sim::BmAddr addr);
 
     // ---- Spin support ---------------------------------------------
 
@@ -337,10 +337,20 @@ class BmSystem
   private:
     void checkPid(sim::BmAddr addr, sim::Pid pid, std::uint32_t count = 1);
 
-    /** Build channels/protocols/tones/bridge for @p num_chips. */
+    /** Build channels/protocols/tones/bridge for @p num_chips; drops
+     *  the MACs, which bindMacs() rebuilds on the new channels. */
     void rebuildChipTopology(const wireless::WirelessConfig &wcfg,
                              const noc::BridgeConfig &bridge_cfg,
                              std::uint32_t num_chips);
+
+    /**
+     * Give every node's MAC (built if none exist, else reset onto its
+     * channel's protocol) and then the bridge a fresh fork of @p rng.
+     * Forks go in global node order, bridge last — the contract that
+     * keeps a reset machine's random stream identical to a fresh one
+     * regardless of the chip tiling.
+     */
+    void bindMacs(sim::Rng &rng);
 
     /** The channel index node @p node transmits on. */
     std::uint32_t
@@ -401,9 +411,25 @@ class BmSystem
     /** Bridge arrival: LWW-apply @p frame on every other chip. */
     void applyBridged(BridgeFrame *frame);
 
-    /** Detached tone-barrier announcement (cancellable, see §5.1). */
-    coro::Task<void> announceTask(sim::NodeId node, sim::BmAddr addr,
-                                  std::uint64_t epoch);
+    /** A tone announcement's cancellation test (§5.1): the message is
+     *  redundant once the barrier is active or its epoch moved on. */
+    struct ToneWatch
+    {
+        wireless::ToneChannel *tone;
+        sim::BmAddr addr;
+        std::uint64_t epoch;
+    };
+
+    /**
+     * Broadcast one controller message (store, bulk store, tag update,
+     * tone announcement) from @p node and wait @p after cycles. When the
+     * reliability layer gives up, the message is re-issued with a fresh
+     * retry budget until delivered. A set @p watch cancels it once
+     * redundant instead.
+     */
+    coro::Task<void> broadcast(sim::NodeId node, bool bulk,
+                               sim::UniqueFunction deliver,
+                               sim::Cycle after, ToneWatch watch = {});
 
     sim::Engine &engine_;
     std::uint32_t numNodes_;

@@ -182,20 +182,23 @@ ThreadCtx::bmStore(sim::BmAddr addr, std::uint64_t value)
 coro::Task<std::uint64_t>
 ThreadCtx::bmFetchAdd(sim::BmAddr addr, std::uint64_t d)
 {
-    return machine_.bm()->fetchAddRetry(node_, pid_, addr, d);
+    return machine_.bm()->rmwRetry(node_, pid_, addr, bm::RmwOp::FetchAdd,
+                                   d);
 }
 
 coro::Task<std::uint64_t>
 ThreadCtx::bmTestAndSet(sim::BmAddr addr)
 {
-    return machine_.bm()->testAndSetRetry(node_, pid_, addr);
+    return machine_.bm()->rmwRetry(node_, pid_, addr,
+                                   bm::RmwOp::TestAndSet);
 }
 
-coro::Task<bm::BmCasResult>
+coro::Task<bm::RmwResult>
 ThreadCtx::bmCas(sim::BmAddr addr, std::uint64_t expected,
                  std::uint64_t desired)
 {
-    return machine_.bm()->cas(node_, pid_, addr, expected, desired);
+    return machine_.bm()->rmw(node_, pid_, addr, bm::RmwOp::Cas, expected,
+                              desired);
 }
 
 coro::Task<std::array<std::uint64_t, 4>>
@@ -247,7 +250,7 @@ ThreadCtx::migrate(sim::NodeId new_node, sim::Cycle migrate_cost)
 coro::Task<std::uint64_t>
 ThreadCtx::toneLoad(sim::BmAddr addr)
 {
-    return machine_.bm()->toneLoad(node_, pid_, addr);
+    return machine_.bm()->load(node_, pid_, addr);
 }
 
 } // namespace wisync::core

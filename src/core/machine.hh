@@ -74,9 +74,9 @@ class ThreadCtx
     coro::Task<void> bmStore(sim::BmAddr addr, std::uint64_t value);
     coro::Task<std::uint64_t> bmFetchAdd(sim::BmAddr addr, std::uint64_t d);
     coro::Task<std::uint64_t> bmTestAndSet(sim::BmAddr addr);
-    coro::Task<bm::BmCasResult> bmCas(sim::BmAddr addr,
-                                      std::uint64_t expected,
-                                      std::uint64_t desired);
+    coro::Task<bm::RmwResult> bmCas(sim::BmAddr addr,
+                                    std::uint64_t expected,
+                                    std::uint64_t desired);
     coro::Task<std::array<std::uint64_t, 4>> bmBulkLoad(sim::BmAddr addr);
     coro::Task<void> bmBulkStore(sim::BmAddr addr,
                                  std::array<std::uint64_t, 4> values);
@@ -84,6 +84,7 @@ class ThreadCtx
                                           std::function<bool(std::uint64_t)>
                                               pred);
     coro::Task<void> toneStore(sim::BmAddr addr);
+    /** tone_ld: a plain BM load of the barrier word (§4.2.2). */
     coro::Task<std::uint64_t> toneLoad(sim::BmAddr addr);
 
     /**

@@ -415,36 +415,6 @@ class SimMutex
     WaiterQueue<Waiter> waiters_;
 };
 
-/** RAII helper running a coroutine critical section. */
-class ScopedSimLock
-{
-  public:
-    explicit ScopedSimLock(SimMutex &m) : mutex_(&m) {}
-    ScopedSimLock(ScopedSimLock &&o) noexcept
-        : mutex_(std::exchange(o.mutex_, nullptr))
-    {}
-    ScopedSimLock(const ScopedSimLock &) = delete;
-    ScopedSimLock &operator=(const ScopedSimLock &) = delete;
-    ScopedSimLock &operator=(ScopedSimLock &&) = delete;
-
-    ~ScopedSimLock()
-    {
-        if (mutex_)
-            mutex_->unlock();
-    }
-
-  private:
-    SimMutex *mutex_;
-};
-
-/** Acquire @p m and return a releasing guard. */
-inline coro::Task<ScopedSimLock>
-scopedLock(SimMutex &m)
-{
-    co_await m.lock();
-    co_return ScopedSimLock(m);
-}
-
 /**
  * Counting semaphore with FIFO grant order.
  *

@@ -428,7 +428,9 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
 // The factories below charge the access counter and hand out the
 // frameless Access. finishAccess runs at the L1 round-trip instant: a
 // hit commits and resumes the caller with no coroutine involved; a
-// miss starts the fetchLine transaction inline, in that same event.
+// miss starts the fetchLine transaction inline, in that same event,
+// and commits from its callback. Either way commit() is the one place
+// an access kind acts on the word.
 
 MemSystem::Access<std::uint64_t>
 MemSystem::load(sim::NodeId node, sim::Addr addr)
@@ -476,76 +478,53 @@ MemSystem::cas(sim::NodeId node, sim::Addr addr, std::uint64_t expected,
 }
 
 void
-MemSystem::finishAccess(AccessBase &op)
+MemSystem::commit(AccessBase &op)
 {
-    const sim::Addr line = l1s_[op.node_].lineOf(op.addr_);
     const sim::Addr w = wordOf(op.addr_);
-    CacheLine *cl = l1s_[op.node_].lookup(line);
+    if (op.kind_ != OpKind::Store)
+        op.out_ = memory_.read64(w);
     switch (op.kind_) {
       case OpKind::Load:
-        if (cl != nullptr && canRead(cl->state)) {
-            stats_.l1Hits.inc();
-            stats_.fastpathHits.inc();
-            op.out_ = memory_.read64(w);
-            op.caller_.resume();
-            return;
-        }
-        stats_.l1Misses.inc();
         break;
       case OpKind::Store:
-        if (cl != nullptr && canWrite(cl->state)) {
-            stats_.l1Hits.inc();
-            stats_.fastpathHits.inc();
-            cl->state = CohState::Modified;
-            memory_.write64(w, op.arg0_);
-            op.caller_.resume();
-            return;
-        }
-        if (CacheLine *pk = l1s_[op.node_].peek(line);
-            pk != nullptr && canRead(pk->state))
-            stats_.upgrades.inc();
-        else
-            stats_.l1Misses.inc();
+      case OpKind::Swap:
+        memory_.write64(w, op.arg0_);
         break;
       case OpKind::FetchAdd:
-        if (cl != nullptr && canWrite(cl->state)) {
-            stats_.l1Hits.inc();
-            stats_.fastpathHits.inc();
-            cl->state = CohState::Modified;
-            op.out_ = memory_.read64(w);
-            memory_.write64(w, op.out_ + op.arg0_);
-            op.caller_.resume();
-            return;
-        }
-        break;
-      case OpKind::Swap:
-        if (cl != nullptr && canWrite(cl->state)) {
-            stats_.l1Hits.inc();
-            stats_.fastpathHits.inc();
-            cl->state = CohState::Modified;
-            op.out_ = memory_.read64(w);
-            memory_.write64(w, op.arg0_);
-            op.caller_.resume();
-            return;
-        }
+        memory_.write64(w, op.out_ + op.arg0_);
         break;
       case OpKind::Cas:
-        if (cl != nullptr && canWrite(cl->state)) {
-            stats_.l1Hits.inc();
-            stats_.fastpathHits.inc();
-            cl->state = CohState::Modified;
-            op.out_ = memory_.read64(w);
-            op.flag_ = op.out_ == op.arg0_;
-            if (op.flag_)
-                memory_.write64(w, op.arg1_);
-            op.caller_.resume();
-            return;
-        }
+        op.flag_ = op.out_ == op.arg0_;
+        if (op.flag_)
+            memory_.write64(w, op.arg1_);
         break;
     }
-    // Miss/upgrade: run the transaction, started inline so its first
-    // message goes out in this very event, completing back into the
-    // suspended caller.
+}
+
+void
+MemSystem::finishAccess(AccessBase &op)
+{
+    // A load needs a readable copy; every other kind writes the word
+    // and needs write permission.
+    const bool write = op.kind_ != OpKind::Load;
+    CacheLine *cl = l1s_[op.node_].lookup(l1s_[op.node_].lineOf(op.addr_));
+    if (cl != nullptr && (!write || canWrite(cl->state))) {
+        stats_.l1Hits.inc();
+        stats_.fastpathHits.inc();
+        if (write)
+            cl->state = CohState::Modified;
+        commit(op);
+        op.caller_.resume();
+        return;
+    }
+    // A write to a readable copy is an upgrade; no copy is a miss.
+    if (cl != nullptr)
+        stats_.upgrades.inc();
+    else
+        stats_.l1Misses.inc();
+    // Run the transaction, started inline so its first message goes
+    // out in this very event, completing back into the suspended
+    // caller.
     stats_.fastpathFallbacks.inc();
     op.t0_ = engine_.now();
     struct MissDone
@@ -555,9 +534,8 @@ MemSystem::finishAccess(AccessBase &op)
         operator()() const
         {
             MemSystem &ms = *op->ms_;
-            if (op->kind_ == OpKind::Load || op->kind_ == OpKind::Store)
-                ms.stats_.missLatency.sample(
-                    static_cast<double>(ms.engine_.now() - op->t0_));
+            ms.stats_.missLatency.sample(
+                static_cast<double>(ms.engine_.now() - op->t0_));
             op->caller_.resume();
         }
     };
@@ -567,38 +545,8 @@ MemSystem::finishAccess(AccessBase &op)
 coro::Task<void>
 MemSystem::accessMissTask(AccessBase &op)
 {
-    const sim::Addr line = l1s_[op.node_].lineOf(op.addr_);
-    const sim::Addr w = wordOf(op.addr_);
-    switch (op.kind_) {
-      case OpKind::Load:
-        co_await fetchLine(op.node_, line, false,
-                           [&] { op.out_ = memory_.read64(w); });
-        break;
-      case OpKind::Store:
-        co_await fetchLine(op.node_, line, true,
-                           [&] { memory_.write64(w, op.arg0_); });
-        break;
-      case OpKind::FetchAdd:
-        co_await fetchLine(op.node_, line, true, [&] {
-            op.out_ = memory_.read64(w);
-            memory_.write64(w, op.out_ + op.arg0_);
-        });
-        break;
-      case OpKind::Swap:
-        co_await fetchLine(op.node_, line, true, [&] {
-            op.out_ = memory_.read64(w);
-            memory_.write64(w, op.arg0_);
-        });
-        break;
-      case OpKind::Cas:
-        co_await fetchLine(op.node_, line, true, [&] {
-            op.out_ = memory_.read64(w);
-            op.flag_ = op.out_ == op.arg0_;
-            if (op.flag_)
-                memory_.write64(w, op.arg1_);
-        });
-        break;
-    }
+    co_await fetchLine(op.node_, l1s_[op.node_].lineOf(op.addr_),
+                       op.kind_ != OpKind::Load, [&] { commit(op); });
 }
 
 coro::Task<std::uint64_t>

@@ -142,9 +142,12 @@ struct MemStats
  * The five word operations return a frameless Access awaitable: the
  * L1 round trip is one plain callback event, and an L1 hit commits and
  * resumes the caller right there, with no coroutine frame at all. A
- * miss falls into the fetchLine transaction *inside that same event*
- * (the transaction coroutine starts inline, so its first message goes
- * out in that event, and its completion resumes the caller inline).
+ * load hits on a readable copy; every other kind needs write
+ * permission. A miss falls into the fetchLine transaction *inside that
+ * same event* (the transaction coroutine starts inline, so its first
+ * message goes out in that event, and its completion resumes the
+ * caller inline). Both ends call one commit(), which holds each kind's
+ * effect on the word.
  */
 class MemSystem
 {
@@ -331,11 +334,16 @@ class MemSystem
 
     DirEntry &dirEntry(sim::Addr line);
 
+    /** The access's effect on its word: read, write or both, by kind.
+     *  Runs at the commit instant with the permission the kind needs. */
+    void commit(AccessBase &op);
+
     /** L1 round-trip completion: commit a hit frameless or fall into
      *  the coroutine transaction inside the same event. */
     void finishAccess(AccessBase &op);
 
-    /** The miss/upgrade continuation of an access. */
+    /** The miss/upgrade continuation of an access: fetchLine with
+     *  commit() as its callback. */
     coro::Task<void> accessMissTask(AccessBase &op);
 
     bool sharerTest(const DirEntry &e, sim::NodeId n) const;

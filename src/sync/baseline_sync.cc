@@ -44,7 +44,7 @@ TasLock::release(core::ThreadCtx &ctx)
 
 CentralBarrier::CentralBarrier(core::Machine &m, std::uint32_t participants)
     : participants_(participants), countAddr_(allocLine(m)),
-      releaseAddr_(allocLine(m))
+      releaseAddr_(allocLine(m)), senses_(m)
 {
     WISYNC_ASSERT(participants > 0, "empty barrier");
 }
@@ -52,8 +52,7 @@ CentralBarrier::CentralBarrier(core::Machine &m, std::uint32_t participants)
 coro::Task<void>
 CentralBarrier::wait(core::ThreadCtx &ctx)
 {
-    std::uint64_t &sense = senses_[ctx.tid()];
-    sense = sense ? 0 : 1;
+    const std::uint64_t sense = senses_.flip(ctx.tid());
 
     // Baseline has only CAS: bump the counter with a CAS retry loop.
     std::uint64_t arrived;
@@ -70,9 +69,8 @@ CentralBarrier::wait(core::ThreadCtx &ctx)
         co_await ctx.store(countAddr_, 0);
         co_await ctx.store(releaseAddr_, sense);
     } else {
-        const std::uint64_t want = sense;
-        co_await ctx.spinUntil(releaseAddr_, [want](std::uint64_t v) {
-            return v == want;
+        co_await ctx.spinUntil(releaseAddr_, [sense](std::uint64_t v) {
+            return v == sense;
         });
     }
 }
@@ -80,27 +78,25 @@ CentralBarrier::wait(core::ThreadCtx &ctx)
 // ---------------------------------------------------------------- McsLock
 
 McsLock::McsLock(core::Machine &m)
-    : machine_(m), tailAddr_(allocLine(m))
+    : machine_(m), tailAddr_(allocLine(m)), qnodes_(m)
 {}
 
-McsLock::QNode &
+McsLock::QNode
 McsLock::nodeFor(core::ThreadCtx &ctx)
 {
-    auto it = qnodes_.find(ctx.tid());
-    if (it == qnodes_.end()) {
-        QNode qn;
+    QNode &qn = qnodes_[ctx.tid()];
+    if (qn.base == 0) {
         qn.base = machine_.allocMem(64, 64);
         qn.nextAddr = qn.base;
         qn.lockedAddr = qn.base + 8;
-        it = qnodes_.emplace(ctx.tid(), qn).first;
     }
-    return it->second;
+    return qn;
 }
 
 coro::Task<void>
 McsLock::acquire(core::ThreadCtx &ctx)
 {
-    QNode &my = nodeFor(ctx);
+    const QNode my = nodeFor(ctx);
     co_await ctx.store(my.nextAddr, 0);
     // Enqueue at the tail; the previous value identifies our
     // predecessor's qnode (0 = lock was free).
@@ -117,7 +113,7 @@ McsLock::acquire(core::ThreadCtx &ctx)
 coro::Task<void>
 McsLock::release(core::ThreadCtx &ctx)
 {
-    QNode &my = nodeFor(ctx);
+    const QNode my = nodeFor(ctx);
     const std::uint64_t next = co_await ctx.load(my.nextAddr);
     if (next == 0) {
         // No known successor: try to swing the tail back to empty.
@@ -136,7 +132,7 @@ McsLock::release(core::ThreadCtx &ctx)
 
 TournamentBarrier::TournamentBarrier(core::Machine &m,
                                      std::uint32_t participants)
-    : participants_(participants)
+    : participants_(participants), senses_(m), slots_(m, kNoSlot)
 {
     WISYNC_ASSERT(participants > 0, "empty barrier");
     rounds_ = participants_ <= 1
@@ -167,15 +163,13 @@ TournamentBarrier::wakeFlag(std::uint32_t slot) const
 coro::Task<void>
 TournamentBarrier::wait(core::ThreadCtx &ctx)
 {
-    auto slot_it = slots_.find(ctx.tid());
-    if (slot_it == slots_.end())
-        slot_it = slots_.emplace(ctx.tid(), nextSlot_++).first;
-    const std::uint32_t slot = slot_it->second;
+    std::uint32_t &slot_of = slots_[ctx.tid()];
+    if (slot_of == kNoSlot)
+        slot_of = nextSlot_++;
+    const std::uint32_t slot = slot_of;
     WISYNC_ASSERT(slot < participants_, "more waiters than participants");
 
-    std::uint64_t &sense = senses_[ctx.tid()];
-    sense = sense ? 0 : 1;
-    const std::uint64_t my_sense = sense;
+    const std::uint64_t my_sense = senses_.flip(ctx.tid());
 
     // Arrival: at round r, slots that are multiples of 2^(r+1) win;
     // the loser at distance 2^r signals its winner and blocks on its

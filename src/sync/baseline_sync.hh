@@ -16,7 +16,6 @@
 #define WISYNC_SYNC_BASELINE_SYNC_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "sync/primitives.hh"
 
@@ -53,7 +52,7 @@ class CentralBarrier : public Barrier
     std::uint32_t participants_;
     sim::Addr countAddr_;
     sim::Addr releaseAddr_;
-    std::unordered_map<sim::ThreadId, std::uint64_t> senses_;
+    Senses senses_;
 };
 
 /** MCS queue lock (Baseline+) [31]. */
@@ -68,15 +67,17 @@ class McsLock : public Lock
   private:
     struct QNode
     {
-        sim::Addr nextAddr;   // 0 = none, else holder's qnode base
-        sim::Addr lockedAddr; // spin word
-        sim::Addr base;       // identity stored in the tail
+        sim::Addr nextAddr = 0;   // 0 = none, else holder's qnode base
+        sim::Addr lockedAddr = 0; // spin word
+        sim::Addr base = 0;       // identity stored in the tail; 0 = none
     };
-    QNode &nodeFor(core::ThreadCtx &ctx);
+    /** The thread's qnode, allocated on its first use. Callers keep a
+     *  copy across awaits: a higher thread id may grow the table. */
+    QNode nodeFor(core::ThreadCtx &ctx);
 
     core::Machine &machine_;
     sim::Addr tailAddr_;
-    std::unordered_map<sim::ThreadId, QNode> qnodes_;
+    PerThread<QNode> qnodes_;
 };
 
 /**
@@ -101,9 +102,10 @@ class TournamentBarrier : public Barrier
     std::uint32_t rounds_;
     sim::Addr arriveBase_;
     sim::Addr wakeBase_;
-    std::unordered_map<sim::ThreadId, std::uint64_t> senses_;
+    Senses senses_;
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
     /** Dense slot index per thread (assigned on first wait). */
-    std::unordered_map<sim::ThreadId, std::uint32_t> slots_;
+    PerThread<std::uint32_t> slots_;
     std::uint32_t nextSlot_ = 0;
 };
 

@@ -10,10 +10,59 @@
 #ifndef WISYNC_SYNC_PRIMITIVES_HH
 #define WISYNC_SYNC_PRIMITIVES_HH
 
+#include <cstdint>
+#include <vector>
+
 #include "core/machine.hh"
 #include "coro/task.hh"
 
 namespace wisync::sync {
+
+/**
+ * Per-thread state indexed by ThreadId. Machine::spawnThread numbers
+ * threads densely from 0, so a vector does a hash map's job: it holds
+ * one entry per core from construction (every slot @p init) and grows
+ * only for a higher id.
+ */
+template <typename T>
+class PerThread
+{
+  public:
+    explicit PerThread(const core::Machine &m, T init = T{})
+        : init_(init), slots_(m.config().numCores, init)
+    {}
+
+    T &
+    operator[](sim::ThreadId tid)
+    {
+        if (tid >= slots_.size())
+            slots_.resize(tid + 1, init_);
+        return slots_[tid];
+    }
+
+  private:
+    T init_;
+    std::vector<T> slots_;
+};
+
+/** Per-thread sense-reversal bits, 0 before a thread's first use. */
+class Senses
+{
+  public:
+    explicit Senses(const core::Machine &m) : senses_(m) {}
+
+    /** Reverse @p tid's sense and return it: 1, then 0, 1, ... */
+    std::uint64_t
+    flip(sim::ThreadId tid)
+    {
+        std::uint64_t &sense = senses_[tid];
+        sense ^= 1;
+        return sense;
+    }
+
+  private:
+    PerThread<std::uint64_t> senses_;
+};
 
 /** Mutual-exclusion lock. */
 class Lock

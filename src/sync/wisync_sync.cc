@@ -48,7 +48,7 @@ BmLock::release(core::ThreadCtx &ctx)
 BmBarrier::BmBarrier(core::Machine &m, sim::Pid pid,
                      std::uint32_t participants)
     : participants_(participants), countAddr_(setupBmWords(m, 1, pid)),
-      releaseAddr_(setupBmWords(m, 1, pid))
+      releaseAddr_(setupBmWords(m, 1, pid)), senses_(m)
 {
     WISYNC_ASSERT(participants > 0, "empty barrier");
 }
@@ -56,18 +56,15 @@ BmBarrier::BmBarrier(core::Machine &m, sim::Pid pid,
 coro::Task<void>
 BmBarrier::wait(core::ThreadCtx &ctx)
 {
-    std::uint64_t &sense = senses_[ctx.tid()];
-    sense = sense ? 0 : 1;
-
+    const std::uint64_t sense = senses_.flip(ctx.tid());
     const std::uint64_t arrived =
         co_await ctx.bmFetchAdd(countAddr_, 1) + 1;
     if (arrived == participants_) {
         co_await ctx.bmStore(countAddr_, 0);
         co_await ctx.bmStore(releaseAddr_, sense);
     } else {
-        const std::uint64_t want = sense;
-        co_await ctx.bmSpinUntil(releaseAddr_, [want](std::uint64_t v) {
-            return v == want;
+        co_await ctx.bmSpinUntil(releaseAddr_, [sense](std::uint64_t v) {
+            return v == sense;
         });
     }
 }
@@ -76,7 +73,7 @@ BmBarrier::wait(core::ThreadCtx &ctx)
 
 ToneBarrier::ToneBarrier(core::Machine &m, sim::Pid pid,
                          const std::vector<sim::NodeId> &participants)
-    : machine_(m), addr_(setupBmWords(m, 1, pid))
+    : machine_(m), addr_(setupBmWords(m, 1, pid)), senses_(m)
 {
     WISYNC_ASSERT(m.bm() != nullptr, "tone barrier needs WiSync");
     std::vector<bool> armed(m.config().numCores, false);
@@ -99,9 +96,7 @@ coro::Task<void>
 ToneBarrier::wait(core::ThreadCtx &ctx)
 {
     // Fig. 4(c): local_sense = !local_sense; tone_st; spin tone_ld.
-    std::uint64_t &sense = senses_[ctx.tid()];
-    sense = sense ? 0 : 1;
-    const std::uint64_t want = sense;
+    const std::uint64_t want = senses_.flip(ctx.tid());
     co_await ctx.toneStore(addr_);
     co_await ctx.bmSpinUntil(addr_,
                              [want](std::uint64_t v) { return v == want; });
@@ -113,7 +108,7 @@ MultiChipBarrier::MultiChipBarrier(core::Machine &m, sim::Pid pid,
                                    const std::vector<sim::NodeId>
                                        &participants)
     : machine_(m), gcountAddr_(setupBmWords(m, 1, pid)),
-      greleaseAddr_(setupBmWords(m, 1, pid))
+      greleaseAddr_(setupBmWords(m, 1, pid)), senses_(m)
 {
     WISYNC_ASSERT(m.bm() != nullptr, "multi-chip barrier needs WiSync");
     const core::MachineConfig &cfg = m.config();
@@ -172,10 +167,7 @@ MultiChipBarrier::~MultiChipBarrier()
 coro::Task<void>
 MultiChipBarrier::wait(core::ThreadCtx &ctx)
 {
-    std::uint64_t &sense = senses_[ctx.tid()];
-    sense = sense ? 0 : 1;
-    const std::uint64_t want = sense;
-
+    const std::uint64_t want = senses_.flip(ctx.tid());
     const ChipGroup &g =
         groups_[groupOfChip_[machine_.config().chipOf(ctx.node())]];
     bool rep = false;
@@ -204,14 +196,14 @@ MultiChipBarrier::wait(core::ThreadCtx &ctx)
             co_await ctx.bmFetchAdd(gcountAddr_, 1) + 1;
         if (garrived == groups_.size()) {
             co_await ctx.bmStore(gcountAddr_, 0);
-            co_await ctx.bmStore(greleaseAddr_, sense);
+            co_await ctx.bmStore(greleaseAddr_, want);
         } else {
             co_await ctx.bmSpinUntil(greleaseAddr_,
                                      [want](std::uint64_t v) {
                                          return v == want;
                                      });
         }
-        co_await ctx.bmStore(g.releaseAddr, sense);
+        co_await ctx.bmStore(g.releaseAddr, want);
     } else {
         co_await ctx.bmSpinUntil(g.releaseAddr, [want](std::uint64_t v) {
             return v == want;
@@ -301,7 +293,8 @@ ProducerConsumer::consume(core::ThreadCtx &ctx)
 Multicaster::Multicaster(core::Machine &m, sim::Pid pid,
                          std::uint32_t readers)
     : readers_(readers), dataAddr_(setupBmWords(m, 1, pid)),
-      countAddr_(setupBmWords(m, 1, pid)), flagAddr_(setupBmWords(m, 1, pid))
+      countAddr_(setupBmWords(m, 1, pid)), flagAddr_(setupBmWords(m, 1, pid)),
+      readerSenses_(m)
 {
     WISYNC_ASSERT(readers > 0, "multicast needs readers");
 }
@@ -321,11 +314,8 @@ Multicaster::publish(core::ThreadCtx &ctx, std::uint64_t value)
 coro::Task<std::uint64_t>
 Multicaster::receive(core::ThreadCtx &ctx)
 {
-    // Reader senses start at 1, matching the producer's first toggle.
-    std::uint64_t &sense =
-        readerSenses_.try_emplace(ctx.tid(), 1).first->second;
-    const std::uint64_t want = sense;
-    sense = sense ? 0 : 1;
+    // The first flip yields 1, matching the producer's first toggle.
+    const std::uint64_t want = readerSenses_.flip(ctx.tid());
     co_await ctx.bmSpinUntil(flagAddr_,
                              [want](std::uint64_t v) { return v == want; });
     const std::uint64_t data = co_await ctx.bmLoad(dataAddr_);

@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sync/primitives.hh"
@@ -61,7 +60,7 @@ class BmBarrier : public Barrier
     std::uint32_t participants_;
     sim::BmAddr countAddr_;
     sim::BmAddr releaseAddr_;
-    std::unordered_map<sim::ThreadId, std::uint64_t> senses_;
+    Senses senses_;
 };
 
 /**
@@ -86,7 +85,7 @@ class ToneBarrier : public Barrier
   private:
     core::Machine &machine_;
     sim::BmAddr addr_;
-    std::unordered_map<sim::ThreadId, std::uint64_t> senses_;
+    Senses senses_;
 };
 
 /**
@@ -130,7 +129,7 @@ class MultiChipBarrier : public Barrier
     std::vector<std::uint32_t> groupOfChip_; // chip -> groups_ index
     sim::BmAddr gcountAddr_;
     sim::BmAddr greleaseAddr_;
-    std::unordered_map<sim::ThreadId, std::uint64_t> senses_;
+    Senses senses_;
 };
 
 /** Eureka on a BM word (§4.3.2), sense-reversing for reuse. */
@@ -206,7 +205,7 @@ class Multicaster
     sim::BmAddr countAddr_;
     sim::BmAddr flagAddr_;
     std::uint64_t produceSense_ = 1;
-    std::unordered_map<sim::ThreadId, std::uint64_t> readerSenses_;
+    Senses readerSenses_;
 };
 
 } // namespace wisync::sync

@@ -39,13 +39,13 @@ TEST(BmStore, ToggleFlipsZeroAndNonZero)
 {
     Engine eng;
     BmStore bm(eng, 4, 64);
-    bm.toggleAll(3);
+    bm.toggleChip(0, 3);
     EXPECT_EQ(bm.read(0, 3), 1u);
-    bm.toggleAll(3);
+    bm.toggleChip(0, 3);
     EXPECT_EQ(bm.read(2, 3), 0u);
     // Non-zero values toggle to zero.
     bm.writeAll(3, 77);
-    bm.toggleAll(3);
+    bm.toggleChip(0, 3);
     EXPECT_EQ(bm.read(1, 3), 0u);
 }
 

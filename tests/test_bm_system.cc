@@ -23,6 +23,7 @@ namespace {
 using wisync::bm::BmConfig;
 using wisync::bm::BmSystem;
 using wisync::bm::ProtectionFault;
+using wisync::bm::RmwOp;
 using wisync::coro::delay;
 using wisync::coro::spawnNow;
 using wisync::coro::Task;
@@ -129,7 +130,7 @@ TEST(BmSystem, FetchAddSucceedsWithoutContention)
 {
     BmChip chip(4);
     spawnNow(chip.engine, [&]() -> Task<void> {
-        const auto r = co_await chip.bm.fetchAdd(0, kPid, 3, 5);
+        const auto r = co_await chip.bm.rmw(0, kPid, 3, RmwOp::FetchAdd, 5);
         EXPECT_FALSE(r.atomicityFailed);
         EXPECT_EQ(r.oldValue, 0u);
     });
@@ -152,7 +153,7 @@ TEST(BmSystem, AfbSetWhenRemoteStoreIntervenes)
     // channel attempt then waits for the busy channel and by the time
     // it transmits, the incoming store has set AFB.
     spawnNow(chip.engine, [&]() -> Task<void> {
-        const auto r = co_await chip.bm.fetchAdd(1, kPid, 7, 1);
+        const auto r = co_await chip.bm.rmw(1, kPid, 7, RmwOp::FetchAdd, 1);
         if (r.atomicityFailed)
             ++afb_failures;
     });
@@ -165,13 +166,14 @@ TEST(BmSystem, AfbSetWhenRemoteStoreIntervenes)
 
 TEST(BmSystem, RetryLoopsAlwaysCommitExactlyOnce)
 {
-    // Property: N nodes x K fetchAddRetry(1) == N*K despite AFB aborts.
+    // Property: N nodes x K fetch&add(1) retries == N*K despite AFB
+    // aborts.
     constexpr std::uint32_t kNodes = 16;
     constexpr int kIters = 10;
     BmChip chip(kNodes);
     auto worker = [&](NodeId n) -> Task<void> {
         for (int i = 0; i < kIters; ++i)
-            co_await chip.bm.fetchAddRetry(n, kPid, 0, 1);
+            co_await chip.bm.rmwRetry(n, kPid, 0, RmwOp::FetchAdd, 1);
     };
     for (NodeId n = 0; n < kNodes; ++n)
         spawnNow(chip.engine, worker, n);
@@ -187,7 +189,7 @@ TEST(BmSystem, CasComparisonFailureSkipsBroadcast)
     spawnNow(chip.engine, [&]() -> Task<void> {
         co_await chip.bm.store(0, kPid, 11, 5);
         const auto msgs = chip.bm.dataChannel().stats().messages.value();
-        const auto r = co_await chip.bm.cas(1, kPid, 11, 99, 1);
+        const auto r = co_await chip.bm.rmw(1, kPid, 11, RmwOp::Cas, 99, 1);
         EXPECT_FALSE(r.compared);
         EXPECT_FALSE(r.atomicityFailed);
         EXPECT_EQ(r.oldValue, 5u);
@@ -202,7 +204,7 @@ TEST(BmSystem, CasSuccess)
 {
     BmChip chip(4);
     spawnNow(chip.engine, [&]() -> Task<void> {
-        const auto r = co_await chip.bm.cas(2, kPid, 12, 0, 77);
+        const auto r = co_await chip.bm.rmw(2, kPid, 12, RmwOp::Cas, 0, 77);
         EXPECT_TRUE(r.succeeded());
     });
     chip.engine.run();

@@ -353,7 +353,8 @@ TEST(LossBmSystem, RmwGiveUpSurfacesAsAtomicityFailure)
     LossChip chip(4, wcfg);
     wisync::bm::RmwResult r;
     spawnNow(chip.engine, [&]() -> Task<void> {
-        r = co_await chip.bm.fetchAdd(0, kPid, 3, 1);
+        r = co_await chip.bm.rmw(0, kPid, 3, wisync::bm::RmwOp::FetchAdd,
+                                 1);
     });
     ASSERT_TRUE(chip.engine.run(1'000'000));
     // The give-up rides the AFB contract: the instruction completes,

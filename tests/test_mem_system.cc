@@ -21,6 +21,7 @@ using wisync::mem::CohState;
 using wisync::mem::MemConfig;
 using wisync::mem::Memory;
 using wisync::mem::MemSystem;
+using OpKind = wisync::mem::MemSystem::OpKind;
 using wisync::noc::Mesh;
 using wisync::noc::MeshConfig;
 using wisync::sim::Addr;
@@ -141,18 +142,58 @@ TEST(MemSystem, WriteInvalidatesAllSharers)
     EXPECT_GE(chip.mem.stats().invalidations.value(), 3u);
 }
 
-TEST(MemSystem, UpgradeFromSharedCountsAsUpgrade)
+/** The access kinds that write their word: each needs write permission. */
+class MemSystemWrite : public ::testing::TestWithParam<OpKind>
+{};
+
+INSTANTIATE_TEST_SUITE_P(Kinds, MemSystemWrite,
+                         ::testing::Values(OpKind::Store, OpKind::FetchAdd,
+                                           OpKind::Swap, OpKind::Cas),
+                         [](const auto &info) {
+                             switch (info.param) {
+                               case OpKind::Store:
+                                 return "Store";
+                               case OpKind::FetchAdd:
+                                 return "FetchAdd";
+                               case OpKind::Swap:
+                                 return "Swap";
+                               case OpKind::Cas:
+                                 return "Cas";
+                               case OpKind::Load:
+                                 break;
+                             }
+                             return "Load";
+                         });
+
+TEST_P(MemSystemWrite, UpgradeFromSharedCountsAsUpgrade)
 {
+    // Every kind leaves 5 in the word, which starts at 0.
     Chip chip(16);
     spawnNow(chip.engine, [&]() -> Task<void> {
         co_await chip.mem.load(0, 0x50000);
         co_await chip.mem.load(1, 0x50000); // both Shared now
-        co_await chip.mem.store(0, 0x50000, 5);
+        switch (GetParam()) {
+          case OpKind::Store:
+            co_await chip.mem.store(0, 0x50000, 5);
+            break;
+          case OpKind::FetchAdd:
+            co_await chip.mem.fetchAdd(0, 0x50000, 5);
+            break;
+          case OpKind::Swap:
+            co_await chip.mem.swap(0, 0x50000, 5);
+            break;
+          case OpKind::Cas:
+            co_await chip.mem.cas(0, 0x50000, 0, 5);
+            break;
+          case OpKind::Load:
+            break;
+        }
     });
     chip.engine.run();
     EXPECT_EQ(chip.mem.stats().upgrades.value(), 1u);
     EXPECT_EQ(chip.mem.l1State(0, 0x50000), CohState::Modified);
     EXPECT_EQ(chip.mem.l1State(1, 0x50000), CohState::Invalid);
+    EXPECT_EQ(chip.memory.read64(0x50000), 5u);
 }
 
 TEST(MemSystem, CasSemantics)

@@ -7,8 +7,9 @@
  * MultiChipBarrier), reset-replay determinism for chip
  * grids, the config describe() labels — and the golden pin: a
  * numChips = 1 machine must produce exactly the pre-multichip numbers
- * on the figure kernels, because the single-chip code path is required
- * to be byte-identical to the pre-refactor build.
+ * on the figure kernels, because single-chip is the chip-0 case of the
+ * one chip path and must stay byte-identical to the pre-refactor
+ * build.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "noc/chip_bridge.hh"
 #include "sim/engine.hh"
 #include "sim/heap_counter.hh"
+#include "sync/wisync_sync.hh"
 #include "wireless/frequency_plan.hh"
 #include "workloads/cas_kernels.hh"
 #include "workloads/tight_loop.hh"
@@ -478,6 +480,43 @@ TEST(MultiChip, BridgeTrafficRunsWithoutAllocating)
             EXPECT_GT(stats.reissues.value(), 0u);
         }
     }
+}
+
+/**
+ * Per-thread barrier state is one vector entry per core, sized when
+ * the barrier is built: on a reset machine the rounds of a freshly
+ * built MultiChipBarrier allocate nothing.
+ */
+TEST(MultiChip, FreshBarrierRoundsRunWithoutAllocating)
+{
+    using wisync::core::ThreadCtx;
+    using wisync::sim::NodeId;
+    constexpr std::uint32_t kThreads = 32;
+    auto cfg = MachineConfig::make(ConfigKind::WiSync, kThreads);
+    cfg.numChips = 4;
+    Machine m(cfg);
+    std::vector<NodeId> nodes;
+    for (NodeId n = 0; n < kThreads; ++n)
+        nodes.push_back(n);
+    auto spawn_rounds = [&](wisync::sync::Barrier &barrier) {
+        for (NodeId n = 0; n < kThreads; ++n)
+            m.spawnThread(n, [&barrier](ThreadCtx &ctx)
+                                 -> wisync::coro::Task<void> {
+                for (int i = 0; i < 4; ++i)
+                    co_await barrier.wait(ctx);
+            });
+    };
+    {
+        wisync::sync::MultiChipBarrier warm(m, 1, nodes);
+        spawn_rounds(warm);
+        ASSERT_TRUE(m.run()); // warm-up: fills the pools
+    }
+    m.reset(cfg);
+    wisync::sync::MultiChipBarrier barrier(m, 1, nodes);
+    spawn_rounds(barrier);
+    const std::uint64_t before = wisync::sim::heapAllocs();
+    ASSERT_TRUE(m.run());
+    EXPECT_EQ(wisync::sim::heapAllocs(), before);
 }
 
 } // namespace

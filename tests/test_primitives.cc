@@ -20,7 +20,6 @@ using wisync::coro::CondVar;
 using wisync::coro::delay;
 using wisync::coro::Future;
 using wisync::coro::Resource;
-using wisync::coro::scopedLock;
 using wisync::coro::SimMutex;
 using wisync::coro::spawnNow;
 using wisync::coro::Task;
@@ -70,26 +69,6 @@ TEST(SimMutex, SerializesCriticalSections)
         EXPECT_EQ(entries[i].first, i);
         EXPECT_EQ(entries[i].second, static_cast<Cycle>(10 * i));
     }
-}
-
-TEST(SimMutex, ScopedLockReleases)
-{
-    Engine eng;
-    SimMutex mtx(eng);
-    int in_section = 0, max_in_section = 0;
-
-    auto worker = [&]() -> Task<void> {
-        auto guard = co_await scopedLock(mtx);
-        ++in_section;
-        max_in_section = std::max(max_in_section, in_section);
-        co_await delay(eng, 5);
-        --in_section;
-    };
-    for (int i = 0; i < 8; ++i)
-        spawnNow(eng, worker);
-    eng.run();
-    EXPECT_EQ(max_in_section, 1);
-    EXPECT_FALSE(mtx.locked());
 }
 
 TEST(Resource, CapacityBoundsConcurrency)

@@ -20,6 +20,7 @@ using wisync::core::Machine;
 using wisync::core::MachineConfig;
 using wisync::core::ThreadCtx;
 using wisync::coro::Task;
+using wisync::sim::BmAddr;
 using wisync::sim::Cycle;
 using wisync::sim::NodeId;
 using wisync::sync::Barrier;
@@ -188,6 +189,58 @@ TEST_P(AllConfigs, OrBarrierReleasesEveryoneOnTrigger)
     ASSERT_TRUE(m.run(10'000'000));
     EXPECT_EQ(woken, static_cast<int>(kThreads) - 1);
     EXPECT_GE(trigger_at, 1000u);
+}
+
+TEST_P(AllConfigs, OrBarrierPollAndResetServeTwoEpisodes)
+{
+    // Two eureka episodes on one barrier: poll sees each trigger, and
+    // reset() re-arms it so the next poll reads false again.
+    Machine m(MachineConfig::make(GetParam(), 4));
+    SyncFactory factory(m);
+    auto eureka = factory.makeOrBarrier();
+    std::vector<bool> polls;
+    bool awaited = false;
+    m.spawnThread(0, [&](ThreadCtx &ctx) -> Task<void> {
+        polls.push_back(co_await eureka->poll(ctx));
+        co_await eureka->trigger(ctx);
+        polls.push_back(co_await eureka->poll(ctx));
+        eureka->reset();
+        polls.push_back(co_await eureka->poll(ctx));
+        co_await eureka->trigger(ctx);
+        co_await eureka->await(ctx);
+        awaited = true;
+        polls.push_back(co_await eureka->poll(ctx));
+    });
+    ASSERT_TRUE(m.run(1'000'000));
+    EXPECT_EQ(polls, (std::vector<bool>{false, true, false, true}));
+    EXPECT_TRUE(awaited);
+}
+
+TEST(SyncWiSync, ToneLoadReadsTheReleasedBarrierWord)
+{
+    // tone_ld after each tone release reads the toggled word on every
+    // participant: 1 after the first episode, 0 after the second.
+    constexpr std::uint32_t kThreads = 8;
+    Machine m(MachineConfig::make(ConfigKind::WiSync, kThreads));
+    std::vector<NodeId> nodes;
+    for (NodeId n = 0; n < kThreads; ++n)
+        nodes.push_back(n);
+    ToneBarrier barrier(m, 1, nodes);
+    std::vector<std::vector<std::uint64_t>> seen(kThreads);
+    for (NodeId n = 0; n < kThreads; ++n) {
+        m.spawnThread(n, [&, n](ThreadCtx &ctx) -> Task<void> {
+            for (int i = 0; i < 2; ++i) {
+                co_await ctx.compute(100 * n); // staggered arrivals
+                co_await barrier.wait(ctx);
+                const BmAddr word = barrier.address();
+                seen[n].push_back(co_await ctx.toneLoad(word));
+            }
+        });
+    }
+    ASSERT_TRUE(m.run(10'000'000));
+    for (NodeId n = 0; n < kThreads; ++n)
+        EXPECT_EQ(seen[n], (std::vector<std::uint64_t>{1, 0}))
+            << "node " << n;
 }
 
 TEST(SyncWiSync, ToneBarrierFasterThanBaselineCentral)
