@@ -10,6 +10,7 @@
  *   - CondVar                 : broadcast wakeup (spin-wait subscription)
  *   - Future<T>               : one-shot value handoff
  *   - spawnDetached           : launch a root task onto the engine
+ *   - whenAll                 : fork-join over parallel legs
  *
  * All wakeups go through the engine queue (never inline resumption) so
  * event ordering stays deterministic and the host stack stays shallow.
@@ -705,19 +706,22 @@ launchDetached(sim::Engine &engine, std::uint32_t slot,
 /**
  * Launch @p task as a root activity at cycle now()+delta.
  *
- * The task (and anything it awaits) runs to completion on the engine;
- * @p on_done, if provided, fires after it finishes. Exceptions escaping
- * a detached task terminate the simulation (they indicate model bugs).
+ * @p task is a Task<void> or any other awaitable (a frameless
+ * Mesh::send, say); the root frame holds it for its whole life. The
+ * task (and anything it awaits) runs to completion on the engine;
+ * @p on_done, if provided, fires after it finishes. Exceptions
+ * escaping a detached task terminate the simulation (they indicate
+ * model bugs).
  */
-template <typename Done>
+template <typename Awaitable, typename Done>
     requires std::invocable<Done>
 void
-spawnDetached(sim::Engine &engine, Task<void> task, Done on_done,
+spawnDetached(sim::Engine &engine, Awaitable task, Done on_done,
               sim::Cycle delta = 0)
 {
-    // The wrapper coroutine owns the task frame for its whole lifetime;
-    // the task body starts when the engine resumes the wrapper.
-    auto runner = [](sim::Engine *eng, std::uint32_t slot, Task<void> t,
+    // The wrapper coroutine owns the task for its whole lifetime; the
+    // task body starts when the engine resumes the wrapper.
+    auto runner = [](sim::Engine *eng, std::uint32_t slot, Awaitable t,
                      Done done) -> detail::Detached {
         co_await t;
         done();
@@ -731,8 +735,9 @@ spawnDetached(sim::Engine &engine, Task<void> task, Done on_done,
 }
 
 /** spawnDetached without a completion callback. */
-inline void
-spawnDetached(sim::Engine &engine, Task<void> task, sim::Cycle delta = 0)
+template <typename Awaitable>
+void
+spawnDetached(sim::Engine &engine, Awaitable task, sim::Cycle delta = 0)
 {
     spawnDetached(engine, std::move(task), [] {}, delta);
 }
@@ -771,33 +776,29 @@ spawnNow(sim::Engine &engine, Fn fn, Args... args)
     spawnFn(engine, 0, std::move(fn), std::move(args)...);
 }
 
-/**
- * As spawnDetached, but the root starts executing immediately, inside
- * the caller's engine event, instead of being queued through the ready
- * ring. This is how a non-coroutine fast-path callback falls back into
- * coroutine machinery without perturbing event order: the spawned task
- * runs to its first real suspension exactly where an inline co_await
- * would have, and @p on_done fires (still inside the completing event)
- * when it finishes. Only call from model code already executing under
- * engine.run().
- */
-template <typename Done>
-    requires std::invocable<Done>
-void
-spawnInline(sim::Engine &engine, Task<void> task, Done on_done)
+namespace detail {
+
+/** First suspension of whenAll: file one delta-0 start event per leg,
+ *  in list order, each leg completing straight into the join. */
+template <typename TaskList>
+struct StartLegs
 {
-    auto runner = [](sim::Engine *eng, std::uint32_t slot, Task<void> t,
-                     Done done) -> detail::Detached {
-        co_await t;
-        done();
-        eng->releaseRoot(slot);
-    };
-    const std::uint32_t slot = engine.reserveRoot();
-    auto h =
-        runner(&engine, slot, std::move(task), std::move(on_done)).handle;
-    engine.bindRoot(slot, h);
-    h.resume();
-}
+    sim::Engine &engine;
+    TaskList &legs;
+
+    bool await_ready() const noexcept { return false; }
+
+    void
+    await_suspend(std::coroutine_handle<> join)
+    {
+        for (auto &leg : legs)
+            engine.resumeHandle(0, leg.continueInto(join));
+    }
+
+    void await_resume() const noexcept {}
+};
+
+} // namespace detail
 
 /**
  * Run @p tasks concurrently; complete when the last one finishes.
@@ -806,6 +807,13 @@ spawnInline(sim::Engine &engine, Task<void> task, Done on_done)
  * sharers) where completion time is the max over the legs. Accepts any
  * container of Task<void> by value (std::vector, sim::InlineVec) so
  * hot paths can fan out without a heap-allocated task list.
+ *
+ * The legs stay in this frame, so the join costs one frame besides
+ * theirs. Each leg starts in its own delta-0 event, in list order, and
+ * completes by symmetric transfer back into the join; the last one
+ * files the join's wake, and the awaiter resumes one (delta-0) event
+ * after that completion. An exception escaping a leg is rethrown to
+ * the awaiter (the first failed leg in list order wins).
  */
 template <typename TaskList = std::vector<Task<void>>>
 inline Task<void>
@@ -814,17 +822,13 @@ whenAll(sim::Engine &engine, TaskList tasks)
     if (tasks.empty())
         co_return;
     std::size_t remaining = tasks.size();
-    CondVar cv(engine);
-    for (auto &t : tasks) {
-        // The callback references frame locals; the frame stays alive
-        // (suspended on cv) until the final callback fires.
-        spawnDetached(engine, std::move(t), [&remaining, &cv] {
-            if (--remaining == 0)
-                cv.notifyAll();
-        });
-    }
-    while (remaining > 0)
-        co_await cv.wait();
+    co_await detail::StartLegs<TaskList>{engine, tasks};
+    // Resumed once per leg completion, inside the completing event.
+    while (--remaining > 0)
+        co_await std::suspend_always{};
+    co_await yield(engine);
+    for (auto &t : tasks)
+        t.result();
 }
 
 } // namespace wisync::coro

@@ -18,6 +18,16 @@
  *     the raw handle in the event kernel via Engine::resumeHandle,
  *     which stores it in the scheduler tiers without a callable
  *     wrapper.
+ *
+ * A frame is paid only where a transaction really suspends in code
+ * with local state: a workload thread, an L1 miss's fetchLine (owned
+ * by its MemSystem::Access), a DRAM fill, a coherence leg under
+ * whenAll and the join itself, a detached writeback or recall, a spin
+ * wait, and the BM, wireless and sync layers' transactions. Mesh
+ * unicasts and tree multicasts, L1 hits, lock waits and whenAll's
+ * per-leg starts own no frame: they are awaitables or callback
+ * events. Owners start a child either by awaiting it or, for joins
+ * and misses that start it from an event, via continueInto().
  */
 
 #ifndef WISYNC_CORO_TASK_HH
@@ -151,6 +161,25 @@ class [[nodiscard]] Task
 
     /** Detach the raw handle (caller takes over lifetime). */
     Handle release() noexcept { return std::exchange(handle_, nullptr); }
+
+    /** True while this object owns a frame. */
+    explicit operator bool() const noexcept { return handle_ != nullptr; }
+
+    /**
+     * Make @p cont the coroutine the task's completion transfers to,
+     * and return the (not yet started) frame for the owner to start
+     * itself: inline or from an engine event. The task keeps owning
+     * the frame, and its result() is read once it is done.
+     */
+    std::coroutine_handle<>
+    continueInto(std::coroutine_handle<> cont) noexcept
+    {
+        handle_.promise().continuation = cont;
+        return handle_;
+    }
+
+    /** The finished task's value; rethrows what escaped its body. */
+    T result() { return handle_.promise().result(); }
 
     auto
     operator co_await() noexcept

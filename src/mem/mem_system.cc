@@ -212,25 +212,23 @@ MemSystem::recallTask(sim::NodeId home, sim::Addr line)
 }
 
 coro::Task<void>
-MemSystem::dramAccess(sim::NodeId home, sim::Addr line)
+MemSystem::dramFill(DirEntry &entry, sim::Addr line)
 {
-    (void)home;
+    stats_.dramFetches.inc();
     coro::Resource &ctrl = *dramCtrls_[memCtrls_.mod(line >> lineShift_)];
     co_await ctrl.acquire();
     co_await coro::delay(engine_, cfg_.dramRtCycles);
     ctrl.release();
+    entry.inL2 = true;
+    touchL2(line);
 }
 
 coro::Task<void>
 MemSystem::homeDataLeg(sim::NodeId home, sim::NodeId requestor,
                        DirEntry &entry, sim::Addr line)
 {
-    if (!entry.inL2) {
-        stats_.dramFetches.inc();
-        co_await dramAccess(home, line);
-        entry.inL2 = true;
-        touchL2(line);
-    }
+    if (!entry.inL2)
+        co_await dramFill(entry, line);
     co_await mesh_.send(home, requestor, cfg_.dataBits);
 }
 
@@ -256,6 +254,12 @@ MemSystem::probeLeg(sim::NodeId home, sim::NodeId owner,
 }
 
 coro::Task<void>
+MemSystem::ackLeg(sim::NodeId sharer, sim::NodeId requestor)
+{
+    co_await mesh_.send(sharer, requestor, cfg_.ctrlBits);
+}
+
+coro::Task<void>
 MemSystem::treeInvLeg(sim::NodeId home, const NodeVec &targets,
                       sim::NodeId requestor, sim::Addr line)
 {
@@ -267,14 +271,14 @@ MemSystem::treeInvLeg(sim::NodeId home, const NodeVec &targets,
     acks.reserve(targets.size());
     for (const auto s : targets) {
         invalidateL1(s, line);
-        acks.push_back(mesh_.send(s, requestor, cfg_.ctrlBits));
+        acks.push_back(ackLeg(s, requestor));
     }
     co_await coro::whenAll(engine_, std::move(acks));
 }
 
 coro::Task<void>
 MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
-                     sim::FunctionRef<void()> commit)
+                     AccessBase &op)
 {
     const sim::NodeId home = homeOf(line);
     co_await mesh_.send(node, home, cfg_.ctrlBits);
@@ -296,7 +300,7 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
         // ---- GetS ----
         if (own_readable) {
             // Raced with a transaction that already served us.
-            commit();
+            commit(op);
             e.busy.unlock();
             co_return;
         }
@@ -323,7 +327,7 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
                 co_await mesh_.send(owner, node, cfg_.dataBits);
                 if (watch(node, line).gen() == gen)
                     installL1(node, line, CohState::Shared);
-                commit();
+                commit(op);
                 co_return;
             }
         }
@@ -335,7 +339,7 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
             co_await mesh_.send(home, node, cfg_.dataBits);
             if (watch(node, line).gen() == gen)
                 installL1(node, line, CohState::Shared);
-            commit();
+            commit(op);
             co_return;
         }
 
@@ -366,8 +370,12 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
                 e.owner = sim::kNoNode;
             }
         }
-        if (!data_done)
-            co_await homeDataLeg(home, node, e, line);
+        if (!data_done) {
+            // homeDataLeg's flow, inline: no frame of its own.
+            if (!e.inL2)
+                co_await dramFill(e, line);
+            co_await mesh_.send(home, node, cfg_.dataBits);
+        }
 
         const bool sole =
             e.owner == sim::kNoNode && sharerList(e, node).empty();
@@ -379,7 +387,7 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
             sharerSet(e, node, true);
             installL1(node, line, CohState::Shared);
         }
-        commit();
+        commit(op);
         e.busy.unlock();
         co_return;
     }
@@ -419,7 +427,7 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
     std::fill(e.sharers.begin(), e.sharers.end(), 0);
     e.owner = node;
     installL1(node, line, CohState::Modified);
-    commit();
+    commit(op);
     e.busy.unlock();
 }
 
@@ -428,9 +436,9 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
 // The factories below charge the access counter and hand out the
 // frameless Access. finishAccess runs at the L1 round-trip instant: a
 // hit commits and resumes the caller with no coroutine involved; a
-// miss starts the fetchLine transaction inline, in that same event,
-// and commits from its callback. Either way commit() is the one place
-// an access kind acts on the word.
+// miss starts the access's own fetchLine transaction inline, in that
+// same event, and fetchLine commits. Either way commit() is the one
+// place an access kind acts on the word.
 
 MemSystem::Access<std::uint64_t>
 MemSystem::load(sim::NodeId node, sim::Addr addr)
@@ -507,7 +515,8 @@ MemSystem::finishAccess(AccessBase &op)
     // A load needs a readable copy; every other kind writes the word
     // and needs write permission.
     const bool write = op.kind_ != OpKind::Load;
-    CacheLine *cl = l1s_[op.node_].lookup(l1s_[op.node_].lineOf(op.addr_));
+    const sim::Addr line = l1s_[op.node_].lineOf(op.addr_);
+    CacheLine *cl = l1s_[op.node_].lookup(line);
     if (cl != nullptr && (!write || canWrite(cl->state))) {
         stats_.l1Hits.inc();
         stats_.fastpathHits.inc();
@@ -523,30 +532,19 @@ MemSystem::finishAccess(AccessBase &op)
     else
         stats_.l1Misses.inc();
     // Run the transaction, started inline so its first message goes
-    // out in this very event, completing back into the suspended
-    // caller.
+    // out in this very event; it completes straight into the suspended
+    // caller (Access::await_resume -> endMiss).
     stats_.fastpathFallbacks.inc();
     op.t0_ = engine_.now();
-    struct MissDone
-    {
-        AccessBase *op;
-        void
-        operator()() const
-        {
-            MemSystem &ms = *op->ms_;
-            ms.stats_.missLatency.sample(
-                static_cast<double>(ms.engine_.now() - op->t0_));
-            op->caller_.resume();
-        }
-    };
-    coro::spawnInline(engine_, accessMissTask(op), MissDone{&op});
+    op.miss_ = fetchLine(op.node_, line, write, op);
+    op.miss_.continueInto(op.caller_).resume();
 }
 
-coro::Task<void>
-MemSystem::accessMissTask(AccessBase &op)
+void
+MemSystem::endMiss(AccessBase &op)
 {
-    co_await fetchLine(op.node_, l1s_[op.node_].lineOf(op.addr_),
-                       op.kind_ != OpKind::Load, [&] { commit(op); });
+    stats_.missLatency.sample(static_cast<double>(engine_.now() - op.t0_));
+    op.miss_.result();
 }
 
 coro::Task<std::uint64_t>

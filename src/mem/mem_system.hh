@@ -16,6 +16,13 @@
  * value, and releases the mutex. Per-line transactions are therefore
  * serialized exactly as a blocking directory would.
  *
+ * Frames: an L1 hit owns none. A miss or upgrade owns one, its
+ * fetchLine, held by the access and continuing straight into the
+ * waiting thread; its mesh messages are frameless awaitables. A GetS
+ * adds one more only for a DRAM fill. A GetX adds its parallel legs
+ * and their whenAll join. Writebacks, L2 recalls and spin waits are
+ * coroutines of their own.
+ *
  * Modelling notes (documented simplifications):
  *  - Clean (S/E) L1 evictions are silent; the directory may briefly
  *    hold stale sharers, and invalidating a non-holder costs a wasted
@@ -143,10 +150,10 @@ struct MemStats
  * L1 round trip is one plain callback event, and an L1 hit commits and
  * resumes the caller right there, with no coroutine frame at all. A
  * load hits on a readable copy; every other kind needs write
- * permission. A miss falls into the fetchLine transaction *inside that
- * same event* (the transaction coroutine starts inline, so its first
- * message goes out in that event, and its completion resumes the
- * caller inline). Both ends call one commit(), which holds each kind's
+ * permission. A miss starts the access's own fetchLine transaction
+ * *inside that same event* (so its first message goes out in that
+ * event), and the transaction's completion transfers straight into
+ * the caller. Both ends call one commit(), which holds each kind's
  * effect on the word.
  */
 class MemSystem
@@ -191,6 +198,9 @@ class MemSystem
         sim::Cycle t0_ = 0;      ///< miss start, for missLatency
         std::uint64_t out_ = 0;  ///< loaded / previous value
         bool flag_ = false;      ///< CAS comparison outcome
+        /** The miss/upgrade transaction (fetchLine), once the L1 round
+         *  trip missed; it completes straight into caller_. */
+        coro::Task<void> miss_;
     };
 
     /**
@@ -221,6 +231,8 @@ class MemSystem
         T
         await_resume()
         {
+            if (miss_)
+                ms_->endMiss(*this);
             if constexpr (std::is_same_v<T, CasResult>)
                 return CasResult{out_, flag_};
             else if constexpr (!std::is_void_v<T>)
@@ -338,13 +350,13 @@ class MemSystem
      *  Runs at the commit instant with the permission the kind needs. */
     void commit(AccessBase &op);
 
-    /** L1 round-trip completion: commit a hit frameless or fall into
-     *  the coroutine transaction inside the same event. */
+    /** L1 round-trip completion: commit a hit frameless or start the
+     *  access's fetchLine transaction inside the same event. */
     void finishAccess(AccessBase &op);
 
-    /** The miss/upgrade continuation of an access: fetchLine with
-     *  commit() as its callback. */
-    coro::Task<void> accessMissTask(AccessBase &op);
+    /** The caller resumed from a miss: sample its latency and rethrow
+     *  what escaped the transaction. */
+    void endMiss(AccessBase &op);
 
     bool sharerTest(const DirEntry &e, sim::NodeId n) const;
     void sharerSet(DirEntry &e, sim::NodeId n, bool v);
@@ -357,17 +369,13 @@ class MemSystem
     void invalidateL1(sim::NodeId node, sim::Addr line);
 
     /**
-     * Miss/upgrade transaction. Acquires the line at @p node with read
-     * or write permission, running the full directory protocol; calls
-     * @p commit at the coherence-commit instant (mutex still held).
-     *
-     * @p commit is a non-owning reference: callers pass a lambda that
-     * lives in their own coroutine frame for the whole co_await, which
-     * avoids a std::function allocation on every L1 miss.
+     * Miss/upgrade transaction of access @p op. Acquires the line at
+     * @p node with read or write permission, running the full
+     * directory protocol, and commits @p op at the coherence-commit
+     * instant (mutex still held). @p op owns the frame.
      */
     coro::Task<void> fetchLine(sim::NodeId node, sim::Addr line,
-                               bool exclusive,
-                               sim::FunctionRef<void()> commit);
+                               bool exclusive, AccessBase &op);
 
     /** One invalidation leg: home -> sharer -> ack to requestor. */
     coro::Task<void> invLeg(sim::NodeId home, sim::NodeId sharer,
@@ -378,6 +386,9 @@ class MemSystem
                               sim::NodeId requestor, sim::Addr line,
                               bool with_data);
 
+    /** One ack of a tree invalidation, as a whenAll leg. */
+    coro::Task<void> ackLeg(sim::NodeId sharer, sim::NodeId requestor);
+
     /**
      * Baseline+ invalidation: tree multicast, then parallel acks.
      * @p targets is borrowed — it lives in the caller's suspended
@@ -386,12 +397,13 @@ class MemSystem
     coro::Task<void> treeInvLeg(sim::NodeId home, const NodeVec &targets,
                                 sim::NodeId requestor, sim::Addr line);
 
-    /** Data leg from the home bank (after optional DRAM fill). */
+    /** Data leg from the home bank (after a DRAM fill if needed). */
     coro::Task<void> homeDataLeg(sim::NodeId home, sim::NodeId requestor,
                                  DirEntry &entry, sim::Addr line);
 
-    /** Fixed-latency DRAM access through the line's controller. */
-    coro::Task<void> dramAccess(sim::NodeId home, sim::Addr line);
+    /** Fill a line the home bank lacks: a fixed-latency DRAM access
+     *  through the line's controller, then the L2 install. */
+    coro::Task<void> dramFill(DirEntry &entry, sim::Addr line);
 
     /** Install @p line at @p node's L1, evicting as needed. */
     void installL1(sim::NodeId node, sim::Addr line, CohState state);

@@ -30,11 +30,8 @@ Mesh::Mesh(sim::Engine &engine, const MeshConfig &cfg)
     for (std::uint32_t n = 0; n < grid; ++n)
         coords_.push_back(Coord{n % width_, n / width_});
     links_.reserve(grid * 4);
-    inject_.reserve(cfg_.numNodes);
     for (std::uint32_t n = 0; n < grid * 4; ++n)
         links_.push_back(std::make_unique<coro::SimMutex>(engine_));
-    for (std::uint32_t n = 0; n < cfg_.numNodes; ++n)
-        inject_.push_back(std::make_unique<coro::SimMutex>(engine_));
 }
 
 void
@@ -47,8 +44,10 @@ Mesh::reset(const MeshConfig &cfg)
     cfg_ = cfg;
     for (auto &link : links_)
         link->reset();
-    for (auto &port : inject_)
-        port->reset();
+    // Records of abandoned walks are free again.
+    freeHops_ = nullptr;
+    for (auto &h : hops_)
+        freeHop(h);
     stats_.reset();
 }
 
@@ -66,248 +65,283 @@ Mesh::flitsOf(std::uint32_t bits) const
     return std::max(1u, (bits + cfg_.linkBits - 1) / cfg_.linkBits);
 }
 
-std::size_t
-Mesh::linkId(sim::NodeId a, sim::NodeId b) const
+sim::NodeId
+Mesh::neighbor(sim::NodeId n, std::uint32_t dir) const
 {
-    if (xOf(b) == xOf(a) + 1)
-        return a * 4 + East;
-    if (xOf(b) + 1 == xOf(a))
-        return a * 4 + West;
-    if (yOf(b) + 1 == yOf(a))
-        return a * 4 + North;
-    if (yOf(b) == yOf(a) + 1)
-        return a * 4 + South;
-    WISYNC_PANIC("linkId of non-adjacent nodes %u -> %u", a, b);
+    switch (dir) {
+      case East:
+        return n + 1;
+      case West:
+        return n - 1;
+      case North:
+        return n - width_;
+      default:
+        return n + width_;
+    }
 }
 
-/**
- * Frameless head-flit driver.
- *
- * Awaited by send(); lives in send()'s (pooled) frame across the
- * single suspension. Each step runs at the cycle the head reaches that
- * router. A free link is taken as a timed reservation (no release
- * event unless a contender queues). A held link parks the head in the
- * link's FIFO as a plain callback waiter, in the same event; the grant
- * turns the hold into the same timed reservation and the head steps
- * on.
- */
-class Mesh::FastTransfer
+// ---- Unicast -------------------------------------------------------------
+//
+// The head's step chain. Each step runs at the cycle the head reaches
+// that router. A free link is taken as a timed reservation (no release
+// event unless a contender queues). A held link parks the head in the
+// link's FIFO as a plain callback waiter, in the same event; the grant
+// turns the hold into the same timed reservation and the head steps
+// on.
+
+/** POD callback wrappers: 8 bytes, always in the event's SBO. */
+struct Mesh::Send::StepFn
 {
-  public:
-    FastTransfer(Mesh &mesh, sim::NodeId src, sim::NodeId dst,
-                 std::uint32_t flits)
-        : mesh_(mesh), cur_(src), dst_(dst), flits_(flits)
-    {}
-
-    bool await_ready() const noexcept { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
-    {
-        caller_ = h;
-        // The head enters the first link inline, in the co_await's event.
-        step();
-    }
-
-    void await_resume() const noexcept {}
-
-  private:
-    /** POD callback wrappers: 8 bytes, always in the event's SBO. */
-    struct StepFn
-    {
-        FastTransfer *t;
-        void operator()() const { t->step(); }
-    };
-    struct FinishFn
-    {
-        FastTransfer *t;
-        void operator()() const { t->finish(); }
-    };
-
-    void
-    step()
-    {
-        // XY routing: finish the X leg, then the Y leg.
-        const Coord c = mesh_.coords_[cur_];
-        const Coord d = mesh_.coords_[dst_];
-        if (c.x != d.x) {
-            dir_ = d.x > c.x ? East : West;
-            next_ = d.x > c.x ? cur_ + 1 : cur_ - 1;
-        } else {
-            dir_ = d.y > c.y ? South : North;
-            next_ = d.y > c.y ? cur_ + mesh_.width_ : cur_ - mesh_.width_;
-        }
-        coro::SimMutex &link = *mesh_.links_[cur_ * 4 + dir_];
-        // The link stays busy until the tail flit crosses it; the head
-        // moves on in parallel. Freeing on a timer (rather than when
-        // the head secures the next hop) models routers with enough
-        // buffering to absorb a blocked message — optimistic under
-        // heavy congestion, exact otherwise.
-        if (!link.tryReserve(mesh_.engine_.now() + flits_)) {
-            // Held: queue in the link's FIFO, in this very event. Only
-            // the first held link counts.
-            if (!contended_)
-                mesh_.stats_.fastpathFallbacks.inc();
-            contended_ = true;
-            link.wait(&FastTransfer::granted, this);
-            return;
-        }
-        advance();
-    }
-
-    /** The link is ours: the head crosses it in hopCycles. */
-    void
-    advance()
-    {
-        cur_ = next_;
-        if (cur_ == dst_)
-            mesh_.engine_.scheduleIn(mesh_.cfg_.hopCycles, FinishFn{this});
-        else
-            mesh_.engine_.scheduleIn(mesh_.cfg_.hopCycles, StepFn{this});
-    }
-
-    /** Hand-off of a held link: hold it until the tail crosses, then
-     *  move on. */
-    static void
-    granted(void *self)
-    {
-        auto *t = static_cast<FastTransfer *>(self);
-        t->mesh_.links_[t->cur_ * 4 + t->dir_]->holdUntil(
-            t->mesh_.engine_.now() + t->flits_);
-        t->advance();
-    }
-
-    void
-    finish()
-    {
-        // Head arrived; the tail is flits-1 cycles behind. Single-flit
-        // messages resume the sender inside this event.
-        if (!contended_)
-            mesh_.stats_.fastpathHits.inc();
-        if (flits_ > 1)
-            mesh_.engine_.resumeHandle(flits_ - 1, caller_);
-        else
-            caller_.resume();
-    }
-
-    Mesh &mesh_;
-    sim::NodeId cur_;
-    sim::NodeId dst_;
-    sim::NodeId next_ = 0;
-    std::uint32_t flits_;
-    std::uint32_t dir_ = East;
-    bool contended_ = false;
-    std::coroutine_handle<> caller_;
+    Send *t;
+    void operator()() const { t->step(); }
 };
 
-coro::Task<void>
-Mesh::send(sim::NodeId src, sim::NodeId dst, std::uint32_t bits)
+struct Mesh::Send::FinishFn
 {
-    const sim::Cycle start = engine_.now();
-    const std::uint32_t flits = flitsOf(bits);
-    stats_.messages.inc();
-    stats_.flits.inc(flits);
-    if (src == dst) {
+    Send *t;
+    void operator()() const { t->finish(); }
+};
+
+void
+Mesh::Send::await_suspend(std::coroutine_handle<> h)
+{
+    caller_ = h;
+    start_ = mesh_->engine_.now();
+    mesh_->stats_.messages.inc();
+    mesh_->stats_.flits.inc(flits_);
+    if (cur_ == dst_) {
         // Local turnaround through the node's port.
-        co_await coro::delay(engine_, 1);
-    } else {
-        co_await FastTransfer(*this, src, dst, flits);
+        mesh_->engine_.resumeHandle(1, h);
+        return;
     }
-    stats_.latency.sample(static_cast<double>(engine_.now() - start));
+    // The head enters the first link inline, in the co_await's event.
+    step();
 }
 
-coro::Task<void>
-Mesh::tailDelay(std::uint32_t flits)
+void
+Mesh::Send::await_resume()
 {
-    co_await coro::delay(engine_, flits - 1);
+    mesh_->stats_.latency.sample(
+        static_cast<double>(mesh_->engine_.now() - start_));
 }
 
-coro::Task<void>
-Mesh::treeDeliver(sim::NodeId cur, NodeVec dsts, std::uint32_t flits)
+void
+Mesh::Send::step()
 {
-    NodeVec east, west, north, south;
-    bool here = false;
-    for (const auto d : dsts) {
-        if (d == cur) {
-            here = true;
-        } else if (xOf(d) > xOf(cur)) {
-            east.push_back(d);
-        } else if (xOf(d) < xOf(cur)) {
-            west.push_back(d);
-        } else if (yOf(d) < yOf(cur)) {
-            north.push_back(d);
-        } else {
-            south.push_back(d);
-        }
+    // XY routing: finish the X leg, then the Y leg.
+    const Coord c = mesh_->coords_[cur_];
+    const Coord d = mesh_->coords_[dst_];
+    if (c.x != d.x)
+        dir_ = d.x > c.x ? East : West;
+    else
+        dir_ = d.y > c.y ? South : North;
+    coro::SimMutex &link = *mesh_->links_[cur_ * 4 + dir_];
+    // The link stays busy until the tail flit crosses it; the head
+    // moves on in parallel. Freeing on a timer (rather than when the
+    // head secures the next hop) models routers with enough buffering
+    // to absorb a blocked message — optimistic under heavy congestion,
+    // exact otherwise.
+    if (!link.tryReserve(mesh_->engine_.now() + flits_)) {
+        // Held: queue in the link's FIFO, in this very event. Only the
+        // first held link counts.
+        if (!contended_)
+            mesh_->stats_.fastpathFallbacks.inc();
+        contended_ = true;
+        link.wait(&Send::granted, this);
+        return;
     }
-
-    sim::InlineVec<coro::Task<void>, 4> branches;
-    auto descend = [&](NodeVec group) -> coro::Task<void> {
-        const sim::NodeId next =
-            xOf(group.front()) > xOf(cur)   ? nodeAt(xOf(cur) + 1, yOf(cur))
-            : xOf(group.front()) < xOf(cur) ? nodeAt(xOf(cur) - 1, yOf(cur))
-            : yOf(group.front()) < yOf(cur) ? nodeAt(xOf(cur), yOf(cur) - 1)
-                                            : nodeAt(xOf(cur), yOf(cur) + 1);
-        // Held until the tail crosses, as a timed reservation: the
-        // release event exists only if another head queues for it.
-        coro::SimMutex &link = *links_[linkId(cur, next)];
-        co_await link.lock();
-        link.holdUntil(engine_.now() + flits);
-        co_await coro::delay(engine_, cfg_.hopCycles);
-        co_await treeDeliver(next, std::move(group), flits);
-    };
-    if (!east.empty())
-        branches.push_back(descend(std::move(east)));
-    if (!west.empty())
-        branches.push_back(descend(std::move(west)));
-    if (!north.empty())
-        branches.push_back(descend(std::move(north)));
-    if (!south.empty())
-        branches.push_back(descend(std::move(south)));
-
-    if (here && flits > 1) {
-        // Local delivery: the tail arrives flits-1 cycles behind the
-        // head, overlapping any downstream branch transfers.
-        branches.push_back(tailDelay(flits));
-    }
-
-    if (!branches.empty())
-        co_await coro::whenAll(engine_, std::move(branches));
+    advance();
 }
 
-coro::Task<void>
+void
+Mesh::Send::advance()
+{
+    // The link is ours: the head crosses it in hopCycles.
+    cur_ = mesh_->neighbor(cur_, dir_);
+    if (cur_ == dst_)
+        mesh_->engine_.scheduleIn(mesh_->cfg_.hopCycles, FinishFn{this});
+    else
+        mesh_->engine_.scheduleIn(mesh_->cfg_.hopCycles, StepFn{this});
+}
+
+void
+Mesh::Send::granted(void *self)
+{
+    // Hand-off of a held link: hold it until the tail crosses, then
+    // move on.
+    auto *t = static_cast<Send *>(self);
+    t->mesh_->links_[t->cur_ * 4 + t->dir_]->holdUntil(
+        t->mesh_->engine_.now() + t->flits_);
+    t->advance();
+}
+
+void
+Mesh::Send::finish()
+{
+    // Head arrived; the tail is flits-1 cycles behind. Single-flit
+    // messages resume the sender inside this event.
+    if (!contended_)
+        mesh_->stats_.fastpathHits.inc();
+    if (flits_ > 1)
+        mesh_->engine_.resumeHandle(flits_ - 1, caller_);
+    else
+        caller_.resume();
+}
+
+// ---- Tree multicast ------------------------------------------------------
+//
+// Each record is a branch (the hop into a router) and then that
+// router's visit. The events, per visit: one delta-0 start per branch
+// in E, W, N, S order, then the local tail's start when the router is
+// a destination of a multi-flit message; per branch, the link grant
+// if it queued, and the hop; per tail, its flits-1 delay; and one
+// delta-0 wake once every branch and the tail are done. A visit with
+// nothing to start is done inside the event that reached it.
+
+Mesh::TreeHop &
+Mesh::allocHop()
+{
+    if (freeHops_ == nullptr)
+        return hops_.emplace_back();
+    TreeHop &h = *freeHops_;
+    freeHops_ = h.parent;
+    return h;
+}
+
+void
+Mesh::freeHop(TreeHop &h)
+{
+    h.parent = freeHops_;
+    freeHops_ = &h;
+}
+
+Mesh::Multicast
 Mesh::multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
                 std::uint32_t bits)
 {
-    if (dsts.empty())
-        co_return;
-    stats_.multicasts.inc();
-    const std::uint32_t flits = flitsOf(bits);
+    WISYNC_ASSERT(cfg_.treeMulticast,
+                  "multicast needs the tree (Baseline+) router");
+    return Multicast(*this, src, dsts, bits);
+}
 
-    if (cfg_.treeMulticast) {
-        stats_.messages.inc();
-        stats_.flits.inc(flits);
-        NodeVec targets;
-        targets.reserve(dsts.size());
-        for (const auto d : dsts)
-            targets.push_back(d);
-        co_await treeDeliver(src, std::move(targets), flits);
-        co_return;
-    }
-
-    // Serial replication at the source: one unicast per destination,
-    // injected one per cycle through the node's port.
-    sim::InlineVec<coro::Task<void>, 8> sends;
-    sends.reserve(dsts.size());
-    auto one = [this, src, bits](sim::NodeId dst) -> coro::Task<void> {
-        co_await inject_[src]->lock();
-        co_await coro::delay(engine_, 1);
-        inject_[src]->unlock();
-        co_await send(src, dst, bits);
-    };
+Mesh::Multicast::Multicast(Mesh &mesh, sim::NodeId src,
+                           std::span<const sim::NodeId> dsts,
+                           std::uint32_t bits)
+    : mesh_(&mesh), src_(src), flits_(mesh.flitsOf(bits))
+{
+    dsts_.reserve(dsts.size());
     for (const auto d : dsts)
-        sends.push_back(one(d));
-    co_await coro::whenAll(engine_, std::move(sends));
+        dsts_.push_back(d);
+}
+
+bool
+Mesh::Multicast::await_suspend(std::coroutine_handle<> h)
+{
+    Mesh &m = *mesh_;
+    m.stats_.multicasts.inc();
+    m.stats_.messages.inc();
+    m.stats_.flits.inc(flits_);
+    TreeHop &root = m.allocHop();
+    root = TreeHop{&m, nullptr, h, dsts_.begin(), dsts_.end(), src_, 0,
+                   flits_, 0};
+    if (!root.fanOut())
+        return true;
+    m.freeHop(root);
+    return false;
+}
+
+bool
+Mesh::TreeHop::fanOut()
+{
+    // Partition the visit's destinations in place by where each goes
+    // next: [east | west | north | south | here].
+    const std::uint32_t x = mesh->xOf(at), y = mesh->yOf(at);
+    const Mesh &m = *mesh;
+    sim::NodeId *cut[5] = {lo};
+    cut[1] = std::partition(lo, hi,
+                            [&](sim::NodeId d) { return m.xOf(d) > x; });
+    cut[2] = std::partition(cut[1], hi,
+                            [&](sim::NodeId d) { return m.xOf(d) < x; });
+    cut[3] = std::partition(cut[2], hi,
+                            [&](sim::NodeId d) { return m.yOf(d) < y; });
+    cut[4] = std::partition(cut[3], hi,
+                            [&](sim::NodeId d) { return m.yOf(d) > y; });
+    static constexpr std::uint32_t kDirs[4] = {East, West, North, South};
+    for (std::uint32_t g = 0; g < 4; ++g) {
+        if (cut[g] == cut[g + 1])
+            continue;
+        TreeHop &b = mesh->allocHop();
+        b = TreeHop{mesh,        this, {}, cut[g], cut[g + 1],
+                    at,          kDirs[g], flits, 0};
+        ++pending;
+        mesh->engine_.scheduleIn(0, Event<&TreeHop::start>{&b});
+    }
+    // Local delivery: the tail arrives flits-1 cycles behind the head,
+    // overlapping the downstream branches.
+    if (cut[4] != hi && flits > 1) {
+        ++pending;
+        mesh->engine_.scheduleIn(0, Event<&TreeHop::tailStart>{this});
+    }
+    return pending == 0;
+}
+
+void
+Mesh::TreeHop::start()
+{
+    // The branch holds its link until the tail crosses, as a timed
+    // reservation: the release event exists only if another head
+    // queues for it.
+    coro::SimMutex &link = *mesh->links_[at * 4 + dir];
+    if (!link.tryLock()) {
+        link.wait(&TreeHop::granted, this);
+        return;
+    }
+    link.holdUntil(mesh->engine_.now() + flits);
+    mesh->engine_.scheduleIn(mesh->cfg_.hopCycles,
+                             Event<&TreeHop::arrive>{this});
+}
+
+void
+Mesh::TreeHop::granted(void *self)
+{
+    auto *h = static_cast<TreeHop *>(self);
+    h->mesh->links_[h->at * 4 + h->dir]->holdUntil(
+        h->mesh->engine_.now() + h->flits);
+    h->mesh->engine_.scheduleIn(h->mesh->cfg_.hopCycles,
+                                Event<&TreeHop::arrive>{h});
+}
+
+void
+Mesh::TreeHop::arrive()
+{
+    at = mesh->neighbor(at, dir);
+    if (fanOut())
+        done();
+}
+
+void
+Mesh::TreeHop::tailStart()
+{
+    mesh->engine_.scheduleIn(flits - 1, Event<&TreeHop::childDone>{this});
+}
+
+void
+Mesh::TreeHop::childDone()
+{
+    if (--pending == 0)
+        mesh->engine_.scheduleIn(0, Event<&TreeHop::done>{this});
+}
+
+void
+Mesh::TreeHop::done()
+{
+    TreeHop *up = parent;
+    const std::coroutine_handle<> resume = caller;
+    mesh->freeHop(*this);
+    if (up != nullptr)
+        up->childDone();
+    else
+        resume.resume();
 }
 
 sim::Cycle

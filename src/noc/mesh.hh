@@ -11,38 +11,49 @@
  * XY routing's channel-dependency graph is acyclic, so the model's
  * hold-link-while-waiting-for-next-link discipline cannot deadlock.
  *
- * Two multicast modes (paper §6, Table 2):
- *  - serial:  the source injects one unicast per destination, one
- *    injection per cycle (plain `Baseline` router, no broadcast HW).
- *  - tree:    a single message is replicated at fan-out routers
- *    (`Baseline+`'s "virtual tree-based broadcast ... with flit
- *    replication at the router crossbars", Krishna et al. [22]).
- *    Each tree hop holds its link as a timed SimMutex reservation
- *    (below), so an uncontended hop schedules no release event.
+ * Neither operation owns a coroutine frame: both return awaitables
+ * that carry their state in the awaiting frame (or, for the tree, in
+ * records pooled by the mesh) and drive the network with plain
+ * callback events.
  *
- * Unicast (send) drives the head flit down the XY route with a
- * frameless step chain: one plain callback event per hop, taking each
- * link as a timed SimMutex reservation that ends when the tail crosses
- * it. A unicast therefore costs hops+2 events, no coroutine frame
- * beyond send() itself and zero heap allocations (no release events:
+ * Unicast (send) drives the head flit down the XY route with a step
+ * chain: one callback event per hop, taking each link as a timed
+ * SimMutex reservation that ends when the tail crosses it. A unicast
+ * therefore costs hops+1 events (plus flits-1 cycles of tail, one more
+ * event, when flits > 1) and zero heap allocations (no release events:
  * a reservation's release is materialized lazily, at its cycle, only
  * if a contender queues on the link). A head that finds a link held
  * waits in that link's FIFO as a plain callback waiter; on hand-off it
  * holds the link as the same timed reservation and steps on. The
  * completion cycles of contended and uncontended messages are pinned
  * by tests/test_mesh_fastpath.cc.
+ *
+ * Multicast (Baseline+ only, paper §6, Table 2) is Krishna et al.'s
+ * virtual tree [22]: a single message is replicated at fan-out routers
+ * "with flit replication at the router crossbars". The walk visits the
+ * XY tree router by router over pooled per-hop records, partitioning
+ * one destination array in place. At each router it starts one branch
+ * per direction (E, W, N, S) and, if the router is itself a
+ * destination of a multi-flit message, the local tail; every start is
+ * its own delta-0 event. A branch takes its link as a timed
+ * reservation (or queues as a callback waiter) and arrives at the
+ * next router one hop later. Once a router's branches are all done, a
+ * delta-0 wake event reports it to the router upstream. Plain Baseline
+ * has no broadcast hardware: the coherence layer sends one unicast per
+ * destination.
  */
 
 #ifndef WISYNC_NOC_MESH_HH
 #define WISYNC_NOC_MESH_HH
 
+#include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "coro/primitives.hh"
-#include "coro/task.hh"
 #include "sim/engine.hh"
 #include "sim/inline_vec.hh"
 #include "sim/stats.hh"
@@ -58,7 +69,9 @@ struct MeshConfig
     std::uint32_t hopCycles = 4;
     /** Link width in bits (one flit per cycle per link). */
     std::uint32_t linkBits = 128;
-    /** Replicate flits at fan-out routers for multicast (Baseline+). */
+    /** Replicate flits at fan-out routers for multicast (Baseline+).
+     *  Without it the mesh has no multicast: the coherence layer
+     *  sends one unicast per destination. */
     bool treeMulticast = false;
 
     /** Field-wise equality (MachineConfig::operator== / fingerprint). */
@@ -84,14 +97,75 @@ struct MeshStats
 /**
  * The mesh fabric. One instance per simulated chip.
  *
- * All public operations are coroutines that resolve when the (last)
- * message is fully delivered.
+ * Both operations are frameless awaitables resolving when the (last)
+ * copy of the message is fully delivered.
  */
 class Mesh
 {
   public:
     /** Destination lists fit inline up to the Table 1 64-node chip. */
     using NodeVec = sim::InlineVec<sim::NodeId, 64>;
+
+    /**
+     * A unicast in flight: the head flit's position and the awaiter to
+     * resume. Lives in the awaiting frame across its one suspension,
+     * so it must be awaited exactly once, in the statement that
+     * created it (the `co_await mesh.send(...)` shape).
+     */
+    class [[nodiscard]] Send
+    {
+      public:
+        Send(Mesh &mesh, sim::NodeId src, sim::NodeId dst,
+             std::uint32_t bits)
+            : mesh_(&mesh), cur_(src), dst_(dst), flits_(mesh.flitsOf(bits))
+        {}
+
+        bool await_ready() const noexcept { return false; }
+        void await_suspend(std::coroutine_handle<> h);
+        /** Samples the delivery latency. */
+        void await_resume();
+
+      private:
+        struct StepFn;
+        struct FinishFn;
+
+        void step();
+        void advance();
+        static void granted(void *self);
+        void finish();
+
+        Mesh *mesh_;
+        sim::Cycle start_ = 0;
+        sim::NodeId cur_;
+        sim::NodeId dst_;
+        std::uint32_t flits_;
+        std::uint32_t dir_ = 0;
+        bool contended_ = false;
+        std::coroutine_handle<> caller_;
+    };
+
+    /**
+     * A tree multicast in flight: its own copy of the destination
+     * list, which the walk partitions in place. Awaited like Send.
+     */
+    class [[nodiscard]] Multicast
+    {
+      public:
+        Multicast(Mesh &mesh, sim::NodeId src,
+                  std::span<const sim::NodeId> dsts, std::uint32_t bits);
+
+        bool await_ready() const noexcept { return dsts_.empty(); }
+        /** False when the tree finishes inside this call (the source
+         *  is the only destination of a one-flit message). */
+        bool await_suspend(std::coroutine_handle<> h);
+        void await_resume() const noexcept {}
+
+      private:
+        Mesh *mesh_;
+        sim::NodeId src_;
+        std::uint32_t flits_;
+        NodeVec dsts_;
+    };
 
     Mesh(sim::Engine &engine, const MeshConfig &cfg);
 
@@ -105,18 +179,19 @@ class Mesh
      * Send @p bits from @p src to @p dst; resolves at delivery.
      * Same-node "transfers" cost one cycle (local bank port hop).
      */
-    coro::Task<void> send(sim::NodeId src, sim::NodeId dst,
-                          std::uint32_t bits);
+    Send
+    send(sim::NodeId src, sim::NodeId dst, std::uint32_t bits)
+    {
+        return Send(*this, src, dst, bits);
+    }
 
     /**
-     * Deliver @p bits to every destination; resolves when the last
-     * destination has the message. Mode depends on cfg.treeMulticast.
-     * @p dsts is a view — the backing storage must outlive the await
-     * (it always lives in the caller's suspended frame).
+     * Deliver @p bits to every destination down the XY tree (tree
+     * mode only); resolves when the last destination has the message.
+     * @p dsts is copied, so it may change once this returns.
      */
-    coro::Task<void> multicast(sim::NodeId src,
-                               std::span<const sim::NodeId> dsts,
-                               std::uint32_t bits);
+    Multicast multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
+                        std::uint32_t bits);
 
     /** Zero-load latency of a unicast, for calibration tests. */
     sim::Cycle zeroLoadLatency(sim::NodeId src, sim::NodeId dst,
@@ -127,36 +202,75 @@ class Mesh
 
     /**
      * Return to post-construction state, optionally retiming: frees
-     * all links/ports and zeroes stats. @p cfg may change timing knobs
-     * (hopCycles, linkBits, treeMulticast) but must keep
-     * numNodes. Callers (Machine::reset) must have destroyed in-flight
-     * transfer coroutines first — link mutexes are cleared, not handed
-     * off.
+     * all links and tree records and zeroes stats. @p cfg may change
+     * timing knobs (hopCycles, linkBits, treeMulticast) but must keep
+     * numNodes. Callers (Machine::reset) must have dropped in-flight
+     * transfers first (Engine::reset) — link mutexes are cleared, not
+     * handed off.
      */
     void reset(const MeshConfig &cfg);
 
   private:
     std::uint32_t xOf(sim::NodeId n) const { return coords_[n].x; }
     std::uint32_t yOf(sim::NodeId n) const { return coords_[n].y; }
-    sim::NodeId nodeAt(std::uint32_t x, std::uint32_t y) const
-    {
-        return y * width_ + x;
-    }
 
     std::uint32_t flitsOf(std::uint32_t bits) const;
 
-    /** Directional link id from node @p a to adjacent node @p b. */
-    std::size_t linkId(sim::NodeId a, sim::NodeId b) const;
+    /** The router one hop from @p n in direction @p dir. */
+    sim::NodeId neighbor(sim::NodeId n, std::uint32_t dir) const;
 
-    /** Frameless head-flit driver (awaiter; see mesh.cc). */
-    class FastTransfer;
+    /**
+     * One branch of a tree multicast, then the visit of the router it
+     * reaches. The source's visit is a record with no parent. Callback
+     * events and link waits carry a pointer to the record.
+     */
+    struct TreeHop
+    {
+        Mesh *mesh;
+        /** The visit this branch left (nullptr at the source); the
+         *  free-list link while pooled. */
+        TreeHop *parent;
+        /** The multicast's awaiter (source visit only). */
+        std::coroutine_handle<> caller;
+        /** Destinations reached through this branch: [lo, hi), a
+         *  slice of the multicast's array. */
+        sim::NodeId *lo;
+        sim::NodeId *hi;
+        /** The router the branch leaves; on arrival, the one it
+         *  visits. */
+        sim::NodeId at;
+        std::uint32_t dir;
+        std::uint32_t flits;
+        /** Branches and local tail of the visit still running. */
+        std::uint32_t pending;
 
-    /** Tail-flit arrival delay (flits-1 cycles). */
-    coro::Task<void> tailDelay(std::uint32_t flits);
+        /** 8-byte callback event running one body below. */
+        template <void (TreeHop::*F)()>
+        struct Event
+        {
+            TreeHop *h;
+            void operator()() const { (h->*F)(); }
+        };
 
-    /** Recursive XY-tree delivery used in tree-multicast mode. */
-    coro::Task<void> treeDeliver(sim::NodeId cur, NodeVec dsts,
-                                 std::uint32_t flits);
+        /** Start the visit's branches and tail; true when there is
+         *  none (the visit is done already). */
+        bool fanOut();
+        /** Event bodies, in the order a branch meets them. */
+        void start();
+        static void granted(void *self);
+        void arrive();
+        void tailStart();
+        /** One branch or the tail of this visit finished (the tail's
+         *  event, or inside a branch's last event). */
+        void childDone();
+        /** The visit is done (its wake event, or inside the event that
+         *  reached it): report upstream or resume the caller, and
+         *  recycle the record. */
+        void done();
+    };
+
+    TreeHop &allocHop();
+    void freeHop(TreeHop &h);
 
     sim::Engine &engine_;
     MeshConfig cfg_;
@@ -168,10 +282,11 @@ class Mesh
         std::uint32_t y;
     };
     std::vector<Coord> coords_;
-    /** One FIFO mutex per directional link; index = linkId. */
+    /** One FIFO mutex per directional link; index = node * 4 + dir. */
     std::vector<std::unique_ptr<coro::SimMutex>> links_;
-    /** Per-node injection port (serial multicast pacing). */
-    std::vector<std::unique_ptr<coro::SimMutex>> inject_;
+    /** Tree-walk records: all ever made, and the free ones. */
+    std::deque<TreeHop> hops_;
+    TreeHop *freeHops_ = nullptr;
     MeshStats stats_;
 };
 

@@ -254,8 +254,8 @@ class Engine
     // ---- Detached-root registry --------------------------------------
     //
     // Every detached root coroutine (spawnDetached/spawnFn wrappers —
-    // simulated threads, writebacks, tone announcements, whenAll legs)
-    // registers its frame here. A root that runs to completion releases
+    // simulated threads, writebacks, tone announcements) registers
+    // its frame here. A root that runs to completion releases
     // its slot and self-destroys as before; reset() and ~Engine destroy
     // the frames still live, so tearing down (or reusing) an engine
     // mid-simulation cannot leak frames or the resources they own.

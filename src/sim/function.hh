@@ -147,44 +147,6 @@ class UniqueFunction
     const Ops *ops_ = nullptr;
 };
 
-/**
- * Non-owning reference to a callable (the `void()`-shaped cousin of
- * C++26 std::function_ref). Used for completion callbacks whose
- * referent provably outlives the call — e.g. a commit lambda living in
- * an awaiting coroutine frame — where std::function's copy + possible
- * heap allocation is pure waste.
- */
-template <typename Sig>
-class FunctionRef;
-
-template <typename R, typename... Args>
-class FunctionRef<R(Args...)>
-{
-  public:
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, FunctionRef> &&
-                  std::is_invocable_r_v<R, F &, Args...>>>
-    FunctionRef(F &&f) noexcept
-        : obj_(const_cast<void *>(
-              static_cast<const void *>(std::addressof(f)))),
-          call_([](void *obj, Args... args) -> R {
-              return (*static_cast<std::remove_reference_t<F> *>(obj))(
-                  std::forward<Args>(args)...);
-          })
-    {}
-
-    R
-    operator()(Args... args) const
-    {
-        return call_(obj_, std::forward<Args>(args)...);
-    }
-
-  private:
-    void *obj_;
-    R (*call_)(void *, Args...);
-};
-
 } // namespace wisync::sim
 
 #endif // WISYNC_SIM_FUNCTION_HH

@@ -281,19 +281,8 @@ TEST(Engine, EverySchedulingFormRunsInCycleInsertionOrder)
         int id;
         bool operator==(const Rec &) const = default;
     };
-    struct Resume
-    {
-        Engine &eng;
-        Cycle delta;
-        bool await_ready() const noexcept { return false; }
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            eng.resumeHandle(delta, h);
-        }
-        void await_resume() const noexcept {}
-    };
     Engine eng;
+    std::vector<wisync::coro::Task<void>> frames;
     std::vector<Rec> ran;
     std::vector<Rec> expected;
     int next_id = 0;
@@ -315,12 +304,14 @@ TEST(Engine, EverySchedulingFormRunsInCycleInsertionOrder)
                 } else if (kind == 2) {
                     eng.schedule(when, rec);
                 } else {
-                    wisync::coro::spawnInline(
-                        eng,
-                        [](Engine &e, Cycle d) -> wisync::coro::Task<void> {
-                            co_await Resume{e, d};
-                        }(eng, delta),
-                        rec);
+                    // A suspended frame, resumed by the engine.
+                    frames.push_back(
+                        [](auto r) -> wisync::coro::Task<void> {
+                            r();
+                            co_return;
+                        }(rec));
+                    eng.resumeHandle(delta, frames.back().continueInto(
+                                                std::noop_coroutine()));
                 }
             }
         }

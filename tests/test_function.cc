@@ -1,7 +1,6 @@
 /**
  * @file
- * Unit tests for UniqueFunction's small-buffer optimization and the
- * non-owning FunctionRef.
+ * Unit tests for UniqueFunction's small-buffer optimization.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 
 namespace {
 
-using wisync::sim::FunctionRef;
 using wisync::sim::UniqueFunction;
 
 TEST(UniqueFunction, EmptyByDefault)
@@ -136,23 +134,6 @@ TEST(UniqueFunction, VectorCapturesWork)
     EXPECT_FALSE(f.usesInlineStorage()); // vector: not trivially copyable
     f();
     EXPECT_EQ(sum, 6);
-}
-
-TEST(FunctionRef, CallsThroughWithoutOwning)
-{
-    int calls = 0;
-    auto fn = [&calls](int d) { calls += d; };
-    FunctionRef<void(int)> ref(fn);
-    ref(2);
-    ref(3);
-    EXPECT_EQ(calls, 5);
-}
-
-TEST(FunctionRef, ReturnsValues)
-{
-    auto fn = [](int a, int b) { return a * b; };
-    FunctionRef<int(int, int)> ref(fn);
-    EXPECT_EQ(ref(6, 7), 42);
 }
 
 } // namespace

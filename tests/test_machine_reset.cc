@@ -29,6 +29,8 @@
 #endif
 
 #include "core/machine.hh"
+#include "coro/frame_pool.hh"
+#include "coro/primitives.hh"
 #include "harness/sweep.hh"
 #include "mem/cache.hh"
 #include "workloads/apps.hh"
@@ -410,6 +412,29 @@ TEST(MachineReset, ServesSpinWatchesFromThePool)
     // everything recycled.
     EXPECT_EQ(after.allocated, warm.allocated);
     EXPECT_GE(after.recycled, warm.allocated);
+}
+
+wisync::coro::Task<void>
+loadOnce(Machine &m, wisync::sim::NodeId node, wisync::sim::Addr addr)
+{
+    co_await m.mem().load(node, addr);
+}
+
+/** An L1 miss's transaction frame belongs to its access, which lives
+ *  in the awaiting thread's frame: resetting the machine with the miss
+ *  parked (here on DRAM) frees it with the thread. */
+TEST(MachineReset, ResetDuringAPendingMissFreesItsFrame)
+{
+    Machine machine(MachineConfig::make(ConfigKind::Baseline, 16));
+    const std::uint64_t live = wisync::coro::framePool().liveFrames();
+    wisync::coro::spawnDetached(machine.engine(),
+                                loadOnce(machine, 3, 0x40000));
+    EXPECT_FALSE(machine.engine().run(40));
+    EXPECT_EQ(machine.mem().stats().l1Misses.value(), 1u);
+    EXPECT_GT(wisync::coro::framePool().liveFrames(), live);
+    machine.reset();
+    EXPECT_EQ(wisync::coro::framePool().liveFrames(), live);
+    EXPECT_EQ(machine.engine().pendingEvents(), 0u);
 }
 
 #if defined(__linux__)

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "coro/frame_pool.hh"
 #include "coro/primitives.hh"
 #include "mem/mem_system.hh"
 #include "noc/mesh.hh"
@@ -454,6 +455,41 @@ TEST(MemSystem, HomeBankIsAddressInterleaved)
     EXPECT_EQ(odd.mem.homeOf(64 * 11), 11u);
     EXPECT_EQ(odd.mem.homeOf(64 * 12), 0u);
     EXPECT_EQ(odd.mem.homeOf(64 * 29), 5u);
+}
+
+/** Frames the calling thread's pool has handed out so far. */
+std::uint64_t
+framesMade()
+{
+    const auto &st = wisync::coro::framePool().stats();
+    return st.pooledAllocs + st.fallbackAllocs;
+}
+
+Task<void>
+loadOnce(MemSystem &mem, NodeId node, Addr addr)
+{
+    co_await mem.load(node, addr);
+}
+
+/** Frames per GetS miss: the transaction (fetchLine) is the access's
+ *  one frame; mesh sends and the home's data leg add none. Only the
+ *  DRAM fill of a cold line is a frame of its own. */
+TEST(MemSystem, GetSMissServedFromL2MakesOneFrame)
+{
+    Chip chip(16);
+    const Addr a = 0x10000;
+    auto missFrames = [&](NodeId node) {
+        wisync::coro::spawnDetached(chip.engine, loadOnce(chip.mem, node, a));
+        const std::uint64_t before = framesMade();
+        EXPECT_TRUE(chip.engine.run());
+        return framesMade() - before;
+    };
+    EXPECT_EQ(missFrames(0), 2u); // fetchLine + the DRAM fill
+    EXPECT_EQ(missFrames(1), 1u); // the Exclusive owner forwards
+    EXPECT_EQ(missFrames(2), 1u); // the L2 supplies a shared line
+    EXPECT_EQ(chip.mem.stats().l1Misses.value(), 3u);
+    EXPECT_EQ(chip.mem.stats().dramFetches.value(), 1u);
+    EXPECT_EQ(chip.mem.l1State(2, a), CohState::Shared);
 }
 
 } // namespace

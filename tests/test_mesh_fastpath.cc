@@ -378,6 +378,12 @@ TEST(UncontendedMesh, StreamTakesFastPathWithoutAllocating)
 constexpr Cycle kContendedADone = 33;
 constexpr Cycle kContendedBDone = 28;
 
+/** The held-link tree multicast below, recorded from the coroutine
+ *  tree walk: completion cycles and engine events of one point. */
+constexpr Cycle kTreeHeldUnicastDone = 32;
+constexpr Cycle kTreeHeldMulticastDone = 61;
+constexpr std::uint64_t kTreeHeldEvents = 194;
+
 /** Two same-cycle senders crossing one shared link: the later sender
  *  must fall back (queue) and both complete at the pinned cycles. */
 TEST(MeshFastpath, ForcedContentionFallsBackCycleExact)
@@ -533,6 +539,190 @@ TEST(MeshFastpath, RandomStormIsCycleIdenticalToWormhole)
         }
     }
     EXPECT_GT(contended, 0u); // the storms did exercise held links
+}
+
+// ---- Frameless unicasts and tree multicast -------------------------------
+
+/** Frames the calling thread's pool has handed out so far. */
+std::uint64_t
+framesMade()
+{
+    const auto &st = wisync::coro::framePool().stats();
+    return st.pooledAllocs + st.fallbackAllocs;
+}
+
+Task<void>
+sendAt(Engine &eng, Mesh &mesh, NodeId src, NodeId dst, std::uint32_t bits,
+       Cycle *done)
+{
+    co_await mesh.send(src, dst, bits);
+    *done = eng.now();
+}
+
+Task<void>
+multicastAt(Engine &eng, Mesh &mesh, NodeId src,
+            const std::vector<NodeId> &dsts, std::uint32_t bits, Cycle *done)
+{
+    co_await mesh.multicast(src, dsts, bits);
+    *done = eng.now();
+}
+
+/** 1- and 5-flit unicasts, each alone on its route and each queued
+ *  behind another head, on a warm engine: every root task is built
+ *  before run(), and run() then makes no frame and no heap
+ *  allocation. */
+TEST(MeshFastpath, WarmUnicastsMakeNoFramesAndNoAllocations)
+{
+    Engine eng;
+    const MeshConfig cfg = meshCfg();
+    Mesh mesh(eng, cfg);
+    Cycle done[6] = {};
+    auto point = [&] {
+        eng.reset();
+        mesh.reset(cfg);
+        // Disjoint routes, then two pairs sharing their first link.
+        wisync::coro::spawnDetached(eng,
+                                    sendAt(eng, mesh, 0, 63, 64, &done[0]));
+        wisync::coro::spawnDetached(eng,
+                                    sendAt(eng, mesh, 63, 0, 576, &done[1]));
+        wisync::coro::spawnDetached(eng,
+                                    sendAt(eng, mesh, 8, 15, 64, &done[2]));
+        wisync::coro::spawnDetached(eng,
+                                    sendAt(eng, mesh, 8, 14, 64, &done[3]));
+        wisync::coro::spawnDetached(eng,
+                                    sendAt(eng, mesh, 16, 23, 576, &done[4]));
+        wisync::coro::spawnDetached(eng,
+                                    sendAt(eng, mesh, 16, 22, 576, &done[5]));
+    };
+    point();
+    ASSERT_TRUE(eng.run()); // warm-up: pools, buckets, link FIFOs
+    point();
+    const std::uint64_t frames = framesMade();
+    const std::uint64_t heap = wisync::sim::heapAllocs();
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(framesMade() - frames, 0u);
+    EXPECT_EQ(wisync::sim::heapAllocs() - heap, 0u);
+    EXPECT_EQ(mesh.stats().fastpathHits.value(), 4u);
+    EXPECT_EQ(mesh.stats().fastpathFallbacks.value(), 2u);
+    EXPECT_EQ(done[0], mesh.zeroLoadLatency(0, 63, 64));
+    EXPECT_EQ(done[1], mesh.zeroLoadLatency(63, 0, 576));
+    EXPECT_EQ(done[2], mesh.zeroLoadLatency(8, 15, 64));
+    EXPECT_GT(done[3], mesh.zeroLoadLatency(8, 14, 64));
+    EXPECT_EQ(done[4], mesh.zeroLoadLatency(16, 23, 576));
+    EXPECT_GT(done[5], mesh.zeroLoadLatency(16, 22, 576));
+}
+
+/** A 63-destination tree multicast whose first branch finds its link
+ *  held by a unicast: on a warm engine the walk makes no frame and no
+ *  heap allocation (its records are pooled by the mesh), and both
+ *  messages complete at the cycles the coroutine tree walk gave. */
+TEST(TreeMulticast, WarmFanOutThroughAHeldLinkMakesNoFramesAndNoAllocations)
+{
+    Engine eng;
+    MeshConfig cfg = meshCfg();
+    cfg.treeMulticast = true;
+    Mesh mesh(eng, cfg);
+    std::vector<NodeId> all;
+    for (NodeId n = 1; n < 64; ++n)
+        all.push_back(n);
+    Cycle unicast = 0, tree = 0;
+    auto point = [&] {
+        eng.reset();
+        mesh.reset(cfg);
+        // The unicast takes node 0's east link first.
+        wisync::coro::spawnDetached(eng,
+                                    sendAt(eng, mesh, 0, 7, 576, &unicast));
+        wisync::coro::spawnDetached(eng,
+                                    multicastAt(eng, mesh, 0, all, 64, &tree));
+    };
+    point();
+    ASSERT_TRUE(eng.run());
+    point();
+    const std::uint64_t frames = framesMade();
+    const std::uint64_t heap = wisync::sim::heapAllocs();
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(framesMade() - frames, 0u);
+    EXPECT_EQ(wisync::sim::heapAllocs() - heap, 0u);
+    EXPECT_EQ(unicast, kTreeHeldUnicastDone);
+    EXPECT_EQ(tree, kTreeHeldMulticastDone);
+    EXPECT_EQ(eng.eventsExecuted(), kTreeHeldEvents);
+}
+
+/** Random tree multicasts (random destination sets, sources among
+ *  them or not, 1 and 5 flits) racing random unicasts: the completion
+ *  cycle of every message and the number of engine events, pinned as
+ *  one digest per cell, equal the coroutine tree walk's. */
+TEST(TreeMulticast, RandomStormMatchesTheCoroutineWalk)
+{
+    auto run = [](std::uint64_t seed, std::uint32_t hop, std::uint32_t size) {
+        constexpr int kMessages = 40;
+        Engine eng;
+        MeshConfig c = meshCfg();
+        c.hopCycles = hop;
+        c.treeMulticast = true;
+        Mesh mesh(eng, c);
+        std::vector<Cycle> done(kMessages, 0);
+        std::vector<std::vector<NodeId>> dsts(kMessages);
+        wisync::sim::Rng rng(seed);
+        for (int t = 0; t < kMessages; ++t) {
+            const NodeId src = static_cast<NodeId>(rng.below(64));
+            const Cycle start = rng.below(60);
+            const std::uint32_t bits =
+                size != 0 ? size : rng.chance(0.5) ? 64 : 576;
+            if (rng.chance(0.5)) {
+                for (NodeId n = 0; n < 64; ++n)
+                    if (rng.chance(0.25))
+                        dsts[t].push_back(n);
+                wisync::coro::spawnDetached(
+                    eng, multicastAt(eng, mesh, src, dsts[t], bits, &done[t]),
+                    start);
+            } else {
+                const NodeId dst = static_cast<NodeId>(rng.below(64));
+                wisync::coro::spawnDetached(
+                    eng, sendAt(eng, mesh, src, dst, bits, &done[t]), start);
+            }
+        }
+        EXPECT_TRUE(eng.run());
+        std::vector<Cycle> out = done;
+        out.push_back(eng.eventsExecuted());
+        return cycleDigest(out);
+    };
+    // [seed][hop][size], in the loop order below, recorded from the
+    // coroutine tree walk (one Task per router and branch, whenAll
+    // joins).
+    constexpr std::uint64_t kPinned[3][2][3] = {
+        {
+            {0x382cf5b85dfaeccaull, 0xa7aedb834f7ef889ull,
+             0xe0d2ea64af08639cull},
+            {0xa1618b62f898f454ull, 0x7d6b0a0bce676768ull,
+             0x8b85dcfeb518e3c5ull},
+        },
+        {
+            {0x879eb8d899285421ull, 0xc10e54c698b9af21ull,
+             0x2bc5a0388fab4dcdull},
+            {0xa05dd2edbd381363ull, 0xf5f0e4bd251ad23eull,
+             0x9d22fda43d80f789ull},
+        },
+        {
+            {0x15cba6ce2335113full, 0x20aff81bfd2d7402ull,
+             0xa6b733833c024bf7ull},
+            {0xeb8ebbd401fcc610ull, 0xba3116e3e0e87f35ull,
+             0xb2b9fd9798c1eb0eull},
+        },
+    };
+    const std::uint64_t seeds[] = {0xF00Dull, 1ull, 2ull};
+    const std::uint32_t hops[] = {1u, 4u};
+    const std::uint32_t sizes[] = {64u, 576u, 0u};
+    for (std::size_t i = 0; i < std::size(seeds); ++i) {
+        for (std::size_t h = 0; h < std::size(hops); ++h) {
+            for (std::size_t z = 0; z < std::size(sizes); ++z) {
+                SCOPED_TRACE(::testing::Message()
+                             << "seed " << seeds[i] << " hop " << hops[h]
+                             << " bits " << sizes[z]);
+                EXPECT_EQ(run(seeds[i], hops[h], sizes[z]), kPinned[i][h][z]);
+            }
+        }
+    }
 }
 
 // ---- Full figure-grid pins --------------------------------------------

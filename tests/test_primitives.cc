@@ -7,8 +7,10 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
+#include "coro/frame_pool.hh"
 #include "coro/primitives.hh"
 #include "coro/task.hh"
 #include "sim/engine.hh"
@@ -24,6 +26,7 @@ using wisync::coro::SimMutex;
 using wisync::coro::spawnNow;
 using wisync::coro::Task;
 using wisync::coro::WaiterQueue;
+using wisync::coro::whenAll;
 using wisync::sim::Cycle;
 using wisync::sim::Engine;
 
@@ -272,6 +275,127 @@ TEST(SimMutex, HandoffKeepsCycleAccurate)
         spawnNow(eng, worker);
     eng.run();
     EXPECT_EQ(times, (std::vector<Cycle>{0, 0, 0}));
+}
+
+// ---- whenAll -------------------------------------------------------------
+
+/** Frames the calling thread's pool has handed out so far. */
+std::uint64_t
+framesMade()
+{
+    const auto &st = wisync::coro::framePool().stats();
+    return st.pooledAllocs + st.fallbackAllocs;
+}
+
+/** A leg: notes the event it starts in, waits, notes its end. */
+Task<void>
+timedLeg(Engine &eng, Cycle wait, std::uint64_t *started,
+         std::uint64_t *ended)
+{
+    *started = eng.eventsExecuted();
+    co_await delay(eng, wait);
+    *ended = eng.eventsExecuted();
+}
+
+/** The join's event contract: each leg starts in a delta-0 event of
+ *  its own, in list order; every leg completes straight back into the
+ *  join; the awaiter resumes in the one event the last completion
+ *  files. The join's only frame besides the legs' is its own. */
+TEST(WhenAll, LegsStartInListOrderAndTheAwaiterResumesOneEventAfterTheLast)
+{
+    Engine eng;
+    std::uint64_t started[3] = {}, ended[3] = {};
+    std::uint64_t fork = 0, join = 0;
+    Cycle joined_at = 0;
+    const Cycle waits[3] = {3, 1, 5};
+    auto parent = [&]() -> Task<void> {
+        co_await delay(eng, 2);
+        std::vector<Task<void>> legs;
+        for (int i = 0; i < 3; ++i)
+            legs.push_back(timedLeg(eng, waits[i], &started[i], &ended[i]));
+        fork = eng.eventsExecuted();
+        co_await whenAll(eng, std::move(legs));
+        join = eng.eventsExecuted();
+        joined_at = eng.now();
+    };
+    wisync::coro::spawnDetached(eng, parent());
+    const std::uint64_t frames = framesMade();
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(framesMade() - frames, 3u + 1u); // the legs and the join
+    EXPECT_EQ(started[0], fork + 1);
+    EXPECT_EQ(started[1], fork + 2);
+    EXPECT_EQ(started[2], fork + 3);
+    EXPECT_EQ(joined_at, 2u + 5u);
+    EXPECT_EQ(join, ended[2] + 1); // the slowest leg, then the wake
+    EXPECT_EQ(join, eng.eventsExecuted());
+    EXPECT_LT(ended[1], ended[0]);
+}
+
+TEST(WhenAll, EmptyListCompletesWithoutSuspending)
+{
+    Engine eng;
+    Cycle done = 99;
+    spawnNow(eng, [&]() -> Task<void> {
+        co_await whenAll(eng, std::vector<Task<void>>{});
+        done = eng.now();
+    });
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(done, 0u);
+    EXPECT_EQ(eng.eventsExecuted(), 1u);
+}
+
+Task<void>
+failingLeg(Engine &eng, Cycle wait)
+{
+    co_await delay(eng, wait);
+    throw std::runtime_error("leg failed");
+}
+
+/** An exception escaping a leg reaches the join's awaiter, once every
+ *  leg is done (it is a model bug, but one the awaiter can see). */
+TEST(WhenAll, ThrowingLegReachesTheAwaiter)
+{
+    Engine eng;
+    std::uint64_t s = 0, e = 0;
+    bool caught = false;
+    Cycle caught_at = 0;
+    spawnNow(eng, [&]() -> Task<void> {
+        std::vector<Task<void>> legs;
+        legs.push_back(failingLeg(eng, 2));
+        legs.push_back(timedLeg(eng, 4, &s, &e));
+        try {
+            co_await whenAll(eng, std::move(legs));
+        } catch (const std::runtime_error &) {
+            caught = true;
+            caught_at = eng.now();
+        }
+    });
+    ASSERT_TRUE(eng.run());
+    EXPECT_TRUE(caught);
+    EXPECT_EQ(caught_at, 4u);
+    EXPECT_NE(e, 0u);
+}
+
+/** Resetting the engine with legs parked mid-flight destroys the
+ *  join, its legs and what they await: no frame outlives the reset. */
+TEST(WhenAll, EngineResetMidFlightFreesEveryFrame)
+{
+    const std::uint64_t live = wisync::coro::framePool().liveFrames();
+    Engine eng;
+    std::uint64_t s[3] = {}, e[3] = {};
+    spawnNow(eng, [&]() -> Task<void> {
+        std::vector<Task<void>> legs;
+        for (int i = 0; i < 3; ++i)
+            legs.push_back(timedLeg(eng, 10 * (i + 1), &s[i], &e[i]));
+        co_await whenAll(eng, std::move(legs));
+    });
+    EXPECT_FALSE(eng.run(15)); // one leg done, two parked
+    EXPECT_NE(e[0], 0u);
+    EXPECT_EQ(e[2], 0u);
+    EXPECT_GT(wisync::coro::framePool().liveFrames(), live);
+    eng.reset();
+    EXPECT_EQ(wisync::coro::framePool().liveFrames(), live);
+    EXPECT_EQ(eng.pendingEvents(), 0u);
 }
 
 } // namespace
