@@ -40,9 +40,17 @@ BmStore::read(sim::NodeId node, sim::BmAddr addr) const
 void
 BmStore::raiseWatches(sim::NodeId first, sim::NodeId end, sim::BmAddr addr)
 {
-    for (sim::NodeId n = first; n < end; ++n)
-        if (coro::VersionedEvent *ev = watches_.find(watchKey(n, addr)))
-            ev->raise();
+    // Raising only queues wake events, so the list cannot change under
+    // this loop. A watcher with no waiter still has its generation
+    // bumped.
+    if (watchers_.empty())
+        return;
+    for (const Watcher &w : watchers_[addr]) {
+        if (w.node >= end)
+            break;
+        if (w.node >= first)
+            w.event->raise();
+    }
 }
 
 void
@@ -133,6 +141,9 @@ BmStore::reset()
     std::fill(tags_.begin(), tags_.end(), kNoPid);
     std::fill(scopes_.begin(), scopes_.end(), BmScope::Global);
     watches_.reset(); // recycles events instead of freeing them
+    for (const sim::BmAddr addr : watchedWords_)
+        watchers_[addr].clear();
+    watchedWords_.clear();
 }
 
 std::uint64_t
@@ -151,7 +162,20 @@ BmStore::fingerprint() const
 coro::VersionedEvent &
 BmStore::watch(sim::NodeId node, sim::BmAddr addr)
 {
-    return watches_[watchKey(node, addr)];
+    const std::uint64_t key = watchKey(node, addr);
+    if (coro::VersionedEvent *ev = watches_.find(key))
+        return *ev;
+    coro::VersionedEvent &ev = watches_[key];
+    if (watchers_.empty())
+        watchers_.resize(words_);
+    std::vector<Watcher> &list = watchers_[addr];
+    if (list.empty())
+        watchedWords_.push_back(addr);
+    const auto at = std::lower_bound(
+        list.begin(), list.end(), node,
+        [](const Watcher &w, sim::NodeId n) { return w.node < n; });
+    list.insert(at, Watcher{node, &ev});
+    return ev;
 }
 
 } // namespace wisync::bm

@@ -12,7 +12,8 @@
  * Since every replica on a chip is written in the same step, a chip's
  * replica group is stored as one word array: node reads go to their
  * chip's array, and the store costs chips x words, not nodes x words.
- * Watchers stay per node.
+ * Watchers stay per node; each word lists the nodes that watch it, so
+ * a write raises exactly those, in increasing node order.
  *
  * Multi-chip: with several chips each broadcast commits on its own
  * chip's replica group first (writeChip); the inter-chip bridge
@@ -129,6 +130,13 @@ class BmStore
     /** Wake the watchers of nodes [@p first, @p end) on @p addr. */
     void raiseWatches(sim::NodeId first, sim::NodeId end, sim::BmAddr addr);
 
+    /** A node's watch event on one word. */
+    struct Watcher
+    {
+        sim::NodeId node;
+        coro::VersionedEvent *event;
+    };
+
     sim::Engine &engine_;
     std::uint32_t numNodes_;
     std::uint32_t words_;
@@ -139,6 +147,12 @@ class BmStore
     std::vector<sim::Pid> tags_;
     std::vector<BmScope> scopes_;
     coro::WatchTable watches_;
+    /** Per word, the nodes holding a watch entry, in increasing node
+     *  order, so a write visits only those. Sized by the first watch()
+     *  (a machine that never spins allocates nothing). */
+    std::vector<std::vector<Watcher>> watchers_;
+    /** The words whose watcher list is non-empty (reset clears them). */
+    std::vector<sim::BmAddr> watchedWords_;
 };
 
 } // namespace wisync::bm

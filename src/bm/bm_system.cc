@@ -330,13 +330,12 @@ BmSystem::deliverRmw(sim::NodeId node, sim::BmAddr addr,
     deliverStore(node, addr, &value, 1);
 }
 
-coro::Task<std::uint64_t>
+BmSystem::Load
 BmSystem::load(sim::NodeId node, sim::Pid pid, sim::BmAddr addr)
 {
     checkPid(addr, pid);
     stats_.loads.inc();
-    co_await coro::delay(engine_, cfg_.bmRtCycles);
-    co_return store_.read(node, addr);
+    return Load(*this, node, addr);
 }
 
 coro::Task<void>
@@ -374,16 +373,12 @@ BmSystem::store(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
         cfg_.bmRtCycles);
 }
 
-coro::Task<std::array<std::uint64_t, 4>>
+BmSystem::BulkLoad
 BmSystem::bulkLoad(sim::NodeId node, sim::Pid pid, sim::BmAddr addr)
 {
     checkPid(addr, pid, 4);
     stats_.loads.inc();
-    co_await coro::delay(engine_, cfg_.bmRtCycles);
-    std::array<std::uint64_t, 4> out;
-    for (std::uint32_t i = 0; i < 4; ++i)
-        out[i] = store_.read(node, addr + i);
-    co_return out;
+    return BulkLoad(*this, node, addr);
 }
 
 coro::Task<void>

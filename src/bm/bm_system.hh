@@ -26,6 +26,11 @@
  *  - Every access checks the entry's PID tag (§4.4); a mismatch throws
  *    ProtectionFault.
  *
+ * A load is a frameless awaitable (a BM round trip, then the replica
+ * read); a store, bulk store or RMW owns one coroutine frame, its own,
+ * since the MAC send it awaits (wireless::Mac::Send) keeps its state
+ * in that frame.
+ *
  * Multi-chip machines (numChips > 1) generalize this machine-wide:
  * each chip owns a contiguous block of coresPerChip nodes, its own BM
  * replica group, tone channel and die geometry (RfChannelModel); the
@@ -170,18 +175,56 @@ class BmSystem
 
     // ---- Instruction surface -------------------------------------
 
+    /**
+     * A BM load in flight: the BM round trip is a plain delay and the
+     * local replica is read when it ends, in await_resume. Frameless;
+     * await it in the statement that created it.
+     */
+    class [[nodiscard]] Load : public coro::DelayAwaiter
+    {
+      public:
+        Load(BmSystem &bm, sim::NodeId node, sim::BmAddr addr)
+            : DelayAwaiter(bm.engine_, bm.cfg_.bmRtCycles),
+              store_(&bm.store_), node_(node), addr_(addr)
+        {}
+
+        std::uint64_t
+        await_resume() const
+        {
+            return store_->read(node_, addr_);
+        }
+
+      protected:
+        const BmStore *store_;
+        sim::NodeId node_;
+        sim::BmAddr addr_;
+    };
+
+    /** A bulk load in flight: Load over 4 consecutive words. */
+    class [[nodiscard]] BulkLoad : public Load
+    {
+      public:
+        using Load::Load;
+
+        std::array<std::uint64_t, 4>
+        await_resume() const
+        {
+            std::array<std::uint64_t, 4> out;
+            for (std::uint32_t i = 0; i < 4; ++i)
+                out[i] = store_->read(node_, addr_ + i);
+            return out;
+        }
+    };
+
     /** Plain BM load: local replica, always succeeds. */
-    coro::Task<std::uint64_t> load(sim::NodeId node, sim::Pid pid,
-                                   sim::BmAddr addr);
+    Load load(sim::NodeId node, sim::Pid pid, sim::BmAddr addr);
 
     /** Plain BM store: broadcast, then update all replicas. */
     coro::Task<void> store(sim::NodeId node, sim::Pid pid,
                            sim::BmAddr addr, std::uint64_t value);
 
     /** Bulk load of 4 consecutive words from the local replica. */
-    coro::Task<std::array<std::uint64_t, 4>> bulkLoad(sim::NodeId node,
-                                                      sim::Pid pid,
-                                                      sim::BmAddr addr);
+    BulkLoad bulkLoad(sim::NodeId node, sim::Pid pid, sim::BmAddr addr);
 
     /** Bulk store of 4 consecutive words (one 15-cycle broadcast). */
     coro::Task<void> bulkStore(sim::NodeId node, sim::Pid pid,

@@ -123,12 +123,11 @@ Machine::allocBm(std::uint32_t words, sim::BmAddr &out)
     return true;
 }
 
-coro::Task<void>
+coro::DelayAwaiter
 ThreadCtx::compute(std::uint64_t instructions)
 {
     const auto width = machine_.config().issueWidth;
-    const sim::Cycle cycles = (instructions + width - 1) / width;
-    co_await coro::delay(machine_.engine(), cycles);
+    return coro::delay(machine_.engine(), (instructions + width - 1) / width);
 }
 
 mem::MemSystem::Access<std::uint64_t>
@@ -167,7 +166,7 @@ ThreadCtx::spinUntil(sim::Addr addr, std::function<bool(std::uint64_t)> pred)
     return machine_.mem().spinUntil(node_, addr, std::move(pred));
 }
 
-coro::Task<std::uint64_t>
+bm::BmSystem::Load
 ThreadCtx::bmLoad(sim::BmAddr addr)
 {
     return machine_.bm()->load(node_, pid_, addr);
@@ -201,7 +200,7 @@ ThreadCtx::bmCas(sim::BmAddr addr, std::uint64_t expected,
                               desired);
 }
 
-coro::Task<std::array<std::uint64_t, 4>>
+bm::BmSystem::BulkLoad
 ThreadCtx::bmBulkLoad(sim::BmAddr addr)
 {
     return machine_.bm()->bulkLoad(node_, pid_, addr);
@@ -247,7 +246,7 @@ ThreadCtx::migrate(sim::NodeId new_node, sim::Cycle migrate_cost)
     node_ = new_node;
 }
 
-coro::Task<std::uint64_t>
+bm::BmSystem::Load
 ThreadCtx::toneLoad(sim::BmAddr addr)
 {
     return machine_.bm()->load(node_, pid_, addr);

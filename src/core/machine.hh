@@ -49,8 +49,9 @@ class ThreadCtx
     sim::Pid pid() const { return pid_; }
     Machine &machine() { return machine_; }
 
-    /** Execute @p instructions of straight-line code. */
-    coro::Task<void> compute(std::uint64_t instructions);
+    /** Execute @p instructions of straight-line code (a plain delay;
+     *  frameless). */
+    coro::DelayAwaiter compute(std::uint64_t instructions);
 
     // Regular (cacheable) memory ops. These forward the MemSystem
     // Access awaitables (frameless L1-hit fast path) unchanged; they
@@ -70,14 +71,14 @@ class ThreadCtx
                                             pred);
 
     // Broadcast-memory ops (WiSync configs only).
-    coro::Task<std::uint64_t> bmLoad(sim::BmAddr addr);
+    bm::BmSystem::Load bmLoad(sim::BmAddr addr);
     coro::Task<void> bmStore(sim::BmAddr addr, std::uint64_t value);
     coro::Task<std::uint64_t> bmFetchAdd(sim::BmAddr addr, std::uint64_t d);
     coro::Task<std::uint64_t> bmTestAndSet(sim::BmAddr addr);
     coro::Task<bm::RmwResult> bmCas(sim::BmAddr addr,
                                     std::uint64_t expected,
                                     std::uint64_t desired);
-    coro::Task<std::array<std::uint64_t, 4>> bmBulkLoad(sim::BmAddr addr);
+    bm::BmSystem::BulkLoad bmBulkLoad(sim::BmAddr addr);
     coro::Task<void> bmBulkStore(sim::BmAddr addr,
                                  std::array<std::uint64_t, 4> values);
     coro::Task<std::uint64_t> bmSpinUntil(sim::BmAddr addr,
@@ -85,7 +86,7 @@ class ThreadCtx
                                               pred);
     coro::Task<void> toneStore(sim::BmAddr addr);
     /** tone_ld: a plain BM load of the barrier word (§4.2.2). */
-    coro::Task<std::uint64_t> toneLoad(sim::BmAddr addr);
+    bm::BmSystem::Load toneLoad(sim::BmAddr addr);
 
     /**
      * Context switch: the thread is descheduled for @p cycles plus

@@ -8,7 +8,6 @@
  *                               channel senders, bank ports, ...)
  *   - Resource                : counting semaphore (link/bank capacity)
  *   - CondVar                 : broadcast wakeup (spin-wait subscription)
- *   - Future<T>               : one-shot value handoff
  *   - spawnDetached           : launch a root task onto the engine
  *   - whenAll                 : fork-join over parallel legs
  *
@@ -157,6 +156,36 @@ class WaiterQueue
     std::uint32_t size_ = 0;
 };
 
+namespace detail {
+
+/**
+ * A parked waiter of a SimMutex or CondVar: a suspended coroutine
+ * (wake == nullptr, ctx is its frame) or a plain callback, woken as
+ * wake(ctx). Either way the wake is one delta-0 event, so a callback
+ * waiter resumes at the (cycle, seq) a coroutine would.
+ */
+struct Waiter
+{
+    void *ctx;
+    void (*wake)(void *) = nullptr;
+
+    /** Hand-off event of a callback waiter (16 bytes, inline). */
+    void operator()() const { wake(ctx); }
+
+    /** File the wake: resume the frame, or run the callback. */
+    void
+    schedule(sim::Engine &engine) const
+    {
+        if (wake == nullptr)
+            engine.resumeHandle(
+                0, std::coroutine_handle<>::from_address(ctx));
+        else
+            engine.scheduleIn(0, *this);
+    }
+};
+
+} // namespace detail
+
 /**
  * FIFO mutex for coroutines.
  *
@@ -197,7 +226,7 @@ class SimMutex
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            mutex_.waiters_.push_back(Waiter{h.address()});
+            mutex_.waiters_.push_back(detail::Waiter{h.address()});
             mutex_.materializeRelease();
         }
 
@@ -221,7 +250,7 @@ class SimMutex
     wait(void (*grant)(void *), void *ctx)
     {
         WISYNC_ASSERT(locked_, "wait on a free SimMutex");
-        waiters_.push_back(Waiter{ctx, grant});
+        waiters_.push_back(detail::Waiter{ctx, grant});
         materializeRelease();
     }
 
@@ -303,12 +332,7 @@ class SimMutex
         // Hand the lock to the oldest waiter; resume via the engine so
         // the critical section starts at the current cycle but after
         // the unlocker's event completes.
-        const Waiter w = waiters_.pop_front();
-        if (w.grant == nullptr)
-            engine_.resumeHandle(
-                0, std::coroutine_handle<>::from_address(w.ctx));
-        else
-            engine_.scheduleIn(0, Grant{w});
+        waiters_.pop_front().schedule(engine_);
     }
 
     /**
@@ -343,21 +367,6 @@ class SimMutex
     }
 
   private:
-    /** A parked lock attempt: a suspended coroutine (grant == nullptr,
-     *  ctx is its frame) or a wait() callback. */
-    struct Waiter
-    {
-        void *ctx;
-        void (*grant)(void *) = nullptr;
-    };
-
-    /** Hand-off event of a wait() callback (16 bytes, inline). */
-    struct Grant
-    {
-        Waiter w;
-        void operator()() const { w.grant(w.ctx); }
-    };
-
     /**
      * An expired, uncontested reservation is equivalent to released:
      * nobody queued during its window, so no release event exists and
@@ -413,7 +422,7 @@ class SimMutex
     bool releaseQueued_ = false;
     sim::Cycle reservedUntil_ = 0;
     std::uint64_t reservedSeq_ = 0;
-    WaiterQueue<Waiter> waiters_;
+    WaiterQueue<detail::Waiter> waiters_;
 };
 
 /**
@@ -508,7 +517,7 @@ class CondVar
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            cv_.waiters_.push_back(h);
+            cv_.waiters_.push_back(detail::Waiter{h.address()});
         }
 
         void await_resume() const noexcept {}
@@ -520,6 +529,17 @@ class CondVar
     /** Block until the next notifyAll(). */
     WaitAwaiter wait() { return WaitAwaiter(*this); }
 
+    /**
+     * wait() for a caller with no coroutine frame: @p wake(@p ctx)
+     * runs in the wake event of the next notifyAll(), at the (cycle,
+     * seq) where a parked coroutine would resume.
+     */
+    void
+    wait(void (*wake)(void *), void *ctx)
+    {
+        waiters_.push_back(detail::Waiter{ctx, wake});
+    }
+
     /** Wake every current waiter (at the present cycle). */
     void
     notifyAll()
@@ -530,8 +550,8 @@ class CondVar
         // in a fresh round; the inline buffer keeps the common few-
         // waiter case allocation-free.
         auto woken = std::move(waiters_);
-        for (auto h : woken)
-            engine_.resumeHandle(0, h);
+        for (const detail::Waiter &w : woken)
+            w.schedule(engine_);
     }
 
     std::size_t waiting() const { return waiters_.size(); }
@@ -541,61 +561,7 @@ class CondVar
 
   private:
     sim::Engine &engine_;
-    sim::InlineVec<std::coroutine_handle<>, 4> waiters_;
-};
-
-/**
- * One-shot future: produced once, consumable by many waiters.
- *
- * Used for transaction completions (e.g. a cache miss response).
- */
-template <typename T>
-class Future
-{
-  public:
-    explicit Future(sim::Engine &engine) : engine_(engine) {}
-
-    bool ready() const { return ready_; }
-
-    void
-    set(T value)
-    {
-        WISYNC_ASSERT(!ready_, "Future set twice");
-        value_ = std::move(value);
-        ready_ = true;
-        for (auto h : waiters_)
-            engine_.resumeHandle(0, h);
-        waiters_.clear();
-    }
-
-    Future(const Future &) = delete;
-    Future &operator=(const Future &) = delete;
-
-    class Awaiter
-    {
-      public:
-        explicit Awaiter(Future &f) : fut_(f) {}
-        bool await_ready() const { return fut_.ready_; }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            fut_.waiters_.push_back(h);
-        }
-
-        T await_resume() const { return fut_.value_; }
-
-      private:
-        Future &fut_;
-    };
-
-    Awaiter operator co_await() { return Awaiter(*this); }
-
-  private:
-    sim::Engine &engine_;
-    bool ready_ = false;
-    T value_{};
-    sim::InlineVec<std::coroutine_handle<>, 2> waiters_;
+    sim::InlineVec<detail::Waiter, 4> waiters_;
 };
 
 /**

@@ -23,10 +23,11 @@
  * with local state: a workload thread, an L1 miss's fetchLine (owned
  * by its MemSystem::Access), a DRAM fill, a coherence leg under
  * whenAll and the join itself, a detached writeback or recall, a spin
- * wait, and the BM, wireless and sync layers' transactions. Mesh
- * unicasts and tree multicasts, L1 hits, lock waits and whenAll's
- * per-leg starts own no frame: they are awaitables or callback
- * events. Owners start a child either by awaiting it or, for joins
+ * wait, a BM store or RMW (one frame for its whole broadcast), and
+ * the sync layer's transactions. Mesh unicasts and tree multicasts,
+ * L1 hits, lock waits, whenAll's per-leg starts, BM loads, compute
+ * and the MAC and channel steps of a broadcast own no frame: they are
+ * awaitables or callback events. Owners start a child either by awaiting it or, for joins
  * and misses that start it from an event, via continueInto().
  */
 

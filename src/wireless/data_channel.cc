@@ -46,6 +46,7 @@ DataChannel::reset(const WirelessConfig &cfg)
     nextFree_ = 0;
     openSlot_ = sim::kCycleMax;
     slotAttempts_.clear();
+    arbScratch_.clear();
     dropData_.clear();
     dropBulk_.clear();
     burstStates_.clear();
@@ -92,25 +93,42 @@ DataChannel::burstDropProbability(sim::NodeId src, bool bulk, sim::Rng &rng)
     return per < 0.0 ? 0.0 : (per > 1.0 ? 1.0 : per);
 }
 
-coro::Task<DataChannel::Outcome>
-DataChannel::attempt(sim::NodeId src, bool bulk, sim::UniqueFunction &deliver,
-                     const std::function<bool()> *abort, sim::Rng *rng)
+void
+DataChannel::attempt(Attempt &a)
 {
     // A ready transceiver waits for the cycle the channel is next
-    // expected to be free (§4.1); the horizon can move while waiting.
-    while (engine_.now() < nextFree_)
-        co_await coro::delay(engine_, nextFree_ - engine_.now());
-
-    coro::Future<Outcome> done(engine_);
-    Pending pending{bulk, &deliver, abort, &done, src, rng};
-    if (openSlot_ != engine_.now()) {
-        openSlot_ = engine_.now();
+    // expected to be free (§4.1); the horizon can move while waiting,
+    // so the wait ends in a fresh attempt.
+    const sim::Cycle now = engine_.now();
+    if (now < nextFree_) {
+        struct Retry
+        {
+            DataChannel *ch;
+            Attempt *a;
+            void operator()() const { ch->attempt(*a); }
+        };
+        engine_.scheduleIn(nextFree_ - now, Retry{this, &a});
+        return;
+    }
+    if (openSlot_ != now) {
+        openSlot_ = now;
         slotAttempts_.clear();
         // Arbitrate after every same-cycle attempt has registered.
         engine_.scheduleIn(0, [this] { arbitrate(); });
     }
-    slotAttempts_.push_back(&pending);
-    co_return co_await done;
+    slotAttempts_.push_back(&a);
+}
+
+void
+DataChannel::resolve(Attempt &a, Outcome outcome)
+{
+    struct Wake
+    {
+        Attempt *a;
+        void operator()() const { a->done(*a); }
+    };
+    a.outcome = outcome;
+    engine_.scheduleIn(0, Wake{&a});
 }
 
 void
@@ -128,9 +146,9 @@ DataChannel::arbitrate()
     // AFB semantics: a transmission whose abort predicate holds when
     // the write is attempted never reaches the air.
     std::size_t live = 0;
-    for (Pending *p : arbScratch_) {
+    for (Attempt *p : arbScratch_) {
         if (p->abort && (*p->abort)())
-            p->done->set(Outcome::Aborted);
+            resolve(*p, Outcome::Aborted);
         else
             arbScratch_[live++] = p;
     }
@@ -139,7 +157,7 @@ DataChannel::arbitrate()
         return;
 
     if (arbScratch_.size() == 1) {
-        Pending *p = arbScratch_.front();
+        Attempt *p = arbScratch_.front();
         const std::uint32_t dur =
             p->bulk ? cfg_.bulkCycles : cfg_.dataCycles;
         nextFree_ = engine_.now() + dur;
@@ -165,16 +183,16 @@ DataChannel::arbitrate()
             if (per > 0.0 && p->rng->chance(per)) {
                 stats_.drops.inc();
                 engine_.scheduleIn(
-                    dur, [p] { p->done->set(Outcome::Dropped); });
+                    dur, [this, p] { resolve(*p, Outcome::Dropped); });
                 return;
             }
         }
         // Delivery happens at the end of the transmission: the deliver
         // callback is the total-order commit point for BM updates.
-        engine_.scheduleIn(dur, [p] {
+        engine_.scheduleIn(dur, [this, p] {
             if (*p->deliver)
                 (*p->deliver)();
-            p->done->set(Outcome::Delivered);
+            resolve(*p, Outcome::Delivered);
         });
         return;
     }
@@ -187,9 +205,9 @@ DataChannel::arbitrate()
     nextFree_ = engine_.now() + cfg_.collisionCycles;
     stats_.collisions.inc();
     stats_.busyCycles.inc(cfg_.collisionCycles);
-    for (Pending *p : arbScratch_)
+    for (Attempt *p : arbScratch_)
         engine_.scheduleIn(cfg_.collisionCycles,
-                           [p] { p->done->set(Outcome::Collided); });
+                           [this, p] { resolve(*p, Outcome::Collided); });
 }
 
 Mac::Mac(sim::Engine &engine, DataChannel &channel, MacProtocol &protocol,
@@ -207,83 +225,158 @@ Mac::reset(MacProtocol &protocol, sim::Rng rng)
     retries_.reset();
 }
 
-coro::Task<bool>
-Mac::ackTimeoutRetry(std::uint32_t drops)
+Mac::Send::Send(Mac &mac, bool bulk, sim::UniqueFunction deliver,
+                const std::function<bool()> *abort)
+    : mac_(&mac), deliver_(std::move(deliver))
 {
-    const WirelessConfig &cfg = channel_.config();
-    if (drops > cfg.maxRetries) {
+    this->bulk = bulk;
+    this->deliver = &deliver_;
+    this->abort = abort;
+    src = mac.node_;
+    rng = &mac.rng_;
+    done = &Send::attempted;
+}
+
+// The send's steps, each running in the event where the coroutine
+// they replace resumed: the order-lock hand-off, the protocol's grant
+// or backoff wake, the channel's outcome wake and the ack timer. A
+// step that needs no wait runs inline, like the symmetric transfer
+// it replaces.
+
+bool
+Mac::Send::await_suspend(std::coroutine_handle<> h)
+{
+    // A node's broadcasts are strictly ordered (§4.2.1: no subsequent
+    // store proceeds until the current one performed).
+    if (mac_->order_.tryLock())
+        start();
+    else
+        mac_->order_.wait(&Send::locked, this);
+    if (done_)
+        return false;
+    caller_ = h;
+    return true;
+}
+
+void
+Mac::Send::locked(void *self)
+{
+    static_cast<Send *>(self)->start();
+}
+
+void
+Mac::Send::start()
+{
+    firstAttempt_ = mac_->engine_.now();
+    contend(*this);
+}
+
+void
+Mac::Send::contend(MacWaiter &w)
+{
+    auto &s = static_cast<Send &>(w);
+    s.resume = &Send::granted;
+    if (s.mac_->protocol_->acquire(s.mac_->node_, s))
+        granted(s);
+}
+
+void
+Mac::Send::granted(MacWaiter &w)
+{
+    auto &s = static_cast<Send &>(w);
+    Mac &mac = *s.mac_;
+    if (s.abort && (*s.abort)()) {
+        // Cancelled before reaching the channel. The claim must still
+        // be dropped: a granted token (or a fuzzy-token contention
+        // grant picked up during the last collision) would otherwise
+        // stall every queued sender.
+        mac.protocol_->release(mac.node_, false);
+        s.finish(SendOutcome::Aborted);
+        return;
+    }
+    mac.channel_.attempt(s);
+}
+
+void
+Mac::Send::attempted(DataChannel::Attempt &a)
+{
+    auto &s = static_cast<Send &>(a);
+    Mac &mac = *s.mac_;
+    switch (s.outcome) {
+      case DataChannel::Outcome::Collided:
+        // The protocol drops the claim, updates contention state and
+        // performs this node's backoff; then contend again.
+        mac.retries_.inc();
+        s.resume = &Send::contend;
+        if (mac.protocol_->onCollision(mac.node_, mac.rng_, s))
+            contend(s);
+        return;
+      case DataChannel::Outcome::Dropped:
+        // The channel lost the frame. The claim is released like a
+        // delivered send (the token must pass on) and the ack window /
+        // bounded-retry machinery decides what follows.
+        mac.protocol_->release(mac.node_, false);
+        s.ackTimeout();
+        return;
+      case DataChannel::Outcome::Delivered:
+        mac.protocol_->release(mac.node_, true);
+        mac.channel_.noteDelivery(s.firstAttempt_);
+        s.finish(SendOutcome::Delivered);
+        return;
+      case DataChannel::Outcome::Aborted:
+        mac.protocol_->release(mac.node_, false);
+        s.finish(SendOutcome::Aborted);
+        return;
+    }
+}
+
+void
+Mac::Send::ackTimeout()
+{
+    // The ack window of transmission drops_ expired: wait it out (plus
+    // the bounded exponential backoff when a retransmission follows),
+    // then retransmit, or give up once maxRetries is spent.
+    const WirelessConfig &cfg = mac_->channel_.config();
+    MacProtocol &protocol = *mac_->protocol_;
+    sim::Engine &engine = mac_->engine_;
+    if (++drops_ > cfg.maxRetries) {
         // The retry budget is spent: wait out the final ack window
         // (the sender cannot know the frame was lost any earlier),
         // then surface the typed failure instead of retransmitting.
-        protocol_->noteAckTimeout(cfg.ackTimeoutCycles);
-        co_await coro::delay(engine_, cfg.ackTimeoutCycles);
-        protocol_->noteGiveUp();
-        co_return false;
+        protocol.noteAckTimeout(cfg.ackTimeoutCycles);
+        auto give_up = [this] {
+            mac_->protocol_->noteGiveUp();
+            finish(SendOutcome::GaveUp);
+        };
+        if (cfg.ackTimeoutCycles == 0)
+            give_up();
+        else
+            engine.scheduleIn(cfg.ackTimeoutCycles, give_up);
+        return;
     }
     // Ack window plus bounded exponential spacing before the
     // retransmission. Deterministic (no RNG): the packet-error draws
     // already decorrelate senders, and a fixed schedule keeps the
     // lossPct = 0 contract trivially intact.
-    const std::uint32_t exp = drops < cfg.retryBackoffMaxExp
-                                  ? drops
+    const std::uint32_t exp = drops_ < cfg.retryBackoffMaxExp
+                                  ? drops_
                                   : cfg.retryBackoffMaxExp;
-    const sim::Cycle wait =
-        cfg.ackTimeoutCycles + (sim::Cycle{1} << exp);
-    protocol_->noteAckTimeout(wait);
-    co_await coro::delay(engine_, wait);
-    protocol_->noteRetransmit();
-    co_return true;
+    const sim::Cycle wait = cfg.ackTimeoutCycles + (sim::Cycle{1} << exp);
+    protocol.noteAckTimeout(wait);
+    engine.scheduleIn(wait, [this] {
+        mac_->protocol_->noteRetransmit();
+        contend(*this);
+    });
 }
 
-coro::Task<SendOutcome>
-Mac::send(bool bulk, sim::UniqueFunction deliver,
-          const std::function<bool()> *abort)
+void
+Mac::Send::finish(SendOutcome outcome)
 {
-    // A node's broadcasts are strictly ordered (§4.2.1: no subsequent
-    // store proceeds until the current one performed).
-    co_await order_.lock();
-    const sim::Cycle first_attempt = engine_.now();
-    std::uint32_t drops = 0;
-    SendOutcome sent = SendOutcome::Aborted;
-    for (;;) {
-        co_await protocol_->acquire(node_);
-        if (abort && (*abort)()) {
-            // Cancelled before reaching the channel. The claim must
-            // still be dropped: a granted token (or a fuzzy-token
-            // contention grant picked up during the last collision)
-            // would otherwise stall every queued sender.
-            protocol_->release(node_, false);
-            break;
-        }
-        const auto outcome =
-            co_await channel_.attempt(node_, bulk, deliver, abort, &rng_);
-        if (outcome == DataChannel::Outcome::Collided) {
-            // The protocol drops the claim, updates contention state
-            // and performs this node's backoff; then contend again.
-            retries_.inc();
-            co_await protocol_->onCollision(node_, rng_);
-            continue;
-        }
-        if (outcome == DataChannel::Outcome::Dropped) {
-            // The channel lost the frame. The claim is released like
-            // a delivered send (the token must pass on) and the ack
-            // window / bounded-retry machinery decides what follows.
-            protocol_->release(node_, false);
-            if (co_await ackTimeoutRetry(++drops))
-                continue;
-            sent = SendOutcome::GaveUp;
-            break;
-        }
-        protocol_->release(node_,
-                           outcome == DataChannel::Outcome::Delivered);
-        if (outcome == DataChannel::Outcome::Delivered) {
-            channel_.noteDelivery(first_attempt);
-            sent = SendOutcome::Delivered;
-        }
-        break;
-    }
-    order_.unlock();
-    co_return sent;
+    outcome_ = outcome;
+    done_ = true;
+    mac_->order_.unlock();
+    if (caller_)
+        caller_.resume();
 }
 
 } // namespace wisync::wireless

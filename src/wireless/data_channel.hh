@@ -16,16 +16,25 @@
  * contention: exponential backoff (§5.3 BRS, the paper's scheme and
  * the default), token passing, a fuzzy-token hybrid, or adaptive
  * switching, selected by WirelessConfig::macKind.
+ *
+ * Nothing below a broadcast owns a coroutine frame. Mac::send returns
+ * the Mac::Send awaitable, which runs the order-lock, acquire,
+ * attempt, backoff and ack-timeout loop as callbacks and keeps all of
+ * its state in the awaiting frame; DataChannel::attempt registers the
+ * Attempt it holds and resolves it with one delta-0 wake event. Every
+ * step runs at the (cycle, seq) where the coroutine it replaced
+ * resumed, so the event stream is the coroutine chain's.
  */
 
 #ifndef WISYNC_WIRELESS_DATA_CHANNEL_HH
 #define WISYNC_WIRELESS_DATA_CHANNEL_HH
 
+#include <coroutine>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "coro/primitives.hh"
-#include "coro/task.hh"
 #include "sim/engine.hh"
 #include "sim/function.hh"
 #include "sim/rng.hh"
@@ -33,10 +42,9 @@
 #include "sim/types.hh"
 #include "wireless/burst.hh"
 #include "wireless/mac/mac_kind.hh"
+#include "wireless/mac/mac_protocol.hh"
 
 namespace wisync::wireless {
-
-class MacProtocol;
 
 /** Data-channel frame sizes (§4.1): a 77-bit message (64-bit datum +
  *  11-bit address + Bulk + Tone bits), and a Bulk frame carrying 3
@@ -164,19 +172,41 @@ class DataChannel
     };
 
     /**
+     * One contender for a transmit slot. It lives in the sender (a
+     * Mac::Send, in the broadcasting frame); the channel keeps a
+     * pointer to it until done runs.
+     */
+    struct Attempt
+    {
+        bool bulk = false;
+        /** Runs at the delivery instant (may be empty). */
+        sim::UniqueFunction *deliver = nullptr;
+        const std::function<bool()> *abort = nullptr;
+        /** Transmitting node (drop-table lookup under loss). */
+        sim::NodeId src = 0;
+        /** Transmitter's RNG stream for the packet-error draw; only
+         *  consulted when the channel is lossy. */
+        sim::Rng *rng = nullptr;
+        /** Set when the attempt resolves, before done runs. */
+        Outcome outcome = Outcome::Delivered;
+        /** Called in a delta-0 wake event after the outcome. */
+        void (*done)(Attempt &) = nullptr;
+    };
+
+    /**
      * Try once: contend for the next free slot, then either transmit
-     * fully (running @p deliver at the delivery instant), collide, or
-     * abort (the @p abort predicate is evaluated at arbitration time,
+     * fully (running a.deliver at the delivery instant), collide, or
+     * abort (the a.abort predicate is evaluated at arbitration time,
      * i.e. "when the write is attempted" — the paper's AFB semantics).
      * Under a lossy channel (@see lossy()) a won slot may instead be
-     * Dropped, decided by one Bernoulli draw from @p rng — the
+     * Dropped, decided by one Bernoulli draw from a.rng — the
      * transmitting node's stream, so runs stay bit-reproducible. The
      * MAC layers retries/backoff/ack-timeouts on top of this.
+     *
+     * Never finishes inside this call: a.done(a) runs from an event,
+     * with a.outcome set.
      */
-    coro::Task<Outcome> attempt(sim::NodeId src, bool bulk,
-                                sim::UniqueFunction &deliver,
-                                const std::function<bool()> *abort,
-                                sim::Rng *rng = nullptr);
+    void attempt(Attempt &a);
 
     /** Record a successful send that first contended at @p started. */
     void
@@ -229,29 +259,16 @@ class DataChannel
 
     /**
      * Idle channel, zero stats, optionally retimed via @p cfg. Pending
-     * attempts must already be gone (their coroutine frames destroyed
-     * by the engine reset that precedes this in Machine::reset).
+     * attempts must already be gone (the frames holding them destroyed
+     * by the engine reset that precedes this in Machine::reset); the
+     * channel forgets its pointers to them.
      */
     void reset(const WirelessConfig &cfg);
 
   private:
-    /** One registered contender for a transmit slot; lives in the
-     *  registering attempt's coroutine frame. */
-    struct Pending
-    {
-        bool bulk = false;
-        sim::UniqueFunction *deliver = nullptr;
-        const std::function<bool()> *abort = nullptr;
-        /** The attempt's outcome lands in this future. */
-        coro::Future<Outcome> *done = nullptr;
-        /** Transmitting node (drop-table lookup under loss). */
-        sim::NodeId src = 0;
-        /** Transmitter's RNG stream for the packet-error draw; only
-         *  consulted when the channel is lossy. */
-        sim::Rng *rng = nullptr;
-    };
-
     void arbitrate();
+    /** Resolve @p a: set its outcome, file its delta-0 wake. */
+    void resolve(Attempt &a, Outcome outcome);
 
     /** Burst mode: step @p src's chain from @p rng and compose the
      *  per-state rate with the SNR drop table for this transmission. */
@@ -263,10 +280,10 @@ class DataChannel
     sim::Cycle nextFree_ = 0;
     /** Cycle of the slot currently collecting attempts (or kCycleMax). */
     sim::Cycle openSlot_ = sim::kCycleMax;
-    std::vector<Pending *> slotAttempts_;
+    std::vector<Attempt *> slotAttempts_;
     /** Double buffer for arbitrate(): both keep their capacity, so
      *  steady-state arbitration never touches the allocator. */
-    std::vector<Pending *> arbScratch_;
+    std::vector<Attempt *> arbScratch_;
     /** Per-tx SNR-derived packet-error rates (empty: uniform only). */
     std::vector<double> dropData_;
     std::vector<double> dropBulk_;
@@ -305,6 +322,47 @@ enum class SendOutcome
 class Mac
 {
   public:
+    /**
+     * One broadcast in flight, frameless: the order-lock, acquire,
+     * attempt, backoff and ack-timeout loop runs as a chain of
+     * callbacks, and every piece of its state (the deliver callback,
+     * the abort pointer, the channel attempt, the protocol waiter)
+     * lives here, in the awaiting frame. So it must be awaited exactly
+     * once, in the statement that created it.
+     */
+    class [[nodiscard]] Send : private MacWaiter,
+                               private DataChannel::Attempt
+    {
+      public:
+        Send(Mac &mac, bool bulk, sim::UniqueFunction deliver,
+             const std::function<bool()> *abort);
+        Send(const Send &) = delete;
+        Send &operator=(const Send &) = delete;
+
+        bool await_ready() const noexcept { return false; }
+        /** False when the send ends inside this call (its abort
+         *  predicate held when the node was first granted). */
+        bool await_suspend(std::coroutine_handle<> h);
+        SendOutcome await_resume() const noexcept { return outcome_; }
+
+      private:
+        static void locked(void *self);
+        void start();
+        static void contend(MacWaiter &w);
+        static void granted(MacWaiter &w);
+        static void attempted(DataChannel::Attempt &a);
+        void ackTimeout();
+        void finish(SendOutcome outcome);
+
+        Mac *mac_;
+        sim::UniqueFunction deliver_;
+        std::coroutine_handle<> caller_;
+        sim::Cycle firstAttempt_ = 0;
+        std::uint32_t drops_ = 0;
+        SendOutcome outcome_ = SendOutcome::Aborted;
+        bool done_ = false;
+    };
+
     Mac(sim::Engine &engine, DataChannel &channel, MacProtocol &protocol,
         sim::NodeId node, sim::Rng rng);
 
@@ -322,9 +380,12 @@ class Mac
      * returns SendOutcome::GaveUp instead of hanging. On the ideal
      * channel the result is always Delivered or Aborted.
      */
-    coro::Task<SendOutcome> send(bool bulk, sim::UniqueFunction deliver,
-                                 const std::function<bool()> *abort =
-                                     nullptr);
+    Send
+    send(bool bulk, sim::UniqueFunction deliver,
+         const std::function<bool()> *abort = nullptr)
+    {
+        return Send(*this, bulk, std::move(deliver), abort);
+    }
 
     sim::NodeId node() const { return node_; }
     std::uint64_t retries() const { return retries_.value(); }
@@ -336,14 +397,6 @@ class Mac
     void reset(MacProtocol &protocol, sim::Rng rng);
 
   private:
-    /**
-     * The per-send ack window: transmission @p drops was corrupted,
-     * so wait out the ack timeout (plus the bounded exponential
-     * backoff when a retransmission follows) and report whether the
-     * sender may retry (false: maxRetries exhausted — give up).
-     */
-    coro::Task<bool> ackTimeoutRetry(std::uint32_t drops);
-
     sim::Engine &engine_;
     DataChannel &channel_;
     MacProtocol *protocol_;

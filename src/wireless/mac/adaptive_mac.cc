@@ -64,14 +64,14 @@ AdaptiveMac::note(bool collided)
     windowWaitsBase_ = st().tokenWaits.value();
 }
 
-coro::Task<void>
-AdaptiveMac::acquire(sim::NodeId node)
+bool
+AdaptiveMac::acquire(sim::NodeId node, MacWaiter &w)
 {
-    // Record the granting policy before any suspension so a switch
-    // mid-wait cannot strand the release on the wrong sub-state.
+    // Record the granting policy before any wait so a switch mid-wait
+    // cannot strand the release on the wrong sub-state.
     const bool token = tokenMode_;
     grantedByToken_[node] = token ? 1 : 0;
-    co_await sub(token).acquire(node);
+    return sub(token).acquire(node, w);
 }
 
 void
@@ -82,11 +82,11 @@ AdaptiveMac::release(sim::NodeId node, bool delivered)
         note(false);
 }
 
-coro::Task<void>
-AdaptiveMac::onCollision(sim::NodeId node, sim::Rng &rng)
+bool
+AdaptiveMac::onCollision(sim::NodeId node, sim::Rng &rng, MacWaiter &w)
 {
     note(true);
-    co_await sub(grantedByToken_[node] != 0).onCollision(node, rng);
+    return sub(grantedByToken_[node] != 0).onCollision(node, rng, w);
 }
 
 } // namespace wisync::wireless

@@ -43,9 +43,10 @@ class AdaptiveMac : public MacProtocol
 
     MacKind kind() const override { return MacKind::Adaptive; }
 
-    coro::Task<void> acquire(sim::NodeId node) override;
+    bool acquire(sim::NodeId node, MacWaiter &w) override;
     void release(sim::NodeId node, bool delivered) override;
-    coro::Task<void> onCollision(sim::NodeId node, sim::Rng &rng) override;
+    bool onCollision(sim::NodeId node, sim::Rng &rng,
+                     MacWaiter &w) override;
     void reset() override;
 
     /** True while the token ring is the active policy. */

@@ -1,6 +1,5 @@
 #include "wireless/mac/brs_mac.hh"
 
-#include "coro/primitives.hh"
 #include "wireless/data_channel.hh"
 
 namespace wisync::wireless {
@@ -18,14 +17,14 @@ BrsMac::reset()
     st().reset();
 }
 
-coro::Task<void>
-BrsMac::acquire(sim::NodeId node)
+bool
+BrsMac::acquire(sim::NodeId node, MacWaiter &w)
 {
     (void)node;
-    // Random access: contend right away. The empty body completes via
-    // symmetric transfer, so the BRS path stays event-free here.
+    (void)w;
+    // Random access: contend right away.
     st().acquires.inc();
-    co_return;
+    return true;
 }
 
 void
@@ -37,22 +36,26 @@ BrsMac::release(sim::NodeId node, bool delivered)
         --backoffExp_[node];
 }
 
-coro::Task<void>
-BrsMac::onCollision(sim::NodeId node, sim::Rng &rng)
+bool
+BrsMac::onCollision(sim::NodeId node, sim::Rng &rng, MacWaiter &w)
 {
     // Exponential backoff over [0, 2^i - 1] (§5.3). The RNG is drawn
     // only when the window is non-empty — exactly the pre-refactor
-    // sequence, which keeps BRS runs bit-identical.
+    // sequence, which keeps BRS runs bit-identical. A zero draw goes
+    // on at once.
     if (backoffExp_[node] < channel_.config().maxBackoffExp)
         ++backoffExp_[node];
     const std::uint64_t window =
         (std::uint64_t{1} << backoffExp_[node]) - 1;
-    if (window > 0) {
-        const sim::Cycle wait = rng.below(window + 1);
-        st().backoffEvents.inc();
-        st().backoffCycles.inc(wait);
-        co_await coro::delay(engine_, wait);
-    }
+    if (window == 0)
+        return true;
+    const sim::Cycle wait = rng.below(window + 1);
+    st().backoffEvents.inc();
+    st().backoffCycles.inc(wait);
+    if (wait == 0)
+        return true;
+    resumeAfter(wait, w);
+    return false;
 }
 
 } // namespace wisync::wireless

@@ -29,10 +29,10 @@ class BrsMac : public MacProtocol
            std::uint32_t num_nodes, MacStats *shared_stats = nullptr);
 
     MacKind kind() const override { return MacKind::Brs; }
-    coro::Task<void> acquire(sim::NodeId node) override;
-
+    bool acquire(sim::NodeId node, MacWaiter &w) override;
     void release(sim::NodeId node, bool delivered) override;
-    coro::Task<void> onCollision(sim::NodeId node, sim::Rng &rng) override;
+    bool onCollision(sim::NodeId node, sim::Rng &rng,
+                     MacWaiter &w) override;
     void reset() override;
 
     /** Current backoff-window exponent of @p node. */

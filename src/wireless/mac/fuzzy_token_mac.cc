@@ -9,12 +9,8 @@ FuzzyTokenMac::FuzzyTokenMac(sim::Engine &engine, DataChannel &channel,
                              std::uint32_t num_nodes,
                              MacStats *shared_stats)
     : MacProtocol(engine, channel, num_nodes, shared_stats),
-      wanting_(num_nodes, false)
-{
-    grantCv_.reserve(num_nodes);
-    for (std::uint32_t n = 0; n < num_nodes; ++n)
-        grantCv_.push_back(std::make_unique<coro::CondVar>(engine_));
-}
+      queue_(engine, num_nodes, st())
+{}
 
 void
 FuzzyTokenMac::reset()
@@ -23,20 +19,19 @@ FuzzyTokenMac::reset()
     contended_ = false;
     holder_ = sim::kNoNode;
     grantPending_ = false;
-    wanting_.assign(numNodes_, false);
-    for (auto &cv : grantCv_)
-        cv->reset();
+    queue_.reset();
     st().reset();
 }
 
-coro::Task<void>
-FuzzyTokenMac::acquire(sim::NodeId node)
+bool
+FuzzyTokenMac::acquire(sim::NodeId node, MacWaiter &w)
 {
     (void)node;
+    (void)w;
     // CSMA leg: contend immediately, token or not. Serialization only
     // kicks in once a collision proves there is contention.
     st().acquires.inc();
-    co_return;
+    return true;
 }
 
 void
@@ -59,8 +54,8 @@ FuzzyTokenMac::release(sim::NodeId node, bool delivered)
     }
 }
 
-coro::Task<void>
-FuzzyTokenMac::onCollision(sim::NodeId node, sim::Rng &rng)
+bool
+FuzzyTokenMac::onCollision(sim::NodeId node, sim::Rng &rng, MacWaiter &w)
 {
     (void)rng; // deterministic resolution — the ring is the arbiter
     st().backoffEvents.inc();
@@ -69,14 +64,10 @@ FuzzyTokenMac::onCollision(sim::NodeId node, sim::Rng &rng)
     if (node == holder_)
         holder_ = sim::kNoNode;
     contended_ = true;
-    wanting_[node] = true;
+    queue_.park(node, w);
     if (holder_ == sim::kNoNode)
         scheduleGrant();
-    st().tokenWaits.inc();
-    const sim::Cycle queued_at = engine_.now();
-    while (wanting_[node])
-        co_await grantCv_[node]->wait();
-    st().tokenWaitCycles.inc(engine_.now() - queued_at);
+    return false;
 }
 
 void
@@ -86,7 +77,7 @@ FuzzyTokenMac::scheduleGrant()
         return;
     grantPending_ = true;
     // Granted at the end of the current cycle so every same-slot
-    // collider has registered in wanting_ before the ring is scanned.
+    // collider has queued before the ring is scanned.
     engine_.scheduleIn(0, [this] { grantNext(); });
 }
 
@@ -102,17 +93,16 @@ FuzzyTokenMac::grantNext()
     // queue, and serving it first would starve every other waiter —
     // served last, the ring guarantees each queued node one grant per
     // resolution round.
-    for (std::uint32_t d = 1; d <= numNodes_; ++d) {
-        const sim::NodeId cand = (owner_ + d) % numNodes_;
-        if (!wanting_[cand])
-            continue;
-        holder_ = cand;
-        wanting_[cand] = false;
-        st().tokenRotations.inc(d);
-        grantCv_[cand]->notifyAll();
+    const sim::NodeId cand =
+        queue_.nextWanting((owner_ + 1) % numNodes_, numNodes_);
+    if (cand == sim::kNoNode) {
+        contended_ = false; // queue drained: the token evaporates
         return;
     }
-    contended_ = false; // queue drained: the token evaporates
+    const std::uint32_t d = ringDist(owner_, cand);
+    holder_ = cand;
+    st().tokenRotations.inc(d == 0 ? numNodes_ : d);
+    queue_.grant(cand);
 }
 
 } // namespace wisync::wireless

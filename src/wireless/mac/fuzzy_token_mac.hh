@@ -23,10 +23,7 @@
 #define WISYNC_WIRELESS_MAC_FUZZY_TOKEN_MAC_HH
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "coro/primitives.hh"
 #include "wireless/mac/mac_protocol.hh"
 
 namespace wisync::wireless {
@@ -39,9 +36,10 @@ class FuzzyTokenMac : public MacProtocol
                   MacStats *shared_stats = nullptr);
 
     MacKind kind() const override { return MacKind::FuzzyToken; }
-    coro::Task<void> acquire(sim::NodeId node) override;
+    bool acquire(sim::NodeId node, MacWaiter &w) override;
     void release(sim::NodeId node, bool delivered) override;
-    coro::Task<void> onCollision(sim::NodeId node, sim::Rng &rng) override;
+    bool onCollision(sim::NodeId node, sim::Rng &rng,
+                     MacWaiter &w) override;
     void reset() override;
 
     /** Node currently holding retry priority (last successful sender). */
@@ -59,9 +57,8 @@ class FuzzyTokenMac : public MacProtocol
     /** Node currently granted by the resolver (kNoNode if none). */
     sim::NodeId holder_ = sim::kNoNode;
     bool grantPending_ = false;
-    std::vector<bool> wanting_;
-    /** Per-node grant wakeup (at most one waiter per node). */
-    std::vector<std::unique_ptr<coro::CondVar>> grantCv_;
+    /** The colliders waiting for the resolver's grant. */
+    GrantQueue queue_;
 };
 
 } // namespace wisync::wireless

@@ -9,8 +9,9 @@
  * (wireless::Mac) drive it through four hooks, called in this order
  * for every broadcast:
  *
- *   1. acquire(node)       — block until the node may contend (a token
- *                            wait, or immediate for random access);
+ *   1. acquire(node)       — may the node contend? Granted at once
+ *                            (random access, a token parked here) or
+ *                            after a wait (a token fetch or queue);
  *   2. the channel attempt  (owned by Mac, not the protocol);
  *   3a. release(node, ok)  — the attempt ended (delivered or aborted):
  *                            drop the claim, pass the token on, update
@@ -20,11 +21,20 @@
  *                            backoff wait; the sender then re-enters
  *                            at acquire().
  *
+ * The two hooks that may wait are plain calls, not coroutines. They
+ * return true when the node may go on at once, inside the caller's
+ * event. Otherwise the protocol parks the sender's MacWaiter (which
+ * lives in the Mac::Send awaitable, in the broadcasting frame) on a
+ * delay event or a GrantQueue, and continues it with resume() from
+ * the event where the coroutine it replaces resumed — so a BM store
+ * owns no frame below its own, and the (cycle, seq) of every event is
+ * what it was when each hook was a coroutine.
+ *
  * Reset contract (matching Machine::reset): reset() returns the
  * protocol to its post-construction state — no claims, no waiters
- * (their frames were already destroyed by the engine reset), zero
- * stats — so a reset machine draws the exact event sequence a fresh
- * one would.
+ * (the frames holding them were already destroyed by the engine
+ * reset), zero stats — so a reset machine draws the exact event
+ * sequence a fresh one would.
  */
 
 #ifndef WISYNC_WIRELESS_MAC_MAC_PROTOCOL_HH
@@ -32,16 +42,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
-#include "coro/task.hh"
+#include "coro/primitives.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "wireless/mac/mac_kind.hh"
-
-namespace wisync::sim {
-class Engine;
-}
 
 namespace wisync::wireless {
 
@@ -90,6 +97,81 @@ struct MacStats
     void reset() { *this = {}; }
 };
 
+class GrantQueue;
+
+/**
+ * A send waiting in a MacProtocol hook. The Mac sets resume before
+ * each hook call; a protocol that parks the send fills the rest and
+ * later calls resume(*this) from the wake event.
+ */
+struct MacWaiter
+{
+    void (*resume)(MacWaiter &) = nullptr;
+    /** The node the send is parked for (its protocol-local id). */
+    sim::NodeId node = 0;
+    /** A token queue's wait: the queue, and the cycle it began. */
+    GrantQueue *queue = nullptr;
+    sim::Cycle since = 0;
+};
+
+/**
+ * Per-node token requests of the token protocols (TokenMac's queue,
+ * FuzzyTokenMac's colliders): a wanting bit and a grant CondVar per
+ * node, at most one parked send each (a Mac serializes its sends).
+ * The bits are packed 64 to a word, so the ring scan for the next
+ * requester skips idle nodes a word at a time.
+ */
+class GrantQueue
+{
+  public:
+    GrantQueue(sim::Engine &engine, std::uint32_t num_nodes,
+               MacStats &stats);
+
+    /**
+     * The first node with a request among the @p count nodes from
+     * @p first (< num_nodes) on, in ascending ring order; kNoNode if
+     * none of them has one.
+     */
+    sim::NodeId nextWanting(sim::NodeId first, std::uint32_t count) const;
+
+    /**
+     * Queue @p node's request and park @p w until grant(node); the
+     * wake adds the wait to tokenWaitCycles and resumes @p w.
+     */
+    void park(sim::NodeId node, MacWaiter &w);
+
+    /** Clear @p node's request and wake its parked send (delta 0). */
+    void
+    grant(sim::NodeId node)
+    {
+        wanting_[node >> 6] &= ~bit(node);
+        cv_[node]->notifyAll();
+    }
+
+    /** No requests, no waiters (see MacProtocol::reset). */
+    void reset();
+
+  private:
+    static std::uint64_t bit(sim::NodeId node)
+    {
+        return std::uint64_t{1} << (node & 63);
+    }
+    bool
+    wanting(sim::NodeId node) const
+    {
+        return (wanting_[node >> 6] & bit(node)) != 0;
+    }
+    /** The first requester in [@p lo, @p hi), or kNoNode. */
+    sim::NodeId firstIn(std::uint32_t lo, std::uint32_t hi) const;
+    static void woken(void *waiter);
+
+    sim::Engine &engine_;
+    MacStats &stats_;
+    std::uint32_t numNodes_;
+    std::vector<std::uint64_t> wanting_;
+    std::vector<std::unique_ptr<coro::CondVar>> cv_;
+};
+
 /** Channel-wide MAC protocol; see the file comment for the contract. */
 class MacProtocol
 {
@@ -112,8 +194,11 @@ class MacProtocol
 
     virtual MacKind kind() const = 0;
 
-    /** Block until @p node may contend for the channel. */
-    virtual coro::Task<void> acquire(sim::NodeId node) = 0;
+    /**
+     * True when @p node may contend now; false when the protocol
+     * parked @p w and will resume it once the node may.
+     */
+    virtual bool acquire(sim::NodeId node, MacWaiter &w) = 0;
 
     /**
      * The attempt ended without a collision: @p delivered tells
@@ -122,12 +207,14 @@ class MacProtocol
     virtual void release(sim::NodeId node, bool delivered) = 0;
 
     /**
-     * The attempt collided: drop the claim, update contention state
-     * and perform this node's backoff wait. @p rng is the node's
-     * private stream (only BRS-style policies draw from it).
+     * The attempt collided: drop the claim and update contention
+     * state. True when the node may re-enter acquire() at once; false
+     * when the protocol parked @p w for this node's backoff wait. @p
+     * rng is the node's private stream (only BRS-style policies draw
+     * from it).
      */
-    virtual coro::Task<void> onCollision(sim::NodeId node,
-                                         sim::Rng &rng) = 0;
+    virtual bool onCollision(sim::NodeId node, sim::Rng &rng,
+                             MacWaiter &w) = 0;
 
     /** Post-construction state, zero stats (Machine::reset contract). */
     virtual void reset() = 0;
@@ -153,6 +240,18 @@ class MacProtocol
 
   protected:
     MacStats &st() { return *stats_; }
+
+    /** Park @p w for @p cycles; the wake event resumes it. */
+    void
+    resumeAfter(sim::Cycle cycles, MacWaiter &w)
+    {
+        struct Wake
+        {
+            MacWaiter *w;
+            void operator()() const { w->resume(*w); }
+        };
+        engine_.scheduleIn(cycles, Wake{&w});
+    }
 
     /** Hops from @p from to @p to in ascending-ring order. */
     std::uint32_t

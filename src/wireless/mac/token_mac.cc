@@ -10,15 +10,11 @@ namespace wisync::wireless {
 TokenMac::TokenMac(sim::Engine &engine, DataChannel &channel,
                    std::uint32_t num_nodes, MacStats *shared_stats)
     : MacProtocol(engine, channel, num_nodes, shared_stats),
-      wanting_(num_nodes, false)
-{
-    grantCv_.reserve(num_nodes);
-    for (std::uint32_t n = 0; n < num_nodes; ++n)
-        grantCv_.push_back(std::make_unique<coro::CondVar>(engine_));
-}
+      passCycles_(derivePassCycles()), queue_(engine, num_nodes, st())
+{}
 
 std::uint32_t
-TokenMac::passCycles() const
+TokenMac::derivePassCycles() const
 {
     // An explicit tokenPassCycles wins; 0 (the default) prices the
     // token frame through the RF channel occupancy: tokenFrameBits at
@@ -40,55 +36,70 @@ TokenMac::holdCycles() const
 void
 TokenMac::reset()
 {
+    // The channel was reset first and may have been retimed.
+    passCycles_ = derivePassCycles();
     owner_ = 0;
     granted_ = false;
     grantAt_ = 0;
     everGranted_ = false;
-    wanting_.assign(numNodes_, false);
-    // Waiter frames were already destroyed by the engine reset that
-    // precedes subsystem resets (Machine::reset ordering).
-    for (auto &cv : grantCv_)
-        cv->reset();
+    queue_.reset();
     st().reset();
 }
 
-coro::Task<void>
-TokenMac::acquire(sim::NodeId node)
+void
+TokenMac::arrive(sim::NodeId node)
+{
+    owner_ = node;
+    grantAt_ = engine_.now();
+    everGranted_ = true;
+}
+
+bool
+TokenMac::acquire(sim::NodeId node, MacWaiter &w)
 {
     st().acquires.inc();
-    if (!granted_) {
-        // Token parks at owner_; fetch it over the ring. granted_ is
-        // claimed before the pass delay so same-cycle contenders queue
-        // behind us deterministically.
-        granted_ = true;
-        const std::uint32_t hops = ringDist(owner_, node);
-        if (hops > 0) {
-            st().tokenRotations.inc(hops);
-            // The parked token honours the previous grant's hold
-            // window just like the queued path: it departs no earlier
-            // than grant + tokenHoldCycles (the owner itself may
-            // re-claim inside its own reservation, hops == 0).
-            const sim::Cycle now = engine_.now();
-            const sim::Cycle hold_end =
-                everGranted_ ? grantAt_ + holdCycles() : now;
-            const sim::Cycle depart = hold_end > now ? hold_end : now;
-            const sim::Cycle arrive =
-                depart + static_cast<sim::Cycle>(hops) * passCycles();
-            co_await coro::delay(engine_, arrive - now);
-            owner_ = node;
-        }
-        grantAt_ = engine_.now();
-        everGranted_ = true;
-        co_return;
+    if (granted_) {
+        // Someone holds the token: queue for it.
+        queue_.park(node, w);
+        return false;
     }
-    WISYNC_ASSERT(!wanting_[node], "one outstanding token request "
-                                   "per node (Mac serializes sends)");
-    wanting_[node] = true;
-    st().tokenWaits.inc();
-    const sim::Cycle queued_at = engine_.now();
-    while (wanting_[node])
-        co_await grantCv_[node]->wait();
-    st().tokenWaitCycles.inc(engine_.now() - queued_at);
+    // Token parks at owner_; fetch it over the ring. granted_ is
+    // claimed before the pass delay so same-cycle contenders queue
+    // behind us deterministically.
+    granted_ = true;
+    const std::uint32_t hops = ringDist(owner_, node);
+    if (hops == 0) {
+        arrive(node);
+        return true;
+    }
+    st().tokenRotations.inc(hops);
+    // The parked token honours the previous grant's hold window just
+    // like the queued path: it departs no earlier than grant +
+    // tokenHoldCycles (the owner itself may re-claim inside its own
+    // reservation, hops == 0).
+    const sim::Cycle now = engine_.now();
+    const sim::Cycle hold_end = everGranted_ ? grantAt_ + holdCycles() : now;
+    const sim::Cycle depart = hold_end > now ? hold_end : now;
+    const sim::Cycle wait =
+        depart + static_cast<sim::Cycle>(hops) * passCycles_ - now;
+    if (wait == 0) {
+        arrive(node);
+        return true;
+    }
+    struct Fetched
+    {
+        TokenMac *mac;
+        MacWaiter *w;
+        void
+        operator()() const
+        {
+            mac->arrive(w->node);
+            w->resume(*w);
+        }
+    };
+    w.node = node;
+    engine_.scheduleIn(wait, Fetched{this, &w});
+    return false;
 }
 
 void
@@ -98,14 +109,8 @@ TokenMac::release(sim::NodeId node, bool delivered)
     WISYNC_ASSERT(granted_, "token release without a grant");
     // Grant the nearest queued requester in ring order from the
     // releasing node — arrival order never matters.
-    sim::NodeId next = sim::kNoNode;
-    for (std::uint32_t d = 1; d < numNodes_; ++d) {
-        const sim::NodeId cand = (node + d) % numNodes_;
-        if (wanting_[cand]) {
-            next = cand;
-            break;
-        }
-    }
+    const sim::NodeId next =
+        queue_.nextWanting((node + 1) % numNodes_, numNodes_ - 1);
     if (next == sim::kNoNode) {
         granted_ = false; // token parks here until the next request
         return;
@@ -117,26 +122,25 @@ TokenMac::release(sim::NodeId node, bool delivered)
     const sim::Cycle now = engine_.now();
     const sim::Cycle hold_end = grantAt_ + holdCycles();
     const sim::Cycle depart = hold_end > now ? hold_end : now;
-    const sim::Cycle arrive =
-        depart + static_cast<sim::Cycle>(hops) * passCycles();
-    engine_.scheduleIn(arrive - now, [this, next] {
-        owner_ = next;
-        grantAt_ = engine_.now();
-        wanting_[next] = false;
-        grantCv_[next]->notifyAll();
+    const sim::Cycle arrive_at =
+        depart + static_cast<sim::Cycle>(hops) * passCycles_;
+    engine_.scheduleIn(arrive_at - now, [this, next] {
+        arrive(next);
+        queue_.grant(next);
     });
 }
 
-coro::Task<void>
-TokenMac::onCollision(sim::NodeId node, sim::Rng &rng)
+bool
+TokenMac::onCollision(sim::NodeId node, sim::Rng &rng, MacWaiter &w)
 {
     (void)rng;
+    (void)w;
     // Impossible under exclusive grants; reachable transiently under
     // AdaptiveMac when a random-access straggler collides with the
     // holder. Yield the token and re-enter through acquire().
     st().backoffEvents.inc();
     release(node, false);
-    co_return;
+    return true;
 }
 
 } // namespace wisync::wireless

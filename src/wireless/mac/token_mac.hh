@@ -23,10 +23,7 @@
 #define WISYNC_WIRELESS_MAC_TOKEN_MAC_HH
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "coro/primitives.hh"
 #include "wireless/mac/mac_protocol.hh"
 
 namespace wisync::wireless {
@@ -38,19 +35,27 @@ class TokenMac : public MacProtocol
              std::uint32_t num_nodes, MacStats *shared_stats = nullptr);
 
     MacKind kind() const override { return MacKind::Token; }
-    coro::Task<void> acquire(sim::NodeId node) override;
+    bool acquire(sim::NodeId node, MacWaiter &w) override;
     void release(sim::NodeId node, bool delivered) override;
-    coro::Task<void> onCollision(sim::NodeId node, sim::Rng &rng) override;
+    bool onCollision(sim::NodeId node, sim::Rng &rng,
+                     MacWaiter &w) override;
     void reset() override;
 
     /** Node the token currently sits at (or travels towards). */
     sim::NodeId owner() const { return owner_; }
     bool granted() const { return granted_; }
+    /** Cycles the token takes per ring hop (see tokenPassCycles). */
+    std::uint32_t passCycles() const { return passCycles_; }
 
   private:
-    std::uint32_t passCycles() const;
+    /** The passCycles() of the channel's current configuration. */
+    std::uint32_t derivePassCycles() const;
     std::uint32_t holdCycles() const;
+    /** The token reaches @p node, which may then transmit. */
+    void arrive(sim::NodeId node);
 
+    /** Fixed per configuration: set by the constructor and reset(). */
+    std::uint32_t passCycles_;
     sim::NodeId owner_ = 0;
     /** A node holds (or is being handed) the grant. */
     bool granted_ = false;
@@ -58,9 +63,7 @@ class TokenMac : public MacProtocol
     sim::Cycle grantAt_ = 0;
     /** False until the first grant (no hold window before it). */
     bool everGranted_ = false;
-    std::vector<bool> wanting_;
-    /** Per-node grant wakeup (at most one waiter per node). */
-    std::vector<std::unique_ptr<coro::CondVar>> grantCv_;
+    GrantQueue queue_;
 };
 
 } // namespace wisync::wireless

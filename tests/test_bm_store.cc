@@ -5,14 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bm/bm_store.hh"
+#include "coro/primitives.hh"
+#include "coro/task.hh"
 #include "sim/engine.hh"
 
 namespace {
 
 using wisync::bm::BmStore;
 using wisync::bm::kNoPid;
+using wisync::coro::spawnNow;
+using wisync::coro::Task;
 using wisync::sim::Engine;
+using wisync::sim::NodeId;
 
 TEST(BmStore, StartsZeroedAndConsistent)
 {
@@ -71,6 +78,81 @@ TEST(BmStore, WatchRaisesOnWrite)
     EXPECT_GT(w0.gen(), g0);
     EXPECT_GT(w3.gen(), g3);
     EXPECT_EQ(other.gen(), go) << "unrelated word must not be raised";
+}
+
+/** Park a coroutine on @p node's watch of @p addr; it records @p node
+ *  in @p woken when the word is written. */
+void
+spinOn(Engine &eng, BmStore &bm, NodeId node, std::uint32_t addr,
+       std::vector<NodeId> &woken)
+{
+    spawnNow(eng, [&bm, &woken, node, addr]() -> Task<void> {
+        auto &ev = bm.watch(node, addr);
+        co_await ev.waitChangedSince(ev.gen());
+        woken.push_back(node);
+    });
+}
+
+TEST(BmStore, UnwatchedWriteSchedulesNothing)
+{
+    Engine eng;
+    BmStore bm(eng, 64, 64);
+    std::vector<NodeId> woken;
+    spinOn(eng, bm, 9, 7, woken);
+    auto &idle = bm.watch(2, 5); // an entry with no waiter
+    ASSERT_TRUE(eng.run());
+    bm.writeAll(6, 1);
+    EXPECT_EQ(eng.pendingEvents(), 0u);
+    const auto g = idle.gen();
+    bm.writeAll(5, 1);
+    EXPECT_EQ(eng.pendingEvents(), 0u);
+    EXPECT_GT(idle.gen(), g) << "a watcher without a waiter still bumps";
+    EXPECT_TRUE(woken.empty());
+}
+
+TEST(BmStore, WatchersWakeInNodeOrder)
+{
+    Engine eng;
+    BmStore bm(eng, 64, 64);
+    std::vector<NodeId> woken;
+    for (const NodeId n : {63u, 5u, 1u})
+        spinOn(eng, bm, n, 3, woken);
+    ASSERT_TRUE(eng.run());
+    bm.writeAll(3, 1);
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(woken, (std::vector<NodeId>{1, 5, 63}));
+}
+
+TEST(BmStore, ChipWriteWakesOnlyThatChipsWatchersInNodeOrder)
+{
+    Engine eng;
+    BmStore bm(eng, 64, 64, 2); // chip 0 = nodes 0..31
+    std::vector<NodeId> woken;
+    for (const NodeId n : {63u, 40u, 5u, 1u, 32u})
+        spinOn(eng, bm, n, 3, woken);
+    ASSERT_TRUE(eng.run());
+    bm.writeChip(1, 3, 1);
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(woken, (std::vector<NodeId>{32, 40, 63}));
+    bm.writeChip(0, 3, 1);
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(woken, (std::vector<NodeId>{32, 40, 63, 1, 5}));
+}
+
+TEST(BmStore, ResetForgetsWatchers)
+{
+    Engine eng;
+    BmStore bm(eng, 8, 64);
+    bm.watch(1, 3);
+    bm.reset();
+    // The recycled event now watches another word: writing the old
+    // word must not raise it.
+    auto &ev = bm.watch(2, 4);
+    const auto g = ev.gen();
+    bm.writeAll(3, 1);
+    EXPECT_EQ(ev.gen(), g);
+    bm.writeAll(4, 1);
+    EXPECT_GT(ev.gen(), g);
 }
 
 } // namespace

@@ -35,6 +35,7 @@
 #include "wireless/mac/fuzzy_token_mac.hh"
 #include "wireless/mac/mac_protocol.hh"
 #include "wireless/mac/token_mac.hh"
+#include "wireless/rf_model.hh"
 
 namespace {
 
@@ -278,6 +279,70 @@ TEST(MacProtoToken, AutoPassPriceMatchesLegacyConstant)
     EXPECT_EQ(parked_fetch(0, 48), 3u * 3u + 5u);
     // An explicit nonzero constant still wins over the RF pricing.
     EXPECT_EQ(parked_fetch(2, 48), 3u * 2u + 5u);
+}
+
+/** A non-default token frame: the hop price is the RF formula's, fixed
+ *  at construction and re-derived when a reset retimes the channel. */
+TEST(MacProtoToken, PassCyclesFollowTheFrameFormulaThroughReset)
+{
+    using wisync::wireless::RfScalingModel;
+    const auto formula = [](std::uint32_t bits) {
+        return RfScalingModel::frameCycles(
+            bits, RfScalingModel::wisyncTransceiver22());
+    };
+    WirelessConfig cfg;
+    cfg.macKind = MacKind::Token;
+    cfg.tokenFrameBits = 200;
+    ProtoNet net(8, cfg);
+    auto &token = static_cast<wisync::wireless::TokenMac &>(*net.protocol);
+    ASSERT_GT(formula(200), 1u);
+    EXPECT_EQ(token.passCycles(), formula(200));
+    // Node 5 fetches the token parked at node 0: five hops, then the
+    // 5-cycle frame.
+    Cycle delivered_at = 0;
+    spawnNow(net.engine, [&]() -> Task<void> {
+        co_await net.macs[5]->send(
+            false, [&] { delivered_at = net.engine.now(); });
+    });
+    ASSERT_TRUE(net.engine.run());
+    EXPECT_EQ(delivered_at, 5u * formula(200) + 5u);
+    EXPECT_EQ(net.protocol->stats().tokenRotations.value(), 5u);
+
+    cfg.tokenFrameBits = 48;
+    net.engine.reset();
+    net.channel.reset(cfg);
+    net.protocol->reset();
+    EXPECT_EQ(token.passCycles(), formula(48));
+    EXPECT_EQ(token.passCycles(), 3u);
+}
+
+/** The ring scan for the next requester across 64-node words and the
+ *  wrap back to node 0. */
+TEST(MacProtoToken, GrantQueueFindsTheNextRequesterInRingOrder)
+{
+    using wisync::wireless::GrantQueue;
+    using wisync::wireless::MacWaiter;
+    constexpr wisync::sim::NodeId kNone = wisync::sim::kNoNode;
+    Engine engine;
+    wisync::wireless::MacStats stats;
+    GrantQueue queue(engine, 130, stats);
+    MacWaiter waiters[3];
+    queue.park(3, waiters[0]);
+    queue.park(64, waiters[1]);
+    queue.park(129, waiters[2]);
+    EXPECT_EQ(queue.nextWanting(0, 130), 3u);
+    EXPECT_EQ(queue.nextWanting(4, 130), 64u);
+    EXPECT_EQ(queue.nextWanting(65, 65), 129u);
+    EXPECT_EQ(queue.nextWanting(65, 63), kNone);
+    EXPECT_EQ(queue.nextWanting(100, 40), 129u);
+    EXPECT_EQ(queue.nextWanting(4, 60), kNone);
+    EXPECT_EQ(queue.nextWanting(64, 0), kNone);
+    queue.grant(129);
+    EXPECT_EQ(queue.nextWanting(70, 100), 3u); // wraps past 129 to 0..39
+    EXPECT_EQ(queue.nextWanting(70, 63), kNone);
+    EXPECT_EQ(stats.tokenWaits.value(), 3u);
+    queue.reset();
+    EXPECT_EQ(queue.nextWanting(0, 130), kNone);
 }
 
 TEST(MacProtoToken, IdleRingSchedulesNoEvents)

@@ -20,7 +20,6 @@ namespace {
 
 using wisync::coro::CondVar;
 using wisync::coro::delay;
-using wisync::coro::Future;
 using wisync::coro::Resource;
 using wisync::coro::SimMutex;
 using wisync::coro::spawnNow;
@@ -226,37 +225,46 @@ TEST(CondVar, WaitersAfterNotifyNeedNextNotify)
     EXPECT_EQ(wake_times[1], 20u);
 }
 
-TEST(Future, DeliversValueToLateAndEarlyWaiters)
+/** A callback waiter sits in the same FIFO as coroutine waiters and
+ *  wakes in its own delta-0 event, where a coroutine would resume. */
+TEST(CondVar, CallbackWaiterWakesInTurnInItsOwnEvent)
 {
     Engine eng;
-    Future<int> fut(eng);
-    std::vector<int> seen;
-
-    // Early waiter: blocks until set().
+    CondVar cv(eng);
+    std::vector<int> order;
+    std::vector<Cycle> when;
+    struct Probe
+    {
+        std::vector<int> *order;
+        std::vector<Cycle> *when;
+        Engine *eng;
+    } probe{&order, &when, &eng};
+    auto waiter = [&](int id) -> Task<void> {
+        co_await cv.wait();
+        order.push_back(id);
+        when.push_back(eng.now());
+    };
+    spawnNow(eng, waiter, 1);
     spawnNow(eng, [&]() -> Task<void> {
-        seen.push_back(co_await fut);
+        cv.wait(
+            [](void *p) {
+                auto *pr = static_cast<Probe *>(p);
+                pr->order->push_back(2);
+                pr->when->push_back(pr->eng->now());
+            },
+            &probe);
+        co_return;
     });
-    // Producer.
-    spawnNow(eng, [&]() -> Task<void> {
-        co_await delay(eng, 5);
-        fut.set(99);
-    });
-    // Late waiter: awaits after set(), must not block.
-    spawnNow(eng, [&]() -> Task<void> {
-        co_await delay(eng, 20);
-        seen.push_back(co_await fut);
-    });
-    eng.run();
-    EXPECT_EQ(seen, (std::vector<int>{99, 99}));
-}
-
-TEST(Future, ReadyFlagTracksState)
-{
-    Engine eng;
-    Future<int> fut(eng);
-    EXPECT_FALSE(fut.ready());
-    fut.set(1);
-    EXPECT_TRUE(fut.ready());
+    spawnNow(eng, waiter, 3);
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(cv.waiting(), 3u);
+    eng.scheduleIn(7, [&] { cv.notifyAll(); });
+    const auto before = eng.eventsExecuted();
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(eng.eventsExecuted() - before, 4u); // notify + 3 wakes
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(when, (std::vector<Cycle>{7, 7, 7}));
+    EXPECT_EQ(cv.waiting(), 0u);
 }
 
 TEST(SimMutex, HandoffKeepsCycleAccurate)

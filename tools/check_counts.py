@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Gate the simulator's deterministic counts exactly.
 
-Runs `perfbench/run.py --seconds 1 --trace 1` for one seed on every
-benchmark workload and compares, value for value, the counts a run
-produces from the model alone against tools/counts.json:
+Runs `perfbench/run.py --seconds 1 --trace 1` for seeds 1 and 7 on
+every benchmark workload and compares, value for value, the counts a
+run produces from the model alone against tools/counts.json, which
+holds them keyed by seed:
 
   - sim.events, the three scheduler tier counts and sim.cascades;
   - coro.frames_pooled and coro.frames_fallback;
@@ -30,7 +31,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 COUNTS = ROOT / "tools" / "counts.json"
 WORKLOADS = ("paper-apps", "wireless-sync", "daemon-mixed")
-SEED = 1
+SEEDS = (1, 7)
 
 EXACT = {
     "sim.events",
@@ -73,32 +74,34 @@ def main():
                     help="record the current counts in tools/counts.json")
     args = ap.parse_args()
 
-    got = {w: run_counts(w, SEED) for w in WORKLOADS}
+    got = {str(seed): {w: run_counts(w, seed) for w in WORKLOADS}
+           for seed in SEEDS}
     if args.update:
-        COUNTS.write_text(json.dumps({"seed": SEED, "workloads": got},
-                                     indent=2) + "\n")
+        COUNTS.write_text(json.dumps({"seeds": got}, indent=2) + "\n")
         print(f"wrote {COUNTS.relative_to(ROOT)}")
         return 0
 
-    want = json.loads(COUNTS.read_text())
-    if want["seed"] != SEED:
-        raise SystemExit(f"counts.json is for seed {want['seed']}")
+    want = json.loads(COUNTS.read_text()).get("seeds", {})
+    if sorted(want) != sorted(got):
+        raise SystemExit(f"counts.json holds seeds {sorted(want)}, "
+                         f"the gate runs {sorted(got)}")
     bad = 0
-    for w in WORKLOADS:
-        expected = want["workloads"].get(w, {})
-        for name in sorted(set(expected) | set(got[w])):
-            e, g = expected.get(name), got[w].get(name)
-            if e != g:
-                print(f"{w}: {name}: expected {e}, got {g}")
-                bad += 1
+    for seed, runs in got.items():
+        for w in WORKLOADS:
+            expected = want[seed].get(w, {})
+            for name in sorted(set(expected) | set(runs[w])):
+                e, g = expected.get(name), runs[w].get(name)
+                if e != g:
+                    print(f"seed {seed}: {w}: {name}: "
+                          f"expected {e}, got {g}")
+                    bad += 1
     if bad:
         print(f"{bad} count(s) differ from {COUNTS.relative_to(ROOT)}; "
               "if the change is meant, rerun with --update")
         return 1
-    print(f"counts match {COUNTS.relative_to(ROOT)} "
-          f"({len(WORKLOADS)} workloads, seed {SEED})")
+    print(f"counts match {COUNTS.relative_to(ROOT)} ({len(WORKLOADS)} "
+          f"workloads, seeds {', '.join(map(str, SEEDS))})")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
