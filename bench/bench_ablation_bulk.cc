@@ -70,8 +70,7 @@ coro::Task<void>
 producerScalar(core::ThreadCtx &ctx, ScalarChannel ch, int msgs)
 {
     for (int i = 0; i < msgs; ++i) {
-        co_await ctx.bmSpinUntil(ch.flag,
-                                 [](std::uint64_t v) { return v == 0; });
+        co_await ctx.bmSpinUntil(ch.flag, 0);
         for (std::uint32_t w = 0; w < 4; ++w)
             co_await ctx.bmStore(ch.data + w, static_cast<std::uint64_t>(i));
         co_await ctx.bmStore(ch.flag, 1);
@@ -82,8 +81,7 @@ coro::Task<void>
 consumerScalar(core::ThreadCtx &ctx, ScalarChannel ch, int msgs)
 {
     for (int i = 0; i < msgs; ++i) {
-        co_await ctx.bmSpinUntil(ch.flag,
-                                 [](std::uint64_t v) { return v == 1; });
+        co_await ctx.bmSpinUntil(ch.flag, 1);
         co_await ctx.bmBulkLoad(ch.data);
         co_await ctx.bmStore(ch.flag, 0);
     }

@@ -37,9 +37,7 @@ programB(core::ThreadCtx &ctx, sim::BmAddr token, std::uint32_t slot,
 {
     for (std::uint64_t round = 0; round < 5; ++round) {
         const std::uint64_t my_turn = round * ring + slot;
-        co_await ctx.bmSpinUntil(token, [my_turn](std::uint64_t v) {
-            return v == my_turn;
-        });
+        co_await ctx.bmSpinUntil(token, my_turn);
         co_await ctx.bmStore(token, my_turn + 1);
     }
 }

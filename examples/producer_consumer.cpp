@@ -45,8 +45,7 @@ memProducer(core::ThreadCtx &ctx, sim::Addr data, sim::Addr flag)
 {
     for (int i = 0; i < kRecords; ++i) {
         const auto v = static_cast<std::uint64_t>(i);
-        co_await ctx.spinUntil(flag,
-                               [](std::uint64_t f) { return f == 0; });
+        co_await ctx.spinUntil(flag, 0);
         co_await ctx.store(data + 0, v);
         co_await ctx.store(data + 8, v * v);
         co_await ctx.store(data + 16, v + 1);
@@ -60,8 +59,7 @@ memConsumer(core::ThreadCtx &ctx, sim::Addr data, sim::Addr flag,
             std::uint64_t *checksum)
 {
     for (int i = 0; i < kRecords; ++i) {
-        co_await ctx.spinUntil(flag,
-                               [](std::uint64_t f) { return f == 1; });
+        co_await ctx.spinUntil(flag, 1);
         for (int w = 0; w < 4; ++w)
             *checksum += co_await ctx.load(data + w * 8);
         co_await ctx.store(flag, 0);

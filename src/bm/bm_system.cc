@@ -47,12 +47,14 @@ BmSystem::rebuildChipTopology(const wireless::WirelessConfig &wcfg,
     // exposes it (WiSync vs WiSyncNoT) is a flag, so reset() can move
     // one machine between kinds without reallocating anything.
     tones_.clear();
+    toneReleases_.clear();
+    for (std::uint32_t chip = 0; chip < numChips_; ++chip)
+        toneReleases_.push_back(ToneRelease{this, chip});
     for (std::uint32_t chip = 0; chip < numChips_; ++chip) {
         tones_.push_back(std::make_unique<wireless::ToneChannel>(
             engine_, coresPerChip_, cfg_.allocSlots));
-        tones_[chip]->setReleaseHandler([this, chip](sim::BmAddr addr) {
-            store_.toggleChip(chip, addr);
-        });
+        tones_[chip]->setReleaseHandler(&ToneRelease::toggle,
+                                        &toneReleases_[chip]);
     }
     bridgeCfg_ = bridge_cfg;
     if (numChips_ > 1) {
@@ -217,6 +219,7 @@ BmSystem::acquireFrame()
 {
     if (freeFrames_.empty()) {
         framePool_.push_back(std::make_unique<BridgeFrame>());
+        framePool_.back()->bm = this;
         freeFrames_.push_back(framePool_.back().get());
     }
     BridgeFrame *frame = freeFrames_.back();
@@ -267,8 +270,7 @@ BmSystem::deliverStore(sim::NodeId src, sim::BmAddr addr,
         frame->addr = addr;
         frame->count = count;
         frame->srcChip = chip;
-        bridge_->post(count * 64,
-                      [this, frame] { applyBridged(frame); });
+        bridge_->post(count * 64, &BridgeFrame::land, frame);
     }
 }
 
@@ -338,25 +340,41 @@ BmSystem::load(sim::NodeId node, sim::Pid pid, sim::BmAddr addr)
     return Load(*this, node, addr);
 }
 
+bool
+BmSystem::ToneWatch::redundant(void *w)
+{
+    const auto &watch = *static_cast<const ToneWatch *>(w);
+    return watch.tone->isActive(watch.addr) ||
+           watch.tone->epochOf(watch.addr) != watch.epoch;
+}
+
+void
+BmSystem::ToneRelease::toggle(void *r, sim::BmAddr addr)
+{
+    const auto &release = *static_cast<const ToneRelease *>(r);
+    release.bm->store_.toggleChip(release.chip, addr);
+}
+
+template <typename Deliver>
 coro::Task<void>
-BmSystem::broadcast(sim::NodeId node, bool bulk, sim::UniqueFunction deliver,
+BmSystem::broadcast(sim::NodeId node, bool bulk, Deliver deliver,
                     sim::Cycle after, ToneWatch watch)
 {
-    // The abort predicate lives in this frame for the whole send. It
-    // captures one pointer, which std::function stores inline: a
-    // broadcast allocates nothing.
-    const std::function<bool()> abort = [&watch] {
-        return watch.tone->isActive(watch.addr) ||
-               watch.tone->epochOf(watch.addr) != watch.epoch;
-    };
+    // The send borrows deliver and watch, which live in this frame.
     // No replica changed when the reliability layer gives up, so the
     // controller re-issues the whole send (fresh retry budget) and the
     // chip-wide write order is unaffected: the operation just completes
-    // later.
-    while (co_await macs_[node]->send(bulk, [&deliver] { deliver(); },
-                                      watch.tone ? &abort : nullptr) ==
-           wireless::SendOutcome::GaveUp)
+    // later. The outcome is awaited into a local, not in a while
+    // condition: GCC 12 can lay out the frame of a co_await in a
+    // condition wrongly (this one never started its body).
+    for (;;) {
+        const auto sent = co_await macs_[node]->send(
+            bulk, deliver, watch.tone ? &ToneWatch::redundant : nullptr,
+            &watch);
+        if (sent != wireless::SendOutcome::GaveUp)
+            break;
         stats_.sendReissues.inc();
+    }
     co_await coro::delay(engine_, after);
 }
 
@@ -426,11 +444,11 @@ BmSystem::rmw(sim::NodeId node, sim::Pid pid, sim::BmAddr addr, RmwOp op,
         p.active = false;
         co_return r;
     }
-    const std::function<bool()> abort = [&p] { return p.afb; };
+    auto commit = [this, node, addr, desired] {
+        deliverRmw(node, addr, desired);
+    };
     const auto sent = co_await macs_[node]->send(
-        false,
-        [this, node, addr, desired] { deliverRmw(node, addr, desired); },
-        &abort);
+        false, commit, &PendingRmw::afbRaised, &p);
     // A reliability-layer give-up rides the AFB contract: the write
     // never occurred, the instruction completes, software retries
     // (Fig. 4(a)) — identical observable semantics, no new hang path.
@@ -490,14 +508,14 @@ BmSystem::toneStore(sim::NodeId node, sim::Pid pid, sim::BmAddr addr)
 }
 
 coro::Task<std::uint64_t>
-BmSystem::spinUntil(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
-                    std::function<bool(std::uint64_t)> pred)
+BmSystem::spin(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
+               std::uint64_t value, bool until_equal)
 {
     for (;;) {
         coro::VersionedEvent &ev = store_.watch(node, addr);
         const std::uint64_t gen = ev.gen();
         const std::uint64_t v = co_await load(node, pid, addr);
-        if (pred(v))
+        if ((v == value) == until_equal)
             co_return v;
         co_await ev.waitChangedSince(gen);
     }

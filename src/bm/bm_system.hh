@@ -29,7 +29,11 @@
  * A load is a frameless awaitable (a BM round trip, then the replica
  * read); a store, bulk store or RMW owns one coroutine frame, its own,
  * since the MAC send it awaits (wireless::Mac::Send) keeps its state
- * in that frame.
+ * in that frame. The send borrows its hooks from the frame too: the
+ * delivery commit is a lambda held there, and the abort test is a
+ * plain function over the pending RMW or the tone announcement's
+ * watch. The bridge delivery and the tone release are likewise
+ * (fn, ctx) pairs over a pooled BridgeFrame and a per-chip context.
  *
  * Multi-chip machines (numChips > 1) generalize this machine-wide:
  * each chip owns a contiguous block of coresPerChip nodes, its own BM
@@ -52,7 +56,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -260,11 +263,21 @@ class BmSystem
 
     // ---- Spin support ---------------------------------------------
 
-    /** Event-driven spin on a BM word until pred(value). */
-    coro::Task<std::uint64_t> spinUntil(sim::NodeId node, sim::Pid pid,
-                                        sim::BmAddr addr,
-                                        std::function<bool(std::uint64_t)>
-                                            pred);
+    /** Event-driven spin on a BM word until it equals @p want. */
+    coro::Task<std::uint64_t>
+    spinUntil(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
+              std::uint64_t want)
+    {
+        return spin(node, pid, addr, want, true);
+    }
+
+    /** As spinUntil, but returns once the word differs from @p value. */
+    coro::Task<std::uint64_t>
+    spinWhile(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
+              std::uint64_t value)
+    {
+        return spin(node, pid, addr, value, false);
+    }
 
     // ---- Allocation hooks (used by core::Os, §4.4) ----------------
 
@@ -380,6 +393,11 @@ class BmSystem
   private:
     void checkPid(sim::BmAddr addr, sim::Pid pid, std::uint32_t count = 1);
 
+    /** The loop of spinUntil (@p until_equal) and spinWhile. */
+    coro::Task<std::uint64_t> spin(sim::NodeId node, sim::Pid pid,
+                                   sim::BmAddr addr, std::uint64_t value,
+                                   bool until_equal);
+
     /** Build channels/protocols/tones/bridge for @p num_chips; drops
      *  the MACs, which bindMacs() rebuilds on the new channels. */
     void rebuildChipTopology(const wireless::WirelessConfig &wcfg,
@@ -422,16 +440,33 @@ class BmSystem
         bool active = false;
         sim::BmAddr addr = 0;
         bool afb = false;
+
+        /** The RMW's abort test (Mac::send): AFB was raised. */
+        static bool
+        afbRaised(void *p)
+        {
+            return static_cast<const PendingRmw *>(p)->afb;
+        }
     };
 
     /** A pooled in-flight bridge frame (global-scope commits only). */
     struct BridgeFrame
     {
+        /** The system it lands in (the bridge delivery's context). */
+        BmSystem *bm = nullptr;
         sim::BmAddr addr = 0;
         std::uint32_t count = 0;
         std::uint32_t srcChip = 0;
         std::array<std::uint64_t, 4> values{};
         std::array<std::uint64_t, 4> versions{};
+
+        /** The bridge delivery (ChipBridge::post). */
+        static void
+        land(void *f)
+        {
+            auto *frame = static_cast<BridgeFrame *>(f);
+            frame->bm->applyBridged(frame);
+        }
     };
 
     BridgeFrame *acquireFrame();
@@ -461,17 +496,31 @@ class BmSystem
         wireless::ToneChannel *tone;
         sim::BmAddr addr;
         std::uint64_t epoch;
+
+        /** The announcement's abort test (Mac::send). */
+        static bool redundant(void *w);
+    };
+
+    /** A chip's tone release handler context: toggle its replicas. */
+    struct ToneRelease
+    {
+        BmSystem *bm;
+        std::uint32_t chip;
+
+        static void toggle(void *r, sim::BmAddr addr);
     };
 
     /**
      * Broadcast one controller message (store, bulk store, tag update,
-     * tone announcement) from @p node and wait @p after cycles. When the
+     * tone announcement) from @p node and wait @p after cycles;
+     * @p deliver commits it at the delivery instant. When the
      * reliability layer gives up, the message is re-issued with a fresh
      * retry budget until delivered. A set @p watch cancels it once
-     * redundant instead.
+     * redundant instead. Defined, and only instantiated, in
+     * bm_system.cc.
      */
-    coro::Task<void> broadcast(sim::NodeId node, bool bulk,
-                               sim::UniqueFunction deliver,
+    template <typename Deliver>
+    coro::Task<void> broadcast(sim::NodeId node, bool bulk, Deliver deliver,
                                sim::Cycle after, ToneWatch watch = {});
 
     sim::Engine &engine_;
@@ -490,6 +539,8 @@ class BmSystem
     std::vector<std::unique_ptr<wireless::Mac>> macs_;
     /** One ToneChannel per chip; gated by toneEnabled_ (WiSyncNoT). */
     std::vector<std::unique_ptr<wireless::ToneChannel>> tones_;
+    /** Their release handlers' contexts, one per chip. */
+    std::vector<ToneRelease> toneReleases_;
     /** Per-chip SNR->BER attenuation matrices (only when berFromSnr). */
     std::vector<std::unique_ptr<wireless::RfChannelModel>> rfModels_;
     /** Inter-chip link (numChips > 1 only). */

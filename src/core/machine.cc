@@ -161,9 +161,15 @@ ThreadCtx::cas(sim::Addr addr, std::uint64_t expected, std::uint64_t desired)
 }
 
 coro::Task<std::uint64_t>
-ThreadCtx::spinUntil(sim::Addr addr, std::function<bool(std::uint64_t)> pred)
+ThreadCtx::spinUntil(sim::Addr addr, std::uint64_t want)
 {
-    return machine_.mem().spinUntil(node_, addr, std::move(pred));
+    return machine_.mem().spinUntil(node_, addr, want);
+}
+
+coro::Task<std::uint64_t>
+ThreadCtx::spinWhile(sim::Addr addr, std::uint64_t value)
+{
+    return machine_.mem().spinWhile(node_, addr, value);
 }
 
 bm::BmSystem::Load
@@ -213,10 +219,15 @@ ThreadCtx::bmBulkStore(sim::BmAddr addr, std::array<std::uint64_t, 4> values)
 }
 
 coro::Task<std::uint64_t>
-ThreadCtx::bmSpinUntil(sim::BmAddr addr,
-                       std::function<bool(std::uint64_t)> pred)
+ThreadCtx::bmSpinUntil(sim::BmAddr addr, std::uint64_t want)
 {
-    return machine_.bm()->spinUntil(node_, pid_, addr, std::move(pred));
+    return machine_.bm()->spinUntil(node_, pid_, addr, want);
+}
+
+coro::Task<std::uint64_t>
+ThreadCtx::bmSpinWhile(sim::BmAddr addr, std::uint64_t value)
+{
+    return machine_.bm()->spinWhile(node_, pid_, addr, value);
 }
 
 coro::Task<void>

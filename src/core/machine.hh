@@ -66,9 +66,10 @@ class ThreadCtx
     mem::MemSystem::Access<mem::CasResult> cas(sim::Addr addr,
                                                std::uint64_t expected,
                                                std::uint64_t desired);
-    coro::Task<std::uint64_t> spinUntil(sim::Addr addr,
-                                        std::function<bool(std::uint64_t)>
-                                            pred);
+    /** Spin until the word equals @p want (spinWhile: until it
+     *  differs from @p value); returns the value seen. */
+    coro::Task<std::uint64_t> spinUntil(sim::Addr addr, std::uint64_t want);
+    coro::Task<std::uint64_t> spinWhile(sim::Addr addr, std::uint64_t value);
 
     // Broadcast-memory ops (WiSync configs only).
     bm::BmSystem::Load bmLoad(sim::BmAddr addr);
@@ -82,8 +83,9 @@ class ThreadCtx
     coro::Task<void> bmBulkStore(sim::BmAddr addr,
                                  std::array<std::uint64_t, 4> values);
     coro::Task<std::uint64_t> bmSpinUntil(sim::BmAddr addr,
-                                          std::function<bool(std::uint64_t)>
-                                              pred);
+                                          std::uint64_t want);
+    coro::Task<std::uint64_t> bmSpinWhile(sim::BmAddr addr,
+                                          std::uint64_t value);
     coro::Task<void> toneStore(sim::BmAddr addr);
     /** tone_ld: a plain BM load of the barrier word (§4.2.2). */
     bm::BmSystem::Load toneLoad(sim::BmAddr addr);

@@ -85,12 +85,6 @@ ParallelSweep::run()
     return run(threads());
 }
 
-std::vector<PointOutcome>
-ParallelSweep::runCaptured()
-{
-    return runCaptured(threads());
-}
-
 std::vector<workloads::KernelResult>
 ParallelSweep::run(unsigned threads)
 {

@@ -144,9 +144,6 @@ class ParallelSweep
      */
     std::vector<PointOutcome> runCaptured(unsigned threads);
 
-    /** runCaptured(threads()) — the environment-selected width. */
-    std::vector<PointOutcome> runCaptured();
-
     /** WISYNC_SWEEP_THREADS, default hardware concurrency (min 1). */
     static unsigned threads();
 

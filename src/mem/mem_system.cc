@@ -548,15 +548,15 @@ MemSystem::endMiss(AccessBase &op)
 }
 
 coro::Task<std::uint64_t>
-MemSystem::spinUntil(sim::NodeId node, sim::Addr addr,
-                     std::function<bool(std::uint64_t)> pred)
+MemSystem::spin(sim::NodeId node, sim::Addr addr, std::uint64_t value,
+                bool until_equal)
 {
     const sim::Addr line = l1s_[node].lineOf(addr);
     for (;;) {
         coro::VersionedEvent &ev = watch(node, line);
         const std::uint64_t gen = ev.gen();
         const std::uint64_t v = co_await load(node, addr);
-        if (pred(v))
+        if ((v == value) == until_equal)
             co_return v;
         // Sleep until our cached copy is invalidated (someone wrote
         // the line). The generation check closes the window between

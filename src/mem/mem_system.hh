@@ -40,7 +40,6 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -271,14 +270,24 @@ class MemSystem
                           std::uint64_t expected, std::uint64_t desired);
 
     /**
-     * Event-driven spin: loads @p addr, returns once pred(value) holds;
-     * between checks the thread sleeps until its cached copy of the
-     * line is invalidated (i.e. someone wrote it). Timing-equivalent
-     * to a test-and-test-and-set style spin on a cached line.
+     * Event-driven spin: loads @p addr, returns the value once it
+     * equals @p want; between checks the thread sleeps until its
+     * cached copy of the line is invalidated (i.e. someone wrote it).
+     * Timing-equivalent to a test-and-test-and-set style spin on a
+     * cached line.
      */
-    coro::Task<std::uint64_t> spinUntil(sim::NodeId node, sim::Addr addr,
-                                        std::function<bool(std::uint64_t)>
-                                            pred);
+    coro::Task<std::uint64_t>
+    spinUntil(sim::NodeId node, sim::Addr addr, std::uint64_t want)
+    {
+        return spin(node, addr, want, true);
+    }
+
+    /** As spinUntil, but returns once the value differs from @p value. */
+    coro::Task<std::uint64_t>
+    spinWhile(sim::NodeId node, sim::Addr addr, std::uint64_t value)
+    {
+        return spin(node, addr, value, false);
+    }
 
     const MemStats &stats() const { return stats_; }
     const MemConfig &config() const { return cfg_; }
@@ -362,7 +371,11 @@ class MemSystem
     void sharerSet(DirEntry &e, sim::NodeId n, bool v);
     NodeVec sharerList(const DirEntry &e, sim::NodeId exclude) const;
 
-    /** Per-(node,line) invalidation events for spinUntil. */
+    /** The loop of spinUntil (@p until_equal) and spinWhile. */
+    coro::Task<std::uint64_t> spin(sim::NodeId node, sim::Addr addr,
+                                   std::uint64_t value, bool until_equal);
+
+    /** Per-(node,line) invalidation events for spin. */
     coro::VersionedEvent &watch(sim::NodeId node, sim::Addr line);
 
     /** Invalidate node's L1 copy (if any) and wake spinners. */

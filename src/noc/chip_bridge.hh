@@ -11,7 +11,9 @@
  * on the remote chips one propagation latency after its last flit
  * leaves. Delivery runs a caller callback at the arrival instant, so
  * the BM layer can apply the update and fire AFB aborts in one atomic
- * simulation step, exactly like a Data-channel delivery.
+ * simulation step, exactly like a Data-channel delivery. The callback
+ * is a (fn, ctx) pair that borrows its context (the BM layer's pooled
+ * frame), so the bridge owns nothing but its pooled InFlight records.
  *
  * The link may be lossy: a package-level waveguide fails in bursts
  * (reflections / thermal episodes, Bandara et al.), so the loss draw
@@ -32,11 +34,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "sim/engine.hh"
-#include "sim/function.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -109,20 +109,22 @@ class ChipBridge
 
     /**
      * Ship a frame of @p payload_bits. Serialization starts when the
-     * link frees (FIFO); @p deliver runs at the remote arrival
-     * instant. Fire-and-forget: the sender does not wait (the BM
+     * link frees (FIFO); deliver(@p ctx) runs at the remote arrival
+     * instant, so @p ctx must live until then. Fire-and-forget: the
+     * sender does not wait (the BM
      * store already committed locally; WCB semantics are chip-local).
      * On a lossy link delivery may come arbitrarily later (retries /
      * re-issues), but it always comes: no frame is silently lost.
      */
     void
-    post(std::uint32_t payload_bits, sim::UniqueFunction deliver)
+    post(std::uint32_t payload_bits, void (*deliver)(void *), void *ctx)
     {
         stats_.frames.inc();
         InFlight *f = acquireInFlight();
         f->bits = cfg_.headerBits + payload_bits;
         f->drops = 0;
-        f->deliver = std::move(deliver);
+        f->deliver = deliver;
+        f->ctx = ctx;
         if (!lossy()) {
             // The ideal link: exactly the pre-loss event stream — one
             // serialization, one delivery event, zero RNG draws.
@@ -180,10 +182,8 @@ class ChipBridge
         stats_.reset();
         burstState_.reset();
         free_.clear();
-        for (auto &f : pool_) {
-            f->deliver = {};
+        for (auto &f : pool_)
             free_.push_back(f.get());
-        }
     }
 
   private:
@@ -195,7 +195,8 @@ class ChipBridge
         std::uint32_t bits = 0;
         /** Drops charged against the current retry budget. */
         std::uint32_t drops = 0;
-        sim::UniqueFunction deliver;
+        void (*deliver)(void *) = nullptr;
+        void *ctx = nullptr;
     };
 
     static void
@@ -279,7 +280,7 @@ class ChipBridge
     scheduleDelivery(InFlight *f)
     {
         engine_.schedule(nextFree_ + cfg_.latencyCycles, [this, f] {
-            f->deliver();
+            f->deliver(f->ctx);
             releaseInFlight(f);
         });
     }
@@ -299,7 +300,6 @@ class ChipBridge
     void
     releaseInFlight(InFlight *f)
     {
-        f->deliver = {};
         free_.push_back(f);
     }
 

@@ -8,12 +8,6 @@
 namespace wisync::service {
 
 std::vector<ServiceOutcome>
-SweepService::runBatch(const SweepRequest &request)
-{
-    return runBatch(request, harness::ParallelSweep::threads());
-}
-
-std::vector<ServiceOutcome>
 SweepService::runBatch(const SweepRequest &request, unsigned threads,
                        const Observer &observer)
 {

@@ -108,9 +108,6 @@ class SweepService
                                          unsigned threads,
                                          const Observer &observer = {});
 
-    /** runBatch at the environment-selected width. */
-    std::vector<ServiceOutcome> runBatch(const SweepRequest &request);
-
     ResultCache &cache() { return cache_; }
     const ResultCache &cache() const { return cache_; }
 

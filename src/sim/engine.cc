@@ -35,14 +35,10 @@ Engine::appendSegment(Bucket &b)
 }
 
 void
-Engine::releaseChain(Segment *seg, std::uint32_t from)
+Engine::releaseChain(Segment *seg)
 {
-    while (seg != nullptr) {
-        for (std::uint32_t i = from; i < seg->size; ++i)
-            drop(seg->slots[i]);
-        from = 0;
+    while (seg != nullptr)
         recycleSegment(std::exchange(seg, seg->next));
-    }
 }
 
 void
@@ -54,25 +50,6 @@ Engine::moveChainToStaging(Segment *seg, std::uint32_t from)
         from = 0;
         recycleSegment(std::exchange(seg, seg->next));
     }
-}
-
-void
-Engine::clearLevel0()
-{
-    releaseChain(curSeg_, curIdx_);
-    curSeg_ = nullptr;
-    curIdx_ = 0;
-    for (std::size_t i = stagedIdx_; i < staged_.size(); ++i)
-        drop(staged_[i]);
-    staged_.clear();
-    stagedIdx_ = 0;
-    if (l0Count_ > 0)
-        for (Bucket &b : l0_) {
-            releaseChain(b.head, 0);
-            b = Bucket{};
-        }
-    l0Bits_ = Bitmap{};
-    l0Count_ = 0;
 }
 
 std::size_t
@@ -125,11 +102,19 @@ Engine::destroyLiveRoots()
 void
 Engine::dropPending()
 {
-    while (!ready_.empty())
-        drop(ready_.pop());
-    clearLevel0();
-    for (const TimedSlot &t : far_)
-        drop(t.slot);
+    ready_.clear();
+    releaseChain(curSeg_);
+    curSeg_ = nullptr;
+    curIdx_ = 0;
+    staged_.clear();
+    stagedIdx_ = 0;
+    if (l0Count_ > 0)
+        for (Bucket &b : l0_) {
+            releaseChain(b.head);
+            b = Bucket{};
+        }
+    l0Bits_ = Bitmap{};
+    l0Count_ = 0;
     far_.clear();
 }
 

@@ -32,12 +32,12 @@
  * filing, staging and draining an event are plain copies and running
  * it is one indirect call. schedule(), scheduleIn() and
  * scheduleReserved() take the callable as a template parameter and
- * store it in the payload when it is trivially copyable and at most
- * 16 bytes (a `this` pointer plus a pointer or index: every model
- * callback); resumeHandle() stores a coroutine frame address under a
- * resume trampoline. Any other callable is boxed in one heap
- * UniqueFunction whose trampoline frees it after the call; an event
- * dropped without running (reset(), ~Engine) frees its box too.
+ * store it in the payload; a static_assert requires it to be
+ * trivially copyable and at most 16 bytes (a `this` pointer plus a
+ * pointer or index, or a (fn, ctx) pair whose context outlives the
+ * event). resumeHandle() stores a coroutine frame address under a
+ * resume trampoline. An event owns nothing, so one dropped without
+ * running (reset(), ~Engine) is simply forgotten.
  *
  * Determinism contract: execution order is exactly (cycle, global
  * insertion order), bit-identical to a single (when, seq) min-heap.
@@ -59,13 +59,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "sim/function.hh"
 #include "sim/types.hh"
 
 namespace wisync::sim {
@@ -88,9 +86,8 @@ class Engine
     static constexpr Cycle kCalendarHorizon = 256;
 
     /**
-     * Callables of at most this many bytes that are trivially copyable
-     * are stored inline in their event slot; anything else is boxed in
-     * one heap UniqueFunction, freed when the event runs or is dropped.
+     * Bytes of an event callable, which must also be trivially
+     * copyable: it is stored inline in its event slot.
      */
     static constexpr std::size_t kInlinePayload = 16;
 
@@ -118,7 +115,7 @@ class Engine
      *
      * @param when Absolute cycle; must be >= now().
      * @param fn   Callable run when simulated time reaches @p when.
-     *             Stored inline or boxed (see kInlinePayload).
+     *             Stored inline (see kInlinePayload).
      */
     template <typename F>
     void
@@ -303,9 +300,9 @@ class Engine
     /**
      * One scheduled event: a trampoline, the 16 payload bytes it is
      * called with, and the insertion number. The payload holds the
-     * callable itself (inline), a frame address (resumeHandle), or a
-     * pointer to a heap box (runBoxed). 32 bytes and trivially
-     * copyable, so moving an event between tiers is a plain copy.
+     * callable itself or a frame address (resumeHandle). 32 bytes and
+     * trivially copyable, so moving an event between tiers is a plain
+     * copy.
      */
     struct Slot
     {
@@ -345,47 +342,19 @@ class Engine
         std::coroutine_handle<>::from_address(frame).resume();
     }
 
-    static UniqueFunction *
-    boxOf(const void *p)
-    {
-        UniqueFunction *box;
-        std::memcpy(&box, p, sizeof(box));
-        return box;
-    }
-
-    /** Trampoline of a boxed callable: run it, then free the box
-     *  (also when the callable throws). */
-    static void
-    runBoxed(void *p)
-    {
-        const std::unique_ptr<UniqueFunction> box(boxOf(p));
-        (*box)();
-    }
-
-    /** Build the slot for @p fn: inline if it fits, else boxed. */
+    /** Build the slot for @p fn, stored inline. */
     template <typename F>
     static Slot
     makeSlot(F &&fn)
     {
         using D = std::decay_t<F>;
+        static_assert(fitsInline<D>,
+                      "an event callable is trivially copyable and fits "
+                      "the 16-byte slot payload");
         Slot s;
-        if constexpr (fitsInline<D>) {
-            ::new (static_cast<void *>(s.payload)) D(std::forward<F>(fn));
-            s.call = &runInline<D>;
-        } else {
-            auto *box = new UniqueFunction(std::forward<F>(fn));
-            std::memcpy(s.payload, &box, sizeof(box));
-            s.call = &runBoxed;
-        }
+        ::new (static_cast<void *>(s.payload)) D(std::forward<F>(fn));
+        s.call = &runInline<D>;
         return s;
-    }
-
-    /** An event discarded without running frees its box, if any. */
-    static void
-    drop(const Slot &s)
-    {
-        if (s.call == &runBoxed)
-            delete boxOf(s.payload);
     }
 
     /** 256-bit occupancy bitmap with find-first-set-at-or-after. */
@@ -445,6 +414,14 @@ class Engine
       public:
         bool empty() const { return size_ == 0; }
         std::size_t size() const { return size_; }
+
+        /** Forget every event; the buffer keeps its capacity. */
+        void
+        clear()
+        {
+            head_ = 0;
+            size_ = 0;
+        }
 
         void
         push(const Slot &s)
@@ -554,11 +531,9 @@ class Engine
         freeSegs_ = seg;
     }
 
-    /**
-     * Drop the events left in the chain starting at slot @p from of
-     * @p seg, and recycle every segment of it.
-     */
-    void releaseChain(Segment *seg, std::uint32_t from);
+    /** Recycle every segment of the chain starting at @p seg,
+     *  forgetting the events left in it. */
+    void releaseChain(Segment *seg);
 
     /**
      * Move the events of the chain starting at slot @p from of @p seg
@@ -567,10 +542,7 @@ class Engine
      */
     void moveChainToStaging(Segment *seg, std::uint32_t from);
 
-    /** Drop every level-0 event, staged or pending. */
-    void clearLevel0();
-
-    /** Drop every pending event in every tier (reset, ~Engine). */
+    /** Forget every pending event in every tier (reset, ~Engine). */
     void dropPending();
 
     /** Earliest pending cycle > now across all tiers (kCycleMax: none). */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <iterator>
 
 namespace wisync::sim {
 
@@ -21,25 +20,11 @@ Accumulator::sample(double v)
 }
 
 void
-Accumulator::reset()
-{
-    count_ = 0;
-    sum_ = min_ = max_ = 0.0;
-}
-
-void
 Histogram::sample(std::uint64_t v)
 {
     acc_.sample(static_cast<double>(v));
     const unsigned b = v == 0 ? 0 : 63 - std::countl_zero(v);
     ++buckets_[b];
-}
-
-void
-Histogram::reset()
-{
-    acc_.reset();
-    std::fill(std::begin(buckets_), std::end(buckets_), 0);
 }
 
 std::uint64_t

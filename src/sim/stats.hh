@@ -35,7 +35,6 @@ class Accumulator
 {
   public:
     void sample(double v);
-    void reset();
 
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
@@ -55,7 +54,6 @@ class Histogram
 {
   public:
     void sample(std::uint64_t v);
-    void reset();
 
     const Accumulator &acc() const { return acc_; }
     /** Count of samples with floor(log2(v)) == bucket (v=0 -> bucket 0). */

@@ -26,8 +26,7 @@ TasLock::acquire(core::ThreadCtx &ctx)
 {
     for (;;) {
         // Test-and-test-and-set: spin on the cached copy first.
-        co_await ctx.spinUntil(lockAddr_,
-                               [](std::uint64_t v) { return v == 0; });
+        co_await ctx.spinUntil(lockAddr_, 0);
         const auto r = co_await ctx.cas(lockAddr_, 0, 1);
         if (r.success)
             co_return;
@@ -69,9 +68,7 @@ CentralBarrier::wait(core::ThreadCtx &ctx)
         co_await ctx.store(countAddr_, 0);
         co_await ctx.store(releaseAddr_, sense);
     } else {
-        co_await ctx.spinUntil(releaseAddr_, [sense](std::uint64_t v) {
-            return v == sense;
-        });
+        co_await ctx.spinUntil(releaseAddr_, sense);
     }
 }
 
@@ -106,8 +103,7 @@ McsLock::acquire(core::ThreadCtx &ctx)
     co_await ctx.store(my.lockedAddr, 1);
     co_await ctx.store(pred /* pred.nextAddr == base */, my.base);
     // Spin on our own line only (the MCS property).
-    co_await ctx.spinUntil(my.lockedAddr,
-                           [](std::uint64_t v) { return v == 0; });
+    co_await ctx.spinUntil(my.lockedAddr, 0);
 }
 
 coro::Task<void>
@@ -121,8 +117,7 @@ McsLock::release(core::ThreadCtx &ctx)
         if (r.success)
             co_return;
         // A successor is mid-enqueue; wait for it to link itself.
-        co_await ctx.spinUntil(my.nextAddr,
-                               [](std::uint64_t v) { return v != 0; });
+        co_await ctx.spinWhile(my.nextAddr, 0);
     }
     const std::uint64_t successor = co_await ctx.load(my.nextAddr);
     co_await ctx.store(successor + 8 /* lockedAddr */, 0);
@@ -181,17 +176,12 @@ TournamentBarrier::wait(core::ThreadCtx &ctx)
         if (slot % stride == 0) {
             const std::uint32_t partner = slot + half;
             if (partner < participants_) {
-                co_await ctx.spinUntil(
-                    arriveFlag(partner, r),
-                    [my_sense](std::uint64_t v) { return v == my_sense; });
+                co_await ctx.spinUntil(arriveFlag(partner, r), my_sense);
             }
             // A bye (no partner) advances directly.
         } else {
             co_await ctx.store(arriveFlag(slot, r), my_sense);
-            co_await ctx.spinUntil(wakeFlag(slot),
-                                   [my_sense](std::uint64_t v) {
-                                       return v == my_sense;
-                                   });
+            co_await ctx.spinUntil(wakeFlag(slot), my_sense);
             lost_round = r;
             break;
         }
@@ -248,8 +238,7 @@ coro::Task<void>
 MemOrBarrier::await(core::ThreadCtx &ctx)
 {
     const std::uint64_t want = sense_;
-    co_await ctx.spinUntil(flagAddr_,
-                           [want](std::uint64_t v) { return v == want; });
+    co_await ctx.spinUntil(flagAddr_, want);
 }
 
 void

@@ -30,9 +30,12 @@ BmLock::acquire(core::ThreadCtx &ctx)
     for (;;) {
         // Test-and-test&set: watch the replica until the lock looks
         // free, then try to grab it (AFB retries inside).
-        co_await ctx.bmSpinUntil(addr_,
-                                 [](std::uint64_t v) { return v == 0; });
-        if (co_await ctx.bmTestAndSet(addr_) == 0)
+        co_await ctx.bmSpinUntil(addr_, 0);
+        // Awaited into a local, not in the if: GCC 12 can lay out the
+        // frame of a co_await in a condition wrongly (it resumed at a
+        // bad state here).
+        const std::uint64_t was = co_await ctx.bmTestAndSet(addr_);
+        if (was == 0)
             co_return;
     }
 }
@@ -63,9 +66,7 @@ BmBarrier::wait(core::ThreadCtx &ctx)
         co_await ctx.bmStore(countAddr_, 0);
         co_await ctx.bmStore(releaseAddr_, sense);
     } else {
-        co_await ctx.bmSpinUntil(releaseAddr_, [sense](std::uint64_t v) {
-            return v == sense;
-        });
+        co_await ctx.bmSpinUntil(releaseAddr_, sense);
     }
 }
 
@@ -98,8 +99,7 @@ ToneBarrier::wait(core::ThreadCtx &ctx)
     // Fig. 4(c): local_sense = !local_sense; tone_st; spin tone_ld.
     const std::uint64_t want = senses_.flip(ctx.tid());
     co_await ctx.toneStore(addr_);
-    co_await ctx.bmSpinUntil(addr_,
-                             [want](std::uint64_t v) { return v == want; });
+    co_await ctx.bmSpinUntil(addr_, want);
 }
 
 // ------------------------------------------------------- MultiChipBarrier
@@ -175,9 +175,7 @@ MultiChipBarrier::wait(core::ThreadCtx &ctx)
         // All local threads release together; the fixed representative
         // then carries the chip into the global phase.
         co_await ctx.toneStore(g.arriveAddr);
-        co_await ctx.bmSpinUntil(g.arriveAddr, [want](std::uint64_t v) {
-            return v == want;
-        });
+        co_await ctx.bmSpinUntil(g.arriveAddr, want);
         rep = ctx.node() == g.repNode;
     } else {
         // Counter protocol: the last local arriver is the rep.
@@ -198,16 +196,11 @@ MultiChipBarrier::wait(core::ThreadCtx &ctx)
             co_await ctx.bmStore(gcountAddr_, 0);
             co_await ctx.bmStore(greleaseAddr_, want);
         } else {
-            co_await ctx.bmSpinUntil(greleaseAddr_,
-                                     [want](std::uint64_t v) {
-                                         return v == want;
-                                     });
+            co_await ctx.bmSpinUntil(greleaseAddr_, want);
         }
         co_await ctx.bmStore(g.releaseAddr, want);
     } else {
-        co_await ctx.bmSpinUntil(g.releaseAddr, [want](std::uint64_t v) {
-            return v == want;
-        });
+        co_await ctx.bmSpinUntil(g.releaseAddr, want);
     }
 }
 
@@ -233,8 +226,7 @@ coro::Task<void>
 BmOrBarrierImpl::await(core::ThreadCtx &ctx)
 {
     const std::uint64_t want = sense_;
-    co_await ctx.bmSpinUntil(addr_,
-                             [want](std::uint64_t v) { return v == want; });
+    co_await ctx.bmSpinUntil(addr_, want);
 }
 
 void
@@ -272,8 +264,7 @@ ProducerConsumer::produce(core::ThreadCtx &ctx,
                           std::array<std::uint64_t, 4> values)
 {
     // Wait until the previous datum was consumed (flag clear).
-    co_await ctx.bmSpinUntil(flagAddr_,
-                             [](std::uint64_t v) { return v == 0; });
+    co_await ctx.bmSpinUntil(flagAddr_, 0);
     co_await ctx.bmBulkStore(dataAddr_, values);
     co_await ctx.bmStore(flagAddr_, 1);
 }
@@ -281,8 +272,7 @@ ProducerConsumer::produce(core::ThreadCtx &ctx,
 coro::Task<std::array<std::uint64_t, 4>>
 ProducerConsumer::consume(core::ThreadCtx &ctx)
 {
-    co_await ctx.bmSpinUntil(flagAddr_,
-                             [](std::uint64_t v) { return v == 1; });
+    co_await ctx.bmSpinUntil(flagAddr_, 1);
     const auto data = co_await ctx.bmBulkLoad(dataAddr_);
     co_await ctx.bmStore(flagAddr_, 0);
     co_return data;
@@ -307,8 +297,7 @@ Multicaster::publish(core::ThreadCtx &ctx, std::uint64_t value)
     co_await ctx.bmStore(countAddr_, readers_);
     co_await ctx.bmStore(flagAddr_, produceSense_);
     produceSense_ = produceSense_ ? 0 : 1;
-    co_await ctx.bmSpinUntil(countAddr_,
-                             [](std::uint64_t v) { return v == 0; });
+    co_await ctx.bmSpinUntil(countAddr_, 0);
 }
 
 coro::Task<std::uint64_t>
@@ -316,8 +305,7 @@ Multicaster::receive(core::ThreadCtx &ctx)
 {
     // The first flip yields 1, matching the producer's first toggle.
     const std::uint64_t want = readerSenses_.flip(ctx.tid());
-    co_await ctx.bmSpinUntil(flagAddr_,
-                             [want](std::uint64_t v) { return v == want; });
+    co_await ctx.bmSpinUntil(flagAddr_, want);
     const std::uint64_t data = co_await ctx.bmLoad(dataAddr_);
     // fetch&add(count, -1).
     co_await ctx.bmFetchAdd(countAddr_,

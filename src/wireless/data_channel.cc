@@ -143,11 +143,11 @@ DataChannel::arbitrate()
     if (arbScratch_.empty())
         return;
 
-    // AFB semantics: a transmission whose abort predicate holds when
+    // AFB semantics: a transmission whose abort test holds when
     // the write is attempted never reaches the air.
     std::size_t live = 0;
     for (Attempt *p : arbScratch_) {
-        if (p->abort && (*p->abort)())
+        if (p->aborted())
             resolve(*p, Outcome::Aborted);
         else
             arbScratch_[live++] = p;
@@ -190,8 +190,7 @@ DataChannel::arbitrate()
         // Delivery happens at the end of the transmission: the deliver
         // callback is the total-order commit point for BM updates.
         engine_.scheduleIn(dur, [this, p] {
-            if (*p->deliver)
-                (*p->deliver)();
+            p->deliver(p->deliverCtx);
             resolve(*p, Outcome::Delivered);
         });
         return;
@@ -225,13 +224,15 @@ Mac::reset(MacProtocol &protocol, sim::Rng rng)
     retries_.reset();
 }
 
-Mac::Send::Send(Mac &mac, bool bulk, sim::UniqueFunction deliver,
-                const std::function<bool()> *abort)
-    : mac_(&mac), deliver_(std::move(deliver))
+Mac::Send::Send(Mac &mac, bool bulk, void (*deliver)(void *),
+                void *deliver_ctx, bool (*abort)(void *), void *abort_ctx)
+    : mac_(&mac)
 {
     this->bulk = bulk;
-    this->deliver = &deliver_;
+    this->deliver = deliver;
+    deliverCtx = deliver_ctx;
     this->abort = abort;
+    abortCtx = abort_ctx;
     src = mac.node_;
     rng = &mac.rng_;
     done = &Send::attempted;
@@ -285,7 +286,7 @@ Mac::Send::granted(MacWaiter &w)
 {
     auto &s = static_cast<Send &>(w);
     Mac &mac = *s.mac_;
-    if (s.abort && (*s.abort)()) {
+    if (s.aborted()) {
         // Cancelled before reaching the channel. The claim must still
         // be dropped: a granted token (or a fuzzy-token contention
         // grant picked up during the last collision) would otherwise

@@ -24,6 +24,13 @@
  * Attempt it holds and resolves it with one delta-0 wake event. Every
  * step runs at the (cycle, seq) where the coroutine it replaced
  * resumed, so the event stream is the coroutine chain's.
+ *
+ * An attempt's two hooks, the delivery commit and the abort test, are
+ * (fn, ctx) pairs that borrow their context: Mac::send points the
+ * delivery at the callable it is handed, which lives in the awaiting
+ * frame until the co_await statement ends, and the abort test's
+ * context (a pending RMW, a tone announcement's watch) outlives the
+ * send.
  */
 
 #ifndef WISYNC_WIRELESS_DATA_CHANNEL_HH
@@ -31,12 +38,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "coro/primitives.hh"
 #include "sim/engine.hh"
-#include "sim/function.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -179,9 +185,12 @@ class DataChannel
     struct Attempt
     {
         bool bulk = false;
-        /** Runs at the delivery instant (may be empty). */
-        sim::UniqueFunction *deliver = nullptr;
-        const std::function<bool()> *abort = nullptr;
+        /** deliver(deliverCtx) runs at the delivery instant. */
+        void (*deliver)(void *) = nullptr;
+        void *deliverCtx = nullptr;
+        /** abort(abortCtx), if set, cancels the attempt when true. */
+        bool (*abort)(void *) = nullptr;
+        void *abortCtx = nullptr;
         /** Transmitting node (drop-table lookup under loss). */
         sim::NodeId src = 0;
         /** Transmitter's RNG stream for the packet-error draw; only
@@ -191,12 +200,15 @@ class DataChannel
         Outcome outcome = Outcome::Delivered;
         /** Called in a delta-0 wake event after the outcome. */
         void (*done)(Attempt &) = nullptr;
+
+        /** The abort test, made when the slot is won. */
+        bool aborted() const { return abort != nullptr && abort(abortCtx); }
     };
 
     /**
      * Try once: contend for the next free slot, then either transmit
      * fully (running a.deliver at the delivery instant), collide, or
-     * abort (the a.abort predicate is evaluated at arbitration time,
+     * abort (the a.abort test is evaluated at arbitration time,
      * i.e. "when the write is attempted" — the paper's AFB semantics).
      * Under a lossy channel (@see lossy()) a won slot may instead be
      * Dropped, decided by one Bernoulli draw from a.rng — the
@@ -325,17 +337,17 @@ class Mac
     /**
      * One broadcast in flight, frameless: the order-lock, acquire,
      * attempt, backoff and ack-timeout loop runs as a chain of
-     * callbacks, and every piece of its state (the deliver callback,
-     * the abort pointer, the channel attempt, the protocol waiter)
-     * lives here, in the awaiting frame. So it must be awaited exactly
-     * once, in the statement that created it.
+     * callbacks, and every piece of its state (the delivery and abort
+     * hooks, the channel attempt, the protocol waiter) lives here, in
+     * the awaiting frame. So it must be awaited exactly once, in the
+     * statement that created it.
      */
     class [[nodiscard]] Send : private MacWaiter,
                                private DataChannel::Attempt
     {
       public:
-        Send(Mac &mac, bool bulk, sim::UniqueFunction deliver,
-             const std::function<bool()> *abort);
+        Send(Mac &mac, bool bulk, void (*deliver)(void *),
+             void *deliver_ctx, bool (*abort)(void *), void *abort_ctx);
         Send(const Send &) = delete;
         Send &operator=(const Send &) = delete;
 
@@ -355,7 +367,6 @@ class Mac
         void finish(SendOutcome outcome);
 
         Mac *mac_;
-        sim::UniqueFunction deliver_;
         std::coroutine_handle<> caller_;
         sim::Cycle firstAttempt_ = 0;
         std::uint32_t drops_ = 0;
@@ -369,10 +380,12 @@ class Mac
     /**
      * Broadcast one message, retrying through collisions until it is
      * delivered. @p deliver runs at the delivery instant (total-order
-     * commit point). @p abort, if non-null and returning true when a
-     * slot is won, cancels the transmission (used for RMW atomicity
-     * failure: the instruction "neither broadcasts its value nor
-     * updates the local BM").
+     * commit point); the send borrows it, so it must live until the
+     * co_await statement ends (a temporary in that statement does).
+     * @p abort, if non-null and abort(abort_ctx) holds when a slot is
+     * won, cancels the transmission (used for RMW atomicity failure:
+     * the instruction "neither broadcasts its value nor updates the
+     * local BM").
      *
      * Under a lossy channel each corrupted transmission costs an ack
      * timeout plus a bounded exponential backoff before the
@@ -380,11 +393,15 @@ class Mac
      * returns SendOutcome::GaveUp instead of hanging. On the ideal
      * channel the result is always Delivered or Aborted.
      */
+    template <typename F>
     Send
-    send(bool bulk, sim::UniqueFunction deliver,
-         const std::function<bool()> *abort = nullptr)
+    send(bool bulk, F &&deliver, bool (*abort)(void *) = nullptr,
+         void *abort_ctx = nullptr)
     {
-        return Send(*this, bulk, std::move(deliver), abort);
+        using D = std::remove_reference_t<F>;
+        return Send(
+            *this, bulk, [](void *d) { (*static_cast<D *>(d))(); },
+            std::addressof(deliver), abort, abort_ctx);
     }
 
     sim::NodeId node() const { return node_; }

@@ -199,7 +199,7 @@ ToneChannel::tick()
                            static_cast<std::ptrdiff_t>(slotIdx_));
         stats_.releases.inc();
         if (releaseHandler_)
-            releaseHandler_(addr);
+            releaseHandler_(releaseCtx_, addr);
         // Do not advance slotIdx_: the next entry shifted into place.
     } else {
         ++slotIdx_;

@@ -18,14 +18,15 @@
  * kept identical chip-wide by construction (they are only mutated by
  * broadcast events). This model therefore stores them centrally, with
  * the per-node Armed/Arrived bits kept inside each entry — exactly
- * the state the paper describes.
+ * the state the paper describes. A release reaches its owner (the BM
+ * controller, which toggles the barrier word) through a plain
+ * (fn, ctx) handler that borrows its context.
  */
 
 #ifndef WISYNC_WIRELESS_TONE_CHANNEL_HH
 #define WISYNC_WIRELESS_TONE_CHANNEL_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/engine.hh"
@@ -66,11 +67,15 @@ class ToneChannel
     ToneChannel(sim::Engine &engine, std::uint32_t num_nodes,
                 std::uint32_t alloc_slots = 16);
 
-    /** Handler invoked (once per completion) when a barrier releases. */
+    /** Handler invoked as handler(ctx, addr), once per completion,
+     *  when the barrier on addr releases; @p ctx must outlive the
+     *  channel's use of it. */
     void
-    setReleaseHandler(std::function<void(sim::BmAddr)> handler)
+    setReleaseHandler(void (*handler)(void *ctx, sim::BmAddr addr),
+                      void *ctx)
     {
-        releaseHandler_ = std::move(handler);
+        releaseHandler_ = handler;
+        releaseCtx_ = ctx;
     }
 
     /**
@@ -176,7 +181,8 @@ class ToneChannel
     std::vector<std::size_t> activeOrder_;
     std::size_t slotIdx_ = 0;
     bool ticking_ = false;
-    std::function<void(sim::BmAddr)> releaseHandler_;
+    void (*releaseHandler_)(void *, sim::BmAddr) = nullptr;
+    void *releaseCtx_ = nullptr;
     ToneChannelStats stats_;
 };
 

@@ -87,7 +87,10 @@ addThread(core::ThreadCtx &ctx, CasState *st, sim::Addr pool,
         for (;;) {
             const std::uint64_t old = co_await st->head.load(ctx);
             co_await linkNode(ctx, node, old);
-            if (co_await st->head.cas(ctx, old, node)) {
+            // Awaited into a local, not in the if: GCC 12 can lay out
+            // the frame of a co_await in a condition wrongly.
+            const bool swapped = co_await st->head.cas(ctx, old, node);
+            if (swapped) {
                 ++st->successes;
                 break;
             }
@@ -113,13 +116,15 @@ lifoThread(core::ThreadCtx &ctx, CasState *st, sim::Addr pool,
                     pool + (next_node % pool_nodes) * 64;
                 ++next_node;
                 co_await linkNode(ctx, node, old);
-                if (co_await st->head.cas(ctx, old, node)) {
+                const bool swapped = co_await st->head.cas(ctx, old, node);
+                if (swapped) {
                     ++st->successes;
                     break;
                 }
             } else {
                 const std::uint64_t next = co_await ctx.load(old);
-                if (co_await st->head.cas(ctx, old, next)) {
+                const bool swapped = co_await st->head.cas(ctx, old, next);
+                if (swapped) {
                     ++st->successes;
                     break;
                 }
@@ -147,7 +152,8 @@ fifoThread(core::ThreadCtx &ctx, CasState *st, sim::Addr pool,
                 ++next_node;
                 co_await linkNode(ctx, node, 0);
                 const std::uint64_t old = co_await st->tail.load(ctx);
-                if (co_await st->tail.cas(ctx, old, node)) {
+                const bool swapped = co_await st->tail.cas(ctx, old, node);
+                if (swapped) {
                     // Link the predecessor (plain store; see header —
                     // simplified Michael-Scott without helping).
                     if (old != 0)
@@ -169,7 +175,8 @@ fifoThread(core::ThreadCtx &ctx, CasState *st, sim::Addr pool,
                     enqueue = true; // empty: produce instead
                     continue;
                 }
-                if (co_await st->head.cas(ctx, old, next)) {
+                const bool swapped = co_await st->head.cas(ctx, old, next);
+                if (swapped) {
                     ++st->successes;
                     break;
                 }

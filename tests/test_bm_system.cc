@@ -90,8 +90,7 @@ TEST(BmSystem, RemoteReadSeesValueAfterDelivery)
         co_await chip.bm.store(0, kPid, 9, 1234);
     });
     spawnNow(chip.engine, [&]() -> Task<void> {
-        remote = co_await chip.bm.spinUntil(
-            3, kPid, 9, [](std::uint64_t v) { return v != 0; });
+        remote = co_await chip.bm.spinWhile(3, kPid, 9, 0);
     });
     chip.engine.run();
     EXPECT_EQ(remote, 1234u);
@@ -296,8 +295,7 @@ TEST(BmSystem, ToneBarrierReleasesAllNodes)
         // Sense-reversing tone barrier (Fig. 4(c)): sense becomes 1.
         co_await delay(chip.engine, n * 3); // staggered arrivals
         co_await chip.bm.toneStore(n, kPid, bar);
-        co_await chip.bm.spinUntil(n, kPid, bar,
-                                   [](std::uint64_t v) { return v == 1; });
+        co_await chip.bm.spinUntil(n, kPid, bar, 1);
         ++released;
     };
     for (NodeId n = 0; n < kNodes; ++n)
@@ -323,9 +321,7 @@ TEST(BmSystem, ToneBarrierIsReusableWithSenseReversal)
             sense = !sense ? 1 : 0;
             co_await chip.bm.toneStore(n, kPid, bar); // arrival
             progress[n] = i + 1;
-            co_await chip.bm.spinUntil(
-                n, kPid, bar,
-                [sense](std::uint64_t v) { return v == sense; });
+            co_await chip.bm.spinUntil(n, kPid, bar, sense);
             // Release implies every participant arrived at barrier i.
             for (NodeId m = 0; m < kNodes; ++m)
                 EXPECT_GE(progress[m], i + 1) << "barrier violated";
@@ -351,8 +347,7 @@ TEST(BmSystem, SimultaneousFirstArrivalsAreHandled)
     int released = 0;
     auto worker = [&](NodeId n) -> Task<void> {
         co_await chip.bm.toneStore(n, kPid, bar);
-        co_await chip.bm.spinUntil(n, kPid, bar,
-                                   [](std::uint64_t v) { return v == 1; });
+        co_await chip.bm.spinUntil(n, kPid, bar, 1);
         ++released;
     };
     for (NodeId n = 0; n < kNodes; ++n)
@@ -422,9 +417,7 @@ TEST(BmSystem, TokenMacToneBarrierLoopRunsWithoutAllocating)
             sense = !sense ? 1 : 0;
             co_await delay(engine, 5 + n * 3); // staggered arrivals
             co_await bm.toneStore(n, kPid, bar);
-            co_await bm.spinUntil(
-                n, kPid, bar,
-                [sense](std::uint64_t v) { return v == sense; });
+            co_await bm.spinUntil(n, kPid, bar, sense);
         }
     };
     auto round = [&] {

@@ -502,6 +502,14 @@ TEST(BridgeLoss, IdealBridgeDrawsNothing)
     EXPECT_FALSE(clean.lossy());
 }
 
+/** Post a frame whose delivery calls @p deliver, which outlives it. */
+template <typename F>
+void
+postCalling(wisync::noc::ChipBridge &bridge, std::uint32_t bits, F &deliver)
+{
+    bridge.post(bits, [](void *d) { (*static_cast<F *>(d))(); }, &deliver);
+}
+
 TEST(BridgeLoss, AlternatingChainRetryTiming)
 {
     Engine eng;
@@ -522,7 +530,8 @@ TEST(BridgeLoss, AlternatingChainRetryTiming)
     // retransmission starts at 8, serializes 8..10, leaves Bad ->
     // delivers at 10 + 10.
     Cycle arrived = 0;
-    bridge.post(64, [&] { arrived = eng.now(); });
+    auto arrive = [&] { arrived = eng.now(); };
+    postCalling(bridge, 64, arrive);
     eng.run();
     EXPECT_EQ(arrived, 20u);
     EXPECT_EQ(bridge.stats().frames.value(), 1u);
@@ -551,7 +560,8 @@ TEST(BridgeLoss, GiveUpReissuesInsteadOfLosingTheFrame)
     // ack window (4) passes before the give-up re-issues at 6; the
     // re-issue serializes 6..8, leaves Bad -> delivers at 8 + 10.
     Cycle arrived = 0;
-    bridge.post(64, [&] { arrived = eng.now(); });
+    auto arrive = [&] { arrived = eng.now(); };
+    postCalling(bridge, 64, arrive);
     eng.run();
     EXPECT_EQ(arrived, 18u);
     EXPECT_EQ(bridge.stats().drops.value(), 1u);
@@ -572,7 +582,8 @@ TEST(BridgeLoss, EveryPostedFrameEventuallyDelivers)
     bridge.setRng(Rng(99));
     int delivered = 0;
     for (int i = 0; i < 50; ++i)
-        bridge.post(64, [&] { ++delivered; });
+        bridge.post(
+            64, [](void *n) { ++*static_cast<int *>(n); }, &delivered);
     eng.run();
     // Never silently lost: give-ups re-issue until the link delivers.
     EXPECT_EQ(delivered, 50);
@@ -587,7 +598,7 @@ TEST(BridgeLoss, ResetRecyclesInFlightStateAndChain)
     cfg.burst = alternatingChain();
     ChipBridge bridge(eng, cfg);
     bridge.setRng(Rng(3));
-    bridge.post(64, [] {});
+    bridge.post(64, [](void *) {}, nullptr);
     // Mid-flight (the first attempt dropped, retry pending): reset.
     eng.run(1);
     EXPECT_TRUE(bridge.burstBad());
@@ -598,7 +609,8 @@ TEST(BridgeLoss, ResetRecyclesInFlightStateAndChain)
     EXPECT_EQ(bridge.stats().frames.value(), 0u);
     // The recycled pool serves the next generation identically.
     Cycle arrived = 0;
-    bridge.post(64, [&] { arrived = eng.now(); });
+    auto arrive = [&] { arrived = eng.now(); };
+    postCalling(bridge, 64, arrive);
     eng.run();
     EXPECT_GT(arrived, 0u);
     EXPECT_TRUE(bridge.dropAccountingConsistent());

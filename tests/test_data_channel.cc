@@ -21,7 +21,6 @@ using wisync::coro::spawnNow;
 using wisync::coro::Task;
 using wisync::sim::Cycle;
 using wisync::sim::Engine;
-using wisync::sim::UniqueFunction;
 using wisync::wireless::BrsMac;
 using wisync::wireless::DataChannel;
 using wisync::wireless::Mac;
@@ -163,10 +162,10 @@ TEST(DataChannel, AbortedSendNeverDelivers)
     Net net(2);
     bool delivered = false;
     bool abort_now = true;
-    std::function<bool()> abort = [&] { return abort_now; };
     spawnNow(net.engine, [&]() -> Task<void> {
-        co_await net.macs[0]->send(false, [&] { delivered = true; },
-                                   &abort);
+        co_await net.macs[0]->send(
+            false, [&] { delivered = true; },
+            [](void *a) { return *static_cast<bool *>(a); }, &abort_now);
     });
     net.engine.run();
     EXPECT_FALSE(delivered);

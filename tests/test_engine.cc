@@ -7,8 +7,8 @@
  * populated, the coroutine resume fast path, and the level-0 segment
  * pool: bursts reuse recycled segments across buckets, and a
  * same-cycle reserved splice lands in order across a segment boundary.
- * The event slot: small callables stay inline, larger ones cost one
- * box, and dropped boxes are freed exactly once.
+ * The event slot: every callable is stored inline and allocates
+ * nothing, and events dropped by reset() or teardown never run.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -145,11 +146,16 @@ TEST(Engine, StopMidCycleKeepsSameCycleEventsPending)
 {
     Engine eng;
     std::vector<int> order;
+    struct
+    {
+        Engine &eng;
+        std::vector<int> &order;
+    } ctx{eng, order};
     for (int i = 0; i < 4; ++i) {
-        eng.schedule(5, [&order, &eng, i] {
-            order.push_back(i);
+        eng.schedule(5, [c = &ctx, i] {
+            c->order.push_back(i);
             if (i == 1)
-                eng.stop();
+                c->eng.stop();
         });
     }
     // Stopped after the second event: two same-cycle events pending.
@@ -269,10 +275,10 @@ TEST(Engine, TierCountersClassifyInsertions)
     EXPECT_EQ(ts.cascades, 2u); // each far event moves to level 0 once
 }
 
-/** Every way to schedule an event (a lambda, a prebuilt
- *  UniqueFunction, an absolute cycle, a resumed coroutine handle), at
- *  deltas on both sides of every tier boundary, interleaved: execution
- *  is exactly (cycle, insertion) order. */
+/** Every way to schedule an event (a lambda, a (fn, ctx) waiter, an
+ *  absolute cycle, a resumed coroutine handle), at deltas on both
+ *  sides of every tier boundary, interleaved: execution is exactly
+ *  (cycle, insertion) order. */
 TEST(Engine, EverySchedulingFormRunsInCycleInsertionOrder)
 {
     struct Rec
@@ -281,48 +287,63 @@ TEST(Engine, EverySchedulingFormRunsInCycleInsertionOrder)
         int id;
         bool operator==(const Rec &) const = default;
     };
-    Engine eng;
-    std::vector<wisync::coro::Task<void>> frames;
-    std::vector<Rec> ran;
-    std::vector<Rec> expected;
-    int next_id = 0;
+    /** What the events touch: each captures a reference to it. */
+    struct Script
+    {
+        Engine eng;
+        std::vector<wisync::coro::Task<void>> frames;
+        std::vector<Rec> ran;
+        std::vector<Rec> expected;
+        /** The contexts of the (fn, ctx) events. */
+        std::deque<std::pair<Script *, int>> waiting;
+        int next_id = 0;
+    } sc;
     // Issued from inside an event at cycle 7, so the window is offset.
-    eng.schedule(7, [&] {
+    sc.eng.schedule(7, [&sc] {
         for (const Cycle delta : {Cycle{0}, Cycle{1}, Cycle{255},
                                   Cycle{256}, Cycle{1000}}) {
             for (int kind = 0; kind < 4; ++kind) {
-                const int id = next_id++;
-                const Cycle when = eng.now() + delta;
-                expected.push_back(Rec{when, id});
-                auto rec = [&ran, &eng, id] {
-                    ran.push_back(Rec{eng.now(), id});
+                const int id = sc.next_id++;
+                const Cycle when = sc.eng.now() + delta;
+                sc.expected.push_back(Rec{when, id});
+                auto rec = [&sc, id] {
+                    sc.ran.push_back(Rec{sc.eng.now(), id});
                 };
                 if (kind == 0) {
-                    eng.scheduleIn(delta, rec);
+                    sc.eng.scheduleIn(delta, rec);
                 } else if (kind == 1) {
-                    eng.scheduleIn(delta, wisync::sim::UniqueFunction(rec));
+                    sc.waiting.emplace_back(&sc, id);
+                    sc.eng.scheduleIn(
+                        delta, wisync::coro::detail::Waiter{
+                                   &sc.waiting.back(), [](void *w) {
+                                       const auto [script, i] = *static_cast<
+                                           std::pair<Script *, int> *>(w);
+                                       script->ran.push_back(
+                                           Rec{script->eng.now(), i});
+                                   }});
                 } else if (kind == 2) {
-                    eng.schedule(when, rec);
+                    sc.eng.schedule(when, rec);
                 } else {
                     // A suspended frame, resumed by the engine.
-                    frames.push_back(
+                    sc.frames.push_back(
                         [](auto r) -> wisync::coro::Task<void> {
                             r();
                             co_return;
                         }(rec));
-                    eng.resumeHandle(delta, frames.back().continueInto(
-                                                std::noop_coroutine()));
+                    sc.eng.resumeHandle(delta,
+                                        sc.frames.back().continueInto(
+                                            std::noop_coroutine()));
                 }
             }
         }
     });
-    ASSERT_TRUE(eng.run());
-    std::stable_sort(expected.begin(), expected.end(),
+    ASSERT_TRUE(sc.eng.run());
+    std::stable_sort(sc.expected.begin(), sc.expected.end(),
                      [](const Rec &a, const Rec &b) {
                          return a.when < b.when;
                      });
-    EXPECT_EQ(ran, expected);
-    EXPECT_EQ(eng.now(), 1007u);
+    EXPECT_EQ(sc.ran, sc.expected);
+    EXPECT_EQ(sc.eng.now(), 1007u);
 }
 
 /** The dominant model pattern: deltas under the level-0 window
@@ -475,12 +496,19 @@ TEST(Engine, SameCycleReservedSpliceCrossesSegmentBoundary)
         Engine eng;
         std::vector<int> order;
         std::uint64_t reserved = 0;
+        struct
+        {
+            Engine &eng;
+            std::vector<int> &order;
+            std::uint64_t &reserved;
+            int splicer;
+        } ctx{eng, order, reserved, splicer};
         auto add = [&](int id) {
-            eng.schedule(5, [&, id] {
-                order.push_back(id);
-                if (id == splicer)
-                    eng.scheduleReserved(5, reserved, [&] {
-                        order.push_back(-1);
+            eng.schedule(5, [c = &ctx, id] {
+                c->order.push_back(id);
+                if (id == c->splicer)
+                    c->eng.scheduleReserved(5, c->reserved, [c] {
+                        c->order.push_back(-1);
                     });
             });
         };
@@ -507,14 +535,20 @@ TEST(Engine, StopInsideSplicedBucketKeepsRemainderPending)
     Engine eng;
     std::vector<int> order;
     std::uint64_t reserved = 0;
+    struct
+    {
+        Engine &eng;
+        std::vector<int> &order;
+        std::uint64_t &reserved;
+    } ctx{eng, order, reserved};
     for (int id = 0; id < 50; ++id)
-        eng.schedule(9, [&, id] {
-            order.push_back(id);
+        eng.schedule(9, [c = &ctx, id] {
+            c->order.push_back(id);
             if (id == 2)
-                eng.scheduleReserved(9, reserved,
-                                     [&] { order.push_back(-1); });
+                c->eng.scheduleReserved(9, c->reserved,
+                                        [c] { c->order.push_back(-1); });
             if (id == 20)
-                eng.stop();
+                c->eng.stop();
         });
     reserved = eng.reserveSeq();
     EXPECT_FALSE(eng.run());
@@ -537,14 +571,21 @@ TEST(Engine, TierCountersAddUpWithSameCycleSplices)
     auto filed = [&] { return ts.ready + ts.calendar + ts.heap; };
     std::uint64_t reserved = 0;
     int spliced = 0;
+    struct
+    {
+        Engine &eng;
+        std::uint64_t &reserved;
+        int &spliced;
+    } ctx{eng, reserved, spliced};
     for (int id = 0; id < 3; ++id)
-        eng.schedule(5, [&, id] {
+        eng.schedule(5, [c = &ctx, id] {
             if (id == 0) {
-                eng.scheduleReserved(5, reserved, [&] { ++spliced; });
-                eng.scheduleIn(0, [] {}); // ready ring
+                c->eng.scheduleReserved(5, c->reserved,
+                                        [c] { ++c->spliced; });
+                c->eng.scheduleIn(0, [] {}); // ready ring
             }
             if (id == 2)
-                eng.stop();
+                c->eng.stop();
         });
     reserved = eng.reserveSeq();
     eng.schedule(5, [] {});
@@ -563,13 +604,14 @@ TEST(Engine, TierCountersAddUpWithSameCycleSplices)
     EXPECT_EQ(filed(), 7u);
 }
 
-// --- event slot: inline callables, boxes --------------------------------
+// --- event slot: inline callables ---------------------------------------
 
 TEST(EngineSlot, SmallTriviallyCopyableCallablesNeverAllocate)
 {
     // 8- and 16-byte callables and coroutine resumes are stored in the
     // slot itself: once the tiers' pools are warm, scheduling them in
-    // any tier touches no heap. Anything else costs exactly one box.
+    // any tier touches no heap. (makeSlot rejects any other callable
+    // at compile time.)
     Engine eng;
     int hits = 0;
     int *p = &hits;
@@ -586,83 +628,57 @@ TEST(EngineSlot, SmallTriviallyCopyableCallablesNeverAllocate)
     round();
     EXPECT_EQ(wisync::sim::heapAllocs(), before);
     EXPECT_EQ(hits, 2 * 12);
-
-    struct Wide
-    {
-        int *p;
-        std::uint64_t a, b;
-        void operator()() const { *p += static_cast<int>(a + b); }
-    };
-    static_assert(sizeof(Wide) > Engine::kInlinePayload);
-    before = wisync::sim::heapAllocs();
-    eng.scheduleIn(3, Wide{p, 1, 2});
-    eng.scheduleIn(3, wisync::sim::UniqueFunction([p] { ++*p; }));
-    EXPECT_EQ(wisync::sim::heapAllocs(), before + 2);
-    ASSERT_TRUE(eng.run());
-    EXPECT_EQ(hits, 2 * 12 + 4);
 }
 
-/** Owns one count in @p live while it exists: a callable holding one
- *  is boxed (not trivially copyable), and live returns to zero only if
- *  every box is destroyed, and destroyed once. */
-struct Token
-{
-    explicit Token(int *l) : live(l) { ++*live; }
-    Token(Token &&o) noexcept : live(std::exchange(o.live, nullptr)) {}
-    Token &operator=(Token &&) = delete;
-    ~Token()
-    {
-        if (live != nullptr)
-            --*live;
-    }
-    int *live;
-};
-
 /**
- * Boxed events pending in every tier: the ready ring, the drain
+ * Inline events pending in every tier: the ready ring, the drain
  * cursor of a stopped bucket (or, after a same-cycle reserved splice,
- * staged_), a later level-0 bucket and the far heap. Dropping them,
- * by reset() or by the engine's destructor, frees each box once and
- * runs none of them.
+ * staged_), a later level-0 bucket and the far heap. reset() and the
+ * engine's destructor forget them all and run none of them, and a
+ * reset engine runs the next script normally.
  */
-TEST(EngineSlot, DroppedBoxedEventsAreFreedExactlyOnce)
+TEST(EngineSlot, DroppedInlineEventsNeverRun)
 {
     for (const bool splice : {false, true}) {
         for (const bool teardown : {false, true}) {
-            int live = 0;
             int ran = 0;
-            auto boxed = [&] {
-                return [t = Token(&live), &ran] { ++ran; };
-            };
+            int *r = &ran;
             auto eng = std::make_unique<Engine>();
-            eng->schedule(10, [&] {
+            Engine *e = eng.get();
+            e->schedule(10, [e, splice] {
                 if (splice)
-                    eng->scheduleReserved(10, eng->reserveSeq(), boxed());
-                eng->scheduleIn(0, boxed()); // ready ring
-                eng->stop();
+                    e->scheduleReserved(10, e->reserveSeq(), [] {
+                        ADD_FAILURE() << "a dropped splice ran";
+                    });
+                e->scheduleIn(0, [] {
+                    ADD_FAILURE() << "a dropped ring event ran";
+                });
+                e->stop();
             });
             for (int i = 0; i < 40; ++i) // spans two level-0 segments
-                eng->schedule(10, boxed());
-            eng->schedule(100, boxed());  // level 0
-            eng->schedule(5000, boxed()); // far heap
-            ASSERT_FALSE(eng->run());
-            ASSERT_EQ(eng->now(), 10u);
-            EXPECT_EQ(live, splice ? 44 : 43);
-            EXPECT_EQ(eng->pendingEvents(), static_cast<std::size_t>(live));
+                e->schedule(10, [r] { ++*r; });
+            e->schedule(100, [r] { ++*r; });  // level 0
+            e->schedule(5000, [r] { ++*r; }); // far heap
+            ASSERT_FALSE(e->run());
+            ASSERT_EQ(e->now(), 10u);
+            EXPECT_EQ(e->pendingEvents(), splice ? 44u : 43u);
             if (teardown) {
                 eng.reset();
             } else {
-                eng->reset();
-                EXPECT_EQ(eng->pendingEvents(), 0u);
-                EXPECT_TRUE(eng->run());
+                e->reset();
+                EXPECT_EQ(e->pendingEvents(), 0u);
+                EXPECT_TRUE(e->run());
+                e->schedule(3, [r] { *r += 100; });
+                e->schedule(3000, [r] { *r += 100; });
+                EXPECT_TRUE(e->run());
+                EXPECT_EQ(e->now(), 3000u);
             }
-            EXPECT_EQ(live, 0) << "splice " << splice << " teardown "
-                               << teardown;
-            EXPECT_EQ(ran, 0);
+            // Only the rerun's two events ran.
+            EXPECT_EQ(ran, teardown ? 0 : 200)
+                << "splice " << splice << " teardown " << teardown;
         }
     }
 }
-
 
 using Trace = std::vector<std::pair<int, Cycle>>;
 
@@ -671,8 +687,13 @@ void
 tierScript(Engine &eng, Trace &trace, std::vector<std::size_t> &pending)
 {
     int id = 0;
-    auto log = [&trace, &eng](int i) {
-        return [&trace, &eng, i] { trace.emplace_back(i, eng.now()); };
+    struct
+    {
+        Trace &trace;
+        Engine &eng;
+    } ctx{trace, eng};
+    auto log = [c = &ctx](int i) {
+        return [c, i] { c->trace.emplace_back(i, c->eng.now()); };
     };
     for (Cycle when : {Cycle{0}, Cycle{3}, Cycle{250}, Cycle{255},
                        Cycle{256}, Cycle{300}, Cycle{70'000},

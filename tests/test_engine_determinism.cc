@@ -15,9 +15,9 @@
  * level-0 segments, stopped mid-bucket and resumed, and a bucket whose
  * far-heap arrivals land behind later level-0 insertions.
  *
- * Every event is one of the engine's slot kinds, picked from its id: a
- * callable stored inline, one boxed for its size, one boxed because it
- * is not trivially copyable, or a coroutine resumed by resumeHandle.
+ * Every event is one of the engine's slot shapes, picked from its id: a
+ * 16-byte lambda, an 8-byte functor, a (fn, ctx) waiter whose context
+ * outlives the event, or a coroutine resumed by resumeHandle.
  * Seqs reserved up front are filed later, by scheduleReserved, both at
  * later cycles (level 0 and the far heap, out of seq order) and into
  * the cycle being drained (a same-cycle splice).
@@ -31,11 +31,11 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
 
+#include "coro/primitives.hh"
 #include "sim/engine.hh"
 
 namespace {
@@ -226,10 +226,29 @@ struct Driver
         Splice, ///< file the spliced burst's reserved seq
     };
 
+    /** An event's id and follow-up, kept for the events that carry
+     *  only a pointer to it (deque: addresses stay put). */
+    struct Record
+    {
+        Driver *d;
+        int id;
+        Then then;
+
+        void operator()() const { d->fire(id, then); }
+    };
+    std::deque<Record> records;
+
+    /** An 8-byte functor over a Record. */
+    struct FireRecord
+    {
+        const Record *r;
+        void operator()() const { (*r)(); }
+    };
+
     /**
-     * Hand @p schedule the callable for event @p id, of the slot kind
-     * the id picks: inline (16 bytes), boxed for its size (24 bytes),
-     * or boxed as not trivially copyable.
+     * Hand @p schedule the callable for event @p id, of the slot shape
+     * the id picks: a 16-byte lambda, an 8-byte functor, or a (fn, ctx)
+     * waiter, the last two over a Record.
      */
     template <typename Schedule>
     void
@@ -242,14 +261,15 @@ struct Driver
             schedule([this, id, then] { fire(id, then); });
             break;
           case 1:
-            schedule([this, id, then, pad = std::uint64_t{0}] {
-                fire(id + static_cast<int>(pad), then);
-            });
+            static_assert(sizeof(FireRecord) == 8);
+            records.push_back(Record{this, id, then});
+            schedule(FireRecord{&records.back()});
             break;
           default:
-            schedule([this, owned = std::make_shared<int>(id), then] {
-                fire(*owned, then);
-            });
+            records.push_back(Record{this, id, then});
+            schedule(wisync::coro::detail::Waiter{
+                &records.back(),
+                [](void *r) { (*static_cast<const Record *>(r))(); }});
             break;
         }
     }

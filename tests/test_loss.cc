@@ -395,8 +395,7 @@ TEST(LossBmSystem, SpinnerAlwaysWakesUnderLoss)
         co_await chip.bm.store(0, kPid, 7, 42);
     });
     spawnNow(chip.engine, [&]() -> Task<void> {
-        seen = co_await chip.bm.spinUntil(
-            2, kPid, 7, [](std::uint64_t v) { return v != 0; });
+        seen = co_await chip.bm.spinWhile(2, kPid, 7, 0);
     });
     // A dropped broadcast delivers at no node (all-or-nothing), so the
     // spinner cannot observe a half-written value, and the retry/

@@ -138,8 +138,7 @@ TEST(Machine, ThreadsTalkThroughSharedMemory)
         co_await ctx.store(flag, 7);
     });
     m.spawnThread(1, [&](ThreadCtx &ctx) -> Task<void> {
-        got = co_await ctx.spinUntil(flag,
-                                     [](std::uint64_t v) { return v != 0; });
+        got = co_await ctx.spinWhile(flag, 0);
     });
     EXPECT_TRUE(m.run());
     EXPECT_EQ(got, 7u);
@@ -157,8 +156,7 @@ TEST(Machine, ThreadsTalkThroughBm)
         co_await ctx.bmStore(0, 99);
     });
     m.spawnThread(1, [&](ThreadCtx &ctx) -> Task<void> {
-        got = co_await ctx.bmSpinUntil(
-            0, [](std::uint64_t v) { return v != 0; });
+        got = co_await ctx.bmSpinWhile(0, 0);
     });
     EXPECT_TRUE(m.run());
     EXPECT_EQ(got, 99u);

@@ -292,10 +292,7 @@ TEST(MemSystem, SpinUntilWakesOnWrite)
     std::uint64_t seen = 0;
 
     spawnNow(chip.engine, [&]() -> Task<void> {
-        seen = co_await chip.mem.spinUntil(1, flag,
-                                           [](std::uint64_t v) {
-                                               return v != 0;
-                                           });
+        seen = co_await chip.mem.spinWhile(1, flag, 0);
         woke_at = chip.engine.now();
     });
     spawnNow(chip.engine, [&]() -> Task<void> {
@@ -315,10 +312,7 @@ TEST(MemSystem, SpinUntilImmediateWhenPredicateHolds)
     const Addr flag = 0xA1000;
     std::uint64_t seen = 1;
     spawnNow(chip.engine, [&]() -> Task<void> {
-        seen = co_await chip.mem.spinUntil(2, flag,
-                                           [](std::uint64_t v) {
-                                               return v == 0;
-                                           });
+        seen = co_await chip.mem.spinUntil(2, flag, 0);
     });
     chip.engine.run();
     EXPECT_EQ(seen, 0u);

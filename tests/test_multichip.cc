@@ -77,6 +77,14 @@ TEST(FrequencyPlan, DegenerateInputsClampToOne)
 // ---------------------------------------------------------------------
 // ChipBridge: FIFO serialization + propagation latency.
 
+/** Post a frame whose delivery calls @p deliver, which outlives it. */
+template <typename F>
+void
+postCalling(wisync::noc::ChipBridge &bridge, std::uint32_t bits, F &deliver)
+{
+    bridge.post(bits, [](void *d) { (*static_cast<F *>(d))(); }, &deliver);
+}
+
 TEST(ChipBridge, FrameArrivesAfterSerializationPlusLatency)
 {
     wisync::sim::Engine eng;
@@ -89,7 +97,8 @@ TEST(ChipBridge, FrameArrivesAfterSerializationPlusLatency)
     // 64 payload + 32 header bits over a 64-bit link = 2 cycles of
     // serialization; delivery at 2 + 10.
     wisync::sim::Cycle arrived = 0;
-    bridge.post(64, [&] { arrived = eng.now(); });
+    auto arrive = [&] { arrived = eng.now(); };
+    postCalling(bridge, 64, arrive);
     eng.run();
     EXPECT_EQ(arrived, 12u);
     EXPECT_EQ(bridge.stats().frames.value(), 1u);
@@ -109,8 +118,9 @@ TEST(ChipBridge, BackToBackFramesSerializeFifo)
     // Both posted at cycle 0; each needs (32+32)/32 = 2 cycles on the
     // wire. The second waits for the first: arrivals at 7 and 9.
     std::vector<wisync::sim::Cycle> arrivals;
-    bridge.post(32, [&] { arrivals.push_back(eng.now()); });
-    bridge.post(32, [&] { arrivals.push_back(eng.now()); });
+    auto arrive = [&] { arrivals.push_back(eng.now()); };
+    postCalling(bridge, 32, arrive);
+    postCalling(bridge, 32, arrive);
     EXPECT_EQ(bridge.nextFree(), 4u);
     eng.run();
     ASSERT_EQ(arrivals.size(), 2u);
@@ -124,7 +134,7 @@ TEST(ChipBridge, ResetIdlesTheLinkAndZeroesStats)
 {
     wisync::sim::Engine eng;
     wisync::noc::ChipBridge bridge(eng, {});
-    bridge.post(64, [] {});
+    bridge.post(64, [](void *) {}, nullptr);
     eng.run();
     EXPECT_GT(bridge.stats().frames.value(), 0u);
     eng.reset();

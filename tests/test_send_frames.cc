@@ -214,6 +214,52 @@ TEST(BmFrames, UncontendedStoreAndRmwMakeOneFrameAndNoAllocation)
     }
 }
 
+/** Under every MAC, the other controller broadcasts allocate nothing
+ *  on a warm system: a bulk store, a tone announcement (with the
+ *  release it leads to), and an allocEntries + deallocEntries pair. */
+TEST(BmFrames, BulkToneAndTagBroadcastsMakeNoAllocation)
+{
+    constexpr BmAddr kBar = 8;
+    for (const MacKind kind : kAllMacs) {
+        SCOPED_TRACE(wisync::wireless::toString(kind));
+        WirelessConfig wcfg;
+        wcfg.macKind = kind;
+        Engine engine;
+        BmSystem bm(engine, 16, BmConfig{}, wcfg, Rng(99));
+        for (BmAddr a = 0; a < 4; ++a)
+            bm.storeArray().setTag(a, 1);
+        bm.storeArray().setTag(kBar, 1);
+        std::vector<bool> armed(16, false);
+        armed[3] = true;
+        ASSERT_TRUE(bm.allocToneBarrier(kBar, armed));
+        std::uint64_t bulk_heap = 9, tone_heap = 9, tag_heap = 9;
+        spawnNow(engine, [&]() -> Task<void> {
+            // Round 0 warms up; round 1 is measured.
+            for (std::uint64_t round = 0; round < 2; ++round) {
+                Meter meter;
+                co_await bm.bulkStore(3, 1, 0, {1, 2, 3, 4});
+                bulk_heap = meter.heap();
+                meter = Meter{};
+                co_await bm.toneStore(3, 1, kBar);
+                co_await bm.spinUntil(3, 1, kBar, 1 - round);
+                tone_heap = meter.heap();
+                meter = Meter{};
+                co_await bm.allocEntries(3, 2, 10, 4);
+                co_await bm.deallocEntries(3, 10, 4);
+                tag_heap = meter.heap();
+            }
+        });
+        ASSERT_TRUE(engine.run());
+        EXPECT_EQ(bulk_heap, 0u);
+        EXPECT_EQ(tone_heap, 0u);
+        EXPECT_EQ(tag_heap, 0u);
+        EXPECT_EQ(bm.storeArray().read(7, 2), 3u);
+        EXPECT_EQ(bm.storeArray().read(7, kBar), 0u);
+        EXPECT_EQ(bm.stats().toneAnnouncements.value(), 2u);
+        EXPECT_EQ(bm.storeArray().tag(10), wisync::bm::kNoPid);
+    }
+}
+
 // ---- A reset while a send waits ---------------------------------------
 
 /** One wait state: the MAC, how to get a send into it, and the probe

@@ -18,6 +18,15 @@ using wisync::sim::Engine;
 using wisync::sim::NodeId;
 using wisync::wireless::ToneChannel;
 
+/** Point @p tone's release handler at @p handler, which outlives it. */
+template <typename F>
+void
+onRelease(ToneChannel &tone, F &handler)
+{
+    tone.setReleaseHandler(
+        [](void *h, BmAddr a) { (*static_cast<F *>(h))(a); }, &handler);
+}
+
 std::vector<bool>
 armedAll(std::uint32_t nodes)
 {
@@ -51,7 +60,8 @@ TEST(ToneChannel, ReleasesWhenAllArmedArrive)
     Engine eng;
     ToneChannel tone(eng, 4);
     std::vector<BmAddr> released;
-    tone.setReleaseHandler([&](BmAddr a) { released.push_back(a); });
+    auto on_release = [&](BmAddr a) { released.push_back(a); };
+    onRelease(tone, on_release);
     tone.alloc(0, armedAll(4));
 
     tone.activate(0);
@@ -75,7 +85,8 @@ TEST(ToneChannel, RepeatedArrivalFromOneNodeCountsOnce)
     Engine eng;
     ToneChannel tone(eng, 3);
     int released = 0;
-    tone.setReleaseHandler([&](BmAddr) { ++released; });
+    auto on_release = [&](BmAddr) { ++released; };
+    onRelease(tone, on_release);
     tone.alloc(0, armedAll(3));
     tone.arrive(0, 0); // pending
     tone.activate(0);
@@ -94,7 +105,8 @@ TEST(ToneChannel, ReleaseWithinOneSlotOfLastArrival)
     Engine eng;
     ToneChannel tone(eng, 4);
     Cycle released_at = 0;
-    tone.setReleaseHandler([&](BmAddr) { released_at = eng.now(); });
+    auto on_release = [&](BmAddr) { released_at = eng.now(); };
+    onRelease(tone, on_release);
     tone.alloc(0, armedAll(4));
     tone.activate(0);
     for (NodeId n = 0; n < 4; ++n)
@@ -110,7 +122,8 @@ TEST(ToneChannel, UnarmedNodesDoNotBlockRelease)
     Engine eng;
     ToneChannel tone(eng, 4);
     int releases = 0;
-    tone.setReleaseHandler([&](BmAddr) { ++releases; });
+    auto on_release = [&](BmAddr) { ++releases; };
+    onRelease(tone, on_release);
     std::vector<bool> armed{true, false, true, false};
     tone.alloc(0, armed);
     tone.activate(0);
@@ -127,7 +140,8 @@ TEST(ToneChannel, ArrivalBeforeActivationIsPending)
     Engine eng;
     ToneChannel tone(eng, 2);
     int releases = 0;
-    tone.setReleaseHandler([&](BmAddr) { ++releases; });
+    auto on_release = [&](BmAddr) { ++releases; };
+    onRelease(tone, on_release);
     tone.alloc(0, armedAll(2));
     tone.arrive(0, 0); // pre-activation arrival
     tone.arrive(0, 1); // pre-activation arrival
@@ -141,7 +155,8 @@ TEST(ToneChannel, RedundantActivationIsIdempotent)
     Engine eng;
     ToneChannel tone(eng, 2);
     int releases = 0;
-    tone.setReleaseHandler([&](BmAddr) { ++releases; });
+    auto on_release = [&](BmAddr) { ++releases; };
+    onRelease(tone, on_release);
     tone.alloc(0, armedAll(2));
     tone.activate(0);
     tone.activate(0); // several nodes thought they were first
@@ -157,7 +172,8 @@ TEST(ToneChannel, BarrierIsReusableAfterRelease)
     Engine eng;
     ToneChannel tone(eng, 2);
     int releases = 0;
-    tone.setReleaseHandler([&](BmAddr) { ++releases; });
+    auto on_release = [&](BmAddr) { ++releases; };
+    onRelease(tone, on_release);
     tone.alloc(0, armedAll(2));
     for (int iter = 0; iter < 3; ++iter) {
         tone.activate(0);
@@ -173,8 +189,10 @@ TEST(ToneChannel, ConcurrentBarriersShareSlotsRoundRobin)
     Engine eng;
     ToneChannel tone(eng, 4);
     std::vector<std::pair<BmAddr, Cycle>> released;
-    tone.setReleaseHandler(
-        [&](BmAddr a) { released.emplace_back(a, eng.now()); });
+    auto on_release = [&](BmAddr a) {
+        released.emplace_back(a, eng.now());
+    };
+    onRelease(tone, on_release);
     // Barrier A on nodes {0,1}; barrier B on nodes {2,3}.
     tone.alloc(0, std::vector<bool>{true, true, false, false});
     tone.alloc(8, std::vector<bool>{false, false, true, true});
@@ -200,7 +218,8 @@ TEST(ToneChannel, SlowerDetectionWithManyActiveBarriers)
     Engine eng;
     ToneChannel tone(eng, 8, 8);
     std::vector<Cycle> released_at;
-    tone.setReleaseHandler([&](BmAddr) { released_at.push_back(eng.now()); });
+    auto on_release = [&](BmAddr) { released_at.push_back(eng.now()); };
+    onRelease(tone, on_release);
     // 4 single-node barriers keep the channel multiplexed...
     for (std::uint32_t b = 0; b < 4; ++b) {
         std::vector<bool> armed(8, false);
@@ -221,7 +240,8 @@ TEST(ToneChannel, TickerStopsWhenIdle)
 {
     Engine eng;
     ToneChannel tone(eng, 2);
-    tone.setReleaseHandler([](BmAddr) {});
+    auto on_release = [](BmAddr) {};
+    onRelease(tone, on_release);
     tone.alloc(0, armedAll(2));
     tone.activate(0);
     tone.arrive(0, 0);
