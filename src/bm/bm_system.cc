@@ -16,7 +16,7 @@ BmSystem::BmSystem(sim::Engine &engine, std::uint32_t num_nodes,
     rebuildChipTopology(wcfg, bridge_cfg, num_chips);
     bindMacs(rng);
     toneEnabled_ = with_tone;
-    pendingRmw_.resize(numNodes_);
+    clearPendingRmws();
     configureLoss(wcfg);
 }
 
@@ -140,7 +140,7 @@ BmSystem::reset(const BmConfig &cfg, const wireless::WirelessConfig &wcfg,
     }
     bindMacs(rng);
     toneEnabled_ = with_tone;
-    pendingRmw_.assign(numNodes_, PendingRmw{});
+    clearPendingRmws();
     stats_.reset();
     configureLoss(wcfg);
 }
@@ -261,9 +261,10 @@ BmSystem::deliverStore(sim::NodeId src, sim::BmAddr addr,
     }
     // AFB: an incoming store that hits the address window of another
     // node's pending RMW breaks that RMW's atomicity (§4.2.1).
-    for (sim::NodeId n = first; n < first + coresPerChip_; ++n) {
+    for (std::uint32_t i = 0; i < armedCount_[chip]; ++i) {
+        const sim::NodeId n = armed_[first + i];
         PendingRmw &p = pendingRmw_[n];
-        if (p.active && n != src && p.addr >= addr && p.addr < addr + count)
+        if (n != src && p.addr >= addr && p.addr < addr + count)
             p.afb = true;
     }
     if (frame != nullptr) {
@@ -297,9 +298,9 @@ BmSystem::applyBridged(BridgeFrame *frame)
             // The bridged commit breaks pending RMWs on this chip
             // exactly like a same-chip delivery would (§4.2.1,
             // extended machine-wide).
-            for (sim::NodeId n = first; n < first + coresPerChip_; ++n) {
-                PendingRmw &p = pendingRmw_[n];
-                if (p.active && p.addr == a)
+            for (std::uint32_t k = 0; k < armedCount_[chip]; ++k) {
+                PendingRmw &p = pendingRmw_[armed_[first + k]];
+                if (p.addr == a)
                     p.afb = true;
             }
         }
@@ -414,6 +415,37 @@ BmSystem::bulkStore(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
         cfg_.bmRtCycles);
 }
 
+void
+BmSystem::clearPendingRmws()
+{
+    pendingRmw_.assign(numNodes_, PendingRmw{});
+    armed_.assign(numNodes_, 0);
+    armedCount_.assign(numChips_, 0);
+}
+
+void
+BmSystem::armRmw(sim::NodeId node, sim::BmAddr addr)
+{
+    PendingRmw &p = pendingRmw_[node];
+    WISYNC_ASSERT(!p.active, "one outstanding RMW per node");
+    const std::uint32_t chip = chipOf(node);
+    const std::uint32_t slot = chip * coresPerChip_ + armedCount_[chip]++;
+    armed_[slot] = node;
+    p = PendingRmw{true, addr, false, slot};
+}
+
+void
+BmSystem::disarmRmw(sim::NodeId node)
+{
+    PendingRmw &p = pendingRmw_[node];
+    p.active = false;
+    // Fill the hole with the chip's last armed node.
+    const std::uint32_t chip = chipOf(node);
+    const std::uint32_t last = chip * coresPerChip_ + --armedCount_[chip];
+    armed_[p.slot] = armed_[last];
+    pendingRmw_[armed_[last]].slot = p.slot;
+}
+
 coro::Task<RmwResult>
 BmSystem::rmw(sim::NodeId node, sim::Pid pid, sim::BmAddr addr, RmwOp op,
               std::uint64_t operand, std::uint64_t desired)
@@ -422,8 +454,7 @@ BmSystem::rmw(sim::NodeId node, sim::Pid pid, sim::BmAddr addr, RmwOp op,
     stats_.rmws.inc();
     co_await coro::delay(engine_, cfg_.bmRtCycles); // local BM read
     PendingRmw &p = pendingRmw_[node];
-    WISYNC_ASSERT(!p.active, "one outstanding RMW per node");
-    p = PendingRmw{true, addr, false};
+    armRmw(node, addr);
     RmwResult r;
     r.oldValue = store_.read(node, addr);
     co_await coro::delay(engine_, cfg_.rmwModifyCycles); // pipeline modify
@@ -441,7 +472,7 @@ BmSystem::rmw(sim::NodeId node, sim::Pid pid, sim::BmAddr addr, RmwOp op,
     if (!r.compared) {
         // Comparison failed: no write is attempted (Fig. 4(b) retries
         // straight away without consulting AFB).
-        p.active = false;
+        disarmRmw(node);
         co_return r;
     }
     auto commit = [this, node, addr, desired] {
@@ -453,7 +484,7 @@ BmSystem::rmw(sim::NodeId node, sim::Pid pid, sim::BmAddr addr, RmwOp op,
     // never occurred, the instruction completes, software retries
     // (Fig. 4(a)) — identical observable semantics, no new hang path.
     r.atomicityFailed = p.afb || sent == wireless::SendOutcome::GaveUp;
-    p.active = false;
+    disarmRmw(node);
     if (r.atomicityFailed)
         stats_.afbFailures.inc();
     else

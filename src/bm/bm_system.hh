@@ -440,6 +440,8 @@ class BmSystem
         bool active = false;
         sim::BmAddr addr = 0;
         bool afb = false;
+        /** Its node's index in armed_ while active. */
+        std::uint32_t slot = 0;
 
         /** The RMW's abort test (Mac::send): AFB was raised. */
         static bool
@@ -554,6 +556,20 @@ class BmSystem
     std::vector<BridgeFrame *> freeFrames_;
     bool toneEnabled_ = true;
     std::vector<PendingRmw> pendingRmw_; // per node
+    /**
+     * Per chip, the nodes whose PendingRmw is active, in no particular
+     * order (a BM write only sets flags on them): chip c's list is
+     * armed_[c * coresPerChip_ ...] with armedCount_[c] entries.
+     */
+    std::vector<sim::NodeId> armed_;
+    std::vector<std::uint32_t> armedCount_;
+
+    /** No RMW pending anywhere (construction and reset). */
+    void clearPendingRmws();
+    /** Open @p node's RMW window on @p addr. */
+    void armRmw(sim::NodeId node, sim::BmAddr addr);
+    /** Close @p node's RMW window. */
+    void disarmRmw(sim::NodeId node);
     BmStats stats_;
 };
 

@@ -36,7 +36,8 @@ MemSystem::MemSystem(sim::Engine &engine, noc::Mesh &mesh, Memory &memory,
     : engine_(engine), mesh_(mesh), memory_(memory), numNodes_(num_nodes),
       cfg_(cfg),
       lineShift_(static_cast<std::uint32_t>(std::countr_zero(cfg.lineBytes))),
-      nodes_(num_nodes), memCtrls_(cfg.numMemCtrls), watches_(engine)
+      nodes_(num_nodes), memCtrls_(cfg.numMemCtrls), watches_(engine),
+      fills_(num_nodes, nullptr)
 {
     WISYNC_ASSERT(cfg_.l1RtCycles > 0, "the L1 round trip needs a cycle");
     l1s_.reserve(numNodes_);
@@ -73,6 +74,8 @@ MemSystem::reset(const MemConfig &cfg)
     for (auto &ctrl : dramCtrls_)
         ctrl->reset();
     watches_.reset(); // recycles events instead of freeing them
+    // The fills' frames died with the engine reset.
+    std::fill(fills_.begin(), fills_.end(), nullptr);
     stats_.reset();
 }
 
@@ -126,12 +129,34 @@ MemSystem::watch(sim::NodeId node, sim::Addr line)
 }
 
 void
+MemSystem::armFill(sim::NodeId node, PendingFill &fill)
+{
+    fill.next = fills_[node];
+    fills_[node] = &fill;
+}
+
+bool
+MemSystem::disarmFill(sim::NodeId node, PendingFill &fill)
+{
+    PendingFill **at = &fills_[node];
+    while (*at != &fill)
+        at = &(*at)->next;
+    *at = fill.next;
+    return !fill.killed;
+}
+
+void
 MemSystem::invalidateL1(sim::NodeId node, sim::Addr line)
 {
     if (CacheLine *cl = l1s_[node].peek(line); cl && cl->valid())
         cl->state = CohState::Invalid;
-    // Every generation snapshot goes through watch(), which creates the
-    // event first: an invalidation that finds none has no observer.
+    for (PendingFill *f = fills_[node]; f != nullptr; f = f->next) {
+        if (f->line == line)
+            f->killed = true;
+    }
+    // Every spinner's generation snapshot goes through watch(), which
+    // creates the event first: an invalidation that finds none has no
+    // observer.
     if (coro::VersionedEvent *ev = watches_.find(watchKey(node, line)))
         ev->raise();
 }
@@ -311,21 +336,21 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
         // Exclusive grant), the home updates the sharer list and
         // releases the MSHR before the data leg, so a herd of readers
         // is serviced at lookup rate instead of round-trip rate — as
-        // a non-blocking directory does. A racing invalidation is
-        // detected via the watch generation: the late-arriving data
-        // is then not installed (the copy was already invalidated in
-        // flight).
+        // a non-blocking directory does. A racing invalidation kills
+        // the pending fill: the late-arriving data is then not
+        // installed (the copy was already invalidated in flight).
+        PendingFill fill{line};
         if (e.owner != sim::kNoNode && e.owner != node) {
             const sim::NodeId owner = e.owner;
             CacheLine *oc = l1s_[owner].peek(line);
             if (oc && oc->state == CohState::Owned) {
                 sharerSet(e, node, true);
-                const std::uint64_t gen = watch(node, line).gen();
+                armFill(node, fill);
                 e.busy.unlock();
                 co_await mesh_.send(home, owner, cfg_.ctrlBits);
                 co_await coro::delay(engine_, cfg_.l1RtCycles);
                 co_await mesh_.send(owner, node, cfg_.dataBits);
-                if (watch(node, line).gen() == gen)
+                if (disarmFill(node, fill))
                     installL1(node, line, CohState::Shared);
                 commit(op);
                 co_return;
@@ -334,10 +359,10 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
         if (e.owner == sim::kNoNode && e.inL2 &&
             !sharerList(e, node).empty()) {
             sharerSet(e, node, true);
-            const std::uint64_t gen = watch(node, line).gen();
+            armFill(node, fill);
             e.busy.unlock();
             co_await mesh_.send(home, node, cfg_.dataBits);
-            if (watch(node, line).gen() == gen)
+            if (disarmFill(node, fill))
                 installL1(node, line, CohState::Shared);
             commit(op);
             co_return;

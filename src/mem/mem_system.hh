@@ -309,6 +309,10 @@ class MemSystem
     /** Observable L1 state, for white-box tests. */
     CohState l1State(sim::NodeId node, sim::Addr addr);
 
+    /** Whether a pipelined GetS fill of @p node is in flight, for
+     *  white-box tests. */
+    bool fillPending(sim::NodeId node) const { return fills_[node]; }
+
     /**
      * Return to post-construction state, optionally retiming: all
      * caches invalid, directory and spin-watch maps empty, DRAM
@@ -378,7 +382,27 @@ class MemSystem
     /** Per-(node,line) invalidation events for spin. */
     coro::VersionedEvent &watch(sim::NodeId node, sim::Addr line);
 
-    /** Invalidate node's L1 copy (if any) and wake spinners. */
+    /**
+     * A GetS fill whose data leg runs after the home released the line
+     * (fetchLine's pipelined read paths). It lives in the fetchLine
+     * frame, listed on its requesting node; an invalidation of (node,
+     * line) meanwhile kills it, and the late data is then not
+     * installed (the copy was invalidated in flight).
+     */
+    struct PendingFill
+    {
+        sim::Addr line = 0;
+        bool killed = false;
+        PendingFill *next = nullptr;
+    };
+
+    /** List @p fill on @p node until disarmFill. */
+    void armFill(sim::NodeId node, PendingFill &fill);
+    /** Unlist @p fill; true when no invalidation killed it. */
+    bool disarmFill(sim::NodeId node, PendingFill &fill);
+
+    /** Invalidate node's L1 copy (if any), kill its pending fills of
+     *  the line and wake spinners. */
     void invalidateL1(sim::NodeId node, sim::Addr line);
 
     /**
@@ -444,6 +468,8 @@ class MemSystem
     std::vector<Bank> banks_;
     std::vector<std::unique_ptr<coro::Resource>> dramCtrls_;
     coro::WatchTable watches_;
+    /** Per node: the head of its PendingFill list. */
+    std::vector<PendingFill *> fills_;
     MemStats stats_;
 };
 

@@ -1,9 +1,13 @@
 #include "service/cache_store.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <vector>
+
+#include <sys/stat.h>
 
 #include "core/machine_config.hh"
 #include "service/config_codec.hh"
@@ -26,6 +30,35 @@ fnv1a(const char *data, std::size_t n)
     return f.h;
 }
 
+/**
+ * fnv1a() of each of @p ranges into @p out. One range is a single
+ * chain of dependent multiplies; hashing four side by side keeps the
+ * multiplier busy, which is what a file of records allows.
+ */
+void
+fnv1aEach(const std::vector<std::string_view> &ranges, std::uint64_t *out)
+{
+    constexpr std::size_t kLanes = 4;
+    std::size_t i = 0;
+    for (; i + kLanes <= ranges.size(); i += kLanes) {
+        const std::string_view *r = ranges.data() + i;
+        std::size_t common = r[0].size();
+        for (std::size_t l = 1; l < kLanes; ++l)
+            common = std::min(common, r[l].size());
+        sim::Fnv1a f[kLanes];
+        for (std::size_t k = 0; k < common; ++k) {
+            for (std::size_t l = 0; l < kLanes; ++l)
+                f[l].byte(static_cast<unsigned char>(r[l][k]));
+        }
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            f[l].bytes(r[l].data() + common, r[l].size() - common);
+            out[i + l] = f[l].h;
+        }
+    }
+    for (; i < ranges.size(); ++i)
+        out[i] = fnv1a(ranges[i].data(), ranges[i].size());
+}
+
 /** Cheap integrity check over a record's length field alone: when it
  *  holds, the length can be trusted for framing even if the payload
  *  is corrupt, so load() can skip the record and keep reading. */
@@ -35,18 +68,29 @@ frameCheck(std::uint32_t payload_bytes)
     return (payload_bytes * 0x9E3779B9u) ^ 0x57534352u; // "WSCR"
 }
 
+/** Write @p v little-endian over the @p N bytes at @p p. */
+template <std::size_t N, typename T>
+void
+setLe(char *p, T v)
+{
+    for (std::size_t i = 0; i < N; ++i)
+        p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
 void
 putU32(std::string &out, std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    char b[4];
+    setLe<4>(b, v);
+    out.append(b, 4);
 }
 
 void
 putU64(std::string &out, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    char b[8];
+    setLe<8>(b, v);
+    out.append(b, 8);
 }
 
 std::uint32_t
@@ -74,9 +118,9 @@ constexpr std::size_t kRecordHeaderBytes = 16; // len + check + checksum
 constexpr std::size_t kMinPayloadBytes =
     8 + 4 + 2 + 8 * CacheStore::kResultWords;
 
-/** Decode one verified payload; throws on any shape problem (the
- *  caller counts it as a discarded record). */
-void
+/** Decode one verified payload and return its fingerprint; throws on
+ *  any shape problem (the caller counts it as a discarded record). */
+std::uint64_t
 decodePayload(const char *p, std::size_t n, RequestPoint &point,
               workloads::KernelResult &result)
 {
@@ -86,8 +130,7 @@ decodePayload(const char *p, std::size_t n, RequestPoint &point,
     const std::uint32_t jsonBytes = getU32(p + 8);
     if (12 + std::size_t(jsonBytes) + 8 * CacheStore::kResultWords != n)
         throw std::runtime_error("payload length mismatch");
-    const std::string jsonText(p + 12, jsonBytes);
-    const Json doc = Json::parse(jsonText);
+    const Json doc = Json::parse(std::string_view(p + 12, jsonBytes));
     const Json *config = doc.find("config");
     const Json *workload = doc.find("workload");
     if (config == nullptr || workload == nullptr)
@@ -100,6 +143,91 @@ decodePayload(const char *p, std::size_t n, RequestPoint &point,
     for (std::size_t i = 0; i < words.size(); ++i)
         words[i] = getU64(p + 12 + jsonBytes + 8 * i);
     result = workloads::fromCounterWords(words);
+    return fp;
+}
+
+/** The whole of @p path in one buffer of the file's size. */
+bool
+readFile(const std::string &path, std::string &out)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        return false;
+    struct stat st;
+    const std::size_t size =
+        fstat(fileno(f), &st) == 0 && st.st_size > 0 ? st.st_size : 0;
+    // One byte of room past the size, so an unchanged file ends the
+    // first read short; a file that grew meanwhile is read to its end.
+    out.resize(size + 1);
+    std::size_t got = 0;
+    while ((got += std::fread(out.data() + got, 1, out.size() - got, f)) ==
+           out.size())
+        out.resize(2 * out.size());
+    out.resize(got);
+    std::fclose(f);
+    return true;
+}
+
+/**
+ * Append the record of @p point (whose fingerprint the caller has) to
+ * @p out, all but its checksum (see seal()); returns the record's
+ * offset.
+ */
+std::size_t
+appendUnsealed(const RequestPoint &point, std::uint64_t fingerprint,
+               const workloads::KernelResult &result, std::string &out)
+{
+    // The record header and the JSON length are written once their
+    // values are known, over placeholders.
+    const std::size_t record = out.size();
+    out.append(kRecordHeaderBytes, '\0');
+    const std::size_t payload = out.size();
+    putU64(out, fingerprint);
+    putU32(out, 0);
+    ConfigCodec::serialize(point, out);
+    const std::size_t json_bytes = out.size() - payload - 12;
+    for (const std::uint64_t word : workloads::toCounterWords(result))
+        putU64(out, word);
+
+    const auto len = static_cast<std::uint32_t>(out.size() - payload);
+    char *p = out.data();
+    setLe<4>(p + payload + 8, static_cast<std::uint32_t>(json_bytes));
+    setLe<4>(p + record, len);
+    setLe<4>(p + record + 4, frameCheck(len));
+    return record;
+}
+
+/** The payload of the record at @p record of @p data. */
+std::string_view
+payloadAt(std::string_view data, std::size_t record)
+{
+    return data.substr(record + kRecordHeaderBytes,
+                       getU32(data.data() + record));
+}
+
+/** Append the whole record of @p point to @p out. */
+void
+appendRecord(const RequestPoint &point,
+             const workloads::KernelResult &result, std::string &out)
+{
+    const std::size_t record =
+        appendUnsealed(point, point.fingerprint(), result, out);
+    const std::string_view payload = payloadAt(out, record);
+    setLe<8>(out.data() + record + 8, fnv1a(payload.data(), payload.size()));
+}
+
+/** Write the checksum of every record at @p records of @p out. */
+void
+seal(std::string &out, const std::vector<std::size_t> &records)
+{
+    std::vector<std::string_view> payloads;
+    payloads.reserve(records.size());
+    for (const std::size_t r : records)
+        payloads.push_back(payloadAt(out, r));
+    std::vector<std::uint64_t> sums(records.size());
+    fnv1aEach(payloads, sums.data());
+    for (std::size_t i = 0; i < records.size(); ++i)
+        setLe<8>(out.data() + records[i] + 8, sums[i]);
 }
 
 } // namespace
@@ -167,19 +295,8 @@ std::string
 CacheStore::encodeRecord(const RequestPoint &point,
                          const workloads::KernelResult &result)
 {
-    std::string payload;
-    putU64(payload, point.fingerprint());
-    const std::string json = ConfigCodec::serialize(point);
-    putU32(payload, static_cast<std::uint32_t>(json.size()));
-    payload += json;
-    for (const std::uint64_t word : workloads::toCounterWords(result))
-        putU64(payload, word);
-
     std::string out;
-    putU32(out, static_cast<std::uint32_t>(payload.size()));
-    putU32(out, frameCheck(static_cast<std::uint32_t>(payload.size())));
-    putU64(out, fnv1a(payload.data(), payload.size()));
-    out += payload;
+    appendRecord(point, result, out);
     return out;
 }
 
@@ -188,13 +305,22 @@ CacheStore::save(const ResultCache &cache, const std::string &path,
                  std::string *error)
 {
     std::string out = encodeHeader();
+    std::vector<std::size_t> records;
+    records.reserve(cache.size());
     // LRU-first: replaying the file front-to-back re-inserts entries
     // in recency order, leaving the most recent one MRU again.
-    cache.visitLruToMru(
-        [&](const RequestPoint &point,
-            const workloads::KernelResult &result) {
-            out += encodeRecord(point, result);
-        });
+    cache.visitLruToMru([&](const RequestPoint &point,
+                            std::uint64_t fingerprint,
+                            const workloads::KernelResult &result) {
+        records.push_back(appendUnsealed(point, fingerprint, result, out));
+        if (records.size() == 1) {
+            // Size the buffer once from the first record: canonical
+            // records differ by a few digits.
+            const std::size_t bytes = out.size() - kHeaderBytes;
+            out.reserve(kHeaderBytes + cache.size() * (bytes + bytes / 4));
+        }
+    });
+    seal(out, records);
     return writeFileAtomic(path, out, error);
 }
 
@@ -203,15 +329,9 @@ CacheStore::load(ResultCache &cache, const std::string &path)
 {
     LoadStats stats;
     std::string data;
-    {
-        std::ifstream f(path, std::ios::binary);
-        if (!f) {
-            stats.error = "cannot open " + path;
-            return stats;
-        }
-        std::ostringstream ss;
-        ss << f.rdbuf();
-        data = ss.str();
+    if (!readFile(path, data)) {
+        stats.error = "cannot open " + path;
+        return stats;
     }
     stats.fileFound = true;
 
@@ -230,37 +350,43 @@ CacheStore::load(ResultCache &cache, const std::string &path)
         return stats;
     }
 
-    std::size_t pos = kHeaderBytes;
+    // Frame every whole record first, up to the first framing problem
+    // (the end of what can be salvaged), then check their checksums
+    // together and replay them in file order.
+    std::vector<std::size_t> records;
+    const char *tail = nullptr;
+    for (std::size_t pos = kHeaderBytes; pos < data.size() && !tail;) {
+        if (data.size() - pos < kRecordHeaderBytes) {
+            // Partial record header: a killed appender's tail.
+            tail = "truncated record header";
+            break;
+        }
+        const std::uint32_t len = getU32(data.data() + pos);
+        if (getU32(data.data() + pos + 4) != frameCheck(len)) {
+            // The length itself is untrustworthy: framing is lost, so
+            // everything from here on is one opaque blob.
+            tail = "corrupt record framing";
+        } else if (len < kMinPayloadBytes ||
+                   data.size() - pos - kRecordHeaderBytes < len) {
+            tail = "record runs past end of file";
+        } else {
+            records.push_back(pos);
+            pos += kRecordHeaderBytes + len;
+        }
+    }
+    std::vector<std::string_view> payloads;
+    payloads.reserve(records.size());
+    for (const std::size_t r : records)
+        payloads.push_back(payloadAt(data, r));
+    std::vector<std::uint64_t> sums(records.size());
+    fnv1aEach(payloads, sums.data());
+
     auto firstError = [&](const std::string &what) {
         if (stats.error.empty())
             stats.error = what;
     };
-    while (pos < data.size()) {
-        if (data.size() - pos < kRecordHeaderBytes) {
-            // Partial record header: a killed appender's tail.
-            ++stats.discarded;
-            firstError("truncated record header");
-            break;
-        }
-        const std::uint32_t len = getU32(data.data() + pos);
-        const std::uint32_t check = getU32(data.data() + pos + 4);
-        const std::uint64_t checksum = getU64(data.data() + pos + 8);
-        if (check != frameCheck(len)) {
-            // The length itself is untrustworthy: framing is lost, so
-            // everything from here on is one opaque blob.
-            ++stats.discarded;
-            firstError("corrupt record framing");
-            break;
-        }
-        if (len < kMinPayloadBytes ||
-            data.size() - pos - kRecordHeaderBytes < len) {
-            ++stats.discarded;
-            firstError("record runs past end of file");
-            break;
-        }
-        const char *payload = data.data() + pos + kRecordHeaderBytes;
-        pos += kRecordHeaderBytes + len;
-        if (fnv1a(payload, len) != checksum) {
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        if (sums[i] != getU64(data.data() + records[i] + 8)) {
             // Payload corrupt but framing intact: drop just this
             // record and keep salvaging the rest.
             ++stats.discarded;
@@ -270,13 +396,18 @@ CacheStore::load(ResultCache &cache, const std::string &path)
         try {
             RequestPoint point;
             workloads::KernelResult result;
-            decodePayload(payload, len, point, result);
-            cache.insert(point, result);
+            const std::uint64_t fp = decodePayload(
+                payloads[i].data(), payloads[i].size(), point, result);
+            cache.insert(point, result, fp);
             ++stats.loaded;
         } catch (const std::exception &e) {
             ++stats.discarded;
             firstError(std::string("undecodable record: ") + e.what());
         }
+    }
+    if (tail != nullptr) {
+        ++stats.discarded;
+        firstError(tail);
     }
     return stats;
 }
@@ -315,9 +446,10 @@ CacheStore::Appender::append(const RequestPoint &point,
 {
     if (file_ == nullptr)
         return false;
-    const std::string record = encodeRecord(point, result);
-    if (std::fwrite(record.data(), 1, record.size(), file_) !=
-        record.size())
+    record_.clear();
+    appendRecord(point, result, record_);
+    if (std::fwrite(record_.data(), 1, record_.size(), file_) !=
+        record_.size())
         return false;
     return std::fflush(file_) == 0;
 }

@@ -124,6 +124,8 @@ class CacheStore
 
       private:
         std::FILE *file_ = nullptr;
+        /** Encoding room, reused across appends. */
+        std::string record_;
     };
 
     // Encoding building blocks, exposed so tests and the fault

@@ -193,6 +193,14 @@ class ConfigCodec
     /** JSON object with every simulated-observable KernelResult
      *  field (the service response's per-point "result" block). */
     static std::string serializeResult(const workloads::KernelResult &r);
+
+    // The same texts appended to a caller's buffer, so a writer of
+    // many records (the cache store) encodes into one reserved string.
+    static void serialize(const core::MachineConfig &cfg, std::string &out);
+    static void serialize(const WorkloadSpec &w, std::string &out);
+    static void serialize(const RequestPoint &point, std::string &out);
+    static void serializeResult(const workloads::KernelResult &r,
+                                std::string &out);
 };
 
 /** Run @p spec's kernel on @p machine (the sweep-point body). */

@@ -71,15 +71,19 @@ buildResponse(const DaemonOptions &opt, std::size_t total_points,
         const ServiceOutcome &o = outcomes[j];
         if (j)
             out += ",";
-        out += "{\"index\":" + jsonNumber(std::uint64_t(indices[j]));
-        out += ",\"fingerprint\":" + jsonNumber(o.fingerprint);
-        out += ",\"ok\":" + std::string(o.ok ? "true" : "false");
-        out += ",\"cacheHit\":" + std::string(o.cacheHit ? "true"
-                                                         : "false");
-        if (o.ok)
-            out += ",\"result\":" + ConfigCodec::serializeResult(o.result);
-        else
-            out += ",\"error\":" + jsonQuote(o.error);
+        out += "{\"index\":";
+        appendJsonNumber(out, std::uint64_t(indices[j]));
+        out += ",\"fingerprint\":";
+        appendJsonNumber(out, o.fingerprint);
+        out += o.ok ? ",\"ok\":true" : ",\"ok\":false";
+        out += o.cacheHit ? ",\"cacheHit\":true" : ",\"cacheHit\":false";
+        if (o.ok) {
+            out += ",\"result\":";
+            ConfigCodec::serializeResult(o.result, out);
+        } else {
+            out += ",\"error\":";
+            appendJsonQuote(out, o.error);
+        }
         out += "}";
     }
     out += "]}";

@@ -18,6 +18,12 @@
  *  - the emit helpers produce the service's canonical form: fixed
  *    field order is the caller's job, escaping and shortest
  *    round-trip number formatting are handled here.
+ *
+ * Cost model: a parse costs bytes, not nodes. The root value owns one
+ * arena holding every member key and every container's child block,
+ * so a document makes a handful of heap allocations whatever its
+ * size; string runs are scanned and appended in bulk. Values are
+ * move-only: children and keys live in the root's arena.
  */
 
 #ifndef WISYNC_SERVICE_JSON_HH
@@ -25,10 +31,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
 
 namespace wisync::service {
 
@@ -62,8 +69,18 @@ class Json
         Object,
     };
 
-    /** Parse @p text (the whole string must be one value). */
-    static Json parse(const std::string &text);
+    /** An object member; the key is valid while the root value is. */
+    struct Member;
+
+    /** Parse @p text (the whole text must be one value). */
+    static Json parse(std::string_view text);
+
+    Json();
+    Json(Json &&other) noexcept;
+    Json &operator=(Json &&other) noexcept;
+    Json(const Json &) = delete;
+    Json &operator=(const Json &) = delete;
+    ~Json();
 
     Type type() const { return type_; }
     const char *typeName() const;
@@ -75,38 +92,82 @@ class Json
     bool isBool() const { return type_ == Type::Bool; }
 
     bool boolean() const { return bool_; }
-    double number() const { return number_; }
+    double number() const { return isNumber() ? number_ : 0.0; }
     /** The number's source token (exact u64 parsing; numbers only). */
-    const std::string &rawNumber() const { return raw_; }
-    const std::string &str() const { return string_; }
+    const std::string &rawNumber() const;
+    const std::string &str() const;
 
-    const std::vector<Json> &array() const { return array_; }
+    std::span<const Json> array() const;
     /** Members in source order. */
-    const std::vector<std::pair<std::string, Json>> &
-    object() const
-    {
-        return object_;
-    }
+    std::span<const Member> object() const;
 
     /** First member named @p key, or nullptr. */
-    const Json *find(const std::string &key) const;
+    const Json *find(std::string_view key) const;
 
   private:
     friend class JsonParser;
+    class Arena;
+
+    bool hasText() const { return isNumber() || isString(); }
+    /** Destroy the payload (text or children); the type is left. */
+    void destroyPayload() noexcept;
+    /** Take @p other's payload and arena, leaving it null. */
+    void steal(Json &other) noexcept;
 
     Type type_ = Type::Null;
     bool bool_ = false;
+    /** Numbers only. */
     double number_ = 0.0;
-    std::string raw_;
-    std::string string_;
-    std::vector<Json> array_;
-    std::vector<std::pair<std::string, Json>> object_;
+    /** Array and object: the child block in the root's arena. */
+    struct Children
+    {
+        void *data;
+        std::size_t size;
+    };
+    union {
+        /** String: the decoded value. Number: the source token. */
+        std::string text_;
+        Children kids_;
+    };
+    /** Root only: storage for every key and child block below it. */
+    std::unique_ptr<Arena> arena_;
 };
+
+struct Json::Member
+{
+    std::string_view first;
+    Json second;
+};
+
+inline std::span<const Json>
+Json::array() const
+{
+    if (!isArray())
+        return {};
+    return {static_cast<const Json *>(kids_.data), kids_.size};
+}
+
+inline std::span<const Json::Member>
+Json::object() const
+{
+    if (!isObject())
+        return {};
+    return {static_cast<const Member *>(kids_.data), kids_.size};
+}
 
 // ---- Canonical emission helpers ----------------------------------
 
+/** Append @p s to @p out, quoted and escaped as a JSON string literal. */
+void appendJsonQuote(std::string &out, std::string_view s);
+
+/** Append the shortest round-trip decimal form of @p v (to_chars). */
+void appendJsonNumber(std::string &out, double v);
+
+/** Append the exact decimal form of @p v. */
+void appendJsonNumber(std::string &out, std::uint64_t v);
+
 /** @p s quoted and escaped as a JSON string literal. */
-std::string jsonQuote(const std::string &s);
+std::string jsonQuote(std::string_view s);
 
 /** Shortest round-trip decimal form of @p v (to_chars). */
 std::string jsonNumber(double v);

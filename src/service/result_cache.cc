@@ -27,14 +27,24 @@ void
 ResultCache::insert(const RequestPoint &point,
                     const workloads::KernelResult &result)
 {
+    if (capacity_ != 0)
+        insert(point, result, point.fingerprint());
+}
+
+void
+ResultCache::insert(const RequestPoint &point,
+                    const workloads::KernelResult &result,
+                    std::uint64_t fingerprint)
+{
     if (capacity_ == 0)
         return;
-    const std::uint64_t key = this->key(point);
+    const std::uint64_t key = hasher_ ? hasher_(point) : fingerprint;
     if (const auto it = index_.find(key); it != index_.end()) {
         // Deterministic results make a value refresh a no-op for
         // same-point reinserts; for a colliding point, last writer
         // wins (the collision counter already flagged it on lookup).
         const bool samePoint = it->second->point == point;
+        it->second->fingerprint = fingerprint;
         it->second->point = point;
         it->second->result = result;
         entries_.splice(entries_.begin(), entries_, it->second);
@@ -42,7 +52,7 @@ ResultCache::insert(const RequestPoint &point,
             spillHook_(point, result);
         return;
     }
-    entries_.push_front(Entry{key, point, result});
+    entries_.push_front(Entry{key, fingerprint, point, result});
     index_[key] = entries_.begin();
     ++stats_.insertions;
     if (entries_.size() > capacity_) {
@@ -56,11 +66,11 @@ ResultCache::insert(const RequestPoint &point,
 
 void
 ResultCache::visitLruToMru(
-    const std::function<void(const RequestPoint &,
+    const std::function<void(const RequestPoint &, std::uint64_t,
                              const workloads::KernelResult &)> &fn) const
 {
     for (auto it = entries_.rbegin(); it != entries_.rend(); ++it)
-        fn(it->point, it->result);
+        fn(it->point, it->fingerprint, it->result);
 }
 
 void

@@ -83,6 +83,13 @@ class ResultCache
     void insert(const RequestPoint &point,
                 const workloads::KernelResult &result);
 
+    /** insert() for a caller that already holds
+     *  @p fingerprint == point.fingerprint() (the cache store has
+     *  checked it against the record's). */
+    void insert(const RequestPoint &point,
+                const workloads::KernelResult &result,
+                std::uint64_t fingerprint);
+
     std::size_t size() const { return entries_.size(); }
     std::size_t capacity() const { return capacity_; }
     const Stats &stats() const { return stats_; }
@@ -91,13 +98,13 @@ class ResultCache
     void clear();
 
     /**
-     * Visit every entry, least-recently-used first. Written in that
-     * order to a CacheStore file, a sequential re-insert replay
-     * reconstructs both contents and recency exactly. The callback
-     * must not mutate the cache.
+     * Visit every entry (point, its fingerprint, result),
+     * least-recently-used first. Written in that order to a CacheStore
+     * file, a sequential re-insert replay reconstructs both contents
+     * and recency exactly. The callback must not mutate the cache.
      */
     void visitLruToMru(
-        const std::function<void(const RequestPoint &,
+        const std::function<void(const RequestPoint &, std::uint64_t,
                                  const workloads::KernelResult &)> &fn)
         const;
 
@@ -128,6 +135,8 @@ class ResultCache
     struct Entry
     {
         std::uint64_t key;
+        /** point.fingerprint() (the key unless a hasher overrides). */
+        std::uint64_t fingerprint;
         RequestPoint point;
         workloads::KernelResult result;
     };

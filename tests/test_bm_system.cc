@@ -137,6 +137,36 @@ TEST(BmSystem, FetchAddSucceedsWithoutContention)
     EXPECT_EQ(chip.bm.storeArray().read(1, 3), 5u);
 }
 
+/**
+ * A BM write raises AFB exactly on the other nodes' pending RMWs whose
+ * word it covers: node 0's bulk store over words 16-19 holds the
+ * channel while three RMWs wait for it, armed.
+ */
+TEST(BmSystem, StoreRaisesAfbOnlyOnOverlappingRmwsOfOtherNodes)
+{
+    BmChip chip(4);
+    wisync::bm::RmwResult other{}, own{}, apart{};
+    spawnNow(chip.engine, [&]() -> Task<void> {
+        co_await chip.bm.bulkStore(0, kPid, 16, {1, 2, 3, 4});
+    });
+    spawnNow(chip.engine, [&]() -> Task<void> {
+        other = co_await chip.bm.rmw(1, kPid, 18, RmwOp::FetchAdd, 1);
+    });
+    spawnNow(chip.engine, [&]() -> Task<void> {
+        own = co_await chip.bm.rmw(0, kPid, 17, RmwOp::FetchAdd, 1);
+    });
+    spawnNow(chip.engine, [&]() -> Task<void> {
+        apart = co_await chip.bm.rmw(2, kPid, 40, RmwOp::FetchAdd, 1);
+    });
+    chip.engine.run();
+    EXPECT_TRUE(other.atomicityFailed);
+    EXPECT_FALSE(own.atomicityFailed);
+    EXPECT_FALSE(apart.atomicityFailed);
+    EXPECT_EQ(chip.bm.stats().afbFailures.value(), 1u);
+    EXPECT_EQ(chip.bm.storeArray().read(3, 18), 3u);
+    EXPECT_EQ(chip.bm.storeArray().read(3, 40), 1u);
+}
+
 TEST(BmSystem, AfbSetWhenRemoteStoreIntervenes)
 {
     // Node 1's RMW reads the word, then node 0's store lands before

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "coro/frame_pool.hh"
@@ -484,6 +485,90 @@ TEST(MemSystem, GetSMissServedFromL2MakesOneFrame)
     EXPECT_EQ(chip.mem.stats().l1Misses.value(), 3u);
     EXPECT_EQ(chip.mem.stats().dramFetches.value(), 1u);
     EXPECT_EQ(chip.mem.l1State(2, a), CohState::Shared);
+}
+
+// ---- Pipelined GetS fills ------------------------------------------
+
+/** A line homed at node 1 of the 4x4 mesh (line number mod 16). */
+constexpr Addr kPipelinedLine = 0x40040;
+
+/**
+ * Node 15 owns kPipelinedLine (Owned) and node 5 shares it; then node
+ * 0, next to the home, reads it through the pipelined path: the home
+ * releases the line and the data comes the long way from node 15.
+ * With @p store_after, node 2 (also next to the home) writes the line
+ * that many cycles after the read starts, so its invalidation reaches
+ * node 0 while the read's data is still in flight.
+ */
+void
+startPipelinedRead(Chip &chip, std::optional<Cycle> store_after)
+{
+    spawnNow(chip.engine, [&]() -> Task<void> {
+        co_await chip.mem.store(15, kPipelinedLine, 7);
+        co_await chip.mem.load(5, kPipelinedLine);
+    });
+    chip.engine.run();
+    ASSERT_EQ(chip.mem.l1State(15, kPipelinedLine), CohState::Owned);
+    spawnNow(chip.engine, [&]() -> Task<void> {
+        co_await chip.mem.load(0, kPipelinedLine);
+    });
+    if (store_after) {
+        spawnNow(chip.engine, [&, d = *store_after]() -> Task<void> {
+            co_await wisync::coro::delay(chip.engine, d);
+            co_await chip.mem.store(2, kPipelinedLine, 9);
+        });
+    }
+}
+
+TEST(MemSystem, PipelinedFillInstallsWhenNothingInvalidatesIt)
+{
+    Chip chip(16);
+    startPipelinedRead(chip, std::nullopt);
+    chip.engine.run(chip.engine.now() + 15);
+    EXPECT_TRUE(chip.mem.fillPending(0));
+    chip.engine.run();
+    EXPECT_FALSE(chip.mem.fillPending(0));
+    EXPECT_EQ(chip.mem.l1State(0, kPipelinedLine), CohState::Shared);
+    // The fill's marker lives in the transaction: no watch event.
+    EXPECT_EQ(chip.mem.watchPoolStats().allocated, 0u);
+}
+
+TEST(MemSystem, PipelinedFillInvalidatedInFlightDoesNotInstall)
+{
+    Chip chip(16);
+    startPipelinedRead(chip, Cycle{2});
+    chip.engine.run();
+    EXPECT_FALSE(chip.mem.fillPending(0));
+    EXPECT_EQ(chip.mem.l1State(2, kPipelinedLine), CohState::Modified);
+    // The store's invalidation beat the data to node 0: the late data
+    // must not resurrect a copy the directory no longer tracks.
+    EXPECT_EQ(chip.mem.l1State(0, kPipelinedLine), CohState::Invalid);
+    EXPECT_EQ(chip.mem.watchPoolStats().allocated, 0u);
+}
+
+TEST(MemSystem, ResetDuringAPipelinedFillLeavesNoMarker)
+{
+    Chip chip(16);
+    startPipelinedRead(chip, std::nullopt);
+    chip.engine.run(chip.engine.now() + 15);
+    ASSERT_TRUE(chip.mem.fillPending(0));
+    // Machine::reset's order: frames die with the engine, then the
+    // subsystems reset.
+    chip.engine.reset();
+    chip.mesh.reset(Chip::meshCfg(16, false));
+    chip.memory.clear();
+    chip.mem.reset(MemConfig{});
+    EXPECT_FALSE(chip.mem.fillPending(0));
+
+    // The reused chip races the same read and store as a fresh one.
+    startPipelinedRead(chip, Cycle{2});
+    chip.engine.run();
+    Chip fresh(16);
+    startPipelinedRead(fresh, Cycle{2});
+    fresh.engine.run();
+    EXPECT_EQ(chip.engine.now(), fresh.engine.now());
+    EXPECT_EQ(chip.mem.l1State(0, kPipelinedLine), CohState::Invalid);
+    EXPECT_EQ(chip.mem.l1State(2, kPipelinedLine), CohState::Modified);
 }
 
 } // namespace

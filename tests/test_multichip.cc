@@ -493,6 +493,49 @@ TEST(MultiChip, BridgeTrafficRunsWithoutAllocating)
 }
 
 /**
+ * A bridged frame raises AFB on the landing chip's pending RMWs of the
+ * word it carries, and on no other: chip 1's channel is held by a bulk
+ * store while node 4's RMW (same word) and node 5's (another word)
+ * wait for it, armed, as chip 0's store lands.
+ */
+TEST(MultiChip, BridgedStoreRaisesAfbOnlyOnRmwsOfItsWord)
+{
+    using wisync::bm::RmwOp;
+    using wisync::coro::Task;
+    wisync::sim::Engine engine;
+    wisync::bm::BmSystem bm(engine, 8, wisync::bm::BmConfig{},
+                            wisync::wireless::WirelessConfig{},
+                            wisync::sim::Rng(7), /*with_tone=*/true,
+                            /*num_chips=*/2, wisync::noc::BridgeConfig{});
+    for (wisync::sim::BmAddr a = 0; a < 64; ++a)
+        bm.storeArray().setTag(a, 1);
+    wisync::bm::RmwResult same{}, apart{};
+    wisync::coro::spawnNow(engine, [&]() -> Task<void> {
+        co_await bm.store(0, 1, 3, 100);
+    });
+    wisync::coro::spawnNow(engine, [&]() -> Task<void> {
+        co_await wisync::coro::delay(engine, 20);
+        co_await bm.bulkStore(6, 1, 16, {1, 2, 3, 4});
+    });
+    wisync::coro::spawnNow(engine, [&]() -> Task<void> {
+        co_await wisync::coro::delay(engine, 21);
+        same = co_await bm.rmw(4, 1, 3, RmwOp::FetchAdd, 1);
+    });
+    wisync::coro::spawnNow(engine, [&]() -> Task<void> {
+        co_await wisync::coro::delay(engine, 21);
+        apart = co_await bm.rmw(5, 1, 40, RmwOp::FetchAdd, 1);
+    });
+    ASSERT_TRUE(engine.run());
+    EXPECT_EQ(bm.bridge()->stats().frames.value(), 3u);
+    EXPECT_TRUE(same.atomicityFailed);
+    EXPECT_EQ(same.oldValue, 0u) << "read before the frame landed";
+    EXPECT_FALSE(apart.atomicityFailed);
+    EXPECT_EQ(bm.stats().afbFailures.value(), 1u);
+    EXPECT_EQ(bm.storeArray().read(5, 3), 100u);
+    EXPECT_EQ(bm.storeArray().read(0, 40), 1u);
+}
+
+/**
  * Per-thread barrier state is one vector entry per core, sized when
  * the barrier is built: on a reset machine the rounds of a freshly
  * built MultiChipBarrier allocate nothing.
