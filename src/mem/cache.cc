@@ -144,8 +144,8 @@ CacheArray::CacheArray(std::uint32_t size_bytes, std::uint32_t assoc,
     lineShift_ = static_cast<std::uint32_t>(std::countr_zero(line_bytes));
     numSets_ = size_bytes / (assoc * line_bytes);
     const std::uint32_t stride = std::gcd(interleave, numSets_);
-    stride_ = Divisor(stride);
-    reach_ = Divisor(numSets_ / stride);
+    stride_ = sim::Divisor(stride);
+    reach_ = sim::Divisor(numSets_ / stride);
     residue_ = residue % stride;
     const std::size_t bytes = static_cast<std::size_t>(numSets_ / stride) *
                               assoc_ * sizeof(CacheLine);

@@ -9,10 +9,10 @@
 #ifndef WISYNC_MEM_CACHE_HH
 #define WISYNC_MEM_CACHE_HH
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
+#include "sim/divisor.hh"
 #include "sim/types.hh"
 
 namespace wisync::mem {
@@ -75,36 +75,6 @@ struct CacheLine
 static_assert(sizeof(CacheLine) == 24, "tag arrays are size-critical");
 static_assert(static_cast<int>(CohState::Invalid) == 0,
               "zero-init must mean Invalid");
-
-/**
- * A divisor fixed at construction: shift and mask when it is a power
- * of two (every Table 1 geometry), division otherwise.
- */
-class Divisor
-{
-  public:
-    explicit Divisor(std::uint64_t n = 1)
-        : n_(n), shift_(static_cast<std::uint32_t>(std::countr_zero(n))),
-          pow2_(std::has_single_bit(n))
-    {}
-
-    std::uint64_t
-    div(std::uint64_t x) const
-    {
-        return pow2_ ? x >> shift_ : x / n_;
-    }
-
-    std::uint64_t
-    mod(std::uint64_t x) const
-    {
-        return pow2_ ? x & (n_ - 1) : x % n_;
-    }
-
-  private:
-    std::uint64_t n_;
-    std::uint32_t shift_;
-    bool pow2_;
-};
 
 /**
  * Tag array: size/assoc/line-size in bytes, true-LRU replacement.
@@ -209,9 +179,9 @@ class CacheArray
     std::uint32_t numSets_;
     /** gcd(interleave, numSets_): every stored line number is
      *  congruent to residue_ modulo it. */
-    Divisor stride_;
+    sim::Divisor stride_;
     /** numSets_ / stride: the sets stored. */
-    Divisor reach_;
+    sim::Divisor reach_;
     std::uint32_t residue_;
     std::uint64_t clock_ = 0;
     std::uint32_t gen_ = 0; // current epoch (see reset())

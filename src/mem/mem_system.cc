@@ -97,12 +97,6 @@ MemSystem::dirPoolStats() const
     return total;
 }
 
-bool
-MemSystem::sharerTest(const DirEntry &e, sim::NodeId n) const
-{
-    return (e.sharers[n / 64] >> (n % 64)) & 1;
-}
-
 void
 MemSystem::sharerSet(DirEntry &e, sim::NodeId n, bool v)
 {
@@ -112,14 +106,40 @@ MemSystem::sharerSet(DirEntry &e, sim::NodeId n, bool v)
         e.sharers[n / 64] &= ~(std::uint64_t{1} << (n % 64));
 }
 
-MemSystem::NodeVec
-MemSystem::sharerList(const DirEntry &e, sim::NodeId exclude) const
+namespace {
+
+/** Word @p w of a sharer bitmap, less the bit of @p exclude. */
+std::uint64_t
+sharerWord(std::span<const std::uint64_t> sharers, std::size_t w,
+           sim::NodeId exclude)
 {
-    NodeVec out;
-    for (sim::NodeId n = 0; n < numNodes_; ++n)
-        if (n != exclude && sharerTest(e, n))
-            out.push_back(n);
+    const std::uint64_t drop =
+        exclude / 64 == w ? std::uint64_t{1} << (exclude % 64) : 0;
+    return sharers[w] & ~drop;
+}
+
+} // namespace
+
+noc::Mesh::NodeVec
+sharerList(std::span<const std::uint64_t> sharers, sim::NodeId exclude)
+{
+    noc::Mesh::NodeVec out;
+    for (std::size_t w = 0; w < sharers.size(); ++w) {
+        for (std::uint64_t bits = sharerWord(sharers, w, exclude); bits != 0;
+             bits &= bits - 1)
+            out.push_back(static_cast<sim::NodeId>(w * 64 +
+                                                   std::countr_zero(bits)));
+    }
     return out;
+}
+
+bool
+hasSharers(std::span<const std::uint64_t> sharers, sim::NodeId exclude)
+{
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < sharers.size(); ++w)
+        any |= sharerWord(sharers, w, exclude);
+    return any != 0;
 }
 
 coro::VersionedEvent &
@@ -226,7 +246,7 @@ MemSystem::recallTask(sim::NodeId home, sim::Addr line)
     sim::InlineVec<coro::Task<void>, 4> legs;
     if (e.owner != sim::kNoNode)
         legs.push_back(invLeg(home, e.owner, home, line));
-    for (const auto s : sharerList(e, numNodes_ /* exclude nobody */))
+    for (const auto s : sharerList(e.sharers, sim::kNoNode))
         if (s != e.owner)
             legs.push_back(invLeg(home, s, home, line));
     co_await coro::whenAll(engine_, std::move(legs));
@@ -357,7 +377,7 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
             }
         }
         if (e.owner == sim::kNoNode && e.inL2 &&
-            !sharerList(e, node).empty()) {
+            hasSharers(e.sharers, node)) {
             sharerSet(e, node, true);
             armFill(node, fill);
             e.busy.unlock();
@@ -403,7 +423,7 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
         }
 
         const bool sole =
-            e.owner == sim::kNoNode && sharerList(e, node).empty();
+            e.owner == sim::kNoNode && !hasSharers(e.sharers, node);
         if (sole) {
             e.owner = node;
             sharerSet(e, node, false);
@@ -429,7 +449,7 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
         need_data = false;
     }
 
-    const auto sharers = sharerList(e, node);
+    const auto sharers = sharerList(e.sharers, node);
     if (!sharers.empty() && mesh_.config().treeMulticast) {
         // Baseline+: one tree multicast delivers all invalidations,
         // then acks converge on the requestor in parallel.

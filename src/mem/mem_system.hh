@@ -41,6 +41,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "coro/primitives.hh"
@@ -107,6 +108,17 @@ struct DirEntry
     bool inL2 = false;
     coro::SimMutex busy;
 };
+
+/**
+ * The nodes whose bit is set in the sharer bitmap @p sharers (node n
+ * is bit n % 64 of word n / 64), ascending, without @p exclude (pass
+ * sim::kNoNode to leave out nobody).
+ */
+noc::Mesh::NodeVec sharerList(std::span<const std::uint64_t> sharers,
+                              sim::NodeId exclude);
+
+/** Whether sharerList() would list anyone, without listing. */
+bool hasSharers(std::span<const std::uint64_t> sharers, sim::NodeId exclude);
 
 /**
  * One L2 bank's directory, line -> entry, pooled across resets. Built
@@ -371,9 +383,7 @@ class MemSystem
      *  what escaped the transaction. */
     void endMiss(AccessBase &op);
 
-    bool sharerTest(const DirEntry &e, sim::NodeId n) const;
     void sharerSet(DirEntry &e, sim::NodeId n, bool v);
-    NodeVec sharerList(const DirEntry &e, sim::NodeId exclude) const;
 
     /** The loop of spinUntil (@p until_equal) and spinWhile. */
     coro::Task<std::uint64_t> spin(sim::NodeId node, sim::Addr addr,
@@ -462,8 +472,8 @@ class MemSystem
     /** log2(lineBytes): line number = line address >> lineShift_. */
     std::uint32_t lineShift_;
     /** Line number mod nodes_: home bank; mod memCtrls_: DRAM controller. */
-    Divisor nodes_;
-    Divisor memCtrls_;
+    sim::Divisor nodes_;
+    sim::Divisor memCtrls_;
     std::vector<CacheArray> l1s_;
     std::vector<Bank> banks_;
     std::vector<std::unique_ptr<coro::Resource>> dramCtrls_;

@@ -29,9 +29,10 @@ Mesh::Mesh(sim::Engine &engine, const MeshConfig &cfg)
     coords_.reserve(grid);
     for (std::uint32_t n = 0; n < grid; ++n)
         coords_.push_back(Coord{n % width_, n / width_});
+    linkBits_ = sim::Divisor(cfg_.linkBits);
     links_.reserve(grid * 4);
     for (std::uint32_t n = 0; n < grid * 4; ++n)
-        links_.push_back(std::make_unique<coro::SimMutex>(engine_));
+        links_.emplace_back(engine_);
 }
 
 void
@@ -42,8 +43,9 @@ Mesh::reset(const MeshConfig &cfg)
     WISYNC_ASSERT(cfg.linkBits > 0, "links need nonzero width");
     WISYNC_ASSERT(cfg.hopCycles > 0, "hops need at least one cycle");
     cfg_ = cfg;
+    linkBits_ = sim::Divisor(cfg_.linkBits);
     for (auto &link : links_)
-        link->reset();
+        link.reset();
     // Records of abandoned walks are free again.
     freeHops_ = nullptr;
     for (auto &h : hops_)
@@ -62,7 +64,8 @@ Mesh::hops(sim::NodeId a, sim::NodeId b) const
 std::uint32_t
 Mesh::flitsOf(std::uint32_t bits) const
 {
-    return std::max(1u, (bits + cfg_.linkBits - 1) / cfg_.linkBits);
+    return static_cast<std::uint32_t>(std::max<std::uint64_t>(
+        1, linkBits_.div(std::uint64_t{bits} + cfg_.linkBits - 1)));
 }
 
 sim::NodeId
@@ -87,7 +90,8 @@ Mesh::neighbor(sim::NodeId n, std::uint32_t dir) const
 // event unless a contender queues). A held link parks the head in the
 // link's FIFO as a plain callback waiter, in the same event; the grant
 // turns the hold into the same timed reservation and the head steps
-// on.
+// on. The route is fixed when the Send is made: the steps only follow
+// link_ down the link array.
 
 /** POD callback wrappers: 8 bytes, always in the event's SBO. */
 struct Mesh::Send::StepFn
@@ -102,6 +106,35 @@ struct Mesh::Send::FinishFn
     void operator()() const { t->finish(); }
 };
 
+Mesh::Send::Send(Mesh &mesh, sim::NodeId src, sim::NodeId dst,
+                 std::uint32_t bits)
+    : mesh_(&mesh), flits_(mesh.flitsOf(bits))
+{
+    if (src == dst)
+        return;
+    // XY routing: the X leg along the source's row, then the Y leg
+    // down the destination's column. Link (node, dir) is at
+    // node * 4 + dir, so the next router's link in the same direction
+    // is 4 on (east), 4 back (west) or a row of 4 x width away.
+    const Coord s = mesh.coords_[src];
+    const Coord d = mesh.coords_[dst];
+    const auto row = static_cast<std::int32_t>(4 * mesh.width_);
+    yStride_ = d.y > s.y ? row : -row;
+    yLeft_ = d.y > s.y ? d.y - s.y : s.y - d.y;
+    const sim::NodeId corner = s.y * mesh.width_ + d.x;
+    turn_ = &mesh.links_[corner * 4 + (d.y > s.y ? South : North)];
+    if (s.x == d.x) {
+        link_ = turn_;
+        stride_ = yStride_;
+        left_ = yLeft_;
+        yLeft_ = 0;
+        return;
+    }
+    link_ = &mesh.links_[src * 4 + (d.x > s.x ? East : West)];
+    stride_ = d.x > s.x ? 4 : -4;
+    left_ = d.x > s.x ? d.x - s.x : s.x - d.x;
+}
+
 void
 Mesh::Send::await_suspend(std::coroutine_handle<> h)
 {
@@ -109,7 +142,7 @@ Mesh::Send::await_suspend(std::coroutine_handle<> h)
     start_ = mesh_->engine_.now();
     mesh_->stats_.messages.inc();
     mesh_->stats_.flits.inc(flits_);
-    if (cur_ == dst_) {
+    if (link_ == nullptr) {
         // Local turnaround through the node's port.
         mesh_->engine_.resumeHandle(1, h);
         return;
@@ -128,26 +161,18 @@ Mesh::Send::await_resume()
 void
 Mesh::Send::step()
 {
-    // XY routing: finish the X leg, then the Y leg.
-    const Coord c = mesh_->coords_[cur_];
-    const Coord d = mesh_->coords_[dst_];
-    if (c.x != d.x)
-        dir_ = d.x > c.x ? East : West;
-    else
-        dir_ = d.y > c.y ? South : North;
-    coro::SimMutex &link = *mesh_->links_[cur_ * 4 + dir_];
     // The link stays busy until the tail flit crosses it; the head
     // moves on in parallel. Freeing on a timer (rather than when the
     // head secures the next hop) models routers with enough buffering
     // to absorb a blocked message — optimistic under heavy congestion,
     // exact otherwise.
-    if (!link.tryReserve(mesh_->engine_.now() + flits_)) {
+    if (!link_->tryReserve(mesh_->engine_.now() + flits_)) {
         // Held: queue in the link's FIFO, in this very event. Only the
         // first held link counts.
         if (!contended_)
             mesh_->stats_.fastpathFallbacks.inc();
         contended_ = true;
-        link.wait(&Send::granted, this);
+        link_->wait(&Send::granted, this);
         return;
     }
     advance();
@@ -156,12 +181,22 @@ Mesh::Send::step()
 void
 Mesh::Send::advance()
 {
-    // The link is ours: the head crosses it in hopCycles.
-    cur_ = mesh_->neighbor(cur_, dir_);
-    if (cur_ == dst_)
-        mesh_->engine_.scheduleIn(mesh_->cfg_.hopCycles, FinishFn{this});
-    else
-        mesh_->engine_.scheduleIn(mesh_->cfg_.hopCycles, StepFn{this});
+    // The link is ours: the head crosses it in hopCycles, then takes
+    // the leg's next link, or turns onto the Y leg, or has arrived.
+    sim::Engine &engine = mesh_->engine_;
+    const sim::Cycle hop = mesh_->cfg_.hopCycles;
+    if (--left_ != 0) {
+        link_ += stride_;
+    } else if (yLeft_ != 0) {
+        link_ = turn_;
+        stride_ = yStride_;
+        left_ = yLeft_;
+        yLeft_ = 0;
+    } else {
+        engine.scheduleIn(hop, FinishFn{this});
+        return;
+    }
+    engine.scheduleIn(hop, StepFn{this});
 }
 
 void
@@ -170,8 +205,7 @@ Mesh::Send::granted(void *self)
     // Hand-off of a held link: hold it until the tail crosses, then
     // move on.
     auto *t = static_cast<Send *>(self);
-    t->mesh_->links_[t->cur_ * 4 + t->dir_]->holdUntil(
-        t->mesh_->engine_.now() + t->flits_);
+    t->link_->holdUntil(t->mesh_->engine_.now() + t->flits_);
     t->advance();
 }
 
@@ -291,7 +325,7 @@ Mesh::TreeHop::start()
     // The branch holds its link until the tail crosses, as a timed
     // reservation: the release event exists only if another head
     // queues for it.
-    coro::SimMutex &link = *mesh->links_[at * 4 + dir];
+    coro::SimMutex &link = mesh->links_[at * 4 + dir];
     if (!link.tryLock()) {
         link.wait(&TreeHop::granted, this);
         return;
@@ -305,7 +339,7 @@ void
 Mesh::TreeHop::granted(void *self)
 {
     auto *h = static_cast<TreeHop *>(self);
-    h->mesh->links_[h->at * 4 + h->dir]->holdUntil(
+    h->mesh->links_[h->at * 4 + h->dir].holdUntil(
         h->mesh->engine_.now() + h->flits);
     h->mesh->engine_.scheduleIn(h->mesh->cfg_.hopCycles,
                                 Event<&TreeHop::arrive>{h});

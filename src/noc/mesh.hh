@@ -16,17 +16,24 @@
  * records pooled by the mesh) and drive the network with plain
  * callback events.
  *
- * Unicast (send) drives the head flit down the XY route with a step
- * chain: one callback event per hop, taking each link as a timed
- * SimMutex reservation that ends when the tail crosses it. A unicast
+ * Unicast (send) carries its XY route: the Send computes it once,
+ * when it is made, as a pointer to the first link, the stride between
+ * consecutive links of the X leg (one router east or west is 4 links
+ * on in the link array) and of the Y leg (4 x width), the first link
+ * of the Y leg and the hop count of each leg. A step chain then drives
+ * the head flit: one callback event per hop, which takes the link it
+ * points at as a timed SimMutex reservation that ends when the tail
+ * crosses it, then adds the stride (or takes the turn) and files the
+ * next step. No hop reads the mesh's geometry or link table. A unicast
  * therefore costs hops+1 events (plus flits-1 cycles of tail, one more
  * event, when flits > 1) and zero heap allocations (no release events:
  * a reservation's release is materialized lazily, at its cycle, only
  * if a contender queues on the link). A head that finds a link held
  * waits in that link's FIFO as a plain callback waiter; on hand-off it
- * holds the link as the same timed reservation and steps on. The
- * completion cycles of contended and uncontended messages are pinned
- * by tests/test_mesh_fastpath.cc.
+ * holds the link as the same timed reservation and steps on. The head
+ * takes link i only when it arrives there. The completion cycles of
+ * contended and uncontended messages are pinned by
+ * tests/test_mesh_fastpath.cc and tests/test_mesh.cc.
  *
  * Multicast (Baseline+ only, paper §6, Table 2) is Krishna et al.'s
  * virtual tree [22]: a single message is replicated at fan-out routers
@@ -49,11 +56,11 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "coro/primitives.hh"
+#include "sim/divisor.hh"
 #include "sim/engine.hh"
 #include "sim/inline_vec.hh"
 #include "sim/stats.hh"
@@ -107,18 +114,17 @@ class Mesh
     using NodeVec = sim::InlineVec<sim::NodeId, 64>;
 
     /**
-     * A unicast in flight: the head flit's position and the awaiter to
-     * resume. Lives in the awaiting frame across its one suspension,
-     * so it must be awaited exactly once, in the statement that
-     * created it (the `co_await mesh.send(...)` shape).
+     * A unicast in flight: its XY route, the head flit's place on it
+     * and the awaiter to resume. Lives in the awaiting frame across
+     * its one suspension, so it must be awaited exactly once, in the
+     * statement that created it (the `co_await mesh.send(...)` shape).
      */
     class [[nodiscard]] Send
     {
       public:
+        /** Computes the route (see the file comment). */
         Send(Mesh &mesh, sim::NodeId src, sim::NodeId dst,
-             std::uint32_t bits)
-            : mesh_(&mesh), cur_(src), dst_(dst), flits_(mesh.flitsOf(bits))
-        {}
+             std::uint32_t bits);
 
         bool await_ready() const noexcept { return false; }
         void await_suspend(std::coroutine_handle<> h);
@@ -136,10 +142,20 @@ class Mesh
 
         Mesh *mesh_;
         sim::Cycle start_ = 0;
-        sim::NodeId cur_;
-        sim::NodeId dst_;
+        /** The link the head takes next (or holds); nullptr for a
+         *  local send. */
+        coro::SimMutex *link_ = nullptr;
+        /** The Y leg's first link, taken after the X leg's last. */
+        coro::SimMutex *turn_ = nullptr;
+        /** Link-array distance between consecutive links of the
+         *  current leg, and of the Y leg. */
+        std::int32_t stride_ = 0;
+        std::int32_t yStride_ = 0;
+        /** Links left in the current leg, counting link_, and in the
+         *  Y leg while the X leg runs. */
+        std::uint32_t left_ = 0;
+        std::uint32_t yLeft_ = 0;
         std::uint32_t flits_;
-        std::uint32_t dir_ = 0;
         bool contended_ = false;
         std::coroutine_handle<> caller_;
     };
@@ -282,8 +298,13 @@ class Mesh
         std::uint32_t y;
     };
     std::vector<Coord> coords_;
-    /** One FIFO mutex per directional link; index = node * 4 + dir. */
-    std::vector<std::unique_ptr<coro::SimMutex>> links_;
+    /** cfg_.linkBits, so sizing a message shifts where it is a power
+     *  of two. */
+    sim::Divisor linkBits_;
+    /** One FIFO mutex per directional link, in one array that never
+     *  grows (Sends and queued release events point into it);
+     *  index = node * 4 + dir. */
+    std::vector<coro::SimMutex> links_;
     /** Tree-walk records: all ever made, and the free ones. */
     std::deque<TreeHop> hops_;
     TreeHop *freeHops_ = nullptr;

@@ -387,10 +387,28 @@ class JsonParser
         }
     }
 
+    /** Open a container at pos_: it nests one level deeper. */
+    void
+    open()
+    {
+        if (depth_ == Json::kMaxDepth)
+            failTooDeep();
+        ++depth_;
+        ++pos_;
+    }
+
+    [[noreturn, gnu::noinline]] void
+    failTooDeep() const
+    {
+        fail("containers nest deeper than " +
+             std::to_string(Json::kMaxDepth) + " levels");
+    }
+
     /** Move the slots pushed since @p base into a container node. */
     void
     close(std::size_t slot, Json::Type type, std::size_t base)
     {
+        --depth_;
         const std::size_t n = stack_.size() - base;
         const Slot *from = stack_.begin() + base;
         std::size_t built = 0;
@@ -456,7 +474,7 @@ class JsonParser
     void
     parseObject(std::size_t slot)
     {
-        ++pos_; // '{'
+        open(); // '{'
         const std::size_t base = stack_.size();
         skipWs();
         if (peek() == '}') {
@@ -488,7 +506,7 @@ class JsonParser
     void
     parseArray(std::size_t slot)
     {
-        ++pos_; // '['
+        open(); // '['
         const std::size_t base = stack_.size();
         skipWs();
         if (peek() == ']') {
@@ -670,6 +688,8 @@ class JsonParser
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    /** Containers open at pos_. */
+    std::size_t depth_ = 0;
     std::unique_ptr<Json::Arena> arena_;
     /** Deep enough for a canonical request point without the heap. */
     sim::InlineVec<Slot, 48> stack_;

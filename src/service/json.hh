@@ -18,6 +18,9 @@
  *  - the emit helpers produce the service's canonical form: fixed
  *    field order is the caller's job, escaping and shortest
  *    round-trip number formatting are handled here.
+ *  - containers nest at most Json::kMaxDepth levels deep, so neither
+ *    the parser nor a value's destructor, which both recurse once per
+ *    level, can run out of stack on hostile input.
  *
  * Cost model: a parse costs bytes, not nodes. The root value owns one
  * arena holding every member key and every container's child block,
@@ -71,6 +74,10 @@ class Json
 
     /** An object member; the key is valid while the root value is. */
     struct Member;
+
+    /** Deepest container nesting parse() accepts; a canonical
+     *  service request nests five levels. */
+    static constexpr std::size_t kMaxDepth = 256;
 
     /** Parse @p text (the whole text must be one value). */
     static Json parse(std::string_view text);

@@ -233,4 +233,34 @@ TEST(CodecJson, StringScansFindEverySpecialByteAtEveryOffset)
     }
 }
 
+TEST(CodecJson, NestingStopsAtTheDepthLimit)
+{
+    // Arrays and objects count alike; the deepest value parses.
+    auto nest = [](std::size_t depth) {
+        std::string text;
+        for (std::size_t i = 0; i < depth; ++i)
+            text += i % 2 == 0 ? "[" : "{\"k\":";
+        text += '1';
+        for (std::size_t i = depth; i-- > 0;)
+            text += i % 2 == 0 ? ']' : '}';
+        return text;
+    };
+    const Json deep = Json::parse(nest(Json::kMaxDepth));
+    const Json *v = &deep;
+    std::size_t depth = 0;
+    for (; v->isArray() || v->isObject(); ++depth)
+        v = v->isArray() ? &v->array()[0] : &v->object()[0].second;
+    EXPECT_EQ(depth, Json::kMaxDepth);
+    EXPECT_EQ(v->number(), 1.0);
+    try {
+        Json::parse(std::string(Json::kMaxDepth + 1, '['));
+        ADD_FAILURE() << "nesting past the limit accepted";
+    } catch (const JsonError &e) {
+        EXPECT_EQ(e.offset(), Json::kMaxDepth);
+        EXPECT_NE(std::string(e.what()).find("deeper than 256 levels"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 } // namespace

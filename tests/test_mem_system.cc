@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "mem/mem_system.hh"
 #include "noc/mesh.hh"
 #include "sim/engine.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -569,6 +571,40 @@ TEST(MemSystem, ResetDuringAPipelinedFillLeavesNoMarker)
     EXPECT_EQ(chip.engine.now(), fresh.engine.now());
     EXPECT_EQ(chip.mem.l1State(0, kPipelinedLine), CohState::Invalid);
     EXPECT_EQ(chip.mem.l1State(2, kPipelinedLine), CohState::Modified);
+}
+
+/** sharerList and hasSharers walk the bitmap a word at a time; a
+ *  bit-by-bit reference over random bitmaps of densities from empty to
+ *  full, with each node excluded in turn and with nobody excluded
+ *  (sim::kNoNode, and a node id past the chip). */
+TEST(SharerBits, ListAndTestMatchABitByBitReference)
+{
+    wisync::sim::Rng rng(0x5EED);
+    for (const std::uint32_t nodes : {64u, 100u, 256u}) {
+        std::vector<std::uint64_t> bitmap((nodes + 63) / 64);
+        for (int trial = 0; trial < 40; ++trial) {
+            const double density = trial % 8 / 7.0;
+            std::fill(bitmap.begin(), bitmap.end(), 0);
+            for (NodeId n = 0; n < nodes; ++n)
+                if (rng.chance(density))
+                    bitmap[n / 64] |= std::uint64_t{1} << (n % 64);
+            std::vector<NodeId> excludes = {wisync::sim::kNoNode};
+            for (NodeId n = 0; n <= nodes; ++n)
+                excludes.push_back(n);
+            for (const NodeId exclude : excludes) {
+                std::vector<NodeId> want;
+                for (NodeId n = 0; n < nodes; ++n)
+                    if (n != exclude && (bitmap[n / 64] >> (n % 64) & 1))
+                        want.push_back(n);
+                const auto got = wisync::mem::sharerList(bitmap, exclude);
+                ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), want)
+                    << nodes << " nodes, exclude " << exclude;
+                ASSERT_EQ(wisync::mem::hasSharers(bitmap, exclude),
+                          !want.empty())
+                    << nodes << " nodes, exclude " << exclude;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Sampling profile of one perfbench workload, by function, at full speed.
 #
-#   tools/pc_sample.sh WORKLOAD SEED
+#   tools/pc_sample.sh WORKLOAD SEED [FUNCTION]
 #
 # WORKLOAD is paper-apps, wireless-sync or daemon-mixed. Unlike
 # tools/gprof_coro.sh this needs no instrumented build: it profiles the
@@ -25,14 +25,23 @@
 # event trampoline counts for its callable's layer). daemon-mixed
 # samples the daemon processes, where its host time goes; the other
 # workloads sample perfbench_driver.
+#
+# With FUNCTION, the report then goes down to instructions: every
+# sampled function whose demangled name contains FUNCTION (say
+# 'Mesh::Send::step') is disassembled with objdump -d, and each
+# instruction carries its sample count and share of the function's
+# samples. The interrupted PC is usually the instruction after the one
+# that stalled (a load's consumer, for a cache miss), so read a hot
+# line together with the one above it.
 set -euo pipefail
 
-if [[ $# -ne 2 ]]; then
-    echo "usage: $0 WORKLOAD SEED" >&2
+if [[ $# -ne 2 && $# -ne 3 ]]; then
+    echo "usage: $0 WORKLOAD SEED [FUNCTION]" >&2
     exit 2
 fi
 workload=$1
 seed=$2
+function=${3:-}
 root=$(cd "$(dirname "$0")/.." && pwd)
 build="$root/.bench_build"
 work="$root/.pcsample"
@@ -147,7 +156,7 @@ else
     want=perfbench_driver
 fi
 
-python3 - "$out" "$want" <<'EOF'
+python3 - "$out" "$want" "$function" <<'EOF'
 import bisect
 import collections
 import glob
@@ -156,7 +165,7 @@ import re
 import subprocess
 import sys
 
-out, want = sys.argv[1], sys.argv[2]
+out, want, function = sys.argv[1], sys.argv[2], sys.argv[3]
 
 
 def segments(path):
@@ -188,6 +197,7 @@ elf = {}
 
 
 def resolve(path, file_off):
+    """(symbol as (address, size, name), address) holding an offset."""
     if path not in elf:
         try:
             elf[path] = (segments(path), symbols(path))
@@ -199,12 +209,14 @@ def resolve(path, file_off):
             addr = file_off - off + vaddr
             i = bisect.bisect_right(syms, (addr, float("inf"), "")) - 1
             if i >= 0 and addr < syms[i][0] + max(syms[i][1], 1):
-                return syms[i][2]
+                return syms[i], addr
             break
-    return None
+    return None, None
 
 
 counts = collections.Counter()
+# (ELF path, symbol) -> samples per instruction address.
+by_insn = collections.defaultdict(collections.Counter)
 total = 0
 for pcs in glob.glob(os.path.join(out, "prof.*.pcs")):
     maps = []
@@ -226,11 +238,13 @@ for pcs in glob.glob(os.path.join(out, "prof.*.pcs")):
             counts["?unmapped"] += 1
             continue
         lo, _, off, path = maps[i]
-        sym = resolve(path, pc - lo + off)
+        sym, addr = resolve(path, pc - lo + off)
         if sym is None:
             counts["?" + os.path.basename(path)] += 1
         else:
-            counts[sym] += 1
+            counts[sym[2]] += 1
+            if function:
+                by_insn[(path, sym)][addr] += 1
 
 if total == 0:
     sys.exit("no samples from %s" % want)
@@ -258,4 +272,29 @@ for sym, n in counts.items():
 print("\nsamples by layer (first wisync namespace in the function)")
 for layer, n in layers.most_common():
     print("%6.2f%% %8d  %s" % (100.0 * n / total, n, layer))
+
+if function:
+    hot = [(sum(c.values()), path, sym) for (path, sym), c in by_insn.items()
+           if function in pretty[sym[2]]]
+    if not hot:
+        sys.exit("no samples in a function whose name contains %r" %
+                 function)
+    line_re = re.compile(r"^\s*([0-9a-f]+):\s*(.*)$")
+    for n, path, (start, size, name) in sorted(hot, reverse=True):
+        print("\n%d samples (%.2f%% of all) in %s" %
+              (n, 100.0 * n / total, pretty[name]))
+        text = subprocess.run(
+            ["objdump", "-d", "-C", "--no-show-raw-insn",
+             "--start-address=0x%x" % start,
+             "--stop-address=0x%x" % (start + max(size, 1)), path],
+            capture_output=True, text=True).stdout
+        insns = by_insn[(path, (start, size, name))]
+        for line in text.splitlines():
+            m = line_re.match(line)
+            if m is None:
+                continue
+            k = insns.get(int(m.group(1), 16), 0)
+            share = "%5.1f%%" % (100.0 * k / n) if k else ""
+            print("%7s %6s  %s:  %s" % (k or "", share, m.group(1),
+                                        m.group(2)))
 EOF
