@@ -115,10 +115,9 @@ main()
     std::vector<service::ServiceOutcome> merged(n);
     for (unsigned s = 0; s < 2; ++s) {
         service::SweepService shard_svc(256);
-        const auto idx = service::ShardPlanner::shardIndices(n, s, 2);
+        const auto idx = service::ShardPlanner::planByCost(request, s, 2);
         auto part = shard_svc.runBatch(
-            service::ShardPlanner::shardRequest(request, s, 2),
-            threads);
+            service::ShardPlanner::subRequest(request, idx), threads);
         service::ShardPlanner::mergeByIndex(merged, idx,
                                             std::move(part));
     }

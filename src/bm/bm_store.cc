@@ -9,8 +9,7 @@ namespace wisync::bm {
 
 BmStore::BmStore(sim::Engine &engine, std::uint32_t num_nodes,
                  std::uint32_t words_per_node, std::uint32_t num_chips)
-    : engine_(engine), numNodes_(num_nodes), words_(words_per_node),
-      watches_(engine)
+    : engine_(engine), numNodes_(num_nodes), words_(words_per_node)
 {
     regroup(num_chips);
     tags_.assign(words_, kNoPid);
@@ -38,19 +37,15 @@ BmStore::read(sim::NodeId node, sim::BmAddr addr) const
 }
 
 void
-BmStore::raiseWatches(sim::NodeId first, sim::NodeId end, sim::BmAddr addr)
+BmStore::fireWatches(sim::NodeId first, sim::NodeId end, sim::BmAddr addr)
 {
-    // Raising only queues wake events, so the list cannot change under
-    // this loop. A watcher with no waiter still has its generation
-    // bumped.
-    if (watchers_.empty())
+    // Firing only queues wake events, so no list changes under this
+    // loop.
+    if (armed_.empty() || armed_[addr] == nullptr)
         return;
-    for (const Watcher &w : watchers_[addr]) {
-        if (w.node >= end)
-            break;
-        if (w.node >= first)
-            w.event->raise();
-    }
+    coro::WatchList *lists = armed_[addr].get();
+    for (sim::NodeId n = first; n < end; ++n)
+        lists[n].fire(engine_, addr);
 }
 
 void
@@ -59,7 +54,7 @@ BmStore::writeAll(sim::BmAddr addr, std::uint64_t value)
     WISYNC_ASSERT(addr < words_, "BM write OOB");
     for (std::uint32_t c = 0; c < numChips_; ++c)
         values_[std::size_t{c} * words_ + addr] = value;
-    raiseWatches(0, numNodes_, addr);
+    fireWatches(0, numNodes_, addr);
 }
 
 void
@@ -67,7 +62,7 @@ BmStore::writeChip(std::uint32_t chip, sim::BmAddr addr, std::uint64_t value)
 {
     WISYNC_ASSERT(addr < words_ && chip < numChips_, "BM chip write OOB");
     values_[std::size_t{chip} * words_ + addr] = value;
-    raiseWatches(chip * nodesPerChip_, (chip + 1) * nodesPerChip_, addr);
+    fireWatches(chip * nodesPerChip_, (chip + 1) * nodesPerChip_, addr);
 }
 
 void
@@ -140,10 +135,7 @@ BmStore::reset()
     std::fill(values_.begin(), values_.end(), 0);
     std::fill(tags_.begin(), tags_.end(), kNoPid);
     std::fill(scopes_.begin(), scopes_.end(), BmScope::Global);
-    watches_.reset(); // recycles events instead of freeing them
-    for (const sim::BmAddr addr : watchedWords_)
-        watchers_[addr].clear();
-    watchedWords_.clear();
+    WISYNC_ASSERT(armedWatches() == 0, "a watch outlived its frame");
 }
 
 std::uint64_t
@@ -159,23 +151,26 @@ BmStore::fingerprint() const
     return acc;
 }
 
-coro::VersionedEvent &
-BmStore::watch(sim::NodeId node, sim::BmAddr addr)
+void
+BmStore::arm(coro::Watch &w, sim::NodeId node, sim::BmAddr addr)
 {
-    const std::uint64_t key = watchKey(node, addr);
-    if (coro::VersionedEvent *ev = watches_.find(key))
-        return *ev;
-    coro::VersionedEvent &ev = watches_[key];
-    if (watchers_.empty())
-        watchers_.resize(words_);
-    std::vector<Watcher> &list = watchers_[addr];
-    if (list.empty())
-        watchedWords_.push_back(addr);
-    const auto at = std::lower_bound(
-        list.begin(), list.end(), node,
-        [](const Watcher &w, sim::NodeId n) { return w.node < n; });
-    list.insert(at, Watcher{node, &ev});
-    return ev;
+    WISYNC_ASSERT(node < numNodes_ && addr < words_, "BM watch OOB");
+    if (armed_.empty())
+        armed_.resize(words_);
+    if (armed_[addr] == nullptr)
+        armed_[addr] = std::make_unique<coro::WatchList[]>(numNodes_);
+    w.arm(armed_[addr][node], addr);
+}
+
+std::size_t
+BmStore::armedWatches() const
+{
+    std::size_t n = 0;
+    for (const auto &lists : armed_)
+        if (lists != nullptr)
+            for (sim::NodeId node = 0; node < numNodes_; ++node)
+                n += lists[node].size();
+    return n;
 }
 
 } // namespace wisync::bm

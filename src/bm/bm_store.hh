@@ -12,8 +12,9 @@
  * Since every replica on a chip is written in the same step, a chip's
  * replica group is stored as one word array: node reads go to their
  * chip's array, and the store costs chips x words, not nodes x words.
- * Watchers stay per node; each word lists the nodes that watch it, so
- * a write raises exactly those, in increasing node order.
+ * Watches stay per node: a spinner arms a coro::Watch on its node's
+ * list of the word, and a write fires the armed records of the nodes
+ * it reaches, in increasing node order (park order within a node).
  *
  * Multi-chip: with several chips each broadcast commits on its own
  * chip's replica group first (writeChip); the inter-chip bridge
@@ -26,6 +27,7 @@
 #define WISYNC_BM_BM_STORE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "coro/primitives.hh"
@@ -46,7 +48,7 @@ enum class BmScope : std::uint8_t
     ChipLocal,
 };
 
-/** Per-chip replicated broadcast memories + per-node update events. */
+/** Per-chip replicated broadcast memories + per-node word watches. */
 class BmStore
 {
   public:
@@ -99,16 +101,24 @@ class BmStore
     void setScope(sim::BmAddr addr, BmScope scope);
     BmScope scope(sim::BmAddr addr) const;
 
-    /** Per-(node,word) update event for event-driven spinning. */
-    coro::VersionedEvent &watch(sim::NodeId node, sim::BmAddr addr);
+    /**
+     * Arm @p w on @p node's view of word @p addr: the next write that
+     * reaches the node's replica of the word fires it (event-driven
+     * spinning).
+     */
+    void arm(coro::Watch &w, sim::NodeId node, sim::BmAddr addr);
 
-    /** All replicas zero, all tags free, no watchers (no realloc). */
+    /** Watch records armed on any word, for tests. */
+    std::size_t armedWatches() const;
+
+    /** All replicas zero, all tags free (no realloc). The frames that
+     *  armed watches died with them. */
     void reset();
 
     /**
      * Regroup the replicas into @p num_chips chips (a machine re-tiled
-     * by reset). Every replica is zeroed; tags, scopes and watchers
-     * are untouched.
+     * by reset). Every replica is zeroed; tags and scopes are
+     * untouched.
      */
     void regroup(std::uint32_t num_chips);
 
@@ -119,23 +129,8 @@ class BmStore
     std::uint64_t fingerprint() const;
 
   private:
-    static std::uint64_t
-    watchKey(sim::NodeId node, sim::BmAddr addr)
-    {
-        // 16 node bits: the old << 10 packing was exactly exhausted at
-        // 1024 nodes and aliased beyond.
-        return (static_cast<std::uint64_t>(addr) << 16) | node;
-    }
-
-    /** Wake the watchers of nodes [@p first, @p end) on @p addr. */
-    void raiseWatches(sim::NodeId first, sim::NodeId end, sim::BmAddr addr);
-
-    /** A node's watch event on one word. */
-    struct Watcher
-    {
-        sim::NodeId node;
-        coro::VersionedEvent *event;
-    };
+    /** Fire the watches of nodes [@p first, @p end) on @p addr. */
+    void fireWatches(sim::NodeId first, sim::NodeId end, sim::BmAddr addr);
 
     sim::Engine &engine_;
     std::uint32_t numNodes_;
@@ -146,13 +141,10 @@ class BmStore
     std::vector<std::uint32_t> rowOf_;  // node -> chip * words
     std::vector<sim::Pid> tags_;
     std::vector<BmScope> scopes_;
-    coro::WatchTable watches_;
-    /** Per word, the nodes holding a watch entry, in increasing node
-     *  order, so a write visits only those. Sized by the first watch()
-     *  (a machine that never spins allocates nothing). */
-    std::vector<std::vector<Watcher>> watchers_;
-    /** The words whose watcher list is non-empty (reset clears them). */
-    std::vector<sim::BmAddr> watchedWords_;
+    /** Per word, one watch list per node (null until the word's first
+     *  arm). Sized by the first arm, so a machine that never spins
+     *  allocates nothing; kept across resets. */
+    std::vector<std::unique_ptr<coro::WatchList[]>> armed_;
 };
 
 } // namespace wisync::bm

@@ -543,12 +543,14 @@ BmSystem::spin(sim::NodeId node, sim::Pid pid, sim::BmAddr addr,
                std::uint64_t value, bool until_equal)
 {
     for (;;) {
-        coro::VersionedEvent &ev = store_.watch(node, addr);
-        const std::uint64_t gen = ev.gen();
+        // Armed before the load: a write during it fires the record,
+        // and the await below then falls through.
+        coro::Watch changed;
+        store_.arm(changed, node, addr);
         const std::uint64_t v = co_await load(node, pid, addr);
         if ((v == value) == until_equal)
             co_return v;
-        co_await ev.waitChangedSince(gen);
+        co_await changed;
     }
 }
 
@@ -590,8 +592,6 @@ BmSystem::allocToneBarrier(sim::BmAddr addr, std::vector<bool> armed)
 {
     if (!toneEnabled_)
         return false;
-    if (numChips_ == 1)
-        return tones_[0]->alloc(addr, std::move(armed));
     // Tone barriers are per-die hardware: the armed set must sit on
     // one chip. A spanning set is not an error — the caller falls back
     // to a Data-channel barrier (and, above that, the multi-chip

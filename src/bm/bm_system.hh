@@ -291,10 +291,10 @@ class BmSystem
 
     /**
      * Register a tone barrier; false if AllocB overflows or no tone.
-     * @p armed is indexed by global node id; on a multi-chip machine
-     * the armed nodes must all sit on one chip (the tone channel is
-     * per-die hardware) — a spanning set returns false and the caller
-     * falls back to a Data-channel barrier.
+     * @p armed is indexed by global node id; the armed nodes must all
+     * sit on one chip (the tone channel is per-die hardware) — a
+     * spanning or empty set returns false and the caller falls back
+     * to a Data-channel barrier. The barrier word turns chip-local.
      */
     bool allocToneBarrier(sim::BmAddr addr, std::vector<bool> armed);
     void deallocToneBarrier(sim::BmAddr addr);

@@ -7,7 +7,9 @@
  *   - SimMutex                : FIFO mutual exclusion (per-line MSHRs,
  *                               channel senders, bank ports, ...)
  *   - Resource                : counting semaphore (link/bank capacity)
- *   - CondVar                 : broadcast wakeup (spin-wait subscription)
+ *   - CondVar                 : broadcast wakeup of callback waiters
+ *   - Watch / WatchList       : in-frame "location changed" records
+ *                               (spin waits, pipelined fills)
  *   - spawnDetached           : launch a root task onto the engine
  *   - whenAll                 : fork-join over parallel legs
  *
@@ -30,7 +32,6 @@
 #include "sim/engine.hh"
 #include "sim/inline_vec.hh"
 #include "sim/logging.hh"
-#include "sim/pooled_map.hh"
 #include "sim/types.hh"
 
 namespace wisync::coro {
@@ -496,43 +497,21 @@ class Resource
 };
 
 /**
- * Broadcast condition variable.
+ * Broadcast condition variable over callback waiters.
  *
- * The simulator's event-driven replacement for busy polling: a thread
- * spinning on a memory location subscribes here and is woken when the
- * watched state may have changed (line invalidated, BM word updated,
- * tone toggled). Spurious wakeups are expected; callers re-check.
+ * A party with no coroutine frame of its own (a MAC contender, say)
+ * queues a (fn, ctx) pair and is woken, in FIFO order, by the next
+ * notifyAll(). Spurious wakeups are expected; callers re-check.
  */
 class CondVar
 {
   public:
     explicit CondVar(sim::Engine &engine) : engine_(engine) {}
 
-    class WaitAwaiter
-    {
-      public:
-        explicit WaitAwaiter(CondVar &cv) : cv_(cv) {}
-        bool await_ready() const noexcept { return false; }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            cv_.waiters_.push_back(detail::Waiter{h.address()});
-        }
-
-        void await_resume() const noexcept {}
-
-      private:
-        CondVar &cv_;
-    };
-
-    /** Block until the next notifyAll(). */
-    WaitAwaiter wait() { return WaitAwaiter(*this); }
-
     /**
-     * wait() for a caller with no coroutine frame: @p wake(@p ctx)
-     * runs in the wake event of the next notifyAll(), at the (cycle,
-     * seq) where a parked coroutine would resume.
+     * Queue @p wake(@p ctx) for the next notifyAll(): it runs in its
+     * own delta-0 wake event, at the (cycle, seq) where a parked
+     * coroutine would resume.
      */
     void
     wait(void (*wake)(void *), void *ctx)
@@ -564,53 +543,157 @@ class CondVar
     sim::InlineVec<detail::Waiter, 4> waiters_;
 };
 
+class WatchList;
+
 /**
- * Generation-counted event for race-free spin waiting.
+ * One armed watch on a location: "did it change since I armed?"
  *
- * Protocol: read gen(), inspect the watched state, then
- * co_await waitChangedSince(g). If the event was raised between the
- * read and the wait, the wait returns immediately — no lost wakeups.
- * Used for "line invalidated", "BM word updated", "tone toggled".
+ * The record lives in the watcher's frame. A spinner arms it on its
+ * node's list *before* loading the location and, if the value does
+ * not satisfy it, co_awaits it; the list's owner fires the records of
+ * a location when it changes (an L1 invalidation, a BM word update).
+ * Awaiting a record that already fired does not suspend, so a change
+ * between the load and the park is never lost. Firing a parked record
+ * files its wake as one delta-0 resumeHandle event, once. A pipelined
+ * fill arms one too and only reads fired(): an invalidation in flight
+ * kills the fill.
+ *
+ * A record unlinks itself when its frame dies (a return, an exception
+ * out of the load, Engine::reset), and a list that dies first detaches
+ * its records, so no list ever points into a dead frame.
  */
-class VersionedEvent
+class Watch
 {
   public:
-    explicit VersionedEvent(sim::Engine &engine) : cv_(engine) {}
+    Watch() = default;
+    Watch(const Watch &) = delete;
+    Watch &operator=(const Watch &) = delete;
+    ~Watch() { unlink(); }
 
-    std::uint64_t gen() const { return gen_; }
+    /** List this record for @p loc at the tail of @p list (once). */
+    inline void arm(WatchList &list, std::uint64_t loc);
 
-    /** Signal that the watched state may have changed. */
+    /** Whether the location changed since arm(). */
+    bool fired() const { return fired_; }
+
+    /** Mark fired; the first fire of a parked record files its wake. */
     void
-    raise()
+    fire(sim::Engine &engine)
     {
-        ++gen_;
-        cv_.notifyAll();
+        if (fired_)
+            return;
+        fired_ = true;
+        if (parked_)
+            engine.resumeHandle(0, parked_);
     }
 
-    /** Wait until gen() differs from @p seen (returns at once if so). */
-    Task<void>
-    waitChangedSince(std::uint64_t seen)
+    bool await_ready() const noexcept { return fired_; }
+
+    /**
+     * Park until fired. The record moves to the tail of its list, so a
+     * list fires its parked records in park order (which need not be
+     * arm order).
+     */
+    void
+    await_suspend(std::coroutine_handle<> h)
     {
-        while (gen_ == seen)
-            co_await cv_.wait();
+        parked_ = h;
+        if (next_ == nullptr)
+            return;
+        Watch *last = next_;
+        while (last->next_ != nullptr)
+            last = last->next_;
+        unlink();
+        link(&last->next_);
     }
 
-    /** Back to generation zero, no waiters (see SimMutex::reset). */
+    void await_resume() const noexcept {}
+
+  private:
+    friend class WatchList;
+
+    /** Insert at @p at (a tail next_ or an empty head). */
     void
-    reset()
+    link(Watch **at)
     {
-        gen_ = 0;
-        cv_.reset();
+        pprev_ = at;
+        *at = this;
+    }
+
+    void
+    unlink()
+    {
+        if (pprev_ == nullptr)
+            return;
+        *pprev_ = next_;
+        if (next_ != nullptr)
+            next_->pprev_ = pprev_;
+        pprev_ = nullptr;
+        next_ = nullptr;
+    }
+
+    std::uint64_t loc_ = 0;
+    bool fired_ = false;
+    std::coroutine_handle<> parked_;
+    Watch *next_ = nullptr;
+    /** The link pointing at this record (nullptr: not listed). */
+    Watch **pprev_ = nullptr;
+};
+
+/**
+ * The armed Watch records of one watcher (a node, or a node's view of
+ * one BM word), intrusive and allocation-free. Not movable: records
+ * point into it.
+ */
+class WatchList
+{
+  public:
+    WatchList() = default;
+    WatchList(const WatchList &) = delete;
+    WatchList &operator=(const WatchList &) = delete;
+
+    ~WatchList()
+    {
+        for (Watch *w = head_; w != nullptr; w = w->next_)
+            w->pprev_ = nullptr;
+    }
+
+    bool empty() const { return head_ == nullptr; }
+
+    /** Armed records (fired or not), for tests and reset checks. */
+    std::size_t
+    size() const
+    {
+        std::size_t n = 0;
+        for (const Watch *w = head_; w != nullptr; w = w->next_)
+            ++n;
+        return n;
+    }
+
+    /** Fire every record of @p loc, parked ones in park order. */
+    void
+    fire(sim::Engine &engine, std::uint64_t loc)
+    {
+        for (Watch *w = head_; w != nullptr; w = w->next_)
+            if (w->loc_ == loc)
+                w->fire(engine);
     }
 
   private:
-    std::uint64_t gen_ = 0;
-    CondVar cv_;
+    friend class Watch;
+    Watch *head_ = nullptr;
 };
 
-/** Spin-watch events keyed by (location << 16 | node), pooled across
- *  resets (MemSystem and BmStore). */
-using WatchTable = sim::PooledMap<VersionedEvent, sim::Engine &>;
+void
+Watch::arm(WatchList &list, std::uint64_t loc)
+{
+    WISYNC_ASSERT(pprev_ == nullptr && !fired_, "Watch armed twice");
+    loc_ = loc;
+    Watch **at = &list.head_;
+    while (*at != nullptr)
+        at = &(*at)->next_;
+    link(at);
+}
 
 namespace detail {
 

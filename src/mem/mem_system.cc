@@ -17,18 +17,6 @@ wordOf(sim::Addr addr)
     return addr & ~sim::Addr{7};
 }
 
-/**
- * watches_ key of (node, line). 16 node bits: the old << 9 packing
- * aliased distinct (node, line) pairs from 512 cores up — a silently
- * shared watch event, i.e. spurious (but not lost) wakeups. Host-side
- * only either way.
- */
-std::uint64_t
-watchKey(sim::NodeId node, sim::Addr line)
-{
-    return (line << 16) | node;
-}
-
 } // namespace
 
 MemSystem::MemSystem(sim::Engine &engine, noc::Mesh &mesh, Memory &memory,
@@ -36,8 +24,8 @@ MemSystem::MemSystem(sim::Engine &engine, noc::Mesh &mesh, Memory &memory,
     : engine_(engine), mesh_(mesh), memory_(memory), numNodes_(num_nodes),
       cfg_(cfg),
       lineShift_(static_cast<std::uint32_t>(std::countr_zero(cfg.lineBytes))),
-      nodes_(num_nodes), memCtrls_(cfg.numMemCtrls), watches_(engine),
-      fills_(num_nodes, nullptr)
+      nodes_(num_nodes), memCtrls_(cfg.numMemCtrls),
+      armed_(std::make_unique<coro::WatchList[]>(num_nodes))
 {
     WISYNC_ASSERT(cfg_.l1RtCycles > 0, "the L1 round trip needs a cycle");
     l1s_.reserve(numNodes_);
@@ -73,9 +61,8 @@ MemSystem::reset(const MemConfig &cfg)
     }
     for (auto &ctrl : dramCtrls_)
         ctrl->reset();
-    watches_.reset(); // recycles events instead of freeing them
-    // The fills' frames died with the engine reset.
-    std::fill(fills_.begin(), fills_.end(), nullptr);
+    for (std::uint32_t n = 0; n < numNodes_; ++n)
+        WISYNC_ASSERT(armed_[n].empty(), "a watch outlived its frame");
     stats_.reset();
 }
 
@@ -142,43 +129,12 @@ hasSharers(std::span<const std::uint64_t> sharers, sim::NodeId exclude)
     return any != 0;
 }
 
-coro::VersionedEvent &
-MemSystem::watch(sim::NodeId node, sim::Addr line)
-{
-    return watches_[watchKey(node, line)];
-}
-
-void
-MemSystem::armFill(sim::NodeId node, PendingFill &fill)
-{
-    fill.next = fills_[node];
-    fills_[node] = &fill;
-}
-
-bool
-MemSystem::disarmFill(sim::NodeId node, PendingFill &fill)
-{
-    PendingFill **at = &fills_[node];
-    while (*at != &fill)
-        at = &(*at)->next;
-    *at = fill.next;
-    return !fill.killed;
-}
-
 void
 MemSystem::invalidateL1(sim::NodeId node, sim::Addr line)
 {
     if (CacheLine *cl = l1s_[node].peek(line); cl && cl->valid())
         cl->state = CohState::Invalid;
-    for (PendingFill *f = fills_[node]; f != nullptr; f = f->next) {
-        if (f->line == line)
-            f->killed = true;
-    }
-    // Every spinner's generation snapshot goes through watch(), which
-    // creates the event first: an invalidation that finds none has no
-    // observer.
-    if (coro::VersionedEvent *ev = watches_.find(watchKey(node, line)))
-        ev->raise();
+    armed_[node].fire(engine_, line);
 }
 
 void
@@ -359,18 +315,18 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
         // a non-blocking directory does. A racing invalidation kills
         // the pending fill: the late-arriving data is then not
         // installed (the copy was already invalidated in flight).
-        PendingFill fill{line};
+        coro::Watch fill;
         if (e.owner != sim::kNoNode && e.owner != node) {
             const sim::NodeId owner = e.owner;
             CacheLine *oc = l1s_[owner].peek(line);
             if (oc && oc->state == CohState::Owned) {
                 sharerSet(e, node, true);
-                armFill(node, fill);
+                fill.arm(armed_[node], line);
                 e.busy.unlock();
                 co_await mesh_.send(home, owner, cfg_.ctrlBits);
                 co_await coro::delay(engine_, cfg_.l1RtCycles);
                 co_await mesh_.send(owner, node, cfg_.dataBits);
-                if (disarmFill(node, fill))
+                if (!fill.fired())
                     installL1(node, line, CohState::Shared);
                 commit(op);
                 co_return;
@@ -379,10 +335,10 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
         if (e.owner == sim::kNoNode && e.inL2 &&
             hasSharers(e.sharers, node)) {
             sharerSet(e, node, true);
-            armFill(node, fill);
+            fill.arm(armed_[node], line);
             e.busy.unlock();
             co_await mesh_.send(home, node, cfg_.dataBits);
-            if (disarmFill(node, fill))
+            if (!fill.fired())
                 installL1(node, line, CohState::Shared);
             commit(op);
             co_return;
@@ -598,15 +554,16 @@ MemSystem::spin(sim::NodeId node, sim::Addr addr, std::uint64_t value,
 {
     const sim::Addr line = l1s_[node].lineOf(addr);
     for (;;) {
-        coro::VersionedEvent &ev = watch(node, line);
-        const std::uint64_t gen = ev.gen();
+        // Armed before the load, so an invalidation during it is not
+        // lost: the await below then falls through.
+        coro::Watch changed;
+        changed.arm(armed_[node], line);
         const std::uint64_t v = co_await load(node, addr);
         if ((v == value) == until_equal)
             co_return v;
         // Sleep until our cached copy is invalidated (someone wrote
-        // the line). The generation check closes the window between
-        // the load and this wait.
-        co_await ev.waitChangedSince(gen);
+        // the line).
+        co_await changed;
     }
 }
 

@@ -321,17 +321,22 @@ class MemSystem
     /** Observable L1 state, for white-box tests. */
     CohState l1State(sim::NodeId node, sim::Addr addr);
 
-    /** Whether a pipelined GetS fill of @p node is in flight, for
-     *  white-box tests. */
-    bool fillPending(sim::NodeId node) const { return fills_[node]; }
+    /** Watch records armed on @p node (spinners and pipelined GetS
+     *  fills in flight), for white-box tests. */
+    std::size_t
+    armedWatches(sim::NodeId node) const
+    {
+        return armed_[node].size();
+    }
 
     /**
      * Return to post-construction state, optionally retiming: all
-     * caches invalid, directory and spin-watch maps empty, DRAM
-     * controllers idle, stats zero. @p cfg may change latencies but
-     * must keep the geometry (line/cache sizes, associativities,
-     * controller count/depth). In-flight transactions must have been
-     * destroyed by the caller (Machine::reset) first.
+     * caches invalid, directory empty, DRAM controllers idle, stats
+     * zero; no watch is armed (the frames that armed them died). @p cfg
+     * may change latencies but must keep the geometry (line/cache
+     * sizes, associativities, controller count/depth). In-flight
+     * transactions must have been destroyed by the caller
+     * (Machine::reset) first.
      */
     void reset(const MemConfig &cfg);
 
@@ -341,17 +346,6 @@ class MemSystem
      * serve (nearly) every entry from the free lists.
      */
     DirTable::Stats dirPoolStats() const;
-
-    /**
-     * Spin-watch pool counters: with reset-recycling, steady-state
-     * sweeps should serve (nearly) every watch event from the free
-     * list, as the directory banks do.
-     */
-    const coro::WatchTable::Stats &
-    watchPoolStats() const
-    {
-        return watches_.stats();
-    }
 
   private:
     struct Bank
@@ -389,30 +383,8 @@ class MemSystem
     coro::Task<std::uint64_t> spin(sim::NodeId node, sim::Addr addr,
                                    std::uint64_t value, bool until_equal);
 
-    /** Per-(node,line) invalidation events for spin. */
-    coro::VersionedEvent &watch(sim::NodeId node, sim::Addr line);
-
-    /**
-     * A GetS fill whose data leg runs after the home released the line
-     * (fetchLine's pipelined read paths). It lives in the fetchLine
-     * frame, listed on its requesting node; an invalidation of (node,
-     * line) meanwhile kills it, and the late data is then not
-     * installed (the copy was invalidated in flight).
-     */
-    struct PendingFill
-    {
-        sim::Addr line = 0;
-        bool killed = false;
-        PendingFill *next = nullptr;
-    };
-
-    /** List @p fill on @p node until disarmFill. */
-    void armFill(sim::NodeId node, PendingFill &fill);
-    /** Unlist @p fill; true when no invalidation killed it. */
-    bool disarmFill(sim::NodeId node, PendingFill &fill);
-
-    /** Invalidate node's L1 copy (if any), kill its pending fills of
-     *  the line and wake spinners. */
+    /** Invalidate node's L1 copy (if any) and fire the node's
+     *  watches of the line: pending fills die, spinners wake. */
     void invalidateL1(sim::NodeId node, sim::Addr line);
 
     /**
@@ -477,9 +449,12 @@ class MemSystem
     std::vector<CacheArray> l1s_;
     std::vector<Bank> banks_;
     std::vector<std::unique_ptr<coro::Resource>> dramCtrls_;
-    coro::WatchTable watches_;
-    /** Per node: the head of its PendingFill list. */
-    std::vector<PendingFill *> fills_;
+    /**
+     * Per node, the Watch records armed on its lines: spinners, and
+     * GetS fills whose data leg runs after the home released the line
+     * (fetchLine's pipelined read paths), which an invalidation kills.
+     */
+    std::unique_ptr<coro::WatchList[]> armed_;
     MemStats stats_;
 };
 

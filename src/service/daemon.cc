@@ -55,8 +55,7 @@ buildResponse(const DaemonOptions &opt, std::size_t total_points,
     out += "\"points\":" + jsonNumber(std::uint64_t(total_points));
     out += ",\"shard\":{\"index\":" + jsonNumber(std::uint64_t(opt.shard)) +
            ",\"shards\":" + jsonNumber(std::uint64_t(opt.numShards)) +
-           ",\"plan\":" +
-           jsonQuote(opt.planByCost ? "cost" : "strided") + "}";
+           "}";
     out += ",\"stats\":{\"simulated\":" +
            jsonNumber(std::uint64_t(stats.simulated)) +
            ",\"cacheHits\":" + jsonNumber(std::uint64_t(stats.cacheHits)) +
@@ -167,12 +166,7 @@ Daemon::handleRequest(const std::string &text, bool *ok_out)
     try {
         const SweepRequest request = ConfigCodec::parseRequest(text);
         const std::vector<std::size_t> indices =
-            opt_.planByCost
-                ? ShardPlanner::planByCost(request, opt_.shard,
-                                           opt_.numShards)
-                : ShardPlanner::shardIndices(request.points.size(),
-                                             opt_.shard,
-                                             opt_.numShards);
+            ShardPlanner::planByCost(request, opt_.shard, opt_.numShards);
         const SweepRequest slice =
             ShardPlanner::subRequest(request, indices);
         const auto outcomes = svc_.runBatch(slice, opt_.threads);

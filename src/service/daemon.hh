@@ -52,8 +52,6 @@ struct DaemonOptions
     std::string cacheFile;
     unsigned shard = 0;
     unsigned numShards = 1;
-    /** Cost-weighted bin-packing instead of the strided plan. */
-    bool planByCost = false;
     /** Test seam: see ResultCache::Hasher. */
     ResultCache::Hasher hasherOverride;
 };

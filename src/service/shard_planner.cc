@@ -6,34 +6,6 @@
 
 namespace wisync::service {
 
-std::vector<std::size_t>
-ShardPlanner::shardIndices(std::size_t points, unsigned shard,
-                           unsigned num_shards)
-{
-    WISYNC_FATAL_IF(num_shards == 0, "need at least one shard");
-    WISYNC_FATAL_IF(shard >= num_shards,
-                    "shard %u out of range (have %u shards)", shard,
-                    num_shards);
-    std::vector<std::size_t> indices;
-    indices.reserve(points / num_shards + 1);
-    for (std::size_t i = shard; i < points; i += num_shards)
-        indices.push_back(i);
-    return indices;
-}
-
-SweepRequest
-ShardPlanner::shardRequest(const SweepRequest &request, unsigned shard,
-                           unsigned num_shards)
-{
-    SweepRequest out;
-    const auto indices =
-        shardIndices(request.points.size(), shard, num_shards);
-    out.points.reserve(indices.size());
-    for (const std::size_t i : indices)
-        out.points.push_back(request.points[i]);
-    return out;
-}
-
 std::uint64_t
 ShardPlanner::pointCost(const RequestPoint &point)
 {
@@ -80,9 +52,9 @@ ShardPlanner::planByCost(const SweepRequest &request, unsigned shard,
         owned[best].push_back(i);
     }
     std::vector<std::size_t> indices = std::move(owned[shard]);
-    // Increasing order, like shardIndices: the sub-request keeps the
-    // request's relative point order, which keeps worker assignment
-    // deterministic and the by-index merge contract intact.
+    // Increasing order: the sub-request keeps the request's relative
+    // point order, which keeps worker assignment deterministic and the
+    // by-index merge contract intact.
     std::sort(indices.begin(), indices.end());
     return indices;
 }

@@ -10,24 +10,19 @@
  * coordination — and the merge must reassemble exactly the serial
  * order.
  *
- * Two plans, both pure functions with the same merge contract:
+ * The plan (planByCost) gives each point a deterministic cost
+ * estimate — cores x workload-length — and bin-packs the points
+ * greedily (longest-processing-time first) onto the k shards. Equal
+ * costs keep request order and equal loads pick the lowest shard, so
+ * on a uniform-cost grid point i lands on shard i mod k: the strided
+ * split, which deals every shard the same cost mixture of a grid
+ * sorted along a cost axis. Where costs vary it balances better, also
+ * on grids whose cost pattern resonates with a stride (every k-th
+ * point heavy).
  *
- *  - Strided: shard i of k owns points i, i+k, i+2k... Sweep grids
- *    are usually sorted along a cost axis (core count, chips), so
- *    striding deals every shard the same cost mixture where
- *    contiguous blocks would hand the last shard all the big
- *    machines.
- *  - Cost-weighted (planByCost): each point gets a deterministic cost
- *    estimate — cores x workload-length — and points are bin-packed
- *    greedily (longest-processing-time first) onto the k shards. On
- *    grids whose cost pattern happens to resonate with the stride
- *    (every k-th point heavy), the strided plan loads one shard with
- *    all the heavy points; the packed plan balances them.
- *
- * Results merge back by global point index, so any shard count and
- * either plan reproduces the serial output byte-for-byte — the same
- * by-index merge argument ParallelSweep makes for threads, one level
- * up.
+ * Results merge back by global point index, so any shard count
+ * reproduces the serial output byte-for-byte — the same by-index
+ * merge argument ParallelSweep makes for threads, one level up.
  */
 
 #ifndef WISYNC_SERVICE_SHARD_PLANNER_HH
@@ -45,22 +40,6 @@ class ShardPlanner
 {
   public:
     /**
-     * Global indices owned by shard @p shard of @p num_shards over a
-     * @p points -point grid, in increasing order. Shards must be
-     * disjoint and cover: the union over shard = 0..k-1 is exactly
-     * [0, points). @p shard must be < @p num_shards, and
-     * @p num_shards >= 1.
-     */
-    static std::vector<std::size_t> shardIndices(std::size_t points,
-                                                 unsigned shard,
-                                                 unsigned num_shards);
-
-    /** The sub-request holding exactly shardIndices()'s points. */
-    static SweepRequest shardRequest(const SweepRequest &request,
-                                     unsigned shard,
-                                     unsigned num_shards);
-
-    /**
      * Deterministic relative cost of one point: cores x the
      * workload's length estimate. Not a cycle prediction — only the
      * ratios between points matter for balancing.
@@ -68,19 +47,18 @@ class ShardPlanner
     static std::uint64_t pointCost(const RequestPoint &point);
 
     /**
-     * Cost-weighted plan: global indices owned by @p shard of
-     * @p num_shards, bin-packed by pointCost (LPT greedy with
-     * deterministic tie-breaks — a pure function of the request and
-     * (shard, num_shards), like shardIndices). Returned in increasing
-     * order; disjoint and covering across shards, so mergeByIndex
-     * reassembles exactly the serial output.
+     * Global indices owned by @p shard of @p num_shards, bin-packed by
+     * pointCost (LPT greedy with deterministic tie-breaks — a pure
+     * function of the request and (shard, num_shards)). Returned in
+     * increasing order; disjoint and covering across shards, so
+     * mergeByIndex reassembles exactly the serial output. @p shard
+     * must be < @p num_shards, and @p num_shards >= 1.
      */
     static std::vector<std::size_t>
     planByCost(const SweepRequest &request, unsigned shard,
                unsigned num_shards);
 
-    /** The sub-request holding exactly @p indices' points (pair with
-     *  planByCost the way shardRequest pairs with shardIndices). */
+    /** The sub-request holding exactly @p indices' points. */
     static SweepRequest subRequest(const SweepRequest &request,
                                    const std::vector<std::size_t> &indices);
 
@@ -88,7 +66,7 @@ class ShardPlanner
      * Scatter a shard's outcomes back into the full-grid vector:
      * @p merged[indices[j]] = outcomes[j]. @p merged must already be
      * sized to the full grid; @p indices is the same vector
-     * shardIndices() handed the shard (the merge is by-index, so
+     * planByCost() handed the shard (the merge is by-index, so
      * shard completion order cannot reorder it).
      */
     template <typename Outcome>

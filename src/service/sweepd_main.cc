@@ -30,13 +30,12 @@
  *       wisync_sweepd --shard $i/4 < request.json > part$i.json &
  *   done; wait   # then concatenate the results arrays, sort by index
  *
- * --plan cost swaps the strided slice for ShardPlanner::planByCost's
- * bin-packed one (same merge contract, balanced when the grid's cost
- * pattern resonates with the stride).
+ * The slice is ShardPlanner::planByCost's cost-balanced one (the
+ * strided split i mod K on a uniform-cost grid).
  *
  * Request schema: see src/service/config_codec.hh. Response:
  *
- *   {"points": N, "shard": {"index": I, "shards": K, "plan": "..."},
+ *   {"points": N, "shard": {"index": I, "shards": K},
  *    "stats": {"simulated":.., "cacheHits":.., "errors":..},
  *    "cache": {"hits":.., "misses":.., "insertions":..,
  *              "evictions":.., "collisions":..},
@@ -50,7 +49,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -85,8 +83,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [--input FILE] [--output FILE] [--shard I/K]\n"
-        "          [--plan strided|cost] [--threads N]\n"
-        "          [--cache-capacity N] [--cache-file FILE]\n"
+        "          [--threads N] [--cache-capacity N] [--cache-file FILE]\n"
         "          [--serve] [--max-request-bytes N] [--self-test]\n"
         "Reads a JSON sweep request, writes a JSON response.\n"
         "--serve loops: one request per input line, one response per\n"
@@ -133,15 +130,6 @@ parseArgs(int argc, char **argv, Options &opt)
             }
             opt.daemon.shard = i_part;
             opt.daemon.numShards = k_part;
-        } else if (arg == "--plan") {
-            const char *v = value();
-            if (!v || (std::strcmp(v, "strided") != 0 &&
-                       std::strcmp(v, "cost") != 0)) {
-                std::fprintf(stderr,
-                             "--plan wants 'strided' or 'cost'\n");
-                return false;
-            }
-            opt.daemon.planByCost = std::strcmp(v, "cost") == 0;
         } else if (arg == "--threads") {
             const char *v = value();
             if (!v || std::sscanf(v, "%u", &opt.daemon.threads) != 1 ||
@@ -220,8 +208,8 @@ reportCacheLoad(const Daemon &daemon,
  * Built-in smoke batch for ctest: a duplicate-heavy request run
  * through parse -> shard(2) -> merge must be bit-identical to a
  * serial uncached run, with cache hits accounting for every
- * duplicate. Then the same request drives the serve loop and a
- * cache-file round trip, which must answer warm and identical.
+ * duplicate a shard sees. Then the same request drives the serve loop
+ * and a cache-file round trip, which must answer warm and identical.
  */
 int
 selfTest()
@@ -253,9 +241,9 @@ selfTest()
     std::size_t cache_hits = 0;
     for (unsigned s = 0; s < 2; ++s) {
         SweepService svc(64);
-        const auto indices = ShardPlanner::shardIndices(n, s, 2);
-        const auto part = svc.runBatch(
-            ShardPlanner::shardRequest(request, s, 2), 2);
+        const auto indices = ShardPlanner::planByCost(request, s, 2);
+        const auto part =
+            svc.runBatch(ShardPlanner::subRequest(request, indices), 2);
         ShardPlanner::mergeByIndex(merged, indices, part);
         cache_hits += svc.lastBatch().cacheHits;
     }
@@ -267,11 +255,14 @@ selfTest()
             return 1;
         }
     }
-    // Points 0, 2 and 4 are identical; both duplicates land in shard
-    // 0 (indices 0, 2, 4) and must be answered by its cache.
-    if (cache_hits != 2) {
+    // Points 0, 2 and 4 are identical. Costs (cores x length) are
+    // 16 x 2040 for the tight loops and 16 x 3000 for the CAS point
+    // 3, so LPT places 3, 0, 1, 2, 4 onto the least-loaded shard:
+    // shard 0 gets {2, 3} and shard 1 gets {0, 1, 4}, whose cache
+    // must answer point 4.
+    if (cache_hits != 1) {
         std::fprintf(stderr,
-                     "self-test: expected 2 cache hits, got %zu\n",
+                     "self-test: expected 1 cache hit, got %zu\n",
                      cache_hits);
         return 1;
     }

@@ -2,10 +2,8 @@
  * @file
  * Open-addressed map from 64-bit keys to pooled, pointer-stable values.
  *
- * The simulator keys three hot tables this way: each L2 bank's
- * coherence directory (mem::DirTable, one entry per line) and the
- * spin-watch events of MemSystem and BmStore (coro::WatchTable, one
- * event per (node, line) or (node, BM word)). Sweep loops reset the
+ * The simulator keys one hot table this way: each L2 bank's coherence
+ * directory (mem::DirTable, one entry per line). Sweep loops reset the
  * same machine thousands of times over a nearly identical key set, so
  * the map never frees a value:
  *

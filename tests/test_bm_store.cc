@@ -18,6 +18,7 @@ using wisync::bm::BmStore;
 using wisync::bm::kNoPid;
 using wisync::coro::spawnNow;
 using wisync::coro::Task;
+using wisync::coro::Watch;
 using wisync::sim::Engine;
 using wisync::sim::NodeId;
 
@@ -70,25 +71,27 @@ TEST(BmStore, WatchRaisesOnWrite)
 {
     Engine eng;
     BmStore bm(eng, 4, 64);
-    auto &w0 = bm.watch(0, 7);
-    auto &w3 = bm.watch(3, 7);
-    auto &other = bm.watch(1, 9);
-    const auto g0 = w0.gen(), g3 = w3.gen(), go = other.gen();
+    Watch w0, w3, other;
+    bm.arm(w0, 0, 7);
+    bm.arm(w3, 3, 7);
+    bm.arm(other, 1, 9);
     bm.writeAll(7, 1);
-    EXPECT_GT(w0.gen(), g0);
-    EXPECT_GT(w3.gen(), g3);
-    EXPECT_EQ(other.gen(), go) << "unrelated word must not be raised";
+    EXPECT_TRUE(w0.fired());
+    EXPECT_TRUE(w3.fired());
+    EXPECT_FALSE(other.fired()) << "unrelated word must not be raised";
+    EXPECT_EQ(eng.pendingEvents(), 0u) << "nobody was parked";
 }
 
-/** Park a coroutine on @p node's watch of @p addr; it records @p node
- *  in @p woken when the word is written. */
+/** Park a coroutine on a watch of @p node on @p addr; it records
+ *  @p node in @p woken when the word is written. */
 void
 spinOn(Engine &eng, BmStore &bm, NodeId node, std::uint32_t addr,
        std::vector<NodeId> &woken)
 {
     spawnNow(eng, [&bm, &woken, node, addr]() -> Task<void> {
-        auto &ev = bm.watch(node, addr);
-        co_await ev.waitChangedSince(ev.gen());
+        Watch changed;
+        bm.arm(changed, node, addr);
+        co_await changed;
         woken.push_back(node);
     });
 }
@@ -99,14 +102,14 @@ TEST(BmStore, UnwatchedWriteSchedulesNothing)
     BmStore bm(eng, 64, 64);
     std::vector<NodeId> woken;
     spinOn(eng, bm, 9, 7, woken);
-    auto &idle = bm.watch(2, 5); // an entry with no waiter
+    Watch idle; // armed, with no waiter
+    bm.arm(idle, 2, 5);
     ASSERT_TRUE(eng.run());
     bm.writeAll(6, 1);
     EXPECT_EQ(eng.pendingEvents(), 0u);
-    const auto g = idle.gen();
     bm.writeAll(5, 1);
     EXPECT_EQ(eng.pendingEvents(), 0u);
-    EXPECT_GT(idle.gen(), g) << "a watcher without a waiter still bumps";
+    EXPECT_TRUE(idle.fired()) << "a record without a waiter still fires";
     EXPECT_TRUE(woken.empty());
 }
 
@@ -121,6 +124,7 @@ TEST(BmStore, WatchersWakeInNodeOrder)
     bm.writeAll(3, 1);
     ASSERT_TRUE(eng.run());
     EXPECT_EQ(woken, (std::vector<NodeId>{1, 5, 63}));
+    EXPECT_EQ(bm.armedWatches(), 0u);
 }
 
 TEST(BmStore, ChipWriteWakesOnlyThatChipsWatchersInNodeOrder)
@@ -143,16 +147,23 @@ TEST(BmStore, ResetForgetsWatchers)
 {
     Engine eng;
     BmStore bm(eng, 8, 64);
-    bm.watch(1, 3);
+    std::vector<NodeId> woken;
+    spinOn(eng, bm, 1, 3, woken);
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(bm.armedWatches(), 1u);
+    // Machine::reset's order: the parked frame dies with the engine
+    // (its record unlinks itself), then the store resets.
+    eng.reset();
     bm.reset();
-    // The recycled event now watches another word: writing the old
-    // word must not raise it.
-    auto &ev = bm.watch(2, 4);
-    const auto g = ev.gen();
+    EXPECT_EQ(bm.armedWatches(), 0u);
+    Watch w;
+    bm.arm(w, 2, 4);
     bm.writeAll(3, 1);
-    EXPECT_EQ(ev.gen(), g);
+    EXPECT_FALSE(w.fired());
+    EXPECT_EQ(eng.pendingEvents(), 0u);
     bm.writeAll(4, 1);
-    EXPECT_GT(ev.gen(), g);
+    EXPECT_TRUE(w.fired());
+    EXPECT_TRUE(woken.empty());
 }
 
 } // namespace

@@ -388,6 +388,22 @@ TEST(BmSystem, SimultaneousFirstArrivalsAreHandled)
     EXPECT_GE(chip.bm.stats().toneAnnouncements.value(), 1u);
 }
 
+/** One chip takes the chip path: a barrier with an armed node makes
+ *  its word chip-local, and an armed set with nobody in it is refused
+ *  (the caller falls back to a Data-channel barrier), as on several
+ *  chips. */
+TEST(BmSystem, SingleChipToneBarrierTakesTheChipPath)
+{
+    BmChip chip(4);
+    EXPECT_FALSE(chip.bm.allocToneBarrier(0, std::vector<bool>(4, false)));
+    EXPECT_FALSE(chip.bm.toneChannel()->isAllocated(0));
+    std::vector<bool> armed(4, false);
+    armed[2] = true;
+    ASSERT_TRUE(chip.bm.allocToneBarrier(1, armed));
+    EXPECT_EQ(chip.bm.storeArray().scope(1), wisync::bm::BmScope::ChipLocal);
+    EXPECT_EQ(chip.bm.storeArray().scope(0), wisync::bm::BmScope::Global);
+}
+
 TEST(BmSystem, WiSyncNoTHasNoToneChannel)
 {
     BmChip chip(4, /*tone=*/false);

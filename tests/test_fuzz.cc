@@ -645,9 +645,8 @@ TEST(FuzzSweepService, RandomDuplicateGridsAcrossShardsAndThreads)
         std::size_t expected_hits = 0;
         for (unsigned s = 0; s < shards; ++s) {
             SweepService svc(kCapacity); // cold, per "process"
-            const auto idx = ShardPlanner::shardIndices(n, s, shards);
-            const auto slice =
-                ShardPlanner::shardRequest(request, s, shards);
+            const auto idx = ShardPlanner::planByCost(request, s, shards);
+            const auto slice = ShardPlanner::subRequest(request, idx);
             auto part = svc.runBatch(slice, threads);
             ShardPlanner::mergeByIndex(merged, idx, std::move(part));
             hits += svc.lastBatch().cacheHits;

@@ -388,32 +388,6 @@ TEST(SweepHarness, ReusesShapeCompatibleMachinesAndStaysGolden)
     EXPECT_GE(machines.builds(), 2u);
 }
 
-/**
- * Spin-watch recycling: like the directory pool, the memory system's
- * watch table must stop allocating once warm — a reset-reused machine
- * serves every spin watch of the second run from the free list.
- */
-TEST(MachineReset, ServesSpinWatchesFromThePool)
-{
-    wisync::workloads::TightLoopParams params;
-    params.iterations = 2;
-
-    Machine machine(MachineConfig::make(ConfigKind::Baseline, 8));
-    const auto first = wisync::workloads::runTightLoopOn(machine, params);
-    ASSERT_TRUE(first.completed);
-    const auto warm = machine.mem().watchPoolStats();
-    EXPECT_GT(warm.allocated, 0u);
-
-    machine.reset();
-    const auto second = wisync::workloads::runTightLoopOn(machine, params);
-    EXPECT_EQ(first.cycles, second.cycles);
-    const auto after = machine.mem().watchPoolStats();
-    // Same workload, same watched locations: zero new allocations,
-    // everything recycled.
-    EXPECT_EQ(after.allocated, warm.allocated);
-    EXPECT_GE(after.recycled, warm.allocated);
-}
-
 wisync::coro::Task<void>
 loadOnce(Machine &m, wisync::sim::NodeId node, wisync::sim::Addr addr)
 {

@@ -324,8 +324,8 @@ TEST(MemSystem, SpinUntilImmediateWhenPredicateHolds)
 TEST(MemSystem, InvalidationsWithoutSpinnersCreateNoWatchEvents)
 {
     // Two nodes ping-pong stores on one line and nobody spins: each
-    // store invalidates the other's copy, but no watch event has an
-    // observer, so the raise path must not create one.
+    // store invalidates the other's copy and fires the node's watch
+    // list, which must stay empty: firing creates nothing.
     Chip chip(16);
     const Addr line = 0xA2000;
     spawnNow(chip.engine, [&]() -> Task<void> {
@@ -336,7 +336,8 @@ TEST(MemSystem, InvalidationsWithoutSpinnersCreateNoWatchEvents)
     });
     chip.engine.run();
     EXPECT_GT(chip.mem.stats().invalidations.value(), 0u);
-    EXPECT_EQ(chip.mem.watchPoolStats().allocated, 0u);
+    for (NodeId n = 0; n < 16; ++n)
+        EXPECT_EQ(chip.mem.armedWatches(n), 0u);
 }
 
 TEST(MemSystem, CapacityEvictionsWriteBackDirtyLines)
@@ -527,12 +528,11 @@ TEST(MemSystem, PipelinedFillInstallsWhenNothingInvalidatesIt)
     Chip chip(16);
     startPipelinedRead(chip, std::nullopt);
     chip.engine.run(chip.engine.now() + 15);
-    EXPECT_TRUE(chip.mem.fillPending(0));
+    // The fill's record lives in the transaction's frame.
+    EXPECT_EQ(chip.mem.armedWatches(0), 1u);
     chip.engine.run();
-    EXPECT_FALSE(chip.mem.fillPending(0));
+    EXPECT_EQ(chip.mem.armedWatches(0), 0u);
     EXPECT_EQ(chip.mem.l1State(0, kPipelinedLine), CohState::Shared);
-    // The fill's marker lives in the transaction: no watch event.
-    EXPECT_EQ(chip.mem.watchPoolStats().allocated, 0u);
 }
 
 TEST(MemSystem, PipelinedFillInvalidatedInFlightDoesNotInstall)
@@ -540,12 +540,11 @@ TEST(MemSystem, PipelinedFillInvalidatedInFlightDoesNotInstall)
     Chip chip(16);
     startPipelinedRead(chip, Cycle{2});
     chip.engine.run();
-    EXPECT_FALSE(chip.mem.fillPending(0));
+    EXPECT_EQ(chip.mem.armedWatches(0), 0u);
     EXPECT_EQ(chip.mem.l1State(2, kPipelinedLine), CohState::Modified);
     // The store's invalidation beat the data to node 0: the late data
     // must not resurrect a copy the directory no longer tracks.
     EXPECT_EQ(chip.mem.l1State(0, kPipelinedLine), CohState::Invalid);
-    EXPECT_EQ(chip.mem.watchPoolStats().allocated, 0u);
 }
 
 TEST(MemSystem, ResetDuringAPipelinedFillLeavesNoMarker)
@@ -553,14 +552,14 @@ TEST(MemSystem, ResetDuringAPipelinedFillLeavesNoMarker)
     Chip chip(16);
     startPipelinedRead(chip, std::nullopt);
     chip.engine.run(chip.engine.now() + 15);
-    ASSERT_TRUE(chip.mem.fillPending(0));
+    ASSERT_EQ(chip.mem.armedWatches(0), 1u);
     // Machine::reset's order: frames die with the engine, then the
     // subsystems reset.
     chip.engine.reset();
     chip.mesh.reset(Chip::meshCfg(16, false));
     chip.memory.clear();
     chip.mem.reset(MemConfig{});
-    EXPECT_FALSE(chip.mem.fillPending(0));
+    EXPECT_EQ(chip.mem.armedWatches(0), 0u);
 
     // The reused chip races the same read and store as a fresh one.
     startPipelinedRead(chip, Cycle{2});

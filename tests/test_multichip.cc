@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -183,15 +184,15 @@ TEST(BmStoreChips, ChipWriteIsVisibleToExactlyThatChipsNodes)
     for (std::uint32_t c = 0; c < kChips; ++c) {
         wisync::sim::Engine eng;
         wisync::bm::BmStore store(eng, kChips * kPerChip, 8, kChips);
-        std::vector<std::uint64_t> gens;
+        std::array<wisync::coro::Watch, kChips * kPerChip> watches;
         for (wisync::sim::NodeId n = 0; n < kChips * kPerChip; ++n)
-            gens.push_back(store.watch(n, 3).gen());
+            store.arm(watches[n], n, 3);
         store.writeChip(c, 3, 0xC0DE + c);
         for (wisync::sim::NodeId n = 0; n < kChips * kPerChip; ++n) {
             const bool mine = n / kPerChip == c;
             EXPECT_EQ(store.read(n, 3), mine ? 0xC0DE + c : 0u)
                 << "chip " << c << " node " << n;
-            EXPECT_EQ(store.watch(n, 3).gen() != gens[n], mine)
+            EXPECT_EQ(watches[n].fired(), mine)
                 << "chip " << c << " node " << n;
             EXPECT_EQ(store.read(n, 2), 0u);
         }

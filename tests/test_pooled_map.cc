@@ -1,17 +1,15 @@
 /**
  * @file
- * Contract tests for sim::PooledMap, run for both of its value types:
- * directory entries (mem::DirTable) and spin-watch events
- * (coro::WatchTable). find never creates, values are recycled across
- * reset() without new allocations and come back scrubbed, and value
- * references survive rehashes.
+ * Contract tests for sim::PooledMap, typed over its value type, the
+ * directory entry (mem::DirTable): find never creates, values are
+ * recycled across reset() without new allocations and come back
+ * scrubbed, and value references survive rehashes.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
-#include "coro/primitives.hh"
 #include "mem/mem_system.hh"
 #include "sim/engine.hh"
 
@@ -52,37 +50,6 @@ struct DirEntryValues
     static const void *storage(DirEntry &e) { return e.sharers.data(); }
 };
 
-struct VersionedEventValues
-{
-    using Map = wisync::coro::WatchTable;
-    using Engine = wisync::sim::Engine;
-    using VersionedEvent = wisync::coro::VersionedEvent;
-
-    static Map make(Engine &eng) { return Map(eng); }
-
-    static void
-    dirty(Engine &eng, VersionedEvent &e)
-    {
-        e.raise();
-        // Park a waiter on the event; the test's engine reset destroys
-        // its frame, as Machine::reset does before recycling.
-        wisync::coro::spawnDetached(eng, e.waitChangedSince(e.gen()));
-        eng.run();
-    }
-
-    static void
-    expectFresh(Engine &eng, VersionedEvent &e)
-    {
-        EXPECT_EQ(e.gen(), 0u);
-        // No waiters: a raise has nobody to wake.
-        e.raise();
-        EXPECT_EQ(eng.pendingEvents(), 0u);
-        e.reset();
-    }
-
-    static const void *storage(VersionedEvent &) { return nullptr; }
-};
-
 namespace {
 
 using wisync::sim::Engine;
@@ -98,7 +65,7 @@ template <typename Values>
 class PooledMap : public ::testing::Test
 {};
 
-using ValueTypes = ::testing::Types<DirEntryValues, VersionedEventValues>;
+using ValueTypes = ::testing::Types<DirEntryValues>;
 TYPED_TEST_SUITE(PooledMap, ValueTypes);
 
 TYPED_TEST(PooledMap, FindNeverCreates)

@@ -172,24 +172,45 @@ TEST(WaiterQueue, DrainToEmptyAndRefillKeepsFifoGrantOrder)
     EXPECT_EQ(resource_order, expected);
 }
 
+/** A callback CondVar waiter that logs its id and wake cycle, and
+ *  re-waits while @p rewaits is positive. */
+struct CvProbe
+{
+    Engine *eng;
+    CondVar *cv;
+    int id;
+    std::vector<int> *order;
+    std::vector<Cycle> *when;
+    int rewaits = 0;
+
+    void wait() { cv->wait(&CvProbe::wake, this); }
+
+    static void
+    wake(void *p)
+    {
+        auto *pr = static_cast<CvProbe *>(p);
+        pr->order->push_back(pr->id);
+        pr->when->push_back(pr->eng->now());
+        if (pr->rewaits-- > 0)
+            pr->wait();
+    }
+};
+
 TEST(CondVar, NotifyWakesAllWaiters)
 {
     Engine eng;
     CondVar cv(eng);
-    int woken = 0;
-
-    auto waiter = [&]() -> Task<void> {
-        co_await cv.wait();
-        ++woken;
-    };
+    std::vector<int> order;
+    std::vector<Cycle> when;
+    std::vector<CvProbe> probes;
     for (int i = 0; i < 5; ++i)
-        spawnNow(eng, waiter);
-    spawnNow(eng, [&]() -> Task<void> {
-        co_await delay(eng, 50);
-        cv.notifyAll();
-    });
+        probes.push_back(CvProbe{&eng, &cv, i, &order, &when});
+    for (CvProbe &p : probes)
+        p.wait();
+    eng.scheduleIn(50, [&] { cv.notifyAll(); });
     eng.run();
-    EXPECT_EQ(woken, 5);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(when, std::vector<Cycle>(5, 50));
     EXPECT_EQ(eng.now(), 50u);
 }
 
@@ -205,58 +226,34 @@ TEST(CondVar, WaitersAfterNotifyNeedNextNotify)
 {
     Engine eng;
     CondVar cv(eng);
+    std::vector<int> order;
     std::vector<Cycle> wake_times;
-
-    spawnNow(eng, [&]() -> Task<void> {
-        co_await cv.wait();
-        wake_times.push_back(eng.now());
-        co_await cv.wait();
-        wake_times.push_back(eng.now());
-    });
-    spawnNow(eng, [&]() -> Task<void> {
-        co_await delay(eng, 10);
-        cv.notifyAll();
-        co_await delay(eng, 10);
-        cv.notifyAll();
-    });
+    // Re-waits from inside its first wake: a fresh round, which only
+    // the second notify ends.
+    CvProbe probe{&eng, &cv, 1, &order, &wake_times, 1};
+    probe.wait();
+    eng.scheduleIn(10, [&] { cv.notifyAll(); });
+    eng.scheduleIn(20, [&] { cv.notifyAll(); });
     eng.run();
     ASSERT_EQ(wake_times.size(), 2u);
     EXPECT_EQ(wake_times[0], 10u);
     EXPECT_EQ(wake_times[1], 20u);
+    EXPECT_EQ(cv.waiting(), 0u);
 }
 
-/** A callback waiter sits in the same FIFO as coroutine waiters and
- *  wakes in its own delta-0 event, where a coroutine would resume. */
+/** Callback waiters wake in FIFO order, each in its own delta-0
+ *  event, where a parked coroutine would resume. */
 TEST(CondVar, CallbackWaiterWakesInTurnInItsOwnEvent)
 {
     Engine eng;
     CondVar cv(eng);
     std::vector<int> order;
     std::vector<Cycle> when;
-    struct Probe
-    {
-        std::vector<int> *order;
-        std::vector<Cycle> *when;
-        Engine *eng;
-    } probe{&order, &when, &eng};
-    auto waiter = [&](int id) -> Task<void> {
-        co_await cv.wait();
-        order.push_back(id);
-        when.push_back(eng.now());
-    };
-    spawnNow(eng, waiter, 1);
-    spawnNow(eng, [&]() -> Task<void> {
-        cv.wait(
-            [](void *p) {
-                auto *pr = static_cast<Probe *>(p);
-                pr->order->push_back(2);
-                pr->when->push_back(pr->eng->now());
-            },
-            &probe);
-        co_return;
-    });
-    spawnNow(eng, waiter, 3);
-    ASSERT_TRUE(eng.run());
+    std::vector<CvProbe> probes;
+    for (const int id : {1, 2, 3})
+        probes.push_back(CvProbe{&eng, &cv, id, &order, &when});
+    for (CvProbe &p : probes)
+        p.wait();
     EXPECT_EQ(cv.waiting(), 3u);
     eng.scheduleIn(7, [&] { cv.notifyAll(); });
     const auto before = eng.eventsExecuted();

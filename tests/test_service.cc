@@ -784,14 +784,30 @@ TEST(ServiceResultCache, ClearDropsEntriesKeepsCounters)
 
 // ---- ShardPlanner ------------------------------------------------
 
+/** @p n points of equal cost (they differ only in seed). */
+SweepRequest
+uniformRequest(std::size_t n)
+{
+    SweepRequest request;
+    for (std::size_t i = 0; i < n; ++i) {
+        RequestPoint p;
+        p.config = MachineConfig::make(ConfigKind::WiSync, 16);
+        p.config.seed = i;
+        request.points.push_back(p);
+    }
+    return request;
+}
+
+/** On a uniform-cost grid the cost plan is the strided split: point
+ *  i lands on shard i mod k. */
 TEST(ServiceShardPlan, StridedShardsAreDisjointAndCover)
 {
     for (const std::size_t points : {0u, 1u, 5u, 8u, 13u}) {
+        const SweepRequest request = uniformRequest(points);
         for (const unsigned k : {1u, 2u, 3u, 4u}) {
             std::set<std::size_t> all;
             for (unsigned s = 0; s < k; ++s) {
-                const auto idx =
-                    ShardPlanner::shardIndices(points, s, k);
+                const auto idx = ShardPlanner::planByCost(request, s, k);
                 for (std::size_t j = 0; j < idx.size(); ++j) {
                     EXPECT_EQ(idx[j], s + j * k) << "strided contract";
                     EXPECT_TRUE(all.insert(idx[j]).second)
@@ -806,9 +822,10 @@ TEST(ServiceShardPlan, StridedShardsAreDisjointAndCover)
 TEST(ServiceShardPlan, MergeByIndexReassemblesSerialOrder)
 {
     const std::size_t n = 11;
+    const SweepRequest request = uniformRequest(n);
     std::vector<int> merged(n, -1);
     for (const unsigned s : {2u, 0u, 1u}) { // out-of-order completion
-        const auto idx = ShardPlanner::shardIndices(n, s, 3);
+        const auto idx = ShardPlanner::planByCost(request, s, 3);
         std::vector<int> part;
         for (const auto i : idx)
             part.push_back(static_cast<int>(i) * 10);
@@ -1187,10 +1204,10 @@ TEST(ServiceShardPlan, PlanByCostBalancesWhatStridingResonatesWith)
 
     std::uint64_t strided_max = 0, plan_max = 0, plan_min = ~0ull;
     for (unsigned s = 0; s < k; ++s) {
-        strided_max = std::max(
-            strided_max,
-            load(ShardPlanner::shardIndices(request.points.size(), s,
-                                            k)));
+        std::vector<std::size_t> strided;
+        for (std::size_t i = s; i < request.points.size(); i += k)
+            strided.push_back(i);
+        strided_max = std::max(strided_max, load(strided));
         const auto cost = load(ShardPlanner::planByCost(request, s, k));
         plan_max = std::max(plan_max, cost);
         plan_min = std::min(plan_min, cost);
@@ -1228,13 +1245,14 @@ TEST(ServiceSweepService, ShardedRunMergesToTheSerialAnswer)
     const auto expect = reference.runBatch(request, 1);
     const std::size_t n = request.points.size();
 
-    for (const unsigned k : {2u, 3u}) {
+    // PlanByCostMergesToTheSerialAnswer covers 2 and 3 shards.
+    for (const unsigned k : {1u, 4u}) {
         std::vector<ServiceOutcome> merged(n);
         for (unsigned s = 0; s < k; ++s) {
             SweepService svc(32); // one independent process's view
-            const auto idx = ShardPlanner::shardIndices(n, s, k);
+            const auto idx = ShardPlanner::planByCost(request, s, k);
             auto part = svc.runBatch(
-                ShardPlanner::shardRequest(request, s, k), 2);
+                ShardPlanner::subRequest(request, idx), 2);
             ShardPlanner::mergeByIndex(merged, idx, std::move(part));
         }
         expectSameOutcomes(expect, merged);
