@@ -6,12 +6,19 @@
  *   - delay(engine, n)        : advance n cycles
  *   - SimMutex                : FIFO mutual exclusion (per-line MSHRs,
  *                               channel senders, bank ports, ...)
- *   - Resource                : counting semaphore (link/bank capacity)
+ *   - Resource                : counting semaphore of callback waiters
+ *                               (DRAM controller queues)
  *   - CondVar                 : broadcast wakeup of callback waiters
- *   - Watch / WatchList       : in-frame "location changed" records
- *                               (spin waits, pipelined fills)
+ *   - Watch / WatchList       : "location changed" records (spin waits,
+ *                               pipelined fills)
+ *   - Join                    : fork-join over parallel legs that own
+ *                               no frame (coherence legs)
  *   - spawnDetached           : launch a root task onto the engine
- *   - whenAll                 : fork-join over parallel legs
+ *
+ * A frameless party (a callback state machine) waits on SimMutex,
+ * Resource, CondVar and Join as a (fn, ctx) pair; resumeFrame is the
+ * one trampoline through which an awaiter hands such a pair a
+ * coroutine instead.
  *
  * All wakeups go through the engine queue (never inline resumption) so
  * event ordering stays deterministic and the host stack stays shallow.
@@ -26,7 +33,6 @@
 #include <functional>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "coro/task.hh"
 #include "sim/engine.hh"
@@ -96,6 +102,17 @@ inline YieldAwaiter
 yield(sim::Engine &engine)
 {
     return YieldAwaiter(engine);
+}
+
+/**
+ * The (fn, ctx) completion that resumes a coroutine: @p frame is its
+ * frame address. Awaiters over callback operations (Mesh::Send, say)
+ * pass it with the awaiting frame.
+ */
+inline void
+resumeFrame(void *frame)
+{
+    std::coroutine_handle<>::from_address(frame).resume();
 }
 
 /**
@@ -427,10 +444,13 @@ class SimMutex
 };
 
 /**
- * Counting semaphore with FIFO grant order.
+ * Counting semaphore with FIFO grant order, for callers with no
+ * coroutine frame.
  *
- * Models capacity-limited resources such as NoC links (flit slots per
- * cycle window) or DRAM controller queues.
+ * Models capacity-limited resources such as DRAM controller queues.
+ * A caller takes a unit with tryAcquire(); when none is free it queues
+ * a (fn, ctx) pair with wait(), and release() hands the freed unit to
+ * the oldest waiter in one delta-0 event.
  */
 class Resource
 {
@@ -439,40 +459,31 @@ class Resource
         : engine_(engine), available_(capacity), capacity_(capacity)
     {}
 
-    class AcquireAwaiter
+    /** Take a unit without waiting; true on success. */
+    bool
+    tryAcquire()
     {
-      public:
-        explicit AcquireAwaiter(Resource &r) : res_(r) {}
-
-        bool
-        await_ready()
-        {
-            if (res_.available_ > 0) {
-                --res_.available_;
-                return true;
-            }
+        if (available_ == 0)
             return false;
-        }
+        --available_;
+        return true;
+    }
 
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            res_.waiters_.push_back(h);
-        }
-
-        void await_resume() const noexcept {}
-
-      private:
-        Resource &res_;
-    };
-
-    AcquireAwaiter acquire() { return AcquireAwaiter(*this); }
+    /**
+     * After a failed tryAcquire(): queue FIFO for the next released
+     * unit. @p grant(@p ctx) runs in the hand-off event, holding it.
+     */
+    void
+    wait(void (*grant)(void *), void *ctx)
+    {
+        waiters_.push_back(detail::Waiter{ctx, grant});
+    }
 
     void
     release()
     {
         if (!waiters_.empty()) {
-            engine_.resumeHandle(0, waiters_.pop_front());
+            waiters_.pop_front().schedule(engine_);
             return;
         }
         WISYNC_ASSERT(available_ < capacity_, "Resource over-release");
@@ -493,7 +504,7 @@ class Resource
     sim::Engine &engine_;
     std::uint32_t available_;
     std::uint32_t capacity_;
-    WaiterQueue<> waiters_;
+    WaiterQueue<detail::Waiter> waiters_;
 };
 
 /**
@@ -543,6 +554,57 @@ class CondVar
     sim::InlineVec<detail::Waiter, 4> waiters_;
 };
 
+/**
+ * Fork-join over parallel legs that own no frame.
+ *
+ * The forking party counts its legs in with add(), starts each one in
+ * an event of its own, and waits: as a callback (wait) or by awaiting
+ * the join. Each leg calls done() as it finishes; the last one files
+ * the waiter's wake as one delta-0 event, so the waiter runs one event
+ * after the slowest leg's completion. Awaiting a join with no leg
+ * pending does not suspend. The join is a plain record in the waiter's
+ * state: it holds no frame and allocates nothing.
+ */
+class Join
+{
+  public:
+    /** Expect @p legs more calls of done(). */
+    void add(std::uint32_t legs = 1) { pending_ += legs; }
+
+    /** Legs not done yet. */
+    std::uint32_t pending() const { return pending_; }
+
+    /** Wake @p wake(@p ctx) once the pending legs are done. */
+    void
+    wait(void (*wake)(void *), void *ctx)
+    {
+        waiter_ = detail::Waiter{ctx, wake};
+    }
+
+    /** One leg finished; the last one files the waiter's wake. */
+    void
+    done(sim::Engine &engine)
+    {
+        WISYNC_ASSERT(pending_ > 0, "Join::done without a pending leg");
+        if (--pending_ == 0)
+            waiter_.schedule(engine);
+    }
+
+    bool await_ready() const noexcept { return pending_ == 0; }
+
+    void
+    await_suspend(std::coroutine_handle<> h) noexcept
+    {
+        waiter_ = detail::Waiter{h.address()};
+    }
+
+    void await_resume() const noexcept {}
+
+  private:
+    std::uint32_t pending_ = 0;
+    detail::Waiter waiter_{nullptr};
+};
+
 class WatchList;
 
 /**
@@ -555,8 +617,9 @@ class WatchList;
  * Awaiting a record that already fired does not suspend, so a change
  * between the load and the park is never lost. Firing a parked record
  * files its wake as one delta-0 resumeHandle event, once. A pipelined
- * fill arms one too and only reads fired(): an invalidation in flight
- * kills the fill.
+ * fill arms one in its pooled miss record and only reads fired(): an
+ * invalidation in flight kills the fill. The record's owner disarms it
+ * when the fill ends (or when it recycles an abandoned record).
  *
  * A record unlinks itself when its frame dies (a return, an exception
  * out of the load, Engine::reset), and a list that dies first detaches
@@ -575,6 +638,16 @@ class Watch
 
     /** Whether the location changed since arm(). */
     bool fired() const { return fired_; }
+
+    /** Unlist the record and clear it, for a pooled owner to arm it
+     *  again. */
+    void
+    disarm()
+    {
+        unlink();
+        fired_ = false;
+        parked_ = nullptr;
+    }
 
     /** Mark fired; the first fire of a parked record files its wake. */
     void
@@ -823,61 +896,6 @@ void
 spawnNow(sim::Engine &engine, Fn fn, Args... args)
 {
     spawnFn(engine, 0, std::move(fn), std::move(args)...);
-}
-
-namespace detail {
-
-/** First suspension of whenAll: file one delta-0 start event per leg,
- *  in list order, each leg completing straight into the join. */
-template <typename TaskList>
-struct StartLegs
-{
-    sim::Engine &engine;
-    TaskList &legs;
-
-    bool await_ready() const noexcept { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> join)
-    {
-        for (auto &leg : legs)
-            engine.resumeHandle(0, leg.continueInto(join));
-    }
-
-    void await_resume() const noexcept {}
-};
-
-} // namespace detail
-
-/**
- * Run @p tasks concurrently; complete when the last one finishes.
- *
- * Models parallel hardware legs (e.g. invalidations fanned out to all
- * sharers) where completion time is the max over the legs. Accepts any
- * container of Task<void> by value (std::vector, sim::InlineVec) so
- * hot paths can fan out without a heap-allocated task list.
- *
- * The legs stay in this frame, so the join costs one frame besides
- * theirs. Each leg starts in its own delta-0 event, in list order, and
- * completes by symmetric transfer back into the join; the last one
- * files the join's wake, and the awaiter resumes one (delta-0) event
- * after that completion. An exception escaping a leg is rethrown to
- * the awaiter (the first failed leg in list order wins).
- */
-template <typename TaskList = std::vector<Task<void>>>
-inline Task<void>
-whenAll(sim::Engine &engine, TaskList tasks)
-{
-    if (tasks.empty())
-        co_return;
-    std::size_t remaining = tasks.size();
-    co_await detail::StartLegs<TaskList>{engine, tasks};
-    // Resumed once per leg completion, inside the completing event.
-    while (--remaining > 0)
-        co_await std::suspend_always{};
-    co_await yield(engine);
-    for (auto &t : tasks)
-        t.result();
 }
 
 } // namespace wisync::coro

@@ -20,15 +20,15 @@
  *     wrapper.
  *
  * A frame is paid only where a transaction really suspends in code
- * with local state: a workload thread, an L1 miss's fetchLine (owned
- * by its MemSystem::Access), a DRAM fill, a coherence leg under
- * whenAll and the join itself, a detached writeback or recall, a spin
- * wait, a BM store or RMW (one frame for its whole broadcast), and
- * the sync layer's transactions. Mesh unicasts and tree multicasts,
- * L1 hits, lock waits, whenAll's per-leg starts, BM loads, compute
- * and the MAC and channel steps of a broadcast own no frame: they are
- * awaitables or callback events. Owners start a child either by awaiting it or, for joins
- * and misses that start it from an event, via continueInto().
+ * with local state: a workload thread, a detached writeback or recall,
+ * a spin loop, a BM store or RMW (one frame for its whole broadcast),
+ * and the sync layer's transactions. Mesh unicasts and tree
+ * multicasts, L1 hits, L1 misses and upgrades with their DRAM fills,
+ * coherence legs and their joins (state machines over records the
+ * MemSystem pools), lock waits, spin waits, BM loads, compute and the
+ * MAC and channel steps of a broadcast own no frame: they are
+ * awaitables or callback events. Owners start a child either by
+ * awaiting it or, from an event, via continueInto().
  */
 
 #ifndef WISYNC_CORO_TASK_HH
@@ -170,7 +170,7 @@ class [[nodiscard]] Task
      * Make @p cont the coroutine the task's completion transfers to,
      * and return the (not yet started) frame for the owner to start
      * itself: inline or from an engine event. The task keeps owning
-     * the frame, and its result() is read once it is done.
+     * the frame.
      */
     std::coroutine_handle<>
     continueInto(std::coroutine_handle<> cont) noexcept
@@ -178,9 +178,6 @@ class [[nodiscard]] Task
         handle_.promise().continuation = cont;
         return handle_;
     }
-
-    /** The finished task's value; rethrows what escaped its body. */
-    T result() { return handle_.promise().result(); }
 
     auto
     operator co_await() noexcept

@@ -61,6 +61,14 @@ MemSystem::reset(const MemConfig &cfg)
     }
     for (auto &ctrl : dramCtrls_)
         ctrl->reset();
+    // Records of abandoned transactions are free again, and their
+    // fills stop watching.
+    freeMisses_ = nullptr;
+    for (auto &m : misses_)
+        freeMiss(m);
+    freeLegs_ = nullptr;
+    for (auto &l : legs_)
+        freeLeg(l);
     for (std::uint32_t n = 0; n < numNodes_; ++n)
         WISYNC_ASSERT(armed_[n].empty(), "a watch outlived its frame");
     stats_.reset();
@@ -82,6 +90,50 @@ MemSystem::dirPoolStats() const
         total.rehashes += bank.dir.stats().rehashes;
     }
     return total;
+}
+
+MemSystem::Miss &
+MemSystem::allocMiss()
+{
+    if (freeMisses_ == nullptr) {
+        Miss &m = misses_.emplace_back();
+        m.ms = this;
+        return m;
+    }
+    Miss &m = *freeMisses_;
+    freeMisses_ = m.nextFree;
+    return m;
+}
+
+void
+MemSystem::freeMiss(Miss &m)
+{
+    // An abandoned record (reset) may still count legs and watch.
+    m.fill.disarm();
+    m.legs = coro::Join{};
+    m.acks = coro::Join{};
+    m.nextFree = freeMisses_;
+    freeMisses_ = &m;
+}
+
+MemSystem::Leg &
+MemSystem::allocLeg()
+{
+    if (freeLegs_ == nullptr) {
+        Leg &l = legs_.emplace_back();
+        l.ms = this;
+        return l;
+    }
+    Leg &l = *freeLegs_;
+    freeLegs_ = l.nextFree;
+    return l;
+}
+
+void
+MemSystem::freeLeg(Leg &l)
+{
+    l.nextFree = freeLegs_;
+    freeLegs_ = &l;
 }
 
 void
@@ -107,16 +159,24 @@ sharerWord(std::span<const std::uint64_t> sharers, std::size_t w,
 
 } // namespace
 
-noc::Mesh::NodeVec
-sharerList(std::span<const std::uint64_t> sharers, sim::NodeId exclude)
+void
+sharerList(std::span<const std::uint64_t> sharers, sim::NodeId exclude,
+           noc::Mesh::NodeVec &out)
 {
-    noc::Mesh::NodeVec out;
+    out.clear();
     for (std::size_t w = 0; w < sharers.size(); ++w) {
         for (std::uint64_t bits = sharerWord(sharers, w, exclude); bits != 0;
              bits &= bits - 1)
             out.push_back(static_cast<sim::NodeId>(w * 64 +
                                                    std::countr_zero(bits)));
     }
+}
+
+noc::Mesh::NodeVec
+sharerList(std::span<const std::uint64_t> sharers, sim::NodeId exclude)
+{
+    noc::Mesh::NodeVec out;
+    sharerList(sharers, exclude, out);
     return out;
 }
 
@@ -195,241 +255,394 @@ coro::Task<void>
 MemSystem::recallTask(sim::NodeId home, sim::Addr line)
 {
     // L2 dropped the line: inclusive hierarchy must purge L1 copies.
-    // The recall acks converge back on the home bank, so this is the
-    // invLeg flow with requestor == home.
+    // The recall acks converge back on the home bank, so these are the
+    // GetX invalidation legs with requestor == home.
     DirEntry &e = dirEntry(line);
     co_await e.busy.lock();
-    sim::InlineVec<coro::Task<void>, 4> legs;
+    coro::Join join;
     if (e.owner != sim::kNoNode)
-        legs.push_back(invLeg(home, e.owner, home, line));
+        forkInvLeg(join, home, e.owner, home, line, cfg_.ctrlBits);
     for (const auto s : sharerList(e.sharers, sim::kNoNode))
         if (s != e.owner)
-            legs.push_back(invLeg(home, s, home, line));
-    co_await coro::whenAll(engine_, std::move(legs));
+            forkInvLeg(join, home, s, home, line, cfg_.ctrlBits);
+    co_await join;
     e.owner = sim::kNoNode;
     std::fill(e.sharers.begin(), e.sharers.end(), 0);
     e.inL2 = false;
     e.busy.unlock();
 }
 
-coro::Task<void>
-MemSystem::dramFill(DirEntry &entry, sim::Addr line)
+// ---- Coherence legs ------------------------------------------------------
+//
+// A leg is a Leg record (probe, invalidation, ack) or a step chain of
+// the Miss record (home data, tree invalidation). Whoever forks legs
+// counts each into a Join and files its start as a delta-0 event, in
+// list order; each calls Join::done as it completes.
+
+void
+MemSystem::forkInvLeg(coro::Join &join, sim::NodeId home, sim::NodeId target,
+                      sim::NodeId requestor, sim::Addr line,
+                      std::uint32_t reply_bits)
 {
-    stats_.dramFetches.inc();
-    coro::Resource &ctrl = *dramCtrls_[memCtrls_.mod(line >> lineShift_)];
-    co_await ctrl.acquire();
-    co_await coro::delay(engine_, cfg_.dramRtCycles);
-    ctrl.release();
-    entry.inL2 = true;
-    touchL2(line);
+    Leg &l = allocLeg();
+    l.join = &join;
+    l.line = line;
+    l.home = home;
+    l.target = target;
+    l.requestor = requestor;
+    l.replyBits = reply_bits;
+    join.add();
+    engine_.scheduleIn(0, Step<Leg, &Leg::startInv>{&l});
 }
 
-coro::Task<void>
-MemSystem::homeDataLeg(sim::NodeId home, sim::NodeId requestor,
-                       DirEntry &entry, sim::Addr line)
+void
+MemSystem::Leg::startInv()
 {
-    if (!entry.inL2)
-        co_await dramFill(entry, line);
-    co_await mesh_.send(home, requestor, cfg_.dataBits);
+    ms->mesh_.post(msg, home, target, ms->cfg_.ctrlBits,
+                   &Step<Leg, &Leg::atTarget>::call, this);
 }
 
-coro::Task<void>
-MemSystem::invLeg(sim::NodeId home, sim::NodeId sharer,
-                  sim::NodeId requestor, sim::Addr line)
+void
+MemSystem::Leg::atTarget()
 {
-    co_await mesh_.send(home, sharer, cfg_.ctrlBits);
-    co_await coro::delay(engine_, cfg_.l1RtCycles);
-    invalidateL1(sharer, line);
-    co_await mesh_.send(sharer, requestor, cfg_.ctrlBits); // ack
+    // The target's L1 round trip.
+    ms->engine_.scheduleIn(ms->cfg_.l1RtCycles,
+                           Step<Leg, &Leg::invalidate>{this});
 }
 
-coro::Task<void>
-MemSystem::probeLeg(sim::NodeId home, sim::NodeId owner,
-                    sim::NodeId requestor, sim::Addr line, bool with_data)
+void
+MemSystem::Leg::invalidate()
 {
-    co_await mesh_.send(home, owner, cfg_.ctrlBits);
-    co_await coro::delay(engine_, cfg_.l1RtCycles);
-    invalidateL1(owner, line);
-    co_await mesh_.send(owner, requestor,
-                        with_data ? cfg_.dataBits : cfg_.ctrlBits);
+    ms->invalidateL1(target, line);
+    ms->mesh_.post(msg, target, requestor, replyBits,
+                   &Step<Leg, &Leg::finished>::call, this);
 }
 
-coro::Task<void>
-MemSystem::ackLeg(sim::NodeId sharer, sim::NodeId requestor)
+void
+MemSystem::Leg::startAck()
 {
-    co_await mesh_.send(sharer, requestor, cfg_.ctrlBits);
+    ms->mesh_.post(msg, target, requestor, ms->cfg_.ctrlBits,
+                   &Step<Leg, &Leg::finished>::call, this);
 }
 
-coro::Task<void>
-MemSystem::treeInvLeg(sim::NodeId home, const NodeVec &targets,
-                      sim::NodeId requestor, sim::Addr line)
+void
+MemSystem::Leg::finished()
 {
-    co_await mesh_.multicast(
-        home, std::span<const sim::NodeId>(targets.data(), targets.size()),
-        cfg_.ctrlBits);
-    co_await coro::delay(engine_, cfg_.l1RtCycles);
-    sim::InlineVec<coro::Task<void>, 8> acks;
-    acks.reserve(targets.size());
-    for (const auto s : targets) {
-        invalidateL1(s, line);
-        acks.push_back(ackLeg(s, requestor));
-    }
-    co_await coro::whenAll(engine_, std::move(acks));
+    coro::Join &j = *join;
+    MemSystem &m = *ms;
+    m.freeLeg(*this);
+    j.done(m.engine_);
 }
 
-coro::Task<void>
-MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
-                     AccessBase &op)
-{
-    const sim::NodeId home = homeOf(line);
-    co_await mesh_.send(node, home, cfg_.ctrlBits);
-    DirEntry &e = dirEntry(line);
-    co_await e.busy.lock();
-    co_await coro::delay(engine_, cfg_.l2RtCycles);
+// ---- The miss transaction --------------------------------------------------
+//
+// The directory transaction, step by step: the request to the home,
+// the line's MSHR, the directory lookup, then the GetS or the GetX
+// protocol. Where a coroutine would await a message, the MSHR, the
+// DRAM queue, a delay or the legs' join, a step starts that operation
+// with the next step as its completion; a delay of 0 cycles runs the
+// next step inline, as an awaited zero delay does.
 
-    CacheLine *own = l1s_[node].peek(line);
+void
+MemSystem::Miss::start()
+{
+    home = ms->homeOf(line);
+    send<&Miss::atHome>(node, home, ms->cfg_.ctrlBits);
+}
+
+void
+MemSystem::Miss::atHome()
+{
+    e = &ms->dirEntry(line);
+    if (e->busy.tryLock())
+        return locked();
+    e->busy.wait(&Step<Miss, &Miss::locked>::call, this);
+}
+
+void
+MemSystem::Miss::locked()
+{
+    after<&Miss::lookedUp>(ms->cfg_.l2RtCycles);
+}
+
+void
+MemSystem::Miss::lookedUp()
+{
+    CacheLine *own = ms->l1s_[node].peek(line);
     const bool own_readable = own && canRead(own->state);
 
     // Repair a stale owner pointer (silent E eviction, or ourselves).
-    if (e.owner != sim::kNoNode) {
-        CacheLine *oc = l1s_[e.owner].peek(line);
+    if (e->owner != sim::kNoNode) {
+        CacheLine *oc = ms->l1s_[e->owner].peek(line);
         if (!(oc && isOwner(oc->state)))
-            e.owner = sim::kNoNode;
+            e->owner = sim::kNoNode;
+    }
+    if (exclusive)
+        lookedUpExclusive(own_readable);
+    else
+        lookedUpShared(own_readable);
+}
+
+void
+MemSystem::Miss::lookedUpShared(bool own_readable)
+{
+    if (own_readable) {
+        // Raced with a transaction that already served us.
+        ms->commit(*op);
+        e->busy.unlock();
+        return complete();
     }
 
-    if (!exclusive) {
-        // ---- GetS ----
-        if (own_readable) {
-            // Raced with a transaction that already served us.
-            commit(op);
-            e.busy.unlock();
-            co_return;
+    // Pipelined read paths: when serving the read requires no
+    // directory state transition (the owner is already Owned, or the
+    // L2 supplies and a Shared copy cannot be promoted to an Exclusive
+    // grant), the home updates the sharer list and releases the MSHR
+    // before the data leg, so a herd of readers is serviced at lookup
+    // rate instead of round-trip rate — as a non-blocking directory
+    // does. A racing invalidation kills the pending fill: the
+    // late-arriving data is then not installed (the copy was already
+    // invalidated in flight).
+    if (e->owner != sim::kNoNode && e->owner != node) {
+        owner = e->owner;
+        CacheLine *oc = ms->l1s_[owner].peek(line);
+        if (oc && oc->state == CohState::Owned) {
+            ms->sharerSet(*e, node, true);
+            fill.arm(ms->armed_[node], line);
+            e->busy.unlock();
+            return send<&Miss::pipelinedProbed>(home, owner,
+                                                ms->cfg_.ctrlBits);
         }
-
-        // Pipelined read paths: when serving the read requires no
-        // directory state transition (the owner is already Owned, or
-        // the L2 supplies and a Shared copy cannot be promoted to an
-        // Exclusive grant), the home updates the sharer list and
-        // releases the MSHR before the data leg, so a herd of readers
-        // is serviced at lookup rate instead of round-trip rate — as
-        // a non-blocking directory does. A racing invalidation kills
-        // the pending fill: the late-arriving data is then not
-        // installed (the copy was already invalidated in flight).
-        coro::Watch fill;
-        if (e.owner != sim::kNoNode && e.owner != node) {
-            const sim::NodeId owner = e.owner;
-            CacheLine *oc = l1s_[owner].peek(line);
-            if (oc && oc->state == CohState::Owned) {
-                sharerSet(e, node, true);
-                fill.arm(armed_[node], line);
-                e.busy.unlock();
-                co_await mesh_.send(home, owner, cfg_.ctrlBits);
-                co_await coro::delay(engine_, cfg_.l1RtCycles);
-                co_await mesh_.send(owner, node, cfg_.dataBits);
-                if (!fill.fired())
-                    installL1(node, line, CohState::Shared);
-                commit(op);
-                co_return;
-            }
-        }
-        if (e.owner == sim::kNoNode && e.inL2 &&
-            hasSharers(e.sharers, node)) {
-            sharerSet(e, node, true);
-            fill.arm(armed_[node], line);
-            e.busy.unlock();
-            co_await mesh_.send(home, node, cfg_.dataBits);
-            if (!fill.fired())
-                installL1(node, line, CohState::Shared);
-            commit(op);
-            co_return;
-        }
-
-        bool data_done = false;
-        if (e.owner != sim::kNoNode && e.owner != node) {
-            const sim::NodeId owner = e.owner;
-            co_await mesh_.send(home, owner, cfg_.ctrlBits);
-            co_await coro::delay(engine_, cfg_.l1RtCycles);
-            // Re-probe after the awaits: the owner may have evicted the
-            // line for capacity while the probe was in flight.
-            CacheLine *oc = l1s_[owner].peek(line);
-            if (oc && isOwner(oc->state)) {
-                switch (oc->state) {
-                  case CohState::Modified:
-                    oc->state = CohState::Owned; // keeps supplying data
-                    break;
-                  case CohState::Exclusive:
-                    oc->state = CohState::Shared;
-                    e.owner = sim::kNoNode;
-                    sharerSet(e, owner, true);
-                    break;
-                  default:
-                    break; // Owned stays Owned
-                }
-                co_await mesh_.send(owner, node, cfg_.dataBits);
-                data_done = true;
-            } else {
-                e.owner = sim::kNoNode;
-            }
-        }
-        if (!data_done) {
-            // homeDataLeg's flow, inline: no frame of its own.
-            if (!e.inL2)
-                co_await dramFill(e, line);
-            co_await mesh_.send(home, node, cfg_.dataBits);
-        }
-
-        const bool sole =
-            e.owner == sim::kNoNode && !hasSharers(e.sharers, node);
-        if (sole) {
-            e.owner = node;
-            sharerSet(e, node, false);
-            installL1(node, line, CohState::Exclusive);
-        } else {
-            sharerSet(e, node, true);
-            installL1(node, line, CohState::Shared);
-        }
-        commit(op);
-        e.busy.unlock();
-        co_return;
+    }
+    if (e->owner == sim::kNoNode && e->inL2 &&
+        hasSharers(e->sharers, node)) {
+        ms->sharerSet(*e, node, true);
+        fill.arm(ms->armed_[node], line);
+        e->busy.unlock();
+        return send<&Miss::pipelinedFilled>(home, node, ms->cfg_.dataBits);
     }
 
-    // ---- GetX / upgrade ----
-    sim::InlineVec<coro::Task<void>, 4> legs;
+    if (e->owner != sim::kNoNode && e->owner != node) {
+        owner = e->owner;
+        return send<&Miss::probed>(home, owner, ms->cfg_.ctrlBits);
+    }
+    homeData();
+}
+
+void
+MemSystem::Miss::pipelinedProbed()
+{
+    after<&Miss::pipelinedForward>(ms->cfg_.l1RtCycles);
+}
+
+void
+MemSystem::Miss::pipelinedForward()
+{
+    send<&Miss::pipelinedFilled>(owner, node, ms->cfg_.dataBits);
+}
+
+void
+MemSystem::Miss::pipelinedFilled()
+{
+    if (!fill.fired())
+        ms->installL1(node, line, CohState::Shared);
+    ms->commit(*op);
+    complete();
+}
+
+void
+MemSystem::Miss::probed()
+{
+    after<&Miss::reprobed>(ms->cfg_.l1RtCycles);
+}
+
+void
+MemSystem::Miss::reprobed()
+{
+    // Re-probe after the round trip: the owner may have evicted the
+    // line for capacity while the probe was in flight.
+    CacheLine *oc = ms->l1s_[owner].peek(line);
+    if (!(oc && isOwner(oc->state))) {
+        e->owner = sim::kNoNode;
+        return homeData();
+    }
+    switch (oc->state) {
+      case CohState::Modified:
+        oc->state = CohState::Owned; // keeps supplying data
+        break;
+      case CohState::Exclusive:
+        oc->state = CohState::Shared;
+        e->owner = sim::kNoNode;
+        ms->sharerSet(*e, owner, true);
+        break;
+      default:
+        break; // Owned stays Owned
+    }
+    send<&Miss::sharedFilled>(owner, node, ms->cfg_.dataBits);
+}
+
+void
+MemSystem::Miss::homeData()
+{
+    // The home supplies the data, after a DRAM fill if the L2 lacks
+    // the line: a fixed-latency access through the line's controller,
+    // then the L2 install. A GetX runs this as its data leg.
+    if (e->inL2)
+        return sendHomeData();
+    ms->stats_.dramFetches.inc();
+    coro::Resource &ctrl =
+        *ms->dramCtrls_[ms->memCtrls_.mod(line >> ms->lineShift_)];
+    if (ctrl.tryAcquire())
+        return dramGranted();
+    ctrl.wait(&Step<Miss, &Miss::dramGranted>::call, this);
+}
+
+void
+MemSystem::Miss::dramGranted()
+{
+    after<&Miss::dramFilled>(ms->cfg_.dramRtCycles);
+}
+
+void
+MemSystem::Miss::dramFilled()
+{
+    ms->dramCtrls_[ms->memCtrls_.mod(line >> ms->lineShift_)]->release();
+    e->inL2 = true;
+    ms->touchL2(line);
+    sendHomeData();
+}
+
+void
+MemSystem::Miss::sendHomeData()
+{
+    if (exclusive)
+        send<&Miss::dataLegDone>(home, node, ms->cfg_.dataBits);
+    else
+        send<&Miss::sharedFilled>(home, node, ms->cfg_.dataBits);
+}
+
+void
+MemSystem::Miss::sharedFilled()
+{
+    const bool sole =
+        e->owner == sim::kNoNode && !hasSharers(e->sharers, node);
+    if (sole) {
+        e->owner = node;
+        ms->sharerSet(*e, node, false);
+        ms->installL1(node, line, CohState::Exclusive);
+    } else {
+        ms->sharerSet(*e, node, true);
+        ms->installL1(node, line, CohState::Shared);
+    }
+    ms->commit(*op);
+    e->busy.unlock();
+    complete();
+}
+
+void
+MemSystem::Miss::lookedUpExclusive(bool own_readable)
+{
+    // The legs start in this order: the owner's probe, the tree or the
+    // unicast invalidations in sharer order, the home's data.
     bool need_data = !own_readable;
-
-    const sim::NodeId owner = e.owner;
-    if (owner != sim::kNoNode && owner != node) {
+    const sim::NodeId prior = e->owner;
+    if (prior != sim::kNoNode && prior != node) {
         // Probe-invalidate the owner; it forwards data if we need it.
-        legs.push_back(probeLeg(home, owner, node, line, need_data));
-        stats_.invalidations.inc();
+        ms->forkInvLeg(legs, home, prior, node, line,
+                       need_data ? ms->cfg_.dataBits : ms->cfg_.ctrlBits);
+        ms->stats_.invalidations.inc();
         need_data = false;
     }
 
-    const auto sharers = sharerList(e.sharers, node);
-    if (!sharers.empty() && mesh_.config().treeMulticast) {
+    sharerList(e->sharers, node, sharers);
+    if (!sharers.empty() && ms->mesh_.config().treeMulticast) {
         // Baseline+: one tree multicast delivers all invalidations,
         // then acks converge on the requestor in parallel.
-        legs.push_back(treeInvLeg(home, sharers, node, line));
-        stats_.invalidations.inc(sharers.size());
+        legs.add();
+        ms->engine_.scheduleIn(0, Step<Miss, &Miss::treeStart>{this});
+        ms->stats_.invalidations.inc(sharers.size());
     } else {
         for (const auto s : sharers) {
-            if (s == owner)
+            if (s == prior)
                 continue;
-            legs.push_back(invLeg(home, s, node, line));
-            stats_.invalidations.inc();
+            ms->forkInvLeg(legs, home, s, node, line, ms->cfg_.ctrlBits);
+            ms->stats_.invalidations.inc();
         }
     }
 
-    if (need_data)
-        legs.push_back(homeDataLeg(home, node, e, line));
+    if (need_data) {
+        legs.add();
+        ms->engine_.scheduleIn(0, Step<Miss, &Miss::homeData>{this});
+    }
 
-    co_await coro::whenAll(engine_, std::move(legs));
+    if (legs.pending() == 0)
+        return exclusiveGranted();
+    legs.wait(&Step<Miss, &Miss::exclusiveGranted>::call, this);
+}
 
-    std::fill(e.sharers.begin(), e.sharers.end(), 0);
-    e.owner = node;
-    installL1(node, line, CohState::Modified);
-    commit(op);
-    e.busy.unlock();
+void
+MemSystem::Miss::dataLegDone()
+{
+    legs.done(ms->engine_);
+}
+
+void
+MemSystem::Miss::treeStart()
+{
+    if (!ms->mesh_.post(tree, home,
+                        std::span<const sim::NodeId>(sharers.data(),
+                                                     sharers.size()),
+                        ms->cfg_.ctrlBits,
+                        &Step<Miss, &Miss::treeDelivered>::call, this))
+        treeDelivered();
+}
+
+void
+MemSystem::Miss::treeDelivered()
+{
+    after<&Miss::treeInvalidate>(ms->cfg_.l1RtCycles);
+}
+
+void
+MemSystem::Miss::treeInvalidate()
+{
+    // Every target drops its copy; then each ack starts in a delta-0
+    // event of its own, in target order.
+    for (const auto s : sharers)
+        ms->invalidateL1(s, line);
+    for (const auto s : sharers) {
+        Leg &l = ms->allocLeg();
+        l.join = &acks;
+        l.target = s;
+        l.requestor = node;
+        acks.add();
+        ms->engine_.scheduleIn(0, Step<Leg, &Leg::startAck>{&l});
+    }
+    acks.wait(&Step<Miss, &Miss::treeAcked>::call, this);
+}
+
+void
+MemSystem::Miss::treeAcked()
+{
+    legs.done(ms->engine_);
+}
+
+void
+MemSystem::Miss::exclusiveGranted()
+{
+    std::fill(e->sharers.begin(), e->sharers.end(), 0);
+    e->owner = node;
+    ms->installL1(node, line, CohState::Modified);
+    ms->commit(*op);
+    e->busy.unlock();
+    complete();
+}
+
+void
+MemSystem::Miss::complete()
+{
+    // Straight into the waiting thread, inside this event; its
+    // Access::await_resume recycles the record (endMiss).
+    op->caller_.resume();
 }
 
 // ---- Word accesses -----------------------------------------------------
@@ -437,8 +650,8 @@ MemSystem::fetchLine(sim::NodeId node, sim::Addr line, bool exclusive,
 // The factories below charge the access counter and hand out the
 // frameless Access. finishAccess runs at the L1 round-trip instant: a
 // hit commits and resumes the caller with no coroutine involved; a
-// miss starts the access's own fetchLine transaction inline, in that
-// same event, and fetchLine commits. Either way commit() is the one
+// miss starts the access's own Miss transaction inline, in that same
+// event, and the transaction commits. Either way commit() is the one
 // place an access kind acts on the word.
 
 MemSystem::Access<std::uint64_t>
@@ -537,15 +750,20 @@ MemSystem::finishAccess(AccessBase &op)
     // caller (Access::await_resume -> endMiss).
     stats_.fastpathFallbacks.inc();
     op.t0_ = engine_.now();
-    op.miss_ = fetchLine(op.node_, line, write, op);
-    op.miss_.continueInto(op.caller_).resume();
+    Miss &m = allocMiss();
+    m.op = &op;
+    m.node = op.node_;
+    m.line = line;
+    m.exclusive = write;
+    op.miss_ = &m;
+    m.start();
 }
 
 void
 MemSystem::endMiss(AccessBase &op)
 {
     stats_.missLatency.sample(static_cast<double>(engine_.now() - op.t0_));
-    op.miss_.result();
+    freeMiss(*op.miss_);
 }
 
 coro::Task<std::uint64_t>

@@ -9,19 +9,26 @@
  *   Coherence: MOESI, directory embedded at the home L2 bank
  *   Off-chip: 4 memory controllers, 110-cycle RT
  *
- * Transaction model: each miss is a coroutine that (1) sends a request
- * to the home bank over the mesh, (2) acquires the line's busy mutex
- * (the directory MSHR), (3) performs probe/invalidation/data legs as
- * parallel sub-tasks, (4) installs the line, commits the functional
- * value, and releases the mutex. Per-line transactions are therefore
+ * Transaction model: each miss is a state machine that (1) sends a
+ * request to the home bank over the mesh, (2) acquires the line's busy
+ * mutex (the directory MSHR), (3) performs probe/invalidation/data legs
+ * in parallel, (4) installs the line, commits the functional value,
+ * and releases the mutex. Per-line transactions are therefore
  * serialized exactly as a blocking directory would.
  *
- * Frames: an L1 hit owns none. A miss or upgrade owns one, its
- * fetchLine, held by the access and continuing straight into the
- * waiting thread; its mesh messages are frameless awaitables. A GetS
- * adds one more only for a DRAM fill. A GetX adds its parallel legs
- * and their whenAll join. Writebacks, L2 recalls and spin waits are
- * coroutines of their own.
+ * Frames: none for an access. An L1 hit is one callback event. A miss
+ * or upgrade runs in a Miss record that the MemSystem pools: each step
+ * is a callback event, its messages are posted mesh records, its MSHR
+ * and DRAM-queue waits are callback waiters, and it completes straight
+ * into the waiting thread. A GetX's probe and invalidation legs run in
+ * pooled Leg records (so do a tree invalidation's acks), its data leg
+ * and tree leg in the Miss record itself, and a coro::Join in the
+ * record counts them in; each leg starts in a delta-0 event of its
+ * own, in list order, and the last one's completion files the join's
+ * delta-0 wake, the event order the coroutine legs had. reset()
+ * recycles every record. Dirty writebacks and L2 recalls stay detached
+ * coroutines (a recall awaits a Join over the same Leg records), and
+ * so do spin waits.
  *
  * Modelling notes (documented simplifications):
  *  - Clean (S/E) L1 evictions are silent; the directory may briefly
@@ -40,6 +47,7 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -117,6 +125,10 @@ struct DirEntry
 noc::Mesh::NodeVec sharerList(std::span<const std::uint64_t> sharers,
                               sim::NodeId exclude);
 
+/** sharerList() into @p out, which keeps its capacity. */
+void sharerList(std::span<const std::uint64_t> sharers, sim::NodeId exclude,
+                noc::Mesh::NodeVec &out);
+
 /** Whether sharerList() would list anyone, without listing. */
 bool hasSharers(std::span<const std::uint64_t> sharers, sim::NodeId exclude);
 
@@ -161,7 +173,7 @@ struct MemStats
  * L1 round trip is one plain callback event, and an L1 hit commits and
  * resumes the caller right there, with no coroutine frame at all. A
  * load hits on a readable copy; every other kind needs write
- * permission. A miss starts the access's own fetchLine transaction
+ * permission. A miss starts the access's own Miss transaction
  * *inside that same event* (so its first message goes out in that
  * event), and the transaction's completion transfers straight into
  * the caller. Both ends call one commit(), which holds each kind's
@@ -169,6 +181,9 @@ struct MemStats
  */
 class MemSystem
 {
+    struct Miss;
+    struct Leg;
+
   public:
     MemSystem(sim::Engine &engine, noc::Mesh &mesh, Memory &memory,
               std::uint32_t num_nodes, const MemConfig &cfg);
@@ -209,9 +224,9 @@ class MemSystem
         sim::Cycle t0_ = 0;      ///< miss start, for missLatency
         std::uint64_t out_ = 0;  ///< loaded / previous value
         bool flag_ = false;      ///< CAS comparison outcome
-        /** The miss/upgrade transaction (fetchLine), once the L1 round
-         *  trip missed; it completes straight into caller_. */
-        coro::Task<void> miss_;
+        /** The miss/upgrade transaction, once the L1 round trip
+         *  missed; it completes straight into caller_. */
+        Miss *miss_ = nullptr;
     };
 
     /**
@@ -332,11 +347,12 @@ class MemSystem
     /**
      * Return to post-construction state, optionally retiming: all
      * caches invalid, directory empty, DRAM controllers idle, stats
-     * zero; no watch is armed (the frames that armed them died). @p cfg
-     * may change latencies but must keep the geometry (line/cache
-     * sizes, associativities, controller count/depth). In-flight
-     * transactions must have been destroyed by the caller
-     * (Machine::reset) first.
+     * zero, every miss and leg record free; no watch is armed (the
+     * frames that armed them died, and the abandoned records are
+     * disarmed). @p cfg may change latencies but must keep the geometry
+     * (line/cache sizes, associativities, controller count/depth).
+     * In-flight transactions' frames and events must have been dropped
+     * by the caller (Machine::reset: Engine::reset) first.
      */
     void reset(const MemConfig &cfg);
 
@@ -365,16 +381,126 @@ class MemSystem
 
     DirEntry &dirEntry(sim::Addr line);
 
+    /** The callback running step F of record R: as an event, or as
+     *  the (fn, ctx) completion of a message or a wait. */
+    template <typename R, void (R::*F)()>
+    struct Step
+    {
+        R *r;
+        void operator()() const { (r->*F)(); }
+        static void call(void *r) { (static_cast<R *>(r)->*F)(); }
+    };
+
+    /**
+     * One miss or upgrade in flight: the directory transaction of
+     * access *op as a state machine. Each step runs in an event or as
+     * the completion of what the step before it started (see "The
+     * miss transaction" in mem_system.cc).
+     */
+    struct Miss
+    {
+        MemSystem *ms = nullptr;
+        AccessBase *op = nullptr;
+        DirEntry *e = nullptr;
+        /** The free-list link while pooled. */
+        Miss *nextFree = nullptr;
+        sim::Addr line = 0;
+        sim::NodeId node = 0;
+        sim::NodeId home = 0;
+        /** The owner a GetS probes. */
+        sim::NodeId owner = 0;
+        bool exclusive = false;
+        /** The miss's own message: request, probe or data. */
+        noc::Mesh::Send msg;
+        /** A pipelined GetS fill's watch: an invalidation in flight
+         *  kills the fill. */
+        coro::Watch fill;
+        /** GetX: its legs. The tree leg: its acks. */
+        coro::Join legs;
+        coro::Join acks;
+        /** GetX: the sharers to invalidate, ascending (the tree's
+         *  targets), and the tree multicast reaching them. */
+        NodeVec sharers;
+        noc::Mesh::Multicast tree;
+
+        /** Run step F @p n cycles from now: inline when n is 0. */
+        template <void (Miss::*F)()>
+        void
+        after(sim::Cycle n)
+        {
+            if (n == 0)
+                (this->*F)();
+            else
+                ms->engine_.scheduleIn(n, Step<Miss, F>{this});
+        }
+
+        /** Send @p bits from @p src to @p dst; step F at delivery. */
+        template <void (Miss::*F)()>
+        void
+        send(sim::NodeId src, sim::NodeId dst, std::uint32_t bits)
+        {
+            ms->mesh_.post(msg, src, dst, bits, &Step<Miss, F>::call, this);
+        }
+
+        void start();
+        void atHome();
+        void locked();
+        void lookedUp();
+        void lookedUpShared(bool own_readable);
+        void lookedUpExclusive(bool own_readable);
+        void pipelinedProbed();
+        void pipelinedForward();
+        void pipelinedFilled();
+        void probed();
+        void reprobed();
+        void homeData();
+        void dramGranted();
+        void dramFilled();
+        void sendHomeData();
+        void sharedFilled();
+        void dataLegDone();
+        void treeStart();
+        void treeDelivered();
+        void treeInvalidate();
+        void treeAcked();
+        void exclusiveGranted();
+        void complete();
+    };
+
+    /** A probe, invalidation or ack leg in flight, counted in a
+     *  Join (a GetX's, a tree leg's or a recall's). */
+    struct Leg
+    {
+        MemSystem *ms = nullptr;
+        coro::Join *join = nullptr;
+        /** The free-list link while pooled. */
+        Leg *nextFree = nullptr;
+        sim::Addr line = 0;
+        sim::NodeId home = 0;
+        sim::NodeId target = 0;
+        sim::NodeId requestor = 0;
+        std::uint32_t replyBits = 0;
+        noc::Mesh::Send msg;
+
+        /** An invalidation's start event: home -> target. */
+        void startInv();
+        void atTarget();
+        void invalidate();
+        /** An ack's start event: target -> requestor. */
+        void startAck();
+        void finished();
+    };
+
     /** The access's effect on its word: read, write or both, by kind.
      *  Runs at the commit instant with the permission the kind needs. */
     void commit(AccessBase &op);
 
     /** L1 round-trip completion: commit a hit frameless or start the
-     *  access's fetchLine transaction inside the same event. */
+     *  access's miss transaction inside the same event. */
     void finishAccess(AccessBase &op);
 
-    /** The caller resumed from a miss: sample its latency and rethrow
-     *  what escaped the transaction. */
+    /** The caller resumed from a miss: sample its latency and recycle
+     *  the miss record. */
     void endMiss(AccessBase &op);
 
     void sharerSet(DirEntry &e, sim::NodeId n, bool v);
@@ -387,43 +513,6 @@ class MemSystem
      *  watches of the line: pending fills die, spinners wake. */
     void invalidateL1(sim::NodeId node, sim::Addr line);
 
-    /**
-     * Miss/upgrade transaction of access @p op. Acquires the line at
-     * @p node with read or write permission, running the full
-     * directory protocol, and commits @p op at the coherence-commit
-     * instant (mutex still held). @p op owns the frame.
-     */
-    coro::Task<void> fetchLine(sim::NodeId node, sim::Addr line,
-                               bool exclusive, AccessBase &op);
-
-    /** One invalidation leg: home -> sharer -> ack to requestor. */
-    coro::Task<void> invLeg(sim::NodeId home, sim::NodeId sharer,
-                            sim::NodeId requestor, sim::Addr line);
-
-    /** Probe-invalidate the owner; it forwards data/ack to requestor. */
-    coro::Task<void> probeLeg(sim::NodeId home, sim::NodeId owner,
-                              sim::NodeId requestor, sim::Addr line,
-                              bool with_data);
-
-    /** One ack of a tree invalidation, as a whenAll leg. */
-    coro::Task<void> ackLeg(sim::NodeId sharer, sim::NodeId requestor);
-
-    /**
-     * Baseline+ invalidation: tree multicast, then parallel acks.
-     * @p targets is borrowed — it lives in the caller's suspended
-     * frame for the whole leg (fetchLine awaits all legs).
-     */
-    coro::Task<void> treeInvLeg(sim::NodeId home, const NodeVec &targets,
-                                sim::NodeId requestor, sim::Addr line);
-
-    /** Data leg from the home bank (after a DRAM fill if needed). */
-    coro::Task<void> homeDataLeg(sim::NodeId home, sim::NodeId requestor,
-                                 DirEntry &entry, sim::Addr line);
-
-    /** Fill a line the home bank lacks: a fixed-latency DRAM access
-     *  through the line's controller, then the L2 install. */
-    coro::Task<void> dramFill(DirEntry &entry, sim::Addr line);
-
     /** Install @p line at @p node's L1, evicting as needed. */
     void installL1(sim::NodeId node, sim::Addr line, CohState state);
 
@@ -435,6 +524,20 @@ class MemSystem
 
     /** Ensure the line is present in L2 tags (may evict + recall). */
     void touchL2(sim::Addr line);
+
+    /**
+     * Fork one invalidation leg into @p join: a delta-0 event starts
+     * it; home -> @p target, the target drops its copy one L1 round
+     * trip later and replies @p reply_bits to @p requestor.
+     */
+    void forkInvLeg(coro::Join &join, sim::NodeId home, sim::NodeId target,
+                    sim::NodeId requestor, sim::Addr line,
+                    std::uint32_t reply_bits);
+
+    Miss &allocMiss();
+    Leg &allocLeg();
+    void freeMiss(Miss &m);
+    void freeLeg(Leg &l);
 
     sim::Engine &engine_;
     noc::Mesh &mesh_;
@@ -452,9 +555,15 @@ class MemSystem
     /**
      * Per node, the Watch records armed on its lines: spinners, and
      * GetS fills whose data leg runs after the home released the line
-     * (fetchLine's pipelined read paths), which an invalidation kills.
+     * (the Miss record's pipelined read paths), which an invalidation
+     * kills.
      */
     std::unique_ptr<coro::WatchList[]> armed_;
+    /** Miss and leg records: all ever made, and the free ones. */
+    std::deque<Miss> misses_;
+    std::deque<Leg> legs_;
+    Miss *freeMisses_ = nullptr;
+    Leg *freeLegs_ = nullptr;
     MemStats stats_;
 };
 

@@ -106,10 +106,20 @@ struct Mesh::Send::FinishFn
     void operator()() const { t->finish(); }
 };
 
-Mesh::Send::Send(Mesh &mesh, sim::NodeId src, sim::NodeId dst,
-                 std::uint32_t bits)
-    : mesh_(&mesh), flits_(mesh.flitsOf(bits))
+struct Mesh::Send::DeliverFn
 {
+    Send *t;
+    void operator()() const { t->deliver(); }
+};
+
+void
+Mesh::Send::plan(sim::NodeId src, sim::NodeId dst, std::uint32_t bits)
+{
+    Mesh &mesh = *mesh_;
+    flits_ = mesh.flitsOf(bits);
+    contended_ = false;
+    link_ = nullptr;
+    yLeft_ = 0;
     if (src == dst)
         return;
     // XY routing: the X leg along the source's row, then the Y leg
@@ -136,26 +146,28 @@ Mesh::Send::Send(Mesh &mesh, sim::NodeId src, sim::NodeId dst,
 }
 
 void
-Mesh::Send::await_suspend(std::coroutine_handle<> h)
+Mesh::Send::start(void (*done)(void *), void *ctx)
 {
-    caller_ = h;
+    done_ = done;
+    ctx_ = ctx;
     start_ = mesh_->engine_.now();
     mesh_->stats_.messages.inc();
     mesh_->stats_.flits.inc(flits_);
     if (link_ == nullptr) {
         // Local turnaround through the node's port.
-        mesh_->engine_.resumeHandle(1, h);
+        mesh_->engine_.scheduleIn(1, DeliverFn{this});
         return;
     }
-    // The head enters the first link inline, in the co_await's event.
+    // The head enters the first link inline, in the starting event.
     step();
 }
 
 void
-Mesh::Send::await_resume()
+Mesh::Send::deliver()
 {
     mesh_->stats_.latency.sample(
         static_cast<double>(mesh_->engine_.now() - start_));
+    done_(ctx_);
 }
 
 void
@@ -213,13 +225,13 @@ void
 Mesh::Send::finish()
 {
     // Head arrived; the tail is flits-1 cycles behind. Single-flit
-    // messages resume the sender inside this event.
+    // messages complete inside this event.
     if (!contended_)
         mesh_->stats_.fastpathHits.inc();
     if (flits_ > 1)
-        mesh_->engine_.resumeHandle(flits_ - 1, caller_);
+        mesh_->engine_.scheduleIn(flits_ - 1, DeliverFn{this});
     else
-        caller_.resume();
+        deliver();
 }
 
 // ---- Tree multicast ------------------------------------------------------
@@ -258,26 +270,40 @@ Mesh::multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
     return Multicast(*this, src, dsts, bits);
 }
 
-Mesh::Multicast::Multicast(Mesh &mesh, sim::NodeId src,
-                           std::span<const sim::NodeId> dsts,
-                           std::uint32_t bits)
-    : mesh_(&mesh), src_(src), flits_(mesh.flitsOf(bits))
+void
+Mesh::Multicast::plan(sim::NodeId src, std::span<const sim::NodeId> dsts,
+                      std::uint32_t bits)
 {
+    src_ = src;
+    flits_ = mesh_->flitsOf(bits);
+    dsts_.clear();
     dsts_.reserve(dsts.size());
     for (const auto d : dsts)
         dsts_.push_back(d);
 }
 
 bool
-Mesh::Multicast::await_suspend(std::coroutine_handle<> h)
+Mesh::post(Multicast &msg, sim::NodeId src,
+           std::span<const sim::NodeId> dsts, std::uint32_t bits,
+           void (*done)(void *), void *ctx)
+{
+    WISYNC_ASSERT(cfg_.treeMulticast,
+                  "multicast needs the tree (Baseline+) router");
+    msg.mesh_ = this;
+    msg.plan(src, dsts, bits);
+    return !msg.dsts_.empty() && msg.start(done, ctx);
+}
+
+bool
+Mesh::Multicast::start(void (*done)(void *), void *ctx)
 {
     Mesh &m = *mesh_;
     m.stats_.multicasts.inc();
     m.stats_.messages.inc();
     m.stats_.flits.inc(flits_);
     TreeHop &root = m.allocHop();
-    root = TreeHop{&m, nullptr, h, dsts_.begin(), dsts_.end(), src_, 0,
-                   flits_, 0};
+    root = TreeHop{&m,     nullptr, done,   ctx, dsts_.begin(), dsts_.end(),
+                   src_,   0,       flits_, 0};
     if (!root.fanOut())
         return true;
     m.freeHop(root);
@@ -305,8 +331,8 @@ Mesh::TreeHop::fanOut()
         if (cut[g] == cut[g + 1])
             continue;
         TreeHop &b = mesh->allocHop();
-        b = TreeHop{mesh,        this, {}, cut[g], cut[g + 1],
-                    at,          kDirs[g], flits, 0};
+        b = TreeHop{mesh, this,     nullptr, nullptr, cut[g], cut[g + 1],
+                    at,   kDirs[g], flits,   0};
         ++pending;
         mesh->engine_.scheduleIn(0, Event<&TreeHop::start>{&b});
     }
@@ -350,7 +376,7 @@ Mesh::TreeHop::arrive()
 {
     at = mesh->neighbor(at, dir);
     if (fanOut())
-        done();
+        visited();
 }
 
 void
@@ -363,19 +389,20 @@ void
 Mesh::TreeHop::childDone()
 {
     if (--pending == 0)
-        mesh->engine_.scheduleIn(0, Event<&TreeHop::done>{this});
+        mesh->engine_.scheduleIn(0, Event<&TreeHop::visited>{this});
 }
 
 void
-Mesh::TreeHop::done()
+Mesh::TreeHop::visited()
 {
     TreeHop *up = parent;
-    const std::coroutine_handle<> resume = caller;
+    void (*const complete)(void *) = done;
+    void *const with = ctx;
     mesh->freeHop(*this);
     if (up != nullptr)
         up->childDone();
     else
-        resume.resume();
+        complete(with);
 }
 
 sim::Cycle

@@ -14,7 +14,10 @@
  * Neither operation owns a coroutine frame: both return awaitables
  * that carry their state in the awaiting frame (or, for the tree, in
  * records pooled by the mesh) and drive the network with plain
- * callback events.
+ * callback events. Each completes into a (fn, ctx) pair: an awaiter
+ * passes coro::resumeFrame and its frame, and a caller with no frame
+ * (the coherence state machine) posts a Send or Multicast record it
+ * owns with post() and its own callback.
  *
  * Unicast (send) carries its XY route: the Send computes it once,
  * when it is made, as a pointer to the first link, the stride between
@@ -115,32 +118,53 @@ class Mesh
 
     /**
      * A unicast in flight: its XY route, the head flit's place on it
-     * and the awaiter to resume. Lives in the awaiting frame across
+     * and the completion to run. Lives in the awaiting frame across
      * its one suspension, so it must be awaited exactly once, in the
-     * statement that created it (the `co_await mesh.send(...)` shape).
+     * statement that created it (the `co_await mesh.send(...)` shape);
+     * or in a record of a frameless caller, which posts it (post()).
      */
     class [[nodiscard]] Send
     {
       public:
+        /** An idle record, for post(). */
+        Send() = default;
+
         /** Computes the route (see the file comment). */
         Send(Mesh &mesh, sim::NodeId src, sim::NodeId dst,
-             std::uint32_t bits);
+             std::uint32_t bits)
+            : mesh_(&mesh)
+        {
+            plan(src, dst, bits);
+        }
 
         bool await_ready() const noexcept { return false; }
-        void await_suspend(std::coroutine_handle<> h);
-        /** Samples the delivery latency. */
-        void await_resume();
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            start(&coro::resumeFrame, h.address());
+        }
+
+        void await_resume() const noexcept {}
 
       private:
+        friend class Mesh;
         struct StepFn;
         struct FinishFn;
+        struct DeliverFn;
 
+        /** Compute the route and clear the head's state. */
+        void plan(sim::NodeId src, sim::NodeId dst, std::uint32_t bits);
+        /** Inject the head; @p done(@p ctx) runs at delivery. */
+        void start(void (*done)(void *), void *ctx);
         void step();
         void advance();
         static void granted(void *self);
         void finish();
+        /** The tail is in: sample the latency and complete. */
+        void deliver();
 
-        Mesh *mesh_;
+        Mesh *mesh_ = nullptr;
         sim::Cycle start_ = 0;
         /** The link the head takes next (or holds); nullptr for a
          *  local send. */
@@ -155,31 +179,56 @@ class Mesh
          *  Y leg while the X leg runs. */
         std::uint32_t left_ = 0;
         std::uint32_t yLeft_ = 0;
-        std::uint32_t flits_;
+        std::uint32_t flits_ = 0;
         bool contended_ = false;
-        std::coroutine_handle<> caller_;
+        void (*done_)(void *) = nullptr;
+        void *ctx_ = nullptr;
     };
 
     /**
      * A tree multicast in flight: its own copy of the destination
-     * list, which the walk partitions in place. Awaited like Send.
+     * list, which the walk partitions in place. Awaited or posted like
+     * Send.
      */
     class [[nodiscard]] Multicast
     {
       public:
+        /** An idle record, for post(). */
+        Multicast() = default;
+
         Multicast(Mesh &mesh, sim::NodeId src,
-                  std::span<const sim::NodeId> dsts, std::uint32_t bits);
+                  std::span<const sim::NodeId> dsts, std::uint32_t bits)
+            : mesh_(&mesh)
+        {
+            plan(src, dsts, bits);
+        }
 
         bool await_ready() const noexcept { return dsts_.empty(); }
+
         /** False when the tree finishes inside this call (the source
          *  is the only destination of a one-flit message). */
-        bool await_suspend(std::coroutine_handle<> h);
+        bool
+        await_suspend(std::coroutine_handle<> h)
+        {
+            return start(&coro::resumeFrame, h.address());
+        }
+
         void await_resume() const noexcept {}
 
       private:
-        Mesh *mesh_;
-        sim::NodeId src_;
-        std::uint32_t flits_;
+        friend class Mesh;
+
+        /** Copy the destinations (the list keeps its capacity). */
+        void plan(sim::NodeId src, std::span<const sim::NodeId> dsts,
+                  std::uint32_t bits);
+        /** Start the walk; @p done(@p ctx) runs once the last
+         *  destination has the message. False, without calling
+         *  @p done, when the walk finishes inside this call. */
+        bool start(void (*done)(void *), void *ctx);
+
+        Mesh *mesh_ = nullptr;
+        sim::NodeId src_ = 0;
+        std::uint32_t flits_ = 0;
         NodeVec dsts_;
     };
 
@@ -208,6 +257,31 @@ class Mesh
      */
     Multicast multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
                         std::uint32_t bits);
+
+    /**
+     * send() for a caller with no frame: route @p bits from @p src to
+     * @p dst through @p msg, a record the caller keeps until
+     * @p done(@p ctx) runs at delivery (in the event an awaiter of
+     * send() would resume in).
+     */
+    void
+    post(Send &msg, sim::NodeId src, sim::NodeId dst, std::uint32_t bits,
+         void (*done)(void *), void *ctx)
+    {
+        msg.mesh_ = this;
+        msg.plan(src, dst, bits);
+        msg.start(done, ctx);
+    }
+
+    /**
+     * multicast() for a caller with no frame, through @p msg, which the
+     * caller keeps until @p done(@p ctx) runs. False, without calling
+     * @p done, when every destination has the message once this
+     * returns (no destination, or the source alone with one flit).
+     */
+    bool post(Multicast &msg, sim::NodeId src,
+              std::span<const sim::NodeId> dsts, std::uint32_t bits,
+              void (*done)(void *), void *ctx);
 
     /** Zero-load latency of a unicast, for calibration tests. */
     sim::Cycle zeroLoadLatency(sim::NodeId src, sim::NodeId dst,
@@ -246,8 +320,9 @@ class Mesh
         /** The visit this branch left (nullptr at the source); the
          *  free-list link while pooled. */
         TreeHop *parent;
-        /** The multicast's awaiter (source visit only). */
-        std::coroutine_handle<> caller;
+        /** The multicast's completion (source visit only). */
+        void (*done)(void *);
+        void *ctx;
         /** Destinations reached through this branch: [lo, hi), a
          *  slice of the multicast's array. */
         sim::NodeId *lo;
@@ -280,9 +355,9 @@ class Mesh
          *  event, or inside a branch's last event). */
         void childDone();
         /** The visit is done (its wake event, or inside the event that
-         *  reached it): report upstream or resume the caller, and
+         *  reached it): report upstream or complete the multicast, and
          *  recycle the record. */
-        void done();
+        void visited();
     };
 
     TreeHop &allocHop();

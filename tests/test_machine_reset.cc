@@ -36,6 +36,7 @@
 #include "workloads/apps.hh"
 #include "workloads/cas_kernels.hh"
 #include "workloads/kernel_result.hh"
+#include "workloads/livermore.hh"
 #include "workloads/tight_loop.hh"
 
 namespace {
@@ -307,6 +308,31 @@ TEST(MachineReset, RetimingResetMatchesFreshVariantMachine)
         wisync::workloads::runTightLoopOn(retimed, p);
         expectEqual(golden, capture(retimed), "after retiming reset");
     }
+}
+
+/** The functional store keeps its table across Machine::reset: a
+ *  rerun of the same workload grows it no further (it allocates only
+ *  when it grows) and reproduces the first run bit for bit. */
+TEST(MachineReset, RerunAllocatesNothingInMemory)
+{
+    const auto run = [](Machine &m) {
+        wisync::workloads::LivermoreParams p;
+        p.n = 512;
+        return wisync::workloads::runLivermoreOn(
+            wisync::workloads::LivermoreLoop::Iccg, m, p);
+    };
+    Machine m(MachineConfig::make(ConfigKind::Baseline, 16));
+    const KernelResult first = run(m);
+    const Snapshot golden = capture(m);
+    const std::size_t capacity = m.memory().capacity();
+    ASSERT_GT(m.memory().footprintWords(), 512u);
+
+    m.reset();
+    EXPECT_EQ(m.memory().footprintWords(), 0u);
+    const KernelResult again = run(m);
+    EXPECT_EQ(m.memory().capacity(), capacity);
+    EXPECT_TRUE(wisync::workloads::bitIdentical(first, again));
+    expectEqual(golden, capture(m), "rerun after reset");
 }
 
 TEST(MachineReset, KindChangeThroughResetMatchesFreshKind)

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <optional>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "mem/mem_system.hh"
 #include "noc/mesh.hh"
 #include "sim/engine.hh"
+#include "sim/heap_counter.hh"
 #include "sim/rng.hh"
 
 namespace {
@@ -469,25 +472,119 @@ loadOnce(MemSystem &mem, NodeId node, Addr addr)
     co_await mem.load(node, addr);
 }
 
-/** Frames per GetS miss: the transaction (fetchLine) is the access's
- *  one frame; mesh sends and the home's data leg add none. Only the
- *  DRAM fill of a cold line is a frame of its own. */
-TEST(MemSystem, GetSMissServedFromL2MakesOneFrame)
+Task<void>
+storeOnce(MemSystem &mem, NodeId node, Addr addr)
 {
-    Chip chip(16);
-    const Addr a = 0x10000;
-    auto missFrames = [&](NodeId node) {
-        wisync::coro::spawnDetached(chip.engine, loadOnce(chip.mem, node, a));
-        const std::uint64_t before = framesMade();
+    co_await mem.store(node, addr, node);
+}
+
+/** Frames and heap allocations of one measured access. */
+struct Cost
+{
+    std::uint64_t frames;
+    std::uint64_t allocs;
+};
+
+/**
+ * The cost of the access @p measured starts once @p setup has run, on
+ * a warm chip: the scenario runs once to size every pool, the chip is
+ * reset the way Machine::reset does it, and the rerun is measured.
+ */
+Cost
+warmAccessCost(bool tree, const std::function<void(Chip &)> &setup,
+               const std::function<Task<void>(Chip &)> &measured)
+{
+    Chip chip(16, tree);
+    Cost cost{};
+    for (int pass = 0; pass < 2; ++pass) {
+        if (pass == 1) {
+            chip.engine.reset();
+            chip.mesh.reset(Chip::meshCfg(16, tree));
+            chip.memory.clear();
+            chip.mem.reset(MemConfig{});
+        }
+        setup(chip);
+        wisync::coro::spawnDetached(chip.engine, measured(chip));
+        const std::uint64_t frames = framesMade();
+        const std::uint64_t allocs = wisync::sim::heapAllocs();
         EXPECT_TRUE(chip.engine.run());
-        return framesMade() - before;
+        cost = Cost{framesMade() - frames,
+                    wisync::sim::heapAllocs() - allocs};
+    }
+    return cost;
+}
+
+/** Run @p nodes' accesses to @p addr one after another. */
+void
+accessAll(Chip &chip, std::initializer_list<NodeId> nodes, Addr addr,
+          bool store)
+{
+    for (const NodeId n : nodes) {
+        wisync::coro::spawnDetached(chip.engine, store
+                                                     ? storeOnce(chip.mem, n, addr)
+                                                     : loadOnce(chip.mem, n, addr));
+        EXPECT_TRUE(chip.engine.run());
+    }
+}
+
+/** A miss or upgrade is a state machine over records the MemSystem
+ *  pools: on a warm chip, no coherence path makes a coroutine frame or
+ *  a heap allocation, legs and joins included. */
+TEST(MemSystem, WarmMissesMakeNoFramesOrAllocations)
+{
+    const Addr a = 0x40040; // homed at node 1
+    const auto expectFree = [](const Cost &c, const char *what) {
+        EXPECT_EQ(c.frames, 0u) << what;
+        EXPECT_EQ(c.allocs, 0u) << what;
     };
-    EXPECT_EQ(missFrames(0), 2u); // fetchLine + the DRAM fill
-    EXPECT_EQ(missFrames(1), 1u); // the Exclusive owner forwards
-    EXPECT_EQ(missFrames(2), 1u); // the L2 supplies a shared line
-    EXPECT_EQ(chip.mem.stats().l1Misses.value(), 3u);
-    EXPECT_EQ(chip.mem.stats().dramFetches.value(), 1u);
-    EXPECT_EQ(chip.mem.l1State(2, a), CohState::Shared);
+
+    // GetS from an Owned owner, through the pipelined path.
+    expectFree(warmAccessCost(
+                   false,
+                   [&](Chip &c) {
+                       accessAll(c, {15}, a, true);
+                       accessAll(c, {5}, a, false);
+                       ASSERT_EQ(c.mem.l1State(15, a), CohState::Owned);
+                   },
+                   [&](Chip &c) { return loadOnce(c.mem, 0, a); }),
+               "GetS from an Owned owner");
+
+    // GetS the L2 serves to a third reader, and a cold one filled from
+    // DRAM.
+    expectFree(warmAccessCost(
+                   false, [&](Chip &c) { accessAll(c, {0, 1}, a, false); },
+                   [&](Chip &c) { return loadOnce(c.mem, 2, a); }),
+               "GetS from the L2");
+    expectFree(warmAccessCost(
+                   false, [](Chip &) {},
+                   [&](Chip &c) { return loadOnce(c.mem, 3, a); }),
+               "GetS with a DRAM fill");
+
+    // GetX: probe the Owned owner, invalidate two sharers by unicast.
+    expectFree(warmAccessCost(
+                   false,
+                   [&](Chip &c) {
+                       accessAll(c, {4}, a, true);
+                       accessAll(c, {5, 6}, a, false);
+                   },
+                   [&](Chip &c) { return storeOnce(c.mem, 7, a); }),
+               "GetX with a probe and unicast invalidations");
+
+    // Baseline+: one tree multicast to 8 sharers, 8 acks, and the
+    // home's data leg.
+    expectFree(warmAccessCost(
+                   true,
+                   [&](Chip &c) {
+                       accessAll(c, {1, 2, 3, 4, 5, 6, 7, 8}, a, false);
+                   },
+                   [&](Chip &c) { return storeOnce(c.mem, 9, a); }),
+               "GetX with a tree invalidation");
+
+    // An upgrade of a Shared copy: one invalidation leg, no data.
+    expectFree(warmAccessCost(
+                   false, [&](Chip &c) { accessAll(c, {10, 11}, a, false); },
+                   [&](Chip &c) { return storeOnce(c.mem, 10, a); }),
+               "upgrade");
 }
 
 // ---- Pipelined GetS fills ------------------------------------------

@@ -688,8 +688,8 @@ TEST(TreeMulticast, RandomStormMatchesTheCoroutineWalk)
         return cycleDigest(out);
     };
     // [seed][hop][size], in the loop order below, recorded from the
-    // coroutine tree walk (one Task per router and branch, whenAll
-    // joins).
+    // coroutine tree walk (one Task per router and branch, each
+    // router's branches joined in its frame).
     constexpr std::uint64_t kPinned[3][2][3] = {
         {
             {0x382cf5b85dfaeccaull, 0xa7aedb834f7ef889ull,

@@ -7,7 +7,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "coro/frame_pool.hh"
@@ -20,12 +19,12 @@ namespace {
 
 using wisync::coro::CondVar;
 using wisync::coro::delay;
+using wisync::coro::Join;
 using wisync::coro::Resource;
 using wisync::coro::SimMutex;
 using wisync::coro::spawnNow;
 using wisync::coro::Task;
 using wisync::coro::WaiterQueue;
-using wisync::coro::whenAll;
 using wisync::sim::Cycle;
 using wisync::sim::Engine;
 
@@ -73,6 +72,23 @@ TEST(SimMutex, SerializesCriticalSections)
     }
 }
 
+/** A coroutine taking a unit of @p res, queued as the resource's
+ *  callback waiter when none is free. */
+struct Acquire
+{
+    Resource &res;
+
+    bool await_ready() { return res.tryAcquire(); }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        res.wait(&wisync::coro::resumeFrame, h.address());
+    }
+
+    void await_resume() const noexcept {}
+};
+
 TEST(Resource, CapacityBoundsConcurrency)
 {
     Engine eng;
@@ -80,7 +96,7 @@ TEST(Resource, CapacityBoundsConcurrency)
     int active = 0, peak = 0;
 
     auto worker = [&]() -> Task<void> {
-        co_await res.acquire();
+        co_await Acquire{res};
         ++active;
         peak = std::max(peak, active);
         co_await delay(eng, 7);
@@ -147,7 +163,7 @@ TEST(WaiterQueue, DrainToEmptyAndRefillKeepsFifoGrantOrder)
         mtx.unlock();
     };
     auto resource_worker = [&](int id) -> Task<void> {
-        co_await res.acquire();
+        co_await Acquire{res};
         resource_order.push_back(id);
         co_await delay(eng, 3);
         res.release();
@@ -282,7 +298,7 @@ TEST(SimMutex, HandoffKeepsCycleAccurate)
     EXPECT_EQ(times, (std::vector<Cycle>{0, 0, 0}));
 }
 
-// ---- whenAll -------------------------------------------------------------
+// ---- Join ----------------------------------------------------------------
 
 /** Frames the calling thread's pool has handed out so far. */
 std::uint64_t
@@ -292,107 +308,97 @@ framesMade()
     return st.pooledAllocs + st.fallbackAllocs;
 }
 
-/** A leg: notes the event it starts in, waits, notes its end. */
+/** A detached leg: notes the event it starts in, waits, notes its
+ *  end and reports to @p join. */
 Task<void>
 timedLeg(Engine &eng, Cycle wait, std::uint64_t *started,
-         std::uint64_t *ended)
+         std::uint64_t *ended, Join *join)
 {
     *started = eng.eventsExecuted();
     co_await delay(eng, wait);
     *ended = eng.eventsExecuted();
+    join->done(eng);
 }
 
-/** The join's event contract: each leg starts in a delta-0 event of
- *  its own, in list order; every leg completes straight back into the
- *  join; the awaiter resumes in the one event the last completion
- *  files. The join's only frame besides the legs' is its own. */
-TEST(WhenAll, LegsStartInListOrderAndTheAwaiterResumesOneEventAfterTheLast)
+/** The join's event contract: legs forked in list order start in a
+ *  delta-0 event each; the awaiter resumes in the one event the last
+ *  completion files. The join itself makes no frame. */
+TEST(Join, LegsStartInListOrderAndTheAwaiterResumesOneEventAfterTheLast)
 {
     Engine eng;
     std::uint64_t started[3] = {}, ended[3] = {};
-    std::uint64_t fork = 0, join = 0;
+    std::uint64_t fork = 0, joined = 0;
     Cycle joined_at = 0;
     const Cycle waits[3] = {3, 1, 5};
     auto parent = [&]() -> Task<void> {
         co_await delay(eng, 2);
-        std::vector<Task<void>> legs;
-        for (int i = 0; i < 3; ++i)
-            legs.push_back(timedLeg(eng, waits[i], &started[i], &ended[i]));
+        Join join;
         fork = eng.eventsExecuted();
-        co_await whenAll(eng, std::move(legs));
-        join = eng.eventsExecuted();
+        join.add(3);
+        for (int i = 0; i < 3; ++i)
+            wisync::coro::spawnDetached(
+                eng, timedLeg(eng, waits[i], &started[i], &ended[i], &join));
+        co_await join;
+        joined = eng.eventsExecuted();
         joined_at = eng.now();
     };
     wisync::coro::spawnDetached(eng, parent());
     const std::uint64_t frames = framesMade();
     ASSERT_TRUE(eng.run());
-    EXPECT_EQ(framesMade() - frames, 3u + 1u); // the legs and the join
+    // Each detached leg is its task and its root wrapper.
+    EXPECT_EQ(framesMade() - frames, 2u * 3u);
     EXPECT_EQ(started[0], fork + 1);
     EXPECT_EQ(started[1], fork + 2);
     EXPECT_EQ(started[2], fork + 3);
     EXPECT_EQ(joined_at, 2u + 5u);
-    EXPECT_EQ(join, ended[2] + 1); // the slowest leg, then the wake
-    EXPECT_EQ(join, eng.eventsExecuted());
+    EXPECT_EQ(joined, ended[2] + 1); // the slowest leg, then the wake
+    EXPECT_EQ(joined, eng.eventsExecuted());
     EXPECT_LT(ended[1], ended[0]);
 }
 
-TEST(WhenAll, EmptyListCompletesWithoutSuspending)
+/** A callback waiter wakes the same way, one delta-0 event after the
+ *  last leg; a join with no leg pending does not suspend its awaiter. */
+TEST(Join, CallbackWaiterAndEmptyJoin)
 {
     Engine eng;
+    Join join;
+    std::uint64_t woke = 0;
+    join.add(2);
+    join.wait([](void *p) { *static_cast<std::uint64_t *>(p) = 1; },
+              &woke);
+    eng.scheduleIn(4, [&] { join.done(eng); });
+    eng.scheduleIn(9, [&] { join.done(eng); });
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(woke, 1u);
+    EXPECT_EQ(eng.now(), 9u);
+    EXPECT_EQ(eng.eventsExecuted(), 3u);
+
+    Engine eng2;
     Cycle done = 99;
-    spawnNow(eng, [&]() -> Task<void> {
-        co_await whenAll(eng, std::vector<Task<void>>{});
-        done = eng.now();
+    spawnNow(eng2, [&]() -> Task<void> {
+        Join none;
+        co_await none;
+        done = eng2.now();
     });
-    ASSERT_TRUE(eng.run());
+    ASSERT_TRUE(eng2.run());
     EXPECT_EQ(done, 0u);
-    EXPECT_EQ(eng.eventsExecuted(), 1u);
-}
-
-Task<void>
-failingLeg(Engine &eng, Cycle wait)
-{
-    co_await delay(eng, wait);
-    throw std::runtime_error("leg failed");
-}
-
-/** An exception escaping a leg reaches the join's awaiter, once every
- *  leg is done (it is a model bug, but one the awaiter can see). */
-TEST(WhenAll, ThrowingLegReachesTheAwaiter)
-{
-    Engine eng;
-    std::uint64_t s = 0, e = 0;
-    bool caught = false;
-    Cycle caught_at = 0;
-    spawnNow(eng, [&]() -> Task<void> {
-        std::vector<Task<void>> legs;
-        legs.push_back(failingLeg(eng, 2));
-        legs.push_back(timedLeg(eng, 4, &s, &e));
-        try {
-            co_await whenAll(eng, std::move(legs));
-        } catch (const std::runtime_error &) {
-            caught = true;
-            caught_at = eng.now();
-        }
-    });
-    ASSERT_TRUE(eng.run());
-    EXPECT_TRUE(caught);
-    EXPECT_EQ(caught_at, 4u);
-    EXPECT_NE(e, 0u);
+    EXPECT_EQ(eng2.eventsExecuted(), 1u);
 }
 
 /** Resetting the engine with legs parked mid-flight destroys the
- *  join, its legs and what they await: no frame outlives the reset. */
-TEST(WhenAll, EngineResetMidFlightFreesEveryFrame)
+ *  awaiter, the legs and what they await: no frame outlives the reset. */
+TEST(Join, EngineResetMidFlightFreesEveryFrame)
 {
     const std::uint64_t live = wisync::coro::framePool().liveFrames();
     Engine eng;
     std::uint64_t s[3] = {}, e[3] = {};
     spawnNow(eng, [&]() -> Task<void> {
-        std::vector<Task<void>> legs;
+        Join join;
+        join.add(3);
         for (int i = 0; i < 3; ++i)
-            legs.push_back(timedLeg(eng, 10 * (i + 1), &s[i], &e[i]));
-        co_await whenAll(eng, std::move(legs));
+            wisync::coro::spawnDetached(
+                eng, timedLeg(eng, 10 * (i + 1), &s[i], &e[i], &join));
+        co_await join;
     });
     EXPECT_FALSE(eng.run(15)); // one leg done, two parked
     EXPECT_NE(e[0], 0u);
