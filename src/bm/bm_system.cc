@@ -67,8 +67,6 @@ BmSystem::rebuildChipTopology(const wireless::WirelessConfig &wcfg,
         globalVersion_.clear();
         appliedVersion_.clear();
     }
-    framePool_.clear();
-    freeFrames_.clear();
 }
 
 void
@@ -133,11 +131,9 @@ BmSystem::reset(const BmConfig &cfg, const wireless::WirelessConfig &wcfg,
         bridgeCfg_ = bridge_cfg;
         std::fill(globalVersion_.begin(), globalVersion_.end(), 0);
         std::fill(appliedVersion_.begin(), appliedVersion_.end(), 0);
-        // In-flight frames died with the engine reset; recycle them.
-        freeFrames_.clear();
-        for (auto &frame : framePool_)
-            freeFrames_.push_back(frame.get());
     }
+    // In-flight frames died with the engine reset; recycle them.
+    frames_.reset();
     bindMacs(rng);
     toneEnabled_ = with_tone;
     clearPendingRmws();
@@ -214,25 +210,6 @@ BmSystem::checkPid(sim::BmAddr addr, sim::Pid pid, std::uint32_t count)
     }
 }
 
-BmSystem::BridgeFrame *
-BmSystem::acquireFrame()
-{
-    if (freeFrames_.empty()) {
-        framePool_.push_back(std::make_unique<BridgeFrame>());
-        framePool_.back()->bm = this;
-        freeFrames_.push_back(framePool_.back().get());
-    }
-    BridgeFrame *frame = freeFrames_.back();
-    freeFrames_.pop_back();
-    return frame;
-}
-
-void
-BmSystem::releaseFrame(BridgeFrame *frame)
-{
-    freeFrames_.push_back(frame);
-}
-
 void
 BmSystem::deliverStore(sim::NodeId src, sim::BmAddr addr,
                        const std::uint64_t *values, std::uint32_t count)
@@ -245,7 +222,8 @@ BmSystem::deliverStore(sim::NodeId src, sim::BmAddr addr,
     const sim::NodeId first = chip * coresPerChip_;
     const BmScope scope = store_.scope(addr);
     BridgeFrame *frame =
-        numChips_ > 1 && scope == BmScope::Global ? acquireFrame() : nullptr;
+        numChips_ > 1 && scope == BmScope::Global ? &frames_.alloc(this)
+                                                  : nullptr;
     for (std::uint32_t i = 0; i < count; ++i) {
         WISYNC_ASSERT(store_.scope(addr + i) == scope,
                       "bulk store window mixes BM scopes");
@@ -271,7 +249,8 @@ BmSystem::deliverStore(sim::NodeId src, sim::BmAddr addr,
         frame->addr = addr;
         frame->count = count;
         frame->srcChip = chip;
-        bridge_->post(count * 64, &BridgeFrame::land, frame);
+        bridge_->post(count * 64, &sim::Step<&BridgeFrame::land>::call,
+                      frame);
     }
 }
 
@@ -305,7 +284,7 @@ BmSystem::applyBridged(BridgeFrame *frame)
             }
         }
     }
-    releaseFrame(frame);
+    frames_.free(*frame);
 }
 
 void

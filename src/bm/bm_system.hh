@@ -33,7 +33,8 @@
  * delivery commit is a lambda held there, and the abort test is a
  * plain function over the pending RMW or the tone announcement's
  * watch. The bridge delivery and the tone release are likewise
- * (fn, ctx) pairs over a pooled BridgeFrame and a per-chip context.
+ * (fn, ctx) pairs: a sim::Step of a BridgeFrame record (from a
+ * sim::RecordPool) and a per-chip context.
  *
  * Multi-chip machines (numChips > 1) generalize this machine-wide:
  * each chip owns a contiguous block of coresPerChip nodes, its own BM
@@ -65,6 +66,7 @@
 #include "coro/task.hh"
 #include "noc/chip_bridge.hh"
 #include "sim/engine.hh"
+#include "sim/record.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -454,8 +456,10 @@ class BmSystem
     /** A pooled in-flight bridge frame (global-scope commits only). */
     struct BridgeFrame
     {
-        /** The system it lands in (the bridge delivery's context). */
-        BmSystem *bm = nullptr;
+        explicit BridgeFrame(BmSystem *system) : bm(system) {}
+
+        /** The system it lands in. */
+        BmSystem *bm;
         sim::BmAddr addr = 0;
         std::uint32_t count = 0;
         std::uint32_t srcChip = 0;
@@ -463,16 +467,8 @@ class BmSystem
         std::array<std::uint64_t, 4> versions{};
 
         /** The bridge delivery (ChipBridge::post). */
-        static void
-        land(void *f)
-        {
-            auto *frame = static_cast<BridgeFrame *>(f);
-            frame->bm->applyBridged(frame);
-        }
+        void land() { bm->applyBridged(this); }
     };
-
-    BridgeFrame *acquireFrame();
-    void releaseFrame(BridgeFrame *frame);
 
     /** Broadcast-delivery commit for a (possibly bulk) store. */
     void deliverStore(sim::NodeId src, sim::BmAddr addr,
@@ -552,8 +548,8 @@ class BmSystem
      *  commit) and per-(chip, word) applied clock; empty at 1 chip. */
     std::vector<std::uint64_t> globalVersion_;
     std::vector<std::uint64_t> appliedVersion_; // [chip * words + word]
-    std::vector<std::unique_ptr<BridgeFrame>> framePool_;
-    std::vector<BridgeFrame *> freeFrames_;
+    /** Bridge frames in flight; reset() frees them all. */
+    sim::RecordPool<BridgeFrame> frames_;
     bool toneEnabled_ = true;
     std::vector<PendingRmw> pendingRmw_; // per node
     /**

@@ -63,12 +63,8 @@ MemSystem::reset(const MemConfig &cfg)
         ctrl->reset();
     // Records of abandoned transactions are free again, and their
     // fills stop watching.
-    freeMisses_ = nullptr;
-    for (auto &m : misses_)
-        freeMiss(m);
-    freeLegs_ = nullptr;
-    for (auto &l : legs_)
-        freeLeg(l);
+    misses_.reset([](Miss &m) { m.recycle(); });
+    legs_.reset();
     for (std::uint32_t n = 0; n < numNodes_; ++n)
         WISYNC_ASSERT(armed_[n].empty(), "a watch outlived its frame");
     stats_.reset();
@@ -90,50 +86,6 @@ MemSystem::dirPoolStats() const
         total.rehashes += bank.dir.stats().rehashes;
     }
     return total;
-}
-
-MemSystem::Miss &
-MemSystem::allocMiss()
-{
-    if (freeMisses_ == nullptr) {
-        Miss &m = misses_.emplace_back();
-        m.ms = this;
-        return m;
-    }
-    Miss &m = *freeMisses_;
-    freeMisses_ = m.nextFree;
-    return m;
-}
-
-void
-MemSystem::freeMiss(Miss &m)
-{
-    // An abandoned record (reset) may still count legs and watch.
-    m.fill.disarm();
-    m.legs = coro::Join{};
-    m.acks = coro::Join{};
-    m.nextFree = freeMisses_;
-    freeMisses_ = &m;
-}
-
-MemSystem::Leg &
-MemSystem::allocLeg()
-{
-    if (freeLegs_ == nullptr) {
-        Leg &l = legs_.emplace_back();
-        l.ms = this;
-        return l;
-    }
-    Leg &l = *freeLegs_;
-    freeLegs_ = l.nextFree;
-    return l;
-}
-
-void
-MemSystem::freeLeg(Leg &l)
-{
-    l.nextFree = freeLegs_;
-    freeLegs_ = &l;
 }
 
 void
@@ -284,7 +236,7 @@ MemSystem::forkInvLeg(coro::Join &join, sim::NodeId home, sim::NodeId target,
                       sim::NodeId requestor, sim::Addr line,
                       std::uint32_t reply_bits)
 {
-    Leg &l = allocLeg();
+    Leg &l = legs_.alloc(this);
     l.join = &join;
     l.line = line;
     l.home = home;
@@ -292,14 +244,14 @@ MemSystem::forkInvLeg(coro::Join &join, sim::NodeId home, sim::NodeId target,
     l.requestor = requestor;
     l.replyBits = reply_bits;
     join.add();
-    engine_.scheduleIn(0, Step<Leg, &Leg::startInv>{&l});
+    engine_.scheduleIn(0, sim::Step<&Leg::startInv>{&l});
 }
 
 void
 MemSystem::Leg::startInv()
 {
     ms->mesh_.post(msg, home, target, ms->cfg_.ctrlBits,
-                   &Step<Leg, &Leg::atTarget>::call, this);
+                   &sim::Step<&Leg::atTarget>::call, this);
 }
 
 void
@@ -307,7 +259,7 @@ MemSystem::Leg::atTarget()
 {
     // The target's L1 round trip.
     ms->engine_.scheduleIn(ms->cfg_.l1RtCycles,
-                           Step<Leg, &Leg::invalidate>{this});
+                           sim::Step<&Leg::invalidate>{this});
 }
 
 void
@@ -315,14 +267,14 @@ MemSystem::Leg::invalidate()
 {
     ms->invalidateL1(target, line);
     ms->mesh_.post(msg, target, requestor, replyBits,
-                   &Step<Leg, &Leg::finished>::call, this);
+                   &sim::Step<&Leg::finished>::call, this);
 }
 
 void
 MemSystem::Leg::startAck()
 {
     ms->mesh_.post(msg, target, requestor, ms->cfg_.ctrlBits,
-                   &Step<Leg, &Leg::finished>::call, this);
+                   &sim::Step<&Leg::finished>::call, this);
 }
 
 void
@@ -330,7 +282,7 @@ MemSystem::Leg::finished()
 {
     coro::Join &j = *join;
     MemSystem &m = *ms;
-    m.freeLeg(*this);
+    m.legs_.free(*this);
     j.done(m.engine_);
 }
 
@@ -356,7 +308,7 @@ MemSystem::Miss::atHome()
     e = &ms->dirEntry(line);
     if (e->busy.tryLock())
         return locked();
-    e->busy.wait(&Step<Miss, &Miss::locked>::call, this);
+    e->busy.wait(&sim::Step<&Miss::locked>::call, this);
 }
 
 void
@@ -493,7 +445,7 @@ MemSystem::Miss::homeData()
         *ms->dramCtrls_[ms->memCtrls_.mod(line >> ms->lineShift_)];
     if (ctrl.tryAcquire())
         return dramGranted();
-    ctrl.wait(&Step<Miss, &Miss::dramGranted>::call, this);
+    ctrl.wait(&sim::Step<&Miss::dramGranted>::call, this);
 }
 
 void
@@ -558,7 +510,7 @@ MemSystem::Miss::lookedUpExclusive(bool own_readable)
         // Baseline+: one tree multicast delivers all invalidations,
         // then acks converge on the requestor in parallel.
         legs.add();
-        ms->engine_.scheduleIn(0, Step<Miss, &Miss::treeStart>{this});
+        ms->engine_.scheduleIn(0, sim::Step<&Miss::treeStart>{this});
         ms->stats_.invalidations.inc(sharers.size());
     } else {
         for (const auto s : sharers) {
@@ -571,12 +523,12 @@ MemSystem::Miss::lookedUpExclusive(bool own_readable)
 
     if (need_data) {
         legs.add();
-        ms->engine_.scheduleIn(0, Step<Miss, &Miss::homeData>{this});
+        ms->engine_.scheduleIn(0, sim::Step<&Miss::homeData>{this});
     }
 
     if (legs.pending() == 0)
         return exclusiveGranted();
-    legs.wait(&Step<Miss, &Miss::exclusiveGranted>::call, this);
+    legs.wait(&sim::Step<&Miss::exclusiveGranted>::call, this);
 }
 
 void
@@ -592,7 +544,7 @@ MemSystem::Miss::treeStart()
                         std::span<const sim::NodeId>(sharers.data(),
                                                      sharers.size()),
                         ms->cfg_.ctrlBits,
-                        &Step<Miss, &Miss::treeDelivered>::call, this))
+                        &sim::Step<&Miss::treeDelivered>::call, this))
         treeDelivered();
 }
 
@@ -610,14 +562,14 @@ MemSystem::Miss::treeInvalidate()
     for (const auto s : sharers)
         ms->invalidateL1(s, line);
     for (const auto s : sharers) {
-        Leg &l = ms->allocLeg();
+        Leg &l = ms->legs_.alloc(ms);
         l.join = &acks;
         l.target = s;
         l.requestor = node;
         acks.add();
-        ms->engine_.scheduleIn(0, Step<Leg, &Leg::startAck>{&l});
+        ms->engine_.scheduleIn(0, sim::Step<&Leg::startAck>{&l});
     }
-    acks.wait(&Step<Miss, &Miss::treeAcked>::call, this);
+    acks.wait(&sim::Step<&Miss::treeAcked>::call, this);
 }
 
 void
@@ -643,6 +595,14 @@ MemSystem::Miss::complete()
     // Straight into the waiting thread, inside this event; its
     // Access::await_resume recycles the record (endMiss).
     op->caller_.resume();
+}
+
+void
+MemSystem::Miss::recycle()
+{
+    fill.disarm();
+    legs = coro::Join{};
+    acks = coro::Join{};
 }
 
 // ---- Word accesses -----------------------------------------------------
@@ -750,7 +710,7 @@ MemSystem::finishAccess(AccessBase &op)
     // caller (Access::await_resume -> endMiss).
     stats_.fastpathFallbacks.inc();
     op.t0_ = engine_.now();
-    Miss &m = allocMiss();
+    Miss &m = misses_.alloc(this);
     m.op = &op;
     m.node = op.node_;
     m.line = line;
@@ -763,7 +723,8 @@ void
 MemSystem::endMiss(AccessBase &op)
 {
     stats_.missLatency.sample(static_cast<double>(engine_.now() - op.t0_));
-    freeMiss(*op.miss_);
+    op.miss_->recycle();
+    misses_.free(*op.miss_);
 }
 
 coro::Task<std::uint64_t>

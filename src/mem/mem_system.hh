@@ -17,8 +17,9 @@
  * serialized exactly as a blocking directory would.
  *
  * Frames: none for an access. An L1 hit is one callback event. A miss
- * or upgrade runs in a Miss record that the MemSystem pools: each step
- * is a callback event, its messages are posted mesh records, its MSHR
+ * or upgrade runs in a Miss record from the MemSystem's
+ * sim::RecordPool: each step is a sim::Step of the record, run as an
+ * event or a completion, its messages are posted mesh records, its MSHR
  * and DRAM-queue waits are callback waiters, and it completes straight
  * into the waiting thread. A GetX's probe and invalidation legs run in
  * pooled Leg records (so do a tree invalidation's acks), its data leg
@@ -26,7 +27,8 @@
  * record counts them in; each leg starts in a delta-0 event of its
  * own, in list order, and the last one's completion files the join's
  * delta-0 wake, the event order the coroutine legs had. reset()
- * recycles every record. Dirty writebacks and L2 recalls stay detached
+ * frees every record, disarming the fills and clearing the joins of
+ * abandoned ones. Dirty writebacks and L2 recalls stay detached
  * coroutines (a recall awaits a Join over the same Leg records), and
  * so do spin waits.
  *
@@ -47,7 +49,6 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -59,6 +60,7 @@
 #include "noc/mesh.hh"
 #include "sim/engine.hh"
 #include "sim/pooled_map.hh"
+#include "sim/record.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -381,16 +383,6 @@ class MemSystem
 
     DirEntry &dirEntry(sim::Addr line);
 
-    /** The callback running step F of record R: as an event, or as
-     *  the (fn, ctx) completion of a message or a wait. */
-    template <typename R, void (R::*F)()>
-    struct Step
-    {
-        R *r;
-        void operator()() const { (r->*F)(); }
-        static void call(void *r) { (static_cast<R *>(r)->*F)(); }
-    };
-
     /**
      * One miss or upgrade in flight: the directory transaction of
      * access *op as a state machine. Each step runs in an event or as
@@ -399,11 +391,11 @@ class MemSystem
      */
     struct Miss
     {
-        MemSystem *ms = nullptr;
+        explicit Miss(MemSystem *system) : ms(system) {}
+
+        MemSystem *ms;
         AccessBase *op = nullptr;
         DirEntry *e = nullptr;
-        /** The free-list link while pooled. */
-        Miss *nextFree = nullptr;
         sim::Addr line = 0;
         sim::NodeId node = 0;
         sim::NodeId home = 0;
@@ -431,7 +423,7 @@ class MemSystem
             if (n == 0)
                 (this->*F)();
             else
-                ms->engine_.scheduleIn(n, Step<Miss, F>{this});
+                ms->engine_.scheduleIn(n, sim::Step<F>{this});
         }
 
         /** Send @p bits from @p src to @p dst; step F at delivery. */
@@ -439,7 +431,7 @@ class MemSystem
         void
         send(sim::NodeId src, sim::NodeId dst, std::uint32_t bits)
         {
-            ms->mesh_.post(msg, src, dst, bits, &Step<Miss, F>::call, this);
+            ms->mesh_.post(msg, src, dst, bits, &sim::Step<F>::call, this);
         }
 
         void start();
@@ -465,16 +457,19 @@ class MemSystem
         void treeAcked();
         void exclusiveGranted();
         void complete();
+        /** Disarm the fill and clear the joins: the caller resumed,
+         *  or the record was abandoned (reset). */
+        void recycle();
     };
 
     /** A probe, invalidation or ack leg in flight, counted in a
      *  Join (a GetX's, a tree leg's or a recall's). */
     struct Leg
     {
-        MemSystem *ms = nullptr;
+        explicit Leg(MemSystem *system) : ms(system) {}
+
+        MemSystem *ms;
         coro::Join *join = nullptr;
-        /** The free-list link while pooled. */
-        Leg *nextFree = nullptr;
         sim::Addr line = 0;
         sim::NodeId home = 0;
         sim::NodeId target = 0;
@@ -534,11 +529,6 @@ class MemSystem
                     sim::NodeId requestor, sim::Addr line,
                     std::uint32_t reply_bits);
 
-    Miss &allocMiss();
-    Leg &allocLeg();
-    void freeMiss(Miss &m);
-    void freeLeg(Leg &l);
-
     sim::Engine &engine_;
     noc::Mesh &mesh_;
     Memory &memory_;
@@ -559,11 +549,10 @@ class MemSystem
      * kills.
      */
     std::unique_ptr<coro::WatchList[]> armed_;
-    /** Miss and leg records: all ever made, and the free ones. */
-    std::deque<Miss> misses_;
-    std::deque<Leg> legs_;
-    Miss *freeMisses_ = nullptr;
-    Leg *freeLegs_ = nullptr;
+    /** Miss and leg records (sim/record.hh); reset() frees them all,
+     *  the records of abandoned transactions included. */
+    sim::RecordPool<Miss> misses_;
+    sim::RecordPool<Leg> legs_;
     MemStats stats_;
 };
 

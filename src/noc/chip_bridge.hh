@@ -13,7 +13,8 @@
  * the BM layer can apply the update and fire AFB aborts in one atomic
  * simulation step, exactly like a Data-channel delivery. The callback
  * is a (fn, ctx) pair that borrows its context (the BM layer's pooled
- * frame), so the bridge owns nothing but its pooled InFlight records.
+ * frame), so the bridge owns nothing but its InFlight records, kept in
+ * a sim::RecordPool.
  *
  * The link may be lossy: a package-level waveguide fails in bursts
  * (reflections / thermal episodes, Bandara et al.), so the loss draw
@@ -33,11 +34,10 @@
 #define WISYNC_NOC_CHIP_BRIDGE_HH
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "sim/engine.hh"
 #include "sim/logging.hh"
+#include "sim/record.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -120,7 +120,7 @@ class ChipBridge
     post(std::uint32_t payload_bits, void (*deliver)(void *), void *ctx)
     {
         stats_.frames.inc();
-        InFlight *f = acquireInFlight();
+        InFlight *f = &flights_.alloc();
         f->bits = cfg_.headerBits + payload_bits;
         f->drops = 0;
         f->deliver = deliver;
@@ -181,15 +181,13 @@ class ChipBridge
         nextFree_ = 0;
         stats_.reset();
         burstState_.reset();
-        free_.clear();
-        for (auto &f : pool_)
-            free_.push_back(f.get());
+        flights_.reset();
     }
 
   private:
-    /** One posted frame awaiting delivery. Pooled: steady-state
-     *  posts reuse recycled buffers, and every bridge event is a
-     *  16-byte [this, f] that fits its engine slot. */
+    /** One posted frame awaiting delivery. Steady-state posts reuse
+     *  freed records, and every bridge event is a 16-byte [this, f]
+     *  that fits its engine slot. */
     struct InFlight
     {
         std::uint32_t bits = 0;
@@ -281,26 +279,8 @@ class ChipBridge
     {
         engine_.schedule(nextFree_ + cfg_.latencyCycles, [this, f] {
             f->deliver(f->ctx);
-            releaseInFlight(f);
+            flights_.free(*f);
         });
-    }
-
-    InFlight *
-    acquireInFlight()
-    {
-        if (free_.empty()) {
-            pool_.push_back(std::make_unique<InFlight>());
-            return pool_.back().get();
-        }
-        InFlight *f = free_.back();
-        free_.pop_back();
-        return f;
-    }
-
-    void
-    releaseInFlight(InFlight *f)
-    {
-        free_.push_back(f);
     }
 
     sim::Engine &engine_;
@@ -311,9 +291,8 @@ class ChipBridge
     sim::Rng rng_;
     /** The shared medium's Gilbert–Elliott state (one per link). */
     wireless::BurstState burstState_;
-    /** InFlight buffers, owned here and recycled through free_. */
-    std::vector<std::unique_ptr<InFlight>> pool_;
-    std::vector<InFlight *> free_;
+    /** Frames posted and not yet delivered; reset() frees them all. */
+    sim::RecordPool<InFlight> flights_;
 };
 
 } // namespace wisync::noc

@@ -47,9 +47,7 @@ Mesh::reset(const MeshConfig &cfg)
     for (auto &link : links_)
         link.reset();
     // Records of abandoned walks are free again.
-    freeHops_ = nullptr;
-    for (auto &h : hops_)
-        freeHop(h);
+    hops_.reset();
     stats_.reset();
 }
 
@@ -92,25 +90,6 @@ Mesh::neighbor(sim::NodeId n, std::uint32_t dir) const
 // turns the hold into the same timed reservation and the head steps
 // on. The route is fixed when the Send is made: the steps only follow
 // link_ down the link array.
-
-/** POD callback wrappers: 8 bytes, always in the event's SBO. */
-struct Mesh::Send::StepFn
-{
-    Send *t;
-    void operator()() const { t->step(); }
-};
-
-struct Mesh::Send::FinishFn
-{
-    Send *t;
-    void operator()() const { t->finish(); }
-};
-
-struct Mesh::Send::DeliverFn
-{
-    Send *t;
-    void operator()() const { t->deliver(); }
-};
 
 void
 Mesh::Send::plan(sim::NodeId src, sim::NodeId dst, std::uint32_t bits)
@@ -155,7 +134,7 @@ Mesh::Send::start(void (*done)(void *), void *ctx)
     mesh_->stats_.flits.inc(flits_);
     if (link_ == nullptr) {
         // Local turnaround through the node's port.
-        mesh_->engine_.scheduleIn(1, DeliverFn{this});
+        mesh_->engine_.scheduleIn(1, sim::Step<&Send::deliver>{this});
         return;
     }
     // The head enters the first link inline, in the starting event.
@@ -184,7 +163,7 @@ Mesh::Send::step()
         if (!contended_)
             mesh_->stats_.fastpathFallbacks.inc();
         contended_ = true;
-        link_->wait(&Send::granted, this);
+        link_->wait(&sim::Step<&Send::granted>::call, this);
         return;
     }
     advance();
@@ -205,20 +184,19 @@ Mesh::Send::advance()
         left_ = yLeft_;
         yLeft_ = 0;
     } else {
-        engine.scheduleIn(hop, FinishFn{this});
+        engine.scheduleIn(hop, sim::Step<&Send::finish>{this});
         return;
     }
-    engine.scheduleIn(hop, StepFn{this});
+    engine.scheduleIn(hop, sim::Step<&Send::step>{this});
 }
 
 void
-Mesh::Send::granted(void *self)
+Mesh::Send::granted()
 {
     // Hand-off of a held link: hold it until the tail crosses, then
     // move on.
-    auto *t = static_cast<Send *>(self);
-    t->link_->holdUntil(t->mesh_->engine_.now() + t->flits_);
-    t->advance();
+    link_->holdUntil(mesh_->engine_.now() + flits_);
+    advance();
 }
 
 void
@@ -229,7 +207,7 @@ Mesh::Send::finish()
     if (!contended_)
         mesh_->stats_.fastpathHits.inc();
     if (flits_ > 1)
-        mesh_->engine_.scheduleIn(flits_ - 1, DeliverFn{this});
+        mesh_->engine_.scheduleIn(flits_ - 1, sim::Step<&Send::deliver>{this});
     else
         deliver();
 }
@@ -243,23 +221,6 @@ Mesh::Send::finish()
 // if it queued, and the hop; per tail, its flits-1 delay; and one
 // delta-0 wake once every branch and the tail are done. A visit with
 // nothing to start is done inside the event that reached it.
-
-Mesh::TreeHop &
-Mesh::allocHop()
-{
-    if (freeHops_ == nullptr)
-        return hops_.emplace_back();
-    TreeHop &h = *freeHops_;
-    freeHops_ = h.parent;
-    return h;
-}
-
-void
-Mesh::freeHop(TreeHop &h)
-{
-    h.parent = freeHops_;
-    freeHops_ = &h;
-}
 
 Mesh::Multicast
 Mesh::multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
@@ -301,12 +262,12 @@ Mesh::Multicast::start(void (*done)(void *), void *ctx)
     m.stats_.multicasts.inc();
     m.stats_.messages.inc();
     m.stats_.flits.inc(flits_);
-    TreeHop &root = m.allocHop();
+    TreeHop &root = m.hops_.alloc();
     root = TreeHop{&m,     nullptr, done,   ctx, dsts_.begin(), dsts_.end(),
                    src_,   0,       flits_, 0};
     if (!root.fanOut())
         return true;
-    m.freeHop(root);
+    m.hops_.free(root);
     return false;
 }
 
@@ -330,17 +291,17 @@ Mesh::TreeHop::fanOut()
     for (std::uint32_t g = 0; g < 4; ++g) {
         if (cut[g] == cut[g + 1])
             continue;
-        TreeHop &b = mesh->allocHop();
+        TreeHop &b = mesh->hops_.alloc();
         b = TreeHop{mesh, this,     nullptr, nullptr, cut[g], cut[g + 1],
                     at,   kDirs[g], flits,   0};
         ++pending;
-        mesh->engine_.scheduleIn(0, Event<&TreeHop::start>{&b});
+        mesh->engine_.scheduleIn(0, sim::Step<&TreeHop::start>{&b});
     }
     // Local delivery: the tail arrives flits-1 cycles behind the head,
     // overlapping the downstream branches.
     if (cut[4] != hi && flits > 1) {
         ++pending;
-        mesh->engine_.scheduleIn(0, Event<&TreeHop::tailStart>{this});
+        mesh->engine_.scheduleIn(0, sim::Step<&TreeHop::tailStart>{this});
     }
     return pending == 0;
 }
@@ -353,22 +314,18 @@ Mesh::TreeHop::start()
     // queues for it.
     coro::SimMutex &link = mesh->links_[at * 4 + dir];
     if (!link.tryLock()) {
-        link.wait(&TreeHop::granted, this);
+        link.wait(&sim::Step<&TreeHop::granted>::call, this);
         return;
     }
-    link.holdUntil(mesh->engine_.now() + flits);
-    mesh->engine_.scheduleIn(mesh->cfg_.hopCycles,
-                             Event<&TreeHop::arrive>{this});
+    granted();
 }
 
 void
-Mesh::TreeHop::granted(void *self)
+Mesh::TreeHop::granted()
 {
-    auto *h = static_cast<TreeHop *>(self);
-    h->mesh->links_[h->at * 4 + h->dir].holdUntil(
-        h->mesh->engine_.now() + h->flits);
-    h->mesh->engine_.scheduleIn(h->mesh->cfg_.hopCycles,
-                                Event<&TreeHop::arrive>{h});
+    mesh->links_[at * 4 + dir].holdUntil(mesh->engine_.now() + flits);
+    mesh->engine_.scheduleIn(mesh->cfg_.hopCycles,
+                             sim::Step<&TreeHop::arrive>{this});
 }
 
 void
@@ -382,14 +339,14 @@ Mesh::TreeHop::arrive()
 void
 Mesh::TreeHop::tailStart()
 {
-    mesh->engine_.scheduleIn(flits - 1, Event<&TreeHop::childDone>{this});
+    mesh->engine_.scheduleIn(flits - 1, sim::Step<&TreeHop::childDone>{this});
 }
 
 void
 Mesh::TreeHop::childDone()
 {
     if (--pending == 0)
-        mesh->engine_.scheduleIn(0, Event<&TreeHop::visited>{this});
+        mesh->engine_.scheduleIn(0, sim::Step<&TreeHop::visited>{this});
 }
 
 void
@@ -398,7 +355,7 @@ Mesh::TreeHop::visited()
     TreeHop *up = parent;
     void (*const complete)(void *) = done;
     void *const with = ctx;
-    mesh->freeHop(*this);
+    mesh->hops_.free(*this);
     if (up != nullptr)
         up->childDone();
     else

@@ -13,11 +13,12 @@
  *
  * Neither operation owns a coroutine frame: both return awaitables
  * that carry their state in the awaiting frame (or, for the tree, in
- * records pooled by the mesh) and drive the network with plain
- * callback events. Each completes into a (fn, ctx) pair: an awaiter
- * passes coro::resumeFrame and its frame, and a caller with no frame
- * (the coherence state machine) posts a Send or Multicast record it
- * owns with post() and its own callback.
+ * TreeHop records from the mesh's sim::RecordPool) and drive the
+ * network with plain callback events, each a sim::Step of its record.
+ * Each completes into a (fn, ctx) pair: an awaiter passes
+ * coro::resumeFrame and its frame, and a caller with no frame (the
+ * coherence state machine) posts a Send or Multicast record it owns
+ * with post() and its own callback.
  *
  * Unicast (send) carries its XY route: the Send computes it once,
  * when it is made, as a pointer to the first link, the stride between
@@ -41,8 +42,8 @@
  * Multicast (Baseline+ only, paper §6, Table 2) is Krishna et al.'s
  * virtual tree [22]: a single message is replicated at fan-out routers
  * "with flit replication at the router crossbars". The walk visits the
- * XY tree router by router over pooled per-hop records, partitioning
- * one destination array in place. At each router it starts one branch
+ * XY tree router by router over per-hop records, partitioning one
+ * destination array in place. At each router it starts one branch
  * per direction (E, W, N, S) and, if the router is itself a
  * destination of a multi-flit message, the local tail; every start is
  * its own delta-0 event. A branch takes its link as a timed
@@ -58,7 +59,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -66,6 +66,7 @@
 #include "sim/divisor.hh"
 #include "sim/engine.hh"
 #include "sim/inline_vec.hh"
+#include "sim/record.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -149,9 +150,6 @@ class Mesh
 
       private:
         friend class Mesh;
-        struct StepFn;
-        struct FinishFn;
-        struct DeliverFn;
 
         /** Compute the route and clear the head's state. */
         void plan(sim::NodeId src, sim::NodeId dst, std::uint32_t bits);
@@ -159,7 +157,8 @@ class Mesh
         void start(void (*done)(void *), void *ctx);
         void step();
         void advance();
-        static void granted(void *self);
+        /** The held link was handed over: hold it, step on. */
+        void granted();
         void finish();
         /** The tail is in: sample the latency and complete. */
         void deliver();
@@ -317,8 +316,7 @@ class Mesh
     struct TreeHop
     {
         Mesh *mesh;
-        /** The visit this branch left (nullptr at the source); the
-         *  free-list link while pooled. */
+        /** The visit this branch left (nullptr at the source). */
         TreeHop *parent;
         /** The multicast's completion (source visit only). */
         void (*done)(void *);
@@ -335,20 +333,12 @@ class Mesh
         /** Branches and local tail of the visit still running. */
         std::uint32_t pending;
 
-        /** 8-byte callback event running one body below. */
-        template <void (TreeHop::*F)()>
-        struct Event
-        {
-            TreeHop *h;
-            void operator()() const { (h->*F)(); }
-        };
-
         /** Start the visit's branches and tail; true when there is
          *  none (the visit is done already). */
         bool fanOut();
         /** Event bodies, in the order a branch meets them. */
         void start();
-        static void granted(void *self);
+        void granted();
         void arrive();
         void tailStart();
         /** One branch or the tail of this visit finished (the tail's
@@ -359,9 +349,6 @@ class Mesh
          *  recycle the record. */
         void visited();
     };
-
-    TreeHop &allocHop();
-    void freeHop(TreeHop &h);
 
     sim::Engine &engine_;
     MeshConfig cfg_;
@@ -380,9 +367,9 @@ class Mesh
      *  grows (Sends and queued release events point into it);
      *  index = node * 4 + dir. */
     std::vector<coro::SimMutex> links_;
-    /** Tree-walk records: all ever made, and the free ones. */
-    std::deque<TreeHop> hops_;
-    TreeHop *freeHops_ = nullptr;
+    /** Tree-walk records; reset() frees them all, the records of
+     *  abandoned walks included. */
+    sim::RecordPool<TreeHop> hops_;
     MeshStats stats_;
 };
 

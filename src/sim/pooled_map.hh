@@ -9,31 +9,32 @@
  *
  *   - a linear-probing hash table of (key -> V*) slots, doubled before
  *     an insert would push occupancy past 0.7, and
- *   - a pool of V objects with stable addresses that reset() pushes
- *     onto a free list instead of destroying, so the next run
+ *   - a pool of V objects with stable addresses that reset() returns
+ *     to its free list instead of destroying, so the next run
  *     re-acquires warm values (and whatever capacity they own)
  *     without touching the allocator.
  *
- * Value pointers are stable for the life of the map: coroutines hold
- * V& across awaits while later insertions rehash the slot array
- * underneath them. There is no erase: a key stays mapped until reset().
+ * Value pointers are stable for the life of the map: a miss record
+ * holds its DirEntry * across the events of its transaction while
+ * later insertions rehash the slot array underneath it. There is no
+ * erase: a key stays mapped until reset().
  *
- * V must be constructible from the Args the map was built with, and
- * provide reset(), which scrubs a recycled value back to its
- * freshly-constructed state. reset() of the map is only legal once no
- * coroutine references a value any more (Machine::reset destroys the
- * parked frames first).
+ * The values live in a sim::RecordPool. V must be constructible from
+ * the Args the map was built with, and provide reset(), which scrubs a
+ * recycled value back to its freshly-constructed state. reset() of the
+ * map is only legal once no record or frame references a value any
+ * more (Machine::reset drops the events and frames first).
  */
 
 #ifndef WISYNC_SIM_POOLED_MAP_HH
 #define WISYNC_SIM_POOLED_MAP_HH
 
 #include <cstdint>
-#include <memory>
 #include <tuple>
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/record.hh"
 #include "sim/rng.hh"
 
 namespace wisync::sim {
@@ -85,7 +86,7 @@ class PooledMap
     {
         for (Slot &s : slots_) {
             if (s.value != nullptr)
-                free_.push_back(s.value);
+                pool_.free(*s.value);
             s.value = nullptr;
         }
         size_ = 0;
@@ -94,7 +95,7 @@ class PooledMap
     std::size_t size() const { return size_; }
     std::size_t slotCount() const { return slots_.size(); }
     /** Values sitting in the free list right now. */
-    std::size_t freeCount() const { return free_.size(); }
+    std::size_t freeCount() const { return pool_.freeCount(); }
     const Stats &stats() const { return stats_; }
 
   private:
@@ -132,24 +133,20 @@ class PooledMap
             rehash(slots_.size() * 2);
             i = probe(key);
         }
-        V *v;
-        if (!free_.empty()) {
-            v = free_.back();
-            free_.pop_back();
+        const bool recycled = pool_.freeCount() != 0;
+        V &v = std::apply(
+            [this](auto &...a) -> V & { return pool_.alloc(a...); }, args_);
+        if (recycled) {
             // Scrub on acquisition, not in reset(): a value the next
             // run never reuses costs nothing.
-            v->reset();
+            v.reset();
             ++stats_.recycled;
         } else {
-            pool_.push_back(std::apply(
-                [](auto &...a) { return std::make_unique<V>(a...); },
-                args_));
-            v = pool_.back().get();
             ++stats_.allocated;
         }
-        slots_[i] = Slot{key, v};
+        slots_[i] = Slot{key, &v};
         ++size_;
-        return *v;
+        return v;
     }
 
     /** Rebuild the slot array with @p new_count slots. */
@@ -176,8 +173,7 @@ class PooledMap
     std::tuple<Args...> args_;
     std::vector<Slot> slots_;
     /** Every value ever built: stable storage behind the slot array. */
-    std::vector<std::unique_ptr<V>> pool_;
-    std::vector<V *> free_;
+    RecordPool<V> pool_;
     std::size_t size_ = 0;
     Stats stats_;
 };

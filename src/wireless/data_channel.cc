@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "sim/logging.hh"
+#include "sim/record.hh"
 #include "wireless/mac/mac_protocol.hh"
 
 namespace wisync::wireless {
@@ -252,17 +253,11 @@ Mac::Send::await_suspend(std::coroutine_handle<> h)
     if (mac_->order_.tryLock())
         start();
     else
-        mac_->order_.wait(&Send::locked, this);
+        mac_->order_.wait(&sim::Step<&Send::start>::call, this);
     if (done_)
         return false;
     caller_ = h;
     return true;
-}
-
-void
-Mac::Send::locked(void *self)
-{
-    static_cast<Send *>(self)->start();
 }
 
 void

@@ -358,7 +358,7 @@ class Mac
         SendOutcome await_resume() const noexcept { return outcome_; }
 
       private:
-        static void locked(void *self);
+        /** The order lock is ours (inline, or its hand-off). */
         void start();
         static void contend(MacWaiter &w);
         static void granted(MacWaiter &w);

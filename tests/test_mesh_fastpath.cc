@@ -648,6 +648,45 @@ TEST(TreeMulticast, WarmFanOutThroughAHeldLinkMakesNoFramesAndNoAllocations)
     EXPECT_EQ(eng.eventsExecuted(), kTreeHeldEvents);
 }
 
+/** The held-link point above, stopped halfway while its tree records
+ *  are live, then reset and run again: the mesh recycles the records
+ *  of the abandoned walk, and the rerun makes no frame and no heap
+ *  allocation and completes at the pinned cycles. */
+TEST(TreeMulticast, ResetMidWalkRecyclesTheLiveRecords)
+{
+    Engine eng;
+    MeshConfig cfg = meshCfg();
+    cfg.treeMulticast = true;
+    Mesh mesh(eng, cfg);
+    std::vector<NodeId> all;
+    for (NodeId n = 1; n < 64; ++n)
+        all.push_back(n);
+    Cycle unicast = 0, tree = 0;
+    auto point = [&] {
+        eng.reset();
+        mesh.reset(cfg);
+        unicast = tree = 0;
+        wisync::coro::spawnDetached(eng,
+                                    sendAt(eng, mesh, 0, 7, 576, &unicast));
+        wisync::coro::spawnDetached(eng,
+                                    multicastAt(eng, mesh, 0, all, 64, &tree));
+    };
+    point();
+    ASSERT_TRUE(eng.run()); // warm-up: every record the walk needs
+    point();
+    ASSERT_FALSE(eng.run(kTreeHeldMulticastDone / 2));
+    ASSERT_EQ(tree, 0u) << "the walk must still be out";
+    point();
+    const std::uint64_t frames = framesMade();
+    const std::uint64_t heap = wisync::sim::heapAllocs();
+    ASSERT_TRUE(eng.run());
+    EXPECT_EQ(framesMade() - frames, 0u);
+    EXPECT_EQ(wisync::sim::heapAllocs() - heap, 0u);
+    EXPECT_EQ(unicast, kTreeHeldUnicastDone);
+    EXPECT_EQ(tree, kTreeHeldMulticastDone);
+    EXPECT_EQ(eng.eventsExecuted(), kTreeHeldEvents);
+}
+
 /** Random tree multicasts (random destination sets, sources among
  *  them or not, 1 and 5 flits) racing random unicasts: the completion
  *  cycle of every message and the number of engine events, pinned as

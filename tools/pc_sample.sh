@@ -22,7 +22,8 @@
 # table; a coroutine body shows as `<ramp> [clone .actor]`) and prints
 # the top functions by share of samples, then the samples rolled up
 # per simulator layer (the first wisync namespace in the name; an
-# event trampoline counts for its callable's layer). daemon-mixed
+# event trampoline or a sim::Step counts for the layer of the member
+# or callable it runs). daemon-mixed
 # samples the daemon processes, where its host time goes; the other
 # workloads sample perfbench_driver.
 #
@@ -259,13 +260,14 @@ for sym, n in counts.most_common(60):
     print("%6.2f%% %8d  %s" % (100.0 * n / total, n, pretty[sym]))
 
 layers = collections.Counter()
+WRAPPERS = re.compile(r"wisync::sim::(Engine::runInline|Step)<&?")
 for sym, n in counts.items():
     name = pretty[sym]
-    found = re.findall(r"wisync::(\w+)::", name)
-    if name.startswith("void wisync::sim::Engine::runInline<") and \
-            len(found) > 1:
-        layers[found[1]] += n
-    elif found:
+    # An event trampoline or a record step counts for the layer of
+    # what it runs: look past the wrappers first.
+    found = (re.findall(r"wisync::(\w+)::", WRAPPERS.sub("", name)) or
+             re.findall(r"wisync::(\w+)::", name))
+    if found:
         layers[found[0]] += n
     else:
         layers["other (std, libc)"] += n
