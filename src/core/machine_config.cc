@@ -191,6 +191,13 @@ MachineConfig::validate() const
         return ConfigError{"mesh.numNodes",
                            "mesh size must equal core count (use "
                            "MachineConfig::make)"};
+    if (wireless.collisionCycles >= wireless.dataCycles)
+        return ConfigError{"wireless.collisionCycles",
+                           "collision penalty (" +
+                               std::to_string(wireless.collisionCycles) +
+                               ") must be below the full transfer time "
+                               "wireless.dataCycles (" +
+                               std::to_string(wireless.dataCycles) + ")"};
     return std::nullopt;
 }
 

@@ -1,24 +1,24 @@
 /**
  * @file
- * Timing and synchronization primitives for model coroutines.
+ * Timing and synchronization primitives for model coroutines and the
+ * frameless state machines below them.
  *
- * These are the only ways a Task can consume simulated time or block:
- *   - delay(engine, n)        : advance n cycles
+ *   - delay(engine, n)        : advance a coroutine n cycles
  *   - SimMutex                : FIFO mutual exclusion (per-line MSHRs,
- *                               channel senders, bank ports, ...)
- *   - Resource                : counting semaphore of callback waiters
- *                               (DRAM controller queues)
- *   - CondVar                 : broadcast wakeup of callback waiters
- *   - Watch / WatchList       : "location changed" records (spin waits,
- *                               pipelined fills)
+ *                               mesh links, ...), with timed
+ *                               reservations
+ *   - Resource                : counting semaphore (DRAM controller
+ *                               queues)
  *   - Join                    : fork-join over parallel legs that own
  *                               no frame (coherence legs)
- *   - spawnDetached           : launch a root task onto the engine
+ *   - Watch / WatchList       : "location changed" records (spin waits,
+ *                               pipelined fills)
+ *   - spawnDetached / spawnFn : launch a root task onto the engine
  *
- * A frameless party (a callback state machine) waits on SimMutex,
- * Resource, CondVar and Join as a (fn, ctx) pair; resumeFrame is the
- * one trampoline through which an awaiter hands such a pair a
- * coroutine instead.
+ * A party waits on SimMutex, Resource and Join as a (fn, ctx) pair,
+ * woken as fn(ctx) in a delta-0 event of its own. A record's step
+ * (sim::Step) is such a pair; a coroutine passes resumeFrame and its
+ * frame.
  *
  * All wakeups go through the engine queue (never inline resumption) so
  * event ordering stays deterministic and the host stack stays shallow.
@@ -36,7 +36,6 @@
 
 #include "coro/task.hh"
 #include "sim/engine.hh"
-#include "sim/inline_vec.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -73,38 +72,6 @@ delay(sim::Engine &engine, sim::Cycle cycles)
 }
 
 /**
- * Awaitable that reschedules the coroutine at the current cycle, behind
- * every event already pending for it. The building block for "let the
- * rest of this cycle settle first" patterns (arbitration windows,
- * same-cycle wakeup ordering).
- */
-class YieldAwaiter
-{
-  public:
-    explicit YieldAwaiter(sim::Engine &engine) : engine_(engine) {}
-
-    bool await_ready() const noexcept { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
-    {
-        engine_.resumeHandle(0, h);
-    }
-
-    void await_resume() const noexcept {}
-
-  private:
-    sim::Engine &engine_;
-};
-
-/** co_await yield(engine): requeue at now(), after pending events. */
-inline YieldAwaiter
-yield(sim::Engine &engine)
-{
-    return YieldAwaiter(engine);
-}
-
-/**
  * The (fn, ctx) completion that resumes a coroutine: @p frame is its
  * frame address. Awaiters over callback operations (Mesh::Send, say)
  * pass it with the awaiting frame.
@@ -116,13 +83,12 @@ resumeFrame(void *frame)
 }
 
 /**
- * FIFO of parked waiters (coroutine handles by default), as a
- * power-of-two ring. Allocates nothing until the first waiter queues:
- * a machine holds thousands of mutexes and resources (links, ports,
- * directory entries) that never see contention. Capacity is kept
- * across drains and clear().
+ * FIFO of parked waiters, as a power-of-two ring. Allocates nothing
+ * until the first waiter queues: a machine holds thousands of mutexes
+ * and resources (links, ports, directory entries) that never see
+ * contention. Capacity is kept across drains and clear().
  */
-template <typename W = std::coroutine_handle<>>
+template <typename W>
 class WaiterQueue
 {
   public:
@@ -176,48 +142,38 @@ class WaiterQueue
 
 namespace detail {
 
-/**
- * A parked waiter of a SimMutex or CondVar: a suspended coroutine
- * (wake == nullptr, ctx is its frame) or a plain callback, woken as
- * wake(ctx). Either way the wake is one delta-0 event, so a callback
- * waiter resumes at the (cycle, seq) a coroutine would.
- */
+/** A parked waiter of a SimMutex, Resource or Join, woken as
+ *  wake(ctx) in a delta-0 event of its own. */
 struct Waiter
 {
-    void *ctx;
+    void *ctx = nullptr;
     void (*wake)(void *) = nullptr;
 
-    /** Hand-off event of a callback waiter (16 bytes, inline). */
+    /** The wake event (16 bytes, inline). */
     void operator()() const { wake(ctx); }
 
-    /** File the wake: resume the frame, or run the callback. */
-    void
-    schedule(sim::Engine &engine) const
-    {
-        if (wake == nullptr)
-            engine.resumeHandle(
-                0, std::coroutine_handle<>::from_address(ctx));
-        else
-            engine.scheduleIn(0, *this);
-    }
+    /** File the wake event. */
+    void schedule(sim::Engine &engine) const { engine.scheduleIn(0, *this); }
 };
 
 } // namespace detail
 
 /**
- * FIFO mutex for coroutines.
+ * FIFO mutex.
  *
  * Models any hardware resource that serializes transactions: a
  * directory entry busy-bit, a cache bank port, a MAC transmit slot.
+ * A party takes it with tryLock() and, when it is held, queues a
+ * (fn, ctx) pair with wait(); unlock() hands it to the oldest waiter.
  *
- * Besides the classic lock()/unlock() protocol, a holder can take the
- * mutex as a *timed reservation* (tryReserve): the resource is busy
- * until a known future cycle, but no release event is scheduled — the
- * reservation simply stops mattering once the cycle is reached. Only
- * when a contender actually shows up while the reservation is live is
- * the release event materialized (at exactly the cycle an eager
- * scheduleUnlock would have fired, preserving FIFO grant order and
- * grant cycles bit-for-bit). This is what lets an uncontended mesh
+ * Besides that protocol, a holder can take the mutex as a *timed
+ * reservation* (tryReserve): the resource is busy until a known future
+ * cycle, but no release event is scheduled — the reservation simply
+ * stops mattering once the cycle is reached. Only when a contender
+ * actually shows up while the reservation is live is the release event
+ * materialized (at exactly the cycle an eager scheduleUnlock would
+ * have fired, preserving FIFO grant order and grant cycles
+ * bit-for-bit). This is what lets an uncontended mesh
  * transfer hold a whole route for the cost of zero engine events.
  */
 class SimMutex
@@ -225,44 +181,10 @@ class SimMutex
   public:
     explicit SimMutex(sim::Engine &engine) : engine_(engine) {}
 
-    class LockAwaiter
-    {
-      public:
-        explicit LockAwaiter(SimMutex &m) : mutex_(m) {}
-
-        bool
-        await_ready()
-        {
-            mutex_.pollExpiry();
-            if (!mutex_.locked_) {
-                mutex_.locked_ = true;
-                return true;
-            }
-            return false;
-        }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            mutex_.waiters_.push_back(detail::Waiter{h.address()});
-            mutex_.materializeRelease();
-        }
-
-        void await_resume() const noexcept {}
-
-      private:
-        SimMutex &mutex_;
-    };
-
-    /** co_await lock(); ... unlock(); */
-    LockAwaiter lock() { return LockAwaiter(*this); }
-
     /**
-     * lock() for a caller with no coroutine frame, after a failed
-     * tryLock()/tryReserve(): queue FIFO behind the holder, exactly as
-     * a suspending lock() would. @p grant(@p ctx) runs in the hand-off
-     * event, at the (cycle, seq) where a parked coroutine would resume,
-     * with the mutex held.
+     * After a failed tryLock()/tryReserve(): queue FIFO behind the
+     * holder. @p grant(@p ctx) runs in the delta-0 hand-off event the
+     * release files, with the mutex held.
      */
     void
     wait(void (*grant)(void *), void *ctx)
@@ -284,9 +206,9 @@ class SimMutex
     }
 
     /**
-     * True when a lock()/tryLock() at the current point of execution
-     * would succeed immediately. Unlike tryLock this has no side
-     * effects — introspection for tests and tooling.
+     * True when a tryLock() at the current point of execution would
+     * succeed. Unlike tryLock this has no side effects — introspection
+     * for tests and tooling.
      */
     bool
     available() const
@@ -301,7 +223,7 @@ class SimMutex
      * release would run — but the release's place in the global
      * insertion order IS claimed now (Engine::reserveSeq), so whether
      * or not it ever materializes, every other event keeps the exact
-     * (cycle, seq) position an eager lock()+scheduleUnlock(until-now)
+     * (cycle, seq) position an eager tryLock()+scheduleUnlock(until-now)
      * would have given it. Timing is therefore bit-identical to the
      * eager protocol; the uncontended case just never pays the event.
      */
@@ -354,8 +276,8 @@ class SimMutex
     }
 
     /**
-     * Release the lock @p delta cycles from now, from plain (non-
-     * coroutine) code: the eager form of a fixed occupancy window.
+     * Release the lock @p delta cycles from now: the eager form of a
+     * fixed occupancy window.
      * The model holds such windows as timed reservations (tryReserve,
      * holdUntil); the SimMutexReserve tests use this eager protocol as
      * their reference.
@@ -370,10 +292,10 @@ class SimMutex
     std::size_t waiting() const { return waiters_.size(); }
 
     /**
-     * Drop all state (unlocked, no waiters). Only valid while no
-     * coroutine that could legally resume still waits — i.e. after the
-     * engine destroyed the frames parked here (Machine::reset), which
-     * also discards any materialized release event.
+     * Drop all state (unlocked, no waiters). Only valid once no waiter
+     * can legally be woken — i.e. after the engine dropped its events
+     * and frames (Machine::reset), which also discards any
+     * materialized release event.
      */
     void
     reset()
@@ -444,8 +366,7 @@ class SimMutex
 };
 
 /**
- * Counting semaphore with FIFO grant order, for callers with no
- * coroutine frame.
+ * Counting semaphore with FIFO grant order.
  *
  * Models capacity-limited resources such as DRAM controller queues.
  * A caller takes a unit with tryAcquire(); when none is free it queues
@@ -508,62 +429,15 @@ class Resource
 };
 
 /**
- * Broadcast condition variable over callback waiters.
- *
- * A party with no coroutine frame of its own (a MAC contender, say)
- * queues a (fn, ctx) pair and is woken, in FIFO order, by the next
- * notifyAll(). Spurious wakeups are expected; callers re-check.
- */
-class CondVar
-{
-  public:
-    explicit CondVar(sim::Engine &engine) : engine_(engine) {}
-
-    /**
-     * Queue @p wake(@p ctx) for the next notifyAll(): it runs in its
-     * own delta-0 wake event, at the (cycle, seq) where a parked
-     * coroutine would resume.
-     */
-    void
-    wait(void (*wake)(void *), void *ctx)
-    {
-        waiters_.push_back(detail::Waiter{ctx, wake});
-    }
-
-    /** Wake every current waiter (at the present cycle). */
-    void
-    notifyAll()
-    {
-        if (waiters_.empty())
-            return;
-        // Move the list aside so waiters that immediately re-wait land
-        // in a fresh round; the inline buffer keeps the common few-
-        // waiter case allocation-free.
-        auto woken = std::move(waiters_);
-        for (const detail::Waiter &w : woken)
-            w.schedule(engine_);
-    }
-
-    std::size_t waiting() const { return waiters_.size(); }
-
-    /** Forget all waiters (see SimMutex::reset caveat). */
-    void reset() { waiters_.clear(); }
-
-  private:
-    sim::Engine &engine_;
-    sim::InlineVec<detail::Waiter, 4> waiters_;
-};
-
-/**
  * Fork-join over parallel legs that own no frame.
  *
  * The forking party counts its legs in with add(), starts each one in
- * an event of its own, and waits: as a callback (wait) or by awaiting
- * the join. Each leg calls done() as it finishes; the last one files
- * the waiter's wake as one delta-0 event, so the waiter runs one event
- * after the slowest leg's completion. Awaiting a join with no leg
- * pending does not suspend. The join is a plain record in the waiter's
- * state: it holds no frame and allocates nothing.
+ * an event of its own, and waits with wait(), or goes on at once when
+ * no leg is pending(). Each leg calls done() as it finishes; the last
+ * one files the waiter's wake as one delta-0 event, so the waiter runs
+ * one event after the slowest leg's completion. The join is a plain
+ * record in the waiter's state: it holds no frame and allocates
+ * nothing.
  */
 class Join
 {
@@ -590,19 +464,9 @@ class Join
             waiter_.schedule(engine);
     }
 
-    bool await_ready() const noexcept { return pending_ == 0; }
-
-    void
-    await_suspend(std::coroutine_handle<> h) noexcept
-    {
-        waiter_ = detail::Waiter{h.address()};
-    }
-
-    void await_resume() const noexcept {}
-
   private:
     std::uint32_t pending_ = 0;
-    detail::Waiter waiter_{nullptr};
+    detail::Waiter waiter_;
 };
 
 class WatchList;

@@ -65,6 +65,7 @@ MemSystem::reset(const MemConfig &cfg)
     // fills stop watching.
     misses_.reset([](Miss &m) { m.recycle(); });
     legs_.reset();
+    evictions_.reset([](Eviction &r) { r.legs = coro::Join{}; });
     for (std::uint32_t n = 0; n < numNodes_; ++n)
         WISYNC_ASSERT(armed_[n].empty(), "a watch outlived its frame");
     stats_.reset();
@@ -165,27 +166,15 @@ MemSystem::installL1(sim::NodeId node, sim::Addr line, CohState state)
         invalidateL1(node, vline);
         if (dirty) {
             stats_.writebacks.inc();
-            coro::spawnDetached(engine_, writebackTask(node, vline));
+            Eviction &w = evictions_.alloc(this);
+            w.node = node;
+            w.line = vline;
+            engine_.scheduleIn(0, sim::Step<&Eviction::startWriteback>{&w});
         }
         // Clean evictions are silent (the directory's sharer bit goes
         // stale; a future invalidation to this node is just wasted).
     }
     l1s_[node].install(victim, line, state);
-}
-
-coro::Task<void>
-MemSystem::writebackTask(sim::NodeId node, sim::Addr line)
-{
-    co_await mesh_.send(node, homeOf(line), cfg_.dataBits);
-    DirEntry &e = dirEntry(line);
-    co_await e.busy.lock();
-    co_await coro::delay(engine_, cfg_.l2RtCycles);
-    if (e.owner == node)
-        e.owner = sim::kNoNode;
-    sharerSet(e, node, false);
-    e.inL2 = true;
-    touchL2(line);
-    e.busy.unlock();
 }
 
 void
@@ -198,30 +187,92 @@ MemSystem::touchL2(sim::Addr line)
     if (victim->valid()) {
         const sim::Addr vline = victim->lineAddr;
         stats_.l2Recalls.inc();
-        coro::spawnDetached(engine_, recallTask(homeOf(vline), vline));
+        Eviction &r = evictions_.alloc(this);
+        r.node = homeOf(vline);
+        r.line = vline;
+        engine_.scheduleIn(0, sim::Step<&Eviction::startRecall>{&r});
     }
     bank.tags.install(victim, line, CohState::Shared);
 }
 
-coro::Task<void>
-MemSystem::recallTask(sim::NodeId home, sim::Addr line)
+// ---- Writebacks and recalls ---------------------------------------------
+//
+// Each starts in the delta-0 event its eviction filed and looks the
+// line's directory entry up there (the lookup can grow the bank's
+// table). A held MSHR queues the record as a callback waiter; a delay
+// of 0 cycles and a recall with no copy to invalidate go on inline.
+
+void
+MemSystem::Eviction::startWriteback()
 {
-    // L2 dropped the line: inclusive hierarchy must purge L1 copies.
-    // The recall acks converge back on the home bank, so these are the
-    // GetX invalidation legs with requestor == home.
-    DirEntry &e = dirEntry(line);
-    co_await e.busy.lock();
-    coro::Join join;
-    if (e.owner != sim::kNoNode)
-        forkInvLeg(join, home, e.owner, home, line, cfg_.ctrlBits);
-    for (const auto s : sharerList(e.sharers, sim::kNoNode))
-        if (s != e.owner)
-            forkInvLeg(join, home, s, home, line, cfg_.ctrlBits);
-    co_await join;
-    e.owner = sim::kNoNode;
-    std::fill(e.sharers.begin(), e.sharers.end(), 0);
-    e.inL2 = false;
-    e.busy.unlock();
+    ms->mesh_.post(msg, node, ms->homeOf(line), ms->cfg_.dataBits,
+                   &sim::Step<&Eviction::writebackAtHome>::call, this);
+}
+
+void
+MemSystem::Eviction::writebackAtHome()
+{
+    e = &ms->dirEntry(line);
+    if (e->busy.tryLock())
+        return writebackLocked();
+    e->busy.wait(&sim::Step<&Eviction::writebackLocked>::call, this);
+}
+
+void
+MemSystem::Eviction::writebackLocked()
+{
+    if (ms->cfg_.l2RtCycles == 0)
+        return writebackDone();
+    ms->engine_.scheduleIn(ms->cfg_.l2RtCycles,
+                           sim::Step<&Eviction::writebackDone>{this});
+}
+
+void
+MemSystem::Eviction::writebackDone()
+{
+    if (e->owner == node)
+        e->owner = sim::kNoNode;
+    ms->sharerSet(*e, node, false);
+    e->inL2 = true;
+    ms->touchL2(line);
+    e->busy.unlock();
+    ms->evictions_.free(*this);
+}
+
+void
+MemSystem::Eviction::startRecall()
+{
+    e = &ms->dirEntry(line);
+    if (e->busy.tryLock())
+        return recallLocked();
+    e->busy.wait(&sim::Step<&Eviction::recallLocked>::call, this);
+}
+
+void
+MemSystem::Eviction::recallLocked()
+{
+    // L2 dropped the line: the inclusive hierarchy purges the L1
+    // copies. The acks converge back on the home, so these are the
+    // GetX invalidation legs with the home as requestor.
+    if (e->owner != sim::kNoNode)
+        ms->forkInvLeg(legs, node, e->owner, node, line, ms->cfg_.ctrlBits);
+    sharerList(e->sharers, sim::kNoNode, sharers);
+    for (const auto s : sharers)
+        if (s != e->owner)
+            ms->forkInvLeg(legs, node, s, node, line, ms->cfg_.ctrlBits);
+    if (legs.pending() == 0)
+        return recallDone();
+    legs.wait(&sim::Step<&Eviction::recallDone>::call, this);
+}
+
+void
+MemSystem::Eviction::recallDone()
+{
+    e->owner = sim::kNoNode;
+    std::fill(e->sharers.begin(), e->sharers.end(), 0);
+    e->inL2 = false;
+    e->busy.unlock();
+    ms->evictions_.free(*this);
 }
 
 // ---- Coherence legs ------------------------------------------------------

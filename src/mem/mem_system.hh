@@ -26,17 +26,18 @@
  * and tree leg in the Miss record itself, and a coro::Join in the
  * record counts them in; each leg starts in a delta-0 event of its
  * own, in list order, and the last one's completion files the join's
- * delta-0 wake, the event order the coroutine legs had. reset()
- * frees every record, disarming the fills and clearing the joins of
- * abandoned ones. Dirty writebacks and L2 recalls stay detached
- * coroutines (a recall awaits a Join over the same Leg records), and
- * so do spin waits.
+ * delta-0 wake, the event order the coroutine legs had. A dirty
+ * writeback or an L2 recall is an Eviction record, started in a
+ * delta-0 event where it was evicted: a writeback's data message goes
+ * home, a recall's invalidations are Leg records counted into its
+ * Join. reset() frees every record, disarming the fills and clearing
+ * the joins of abandoned ones. Only spin waits are coroutines.
  *
  * Modelling notes (documented simplifications):
  *  - Clean (S/E) L1 evictions are silent; the directory may briefly
  *    hold stale sharers, and invalidating a non-holder costs a wasted
  *    message + ack, as in real sparse directories.
- *  - Dirty evictions post a detached writeback message; because values
+ *  - Dirty evictions post a writeback message; because values
  *    are functional, a probe racing the writeback simply falls back to
  *    the L2/DRAM copy, which is always value-correct.
  *  - DRAM: fixed 110-cycle round trip with 8 outstanding requests per
@@ -349,7 +350,8 @@ class MemSystem
     /**
      * Return to post-construction state, optionally retiming: all
      * caches invalid, directory empty, DRAM controllers idle, stats
-     * zero, every miss and leg record free; no watch is armed (the
+     * zero, every miss, leg and eviction record free; no watch is
+     * armed (the
      * frames that armed them died, and the abandoned records are
      * disarmed). @p cfg may change latencies but must keep the geometry
      * (line/cache sizes, associativities, controller count/depth).
@@ -486,6 +488,38 @@ class MemSystem
         void finished();
     };
 
+    /**
+     * A dirty L1 eviction's writeback or an L2 eviction's recall of
+     * the line's cached copies, each a step chain from its start
+     * event: the writeback sends the data home, takes the line's MSHR
+     * and clears the evicting node from the directory; the recall
+     * takes the MSHR and invalidates every copy, as GetX legs that
+     * reply to the home.
+     */
+    struct Eviction
+    {
+        explicit Eviction(MemSystem *system) : ms(system) {}
+
+        MemSystem *ms;
+        DirEntry *e = nullptr;
+        sim::Addr line = 0;
+        /** A writeback's evicting node; a recall's home bank. */
+        sim::NodeId node = 0;
+        /** A writeback's data message. */
+        noc::Mesh::Send msg;
+        /** A recall's invalidation legs, and the sharers they reach. */
+        coro::Join legs;
+        NodeVec sharers;
+
+        void startWriteback();
+        void writebackAtHome();
+        void writebackLocked();
+        void writebackDone();
+        void startRecall();
+        void recallLocked();
+        void recallDone();
+    };
+
     /** The access's effect on its word: read, write or both, by kind.
      *  Runs at the commit instant with the permission the kind needs. */
     void commit(AccessBase &op);
@@ -510,12 +544,6 @@ class MemSystem
 
     /** Install @p line at @p node's L1, evicting as needed. */
     void installL1(sim::NodeId node, sim::Addr line, CohState state);
-
-    /** Detached dirty-eviction writeback. */
-    coro::Task<void> writebackTask(sim::NodeId node, sim::Addr line);
-
-    /** Detached L2-eviction recall of all cached copies. */
-    coro::Task<void> recallTask(sim::NodeId home, sim::Addr line);
 
     /** Ensure the line is present in L2 tags (may evict + recall). */
     void touchL2(sim::Addr line);
@@ -549,10 +577,11 @@ class MemSystem
      * kills.
      */
     std::unique_ptr<coro::WatchList[]> armed_;
-    /** Miss and leg records (sim/record.hh); reset() frees them all,
-     *  the records of abandoned transactions included. */
+    /** Miss, leg and eviction records (sim/record.hh); reset() frees
+     *  them all, the records of abandoned transactions included. */
     sim::RecordPool<Miss> misses_;
     sim::RecordPool<Leg> legs_;
+    sim::RecordPool<Eviction> evictions_;
     MemStats stats_;
 };
 

@@ -36,7 +36,6 @@
 #include <cstdint>
 
 #include "sim/engine.hh"
-#include "sim/logging.hh"
 #include "sim/record.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -103,9 +102,7 @@ class ChipBridge
   public:
     ChipBridge(sim::Engine &engine, const BridgeConfig &cfg)
         : engine_(engine), cfg_(cfg)
-    {
-        validate(cfg_);
-    }
+    {}
 
     /**
      * Ship a frame of @p payload_bits. Serialization starts when the
@@ -176,7 +173,6 @@ class ChipBridge
     void
     reset(const BridgeConfig &cfg)
     {
-        validate(cfg);
         cfg_ = cfg;
         nextFree_ = 0;
         stats_.reset();
@@ -196,23 +192,6 @@ class ChipBridge
         void (*deliver)(void *) = nullptr;
         void *ctx = nullptr;
     };
-
-    static void
-    validate(const BridgeConfig &cfg)
-    {
-        WISYNC_ASSERT(cfg.lossPct >= 0.0 && cfg.lossPct <= 100.0,
-                      "bridge lossPct is a percentage");
-        WISYNC_ASSERT(cfg.burst.goodLossPct >= 0.0 &&
-                          cfg.burst.goodLossPct <= 100.0 &&
-                          cfg.burst.badLossPct >= 0.0 &&
-                          cfg.burst.badLossPct <= 100.0,
-                      "bridge burst state loss rates are percentages");
-        WISYNC_ASSERT(cfg.burst.pGoodToBad >= 0.0 &&
-                          cfg.burst.pGoodToBad <= 1.0 &&
-                          cfg.burst.pBadToGood >= 0.0 &&
-                          cfg.burst.pBadToGood <= 1.0,
-                      "bridge burst transition probabilities in [0, 1]");
-    }
 
     /**
      * One serialization attempt of @p f: occupy the link FIFO slot,

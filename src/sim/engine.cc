@@ -84,8 +84,8 @@ Engine::destroyLiveRoots()
     // Destroying a root tears down its whole child chain (awaited Task
     // members live in frame locals). Destructors in those frames may
     // release model resources — e.g. a lock guard handing a mutex to a
-    // waiter via resumeHandle(0, ...) — which only *stores* handles in
-    // the ready ring; nothing is resumed here, and the caller clears
+    // waiter in a delta-0 event — which only *stores* events in the
+    // ready ring; nothing runs here, and the caller clears
     // the tiers afterwards (reset) or destroys them (~Engine).
     for (std::size_t i = 0; i < roots_.size(); ++i) {
         if (roots_[i].handle == nullptr)

@@ -12,7 +12,7 @@
  * or an O(log n) comparison sift:
  *
  *   1. Ready ring — events due at the current cycle (scheduleIn(0),
- *                   mutex handoffs, CondVar wakeups, arbitration
+ *                   mutex handoffs, join wakeups, arbitration
  *                   windows). A FIFO ring buffer: push/pop are O(1)
  *                   and allocation-free in steady state.
  *   2. Level 0    — one bucket per cycle over the sliding window
@@ -251,7 +251,7 @@ class Engine
     // ---- Detached-root registry --------------------------------------
     //
     // Every detached root coroutine (spawnDetached/spawnFn wrappers —
-    // simulated threads, writebacks, tone announcements) registers
+    // simulated threads, tone announcements) registers
     // its frame here. A root that runs to completion releases
     // its slot and self-destroys as before; reset() and ~Engine destroy
     // the frames still live, so tearing down (or reusing) an engine

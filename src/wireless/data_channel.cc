@@ -2,47 +2,20 @@
 
 #include <utility>
 
-#include "sim/logging.hh"
 #include "sim/record.hh"
 #include "wireless/mac/mac_protocol.hh"
 
 namespace wisync::wireless {
 
-namespace {
-
-/** Shared ctor/reset validation of the loss + burst knobs. */
-void
-validateLossConfig(const WirelessConfig &cfg)
-{
-    WISYNC_ASSERT(cfg.collisionCycles < cfg.dataCycles,
-                  "collision penalty must be below full transfer time");
-    WISYNC_ASSERT(cfg.lossPct >= 0.0 && cfg.lossPct <= 100.0,
-                  "lossPct is a percentage");
-    WISYNC_ASSERT(cfg.burst.goodLossPct >= 0.0 &&
-                      cfg.burst.goodLossPct <= 100.0 &&
-                      cfg.burst.badLossPct >= 0.0 &&
-                      cfg.burst.badLossPct <= 100.0,
-                  "burst state loss rates are percentages");
-    WISYNC_ASSERT(cfg.burst.pGoodToBad >= 0.0 &&
-                      cfg.burst.pGoodToBad <= 1.0 &&
-                      cfg.burst.pBadToGood >= 0.0 &&
-                      cfg.burst.pBadToGood <= 1.0,
-                  "burst transition probabilities live in [0, 1]");
-}
-
-} // namespace
-
 DataChannel::DataChannel(sim::Engine &engine, const WirelessConfig &cfg)
     : engine_(engine), cfg_(cfg)
 {
-    validateLossConfig(cfg_);
     lossEnabled_ = cfg_.lossPct > 0.0 || cfg_.burst.lossy();
 }
 
 void
 DataChannel::reset(const WirelessConfig &cfg)
 {
-    validateLossConfig(cfg);
     cfg_ = cfg;
     nextFree_ = 0;
     openSlot_ = sim::kCycleMax;

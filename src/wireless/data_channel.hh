@@ -65,7 +65,8 @@ struct WirelessConfig
     std::uint32_t dataCycles = 5;
     /** Cycles to transmit a 4-word Bulk message. */
     std::uint32_t bulkCycles = 15;
-    /** Channel-busy cycles consumed by a collision. */
+    /** Channel-busy cycles consumed by a collision (below dataCycles;
+     *  MachineConfig::validate checks it). */
     std::uint32_t collisionCycles = 2;
 
     // ---- Lossy channel model + reliability layer ------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "wireless/data_channel.hh"
@@ -31,12 +32,8 @@ toString(MacKind kind)
 GrantQueue::GrantQueue(sim::Engine &engine, std::uint32_t num_nodes,
                        MacStats &stats)
     : engine_(engine), stats_(stats), numNodes_(num_nodes),
-      wanting_((num_nodes + 63) / 64, 0)
-{
-    cv_.reserve(num_nodes);
-    for (std::uint32_t n = 0; n < num_nodes; ++n)
-        cv_.push_back(std::make_unique<coro::CondVar>(engine_));
-}
+      wanting_((num_nodes + 63) / 64, 0), parked_(num_nodes, nullptr)
+{}
 
 void
 GrantQueue::park(sim::NodeId node, MacWaiter &w)
@@ -46,23 +43,28 @@ GrantQueue::park(sim::NodeId node, MacWaiter &w)
     wanting_[node >> 6] |= bit(node);
     stats_.tokenWaits.inc();
     w.node = node;
-    w.queue = this;
     w.since = engine_.now();
-    cv_[node]->wait(&GrantQueue::woken, &w);
+    parked_[node] = &w;
 }
 
 void
-GrantQueue::woken(void *waiter)
+GrantQueue::grant(sim::NodeId node)
 {
-    MacWaiter &w = *static_cast<MacWaiter *>(waiter);
-    GrantQueue &q = *w.queue;
-    // A wake is only a hint: wait on while the request still stands.
-    if (q.wanting(w.node)) {
-        q.cv_[w.node]->wait(&GrantQueue::woken, &w);
-        return;
-    }
-    q.stats_.tokenWaitCycles.inc(q.engine_.now() - w.since);
-    w.resume(w);
+    struct Woken
+    {
+        GrantQueue *q;
+        MacWaiter *w;
+        void
+        operator()() const
+        {
+            q->stats_.tokenWaitCycles.inc(q->engine_.now() - w->since);
+            w->resume(*w);
+        }
+    };
+    wanting_[node >> 6] &= ~bit(node);
+    MacWaiter *w = std::exchange(parked_[node], nullptr);
+    WISYNC_ASSERT(w != nullptr, "a token grant with no parked send");
+    engine_.scheduleIn(0, Woken{this, w});
 }
 
 sim::NodeId
@@ -93,8 +95,7 @@ void
 GrantQueue::reset()
 {
     std::fill(wanting_.begin(), wanting_.end(), 0);
-    for (auto &cv : cv_)
-        cv->reset();
+    std::fill(parked_.begin(), parked_.end(), nullptr);
 }
 
 std::unique_ptr<MacProtocol>

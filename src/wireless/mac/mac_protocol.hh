@@ -44,7 +44,7 @@
 #include <memory>
 #include <vector>
 
-#include "coro/primitives.hh"
+#include "sim/engine.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -97,8 +97,6 @@ struct MacStats
     void reset() { *this = {}; }
 };
 
-class GrantQueue;
-
 /**
  * A send waiting in a MacProtocol hook. The Mac sets resume before
  * each hook call; a protocol that parks the send fills the rest and
@@ -109,15 +107,14 @@ struct MacWaiter
     void (*resume)(MacWaiter &) = nullptr;
     /** The node the send is parked for (its protocol-local id). */
     sim::NodeId node = 0;
-    /** A token queue's wait: the queue, and the cycle it began. */
-    GrantQueue *queue = nullptr;
+    /** The cycle a token queue's wait began. */
     sim::Cycle since = 0;
 };
 
 /**
  * Per-node token requests of the token protocols (TokenMac's queue,
- * FuzzyTokenMac's colliders): a wanting bit and a grant CondVar per
- * node, at most one parked send each (a Mac serializes its sends).
+ * FuzzyTokenMac's colliders): a wanting bit and the parked send per
+ * node, at most one each (a Mac serializes its sends).
  * The bits are packed 64 to a word, so the ring scan for the next
  * requester skips idle nodes a word at a time.
  */
@@ -140,13 +137,9 @@ class GrantQueue
      */
     void park(sim::NodeId node, MacWaiter &w);
 
-    /** Clear @p node's request and wake its parked send (delta 0). */
-    void
-    grant(sim::NodeId node)
-    {
-        wanting_[node >> 6] &= ~bit(node);
-        cv_[node]->notifyAll();
-    }
+    /** Clear @p node's request and file its parked send's wake
+     *  (delta 0). */
+    void grant(sim::NodeId node);
 
     /** No requests, no waiters (see MacProtocol::reset). */
     void reset();
@@ -163,13 +156,12 @@ class GrantQueue
     }
     /** The first requester in [@p lo, @p hi), or kNoNode. */
     sim::NodeId firstIn(std::uint32_t lo, std::uint32_t hi) const;
-    static void woken(void *waiter);
 
     sim::Engine &engine_;
     MacStats &stats_;
     std::uint32_t numNodes_;
     std::vector<std::uint64_t> wanting_;
-    std::vector<std::unique_ptr<coro::CondVar>> cv_;
+    std::vector<MacWaiter *> parked_;
 };
 
 /** Channel-wide MAC protocol; see the file comment for the contract. */

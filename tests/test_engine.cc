@@ -372,24 +372,6 @@ TEST(SchedulerTiers, NearFutureSchedulesStayOffTheHeap)
     EXPECT_EQ(eng.tierStats().cascades, 0u);
 }
 
-wisync::coro::Task<void>
-yieldLoop(Engine &eng, int count)
-{
-    for (int i = 0; i < count; ++i)
-        co_await wisync::coro::yield(eng);
-}
-
-/** A coroutine rescheduled at the current cycle (mutex handoff,
- *  CondVar wakeup, arbitration) belongs in the ready ring. */
-TEST(SchedulerTiers, ZeroDelayResumesStayOffTheHeap)
-{
-    Engine eng;
-    wisync::coro::spawnDetached(eng, yieldLoop(eng, 10000));
-    ASSERT_TRUE(eng.run());
-    EXPECT_GE(eng.tierStats().ready, 10000u);
-    EXPECT_EQ(eng.tierStats().heap, 0u);
-}
-
 TEST(Engine, SameCycleOrderPreservedAcrossTierProvenance)
 {
     // Two events for the same cycle, one scheduled from far away (it
@@ -443,6 +425,24 @@ hopper(Engine &eng, std::vector<Cycle> &log)
     log.push_back(eng.now());
     co_await ResumeIn{eng, 300}; // beyond the level-0 window
     log.push_back(eng.now());
+}
+
+wisync::coro::Task<void>
+requeueLoop(Engine &eng, int count)
+{
+    for (int i = 0; i < count; ++i)
+        co_await ResumeIn{eng, 0};
+}
+
+/** A coroutine rescheduled at the current cycle (a same-cycle wake,
+ *  arbitration) belongs in the ready ring. */
+TEST(SchedulerTiers, ZeroDelayResumesStayOffTheHeap)
+{
+    Engine eng;
+    wisync::coro::spawnDetached(eng, requeueLoop(eng, 10000));
+    ASSERT_TRUE(eng.run());
+    EXPECT_GE(eng.tierStats().ready, 10000u);
+    EXPECT_EQ(eng.tierStats().heap, 0u);
 }
 
 TEST(Engine, ResumeHandleDrivesCoroutineThroughTiers)

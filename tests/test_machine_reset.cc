@@ -437,6 +437,83 @@ TEST(MachineReset, ResetDuringAPendingMissFreesItsFrame)
     EXPECT_EQ(machine.engine().pendingEvents(), 0u);
 }
 
+/**
+ * The MemSystem's two evictions on a 16-core Baseline machine. Node 5
+ * dirties three lines of one L1 set (2 ways, 16 KiB apart), so the
+ * third store writes the first back to its home, node 0; *phase is 1
+ * for the 200 cycles after it, while nothing else runs. Then nine
+ * lines of one set of bank 1 (8 ways, 64 KiB apart) are read, the
+ * first eight by nodes 8-15, which own their copies, and the last by
+ * node 1, the home itself: its DRAM fill evicts one of the eight and
+ * recalls that copy, and *phase is 2 as soon as node 1 has its data,
+ * while the recall's invalidation is still on its way.
+ */
+wisync::coro::Task<void>
+evictions(Machine &m, int *phase)
+{
+    for (const wisync::sim::Addr a : {0x100000, 0x104000, 0x108000})
+        co_await m.mem().store(5, a, a);
+    *phase = 1;
+    co_await wisync::coro::delay(m.engine(), 200);
+    for (wisync::sim::NodeId k = 0; k < 9; ++k)
+        co_await m.mem().load(k == 8 ? 1 : 8 + k,
+                              0x40 + wisync::sim::Addr{k} * 0x10000);
+    *phase = 2;
+}
+
+/** Run evictions() on @p m to the end. */
+KernelResult
+runEvictions(Machine &m)
+{
+    int phase = 0;
+    wisync::coro::spawnDetached(m.engine(), evictions(m, &phase));
+    KernelResult r;
+    r.completed = m.engine().run() && phase == 2;
+    r.cycles = m.engine().now();
+    r.operations = m.mem().stats().writebacks.value() +
+                   m.mem().stats().l2Recalls.value();
+    wisync::workloads::captureChannelStats(r, m);
+    return r;
+}
+
+/** A writeback or recall is a record of the MemSystem, not a frame:
+ *  resetting the machine while one is in flight (a writeback's data on
+ *  the mesh, a recall waiting on its join) frees it, and the reset
+ *  machine reruns bit-identical to a fresh one. */
+TEST(MachineReset, ResetMidWritebackOrRecallMatchesFresh)
+{
+    const auto cfg = MachineConfig::make(ConfigKind::Baseline, 16);
+    Machine fresh(cfg);
+    const KernelResult golden = runEvictions(fresh);
+    ASSERT_TRUE(golden.completed);
+    ASSERT_EQ(fresh.mem().stats().writebacks.value(), 1u);
+    ASSERT_EQ(fresh.mem().stats().l2Recalls.value(), 1u);
+    const Snapshot golden_snap = capture(fresh);
+
+    Machine reused(cfg);
+    for (const int stop_phase : {1, 2}) {
+        SCOPED_TRACE(stop_phase == 1 ? "writeback on the mesh"
+                                     : "recall waiting on its join");
+        int phase = 0;
+        wisync::coro::spawnDetached(reused.engine(),
+                                    evictions(reused, &phase));
+        // Step to the first cycle of the phase with a message on the
+        // mesh: the eviction's own.
+        const auto &mesh = reused.mesh().stats();
+        while (phase != stop_phase ||
+               mesh.messages.value() == mesh.latency.count())
+            ASSERT_FALSE(reused.engine().run(reused.engine().now() + 1));
+        EXPECT_EQ(reused.mem().stats().writebacks.value(), 1u);
+        EXPECT_EQ(reused.mem().stats().l2Recalls.value(),
+                  stop_phase == 2 ? 1u : 0u);
+        reused.reset();
+        const KernelResult again = runEvictions(reused);
+        EXPECT_TRUE(wisync::workloads::bitIdentical(golden, again));
+        expectEqual(golden_snap, capture(reused), "rerun after reset");
+        reused.reset();
+    }
+}
+
 #if defined(__linux__)
 /** Resident set size of this process, KiB (-1 if unreadable). */
 long

@@ -478,11 +478,14 @@ storeOnce(MemSystem &mem, NodeId node, Addr addr)
     co_await mem.store(node, addr, node);
 }
 
-/** Frames and heap allocations of one measured access. */
+/** Frames and heap allocations of one measured access, and the
+ *  writebacks and recalls it caused. */
 struct Cost
 {
     std::uint64_t frames;
     std::uint64_t allocs;
+    std::uint64_t writebacks;
+    std::uint64_t recalls;
 };
 
 /**
@@ -509,7 +512,9 @@ warmAccessCost(bool tree, const std::function<void(Chip &)> &setup,
         const std::uint64_t allocs = wisync::sim::heapAllocs();
         EXPECT_TRUE(chip.engine.run());
         cost = Cost{framesMade() - frames,
-                    wisync::sim::heapAllocs() - allocs};
+                    wisync::sim::heapAllocs() - allocs,
+                    chip.mem.stats().writebacks.value(),
+                    chip.mem.stats().l2Recalls.value()};
     }
     return cost;
 }
@@ -527,9 +532,10 @@ accessAll(Chip &chip, std::initializer_list<NodeId> nodes, Addr addr,
     }
 }
 
-/** A miss or upgrade is a state machine over records the MemSystem
- *  pools: on a warm chip, no coherence path makes a coroutine frame or
- *  a heap allocation, legs and joins included. */
+/** A miss or upgrade, a writeback and a recall are state machines
+ *  over records the MemSystem pools: on a warm chip, no coherence path
+ *  makes a coroutine frame or a heap allocation, legs and joins
+ *  included. */
 TEST(MemSystem, WarmMissesMakeNoFramesOrAllocations)
 {
     const Addr a = 0x40040; // homed at node 1
@@ -585,6 +591,32 @@ TEST(MemSystem, WarmMissesMakeNoFramesOrAllocations)
                    false, [&](Chip &c) { accessAll(c, {10, 11}, a, false); },
                    [&](Chip &c) { return storeOnce(c.mem, 10, a); }),
                "upgrade");
+
+    // A store that evicts a dirty line of the same L1 set (2 ways,
+    // 16 KiB apart): the line goes home to node 0 as a writeback.
+    const Cost writeback = warmAccessCost(
+        false,
+        [](Chip &c) {
+            accessAll(c, {5}, 0x100000, true);
+            accessAll(c, {5}, 0x104000, true);
+        },
+        [](Chip &c) { return storeOnce(c.mem, 5, 0x108000); });
+    expectFree(writeback, "a dirty eviction's writeback");
+    EXPECT_EQ(writeback.writebacks, 1u);
+
+    // Nine lines of one set of bank 1 (8 ways, 64 KiB apart), each
+    // read by its own node: the ninth DRAM fill evicts one, and the
+    // recall invalidates its reader's copy.
+    const auto setLine = [](NodeId k) { return 0x40 + Addr{k} * 0x10000; };
+    const Cost recall = warmAccessCost(
+        false,
+        [&](Chip &c) {
+            for (NodeId k = 0; k < 8; ++k)
+                accessAll(c, {k}, setLine(k), false);
+        },
+        [&](Chip &c) { return loadOnce(c.mem, 8, setLine(8)); });
+    expectFree(recall, "an L2 recall");
+    EXPECT_EQ(recall.recalls, 1u);
 }
 
 // ---- Pipelined GetS fills ------------------------------------------

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -149,6 +150,23 @@ TEST(InlineVec, MoveAssignReplacesContents)
 
 // ---- SimMutex timed reservations --------------------------------------
 
+/** A coroutine taking @p m: at once when it is free, else queued as
+ *  the mutex's (fn, ctx) waiter with its frame. */
+struct Lock
+{
+    SimMutex &m;
+
+    bool await_ready() { return m.tryLock(); }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        m.wait(&wisync::coro::resumeFrame, h.address());
+    }
+
+    void await_resume() const noexcept {}
+};
+
 TEST(SimMutexReserve, TryLockAndTryReserveBasics)
 {
     Engine eng;
@@ -191,14 +209,14 @@ TEST(SimMutexReserve, ContenderWaitsExactlyLikeEagerUnlock)
             if (reserve) {
                 EXPECT_TRUE(m.tryReserve(eng.now() + 7));
             } else {
-                co_await m.lock();
+                co_await Lock{m};
                 m.scheduleUnlock(7);
             }
             co_return;
         });
         spawnNow(eng, [&]() -> Task<void> {
             co_await wisync::coro::delay(eng, 3);
-            co_await m.lock(); // queues; release materializes at t=7
+            co_await Lock{m}; // queues; release materializes at t=7
             granted = eng.now();
             m.unlock();
         });
@@ -220,7 +238,7 @@ TEST(SimMutexReserve, FifoOrderAcrossMixedProtocols)
     });
     auto waiter = [&](int id, Cycle start) -> Task<void> {
         co_await wisync::coro::delay(eng, start);
-        co_await m.lock();
+        co_await Lock{m};
         order.push_back(id);
         m.unlock();
     };
@@ -253,7 +271,7 @@ struct CallbackWaiter
  * A callback waiter granted the mutex turns the hold into a timed
  * reservation (holdUntil). A waiter already queued at that moment must
  * get the release at the (cycle, seq) of the eager
- * lock()+scheduleUnlock protocol: markers scheduled for the release
+ * lock+scheduleUnlock protocol: markers scheduled for the release
  * cycle just before and just after the reservation see the second
  * waiter still queued and already handed the mutex, respectively.
  */
@@ -285,14 +303,14 @@ TEST(SimMutexReserve, WaiterQueuedAtHandOffGetsTheEagerReleaseSlot)
             m.wait(&CallbackWaiter::grant, &cb);
         } else {
             spawnNow(eng, [&]() -> Task<void> {
-                co_await m.lock();
+                co_await Lock{m};
                 cb.granted = eng.now();
                 hold();
             });
         }
         spawnNow(eng, [&]() -> Task<void> {
             co_await wisync::coro::delay(eng, 1);
-            co_await m.lock(); // queued when the first waiter is granted
+            co_await Lock{m}; // queued when the first waiter is granted
             out.second = eng.now();
             m.unlock();
         });

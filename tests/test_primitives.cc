@@ -17,7 +17,6 @@
 
 namespace {
 
-using wisync::coro::CondVar;
 using wisync::coro::delay;
 using wisync::coro::Join;
 using wisync::coro::Resource;
@@ -48,6 +47,23 @@ TEST(SpawnDetached, PendingSpawnReleasedOnEngineTeardown)
     EXPECT_FALSE(ran);
 }
 
+/** A coroutine taking @p m: at once when it is free, else queued as
+ *  the mutex's (fn, ctx) waiter with its frame. */
+struct Lock
+{
+    SimMutex &m;
+
+    bool await_ready() { return m.tryLock(); }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        m.wait(&wisync::coro::resumeFrame, h.address());
+    }
+
+    void await_resume() const noexcept {}
+};
+
 TEST(SimMutex, SerializesCriticalSections)
 {
     Engine eng;
@@ -55,7 +71,7 @@ TEST(SimMutex, SerializesCriticalSections)
     std::vector<std::pair<int, Cycle>> entries;
 
     auto worker = [&](int id) -> Task<void> {
-        co_await mtx.lock();
+        co_await Lock{mtx};
         entries.emplace_back(id, eng.now());
         co_await delay(eng, 10);
         mtx.unlock();
@@ -133,7 +149,7 @@ TEST(WaiterQueue, WrapsAndGrowsInFifoOrder)
         return std::coroutine_handle<>::from_address(
             reinterpret_cast<void *>(i * 16));
     };
-    WaiterQueue q;
+    WaiterQueue<std::coroutine_handle<>> q;
     std::uintptr_t pushed = 1, popped = 1;
     // Uneven push/pop rounds walk the head around the ring and force
     // growth while it is wrapped.
@@ -157,7 +173,7 @@ TEST(WaiterQueue, DrainToEmptyAndRefillKeepsFifoGrantOrder)
     std::vector<int> mutex_order, resource_order;
 
     auto mutex_worker = [&](int id) -> Task<void> {
-        co_await mtx.lock();
+        co_await Lock{mtx};
         mutex_order.push_back(id);
         co_await delay(eng, 3);
         mtx.unlock();
@@ -188,98 +204,6 @@ TEST(WaiterQueue, DrainToEmptyAndRefillKeepsFifoGrantOrder)
     EXPECT_EQ(resource_order, expected);
 }
 
-/** A callback CondVar waiter that logs its id and wake cycle, and
- *  re-waits while @p rewaits is positive. */
-struct CvProbe
-{
-    Engine *eng;
-    CondVar *cv;
-    int id;
-    std::vector<int> *order;
-    std::vector<Cycle> *when;
-    int rewaits = 0;
-
-    void wait() { cv->wait(&CvProbe::wake, this); }
-
-    static void
-    wake(void *p)
-    {
-        auto *pr = static_cast<CvProbe *>(p);
-        pr->order->push_back(pr->id);
-        pr->when->push_back(pr->eng->now());
-        if (pr->rewaits-- > 0)
-            pr->wait();
-    }
-};
-
-TEST(CondVar, NotifyWakesAllWaiters)
-{
-    Engine eng;
-    CondVar cv(eng);
-    std::vector<int> order;
-    std::vector<Cycle> when;
-    std::vector<CvProbe> probes;
-    for (int i = 0; i < 5; ++i)
-        probes.push_back(CvProbe{&eng, &cv, i, &order, &when});
-    for (CvProbe &p : probes)
-        p.wait();
-    eng.scheduleIn(50, [&] { cv.notifyAll(); });
-    eng.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-    EXPECT_EQ(when, std::vector<Cycle>(5, 50));
-    EXPECT_EQ(eng.now(), 50u);
-}
-
-TEST(CondVar, NotifyWithNoWaitersIsNoop)
-{
-    Engine eng;
-    CondVar cv(eng);
-    cv.notifyAll();
-    EXPECT_TRUE(eng.run());
-}
-
-TEST(CondVar, WaitersAfterNotifyNeedNextNotify)
-{
-    Engine eng;
-    CondVar cv(eng);
-    std::vector<int> order;
-    std::vector<Cycle> wake_times;
-    // Re-waits from inside its first wake: a fresh round, which only
-    // the second notify ends.
-    CvProbe probe{&eng, &cv, 1, &order, &wake_times, 1};
-    probe.wait();
-    eng.scheduleIn(10, [&] { cv.notifyAll(); });
-    eng.scheduleIn(20, [&] { cv.notifyAll(); });
-    eng.run();
-    ASSERT_EQ(wake_times.size(), 2u);
-    EXPECT_EQ(wake_times[0], 10u);
-    EXPECT_EQ(wake_times[1], 20u);
-    EXPECT_EQ(cv.waiting(), 0u);
-}
-
-/** Callback waiters wake in FIFO order, each in its own delta-0
- *  event, where a parked coroutine would resume. */
-TEST(CondVar, CallbackWaiterWakesInTurnInItsOwnEvent)
-{
-    Engine eng;
-    CondVar cv(eng);
-    std::vector<int> order;
-    std::vector<Cycle> when;
-    std::vector<CvProbe> probes;
-    for (const int id : {1, 2, 3})
-        probes.push_back(CvProbe{&eng, &cv, id, &order, &when});
-    for (CvProbe &p : probes)
-        p.wait();
-    EXPECT_EQ(cv.waiting(), 3u);
-    eng.scheduleIn(7, [&] { cv.notifyAll(); });
-    const auto before = eng.eventsExecuted();
-    ASSERT_TRUE(eng.run());
-    EXPECT_EQ(eng.eventsExecuted() - before, 4u); // notify + 3 wakes
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(when, (std::vector<Cycle>{7, 7, 7}));
-    EXPECT_EQ(cv.waiting(), 0u);
-}
-
 TEST(SimMutex, HandoffKeepsCycleAccurate)
 {
     // A lock released and re-acquired in the same cycle must not lose
@@ -288,7 +212,7 @@ TEST(SimMutex, HandoffKeepsCycleAccurate)
     SimMutex mtx(eng);
     std::vector<Cycle> times;
     auto worker = [&]() -> Task<void> {
-        co_await mtx.lock();
+        co_await Lock{mtx};
         times.push_back(eng.now());
         mtx.unlock(); // zero-cycle critical section
     };
@@ -307,6 +231,23 @@ framesMade()
     const auto &st = wisync::coro::framePool().stats();
     return st.pooledAllocs + st.fallbackAllocs;
 }
+
+/** A coroutine waiting for @p join's legs: at once when none is
+ *  pending, else as the join's (fn, ctx) waiter with its frame. */
+struct AwaitJoin
+{
+    Join &join;
+
+    bool await_ready() const { return join.pending() == 0; }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        join.wait(&wisync::coro::resumeFrame, h.address());
+    }
+
+    void await_resume() const noexcept {}
+};
 
 /** A detached leg: notes the event it starts in, waits, notes its
  *  end and reports to @p join. */
@@ -338,7 +279,7 @@ TEST(Join, LegsStartInListOrderAndTheAwaiterResumesOneEventAfterTheLast)
         for (int i = 0; i < 3; ++i)
             wisync::coro::spawnDetached(
                 eng, timedLeg(eng, waits[i], &started[i], &ended[i], &join));
-        co_await join;
+        co_await AwaitJoin{join};
         joined = eng.eventsExecuted();
         joined_at = eng.now();
     };
@@ -357,7 +298,7 @@ TEST(Join, LegsStartInListOrderAndTheAwaiterResumesOneEventAfterTheLast)
 }
 
 /** A callback waiter wakes the same way, one delta-0 event after the
- *  last leg; a join with no leg pending does not suspend its awaiter. */
+ *  last leg; a waiter of a join with no leg pending goes on at once. */
 TEST(Join, CallbackWaiterAndEmptyJoin)
 {
     Engine eng;
@@ -377,7 +318,7 @@ TEST(Join, CallbackWaiterAndEmptyJoin)
     Cycle done = 99;
     spawnNow(eng2, [&]() -> Task<void> {
         Join none;
-        co_await none;
+        co_await AwaitJoin{none};
         done = eng2.now();
     });
     ASSERT_TRUE(eng2.run());
@@ -398,7 +339,7 @@ TEST(Join, EngineResetMidFlightFreesEveryFrame)
         for (int i = 0; i < 3; ++i)
             wisync::coro::spawnDetached(
                 eng, timedLeg(eng, 10 * (i + 1), &s[i], &e[i], &join));
-        co_await join;
+        co_await AwaitJoin{join};
     });
     EXPECT_FALSE(eng.run(15)); // one leg done, two parked
     EXPECT_NE(e[0], 0u);

@@ -598,6 +598,21 @@ TEST(ServiceCodec, RangeLimitsThemselvesAreAccepted)
     EXPECT_EQ(ranged, 19u);
 }
 
+/** The one cross-field rule of the wireless group: a collision must
+ *  end before a full transfer would have. */
+TEST(ConfigValidate, CollisionCyclesMustBeBelowDataCycles)
+{
+    auto cfg = MachineConfig::make(ConfigKind::WiSync, 8);
+    cfg.wireless.collisionCycles = cfg.wireless.dataCycles - 1;
+    EXPECT_FALSE(cfg.validate().has_value());
+    for (const std::uint32_t extra : {0u, 1u}) {
+        cfg.wireless.collisionCycles = cfg.wireless.dataCycles + extra;
+        const auto error = cfg.validate();
+        ASSERT_TRUE(error.has_value());
+        EXPECT_EQ(error->field, "wireless.collisionCycles");
+    }
+}
+
 // ---- MachineConfig equality + fingerprint ------------------------
 
 TEST(ServiceFingerprint, EqualConfigsShareItDifferingConfigsDoNot)
